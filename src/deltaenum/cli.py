@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Subcommands: classify, plan, eval, enumerate, dyn, matlang {eval, compile,
-classify}, bench.  All take --semiring; most support --json for
-machine-readable reports (timing isolated under a "timing" key) and --verify
-for an oracle cross-check.  Exit codes: 0 success, 1 user error,
+classify}, bench.  --semiring selects the annotation domain of the commands
+that read data (eval, enumerate, dyn, matlang, bench); --json asks classify,
+plan, eval, enumerate and matlang for machine-readable reports (timing
+isolated under a "timing" key); --verify cross-checks eval, enumerate, dyn
+and matlang eval against the oracle.  Exit codes: 0 success, 1 user error,
 2 verification mismatch.
 """
 
@@ -145,25 +147,29 @@ def cmd_eval(args) -> int:
             stream = itertools.islice(stream, args.limit)
 
     if args.verify:
-        got = dict(stream)
-        want = oracle_eval_cq(q, db).entries
-        if args.limit is None and not _answers_match(got, want, semiring):
+        answers = list(stream)
+        if not _answers_match(answers, oracle_eval_cq(q, db).entries, semiring, args.limit):
             print("verification mismatch against the oracle", file=sys.stderr)
             return 2
-        return _print_answers(args, semiring, got.items(), timing)
+        return _print_answers(args, semiring, answers, timing)
     return _print_answers(args, semiring, stream, timing)
 
 
-def _answers_match(got, want, semiring) -> bool:
+def _answers_match(answers, want, semiring, limit: Optional[int] = None) -> bool:
+    """The answers are distinct, each is in ``want`` with its annotation, and
+    they number min(limit, |want|), or |want| without a limit."""
+    got = dict(answers)
+    expected = len(want) if limit is None else min(limit, len(want))
+    if len(got) != len(answers) or len(got) != expected:
+        return False
     if semiring.name == "real":
-        return set(got) == set(want) and all(abs(got[t] - want[t]) <= 1e-9 for t in got)
-    return got == want
+        return all(t in want and abs(v - want[t]) <= 1e-9 for t, v in got.items())
+    return all(t in want and v == want[t] for t, v in got.items())
 
 
 def _print_answers(args, semiring, answers, timing) -> int:
-    out_format = getattr(args, "out", "csv")
     count = 0
-    if out_format == "jsonl":
+    if args.out == "jsonl":
         for t, v in answers:
             print(json.dumps({"tuple": list(t), "annotation": semiring.format(v)}))
             count += 1
@@ -171,7 +177,7 @@ def _print_answers(args, semiring, answers, timing) -> int:
         for t, v in answers:
             print(",".join(map(str, t)) + "," + semiring.format(v))
             count += 1
-    if getattr(args, "json", False) and timing is not None:
+    if args.json and timing is not None:
         print(json.dumps({"count": count, "timing": timing}), file=sys.stderr)
     return 0
 
@@ -192,9 +198,8 @@ def cmd_dyn(args) -> int:
             for t, v in answers:
                 print(",".join(map(str, t)) + "," + semiring.format(v))
         if args.verify:
-            got = dict(dyn_enumerate(state))
             want = oracle_eval_cq(q, state.db).entries
-            if not _answers_match(got, want, semiring):
+            if not _answers_match(list(dyn_enumerate(state)), want, semiring):
                 print(f"verification mismatch after update {i + 1}", file=sys.stderr)
                 return 2
     if not args.enumerate_after_each:
@@ -368,22 +373,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, db=False):
-        p.add_argument("--semiring", choices=BUILTIN_SEMIRING_NAMES, default="natural")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--verify", action="store_true", help="cross-check against the oracle")
-        if db:
-            p.add_argument("--db", required=True, help="directory with vocab.json and <R>.csv files")
+    flags = {
+        "--semiring": dict(choices=BUILTIN_SEMIRING_NAMES, default="natural"),
+        "--json": dict(action="store_true", help="machine-readable output"),
+        "--verify": dict(action="store_true", help="cross-check against the oracle"),
+        "--db": dict(required=True, help="directory with vocab.json and <R>.csv files"),
+    }
+
+    def add_flags(p, *names):
+        for name in names:
+            p.add_argument(name, **flags[name])
 
     p = sub.add_parser("classify", help="structural classification of a query")
     p.add_argument("query")
-    add_common(p)
+    add_flags(p, "--json")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("plan", help="emit the query plan as JSON or Graphviz")
     p.add_argument("query")
     p.add_argument("--guarded", action="store_true", help="build the guarded (dynamic) plan")
-    add_common(p)
+    add_flags(p, "--json")
     p.set_defaults(func=cmd_plan)
 
     for name, help_text in (("eval", "evaluate a query"), ("enumerate", "stream answers")):
@@ -391,14 +400,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--query", required=True)
         p.add_argument("--limit", type=int, default=None)
         p.add_argument("--out", choices=("csv", "jsonl"), default="csv")
-        add_common(p, db=True)
+        add_flags(p, "--db", "--semiring", "--json", "--verify")
         p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("dyn", help="apply single-tuple updates with maintenance")
     p.add_argument("--query", required=True)
     p.add_argument("--updates", required=True, help="update script, one '+ R 1 2 7' or '- R 1 2' per line")
     p.add_argument("--enumerate-after-each", action="store_true")
-    add_common(p, db=True)
+    add_flags(p, "--db", "--semiring", "--verify")
     p.set_defaults(func=cmd_dyn)
 
     p = sub.add_parser("matlang", help="matrix expression frontend")
@@ -406,8 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expr", required=True, help=".ml file with 'H := expression'")
     p.add_argument("--schema", required=True, help="schema JSON")
     p.add_argument("--data", help="directory with <A>.coo files (eval only)")
-    p.add_argument("--dump-cq", action="store_true")
-    add_common(p)
+    add_flags(p, "--semiring", "--json", "--verify")
     p.set_defaults(func=cmd_matlang)
 
     p = sub.add_parser("bench", help="scaling benchmarks; JSON report on stdout")
@@ -416,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--updates", type=int, default=10000)
     p.add_argument("--delay-outputs", type=int, default=None)
     p.add_argument("--seed", type=int, default=13)
-    add_common(p)
+    add_flags(p, "--semiring")
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -43,7 +43,7 @@ class DynamicState:
     # per 2-child connex node: tuple -> number of children whose candidate
     # sets contain it (in the candidate set of the node iff the count is 2)
     counters: Dict[int, Dict[DataTuple, int]] = field(default_factory=dict)
-    # leaves by relation symbol, with projection/filter info precomputed
+    # leaves by relation symbol
     leaves: Dict[str, List[int]] = field(default_factory=dict)
     frontier: frozenset = frozenset()
 
@@ -111,21 +111,6 @@ def dyn_preprocess(q: ConjunctiveQuery, db: Database) -> DynamicState:
 # Update propagation
 # ---------------------------------------------------------------------------
 
-def _leaf_key(
-    atom_args: Tuple[str, ...],
-    order: Tuple[str, ...],
-    t: DataTuple,
-    limits: Dict[str, int],
-) -> Optional[DataTuple]:
-    binding: Optional[Dict[str, int]] = {}
-    for arg, value in zip(atom_args, t):
-        if binding.setdefault(arg, value) != value:
-            return None
-    if limits and any(binding[v] > lim for v, lim in limits.items()):
-        return None
-    return tuple(binding[v] for v in order)
-
-
 def dyn_update(state: DynamicState, u: SingleTupleUpdate) -> None:
     """Apply a single-tuple update and repair all maintained structures."""
     enum = state.enum
@@ -140,17 +125,8 @@ def dyn_update(state: DynamicState, u: SingleTupleUpdate) -> None:
     if old_db_val is None and new_db_val is None:
         return
 
-    s = enum.semiring
-    plan = enum.plan
-    sp = enum.split
     for leaf_id in state.leaves[u.relation]:
-        node = plan.nodes[leaf_id]
-        atom = plan.atoms[node.atom_index]
-        limits = {}
-        for ineq in sp.covered[node.atom_index]:
-            c = db.constant(ineq.bound)
-            limits[ineq.var] = min(limits.get(ineq.var, c), c)
-        key = _leaf_key(atom.args, enum.var_order[leaf_id], u.tuple, limits)
+        key = enum.matchers[leaf_id].key(u.tuple)
         if key is None:
             continue
         old = enum.relations[leaf_id].get(key)

@@ -76,7 +76,3 @@ class TypeCheckError(EngineError):
         self.path = path
         suffix = f" (at node path {'/'.join(map(str, path))})" if path else ""
         super().__init__(message + suffix)
-
-
-class VerificationError(EngineError):
-    """An oracle cross-check found a mismatch."""

@@ -27,40 +27,9 @@ class AnnotatedRelation:
 
     arity: int
     entries: Dict[DataTuple, Value] = field(default_factory=dict)
-    _prefix_indexes: Dict[int, Dict[DataTuple, List[DataTuple]]] = field(
-        default_factory=dict, repr=False
-    )
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def prefix_index(self, length: int) -> Dict[DataTuple, List[DataTuple]]:
-        """Index from length-``length`` prefixes to the full tuples extending them.
-
-        Built lazily (plans request the prefixes they need during
-        preprocessing) and kept up to date by subsequent updates.
-        """
-        if not 0 <= length <= self.arity:
-            raise SchemaError(f"prefix length {length} out of range for arity {self.arity}")
-        idx = self._prefix_indexes.get(length)
-        if idx is None:
-            idx = {}
-            for t in self.entries:
-                idx.setdefault(t[:length], []).append(t)
-            self._prefix_indexes[length] = idx
-        return idx
-
-    def _index_add(self, t: DataTuple) -> None:
-        for length, idx in self._prefix_indexes.items():
-            idx.setdefault(t[:length], []).append(t)
-
-    def _index_remove(self, t: DataTuple) -> None:
-        for length, idx in self._prefix_indexes.items():
-            bucket = idx.get(t[:length])
-            if bucket is not None:
-                bucket.remove(t)
-                if not bucket:
-                    del idx[t[:length]]
 
 
 @dataclass
@@ -134,22 +103,14 @@ def apply_update(db: Database, u: SingleTupleUpdate) -> None:
     if any(v < 1 for v in u.tuple):
         raise SchemaError(f"data values must be positive integers: {u.tuple}")
     s = db.semiring
-    present = u.tuple in rel.entries
     if u.kind == "delete":
-        if present:
-            del rel.entries[u.tuple]
-            rel._index_remove(u.tuple)
+        rel.entries.pop(u.tuple, None)
         return
-    old = rel.entries.get(u.tuple, s.zero)
-    new = s.add(old, u.value)
+    new = s.add(rel.entries.get(u.tuple, s.zero), u.value)
     if s.is_zero(new):
-        if present:
-            del rel.entries[u.tuple]
-            rel._index_remove(u.tuple)
+        rel.entries.pop(u.tuple, None)
     else:
         rel.entries[u.tuple] = new
-        if not present:
-            rel._index_add(u.tuple)
 
 
 def load_vocabulary(path: str | Path) -> Tuple[Dict[str, int], Dict[str, int]]:

@@ -17,7 +17,7 @@ sorted variable names, so plan dumps are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import ClassificationError
 from .query import Atom, ConjunctiveQuery, RelAtom, split
@@ -43,29 +43,34 @@ class JoinTree:
             nbr[b].append(a)
         return nbr
 
-    def is_variable_connected(self) -> bool:
-        """Every variable's occurrence set induces a connected subtree."""
-        n = len(self.atoms)
-        if n == 0:
-            return True
-        nbr = self.neighbors()
-        all_vars = set()
-        for a in self.atoms:
-            all_vars |= a.vars
-        for v in all_vars:
-            holders = {i for i, a in enumerate(self.atoms) if v in a.vars}
-            start = next(iter(holders))
-            seen = {start}
-            stack = [start]
-            while stack:
-                cur = stack.pop()
-                for nb in nbr[cur]:
-                    if nb in holders and nb not in seen:
-                        seen.add(nb)
-                        stack.append(nb)
-            if seen != holders:
-                return False
-        return True
+
+def disconnected_variables(
+    bags: Dict[int, VarSet], edges: Iterable[Tuple[int, int]]
+) -> List[str]:
+    """Sorted variables whose holders (the nodes whose bag contains them) do
+    not induce a connected subgraph of the undirected ``edges``.
+
+    Empty exactly when the tree has the running-intersection property that
+    join trees, GHDs and plans all require.
+    """
+    nbr: Dict[int, List[int]] = {n: [] for n in bags}
+    for a, b in edges:
+        nbr[a].append(b)
+        nbr[b].append(a)
+    out: List[str] = []
+    for v in sorted(set().union(*bags.values())):
+        holders = {n for n, bag in bags.items() if v in bag}
+        start = next(iter(holders))
+        seen = {start}
+        stack = [start]
+        while stack:
+            for nb in nbr[stack.pop()]:
+                if nb in holders and nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        if seen != holders:
+            out.append(v)
+    return out
 
 
 def build_join_tree(atoms: Sequence[Atom]) -> Optional[JoinTree]:
@@ -227,26 +232,6 @@ class Ghd:
             if self.bags[t] == self.atoms[cover].vars:
                 placed.add(cover)
         return placed == set(range(len(self.atoms)))
-
-    def is_variable_connected(self) -> bool:
-        nbr = self.neighbors()
-        all_vars: Set[str] = set()
-        for bag in self.bags.values():
-            all_vars |= bag
-        for v in all_vars:
-            holders = {t for t, bag in self.bags.items() if v in bag}
-            start = next(iter(holders))
-            seen = {start}
-            stack = [start]
-            while stack:
-                cur = stack.pop()
-                for nb in nbr[cur]:
-                    if nb in holders and nb not in seen:
-                        seen.add(nb)
-                        stack.append(nb)
-            if seen != holders:
-                return False
-        return True
 
 
 def build_fc_ghd(q: ConjunctiveQuery) -> Optional[Tuple[Ghd, Set[int]]]:
@@ -742,23 +727,10 @@ def verify_plan(plan: QueryPlan, rel_part: ConjunctiveQuery) -> List[str]:
     if sorted(leaf_atoms) != list(range(len(plan.atoms))):
         problems.append("leaf atoms do not match the atom multiset")
 
-    all_vars: Set[str] = set()
-    for node_id in nodes:
-        all_vars |= plan.vars(node_id)
-    for v in all_vars:
-        holders = {nid for nid in nodes if v in plan.vars(nid)}
-        start = next(iter(holders))
-        seen = {start}
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            node = nodes[cur]
-            for nb in list(node.children) + ([node.parent] if node.parent is not None else []):
-                if nb in holders and nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if seen != holders:
-            problems.append(f"variable {v} is not connected in the plan")
+    bags = {nid: plan.vars(nid) for nid in nodes}
+    edges = [(nid, c) for nid, node in nodes.items() for c in node.children]
+    for v in disconnected_variables(bags, edges):
+        problems.append(f"variable {v} is not connected in the plan")
 
     if plan.root not in plan.connex:
         problems.append("connex set misses the root")

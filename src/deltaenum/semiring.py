@@ -239,14 +239,6 @@ def acc_new(s: SemiringDescriptor) -> SumAccumulator:
     return s.acc_factory()
 
 
-def acc_insert(a: SumAccumulator, k: Value) -> None:
-    a.insert(k)
-
-
-def acc_delete(a: SumAccumulator, k: Value) -> None:
-    a.delete(k)
-
-
 def sum_of_ones(s: SemiringDescriptor, n: int) -> Value:
     """The n-fold semiring sum 1 + ... + 1, computed with O(log n) additions.
 

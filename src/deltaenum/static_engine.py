@@ -24,49 +24,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import CapabilityError, ClassificationError
+from .errors import CapabilityError, ClassificationError, VocabularyError
 from .kdata import AnnotatedRelation, Database, DataTuple
 from .planner import QueryPlan, build_fc_plan, is_free_connex
 from .query import ConjunctiveQuery, IneqAtom, QuerySplit, RelAtom, split
 from .semiring import SemiringDescriptor, Value, sum_of_ones
-
-
-# ---------------------------------------------------------------------------
-# Atomic reduction
-# ---------------------------------------------------------------------------
-
-def atomically_reduce(db: Database, q: ConjunctiveQuery) -> Database:
-    """Copy of ``db`` keeping each tuple only if every atom it matches has all
-    of its covered inequalities satisfied.
-
-    For self-join-free queries this preserves the query answer; the engine
-    itself filters per leaf instead, which is exact even under self-joins.
-    """
-    sp = split(q)
-    out = db.copy()
-    atoms_by_symbol: Dict[str, List[Tuple[RelAtom, Tuple[IneqAtom, ...]]]] = {}
-    for i, atom in enumerate(sp.rel_part.relational_atoms):
-        atoms_by_symbol.setdefault(atom.symbol, []).append((atom, sp.covered[i]))
-    for symbol, atom_list in atoms_by_symbol.items():
-        rel = out.relations.get(symbol)
-        if rel is None:
-            continue
-        doomed = []
-        for t in rel.entries:
-            for atom, ineqs in atom_list:
-                binding: Optional[Dict[str, int]] = {}
-                for arg, value in zip(atom.args, t):
-                    if binding.setdefault(arg, value) != value:
-                        binding = None
-                        break
-                if binding is None:
-                    continue  # tuple does not match this atom's repetitions
-                if any(binding[i.var] > db.constant(i.bound) for i in ineqs):
-                    doomed.append(t)
-                    break
-        for t in doomed:
-            del rel.entries[t]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -111,42 +73,74 @@ class EnumerationState:
     # connex navigation structures
     groups: Dict[int, Dict[DataTuple, Dict[DataTuple, bool]]] = field(default_factory=dict)
     candidates: Dict[int, Dict[DataTuple, bool]] = field(default_factory=dict)
+    # per plan leaf: its tuple-to-key matcher, built once
+    matchers: Dict[int, LeafMatcher] = field(default_factory=dict)
     ineq: Optional[IneqPlanState] = None
     version: int = 0
 
 
-def _leaf_relation(
-    atom: RelAtom,
-    covered: Sequence[IneqAtom],
-    db: Database,
-    order: Tuple[str, ...],
-) -> Dict[DataTuple, Value]:
-    rel = db.relations.get(atom.symbol)
-    out: Dict[DataTuple, Value] = {}
-    if rel is None:
+@dataclass(frozen=True)
+class LeafMatcher:
+    """Maps the tuples of one plan leaf's relation to the leaf's keys.
+
+    A tuple matches its atom when the components at a repeated variable's
+    positions are equal and every inequality the atom covers holds; its key
+    lists the values of the atom's distinct variables in sorted order.
+    """
+
+    positions: Tuple[int, ...]  # first atom position of each key variable
+    equalities: Tuple[Tuple[int, int], ...]  # (later, first) position of one variable
+    limits: Tuple[Tuple[int, int], ...]  # (position, bound): component <= bound
+
+    def key(self, t: DataTuple) -> Optional[DataTuple]:
+        for i, j in self.equalities:
+            if t[i] != t[j]:
+                return None
+        for i, bound in self.limits:
+            if t[i] > bound:
+                return None
+        return tuple([t[i] for i in self.positions])
+
+    def relation(self, entries: Dict[DataTuple, Value]) -> Dict[DataTuple, Value]:
+        """The leaf relation: matching tuples re-keyed, annotations kept."""
+        if not self.equalities and not self.limits and self.positions == tuple(
+            range(len(self.positions))
+        ):
+            # common fast path: distinct, already-sorted variables, no filters
+            return dict(entries)
+        key = self.key
+        out: Dict[DataTuple, Value] = {}
+        for t, k in entries.items():
+            kt = key(t)
+            if kt is not None:
+                out[kt] = k
         return out
-    limits = {}
+
+
+def build_leaf_matcher(atom: RelAtom, covered: Sequence[IneqAtom], db: Database) -> LeafMatcher:
+    """Matcher for ``atom`` and the inequalities it covers, checked against
+    the database vocabulary (unknown symbols and arity mismatches raise
+    ``VocabularyError``)."""
+    rel = db.relation(atom.symbol)
+    if len(atom.args) != rel.arity:
+        raise VocabularyError(
+            f"atom {atom} has arity {len(atom.args)}, relation {atom.symbol!r} expects {rel.arity}"
+        )
+    first: Dict[str, int] = {}
+    equalities = []
+    for i, arg in enumerate(atom.args):
+        j = first.setdefault(arg, i)
+        if j != i:
+            equalities.append((i, j))
+    limits: Dict[str, int] = {}
     for ineq in covered:
         c = db.constant(ineq.bound)
         limits[ineq.var] = min(limits.get(ineq.var, c), c)
-    args = atom.args
-    simple = len(set(args)) == len(args) and not limits
-    if simple and tuple(sorted(args)) == args:
-        # common fast path: distinct, already-sorted variables, no filters
-        return dict(rel.entries)
-    positions = [args.index(v) for v in order]
-    for t, k in rel.entries.items():
-        binding: Optional[Dict[str, int]] = {}
-        for arg, value in zip(args, t):
-            if binding.setdefault(arg, value) != value:
-                binding = None
-                break
-        if binding is None:
-            continue
-        if limits and any(binding[v] > lim for v, lim in limits.items()):
-            continue
-        out[tuple(t[i] for i in positions)] = k
-    return out
+    return LeafMatcher(
+        tuple(first[v] for v in sorted(first)),
+        tuple(equalities),
+        tuple((first[v], c) for v, c in sorted(limits.items())),
+    )
 
 
 def _project(
@@ -196,6 +190,10 @@ def preprocess_with_plan(
     if sp.rel_part.relational_atoms:
         assert plan is not None
         state.plan = plan
+        for nid, node in plan.nodes.items():
+            if node.is_leaf:
+                i = node.atom_index
+                state.matchers[nid] = build_leaf_matcher(plan.atoms[i], sp.covered[i], db)
         _bottom_up(state)
         _build_connex_structures(state)
     return state
@@ -204,16 +202,13 @@ def preprocess_with_plan(
 def _bottom_up(state: EnumerationState) -> None:
     plan = state.plan
     s = state.semiring
-    sp = state.split
     for nid in plan.postorder():
         node = plan.nodes[nid]
         order = tuple(sorted(plan.vars(nid)))
         state.var_order[nid] = order
         if node.is_leaf:
-            atom = plan.atoms[node.atom_index]
-            state.relations[nid] = _leaf_relation(
-                atom, sp.covered[node.atom_index], state.db, order
-            )
+            rel = state.db.relation(plan.atoms[node.atom_index].symbol)
+            state.relations[nid] = state.matchers[nid].relation(rel.entries)
         elif len(node.children) == 1:
             c = node.children[0]
             positions = _positions(state.var_order[c], order)

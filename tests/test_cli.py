@@ -44,6 +44,53 @@ def test_eval_verify_exits_zero(tmp_path, dbdir, capsys):
     assert sorted(out) == ["1,6", "3,3"]
 
 
+def _corrupt_annotation(answers):
+    for i, (t, v) in enumerate(answers):
+        yield t, (v + 1 if i == 0 else v)
+
+
+def _repeat_first(answers):
+    answers = list(answers)
+    yield from answers[:1] + answers
+
+
+def _drop_first(answers):
+    yield from list(answers)[1:]
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_annotation, _repeat_first, _drop_first])
+def test_eval_verify_with_limit_compares(tmp_path, dbdir, monkeypatch, capsys, corrupt):
+    from deltaenum import static_engine
+
+    q = write(tmp_path / "q.cq", "H(x) :- R(x,y), S(y).")
+    argv = ["eval", "--query", q, "--db", str(dbdir), "--verify", "--limit", "1"]
+    assert main(argv) == 0
+    assert main(argv[:-2]) == 0
+    enumerate_state = static_engine.enumerate_state
+    monkeypatch.setattr(
+        static_engine,
+        "enumerate_state",
+        lambda state, limit=None: corrupt(enumerate_state(state, limit=limit)),
+    )
+    assert main(argv) == 2
+    assert "verification mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["H(x) :- R(x).", "H(x) :- R(x,y,z).", "H(x) :- Q(x)."])
+def test_vocabulary_mismatch_exits_one(tmp_path, dbdir, capsys, text):
+    q = write(tmp_path / "q.cq", text)
+    ups = write(tmp_path / "u.ups", "+ R 1 5 3\n")
+    for argv in (
+        ["eval", "--query", q, "--db", str(dbdir)],
+        ["dyn", "--query", q, "--db", str(dbdir), "--updates", ups],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+
 def test_unknown_flag_exits_one(capsys):
     assert main(["eval", "--nonsense"]) == 1
 

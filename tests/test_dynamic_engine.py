@@ -8,7 +8,7 @@ from deltaenum.dynamic_engine import (
     dyn_update,
     verify_dynamic_invariants,
 )
-from deltaenum.errors import CapabilityError, ClassificationError
+from deltaenum.errors import CapabilityError, ClassificationError, VocabularyError
 from deltaenum.kdata import SingleTupleUpdate
 from deltaenum.oracle import oracle_eval_cq
 from deltaenum.planner import is_q_hierarchical
@@ -17,7 +17,7 @@ from deltaenum.semiring import builtin_semiring
 from deltaenum.static_engine import enumerate_state, preprocess
 
 from test_query import random_cq
-from test_static_engine import equal_answers, make_db, random_db
+from test_static_engine import VOCABULARY_MISMATCHES, equal_answers, make_db, random_db
 
 NAT = builtin_semiring("natural")
 BOOL = builtin_semiring("boolean")
@@ -42,6 +42,13 @@ def test_dyn_preprocess_empty_db():
     state = dyn_preprocess(q, db)
     assert all(not table for table in state.accs.values())
     assert list(dyn_enumerate(state)) == []
+
+
+@pytest.mark.parametrize("text", VOCABULARY_MISMATCHES)
+def test_dyn_preprocess_rejects_vocabulary_mismatch(text):
+    db = make_db(NAT, {"R": (2, {(1, 1): 1, (3, 2): 2, (2, 3): 3})})
+    with pytest.raises(VocabularyError):
+        dyn_preprocess(parse_query(text), db)
 
 
 def test_dyn_preprocess_boolean_variant():

@@ -87,19 +87,6 @@ def test_no_zero_annotations_after_update_storm():
         assert all(not REAL.is_zero(v) for v in db.relations["R"].entries.values())
 
 
-def test_prefix_index_tracks_updates():
-    db = make_db(entries={(1, 2): 1, (1, 3): 1, (2, 2): 1})
-    rel = db.relations["R"]
-    idx = rel.prefix_index(1)
-    assert sorted(idx[(1,)]) == [(1, 2), (1, 3)]
-    apply_update(db, SingleTupleUpdate("insert", "R", (1, 4), 1))
-    apply_update(db, SingleTupleUpdate("delete", "R", (1, 2)))
-    assert sorted(rel.prefix_index(1)[(1,)]) == [(1, 3), (1, 4)]
-    assert (2,) in rel.prefix_index(1)
-    apply_update(db, SingleTupleUpdate("delete", "R", (2, 2)))
-    assert (2,) not in rel.prefix_index(1)
-
-
 def write_db(tmp_path, vocab, files):
     import json
 

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from deltaenum.errors import CapabilityError, ConfigurationError, ContractViolationError
 from deltaenum.semiring import (
     BUILTIN_SEMIRING_NAMES,
-    acc_delete,
-    acc_insert,
     acc_new,
     builtin_semiring,
     sum_of_ones,
@@ -104,30 +102,30 @@ def test_acc_rejects_non_sum_maintainable():
 def test_acc_natural_inserts():
     s = builtin_semiring("natural")
     a = acc_new(s)
-    acc_insert(a, 3)
-    acc_insert(a, 4)
+    a.insert(3)
+    a.insert(4)
     assert a.total() == 7
-    acc_delete(a, 3)
+    a.delete(3)
     assert a.total() == 4
 
 
 def test_acc_boolean_multiset_semantics():
     s = builtin_semiring("boolean")
     a = acc_new(s)
-    acc_insert(a, s.one)
-    acc_insert(a, s.one)
+    a.insert(s.one)
+    a.insert(s.one)
     assert a.total() == s.one
-    acc_delete(a, s.one)
+    a.delete(s.one)
     assert a.total() == s.one  # one copy remains
-    acc_delete(a, s.one)
+    a.delete(s.one)
     assert a.total() == s.zero
 
 
 def test_acc_real_reference():
     s = builtin_semiring("real")
     a = acc_new(s)
-    acc_insert(a, 1.5)
-    acc_insert(a, -0.5)
+    a.insert(1.5)
+    a.insert(-0.5)
     assert a.total() == 1.0
 
 
@@ -135,7 +133,7 @@ def test_acc_delete_from_empty_is_contract_violation():
     s = builtin_semiring("natural")
     a = acc_new(s)
     with pytest.raises(ContractViolationError):
-        acc_delete(a, 1)
+        a.delete(1)
 
 
 @pytest.mark.parametrize("name", ["boolean", "natural", "real"])
@@ -147,11 +145,11 @@ def test_acc_random_interleavings_match_reference(name):
     for step in range(10_000):
         if members and rng.random() < 0.4:
             v = members.pop(rng.randrange(len(members)))
-            acc_delete(acc, v)
+            acc.delete(v)
         else:
             v = s.sample(rng)
             members.append(v)
-            acc_insert(acc, v)
+            acc.insert(v)
         if step % 500 == 0 or not members:
             want = fold(s, members)
             got = acc.total()

@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from deltaenum.errors import CapabilityError, ClassificationError
+from deltaenum.errors import CapabilityError, ClassificationError, VocabularyError
 from deltaenum.kdata import AnnotatedRelation, Database
 from deltaenum.oracle import oracle_eval_cq
 from deltaenum.query import parse_query
 from deltaenum.semiring import builtin_semiring
 from deltaenum.static_engine import (
-    atomically_reduce,
     enumerate_state,
     eval_materialized,
     preprocess,
@@ -27,52 +26,6 @@ def make_db(semiring, relations, constants=None):
     for name, (arity, entries) in relations.items():
         db.relations[name] = AnnotatedRelation(arity, dict(entries))
     return db
-
-
-# ---------------------------------------------------------------------------
-# atomically_reduce
-# ---------------------------------------------------------------------------
-
-def test_atomic_reduction_filters_covered_inequality():
-    q = parse_query("H(x) :- R(x,y), y<=c.")
-    db = make_db(NAT, {"R": (2, {(1, 2): 1, (1, 5): 1})}, {"c": 3})
-    out = atomically_reduce(db, q)
-    assert out.relations["R"].entries == {(1, 2): 1}
-    assert db.relations["R"].entries == {(1, 2): 1, (1, 5): 1}  # input untouched
-
-
-def test_atomic_reduction_no_covered_inequalities_is_identity():
-    q = parse_query("H(x) :- R(x,y).")
-    db = make_db(NAT, {"R": (2, {(1, 2): 1})})
-    assert atomically_reduce(db, q).relations["R"].entries == db.relations["R"].entries
-
-
-def test_atomic_reduction_ignores_non_matching_tuples():
-    q = parse_query("H(x) :- S(x,x), x<=c.")
-    db = make_db(NAT, {"S": (2, {(1, 2): 1, (5, 5): 1})}, {"c": 3})
-    out = atomically_reduce(db, q)
-    # (1,2) does not match S(x,x) and is retained regardless of x<=c
-    assert out.relations["S"].entries == {(1, 2): 1}
-
-
-def test_atomic_reduction_preserves_answers_without_self_joins():
-    from deltaenum.oracle import active_domain_bound
-    from deltaenum.query import has_self_join
-
-    rng = random.Random(4242)
-    checked = 0
-    while checked < 200:
-        q = random_cq(rng)
-        if has_self_join(q):
-            continue
-        db = random_db(rng, q, NAT)
-        bound = active_domain_bound(db)
-        reduced = atomically_reduce(db, q)
-        assert (
-            oracle_eval_cq(q, db, bound).entries
-            == oracle_eval_cq(q, reduced, bound).entries
-        ), q.to_text()
-        checked += 1
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +61,18 @@ def test_preprocess_rejects_non_free_connex():
     db = make_db(NAT, {"R": (2, {}), "S": (2, {})})
     with pytest.raises(ClassificationError):
         preprocess(q, db)
+
+
+# atoms that disagree with the database vocabulary: arity too small, arity
+# too large, unknown relation symbol
+VOCABULARY_MISMATCHES = ["H(x) :- R(x).", "H(x) :- R(x,y,z).", "H(x) :- Q(x)."]
+
+
+@pytest.mark.parametrize("text", VOCABULARY_MISMATCHES)
+def test_preprocess_rejects_vocabulary_mismatch(text):
+    db = make_db(NAT, {"R": (2, {(1, 1): 1, (3, 2): 2, (2, 3): 3})})
+    with pytest.raises(VocabularyError):
+        preprocess(parse_query(text), db)
 
 
 def test_preprocess_rejects_zero_divisor_semirings():
