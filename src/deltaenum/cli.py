@@ -12,13 +12,14 @@ and matlang eval against the oracle.  Exit codes: 0 success, 1 user error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from .errors import EngineError, NotConjunctiveError
+from .errors import ClassificationError, EngineError, NotConjunctiveError
 from .kdata import db_size, load_database, parse_update_script
 from .semiring import BUILTIN_SEMIRING_NAMES, builtin_semiring
 
@@ -126,10 +127,15 @@ def cmd_eval(args) -> int:
     try:
         q = _read_query(args.query)
     except NotConjunctiveError:
+        if args.verify:
+            raise ClassificationError(
+                "--verify needs an independent evaluator, and FO+ queries with "
+                "disjunction have none: the oracle is their only evaluator"
+            )
         fo = parse_fo_query(text)
         print("warning: FO+ query with disjunction; using the oracle evaluator", file=sys.stderr)
         answers = oracle_eval_fo_query(fo, db)
-        return _print_answers(args, semiring, answers.items(), None)
+        return _print_answers(args, semiring, itertools.islice(answers.items(), args.limit), None)
 
     flags = classify(q)
     timing: Dict[str, float] = {}
@@ -140,11 +146,7 @@ def cmd_eval(args) -> int:
         stream = enumerate_state(state, limit=args.limit)
     else:
         print("warning: query is not free-connex; using the oracle evaluator", file=sys.stderr)
-        stream = iter(oracle_eval_cq(q, db).entries.items())
-        if args.limit is not None:
-            import itertools
-
-            stream = itertools.islice(stream, args.limit)
+        stream = itertools.islice(oracle_eval_cq(q, db).entries.items(), args.limit)
 
     if args.verify:
         answers = list(stream)
@@ -285,6 +287,13 @@ def cmd_matlang(args) -> int:
     return 0
 
 
+def _limit(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, not {value}")
+    return value
+
+
 def _gap_histogram(gaps) -> Dict[str, int]:
     """Log-scale histogram of inter-output gaps, bucketed by powers of ten."""
     buckets: Dict[str, int] = {}
@@ -398,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (("eval", "evaluate a query"), ("enumerate", "stream answers")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--query", required=True)
-        p.add_argument("--limit", type=int, default=None)
+        p.add_argument("--limit", type=_limit, default=None)
         p.add_argument("--out", choices=("csv", "jsonl"), default="csv")
         add_flags(p, "--db", "--semiring", "--json", "--verify")
         p.set_defaults(func=cmd_eval)

@@ -24,12 +24,7 @@ from .kdata import Database, DataTuple, SingleTupleUpdate, apply_update
 from .planner import QueryPlan, build_guarded_plan
 from .query import ConjunctiveQuery
 from .semiring import SumAccumulator, Value, acc_new
-from .static_engine import (
-    EnumerationState,
-    enumerate_state,
-    preprocess_with_plan,
-    _positions,
-)
+from .static_engine import EnumerationState, enumerate_state, preprocess_with_plan
 
 
 @dataclass
@@ -45,7 +40,6 @@ class DynamicState:
     counters: Dict[int, Dict[DataTuple, int]] = field(default_factory=dict)
     # leaves by relation symbol
     leaves: Dict[str, List[int]] = field(default_factory=dict)
-    frontier: frozenset = frozenset()
 
     @property
     def db(self) -> Database:
@@ -75,29 +69,29 @@ def dyn_preprocess(q: ConjunctiveQuery, db: Database) -> DynamicState:
         )
     enum = preprocess_with_plan(q, db, plan)
     state = DynamicState(enum)
-    if enum.plan is None:
+    plan = enum.plan
+    if plan is None:
         return state
-    state.frontier = frozenset(enum.plan.connex_frontier())
 
-    for nid in enum.plan.postorder():
-        node = enum.plan.nodes[nid]
+    for nid in plan.postorder():
+        node = plan.nodes[nid]
         if node.is_leaf:
-            atom = enum.plan.atoms[node.atom_index]
+            atom = plan.atoms[node.atom_index]
             state.leaves.setdefault(atom.symbol, []).append(nid)
         elif len(node.children) == 1:
             c = node.children[0]
-            positions = _positions(enum.var_order[c], enum.var_order[nid])
+            key = plan.key[c]
             table: Dict[DataTuple, SumAccumulator] = {}
             for t, k in enum.relations[c].items():
-                key = tuple(t[i] for i in positions)
-                acc = table.get(key)
+                kt = key(t)
+                acc = table.get(kt)
                 if acc is None:
-                    acc = table[key] = acc_new(s)
+                    acc = table[kt] = acc_new(s)
                 acc.insert(k)
             state.accs[nid] = table
         else:
             c1, c2 = node.children
-            if nid in enum.plan.connex and c1 in enum.plan.connex:
+            if nid in plan.connex and c1 in plan.connex:
                 cnt: Dict[DataTuple, int] = {}
                 for t in enum.candidates[c1]:
                     cnt[t] = 1
@@ -150,15 +144,14 @@ def _propagate(
         if nid in enum.candidates and (old is None) != (new is None):
             # support changed at a connex node; only frontier nodes feed the
             # candidate structures (changes below were already aggregated)
-            if nid in state.frontier:
+            if nid in plan.frontier:
                 _candidate_delta(state, nid, key, added=new is not None)
         parent = plan.nodes[nid].parent
         if parent is None:
             return
         pnode = plan.nodes[parent]
         if len(pnode.children) == 1:
-            positions = _positions(enum.var_order[nid], enum.var_order[parent])
-            pkey = tuple(key[i] for i in positions)
+            pkey = plan.key[nid](key)
             table = state.accs[parent]
             acc = table.get(pkey)
             if acc is None:
@@ -210,8 +203,7 @@ def _candidate_delta(state: DynamicState, nid: int, t: DataTuple, added: bool) -
             return
         pnode = plan.nodes[parent]
         if len(pnode.children) == 1:
-            positions = _positions(enum.var_order[nid], enum.var_order[parent])
-            pkey = tuple(t[i] for i in positions)
+            pkey = plan.key[nid](t)
             grp = enum.groups[nid]
             if added:
                 bucket = grp.get(pkey)
@@ -267,10 +259,9 @@ def verify_dynamic_invariants(state: DynamicState) -> List[str]:
     s = enum.semiring
     for nid, table in state.accs.items():
         c = plan.nodes[nid].children[0]
-        positions = _positions(enum.var_order[c], enum.var_order[nid])
         want: Dict[DataTuple, List[Value]] = {}
         for t, k in enum.relations[c].items():
-            want.setdefault(tuple(t[i] for i in positions), []).append(k)
+            want.setdefault(plan.key[c](t), []).append(k)
         if set(want) != set(table):
             problems.append(f"node {nid}: accumulator keys mismatch")
             continue

@@ -10,6 +10,12 @@ The pipeline from a conjunctive query to an executable structure is:
 3. ``ghd_to_plan`` / ``build_guarded_plan`` -- binary node-labeled plans with
    guards and a sibling-closed connex node set; the engines execute these.
 
+Every plan keeps two invariants, which ``verify_plan`` checks: no node is an
+identity copy (a single-child node with its child's variables), and the first
+child of every 2-child node (its guard) carries the node's variables.  The
+layout the engines read -- each node's variable order, one key getter per
+edge and the connex frontier -- is fixed once, when the plan is built.
+
 All constructions are deterministic: ties are broken by atom order and by
 sorted variable names, so plan dumps are reproducible.
 """
@@ -17,12 +23,25 @@ sorted variable names, so plan dumps are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import ClassificationError
 from .query import Atom, ConjunctiveQuery, RelAtom, split
 
 VarSet = FrozenSet[str]
+TupleGetter = Callable[[tuple], tuple]
+
+
+def tuple_getter(positions: Sequence[int]) -> TupleGetter:
+    """``t -> tuple(t[i] for i in positions)``, a tuple also for one or no
+    position (where ``operator.itemgetter`` returns a scalar or raises)."""
+    if not positions:
+        return lambda t: ()
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda t: (t[i],)
+    return itemgetter(*positions)
 
 
 # ---------------------------------------------------------------------------
@@ -35,13 +54,6 @@ class JoinTree:
 
     atoms: Tuple[Atom, ...]
     edges: Tuple[Tuple[int, int], ...]
-
-    def neighbors(self) -> Dict[int, List[int]]:
-        nbr: Dict[int, List[int]] = {i: [] for i in range(len(self.atoms))}
-        for a, b in self.edges:
-            nbr[a].append(b)
-            nbr[b].append(a)
-        return nbr
 
 
 def disconnected_variables(
@@ -334,9 +346,16 @@ class QueryPlan:
     """Binary node-labeled generalized join tree plus a connex node set.
 
     Leaves carry atoms; interior nodes carry variable sets and have at least
-    one guard child (a child whose variables contain the node's).  ``connex``
-    is sibling-closed, induces a subtree containing the root, and its labels
+    one guard child (a child whose variables contain the node's).  No node is
+    an identity copy of its only child, and a 2-child node's first child is
+    its guard and carries exactly the node's variables.  ``connex`` is
+    sibling-closed, induces a subtree containing the root, and its labels
     cover exactly the free variables of the relational part.
+
+    ``order[n]`` lists the variables of node ``n``'s tuples (sorted);
+    ``key[c]`` maps a tuple of the larger of ``c`` and its parent to the
+    tuple of the smaller; ``frontier`` holds the connex nodes without connex
+    children.
     """
 
     atoms: Tuple[RelAtom, ...]
@@ -344,6 +363,9 @@ class QueryPlan:
     root: int
     connex: Set[int]
     guarded: bool
+    order: Dict[int, Tuple[str, ...]] = field(default_factory=dict)
+    key: Dict[int, TupleGetter] = field(default_factory=dict)
+    frontier: FrozenSet[int] = frozenset()
 
     def vars(self, node_id: int) -> VarSet:
         node = self.nodes[node_id]
@@ -362,14 +384,6 @@ class QueryPlan:
                 stack.append((nid, True))
                 for c in reversed(self.nodes[nid].children):
                     stack.append((c, False))
-        return out
-
-    def connex_frontier(self) -> List[int]:
-        """Connex nodes none of whose children are in the connex set."""
-        out = []
-        for nid in sorted(self.connex):
-            if not any(c in self.connex for c in self.nodes[nid].children):
-                out.append(nid)
         return out
 
     def connex_vars(self) -> VarSet:
@@ -402,36 +416,24 @@ class _PlanBuilder:
         return self.atoms[node.atom_index].vars if node.is_leaf else node.label
 
     def chain(self, label: VarSet, children: List[int], connex: Set[int], in_connex: bool) -> int:
-        """Right-nested binary chain over ``children`` with label ``label``.
+        """Right-nested binary chain over ``children``; its root is labeled
+        ``label``.
 
         The last child must be the guard (its variables contain ``label``);
         every combiner's guard is then either the next combiner (same label)
         or that final child.  Children whose variables are not contained in
         ``label`` are wrapped in an intermediate projection node so that at
-        2-child nodes both children's variables are contained in the node's.
+        2-child nodes both children's variables are contained in the node's
+        (a larger guard is thereby projected onto ``label``).  The nodes the
+        chain adds join ``connex`` when ``in_connex``.
         """
-        assert children
-        if len(children) == 1:
-            return children[0]
         wrapped: List[int] = []
-        for i, c in enumerate(children):
-            last = i == len(children) - 1
-            if last:
-                # guard: wrap under an equal-label intermediate when larger
-                if self.vars(c) != label:
-                    mid = self.interior(label, [c])
-                    if in_connex:
-                        connex.add(mid)
-                    wrapped.append(mid)
-                else:
-                    wrapped.append(c)
-            elif not self.vars(c) <= label:
-                mid = self.interior(label & self.vars(c), [c])
+        for c in children:
+            if not self.vars(c) <= label:
+                c = self.interior(label & self.vars(c), [c])
                 if in_connex:
-                    connex.add(mid)
-                wrapped.append(mid)
-            else:
-                wrapped.append(c)
+                    connex.add(c)
+            wrapped.append(c)
         node = wrapped[-1]
         for c in reversed(wrapped[:-1]):
             node = self.interior(label, [node, c])
@@ -440,11 +442,31 @@ class _PlanBuilder:
         return node
 
 
-def _finalize(builder: _PlanBuilder, root: int, connex: Set[int], guarded: bool) -> QueryPlan:
+def _finalize(
+    builder: _PlanBuilder, root: int, connex: Set[int], guarded: bool, free: VarSet
+) -> QueryPlan:
+    """Fix the plan's layout; the engines only read it.
+
+    When the root's label already covers the free variables, N = {root}: the
+    root relation then materializes the full relational answer and
+    enumeration degenerates to a scan.
+    """
     plan = QueryPlan(builder.atoms, builder.nodes, root, connex, guarded)
-    for node in plan.nodes.values():
+    if plan.vars(root) == free:
+        plan.connex = {root}
+    for nid, node in plan.nodes.items():
+        plan.order[nid] = tuple(sorted(plan.vars(nid)))
+        node.children.sort(key=lambda c: plan.vars(c) != plan.vars(nid))
+    for nid, node in plan.nodes.items():
         for c in node.children:
-            plan.nodes[c].parent = node.id
+            plan.nodes[c].parent = nid
+            big, small = plan.order[c], plan.order[nid]
+            if len(big) < len(small):
+                big, small = small, big
+            plan.key[c] = tuple_getter([big.index(v) for v in small])
+    plan.frontier = frozenset(
+        nid for nid in plan.connex if not any(c in plan.connex for c in plan.nodes[nid].children)
+    )
     return plan
 
 
@@ -480,26 +502,19 @@ def ghd_to_plan(ghd: Ghd, connex_set: Set[int], rel_part: ConjunctiveQuery) -> Q
 
         label = ghd.bags[t]
         if in_n and child_nodes_n:
-            # keep the boundary to non-connex children behind a single-child
-            # bridge so the connex set stays sibling-closed
+            # the non-connex children sit below one frontier node labeled
+            # ``label`` so that the connex set stays sibling-closed
             lower = builder.chain(label, child_nodes_out, plan_connex, False)
-            bridge = builder.interior(label, [lower])
-            plan_connex.add(bridge)
-            node = builder.chain(label, child_nodes_n + [bridge], plan_connex, True)
+            plan_connex.add(lower)
+            node = builder.chain(label, child_nodes_n + [lower], plan_connex, True)
         else:
             node = builder.chain(label, child_nodes_out, plan_connex, False)
-            if t not in connex_set and builder.nodes[node].is_leaf:
-                node = builder.interior(label, [node])
-        if builder.vars(node) != label:
-            node = builder.interior(label, [node])
         if in_n:
             plan_connex.add(node)
         return node
 
     root = convert(ghd.root, None)
-    plan = _finalize(builder, root, plan_connex, guarded=False)
-    _shrink_connex(plan, frozenset(rel_part.head_vars))
-    return plan
+    return _finalize(builder, root, plan_connex, False, frozenset(rel_part.head_vars))
 
 
 def build_fc_plan(q: ConjunctiveQuery) -> Optional[QueryPlan]:
@@ -586,94 +601,42 @@ def build_guarded_plan(q: ConjunctiveQuery) -> Optional[QueryPlan]:
         else:
             nullary.append(i)
 
-    prefix_vars: Dict[Tuple[FrozenSet[int], bool], FrozenSet[str]] = {}
-
     def build_class(key: Tuple[FrozenSet[int], bool], above: FrozenSet[str]) -> int:
         label = above | frozenset(class_vars[key])
-        prefix_vars[key] = label
         in_n = label <= free
         kids: List[int] = []
         for sub in children_of.get(key, []):
             kids.append(build_class(sub, label))
-        for i in atoms_under.get(key, []):
-            node = builder.leaf(i)
-            if builder.vars(node) != label:
-                # attach leaves under a node labeled by their full variable set
-                node = builder.interior(builder.vars(node), [node])
-            kids.append(node)
+        # an atom's class path ends at its own variable set
+        kids.extend(builder.leaf(i) for i in atoms_under.get(key, []))
         if not kids:
             raise ClassificationError("internal error: empty hierarchy class")
-        # wrap children so 2-child combiners see equal labels on both sides
-        wrapped = []
-        for c in kids:
-            if builder.vars(c) != label:
-                mid = builder.interior(label, [c])
-                wrapped.append(mid)
-            else:
-                wrapped.append(c)
-        node = wrapped[-1]
-        for c in reversed(wrapped[:-1]):
-            node = builder.interior(label, [node, c])
-        if builder.vars(node) != label:
-            node = builder.interior(label, [node])
+        # every kid's variables contain ``label``: the chain's combiners see
+        # equal labels on both sides
+        node = builder.chain(label, kids, connex, in_n)
         if in_n:
             # chain participants are siblings of each other: all join the
             # connex set together to keep it sibling-closed
             connex.add(node)
-            stack = [node]
-            while stack:
-                cur = stack.pop()
-                for c in builder.nodes[cur].children:
-                    if builder.vars(c) <= label:
-                        connex.add(c)
-                        stack.append(c)
+            connex.update(c for c in kids if builder.vars(c) == label)
         return node
 
     roots = [build_class(key, frozenset()) for key in children_of.get(None, [])]
-    for i in nullary:
-        leaf = builder.leaf(i)
-        roots.append(builder.interior(frozenset(), [leaf]))
+    roots.extend(builder.leaf(i) for i in nullary)
 
     if not roots:
         raise ClassificationError("guarded plans need at least one relational atom")
 
     if len(roots) == 1 and builder.vars(roots[0]) <= free:
         root = roots[0]
-        connex.add(root)
     else:
-        # super-root chain labeled {} combining the forest roots
-        wrapped = []
-        for r in roots:
-            if builder.vars(r):
-                mid = builder.interior(frozenset(), [r])
-                connex.add(mid)
-                wrapped.append(mid)
-            else:
-                wrapped.append(r)
-                connex.add(r)
-        node = wrapped[-1]
-        for c in reversed(wrapped[:-1]):
-            node = builder.interior(frozenset(), [node, c])
-            connex.add(node)
-        if builder.vars(node):
-            node = builder.interior(frozenset(), [node])
-            connex.add(node)
-        root = node
+        # super-root chain labeled {} combining the forest roots; nullary
+        # leaves enter it unwrapped and join the connex set as its members
+        root = builder.chain(frozenset(), roots, connex, True)
+        connex.update(r for r in roots if not builder.vars(r))
+    connex.add(root)
 
-    plan = _finalize(builder, root, connex, guarded=True)
-    _shrink_connex(plan, free)
-    return plan
-
-
-def _shrink_connex(plan: QueryPlan, free: FrozenSet[str]) -> None:
-    """When the root's label already covers the free variables, N = {root}.
-
-    The root relation then materializes the full relational answer and
-    enumeration degenerates to a scan.
-    """
-    if plan.vars(plan.root) == free:
-        plan.connex.clear()
-        plan.connex.add(plan.root)
+    return _finalize(builder, root, connex, True, free)
 
 
 # ---------------------------------------------------------------------------
@@ -709,6 +672,8 @@ def verify_plan(plan: QueryPlan, rel_part: ConjunctiveQuery) -> List[str]:
         if not node.children:
             problems.append(f"interior node {nid} has no children")
             continue
+        if len(node.children) == 1 and plan.vars(node.children[0]) == plan.vars(nid):
+            problems.append(f"node {nid} is an identity copy of its child")
         if not any(plan.vars(nid) <= plan.vars(c) for c in node.children):
             problems.append(f"node {nid} has no guard child")
         if plan.guarded and not all(plan.vars(nid) <= plan.vars(c) for c in node.children):
@@ -717,8 +682,8 @@ def verify_plan(plan: QueryPlan, rel_part: ConjunctiveQuery) -> List[str]:
             c1, c2 = node.children
             if not (plan.vars(c1) <= plan.vars(nid) and plan.vars(c2) <= plan.vars(nid)):
                 problems.append(f"2-child node {nid} lacks child containment")
-            if plan.vars(c1) != plan.vars(nid) and plan.vars(c2) != plan.vars(nid):
-                problems.append(f"2-child node {nid} has no child with equal variables")
+            if plan.vars(c1) != plan.vars(nid):
+                problems.append(f"2-child node {nid}: first child lacks the node's variables")
             if plan.guarded and not (
                 plan.vars(c1) == plan.vars(nid) == plan.vars(c2)
             ):

@@ -26,7 +26,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import CapabilityError, ClassificationError, VocabularyError
 from .kdata import AnnotatedRelation, Database, DataTuple
-from .planner import QueryPlan, build_fc_plan, is_free_connex
+from .planner import QueryPlan, TupleGetter, build_fc_plan, is_free_connex, tuple_getter
 from .query import ConjunctiveQuery, IneqAtom, QuerySplit, RelAtom, split
 from .semiring import SemiringDescriptor, Value, sum_of_ones
 
@@ -67,8 +67,7 @@ class EnumerationState:
     plan: Optional[QueryPlan]  # None when the relational part is empty
     semiring: SemiringDescriptor
     db: Database
-    # per plan node: variable order and the aggregated node relation
-    var_order: Dict[int, Tuple[str, ...]] = field(default_factory=dict)
+    # per plan node: the aggregated node relation, keyed in ``plan.order``
     relations: Dict[int, Dict[DataTuple, Value]] = field(default_factory=dict)
     # connex navigation structures
     groups: Dict[int, Dict[DataTuple, Dict[DataTuple, bool]]] = field(default_factory=dict)
@@ -79,7 +78,7 @@ class EnumerationState:
     version: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass
 class LeafMatcher:
     """Maps the tuples of one plan leaf's relation to the leaf's keys.
 
@@ -91,6 +90,10 @@ class LeafMatcher:
     positions: Tuple[int, ...]  # first atom position of each key variable
     equalities: Tuple[Tuple[int, int], ...]  # (later, first) position of one variable
     limits: Tuple[Tuple[int, int], ...]  # (position, bound): component <= bound
+    project: TupleGetter = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.project = tuple_getter(self.positions)
 
     def key(self, t: DataTuple) -> Optional[DataTuple]:
         for i, j in self.equalities:
@@ -99,7 +102,7 @@ class LeafMatcher:
         for i, bound in self.limits:
             if t[i] > bound:
                 return None
-        return tuple([t[i] for i in self.positions])
+        return self.project(t)
 
     def relation(self, entries: Dict[DataTuple, Value]) -> Dict[DataTuple, Value]:
         """The leaf relation: matching tuples re-keyed, annotations kept."""
@@ -144,26 +147,20 @@ def build_leaf_matcher(atom: RelAtom, covered: Sequence[IneqAtom], db: Database)
 
 
 def _project(
-    child_rel: Dict[DataTuple, Value],
-    positions: Tuple[int, ...],
-    s: SemiringDescriptor,
+    child_rel: Dict[DataTuple, Value], key: TupleGetter, s: SemiringDescriptor
 ) -> Dict[DataTuple, Value]:
     out: Dict[DataTuple, Value] = {}
     add = s.add
     for t, k in child_rel.items():
-        key = tuple(t[i] for i in positions)
-        if key in out:
-            out[key] = add(out[key], k)
+        kt = key(t)
+        if kt in out:
+            out[kt] = add(out[kt], k)
         else:
-            out[key] = k
+            out[kt] = k
     if s.zero_sum_free:
         return out
     is_zero = s.is_zero
     return {t: k for t, k in out.items() if not is_zero(k)}
-
-
-def _positions(child_order: Sequence[str], parent_order: Sequence[str]) -> Tuple[int, ...]:
-    return tuple(child_order.index(v) for v in parent_order)
 
 
 def preprocess(q: ConjunctiveQuery, db: Database) -> EnumerationState:
@@ -204,28 +201,22 @@ def _bottom_up(state: EnumerationState) -> None:
     s = state.semiring
     for nid in plan.postorder():
         node = plan.nodes[nid]
-        order = tuple(sorted(plan.vars(nid)))
-        state.var_order[nid] = order
         if node.is_leaf:
             rel = state.db.relation(plan.atoms[node.atom_index].symbol)
             state.relations[nid] = state.matchers[nid].relation(rel.entries)
         elif len(node.children) == 1:
             c = node.children[0]
-            positions = _positions(state.var_order[c], order)
-            state.relations[nid] = _project(state.relations[c], positions, s)
+            state.relations[nid] = _project(state.relations[c], plan.key[c], s)
         else:
+            # c1 carries the node's variables; c2's are contained in them
             c1, c2 = node.children
-            if plan.vars(c1) != plan.vars(nid):
-                c1, c2 = c2, c1
-            # c1 carries the node's variables; c2 is contained in them
-            positions = _positions(order, state.var_order[c2])
-            big = state.relations[c1]
+            key = plan.key[c2]
             small = state.relations[c2]
             mul = s.mul
             is_zero = s.is_zero
             out: Dict[DataTuple, Value] = {}
-            for t, k in big.items():
-                other = small.get(tuple(t[i] for i in positions))
+            for t, k in state.relations[c1].items():
+                other = small.get(key(t))
                 if other is None:
                     continue
                 combined = mul(k, other)
@@ -246,29 +237,23 @@ def _build_connex_structures(state: EnumerationState) -> None:
     for nid in plan.postorder():
         if nid not in plan.connex:
             continue
-        node = plan.nodes[nid]
-        n_children = [c for c in node.children if c in plan.connex]
-        if not n_children:
+        # the connex set is sibling-closed: all children are connex, or none
+        children = plan.nodes[nid].children
+        if nid in plan.frontier:
             state.candidates[nid] = dict.fromkeys(state.relations[nid], True)
-        elif len(n_children) == 1:
-            c = n_children[0]
-            positions = _positions(state.var_order[c], state.var_order[nid])
+        elif len(children) == 1:
+            c = children[0]
+            key = plan.key[c]
             grp: Dict[DataTuple, Dict[DataTuple, bool]] = {}
             for t in state.candidates[c]:
-                grp.setdefault(tuple(t[i] for i in positions), {})[t] = True
+                grp.setdefault(key(t), {})[t] = True
             state.groups[c] = grp
             state.candidates[nid] = dict.fromkeys(grp, True)
         else:
-            c1, c2 = n_children
-            if plan.vars(c1) != plan.vars(nid):
-                c1, c2 = c2, c1
-            positions = _positions(state.var_order[nid], state.var_order[c2])
+            c1, c2 = children
+            key = plan.key[c2]
             small = state.candidates[c2]
-            state.candidates[nid] = {
-                t: True
-                for t in state.candidates[c1]
-                if tuple(t[i] for i in positions) in small
-            }
+            state.candidates[nid] = {t: True for t in state.candidates[c1] if key(t) in small}
 
 
 # ---------------------------------------------------------------------------
@@ -279,23 +264,19 @@ def _walk(state: EnumerationState, nid: int, t: DataTuple, env: Dict[str, int]) 
     """Yield the annotation of every assignment of the connex variables below
     ``nid`` compatible with tuple ``t``; yields never dead-end."""
     plan = state.plan
-    for v, val in zip(state.var_order[nid], t):
+    for v, val in zip(plan.order[nid], t):
         env[v] = val
-    node = plan.nodes[nid]
-    n_children = [c for c in node.children if c in plan.connex]
-    if not n_children:
+    if nid in plan.frontier:
         yield state.relations[nid][t]
         return
-    if len(n_children) == 1:
-        c = n_children[0]
+    children = plan.nodes[nid].children
+    if len(children) == 1:
+        c = children[0]
         for t_c in state.groups[c][t]:
             yield from _walk(state, c, t_c, env)
         return
-    c1, c2 = n_children
-    if plan.vars(c1) != plan.vars(nid):
-        c1, c2 = c2, c1
-    positions = _positions(state.var_order[nid], state.var_order[c2])
-    t2 = tuple(t[i] for i in positions)
+    c1, c2 = children
+    t2 = plan.key[c2](t)
     mul = state.semiring.mul
     for k1 in _walk(state, c1, t, env):
         for k2 in _walk(state, c2, t2, env):
@@ -314,7 +295,7 @@ def enumerate_state(
     """
     s = state.semiring
     ineq = state.ineq
-    if s.is_zero(ineq.annotation):
+    if s.is_zero(ineq.annotation) or (limit is not None and limit <= 0):
         return
     head = state.query.head_vars
     version = state.version
@@ -328,13 +309,12 @@ def enumerate_state(
 
     if not ineq_vars and plan is not None and len(plan.connex) == 1:
         # fast path: scan the root relation, project to the head order
-        root = plan.root
-        order = state.var_order[root]
-        head_pos = tuple(order.index(v) for v in head)
-        for t, val in state.relations[root].items():
+        order = plan.order[plan.root]
+        head_key = tuple_getter([order.index(v) for v in head])
+        for t, val in state.relations[plan.root].items():
             if state.version != version:
                 raise RuntimeError("enumeration cursor invalidated by an update")
-            yield tuple(t[i] for i in head_pos), mul(val, k_ineq)
+            yield head_key(t), mul(val, k_ineq)
             emitted += 1
             if limit is not None and emitted >= limit:
                 return
@@ -408,26 +388,24 @@ def verify_node_invariants(state: EnumerationState) -> List[str]:
             continue
         if len(node.children) == 1:
             c = node.children[0]
-            positions = _positions(state.var_order[c], state.var_order[nid])
+            key = plan.key[c]
             want: Dict[DataTuple, Value] = {}
             for t, k in state.relations[c].items():
-                key = tuple(t[i] for i in positions)
-                want[key] = s.add(want[key], k) if key in want else k
+                kt = key(t)
+                want[kt] = s.add(want[kt], k) if kt in want else k
             want = {t: k for t, k in want.items() if not s.is_zero(k)}
             if want != rel:
                 problems.append(f"node {nid}: projection aggregate mismatch")
             if s.zero_sum_free:
                 for t in state.relations[c]:
-                    if tuple(t[i] for i in positions) not in rel:
+                    if key(t) not in rel:
                         problems.append(f"node {nid}: child tuple {t} lacks parent")
         else:
             c1, c2 = node.children
-            if plan.vars(c1) != plan.vars(nid):
-                c1, c2 = c2, c1
-            positions = _positions(state.var_order[nid], state.var_order[c2])
+            key = plan.key[c2]
             for t, k in rel.items():
                 k1 = state.relations[c1].get(t)
-                k2 = state.relations[c2].get(tuple(t[i] for i in positions))
+                k2 = state.relations[c2].get(key(t))
                 if k1 is None or k2 is None or s.mul(k1, k2) != k:
                     problems.append(f"node {nid}: join value mismatch at {t}")
     return problems

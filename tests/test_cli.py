@@ -101,6 +101,37 @@ def test_enumerate_limit(tmp_path, dbdir, capsys):
     assert len(capsys.readouterr().out.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "H(x,y) :- R(x,y).",  # engine, scan path
+        "H(x) :- R(x,y), S(y).",  # engine, connex walk
+        "H(x,y) :- R(x,z), R(z,y).",  # not free-connex: the oracle
+        "H(x) :- R(x,x) ; S(x).",  # FO+ disjunction: the oracle
+    ],
+)
+def test_limit_zero_prints_nothing_and_negative_limit_exits_one(tmp_path, dbdir, capsys, text):
+    q = write(tmp_path / "q.cq", text)
+    for command in ("eval", "enumerate"):
+        argv = [command, "--query", q, "--db", str(dbdir), "--limit"]
+        assert main(argv + ["0"]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(argv + ["-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+
+
+def test_eval_verify_on_fo_disjunction_exits_one(tmp_path, dbdir, capsys):
+    q = write(tmp_path / "q.cq", "H(x) :- R(x,x) ; S(x,x).")
+    (dbdir / "vocab.json").write_text(json.dumps({"relations": {"R": 2, "S": 2}, "constants": {}}))
+    (dbdir / "S.csv").write_text("2,2,3\n")
+    assert main(["eval", "--query", q, "--db", str(dbdir), "--verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "independent evaluator" in captured.err
+
+
 def test_eval_non_free_connex_warns_and_uses_oracle(tmp_path, dbdir, capsys):
     q = write(tmp_path / "q.cq", "H(x,y) :- R(x,z), R2(z,y).")
     (dbdir / "vocab.json").write_text(

@@ -176,6 +176,28 @@ def test_dyn_random_streams_match_recompute_and_oracle(sname):
                 assert verify_dynamic_invariants(state) == [], q.to_text()
 
 
+@pytest.mark.parametrize("text", ["H(x) :- R(x), T().", "H() :- T().", "H(x,y) :- S(x,y), T(), R(x)."])
+@pytest.mark.parametrize("sname", ["natural", "boolean", "real"])
+def test_nullary_atoms_match_oracle_under_updates(text, sname):
+    # nullary leaves sit in the plans unwrapped; updates to T() switch the
+    # whole answer on and off
+    semiring = builtin_semiring(sname)
+    rng = random.Random(17 + len(text) + len(sname))
+    q = parse_query(text)
+    db = random_db(rng, q, semiring, max_tuples=12)
+    state = dyn_preprocess(q, db)
+    for step in range(60):
+        u = random_update(rng, q, db, semiring)
+        if rng.random() < 0.5:
+            u = SingleTupleUpdate(u.kind, "T", (), u.value)
+        dyn_update(state, u)
+        want = oracle_eval_cq(q, db).entries
+        assert equal_answers(dict(dyn_enumerate(state)), want, semiring), (text, step)
+        static = dict(enumerate_state(preprocess(q, db.copy())))
+        assert equal_answers(static, want, semiring), (text, step)
+        assert verify_dynamic_invariants(state) == [], (text, step)
+
+
 def test_dyn_update_respects_covered_inequalities():
     q = parse_query("H(x) :- A(x,y), U(x), y <= c.")
     db = make_db(NAT, {"A": (2, {(1, 2): 2}), "U": (1, {(1,): 1})})

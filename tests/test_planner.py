@@ -1,6 +1,7 @@
 import random
 
 from deltaenum.planner import (
+    PlanNode,
     build_fc_ghd,
     build_fc_plan,
     build_guarded_plan,
@@ -36,8 +37,7 @@ def test_join_tree_star():
     assert jt is not None
     # A is adjacent to both U and V
     a_ix = q.atoms.index(RelAtom("A", ("x", "y")))
-    neighbors = jt.neighbors()[a_ix]
-    assert len(neighbors) == 2
+    assert sum(a_ix in edge for edge in jt.edges) == 2
     assert join_tree_disconnected(jt) == []
 
 
@@ -87,12 +87,35 @@ def test_fc_plan_single_atom():
     q = parse_query("H(x,y) :- R(x,y).")
     plan = build_fc_plan(q)
     assert plan is not None
-    root = plan.nodes[plan.root]
     assert plan.vars(plan.root) == frozenset({"x", "y"})
-    assert not root.is_leaf and len(root.children) == 1
-    assert plan.nodes[root.children[0]].is_leaf
+    assert plan.nodes[plan.root].is_leaf
     assert plan.connex == {plan.root}
     assert verify_plan(plan, split(q).rel_part) == []
+
+
+def test_fc_plan_full_join_has_no_identity_nodes():
+    q = parse_query("H(x,y,z) :- R(x,y), S(y,z).")
+    plan = build_fc_plan(q)
+    assert verify_plan(plan, split(q).rel_part) == []
+    # the two leaves, the projection of S onto y, and their join
+    assert len(plan.nodes) == 4
+
+
+def test_verify_plan_rejects_identity_and_misoriented_nodes():
+    q = parse_query("H(x,y,z) :- R(x,y), S(y,z).")
+    rel = split(q).rel_part
+    plan = build_fc_plan(q)
+    plan.nodes[plan.root].children.reverse()
+    assert verify_plan(plan, rel) == [
+        f"2-child node {plan.root}: first child lacks the node's variables"
+    ]
+    plan.nodes[plan.root].children.reverse()
+    top = max(plan.nodes) + 1
+    plan.nodes[top] = PlanNode(top, plan.vars(plan.root), None, [plan.root])
+    plan.nodes[plan.root].parent = top
+    plan.root = top
+    plan.connex.add(top)
+    assert verify_plan(plan, rel) == [f"node {top} is an identity copy of its child"]
 
 
 def test_fc_plan_projection_query():
