@@ -138,6 +138,11 @@ def cmd_eval(args) -> int:
         return _print_answers(args, semiring, itertools.islice(answers.items(), args.limit), None)
 
     flags = classify(q)
+    if args.verify and not flags.free_connex:
+        raise ClassificationError(
+            "--verify needs an independent evaluator, and queries that are not "
+            "free-connex have none: the oracle is their only evaluator"
+        )
     timing: Dict[str, float] = {}
     if flags.free_connex:
         start = time.perf_counter()
@@ -212,15 +217,14 @@ def cmd_dyn(args) -> int:
 
 def cmd_matlang(args) -> int:
     from .matlang import (
-        SchemaEncoding,
         classify_fragment,
         eval_matlang,
+        infer_cq_types,
         load_matrix_instance,
         load_matrix_schema,
         parse_matlang,
         translate_to_cq,
-        typecheck,
-        MatrixSchema,
+        with_head,
     )
 
     schema = load_matrix_schema(args.schema)
@@ -231,18 +235,10 @@ def cmd_matlang(args) -> int:
         return 0
 
     if args.action == "compile":
-        rows, cols = query.expr.typ
-        full = MatrixSchema(
-            dict(schema.sizes),
-            {**schema.matrices, query.head: (rows, cols)},
-            {**schema.encodings, query.head: schema.encodings.get(query.head, "binary")},
-        )
-        typecheck(query.expr, full)
-        from .matlang import infer_cq_types
         from .planner import classify as classify_cq
 
-        enc = SchemaEncoding.default(full)
-        cq = translate_to_cq(query, enc)
+        full = with_head(query, schema)
+        cq = translate_to_cq(query, full)
         flags = classify_cq(cq)
         report = {
             "head": query.head,
@@ -250,7 +246,7 @@ def cmd_matlang(args) -> int:
             **classify_fragment(query.expr),
             "translation_free_connex": flags.free_connex,
             "translation_q_hierarchical": flags.q_hierarchical,
-            "translation_well_typed": infer_cq_types(cq, enc)[0],
+            "translation_well_typed": infer_cq_types(cq, full)[0],
         }
         _emit(report, args.json)
         return 0
@@ -258,6 +254,11 @@ def cmd_matlang(args) -> int:
     if not args.data:
         print("error: matlang eval needs --data", file=sys.stderr)
         return 1
+    if args.verify and not classify_fragment(query.expr)["conj_matlang"]:
+        raise ClassificationError(
+            "--verify needs an independent evaluator, and expressions with "
+            "addition have none: the dense evaluator is their only evaluator"
+        )
     semiring = builtin_semiring(args.semiring)
     instance = load_matrix_instance(schema, args.data, semiring)
     result = eval_matlang(query, instance)

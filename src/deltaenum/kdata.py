@@ -120,8 +120,12 @@ def load_vocabulary(path: str | Path) -> Tuple[Dict[str, int], Dict[str, int]]:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise IngestionError(f"invalid JSON: {exc}", str(path)) from None
+    if not isinstance(doc, dict):
+        raise IngestionError("a vocabulary must be a JSON object", str(path))
     relations = doc.get("relations", {})
-    constants = dict(doc.get("constants", {}))
+    constants = doc.get("constants", {})
+    if not (isinstance(relations, dict) and isinstance(constants, dict)):
+        raise IngestionError("'relations' and 'constants' must be JSON objects", str(path))
     for name, arity in relations.items():
         if not isinstance(arity, int) or arity < 0:
             raise IngestionError(f"relation {name!r} has invalid arity {arity!r}", str(path))

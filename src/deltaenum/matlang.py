@@ -35,7 +35,8 @@ from .errors import (
     SchemaError,
     TypeCheckError,
 )
-from .kdata import AnnotatedRelation, Database, DataTuple, SingleTupleUpdate
+from .kdata import AnnotatedRelation, Database
+from .planner import classify, tuple_getter
 from .query import ConjunctiveQuery, IneqAtom, RelAtom
 from .semiring import SemiringDescriptor, Value
 
@@ -139,12 +140,15 @@ def children(e: MatLangExpr) -> Tuple[MatLangExpr, ...]:
 # Schemas, instances
 # ---------------------------------------------------------------------------
 
-VALID_ENCODINGS = ("binary", "unary", "nullary")
-
-
 @dataclass
 class MatrixSchema:
-    """Size symbols with instance values, plus typed matrix symbols."""
+    """Size symbols with instance values, plus typed matrix symbols.
+
+    The relational encoding has one relation per matrix and one constant per
+    size symbol, each named like its symbol.  ``encodings`` gives a matrix's
+    relation shape: ``binary`` (the default), ``unary`` for a vector or
+    ``nullary`` for a scalar; ``stored_indices`` is its tuple layout.
+    """
 
     sizes: Dict[str, int]
     matrices: Dict[str, MatType]
@@ -162,12 +166,22 @@ class MatrixSchema:
                 if sym not in self.sizes:
                     raise SchemaError(f"matrix {name!r} uses undeclared size symbol {sym!r}")
             enc = self.encodings.setdefault(name, "binary")
-            if enc not in VALID_ENCODINGS:
+            if enc not in ("binary", "unary", "nullary"):
                 raise SchemaError(f"matrix {name!r} has unknown encoding {enc!r}")
             if enc == "unary" and rows != "1" and cols != "1":
                 raise SchemaError(f"unary encoding needs a vector type, {name!r} is {rows}x{cols}")
             if enc == "nullary" and (rows, cols) != ("1", "1"):
                 raise SchemaError(f"nullary encoding needs a scalar type, {name!r} is {rows}x{cols}")
+
+    def stored_indices(self, name: str) -> Tuple[int, ...]:
+        """The positions in an entry's (row, column) index that the relation
+        of matrix ``name`` stores, in order; the others are always 1."""
+        enc = self.encodings[name]
+        if enc == "binary":
+            return (0, 1)
+        if enc == "nullary":
+            return ()
+        return (0,) if self.matrices[name][1] == "1" else (1,)
 
     def size_of(self, sym: str) -> int:
         try:
@@ -233,10 +247,20 @@ def load_matrix_schema(path: str | Path) -> MatrixSchema:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise IngestionError(f"invalid JSON: {exc}", str(path)) from None
-    sizes = dict(doc.get("sizes", {}))
+    if not isinstance(doc, dict):
+        raise IngestionError("a matrix schema must be a JSON object", str(path))
+    sizes = doc.get("sizes", {})
+    decls = doc.get("matrices", {})
+    if not (isinstance(sizes, dict) and isinstance(decls, dict)):
+        raise IngestionError("'sizes' and 'matrices' must be JSON objects", str(path))
+    for name, value in sizes.items():
+        if type(value) is not int:
+            raise IngestionError(f"size symbol {name!r} needs an integer value, got {value!r}", str(path))
     matrices = {}
     encodings = {}
-    for name, decl in doc.get("matrices", {}).items():
+    for name, decl in decls.items():
+        if not isinstance(decl, dict):
+            raise IngestionError(f"matrix {name!r} needs an object declaration", str(path))
         typ = decl.get("type")
         if not (isinstance(typ, list) and len(typ) == 2):
             raise IngestionError(f"matrix {name!r} needs a [rows, cols] type", str(path))
@@ -557,93 +581,46 @@ def classify_fragment(e: MatLangExpr) -> Dict[str, bool]:
 
 
 # ---------------------------------------------------------------------------
-# Schema encodings
+# Relational encoding
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SchemaEncoding:
-    """Bijection between matrix/size symbols and relation/constant symbols."""
-
-    schema: MatrixSchema
-    rel_of: Dict[str, str]
-    const_of: Dict[str, str]
-
-    def __post_init__(self) -> None:
-        if len(set(self.rel_of.values())) != len(self.rel_of):
-            raise SchemaError("matrix-to-relation mapping is not injective")
-        if len(set(self.const_of.values())) != len(self.const_of):
-            raise SchemaError("size-to-constant mapping is not injective")
-        if self.const_of.get("1", "1") != "1":
-            raise SchemaError("the size symbol 1 must map to the constant symbol 1")
-        self.const_of.setdefault("1", "1")
-        self.mat_of = {v: k for k, v in self.rel_of.items()}
-        self.size_of = {v: k for k, v in self.const_of.items()}
-
-    @classmethod
-    def default(cls, schema: MatrixSchema) -> "SchemaEncoding":
-        return cls(
-            schema,
-            {name: name for name in schema.matrices},
-            {size: size for size in schema.sizes},
-        )
-
-    def arity(self, matrix: str) -> int:
-        return {"binary": 2, "unary": 1, "nullary": 0}[self.schema.encodings[matrix]]
-
-    def relation_tuple(self, matrix: str, i: int, j: int) -> DataTuple:
-        enc = self.schema.encodings[matrix]
-        if enc == "binary":
-            return (i, j)
-        if enc == "nullary":
-            return ()
-        rows, cols = self.schema.matrices[matrix]
-        return (i,) if cols == "1" else (j,)
-
-    def matrix_entry(self, matrix: str, t: DataTuple) -> Tuple[int, int]:
-        enc = self.schema.encodings[matrix]
-        if enc == "binary":
-            return (t[0], t[1])
-        if enc == "nullary":
-            return (1, 1)
-        rows, cols = self.schema.matrices[matrix]
-        return (t[0], 1) if cols == "1" else (1, t[0])
-
-
-def encode_instance(instance: MatrixInstance, enc: SchemaEncoding) -> Database:
+def encode_instance(instance: MatrixInstance) -> Database:
     """Relational encoding of a matrix instance; linear in its size."""
-    db = Database(instance.semiring)
-    for size, value in instance.schema.sizes.items():
-        db.constants[enc.const_of[size]] = value
-    for matrix in instance.schema.matrices:
-        rel = AnnotatedRelation(enc.arity(matrix))
-        for (i, j), v in instance.entries[matrix].items():
-            rel.entries[enc.relation_tuple(matrix, i, j)] = v
-        db.relations[enc.rel_of[matrix]] = rel
+    schema = instance.schema
+    db = Database(instance.semiring, constants=dict(schema.sizes))
+    for name in schema.matrices:
+        indices = schema.stored_indices(name)
+        cells = instance.entries[name]
+        if indices == (0, 1):  # the (i, j) keys as they are
+            db.relations[name] = AnnotatedRelation(2, dict(cells))
+        else:
+            stored = tuple_getter(indices)
+            db.relations[name] = AnnotatedRelation(len(indices), {stored(ij): v for ij, v in cells.items()})
     return db
 
 
-def decode_instance(db: Database, enc: SchemaEncoding) -> MatrixInstance:
-    """Unique matrix instance encoded by a consistent database."""
-    schema = enc.schema
-    sizes = {}
-    for size, const in enc.const_of.items():
-        sizes[size] = db.constant(const)
-    decoded_schema = MatrixSchema(sizes, dict(schema.matrices), dict(schema.encodings))
-    entries: Dict[str, Dict[Tuple[int, int], Value]] = {}
-    for matrix in schema.matrices:
-        rel = db.relation(enc.rel_of[matrix])
-        m, n = decoded_schema.dims(matrix)
-        cells = {}
-        for t, v in rel.entries.items():
-            i, j = enc.matrix_entry(matrix, t)
-            if not (1 <= i <= m and 1 <= j <= n):
-                raise ConsistencyError(
-                    f"tuple {t} of relation {enc.rel_of[matrix]!r} falls outside "
-                    f"the {m}x{n} dimension of {matrix!r}"
-                )
-            cells[(i, j)] = v
-        entries[matrix] = cells
-    return MatrixInstance(decoded_schema, db.semiring, entries)
+def decode_relation(rel: AnnotatedRelation, schema: MatrixSchema, name: str) -> Dict[Tuple[int, int], Value]:
+    """The entries of matrix ``name`` that ``rel`` encodes (not range-checked:
+    ``MatrixInstance`` does that)."""
+    indices = schema.stored_indices(name)
+    if rel.arity != len(indices):
+        raise ConsistencyError(
+            f"matrix {name!r} is stored with arity {len(indices)}, its relation has arity {rel.arity}"
+        )
+    if indices == (0, 1):  # the tuples are the (i, j) keys
+        return dict(rel.entries)
+    # padded with a 1, a stored tuple gives the left-out index as that 1
+    entry = tuple_getter([indices.index(p) if p in indices else len(indices) for p in (0, 1)])
+    return {entry(t + (1,)): v for t, v in rel.entries.items()}
+
+
+def decode_instance(db: Database, schema: MatrixSchema) -> MatrixInstance:
+    """Unique matrix instance of ``schema``'s symbols encoded by a consistent database."""
+    decoded = MatrixSchema(
+        {size: db.constant(size) for size in schema.sizes}, dict(schema.matrices), dict(schema.encodings)
+    )
+    entries = {name: decode_relation(db.relation(name), decoded, name) for name in schema.matrices}
+    return MatrixInstance(decoded, db.semiring, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -678,71 +655,59 @@ class _Translation:
         return f"{stem}{self.counter}"
 
 
-def _translate(e: MatLangExpr, x: str, y: str, wmap: Dict[str, str], out: _Translation, enc: SchemaEncoding) -> None:
+def _translate(e: MatLangExpr, x: str, y: str, wmap: Dict[str, str], out: _Translation, schema: MatrixSchema) -> None:
     if isinstance(e, MatrixSymbol):
-        rel = enc.rel_of[e.name]
-        shape = enc.schema.encodings[e.name]
-        rows, cols = enc.schema.matrices[e.name]
-        if shape == "binary":
-            out.atoms.append(RelAtom(rel, (x, y)))
-        elif shape == "unary":
-            if cols == "1":
-                out.atoms.append(RelAtom(rel, (x,)))
-                out.atoms.append(IneqAtom(y, "1"))
-            else:
-                out.atoms.append(IneqAtom(x, "1"))
-                out.atoms.append(RelAtom(rel, (y,)))
-        else:
-            out.atoms.append(RelAtom(rel, ()))
-            out.atoms.append(IneqAtom(x, "1"))
-            out.atoms.append(IneqAtom(y, "1"))
+        indices = schema.stored_indices(e.name)
+        out.atoms.append(RelAtom(e.name, tuple_getter(indices)((x, y))))
+        # the index the relation leaves out is 1
+        out.atoms.extend(IneqAtom(v, "1") for p, v in enumerate((x, y)) if p not in indices)
     elif isinstance(e, VectorVariable):
-        out.atoms.append(IneqAtom(x, enc.const_of[e.size]))
+        out.atoms.append(IneqAtom(x, e.size))
         out.atoms.append(IneqAtom(y, "1"))
         out.equalities.append((x, wmap[e.name]))
     elif isinstance(e, OnesVector):
-        out.atoms.append(IneqAtom(x, enc.const_of[e.size]))
+        out.atoms.append(IneqAtom(x, e.size))
         out.atoms.append(IneqAtom(y, "1"))
     elif isinstance(e, IdentityMatrix):
-        out.atoms.append(IneqAtom(x, enc.const_of[e.size]))
-        out.atoms.append(IneqAtom(y, enc.const_of[e.size]))
+        out.atoms.append(IneqAtom(x, e.size))
+        out.atoms.append(IneqAtom(y, e.size))
         out.equalities.append((x, y))
     elif isinstance(e, Transpose):
-        _translate(e.sub, y, x, wmap, out, enc)
+        _translate(e.sub, y, x, wmap, out, schema)
     elif isinstance(e, Hadamard):
-        _translate(e.left, x, y, wmap, out, enc)
-        _translate(e.right, x, y, wmap, out, enc)
+        _translate(e.left, x, y, wmap, out, schema)
+        _translate(e.right, x, y, wmap, out, schema)
     elif isinstance(e, ScalarMul):
         # the scalar factor lives at entry (1,1); sum it out on fresh variables
         sx, sy = out.fresh("s"), out.fresh("s")
-        _translate(e.left, sx, sy, wmap, out, enc)
-        _translate(e.right, x, y, wmap, out, enc)
+        _translate(e.left, sx, sy, wmap, out, schema)
+        _translate(e.right, x, y, wmap, out, schema)
     elif isinstance(e, MatMul):
         inner = e.left.typ[1]
         if inner == "1":
             # the shared index is pinned to 1 on consistent databases; keeping
             # the two sides on separate bound variables preserves acyclicity
             z1, z2 = out.fresh("z"), out.fresh("z")
-            _translate(e.left, x, z1, wmap, out, enc)
-            _translate(e.right, z2, y, wmap, out, enc)
+            _translate(e.left, x, z1, wmap, out, schema)
+            _translate(e.right, z2, y, wmap, out, schema)
         else:
             z = out.fresh("z")
-            _translate(e.left, x, z, wmap, out, enc)
-            _translate(e.right, z, y, wmap, out, enc)
+            _translate(e.left, x, z, wmap, out, schema)
+            _translate(e.right, z, y, wmap, out, schema)
     elif isinstance(e, SumIteration):
         w = out.fresh("w")
         # the explicit range keeps the iteration's multiplicity even when the
         # vector variable does not occur in the body (beta copies of the sum)
-        out.atoms.append(IneqAtom(w, enc.const_of[e.var_size]))
-        _translate(e.sub, x, y, {**wmap, e.var: w}, out, enc)
+        out.atoms.append(IneqAtom(w, e.var_size))
+        _translate(e.sub, x, y, {**wmap, e.var: w}, out, schema)
     elif isinstance(e, Add):
         raise FragmentError("matrix addition has no conjunctive translation")
     else:
         raise TypeCheckError(f"cannot translate node {e!r}")
 
 
-def infer_cq_types(q: ConjunctiveQuery, enc: SchemaEncoding) -> Tuple[bool, Dict[str, str]]:
-    """Well-typedness of a CQ under the relational-to-matrix reading of ``enc``.
+def infer_cq_types(q: ConjunctiveQuery, schema: MatrixSchema) -> Tuple[bool, Dict[str, str]]:
+    """Well-typedness of a CQ read as a query over the encoding of ``schema``.
 
     Returns (well_typed, variable -> size symbol); on conflict the partial
     assignment is still returned.
@@ -757,23 +722,18 @@ def infer_cq_types(q: ConjunctiveQuery, enc: SchemaEncoding) -> Tuple[bool, Dict
 
     for atom in q.atoms:
         if isinstance(atom, IneqAtom):
-            assign(atom.var, enc.size_of.get(atom.bound, atom.bound))
+            assign(atom.var, atom.bound)
             continue
-        matrix = enc.mat_of.get(atom.symbol)
-        if matrix is None:
+        typ = schema.matrices.get(atom.symbol)
+        if typ is None:
             ok = False
             continue
-        rows, cols = enc.schema.matrices[matrix]
-        shape = enc.schema.encodings[matrix]
-        if shape == "binary":
-            assign(atom.args[0], rows)
-            assign(atom.args[1], cols)
-        elif shape == "unary":
-            assign(atom.args[0], rows if cols == "1" else cols)
+        for v, p in zip(atom.args, schema.stored_indices(atom.symbol)):
+            assign(v, typ[p])
     return ok, tau
 
 
-def _split_one_typed_bound_vars(q: ConjunctiveQuery, enc: SchemaEncoding) -> ConjunctiveQuery:
+def _split_one_typed_bound_vars(q: ConjunctiveQuery, schema: MatrixSchema) -> ConjunctiveQuery:
     """Split bound variables of size type 1 across their atom occurrences.
 
     Sound on databases consistent with the encoding: such variables only take
@@ -781,7 +741,7 @@ def _split_one_typed_bound_vars(q: ConjunctiveQuery, enc: SchemaEncoding) -> Con
     The split removes spurious cycles introduced by shared inner indices of
     vector-typed subexpressions.
     """
-    ok, tau = infer_cq_types(q, enc)
+    ok, tau = infer_cq_types(q, schema)
     if not ok:
         # conflicting size assignments: a variable may not be pinned after all
         return q
@@ -822,21 +782,23 @@ def _split_one_typed_bound_vars(q: ConjunctiveQuery, enc: SchemaEncoding) -> Con
     return ConjunctiveQuery(q.head_symbol, q.head_vars, tuple(new_atoms))
 
 
-def translate_to_cq(query: MatQuery, enc: SchemaEncoding, head_relation: Optional[str] = None) -> ConjunctiveQuery:
+def translate_to_cq(query: MatQuery, schema: MatrixSchema) -> ConjunctiveQuery:
     """Translate an addition-free matrix query into a conjunctive query.
 
-    The result simulates the matrix query: evaluating it over the relational
-    encoding of any instance yields the relational encoding of the matrix
-    result.
+    ``schema`` declares the head (see ``with_head``).  The result simulates
+    the matrix query: evaluating it over the relational encoding of any
+    instance yields the relational encoding of the matrix result.
     """
     e = query.expr
     if e.typ is None:
         raise TypeCheckError("translate_to_cq needs a typechecked query")
+    if schema.matrices.get(query.head) != e.typ:
+        raise TypeCheckError(f"translate_to_cq needs the head {query.head!r} declared with type {e.typ}")
     if free_vector_variables(e):
         raise TypeCheckError("query expressions cannot have free vector variables")
     out = _Translation()
     x, y = "x", "y"
-    _translate(e, x, y, {}, out, enc)
+    _translate(e, x, y, {}, out, schema)
 
     uf = _UnionFind()
     for a, b in out.equalities:
@@ -865,17 +827,9 @@ def translate_to_cq(query: MatQuery, enc: SchemaEncoding, head_relation: Optiona
         else:
             atoms.append(IneqAtom(r(atom.var), atom.bound))
 
-    head_symbol = head_relation or enc.rel_of.get(query.head, query.head)
-    rows, cols = e.typ
-    shape = enc.schema.encodings.get(query.head, "binary")
-    if shape == "binary":
-        head_vars: Tuple[str, ...] = (r(x), r(y))
-    elif shape == "unary":
-        head_vars = (r(x),) if cols == "1" else (r(y),)
-    else:
-        head_vars = ()
-    cq = ConjunctiveQuery(head_symbol, head_vars, tuple(atoms))
-    return _split_one_typed_bound_vars(cq, enc)
+    head_vars = tuple_getter(schema.stored_indices(query.head))((r(x), r(y)))
+    cq = ConjunctiveQuery(query.head, head_vars, tuple(atoms))
+    return _split_one_typed_bound_vars(cq, schema)
 
 
 # ---------------------------------------------------------------------------
@@ -884,12 +838,25 @@ def translate_to_cq(query: MatQuery, enc: SchemaEncoding, head_relation: Optiona
 
 @dataclass
 class MatlangResult:
-    instance: MatrixInstance  # extended with the head matrix
+    instance: MatrixInstance  # the input instance plus the head matrix
     head: str
     translation: Optional[ConjunctiveQuery]
     classification: Dict[str, bool]
     used_engine: bool
     warning: Optional[str] = None
+
+
+def with_head(query: MatQuery, schema: MatrixSchema) -> MatrixSchema:
+    """``schema`` with the query's head declared as its expression's type.
+
+    A head that ``schema`` already declares keeps its encoding and must have
+    that type.
+    """
+    typ = typecheck(query.expr, schema)
+    declared = schema.matrices.get(query.head, typ)
+    if declared != typ:
+        raise TypeCheckError(f"head {query.head!r} is declared {declared}, expression has {typ}")
+    return MatrixSchema(dict(schema.sizes), {**schema.matrices, query.head: typ}, dict(schema.encodings))
 
 
 def eval_matlang(query: MatQuery, instance: MatrixInstance) -> MatlangResult:
@@ -900,104 +867,29 @@ def eval_matlang(query: MatQuery, instance: MatrixInstance) -> MatlangResult:
     and decode back.  Queries with addition use the dense reference evaluator.
     """
     from .oracle import oracle_eval_cq, oracle_eval_matlang
-    from .planner import classify
     from .static_engine import eval_materialized
 
-    schema = instance.schema
-    typecheck(query.expr, schema)
-    rows, cols = query.expr.typ
-    fragments = classify_fragment(query.expr)
+    schema = with_head(query, instance.schema)
     head = query.head
-    if head in schema.matrices and schema.matrices[head] != (rows, cols):
-        raise TypeCheckError(
-            f"head {head!r} is declared {schema.matrices[head]}, expression has {query.expr.typ}"
-        )
-
-    extended_schema = MatrixSchema(
-        dict(schema.sizes),
-        {**schema.matrices, head: (rows, cols)},
-        {**schema.encodings, head: schema.encodings.get(head, "binary")},
-    )
-
-    if not fragments["conj_matlang"]:
-        dense = oracle_eval_matlang(query.expr, instance)
-        result = MatrixInstance(
-            extended_schema,
-            instance.semiring,
-            {**{k: dict(v) for k, v in instance.entries.items()},
-             head: dense_to_entries(dense, instance.semiring)},
-        )
-        return MatlangResult(
-            result,
-            head,
-            None,
-            {},
-            used_engine=False,
-            warning="expression uses addition; evaluated by the dense reference evaluator",
-        )
-
-    enc = SchemaEncoding.default(extended_schema)
-    cq = translate_to_cq(query, enc)
-    db = encode_instance(instance_with_schema(instance, extended_schema), enc)
-    flags = classify(cq)
-    warning = None
-    if flags.free_connex:
-        answer = eval_materialized(cq, db)
-        used_engine = True
+    if not _in_conj(query.expr):
+        cells = dense_to_entries(oracle_eval_matlang(query.expr, instance), instance.semiring)
+        cq, flags, used_engine = None, {}, False
+        warning = "expression uses addition; evaluated by the dense reference evaluator"
     else:
-        answer = oracle_eval_cq(cq, db)
-        used_engine = False
-        warning = "translated query is not free-connex; evaluated by the oracle"
-
-    m, n = extended_schema.dims(head)
-    cells: Dict[Tuple[int, int], Value] = {}
-    for t, v in answer.entries.items():
-        i, j = enc.matrix_entry(head, t)
-        if not (1 <= i <= m and 1 <= j <= n):
-            raise ConsistencyError(
-                f"engine produced entry ({i},{j}) outside the {m}x{n} head dimension"
-            )
-        cells[(i, j)] = v
-    result = MatrixInstance(
-        extended_schema,
-        instance.semiring,
-        {**{k: dict(v) for k, v in instance.entries.items()}, head: cells},
-    )
-    return MatlangResult(result, head, cq, flags.as_dict(), used_engine, warning)
-
-
-def instance_with_schema(instance: MatrixInstance, schema: MatrixSchema) -> MatrixInstance:
-    entries = {name: dict(instance.entries.get(name, {})) for name in schema.matrices}
-    return MatrixInstance(schema, instance.semiring, entries)
-
-
-# ---------------------------------------------------------------------------
-# Matrix entry updates
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MatrixEntryUpdate:
-    """``add``: combine k with the entry; ``zero``: erase the entry."""
-
-    kind: str  # "add" | "zero"
-    matrix: str
-    i: int
-    j: int
-    value: Optional[Value] = None
-
-
-def matrix_update_to_relational(
-    u: MatrixEntryUpdate, schema: MatrixSchema, enc: SchemaEncoding
-) -> List[SingleTupleUpdate]:
-    m, n = schema.dims(u.matrix)
-    if not (1 <= u.i <= m and 1 <= u.j <= n):
-        raise ConsistencyError(
-            f"entry ({u.i},{u.j}) outside the {m}x{n} dimension of {u.matrix!r}"
-        )
-    t = enc.relation_tuple(u.matrix, u.i, u.j)
-    rel = enc.rel_of[u.matrix]
-    if u.kind == "add":
-        return [SingleTupleUpdate("insert", rel, t, u.value)]
-    if u.kind == "zero":
-        return [SingleTupleUpdate("delete", rel, t)]
-    raise SchemaError(f"unknown matrix update kind {u.kind!r}")
+        cq = translate_to_cq(query, schema)
+        db = encode_instance(instance)
+        fc = classify(cq)
+        used_engine = fc.free_connex
+        if used_engine:
+            answer = eval_materialized(cq, db)
+            warning = None
+        else:
+            answer = oracle_eval_cq(cq, db)
+            warning = "translated query is not free-connex; evaluated by the oracle"
+        cells = decode_relation(answer, schema, head)
+        flags = fc.as_dict()
+    # validates the head matrix; the inputs were validated when ``instance``
+    # was built, so the result shares them
+    result = MatrixInstance(schema, instance.semiring, {head: cells})
+    result.entries = {**instance.entries, head: cells}
+    return MatlangResult(result, head, cq, flags, used_engine, warning)

@@ -227,10 +227,6 @@ class Ghd:
     edges: List[Tuple[int, int]]
     root: int
 
-    @property
-    def width(self) -> int:
-        return 1 if self.bags else 0
-
     def neighbors(self) -> Dict[int, List[int]]:
         nbr: Dict[int, List[int]] = {t: [] for t in self.bags}
         for a, b in self.edges:

@@ -66,13 +66,6 @@ class ConjunctiveQuery:
         return frozenset(self.head_vars)
 
     @property
-    def body_vars(self) -> FrozenSet[str]:
-        out: set = set()
-        for a in self.atoms:
-            out |= a.vars
-        return frozenset(out)
-
-    @property
     def bound_vars(self) -> Tuple[str, ...]:
         """Quantified variables in first-occurrence order."""
         head = set(self.head_vars)
@@ -91,9 +84,6 @@ class ConjunctiveQuery:
     @property
     def inequality_atoms(self) -> Tuple[IneqAtom, ...]:
         return tuple(a for a in self.atoms if isinstance(a, IneqAtom))
-
-    def relation_arities(self) -> Dict[str, int]:
-        return {a.symbol: len(a.args) for a in self.relational_atoms}
 
     def to_text(self) -> str:
         body = ", ".join(str(a) for a in self.atoms)
@@ -371,14 +361,6 @@ class QuerySplit:
     rel_part: ConjunctiveQuery
     ineq_part: ConjunctiveQuery
     covered: Dict[int, Tuple[IneqAtom, ...]]
-
-    @property
-    def rel_free_vars(self) -> Tuple[str, ...]:
-        return self.rel_part.head_vars
-
-    @property
-    def ineq_free_vars(self) -> Tuple[str, ...]:
-        return self.ineq_part.head_vars
 
 
 def split(q: ConjunctiveQuery) -> QuerySplit:

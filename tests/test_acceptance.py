@@ -270,7 +270,6 @@ def test_criterion_8_matlang_simulation():
     )
     from deltaenum.matlang import (
         MatQuery,
-        SchemaEncoding,
         decode_instance,
         encode_instance,
         eval_matlang,
@@ -295,13 +294,12 @@ def test_criterion_8_matlang_simulation():
             failures += 1
             print(f"  simulation mismatch: {expr}", file=sys.stderr)
         # round trips
-        enc = SchemaEncoding.default(schema)
-        db = encode_instance(instance, enc)
-        back = decode_instance(db, enc)
+        db = encode_instance(instance)
+        back = decode_instance(db, schema)
         if back.entries != instance.entries or back.schema.sizes != instance.schema.sizes:
             failures += 1
             print("  encode/decode round trip failed", file=sys.stderr)
-        db2 = encode_instance(back, enc)
+        db2 = encode_instance(back)
         if {r: db2.relations[r].entries for r in db2.relations} != {
             r: db.relations[r].entries for r in db.relations
         } or db2.constants != db.constants:

@@ -239,3 +239,69 @@ def test_bench_dyn_mode(capsys):
     assert main(["bench", "--sizes", "300", "--mode", "dyn", "--updates", "500"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["runs"][0]["updates"] == 500
+
+
+def test_eval_verify_on_non_free_connex_exits_one(tmp_path, dbdir, capsys):
+    q = write(tmp_path / "q.cq", "H(x,y) :- R(x,z), R(z,y).")
+    assert main(["eval", "--query", q, "--db", str(dbdir), "--verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "independent evaluator" in captured.err
+
+
+def _matlang_files(tmp_path, matrices, expr_text, sizes=None):
+    schema = write(
+        tmp_path / "s.json",
+        json.dumps({"sizes": sizes or {"a": 2, "b": 3}, "matrices": matrices}),
+    )
+    expr = write(tmp_path / "e.ml", expr_text)
+    data = tmp_path / "data"
+    data.mkdir(exist_ok=True)
+    (data / "A.coo").write_text("1 1 2\n2 3 7\n")
+    return ["--expr", expr, "--schema", schema, "--data", str(data)]
+
+
+def test_matlang_eval_verify_with_addition_exits_one(tmp_path, capsys):
+    files = _matlang_files(tmp_path, {"A": {"type": ["a", "b"]}}, "H := A + A\n")
+    assert main(["matlang", "eval", *files]) == 0
+    assert capsys.readouterr().out.strip().splitlines() == ["1 1 4", "2 3 14"]
+    assert main(["matlang", "eval", *files, "--verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "independent evaluator" in captured.err
+
+
+def test_matlang_head_type_mismatch_exits_one(tmp_path, capsys):
+    matrices = {"H": {"type": ["a", "a"]}, "A": {"type": ["a", "b"]}}
+    files = _matlang_files(tmp_path, matrices, "H := A\n")
+    for action in ("compile", "eval"):
+        assert main(["matlang", action, *files, "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "declared" in captured.err
+
+
+@pytest.mark.parametrize(
+    "schema_doc",
+    [
+        ["a", "b"],  # top-level array
+        {"sizes": {"a": 2}, "matrices": {"A": ["a", "a"]}},  # declaration not an object
+        {"sizes": {"a": "2"}, "matrices": {"A": {"type": ["a", "a"]}}},  # size as a string
+    ],
+)
+def test_malformed_matrix_schema_exits_one(tmp_path, capsys, schema_doc):
+    schema = write(tmp_path / "s.json", json.dumps(schema_doc))
+    expr = write(tmp_path / "e.ml", "H := A\n")
+    assert main(["matlang", "classify", "--expr", expr, "--schema", schema]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_vocabulary_top_level_array_exits_one(tmp_path, dbdir, capsys):
+    (dbdir / "vocab.json").write_text(json.dumps([{"relations": {"R": 2}}]))
+    q = write(tmp_path / "q.cq", "H(x,y) :- R(x,y).")
+    assert main(["eval", "--query", q, "--db", str(dbdir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err

@@ -9,13 +9,11 @@ from deltaenum.matlang import (
     IdentityMatrix,
     MatMul,
     MatQuery,
-    MatrixEntryUpdate,
     MatrixInstance,
     MatrixSchema,
     MatrixSymbol,
     OnesVector,
     ScalarMul,
-    SchemaEncoding,
     SumIteration,
     Transpose,
     VectorVariable,
@@ -23,7 +21,6 @@ from deltaenum.matlang import (
     decode_instance,
     encode_instance,
     eval_matlang,
-    matrix_update_to_relational,
     parse_matlang,
     translate_to_cq,
     typecheck,
@@ -152,8 +149,7 @@ def test_fragment_addition_not_conj():
 def test_encode_binary_matrix():
     schema = MatrixSchema({"alpha": 3, "beta": 2}, {"A": ("alpha", "beta")})
     inst = MatrixInstance(schema, BOOL, {"A": {(1, 1): True, (3, 2): True}})
-    enc = SchemaEncoding.default(schema)
-    db = encode_instance(inst, enc)
+    db = encode_instance(inst)
     assert db.relations["A"].entries == {(1, 1): True, (3, 2): True}
     assert db.constants == {"alpha": 3, "beta": 2, "1": 1}
 
@@ -161,7 +157,7 @@ def test_encode_binary_matrix():
 def test_encode_unary_vector():
     schema = MatrixSchema({"alpha": 3}, {"U": ("alpha", "1")}, {"U": "unary"})
     inst = MatrixInstance(schema, NAT, {"U": {(2, 1): 5}})
-    db = encode_instance(inst, SchemaEncoding.default(schema))
+    db = encode_instance(inst)
     assert db.relations["U"].entries == {(2,): 5}
 
 
@@ -172,7 +168,6 @@ def test_roundtrip_encode_decode_identity():
         {"A": ("alpha", "beta"), "U": ("beta", "1"), "S": ("1", "1")},
         {"U": "unary", "S": "nullary"},
     )
-    enc = SchemaEncoding.default(schema)
     for _ in range(50):
         entries = {}
         for name in schema.matrices:
@@ -186,30 +181,39 @@ def test_roundtrip_encode_decode_identity():
                             cells[(i, j)] = v
             entries[name] = cells
         inst = MatrixInstance(schema, NAT, entries)
-        back = decode_instance(encode_instance(inst, enc), enc)
+        back = decode_instance(encode_instance(inst), schema)
         assert back.entries == inst.entries
         assert back.schema.sizes == inst.schema.sizes
 
 
 def test_decode_rejects_out_of_range():
     schema = MatrixSchema({"alpha": 3, "beta": 2}, {"A": ("alpha", "beta")})
-    enc = SchemaEncoding.default(schema)
     from deltaenum.kdata import AnnotatedRelation, Database
 
     db = Database(NAT, constants={"alpha": 3, "beta": 2})
     db.relations["A"] = AnnotatedRelation(2, {(4, 1): 2})
     with pytest.raises(ConsistencyError):
-        decode_instance(db, enc)
+        decode_instance(db, schema)
+
+
+def test_decode_rejects_a_relation_of_the_wrong_arity():
+    schema = MatrixSchema({"alpha": 3}, {"A": ("alpha", "alpha"), "U": ("alpha", "1")}, {"U": "unary"})
+    from deltaenum.kdata import AnnotatedRelation, Database
+
+    for name, rel in (("A", AnnotatedRelation(1, {(2,): 1})), ("U", AnnotatedRelation(2, {(2, 1): 1}))):
+        db = encode_instance(MatrixInstance(schema, NAT))
+        db.relations[name] = rel
+        with pytest.raises(ConsistencyError):
+            decode_instance(db, schema)
 
 
 def test_decode_empty_relations_are_zero_matrices():
     schema = MatrixSchema({"alpha": 2}, {"A": ("alpha", "alpha")})
-    enc = SchemaEncoding.default(schema)
     from deltaenum.kdata import AnnotatedRelation, Database
 
     db = Database(NAT, constants={"alpha": 2})
     db.relations["A"] = AnnotatedRelation(2)
-    inst = decode_instance(db, enc)
+    inst = decode_instance(db, schema)
     assert inst.entries["A"] == {}
     assert inst.dense("A") == [[0, 0], [0, 0]]
 
@@ -231,7 +235,7 @@ def test_translate_identity_is_diagonal_comparison():
     q = MatQuery("H", IdentityMatrix("alpha"))
     full = head_schema(schema, "H", ("alpha", "alpha"))
     typecheck(q.expr, full)
-    cq = translate_to_cq(q, SchemaEncoding.default(full))
+    cq = translate_to_cq(q, full)
     assert cq.head_vars[0] == cq.head_vars[1]
     v = cq.head_vars[0]
     assert set(cq.atoms) == {IneqAtom(v, "alpha")}
@@ -242,7 +246,7 @@ def test_translate_matrix_product():
     q = MatQuery("H", MatMul(MatrixSymbol("A"), MatrixSymbol("B")))
     full = head_schema(s, "H", ("alpha", "gamma"))
     typecheck(q.expr, full)
-    cq = translate_to_cq(q, SchemaEncoding.default(full))
+    cq = translate_to_cq(q, full)
     assert len(cq.head_vars) == 2
     hx, hy = cq.head_vars
     rel = cq.relational_atoms
@@ -258,7 +262,7 @@ def test_translate_transpose():
     q = MatQuery("H", Transpose(MatrixSymbol("A")))
     full = head_schema(s, "H", ("beta", "alpha"))
     typecheck(q.expr, full)
-    cq = translate_to_cq(q, SchemaEncoding.default(full))
+    cq = translate_to_cq(q, full)
     hx, hy = cq.head_vars
     (a,) = cq.relational_atoms
     assert a.args == (hy, hx)
@@ -271,7 +275,7 @@ def test_translate_fc_outer_product_is_free_connex():
     e = Hadamard(MatrixSymbol("A"), MatMul(MatrixSymbol("U"), Transpose(MatrixSymbol("V"))))
     full = head_schema(s, "H", ("alpha", "beta"))
     typecheck(e, full)
-    cq = translate_to_cq(MatQuery("H", e), SchemaEncoding.default(full))
+    cq = translate_to_cq(MatQuery("H", e), full)
     assert classify(cq).free_connex
 
 
@@ -344,25 +348,6 @@ def test_oracle_sum_identity_derivation():
 
 
 # ---------------------------------------------------------------------------
-# Matrix updates
-# ---------------------------------------------------------------------------
-
-def test_matrix_update_translations():
-    schema = MatrixSchema({"alpha": 3, "beta": 3}, {"A": ("alpha", "beta")})
-    enc = SchemaEncoding.default(schema)
-    ups = matrix_update_to_relational(MatrixEntryUpdate("add", "A", 2, 3, 5), schema, enc)
-    assert ups == [
-        __import__("deltaenum.kdata", fromlist=["SingleTupleUpdate"]).SingleTupleUpdate(
-            "insert", "A", (2, 3), 5
-        )
-    ]
-    ups = matrix_update_to_relational(MatrixEntryUpdate("zero", "A", 2, 3), schema, enc)
-    assert ups[0].kind == "delete" and ups[0].tuple == (2, 3)
-    with pytest.raises(ConsistencyError):
-        matrix_update_to_relational(MatrixEntryUpdate("add", "A", 4, 1, 1), schema, enc)
-
-
-# ---------------------------------------------------------------------------
 # Random simulation properties
 # ---------------------------------------------------------------------------
 
@@ -408,7 +393,7 @@ def test_fc_and_qh_fragments_translate_to_matching_cq_classes():
             continue
         full = head_schema(schema, "HOUT", expr.typ)
         typecheck(expr, full)
-        cq = translate_to_cq(MatQuery("HOUT", expr), SchemaEncoding.default(full))
+        cq = translate_to_cq(MatQuery("HOUT", expr), full)
         qflags = classify(cq)
         if flags["fc_matlang"]:
             fc_seen += 1
@@ -430,3 +415,30 @@ def test_eval_with_unary_encoded_head():
     result = eval_matlang(MatQuery("H", e), inst)
     assert result.instance.entries["H"] == {(1, 1): 5, (3, 1): 4}
     assert result.instance.dense("H") == oracle_eval_matlang(e, inst)
+
+
+@pytest.mark.parametrize(
+    "typ, encoding, text",
+    [
+        (("alpha", "beta"), "binary", "H := A .* A"),
+        (("alpha", "1"), "unary", "H := A * ones(beta)"),
+        (("1", "beta"), "unary", "H := ones(alpha)' * A"),
+        (("1", "1"), "nullary", "H := ones(alpha)' * A * ones(beta)"),
+    ],
+)
+def test_eval_decodes_every_head_layout(typ, encoding, text):
+    schema = MatrixSchema({"alpha": 3, "beta": 4}, {"A": ("alpha", "beta"), "H": typ}, {"H": encoding})
+    inst = MatrixInstance(schema, NAT, {"A": {(1, 1): 2, (1, 4): 3, (3, 2): 5, (3, 4): 1}})
+    q = parse_matlang(text, schema)
+    result = eval_matlang(q, inst)
+    assert result.used_engine
+    assert result.instance.dense("H") == oracle_eval_matlang(q.expr, inst)
+
+
+def test_eval_shares_the_input_matrices():
+    schema = MatrixSchema({"alpha": 2}, {"A": ("alpha", "alpha"), "B": ("alpha", "alpha")})
+    inst = MatrixInstance(schema, NAT, {"A": {(1, 2): 4}, "B": {(2, 2): 1}})
+    for text in ("H := A .* B", "H := A + B"):
+        result = eval_matlang(parse_matlang(text, schema), inst)
+        assert all(result.instance.entries[name] is inst.entries[name] for name in ("A", "B"))
+
