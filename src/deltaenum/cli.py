@@ -20,14 +20,14 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from .errors import ClassificationError, EngineError, NotConjunctiveError
-from .kdata import db_size, load_database, parse_update_script
+from .kdata import db_size, load_database, parse_update_script, read_input
 from .semiring import BUILTIN_SEMIRING_NAMES, builtin_semiring
 
 
 def _read_query(path: str):
     from .query import parse_query
 
-    return parse_query(Path(path).read_text())
+    return parse_query(read_input(path))
 
 
 def _emit(report: Dict, as_json: bool) -> None:
@@ -119,13 +119,13 @@ def _load_db(args):
 def cmd_eval(args) -> int:
     from .oracle import oracle_eval_cq, oracle_eval_fo_query
     from .planner import classify
-    from .query import parse_fo_query
+    from .query import parse_fo_query, parse_query
     from .static_engine import enumerate_state, preprocess
 
     db, semiring = _load_db(args)
-    text = Path(args.query).read_text()
+    text = read_input(args.query)
     try:
-        q = _read_query(args.query)
+        q = parse_query(text)
     except NotConjunctiveError:
         if args.verify:
             raise ClassificationError(
@@ -228,7 +228,7 @@ def cmd_matlang(args) -> int:
     )
 
     schema = load_matrix_schema(args.schema)
-    query = parse_matlang(Path(args.expr).read_text(), schema)
+    query = parse_matlang(read_input(args.expr), schema)
 
     if args.action == "classify":
         _emit({"head": query.head, **classify_fragment(query.expr)}, args.json)

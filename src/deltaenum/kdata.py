@@ -113,11 +113,19 @@ def apply_update(db: Database, u: SingleTupleUpdate) -> None:
         rel.entries[u.tuple] = new
 
 
+def read_input(path: str | Path) -> str:
+    """The text of an input file; ``IngestionError`` naming the path when it
+    cannot be read (missing, a directory, not readable)."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise IngestionError(f"cannot read: {exc.strerror or exc}", str(path)) from None
+
+
 def load_vocabulary(path: str | Path) -> Tuple[Dict[str, int], Dict[str, int]]:
     """Read a vocabulary file: relation symbols with arities, constants with values."""
-    path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(read_input(path))
     except json.JSONDecodeError as exc:
         raise IngestionError(f"invalid JSON: {exc}", str(path)) from None
     if not isinstance(doc, dict):
@@ -145,11 +153,14 @@ def load_database(
 
     Each row of ``<data_dir>/<R>.csv`` is ``v1,...,vk,annotation``.  Rows with
     a zero annotation are dropped; a header row is skipped if its first field
-    is not an integer.
+    is not an integer.  A missing CSV is an empty relation; a missing
+    ``data_dir`` raises ``IngestionError``.
     """
+    data_dir = Path(data_dir)
+    if not data_dir.is_dir():
+        raise IngestionError("not a directory", str(data_dir))
     relations, constants = load_vocabulary(vocab_path)
     db = Database(semiring, {}, constants)
-    data_dir = Path(data_dir)
     for name, arity in relations.items():
         rel = AnnotatedRelation(arity)
         db.relations[name] = rel
@@ -198,9 +209,8 @@ def parse_update_script(
     path: str | Path, semiring: SemiringDescriptor
 ) -> List[SingleTupleUpdate]:
     """Parse an update script: ``+ R 1 2 7`` inserts, ``- R 1 2`` deletes."""
-    path = Path(path)
     updates: List[SingleTupleUpdate] = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_input(path).splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -35,7 +35,7 @@ from .errors import (
     SchemaError,
     TypeCheckError,
 )
-from .kdata import AnnotatedRelation, Database
+from .kdata import AnnotatedRelation, Database, read_input
 from .planner import classify, tuple_getter
 from .query import ConjunctiveQuery, IneqAtom, RelAtom
 from .semiring import SemiringDescriptor, Value
@@ -242,9 +242,8 @@ def dense_to_entries(dense: List[List[Value]], s: SemiringDescriptor) -> Dict[Tu
 
 
 def load_matrix_schema(path: str | Path) -> MatrixSchema:
-    path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(read_input(path))
     except json.JSONDecodeError as exc:
         raise IngestionError(f"invalid JSON: {exc}", str(path)) from None
     if not isinstance(doc, dict):
@@ -272,14 +271,18 @@ def load_matrix_schema(path: str | Path) -> MatrixSchema:
 def load_matrix_instance(
     schema: MatrixSchema, data_dir: str | Path, semiring: SemiringDescriptor
 ) -> MatrixInstance:
-    """COO text per matrix symbol: one ``i j value`` triple per line."""
+    """COO text per matrix symbol: one ``i j value`` triple per line.  A
+    missing ``<A>.coo`` is a zero matrix; a missing ``data_dir`` raises
+    ``IngestionError``."""
     data_dir = Path(data_dir)
+    if not data_dir.is_dir():
+        raise IngestionError("not a directory", str(data_dir))
     entries: Dict[str, Dict[Tuple[int, int], Value]] = {}
     for name in schema.matrices:
         cells: Dict[Tuple[int, int], Value] = {}
         path = data_dir / f"{name}.coo"
         if path.exists():
-            for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+            for lineno, line in enumerate(read_input(path).splitlines(), start=1):
                 line = line.split("#", 1)[0].strip()
                 if not line:
                     continue

@@ -14,7 +14,8 @@ Every plan keeps two invariants, which ``verify_plan`` checks: no node is an
 identity copy (a single-child node with its child's variables), and the first
 child of every 2-child node (its guard) carries the node's variables.  The
 layout the engines read -- each node's variable order, one key getter per
-edge and the connex frontier -- is fixed once, when the plan is built.
+edge, the connex frontier and the levels of the connex walk -- is fixed
+once, when the plan is built.
 
 All constructions are deterministic: ties are broken by atom order and by
 sorted variable names, so plan dumps are reproducible.
@@ -337,6 +338,25 @@ class PlanNode:
         return self.atom_index is not None
 
 
+@dataclass(frozen=True)
+class Level:
+    """One level of the connex walk: the tuples of the connex node
+    ``nodes[0]``, from which the tuples of every node in ``nodes`` are read.
+
+    Level 0 ranges over the root's candidates.  Every later level ranges over
+    ``groups[nodes[0]][key(t)]``, where ``t`` is the current tuple of the
+    earlier level ``source``.  ``frontier`` pairs each frontier node of the
+    level with the getter of its tuple from the level's tuple, or with None
+    when that is the level's tuple itself.
+    """
+
+    nodes: Tuple[int, ...]  # connex nodes read from this level, in preorder
+    source: Optional[int]  # None for level 0
+    key: TupleGetter
+    order: Tuple[str, ...]  # variables of the level's tuples
+    frontier: Tuple[Tuple[int, Optional[TupleGetter]], ...]
+
+
 @dataclass
 class QueryPlan:
     """Binary node-labeled generalized join tree plus a connex node set.
@@ -351,7 +371,9 @@ class QueryPlan:
     ``order[n]`` lists the variables of node ``n``'s tuples (sorted);
     ``key[c]`` maps a tuple of the larger of ``c`` and its parent to the
     tuple of the smaller; ``frontier`` holds the connex nodes without connex
-    children.
+    children.  ``levels`` cuts the connex region into the levels of its walk:
+    the root's, then one per projection edge into a connex child, in preorder
+    with guards first.
     """
 
     atoms: Tuple[RelAtom, ...]
@@ -362,6 +384,7 @@ class QueryPlan:
     order: Dict[int, Tuple[str, ...]] = field(default_factory=dict)
     key: Dict[int, TupleGetter] = field(default_factory=dict)
     frontier: FrozenSet[int] = frozenset()
+    levels: Tuple[Level, ...] = ()
 
     def vars(self, node_id: int) -> VarSet:
         node = self.nodes[node_id]
@@ -453,17 +476,55 @@ def _finalize(
     for nid, node in plan.nodes.items():
         plan.order[nid] = tuple(sorted(plan.vars(nid)))
         node.children.sort(key=lambda c: plan.vars(c) != plan.vars(nid))
+    positions: Dict[int, Tuple[int, ...]] = {}
     for nid, node in plan.nodes.items():
         for c in node.children:
             plan.nodes[c].parent = nid
             big, small = plan.order[c], plan.order[nid]
             if len(big) < len(small):
                 big, small = small, big
-            plan.key[c] = tuple_getter([big.index(v) for v in small])
+            positions[c] = tuple(big.index(v) for v in small)
+            plan.key[c] = tuple_getter(positions[c])
     plan.frontier = frozenset(
         nid for nid in plan.connex if not any(c in plan.connex for c in plan.nodes[nid].children)
     )
+    plan.levels = _cut_levels(plan, positions)
     return plan
+
+
+def _cut_levels(plan: QueryPlan, positions: Dict[int, Tuple[int, ...]]) -> Tuple[Level, ...]:
+    """The connex region cut into levels (see ``Level``), in preorder.
+
+    Along a 2-child node the guard keeps the node's tuple and the other
+    child's tuple is the node's under its key, so each node's getter from its
+    level's tuple composes the keys on the way down.
+    """
+    levels: List[Optional[Level]] = []
+
+    def cut(top: int, source: Optional[int], key: Tuple[int, ...]) -> None:
+        i = len(levels)
+        levels.append(None)  # levels below this one come after it
+        nodes: List[int] = []
+        frontier: List[Tuple[int, Optional[TupleGetter]]] = []
+        own = tuple(range(len(plan.order[top])))
+        stack = [(top, own)]
+        while stack:
+            nid, pos = stack.pop()
+            nodes.append(nid)
+            children = plan.nodes[nid].children
+            if nid in plan.frontier:
+                frontier.append((nid, None if pos == own else tuple_getter(pos)))
+            elif len(children) == 1:
+                # groups[c] is keyed by this node's tuple
+                cut(children[0], i, pos)
+            else:
+                c1, c2 = children
+                stack.append((c2, tuple(pos[p] for p in positions[c2])))
+                stack.append((c1, pos))
+        levels[i] = Level(tuple(nodes), source, tuple_getter(key), plan.order[top], tuple(frontier))
+
+    cut(plan.root, None, ())
+    return tuple(levels)
 
 
 def ghd_to_plan(ghd: Ghd, connex_set: Set[int], rel_part: ConjunctiveQuery) -> QueryPlan:
@@ -640,7 +701,8 @@ def build_guarded_plan(q: ConjunctiveQuery) -> Optional[QueryPlan]:
 # ---------------------------------------------------------------------------
 
 def verify_plan(plan: QueryPlan, rel_part: ConjunctiveQuery) -> List[str]:
-    """Check every structural plan invariant; returns a list of violations."""
+    """Check every structural plan invariant and, on a sound structure, the
+    levels of the connex walk; returns a list of violations."""
     problems: List[str] = []
     nodes = plan.nodes
 
@@ -706,5 +768,16 @@ def verify_plan(plan: QueryPlan, rel_part: ConjunctiveQuery) -> List[str]:
     if plan.connex_vars() != frozenset(rel_part.head_vars):
         problems.append(
             f"connex vars {sorted(plan.connex_vars())} != free vars {sorted(rel_part.head_vars)}"
+        )
+    if problems:
+        return problems  # the layout is derived from the structure checked above
+
+    walked = sorted(nid for level in plan.levels for nid in level.nodes)
+    if walked != sorted(plan.connex):
+        problems.append(f"levels walk connex nodes {walked}, not {sorted(plan.connex)}")
+    level_vars = {v for level in plan.levels for v in level.order}
+    if level_vars != set(rel_part.head_vars):
+        problems.append(
+            f"level variables {sorted(level_vars)} != free vars {sorted(rel_part.head_vars)}"
         )
     return problems

@@ -13,9 +13,18 @@ Enumeration then walks only the connex region of the plan.  Navigation there
 is driven by *candidate* structures built on tuple support, not on aggregated
 annotations: over semirings with cancelling sums (the reals) an aggregated
 value can vanish while its extensions remain enumerable, and the connex
-variables are free, so no aggregation is allowed to prune them.  Candidates
-guarantee the walk never hits a dead end, which is what makes the delay
-independent of the database.
+variables are free, so no aggregation is allowed to prune them.
+
+The planner cuts the connex region into *levels* (``QueryPlan.levels``): the
+root's candidates, then one level per projection edge into a connex child,
+ranging over that child's extension group under the tuple of an earlier
+level.  Each free inequality range adds one more level.  One loop, an
+odometer, keeps an iterator per level and advances the last level fastest;
+an answer is the head read off the concatenated level tuples, and its
+annotation the product of the frontier annotations along the way.
+Candidates keep every level non-empty, so the delay is bounded by the
+number of levels, independent of the database.  A single connex node needs
+no walk: enumeration then scans the root relation.
 """
 
 from __future__ import annotations
@@ -75,6 +84,8 @@ class EnumerationState:
     # per plan leaf: its tuple-to-key matcher, built once
     matchers: Dict[int, LeafMatcher] = field(default_factory=dict)
     ineq: Optional[IneqPlanState] = None
+    # the concatenated tuples of the enumeration levels -> the head tuple
+    head: TupleGetter = field(default=tuple_getter(()), repr=False)
     version: int = 0
 
 
@@ -183,6 +194,7 @@ def preprocess_with_plan(
     sp = split(q)
     state = EnumerationState(q, sp, None, s, db)
     state.ineq = build_ineq_state(sp, db, s)
+    level_vars: List[str] = []
 
     if sp.rel_part.relational_atoms:
         assert plan is not None
@@ -193,6 +205,9 @@ def preprocess_with_plan(
                 state.matchers[nid] = build_leaf_matcher(plan.atoms[i], sp.covered[i], db)
         _bottom_up(state)
         _build_connex_structures(state)
+        level_vars = [v for level in plan.levels for v in level.order]
+    level_vars += [v for v, _ in state.ineq.free_ranges]
+    state.head = tuple_getter([level_vars.index(v) for v in q.head_vars])
     return state
 
 
@@ -260,27 +275,47 @@ def _build_connex_structures(state: EnumerationState) -> None:
 # Enumeration
 # ---------------------------------------------------------------------------
 
-def _walk(state: EnumerationState, nid: int, t: DataTuple, env: Dict[str, int]) -> Iterator[Value]:
-    """Yield the annotation of every assignment of the connex variables below
-    ``nid`` compatible with tuple ``t``; yields never dead-end."""
+def _levels(state: EnumerationState) -> Tuple[list, list]:
+    """Per enumeration level: the function from the current tuples of all
+    levels to an iterator over this level's tuples, and the function from
+    this level's tuple to the product of its frontier annotations (None when
+    it has no frontier node).  An empty relational part is one level holding
+    the empty tuple."""
     plan = state.plan
-    for v, val in zip(plan.order[nid], t):
-        env[v] = val
-    if nid in plan.frontier:
-        yield state.relations[nid][t]
-        return
-    children = plan.nodes[nid].children
-    if len(children) == 1:
-        c = children[0]
-        for t_c in state.groups[c][t]:
-            yield from _walk(state, c, t_c, env)
-        return
-    c1, c2 = children
-    t2 = plan.key[c2](t)
     mul = state.semiring.mul
-    for k1 in _walk(state, c1, t, env):
-        for k2 in _walk(state, c2, t2, env):
-            yield mul(k1, k2)
+    opens: list = []
+    values: list = []
+    if plan is None:
+        opens.append(lambda cur: iter(((),)))
+        values.append(None)
+    else:
+        for level in plan.levels:
+            if level.source is None:
+                cands = state.candidates[plan.root]
+                opens.append(lambda cur, cands=cands: iter(cands))
+            else:
+                grp, src, key = state.groups[level.nodes[0]], level.source, level.key
+                opens.append(lambda cur, grp=grp, src=src, key=key: iter(grp[key(cur[src])]))
+            lookups = [
+                state.relations[f].__getitem__ if get is None
+                else (lambda t, rel=state.relations[f], get=get: rel[get(t)])
+                for f, get in level.frontier
+            ]
+            if len(lookups) <= 1:
+                values.append(lookups[0] if lookups else None)
+            else:
+                def value(t, first=lookups[0], rest=lookups[1:]):
+                    k = first(t)
+                    for lookup in rest:
+                        k = mul(k, lookup(t))
+                    return k
+
+                values.append(value)
+    for _, bound in state.ineq.free_ranges:
+        # zip over one iterable yields 1-tuples
+        opens.append(lambda cur, bound=bound: zip(range(1, bound + 1)))
+        values.append(None)
+    return opens, values
 
 
 def enumerate_state(
@@ -288,76 +323,67 @@ def enumerate_state(
 ) -> Iterator[Tuple[DataTuple, Value]]:
     """Stream (head tuple, annotation) pairs, each exactly once.
 
-    Output order is the deterministic depth-first order of the plan combined
-    with nested loops over the inequality ranges.  The common single-connex-
-    node shape degenerates to a scan of the materialized root relation with
-    no per-output allocation beyond the emitted pair.
+    The levels of the walk (the plan's, then one per free inequality range)
+    run as an odometer: the stack holds one iterator per level and, for each
+    level, the product of the annotations and the concatenation of the tuples
+    of the levels above it.  The last level changes fastest, so the output
+    order is the plan's depth-first order, guard children first, with the
+    inequality ranges innermost.  The common single-connex-node shape without
+    ranges degenerates to a scan of the materialized root relation.  An
+    update to the state invalidates the cursor.
     """
     s = state.semiring
     ineq = state.ineq
     if s.is_zero(ineq.annotation) or (limit is not None and limit <= 0):
         return
-    head = state.query.head_vars
     version = state.version
     emitted = 0
     mul = s.mul
     k_ineq = ineq.annotation
-
-    ineq_vars = [v for v, _ in ineq.free_ranges]
-    ineq_bounds = [b for _, b in ineq.free_ranges]
+    head = state.head
     plan = state.plan
 
-    if not ineq_vars and plan is not None and len(plan.connex) == 1:
+    if not ineq.free_ranges and plan is not None and len(plan.connex) == 1:
         # fast path: scan the root relation, project to the head order
-        order = plan.order[plan.root]
-        head_key = tuple_getter([order.index(v) for v in head])
         for t, val in state.relations[plan.root].items():
             if state.version != version:
                 raise RuntimeError("enumeration cursor invalidated by an update")
-            yield head_key(t), mul(val, k_ineq)
+            yield head(t), mul(val, k_ineq)
             emitted += 1
             if limit is not None and emitted >= limit:
                 return
         return
 
-    def rel_stream(env: Dict[str, int]) -> Iterator[Value]:
-        if plan is None:
-            yield s.one
-            return
-        for t_root in state.candidates[plan.root]:
-            yield from _walk(state, plan.root, t_root, env)
-
-    env: Dict[str, int] = {}
-    if not ineq_vars:
-        head_order = tuple(head)
-        for val in rel_stream(env):
-            if state.version != version:
-                raise RuntimeError("enumeration cursor invalidated by an update")
-            yield tuple(env[v] for v in head_order), mul(val, k_ineq)
-            emitted += 1
-            if limit is not None and emitted >= limit:
-                return
-        return
-
-    for val in rel_stream(env):
-        k = mul(val, k_ineq)
-        counters = [1] * len(ineq_vars)
-        while True:
-            for v, c in zip(ineq_vars, counters):
-                env[v] = c
-            if state.version != version:
-                raise RuntimeError("enumeration cursor invalidated by an update")
-            yield tuple(env[v] for v in head), k
-            emitted += 1
-            if limit is not None and emitted >= limit:
-                return
-            i = len(counters) - 1
-            while i >= 0 and counters[i] == ineq_bounds[i]:
-                counters[i] = 1
-                i -= 1
-            if i < 0:
-                break
-            counters[i] += 1
+    opens, values = _levels(state)
+    last = len(opens) - 1
+    its: list = [None] * len(opens)  # per level: iterator over its tuples
+    cur: list = [None] * len(opens)  # per level: its current tuple
+    prods = [k_ineq] + [None] * last  # annotation of the levels above
+    prefix = [()] + [None] * last  # concatenated tuples of the levels above
+    its[0] = opens[0](cur)
+    i = 0
+    while i >= 0:
+        if i == last:
+            p, pre, value = prods[i], prefix[i], values[i]
+            for t in its[i]:
+                if state.version != version:
+                    raise RuntimeError("enumeration cursor invalidated by an update")
+                yield head(pre + t), (p if value is None else mul(p, value(t)))
+                emitted += 1
+                if limit is not None and emitted >= limit:
+                    return
+            i -= 1
+            continue
+        for t in its[i]:
+            cur[i] = t
+            value = values[i]
+            prods[i + 1] = prods[i] if value is None else mul(prods[i], value(t))
+            prefix[i + 1] = prefix[i] + t
+            i += 1
+            its[i] = opens[i](cur)
+            break
+        else:
+            i -= 1
 
 
 def eval_materialized(q: ConjunctiveQuery, db: Database) -> AnnotatedRelation:

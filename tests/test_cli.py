@@ -305,3 +305,33 @@ def test_vocabulary_top_level_array_exits_one(tmp_path, dbdir, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+def test_matlang_eval_missing_data_directory_exits_one(tmp_path, capsys):
+    files = _matlang_files(tmp_path, {"A": {"type": ["a", "b"]}}, "H := A .* A\n")
+    missing = str(tmp_path / "nowhere")
+    files[files.index("--data") + 1] = missing
+    assert main(["matlang", "eval", *files]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and missing in captured.err
+
+
+@pytest.mark.parametrize("missing", ["query", "db", "updates", "schema", "expr"])
+def test_missing_input_file_exits_one(tmp_path, dbdir, capsys, missing):
+    nope = str(tmp_path / "nope")
+    q = write(tmp_path / "q.cq", "H(x) :- R(x,y).")
+    ups = write(tmp_path / "u.ups", "+ R 1 5 3\n")
+    files = _matlang_files(tmp_path, {"A": {"type": ["a", "b"]}}, "H := A\n")
+    if missing in ("query", "db"):
+        args = ["eval", "--query", q, "--db", str(dbdir)]
+    elif missing == "updates":
+        args = ["dyn", "--query", q, "--db", str(dbdir), "--updates", ups]
+    else:
+        args = ["matlang", "classify", *files]
+    args[args.index(f"--{missing}") + 1] = nope
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and nope in captured.err
+    assert "Traceback" not in captured.err

@@ -140,6 +140,66 @@ def test_dyn_cursor_invalidation():
         list(cursor)
 
 
+# the 3-level q-hierarchical query: its guarded plan walks two levels, x and
+# then the (x, y) group under it
+QH = "H(x,y) :- R(x,y,z), S(x,y), U(x)."
+QH_DB = {
+    "R": (3, {(2, 1, 1): 1, (1, 2, 3): 2, (1, 1, 1): 1, (2, 3, 1): 1, (1, 2, 4): 1, (3, 1, 1): 5}),
+    "S": (2, {(1, 2): 3, (2, 3): 1, (1, 1): 2, (2, 1): 1, (3, 3): 2}),
+    "U": (1, {(2,): 2, (1,): 1, (3,): 1}),
+}
+
+
+def test_dyn_walk_output_order_is_pinned():
+    # pinned output order, also after updates have reordered the groups
+    state = dyn_preprocess(parse_query(QH), make_db(NAT, QH_DB))
+    assert len(state.plan.levels) == 2
+    assert list(dyn_enumerate(state)) == [((2, 3), 2), ((2, 1), 2), ((1, 2), 9), ((1, 1), 2)]
+    for u in [
+        SingleTupleUpdate("delete", "S", (2, 3)),
+        SingleTupleUpdate("insert", "S", (3, 1), 4),
+        SingleTupleUpdate("insert", "R", (1, 3, 2), 2),
+        SingleTupleUpdate("insert", "S", (1, 3), 1),
+        SingleTupleUpdate("delete", "U", (2,)),
+    ]:
+        dyn_update(state, u)
+    assert list(dyn_enumerate(state)) == [((1, 2), 9), ((1, 1), 2), ((1, 3), 2), ((3, 1), 20)]
+
+
+@pytest.mark.parametrize(
+    "text, relations, update",
+    [
+        (QH, QH_DB, SingleTupleUpdate("insert", "U", (7,), 1)),  # the walk
+        ("H(x,w) :- U(x), w <= c.", QH_DB, SingleTupleUpdate("insert", "U", (7,), 1)),  # a range
+        # an update that leaves the answer as it is still invalidates
+        (QH, QH_DB, SingleTupleUpdate("insert", "R", (9, 9, 9), 1)),
+    ],
+)
+def test_dyn_cursor_invalidation_inside_levels(text, relations, update):
+    db = make_db(NAT, relations, {"c": 3})
+    state = dyn_preprocess(parse_query(text), db)
+    cursor = dyn_enumerate(state)
+    next(cursor)
+    next(cursor)  # inside the last level
+    dyn_update(state, update)
+    with pytest.raises(RuntimeError):
+        list(cursor)
+
+
+def test_dyn_walk_matches_static_and_oracle_over_a_stream():
+    q = parse_query(QH)
+    rng = random.Random(2024)
+    db = make_db(NAT, QH_DB)
+    state = dyn_preprocess(q, db)
+    for step in range(200):
+        dyn_update(state, random_update(rng, q, db, NAT, domain=3))
+        got = list(dyn_enumerate(state))
+        assert len(got) == len(dict(got)), step
+        assert dict(got) == oracle_eval_cq(q, db).entries, step
+        assert dict(got) == dict(enumerate_state(preprocess(q, db.copy()))), step
+    assert verify_dynamic_invariants(state) == []
+
+
 def random_update(rng, q, db, semiring, domain=5):
     symbols = sorted({a.symbol for a in q.relational_atoms})
     symbol = rng.choice(symbols)

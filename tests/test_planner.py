@@ -118,6 +118,25 @@ def test_verify_plan_rejects_identity_and_misoriented_nodes():
     assert verify_plan(plan, rel) == [f"node {top} is an identity copy of its child"]
 
 
+def test_levels_cut_the_connex_region_and_verify_plan_checks_them():
+    q = parse_query("H(x,y,z) :- R(x,y), S(y,z).")
+    rel = split(q).rel_part
+    plan = build_fc_plan(q)
+    # the root's candidates (x, y), then the group of S under y
+    assert [(lv.source, lv.order) for lv in plan.levels] == [(None, ("x", "y")), (0, ("y", "z"))]
+    assert sorted(n for lv in plan.levels for n in lv.nodes) == sorted(plan.connex)
+    levels = plan.levels
+    plan.levels = levels[:1]
+    assert verify_plan(plan, rel) == [
+        f"levels walk connex nodes {sorted(levels[0].nodes)}, not {sorted(plan.connex)}",
+        "level variables ['x', 'y'] != free vars ['x', 'y', 'z']",
+    ]
+    plan.levels = levels + levels[1:]
+    assert len(verify_plan(plan, rel)) == 1
+    plan.levels = levels
+    assert verify_plan(plan, rel) == []
+
+
 def test_fc_plan_projection_query():
     q = parse_query("H(x) :- A(x,y), U(y).")
     plan = build_fc_plan(q)

@@ -245,3 +245,68 @@ def test_two_interleaved_cursors_are_independent():
         seen_b.append(next(b))
     assert seen_a == seen_b
     assert len(seen_a) == 9
+
+
+# ---------------------------------------------------------------------------
+# The level walk: output order, limits, cursors
+# ---------------------------------------------------------------------------
+
+JOIN = "H(x,y,z) :- R(x,y), S(y,z)."
+JOIN_DB = {
+    "R": (2, {(3, 2): 1, (1, 1): 2, (2, 1): 3, (1, 3): 1, (4, 9): 2}),
+    "S": (2, {(1, 6): 1, (3, 5): 2, (1, 5): 3, (2, 7): 1, (3, 4): 1}),
+}
+# pinned output order: depth-first over the root's candidates, guard first,
+# last level fastest
+JOIN_ORDER = [
+    ((3, 2, 7), 1),
+    ((1, 1, 6), 2),
+    ((1, 1, 5), 6),
+    ((2, 1, 6), 3),
+    ((2, 1, 5), 9),
+    ((1, 3, 5), 2),
+    ((1, 3, 4), 1),
+]
+RANGE = "H(x,y,w) :- A(x), B(y), w <= c."
+RANGE_DB = {"A": (1, {(2,): 1, (1,): 2}), "B": (1, {(5,): 3, (4,): 1})}
+RANGE_ORDER = [
+    ((x, y, w), a * b) for x, a in ((2, 1), (1, 2)) for y, b in ((5, 3), (4, 1)) for w in (1, 2, 3)
+]
+
+
+def test_walk_output_order_is_pinned():
+    state = preprocess(parse_query(JOIN), make_db(NAT, JOIN_DB))
+    assert len(state.plan.levels) == 2
+    assert list(enumerate_state(state)) == JOIN_ORDER
+    state = preprocess(parse_query(RANGE), make_db(NAT, RANGE_DB, {"c": 3}))
+    assert len(state.plan.levels) == 2
+    assert list(enumerate_state(state)) == RANGE_ORDER
+
+
+@pytest.mark.parametrize("text, relations", [(JOIN, JOIN_DB), (RANGE, RANGE_DB)])
+def test_limit_stops_inside_any_level(text, relations):
+    state = preprocess(parse_query(text), make_db(NAT, relations, {"c": 3}))
+    full = list(enumerate_state(state))
+    for k in range(len(full) + 2):
+        assert list(enumerate_state(state, limit=k)) == full[:k]
+
+
+def test_two_interleaved_cursors_over_a_walk():
+    state = preprocess(parse_query(JOIN), make_db(NAT, JOIN_DB))
+    a, b = enumerate_state(state), enumerate_state(state)
+    seen_a = [next(a) for _ in range(3)]
+    seen_b = list(b)
+    seen_a += list(a)
+    assert seen_a == seen_b == JOIN_ORDER
+
+
+def test_enumerate_inequality_only_queries():
+    db = make_db(NAT, {}, {"c": 3, "d": 2})
+    state = preprocess(parse_query("H(w) :- w <= c."), db)
+    assert state.plan is None
+    assert list(enumerate_state(state)) == [((1,), 1), ((2,), 1), ((3,), 1)]
+    assert list(enumerate_state(state, limit=2)) == [((1,), 1), ((2,), 1)]
+    state = preprocess(parse_query("H(w,v) :- w <= d, v <= d, u <= c."), db)
+    assert list(enumerate_state(state)) == [((w, v), 3) for w in (1, 2) for v in (1, 2)]
+    state = preprocess(parse_query("H() :- u <= c."), db)
+    assert list(enumerate_state(state)) == [((), 3)]
