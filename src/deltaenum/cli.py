@@ -1,12 +1,12 @@
 """Command-line entry point.
 
 Subcommands: classify, plan, eval, enumerate, dyn, matlang {eval, compile,
-classify}, bench.  --semiring selects the annotation domain of the commands
-that read data (eval, enumerate, dyn, matlang, bench); --json asks classify,
-plan, eval, enumerate and matlang for machine-readable reports (timing
-isolated under a "timing" key); --verify cross-checks eval, enumerate, dyn
-and matlang eval against the oracle.  Exit codes: 0 success, 1 user error,
-2 verification mismatch.
+classify}.  --semiring selects the annotation domain of the commands that
+read data (eval, enumerate, dyn, matlang); --json asks classify, plan, eval,
+enumerate and matlang for machine-readable reports (timing isolated under a
+"timing" key); --verify cross-checks eval, enumerate, dyn and matlang eval
+against the oracle.  Exit codes: 0 success, 1 user error, 2 verification
+mismatch.  The benchmark is ``perfbench/run.py``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from .errors import ClassificationError, EngineError, NotConjunctiveError
-from .kdata import db_size, load_database, parse_update_script, read_input
+from .kdata import load_database, parse_update_script, read_input
 from .semiring import BUILTIN_SEMIRING_NAMES, builtin_semiring
 
 
@@ -59,20 +59,15 @@ def cmd_classify(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    from .planner import build_fc_plan, build_guarded_plan, classify
-    from .query import split
+    from .planner import build_fc_plan, build_guarded_plan
 
     q = _read_query(args.query)
-    flags = classify(q)
-    plan = None
-    if args.guarded:
-        plan = build_guarded_plan(q)
-    elif flags.free_connex and split(q).rel_part.relational_atoms:
-        plan = build_fc_plan(q)
+    plan = build_guarded_plan(q) if args.guarded else build_fc_plan(q)
     if plan is None:
         print(
             "no plan: query is "
-            + ("not q-hierarchical" if args.guarded else "not free-connex or has no relational atoms"),
+            + ("not q-hierarchical" if args.guarded else "not free-connex")
+            + " or has no relational atoms",
             file=sys.stderr,
         )
         return 1
@@ -295,83 +290,6 @@ def _limit(text: str) -> int:
     return value
 
 
-def _gap_histogram(gaps) -> Dict[str, int]:
-    """Log-scale histogram of inter-output gaps, bucketed by powers of ten."""
-    buckets: Dict[str, int] = {}
-    for g in gaps:
-        us = g * 1e6
-        if us < 1:
-            key = "<1us"
-        elif us >= 10_000:
-            key = ">=10ms"
-        else:
-            power = 1
-            while us >= power * 10:
-                power *= 10
-            key = f"{power}-{power * 10}us"
-        buckets[key] = buckets.get(key, 0) + 1
-    return dict(sorted(buckets.items()))
-
-
-def cmd_bench(args) -> int:
-    import random
-
-    from .generators import scaling_db, scaling_dynamic_query, scaling_static_query
-    from .static_engine import delay_gaps, timed_preprocess
-
-    semiring = builtin_semiring(args.semiring)
-    sizes = [int(float(s)) for s in args.sizes.split(",")]
-    rng = random.Random(args.seed)
-    report: Dict[str, List] = {"sizes": sizes, "runs": []}
-    if args.mode == "static":
-        q = scaling_static_query()
-        for size in sizes:
-            db = scaling_db(rng, semiring, size)
-            state, seconds = timed_preprocess(q, db)
-            gaps = delay_gaps(state, limit=args.delay_outputs)
-            run = {
-                "size": db_size(db),
-                "timing": {
-                    "preprocess_s": seconds,
-                    "max_gap_s": max(gaps) if gaps else 0.0,
-                    "mean_gap_s": sum(gaps) / len(gaps) if gaps else 0.0,
-                },
-                "delay_histogram": _gap_histogram(gaps),
-                "outputs_measured": len(gaps) + 1 if gaps else 0,
-            }
-            report["runs"].append(run)
-    else:
-        from .dynamic_engine import dyn_preprocess, dyn_update
-        from .generators import scaling_db
-        from .kdata import SingleTupleUpdate
-
-        q = scaling_dynamic_query()
-        for size in sizes:
-            db = scaling_db(rng, semiring, size, dynamic=True)
-            domain = max(4, size // 4)
-            state = dyn_preprocess(q, db)
-            updates = []
-            for _ in range(args.updates):
-                t = (rng.randrange(1, domain + 1), rng.randrange(1, domain + 1))
-                if rng.random() < 0.5:
-                    updates.append(SingleTupleUpdate("insert", "A", t, semiring.one))
-                else:
-                    updates.append(SingleTupleUpdate("delete", "A", t))
-            start = time.perf_counter()
-            for u in updates:
-                dyn_update(state, u)
-            elapsed = time.perf_counter() - start
-            report["runs"].append(
-                {
-                    "size": db_size(state.db),
-                    "timing": {"mean_update_s": elapsed / max(1, len(updates))},
-                    "updates": len(updates),
-                }
-            )
-    print(json.dumps(report, indent=2))
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
@@ -427,15 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="directory with <A>.coo files (eval only)")
     add_flags(p, "--semiring", "--json", "--verify")
     p.set_defaults(func=cmd_matlang)
-
-    p = sub.add_parser("bench", help="scaling benchmarks; JSON report on stdout")
-    p.add_argument("--sizes", default="1e3,1e4,1e5")
-    p.add_argument("--mode", choices=("static", "dyn"), default="static")
-    p.add_argument("--updates", type=int, default=10000)
-    p.add_argument("--delay-outputs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=13)
-    add_flags(p, "--semiring")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -165,9 +165,13 @@ def load_database(
         rel = AnnotatedRelation(arity)
         db.relations[name] = rel
         path = data_dir / f"{name}.csv"
-        if not path.exists():
+        try:
+            fh = path.open(newline="")
+        except FileNotFoundError:
             continue  # declared but empty relation
-        with path.open(newline="") as fh:
+        except OSError as exc:
+            raise IngestionError(f"cannot read: {exc.strerror or exc}", str(path)) from None
+        with fh:
             for lineno, row in enumerate(csv.reader(fh), start=1):
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue

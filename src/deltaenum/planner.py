@@ -1,14 +1,12 @@
-"""Join trees, classification, free-connex GHDs, and (guarded) query plans.
+"""Join trees, classification, and the query plans both engines execute.
 
-The pipeline from a conjunctive query to an executable structure is:
-
-1. ``build_join_tree`` -- GYO ear removal on the atom hypergraph; produces a
-   join tree exactly when the query is acyclic.
-2. ``build_fc_ghd``   -- for free-connex queries, splice a free-restricted
-   copy of the body join tree on top of the join tree of body+head, then
-   contract comparable-bag edges inside the connex set.
-3. ``ghd_to_plan`` / ``build_guarded_plan`` -- binary node-labeled plans with
-   guards and a sibling-closed connex node set; the engines execute these.
+``build_join_tree`` runs GYO ear removal on the atom hypergraph and yields a
+join tree exactly when the query is acyclic; the classification functions
+build on it.  ``build_plan`` runs a two-phase GYO reduction that removes the
+bound variables before the free ones and yields a binary node-labeled plan
+with guards and a sibling-closed connex node set: the free-connex plan of the
+static engine (``build_fc_plan``) or the guarded plan of the dynamic engine
+(``build_guarded_plan``).
 
 Every plan keeps two invariants, which ``verify_plan`` checks: no node is an
 identity copy (a single-child node with its child's variables), and the first
@@ -27,7 +25,6 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .errors import ClassificationError
 from .query import Atom, ConjunctiveQuery, RelAtom, split
 
 VarSet = FrozenSet[str]
@@ -64,7 +61,7 @@ def disconnected_variables(
     not induce a connected subgraph of the undirected ``edges``.
 
     Empty exactly when the tree has the running-intersection property that
-    join trees, GHDs and plans all require.
+    join trees and plans both require.
     """
     nbr: Dict[int, List[int]] = {n: [] for n in bags}
     for a, b in edges:
@@ -211,117 +208,6 @@ def classify(q: ConjunctiveQuery) -> QueryClass:
 
 
 # ---------------------------------------------------------------------------
-# GHDs
-# ---------------------------------------------------------------------------
-
-@dataclass
-class Ghd:
-    """Width-1 generalized hypertree decomposition with singleton covers.
-
-    ``bags[t]`` is the variable set of node ``t``; ``covers[t]`` is the index
-    of the atom covering it (bag(t) is a subset of that atom's variables).
-    """
-
-    atoms: Tuple[RelAtom, ...]
-    bags: Dict[int, VarSet]
-    covers: Dict[int, int]
-    edges: List[Tuple[int, int]]
-    root: int
-
-    def neighbors(self) -> Dict[int, List[int]]:
-        nbr: Dict[int, List[int]] = {t: [] for t in self.bags}
-        for a, b in self.edges:
-            nbr[a].append(b)
-            nbr[b].append(a)
-        return nbr
-
-    def is_complete(self) -> bool:
-        placed = set()
-        for t, cover in self.covers.items():
-            if self.bags[t] == self.atoms[cover].vars:
-                placed.add(cover)
-        return placed == set(range(len(self.atoms)))
-
-
-def build_fc_ghd(q: ConjunctiveQuery) -> Optional[Tuple[Ghd, Set[int]]]:
-    """Complete free-connex width-1 GHD for the relational part, if one exists.
-
-    Construction: join tree T of the body atoms, join tree T' of body+head;
-    splice a copy of T (bags restricted to the free variables) at the head
-    atom's neighbors in T'; contract connex-set edges with comparable bags
-    until none remain.  Contraction runs in both containment directions,
-    which both keeps |U| <= |free(Q)| (for queries with free variables) and
-    guarantees that every surviving connex node has a guarded path to the
-    atom covering it.
-    """
-    sp = split(q)
-    rel = sp.rel_part
-    atoms = rel.relational_atoms
-    if not atoms:
-        return None  # callers special-case the empty relational part
-    t_body = build_join_tree(atoms)
-    if t_body is None:
-        return None
-    head_atom = _head_atom(rel.head_vars)
-    t_full = build_join_tree(atoms + (head_atom,))
-    if t_full is None:
-        return None
-
-    n = len(atoms)
-    free = frozenset(rel.head_vars)
-    # node ids: originals 0..n-1, copies n..2n-1
-    bags: Dict[int, VarSet] = {}
-    covers: Dict[int, int] = {}
-    for i, a in enumerate(atoms):
-        bags[i] = a.vars
-        covers[i] = i
-        bags[n + i] = a.vars & free
-        covers[n + i] = i
-
-    head_ix = n  # index of head atom inside t_full.atoms
-    edges: List[Tuple[int, int]] = []
-    for a, b in t_full.edges:
-        if a == head_ix or b == head_ix:
-            other = b if a == head_ix else a
-            edges.append((n + other, other))  # splice copy to original
-        else:
-            edges.append((a, b))
-    for a, b in t_body.edges:
-        edges.append((n + a, n + b))
-
-    connex: Set[int] = {n + i for i in range(n)}
-
-    # Contract comparable-bag edges inside the connex set (both directions).
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(edges):
-            if a in connex and b in connex:
-                if bags[a] <= bags[b]:
-                    absorbed, keeper = a, b
-                elif bags[b] <= bags[a]:
-                    absorbed, keeper = b, a
-                else:
-                    continue
-                new_edges = []
-                for x, y in edges:
-                    if (x, y) in ((absorbed, keeper), (keeper, absorbed)):
-                        continue
-                    x2 = keeper if x == absorbed else x
-                    y2 = keeper if y == absorbed else y
-                    new_edges.append((x2, y2))
-                edges = new_edges
-                connex.discard(absorbed)
-                del bags[absorbed]
-                del covers[absorbed]
-                changed = True
-                break
-
-    root = min(connex)
-    return Ghd(atoms, bags, covers, edges, root), connex
-
-
-# ---------------------------------------------------------------------------
 # Query plans
 # ---------------------------------------------------------------------------
 
@@ -434,32 +320,6 @@ class _PlanBuilder:
         node = self.nodes[nid]
         return self.atoms[node.atom_index].vars if node.is_leaf else node.label
 
-    def chain(self, label: VarSet, children: List[int], connex: Set[int], in_connex: bool) -> int:
-        """Right-nested binary chain over ``children``; its root is labeled
-        ``label``.
-
-        The last child must be the guard (its variables contain ``label``);
-        every combiner's guard is then either the next combiner (same label)
-        or that final child.  Children whose variables are not contained in
-        ``label`` are wrapped in an intermediate projection node so that at
-        2-child nodes both children's variables are contained in the node's
-        (a larger guard is thereby projected onto ``label``).  The nodes the
-        chain adds join ``connex`` when ``in_connex``.
-        """
-        wrapped: List[int] = []
-        for c in children:
-            if not self.vars(c) <= label:
-                c = self.interior(label & self.vars(c), [c])
-                if in_connex:
-                    connex.add(c)
-            wrapped.append(c)
-        node = wrapped[-1]
-        for c in reversed(wrapped[:-1]):
-            node = self.interior(label, [node, c])
-            if in_connex:
-                connex.add(node)
-        return node
-
 
 def _finalize(
     builder: _PlanBuilder, root: int, connex: Set[int], guarded: bool, free: VarSet
@@ -527,173 +387,84 @@ def _cut_levels(plan: QueryPlan, positions: Dict[int, Tuple[int, ...]]) -> Tuple
     return tuple(levels)
 
 
-def ghd_to_plan(ghd: Ghd, connex_set: Set[int], rel_part: ConjunctiveQuery) -> QueryPlan:
-    """Convert a complete free-connex width-1 GHD into a normalized query plan."""
-    builder = _PlanBuilder(ghd.atoms)
-    nbr = ghd.neighbors()
-    plan_connex: Set[int] = set()
+def build_plan(q: ConjunctiveQuery, guarded: bool) -> Optional[QueryPlan]:
+    """Plan for the relational part of ``q`` by a two-phase GYO reduction, or
+    None when it has no relational atoms or is not free-connex (not
+    q-hierarchical, when ``guarded``).
 
-    def convert(t: int, parent: Optional[int]) -> int:
-        children_ghd = [u for u in nbr[t] if u != parent]
-        in_n = t in connex_set
-        child_nodes_n: List[int] = []
-        child_nodes_out: List[int] = []
-        for u in sorted(children_ghd):
-            cn = convert(u, t)
-            (child_nodes_n if u in connex_set else child_nodes_out).append(cn)
-        if t not in connex_set:
-            # an original atom node: its own leaf is the guard, kept last
-            assert not child_nodes_n, "connex node below a non-connex node"
-            child_nodes_out.append(builder.leaf(ghd.covers[t]))
-        else:
-            # guard: a non-connex child on the path to the covering atom
-            guard_ix = None
-            for i, cn in enumerate(child_nodes_out):
-                if ghd.bags[t] <= builder.vars(cn):
-                    guard_ix = i
-            if guard_ix is None:
-                raise ClassificationError(
-                    "internal error: connex GHD node has no guarded child"
-                )
-            child_nodes_out.append(child_nodes_out.pop(guard_ix))
+    Each relational atom starts as a leaf in a list of roots, which two steps
+    shrink until one root is left:
 
-        label = ghd.bags[t]
-        if in_n and child_nodes_n:
-            # the non-connex children sit below one frontier node labeled
-            # ``label`` so that the connex set stays sibling-closed
-            lower = builder.chain(label, child_nodes_out, plan_connex, False)
-            plan_connex.add(lower)
-            node = builder.chain(label, child_nodes_n + [lower], plan_connex, True)
-        else:
-            node = builder.chain(label, child_nodes_out, plan_connex, False)
-        if in_n:
-            plan_connex.add(node)
-        return node
+    * absorb: a root whose variables lie within another root's (equal them,
+      when ``guarded``) becomes the second child of a new 2-child node
+      labeled like that witness, which takes the witness's place;
+    * project: the variables of a root that no other root holds are dropped
+      by a new single-child node, appended to the list.
 
-    root = convert(ghd.root, None)
-    return _finalize(builder, root, plan_connex, False, frozenset(rel_part.head_vars))
+    Absorbing goes first; roots are scanned newest first and witnesses oldest
+    first.  Phase 1 drops only bound variables, and a bound variable left
+    over means there is no plan: a query is free-connex exactly when its
+    reduction can remove the bound variables first (Bagan, Durand and
+    Grandjean, CSL 2007).  Phase 2 drops free variables too, but never
+    projects the last root.  The connex set is the top subtree of the nodes
+    whose variables lie within the free ones.
+    """
+    rel = split(q).rel_part
+    if not rel.relational_atoms:
+        return None
+    free = frozenset(rel.head_vars)
+    builder = _PlanBuilder(rel.relational_atoms)
+    roots = [builder.leaf(i) for i in range(len(builder.atoms))]
+
+    def absorbs(w: int, rv: VarSet) -> bool:
+        return rv == builder.vars(w) if guarded else rv <= builder.vars(w)
+
+    def step(keep: VarSet) -> bool:
+        """One absorb, else one projection that drops no variable of
+        ``keep``; False when neither applies."""
+        for r in reversed(roots):
+            rv = builder.vars(r)
+            w = next((w for w in roots if w != r and absorbs(w, rv)), None)
+            if w is not None:
+                roots[roots.index(w)] = builder.interior(builder.vars(w), [w, r])
+                roots.remove(r)
+                return True
+        for r in reversed(roots):
+            rv = builder.vars(r)
+            drop = rv - keep - frozenset().union(*(builder.vars(o) for o in roots if o != r))
+            if drop:
+                roots.remove(r)
+                roots.append(builder.interior(rv - drop, [r]))
+                return True
+        return False
+
+    while step(free):  # phase 1: bound variables only
+        pass
+    if any(builder.vars(r) - free for r in roots):
+        return None
+    while len(roots) > 1 and step(frozenset()):  # phase 2: all, never the last root
+        pass
+    if len(roots) > 1:
+        return None
+    connex: Set[int] = set()
+    stack = [roots[0]]
+    while stack:
+        nid = stack.pop()
+        if builder.vars(nid) <= free:
+            connex.add(nid)
+            stack.extend(builder.nodes[nid].children)
+    return _finalize(builder, roots[0], connex, guarded, free)
 
 
 def build_fc_plan(q: ConjunctiveQuery) -> Optional[QueryPlan]:
-    """Free-connex query plan for the relational part of ``q``, or None."""
-    built = build_fc_ghd(q)
-    if built is None:
-        return None
-    ghd, connex = built
-    return ghd_to_plan(ghd, connex, split(q).rel_part)
+    """Free-connex plan for the relational part of ``q``, or None."""
+    return build_plan(q, guarded=False)
 
-
-# ---------------------------------------------------------------------------
-# Guarded plans (q-hierarchical queries)
-# ---------------------------------------------------------------------------
 
 def build_guarded_plan(q: ConjunctiveQuery) -> Optional[QueryPlan]:
-    """Guarded, normalized plan from the variable hierarchy, or None.
-
-    Nodes follow the equivalence classes of the variable hierarchy (variables
-    with identical relational-atom sets), each class split into its free part
-    above its bound part; atoms attach under the class of their full variable
-    set.  Every child's variables contain its parent's, and 2-child nodes
-    have both children labeled like the node.
-    """
-    if not is_q_hierarchical(q):
-        return None
-    sp = split(q)
-    rel = sp.rel_part
-    atoms = rel.relational_atoms
-    builder = _PlanBuilder(atoms)
-    connex: Set[int] = set()
-    free = frozenset(rel.head_vars)
-
-    atoms_of: Dict[str, FrozenSet[int]] = {}
-    for i, a in enumerate(atoms):
-        for v in a.vars:
-            atoms_of.setdefault(v, frozenset())
-    for v in atoms_of:
-        atoms_of[v] = frozenset(i for i, a in enumerate(atoms) if v in a.vars)
-
-    # classes keyed by (atom set, is_free); the free half sits above the bound half
-    class_vars: Dict[Tuple[FrozenSet[int], bool], Set[str]] = {}
-    for v, occ in atoms_of.items():
-        class_vars.setdefault((occ, v in free), set()).add(v)
-
-    def class_order_key(key: Tuple[FrozenSet[int], bool]) -> Tuple:
-        occ, is_free = key
-        return (-len(occ), not is_free, tuple(sorted(occ)))
-
-    # chain of classes covering an atom: all classes whose atom set contains it
-    def chain_for_atom(i: int) -> List[Tuple[FrozenSet[int], bool]]:
-        keys = [k for k in class_vars if i in k[0]]
-        return sorted(keys, key=class_order_key)
-
-    # children of a class in the hierarchy forest: classes with the smallest
-    # strictly-later position among those whose atom sets are contained
-    keys_sorted = sorted(class_vars, key=class_order_key)
-
-    def parent_of(key: Tuple[FrozenSet[int], bool]) -> Optional[Tuple[FrozenSet[int], bool]]:
-        occ, is_free = key
-        best: Optional[Tuple[FrozenSet[int], bool]] = None
-        for other in keys_sorted:
-            if other == key:
-                continue
-            oocc, ofree = other
-            if occ < oocc or (occ == oocc and ofree and not is_free):
-                if best is None or class_order_key(other) > class_order_key(best):
-                    best = other
-        return best
-
-    children_of: Dict[Optional[Tuple[FrozenSet[int], bool]], List] = {}
-    for key in keys_sorted:
-        children_of.setdefault(parent_of(key), []).append(key)
-    for v in children_of.values():
-        v.sort(key=class_order_key)
-
-    # atoms attach under the deepest class of their chain
-    atoms_under: Dict[Tuple[FrozenSet[int], bool], List[int]] = {}
-    nullary: List[int] = []
-    for i, a in enumerate(atoms):
-        chain = chain_for_atom(i)
-        if chain:
-            atoms_under.setdefault(chain[-1], []).append(i)
-        else:
-            nullary.append(i)
-
-    def build_class(key: Tuple[FrozenSet[int], bool], above: FrozenSet[str]) -> int:
-        label = above | frozenset(class_vars[key])
-        in_n = label <= free
-        kids: List[int] = []
-        for sub in children_of.get(key, []):
-            kids.append(build_class(sub, label))
-        # an atom's class path ends at its own variable set
-        kids.extend(builder.leaf(i) for i in atoms_under.get(key, []))
-        if not kids:
-            raise ClassificationError("internal error: empty hierarchy class")
-        # every kid's variables contain ``label``: the chain's combiners see
-        # equal labels on both sides
-        node = builder.chain(label, kids, connex, in_n)
-        if in_n:
-            # chain participants are siblings of each other: all join the
-            # connex set together to keep it sibling-closed
-            connex.add(node)
-            connex.update(c for c in kids if builder.vars(c) == label)
-        return node
-
-    roots = [build_class(key, frozenset()) for key in children_of.get(None, [])]
-    roots.extend(builder.leaf(i) for i in nullary)
-
-    if not roots:
-        raise ClassificationError("guarded plans need at least one relational atom")
-
-    if len(roots) == 1 and builder.vars(roots[0]) <= free:
-        root = roots[0]
-    else:
-        # super-root chain labeled {} combining the forest roots; nullary
-        # leaves enter it unwrapped and join the connex set as its members
-        root = builder.chain(frozenset(), roots, connex, True)
-        connex.update(r for r in roots if not builder.vars(r))
-    connex.add(root)
-
-    return _finalize(builder, root, connex, True, free)
+    """Guarded plan (both children of a 2-child node labeled like the node)
+    for the relational part of a q-hierarchical ``q``, or None."""
+    return build_plan(q, guarded=True)
 
 
 # ---------------------------------------------------------------------------

@@ -438,22 +438,10 @@ def verify_node_invariants(state: EnumerationState) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# Timing helpers used by the benchmark CLI and the scaling tests
+# Timing helper used by the scaling tests
 # ---------------------------------------------------------------------------
 
 def timed_preprocess(q: ConjunctiveQuery, db: Database) -> Tuple[EnumerationState, float]:
     start = time.perf_counter()
     state = preprocess(q, db)
     return state, time.perf_counter() - start
-
-
-def delay_gaps(state: EnumerationState, limit: Optional[int] = None) -> List[float]:
-    """Inter-output gaps in seconds, excluding the time to the first output."""
-    gaps: List[float] = []
-    last = None
-    for _ in enumerate_state(state, limit=limit):
-        now = time.perf_counter()
-        if last is not None:
-            gaps.append(now - last)
-        last = now
-    return gaps

@@ -26,7 +26,7 @@ from deltaenum.generators import (
 )
 from deltaenum.kdata import SingleTupleUpdate, db_size
 from deltaenum.oracle import oracle_eval_cq
-from deltaenum.planner import build_fc_ghd, build_fc_plan, classify, verify_plan
+from deltaenum.planner import build_fc_plan, classify, verify_plan
 from deltaenum.query import parse_query, split
 from deltaenum.semiring import builtin_semiring
 from deltaenum.static_engine import (
@@ -135,14 +135,13 @@ def test_criterion_4_structural_bounds():
         if not rel.relational_atoms or not rel.head_vars:
             continue
         checked += 1
-        ghd, connex = build_fc_ghd(q)
-        if len(connex) > len(rel.head_vars):
-            ok = False
-            print(f"  |U| > |free|: {q.to_text()}", file=sys.stderr)
-        if len(ghd.bags) > 2 * len(rel.relational_atoms):
-            ok = False
-            print(f"  |V(H)| > 2|atoms|: {q.to_text()}", file=sys.stderr)
         plan = build_fc_plan(q)
+        if len(plan.levels) > len(rel.head_vars):
+            ok = False
+            print(f"  levels > |free|: {q.to_text()}", file=sys.stderr)
+        if len(plan.nodes) > 3 * len(rel.relational_atoms):
+            ok = False
+            print(f"  nodes > 3|atoms|: {q.to_text()}", file=sys.stderr)
         problems = verify_plan(plan, rel)
         if problems:
             ok = False

@@ -216,13 +216,6 @@ def test_matlang_cli_roundtrip(tmp_path, capsys):
     assert capsys.readouterr().out.strip().splitlines() == ["1 1 30"]
 
 
-def test_bench_emits_json(capsys):
-    assert main(["bench", "--sizes", "200,400", "--mode", "static", "--delay-outputs", "50"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert len(report["runs"]) == 2
-    assert all("timing" in run for run in report["runs"])
-
-
 def test_eval_tropical_semiring_with_inf_serialization(tmp_path, capsys):
     import json as _json
 
@@ -233,12 +226,6 @@ def test_eval_tropical_semiring_with_inf_serialization(tmp_path, capsys):
     q = write(tmp_path / "q.cq", "H(x) :- R(x,y).")
     assert main(["eval", "--query", q, "--db", str(d), "--semiring", "tropical-min", "--verify"]) == 0
     assert capsys.readouterr().out.strip().splitlines() == ["1,1.0"]
-
-
-def test_bench_dyn_mode(capsys):
-    assert main(["bench", "--sizes", "300", "--mode", "dyn", "--updates", "500"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["runs"][0]["updates"] == 500
 
 
 def test_eval_verify_on_non_free_connex_exits_one(tmp_path, dbdir, capsys):
@@ -335,3 +322,43 @@ def test_missing_input_file_exits_one(tmp_path, dbdir, capsys, missing):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and nope in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("data", ["csv", "coo"])
+def test_data_file_that_is_a_directory_exits_one(tmp_path, dbdir, capsys, data):
+    if data == "csv":
+        q = write(tmp_path / "q.cq", "H(x) :- R(x,y).")
+        (dbdir / "R.csv").unlink()
+        (dbdir / "R.csv").mkdir()
+        args, bad = ["eval", "--query", q, "--db", str(dbdir)], str(dbdir / "R.csv")
+    else:
+        files = _matlang_files(tmp_path, {"A": {"type": ["a", "b"]}}, "H := A .* A\n")
+        data_dir = tmp_path / "data"
+        (data_dir / "A.coo").unlink()
+        (data_dir / "A.coo").mkdir()
+        args, bad = ["matlang", "eval", *files], str(data_dir / "A.coo")
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and bad in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("text", ["H(w) :- w <= c.", "H() :- u <= c."])
+def test_dyn_answers_inequality_only_queries_like_eval(tmp_path, dbdir, capsys, text):
+    q = write(tmp_path / "q.cq", text)
+    ups = write(tmp_path / "u.ups", "+ R 1 5 3\n- S 2\n")
+    assert main(["eval", "--query", q, "--db", str(dbdir)]) == 0
+    want = capsys.readouterr().out
+    assert want
+    assert main(["dyn", "--query", q, "--db", str(dbdir), "--updates", ups, "--verify"]) == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("guarded", [False, True])
+def test_plan_of_an_inequality_only_query_exits_one(tmp_path, capsys, guarded):
+    q = write(tmp_path / "q.cq", "H(w) :- w <= c.")
+    assert main(["plan", q, *(["--guarded"] if guarded else [])]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.rstrip().endswith("or has no relational atoms")

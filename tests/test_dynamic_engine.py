@@ -72,6 +72,18 @@ def test_dyn_preprocess_rejects_tropical():
         dyn_preprocess(q, db)
 
 
+@pytest.mark.parametrize("text", ["H(w) :- w <= c.", "H() :- u <= c."])
+def test_dyn_answers_inequality_only_queries(text):
+    q = parse_query(text)
+    db = make_db(NAT, {"R": (1, {(1,): 2})}, {"c": 3})
+    state = dyn_preprocess(q, db)
+    assert state.enum.plan is None
+    want = list(enumerate_state(preprocess(q, db)))
+    assert list(dyn_enumerate(state)) == want
+    dyn_update(state, SingleTupleUpdate("insert", "R", (2,), 5))
+    assert list(dyn_enumerate(state)) == want == list(enumerate_state(preprocess(q, db)))
+
+
 def test_dyn_update_insert_example():
     q = parse_query("H(x) :- A(x,y), U(x).")
     db = make_db(NAT, {"A": (2, {(1, 2): 2, (1, 3): 1}), "U": (1, {(1,): 4})})

@@ -1,8 +1,9 @@
+import json
 import random
 
+from deltaenum.matlang import load_matrix_schema, parse_matlang, translate_to_cq, with_head
 from deltaenum.planner import (
     PlanNode,
-    build_fc_ghd,
     build_fc_plan,
     build_guarded_plan,
     build_join_tree,
@@ -60,27 +61,8 @@ def test_classify_inequalities_are_unary_for_acyclicity():
     assert classify(parse_query("H(x) :- R(x,y), x<=c, y<=d.")).acyclic
 
 
-def test_fc_ghd_single_atom():
-    q = parse_query("H(x,y) :- R(x,y).")
-    ghd, connex = build_fc_ghd(q)
-    assert len(connex) == 1
-    assert len(ghd.bags) <= 2
-    (u,) = connex
-    assert ghd.bags[u] == frozenset({"x", "y"})
-    assert ghd.is_complete()
-    assert disconnected_variables(ghd.bags, ghd.edges) == []
-
-
-def test_fc_ghd_projection_query():
-    q = parse_query("H(x) :- A(x,y), U(y).")
-    ghd, connex = build_fc_ghd(q)
-    assert all(ghd.bags[u] <= {"x"} for u in connex)
-    assert len(connex) <= 1
-    assert ghd.is_complete()
-
-
 def test_fc_ghd_rejects_non_free_connex():
-    assert build_fc_ghd(parse_query("H(x,y) :- A(x,z), B(z,y).")) is None
+    assert build_fc_plan(parse_query("H(x,y) :- A(x,z), B(z,y).")) is None
 
 
 def test_fc_plan_single_atom():
@@ -137,6 +119,71 @@ def test_levels_cut_the_connex_region_and_verify_plan_checks_them():
     assert verify_plan(plan, rel) == []
 
 
+def _shape(plan, nid=None):
+    """(atom or sorted label, in the connex set, children's shapes in order)."""
+    nid = plan.root if nid is None else nid
+    node = plan.nodes[nid]
+    label = str(plan.atoms[node.atom_index]) if node.is_leaf else ",".join(sorted(plan.vars(nid)))
+    return (label, nid in plan.connex, [_shape(plan, c) for c in node.children])
+
+
+def test_benchmark_query_plans_are_pinned(tmp_path):
+    """The plans of the perfbench workloads' queries, node for node."""
+    schema = tmp_path / "s.json"
+    schema.write_text(
+        json.dumps(
+            {
+                "sizes": {"n": 4},
+                "matrices": {
+                    "A": {"type": ["n", "n"]},
+                    "U": {"type": ["n", "1"], "encoding": "unary"},
+                    "V": {"type": ["n", "1"], "encoding": "unary"},
+                },
+            }
+        )
+    )
+    matrices = load_matrix_schema(schema)
+    hadamard = parse_matlang("H := A .* (U * V^T)", matrices)
+    hadamard_cq = translate_to_cq(hadamard, with_head(hadamard, matrices))
+    assert hadamard_cq == parse_query("H(x,y) :- A(x,y), U(x), z1 <= 1, V(y), z2 <= 1.")
+
+    join_drain = build_fc_plan(parse_query("H(x,y,z) :- R(x,y), S(y,z)."))
+    assert _shape(join_drain) == (
+        "x,y", True, [("R(x, y)", True, []), ("y", True, [("S(y, z)", True, [])])],
+    )
+    project_agg = build_fc_plan(
+        parse_query("H(x,w) :- R(x,y), S(y,z), T(z), y <= alpha, w <= beta.")
+    )
+    assert _shape(project_agg) == (
+        "x", True, [
+            ("x,y", False, [
+                ("R(x, y)", False, []),
+                ("y", False, [
+                    ("y,z", False, [("S(y, z)", False, []), ("T(z)", False, [])]),
+                ]),
+            ]),
+        ],
+    )
+    assert _shape(build_fc_plan(hadamard_cq)) == (
+        "x,y", True, [
+            ("x,y", False, [("A(x, y)", False, []), ("V(y)", False, [])]),
+            ("U(x)", False, []),
+        ],
+    )
+    update_stream = build_guarded_plan(parse_query("H(x,y) :- R(x,y,z), S(x,y), U(x)."))
+    assert _shape(update_stream) == (
+        "x", True, [
+            ("U(x)", True, []),
+            ("x", True, [
+                ("x,y", True, [
+                    ("S(x, y)", True, []),
+                    ("x,y", True, [("R(x, y, z)", False, [])]),
+                ]),
+            ]),
+        ],
+    )
+
+
 def test_fc_plan_projection_query():
     q = parse_query("H(x) :- A(x,y), U(y).")
     plan = build_fc_plan(q)
@@ -180,20 +227,17 @@ def corpus(seed, count, **kw):
 def test_fc_plan_exists_iff_free_connex_on_corpus():
     for q in corpus(1001, 1000):
         flags = classify(q)
-        built = build_fc_ghd(q)
+        plan = build_fc_plan(q)
         rel = split(q).rel_part
         if not rel.relational_atoms:
             assert flags.free_connex  # empty relational part is trivially fc
+            assert plan is None  # the engines special-case it
             continue
-        assert flags.free_connex == (built is not None), q.to_text()
-        if built is not None:
-            ghd, connex = built
-            assert ghd.is_complete(), q.to_text()
-            assert disconnected_variables(ghd.bags, ghd.edges) == [], q.to_text()
-            assert len(ghd.bags) <= 2 * len(rel.relational_atoms), q.to_text()
+        assert flags.free_connex == (plan is not None), q.to_text()
+        if plan is not None:
+            assert len(plan.nodes) <= 3 * len(rel.relational_atoms), q.to_text()
             if rel.head_vars:
-                assert len(connex) <= len(rel.head_vars), q.to_text()
-            plan = build_fc_plan(q)
+                assert len(plan.levels) <= len(rel.head_vars), q.to_text()
             assert verify_plan(plan, rel) == [], (q.to_text(), verify_plan(plan, rel))
 
 
