@@ -2,16 +2,18 @@
 updates, with constant update time for q-hierarchical queries.
 
 The dynamic state is the static one built over a *guarded* plan, extended
-with one sum accumulator per (projection edge, parent tuple): the multiset of
-child annotations grouped under that tuple.  An update touches one leaf per
-matching atom and then walks the (query-constant) path to the root; guarded
-plans make every step O(1) because the parent tuple affected by a child delta
-is unique (vars(parent) is a subset of vars(child)) and 2-child nodes carry
-equal variable sets on both children.
+with one sum accumulator per (projection edge, parent tuple) below a node
+that has a relation: the multiset of child annotations grouped under that
+tuple.  An update touches one leaf per matching atom and then walks the
+(query-constant) path up to the first connex node, which is on the connex
+frontier; guarded plans make every step O(1) because the parent tuple
+affected by a child delta is unique (vars(parent) is a subset of
+vars(child)) and 2-child nodes carry equal variable sets on both children.
 
-Candidate structures over the connex region are maintained alongside:
-support changes at a frontier node ripple through the extension groups and
-the intersection counters, again O(1) per step.
+A frontier node's candidates are the tuples of its relation.  When its
+support changes, the change ripples up the connex region through the
+extension groups and, at a 2-child node, through one lookup in the sibling's
+candidates, again O(1) per step.
 """
 
 from __future__ import annotations
@@ -32,12 +34,10 @@ class DynamicState:
     """Maintained evaluation state; owns and mutates its database."""
 
     enum: EnumerationState
-    # per single-child interior node: parent tuple -> accumulator over the
-    # multiset of child annotations projecting onto it
+    # per single-child node with a relation (outside the connex region or on
+    # its frontier): parent tuple -> accumulator over the multiset of child
+    # annotations projecting onto it
     accs: Dict[int, Dict[DataTuple, SumAccumulator]] = field(default_factory=dict)
-    # per 2-child connex node: tuple -> number of children whose candidate
-    # sets contain it (in the candidate set of the node iff the count is 2)
-    counters: Dict[int, Dict[DataTuple, int]] = field(default_factory=dict)
     # leaves by relation symbol
     leaves: Dict[str, List[int]] = field(default_factory=dict)
 
@@ -78,7 +78,7 @@ def dyn_preprocess(q: ConjunctiveQuery, db: Database) -> DynamicState:
         if node.is_leaf:
             atom = plan.atoms[node.atom_index]
             state.leaves.setdefault(atom.symbol, []).append(nid)
-        elif len(node.children) == 1:
+        elif len(node.children) == 1 and nid in enum.relations:
             c = node.children[0]
             key = plan.key[c]
             table: Dict[DataTuple, SumAccumulator] = {}
@@ -89,15 +89,6 @@ def dyn_preprocess(q: ConjunctiveQuery, db: Database) -> DynamicState:
                     acc = table[kt] = acc_new(s)
                 acc.insert(k)
             state.accs[nid] = table
-        else:
-            c1, c2 = node.children
-            if nid in plan.connex and c1 in plan.connex:
-                cnt: Dict[DataTuple, int] = {}
-                for t in enum.candidates[c1]:
-                    cnt[t] = 1
-                for t in enum.candidates[c2]:
-                    cnt[t] = cnt.get(t, 0) + 1
-                state.counters[nid] = cnt
     return state
 
 
@@ -137,18 +128,14 @@ def dyn_update(state: DynamicState, u: SingleTupleUpdate) -> None:
 def _propagate(
     state: DynamicState, nid: int, key: DataTuple, old: Optional[Value], new: Optional[Value]
 ) -> None:
+    """Carry the change of ``nid``'s relation at ``key`` from ``old`` to
+    ``new`` (None: absent) up to the first connex node, a frontier node, and
+    pass a change of that node's support on to the candidates above it."""
     enum = state.enum
     plan = enum.plan
     s = enum.semiring
-    while True:
-        if nid in enum.candidates and (old is None) != (new is None):
-            # support changed at a connex node; only frontier nodes feed the
-            # candidate structures (changes below were already aggregated)
-            if nid in plan.frontier:
-                _candidate_delta(state, nid, key, added=new is not None)
+    while nid not in plan.connex:  # the root is connex
         parent = plan.nodes[nid].parent
-        if parent is None:
-            return
         pnode = plan.nodes[parent]
         if len(pnode.children) == 1:
             pkey = plan.key[nid](key)
@@ -183,24 +170,17 @@ def _propagate(
         else:
             enum.relations[parent][pkey] = pnew
         nid, key, old, new = parent, pkey, pold, pnew
+    if (old is None) != (new is None):
+        _candidate_delta(state, nid, key, added=new is not None)
 
 
 def _candidate_delta(state: DynamicState, nid: int, t: DataTuple, added: bool) -> None:
+    """Update the candidates above connex node ``nid``, whose candidate set
+    has just gained (``added``) or lost ``t``."""
     enum = state.enum
     plan = enum.plan
-    while True:
-        cand = enum.candidates[nid]
-        if added:
-            if t in cand:
-                return
-            cand[t] = True
-        else:
-            if t not in cand:
-                return
-            del cand[t]
+    while nid != plan.root:
         parent = plan.nodes[nid].parent
-        if parent is None or parent not in plan.connex:
-            return
         pnode = plan.nodes[parent]
         if len(pnode.children) == 1:
             pkey = plan.key[nid](t)
@@ -218,21 +198,18 @@ def _candidate_delta(state: DynamicState, nid: int, t: DataTuple, added: bool) -
                 if bucket:
                     return
                 del grp[pkey]
-            nid, t = parent, pkey
+            t = pkey
         else:
-            cnt = state.counters[parent]
-            if added:
-                cnt[t] = cnt.get(t, 0) + 1
-                if cnt[t] != 2:
-                    return
-            else:
-                cnt[t] -= 1
-                if cnt[t] == 0:
-                    del cnt[t]
-                    return
-                if cnt[t] != 1:
-                    return
-            nid = parent
+            # guarded plans: both children carry the node's tuple, and the
+            # node's candidates are the tuples in both candidate sets
+            sibling = next(c for c in pnode.children if c != nid)
+            if t not in enum.candidates[sibling]:
+                return
+        if added:
+            enum.candidates[parent][t] = True
+        else:
+            del enum.candidates[parent][t]
+        nid = parent
 
 
 def dyn_enumerate(state: DynamicState, limit: Optional[int] = None) -> Iterator[Tuple[DataTuple, Value]]:

@@ -11,7 +11,8 @@ operations with three capability flags:
 * ``zero_sum_free``     -- a+b = 0 implies a = b = 0.  When it fails (the
   reals), additions can cancel and stored support can shrink under inserts.
 * ``sum_maintainable``  -- a multiset of values supports O(1) insert, delete
-  and total.  Required by the dynamic engine.
+  and total: the descriptor has an ``acc_factory``.  Required by the dynamic
+  engine.
 """
 
 from __future__ import annotations
@@ -49,14 +50,13 @@ class SumAccumulator:
 
 
 class _InverseAccumulator(SumAccumulator):
-    """Running total for semirings whose addition can be undone exactly."""
+    """Running total for semirings whose addition the ``-`` operator undoes."""
 
-    __slots__ = ("_total", "_sub", "_zero", "size")
+    __slots__ = ("_total", "_zero", "size")
 
-    def __init__(self, zero: Value, sub: Callable[[Value, Value], Value]):
+    def __init__(self, zero: Value):
         self._total = zero
         self._zero = zero
-        self._sub = sub
         self.size = 0
 
     def insert(self, k: Value) -> None:
@@ -66,7 +66,7 @@ class _InverseAccumulator(SumAccumulator):
     def delete(self, k: Value) -> None:
         if self.size == 0:
             raise ContractViolationError("delete from an empty accumulator")
-        self._total = self._sub(self._total, k)
+        self._total = self._total - k
         self.size -= 1
         if self.size == 0:
             self._total = self._zero
@@ -112,11 +112,14 @@ class SemiringDescriptor:
     is_zero: Callable[[Value], bool]
     zero_divisor_free: bool
     zero_sum_free: bool
-    sum_maintainable: bool
     parse: Callable[[str], Value]
     format: Callable[[Value], str]
     sample: Callable[[Any], Value]  # rng -> value, used by tests and --verify corpora
     acc_factory: Optional[Callable[[], SumAccumulator]] = field(default=None, repr=False)
+
+    @property
+    def sum_maintainable(self) -> bool:
+        return self.acc_factory is not None
 
     def __post_init__(self) -> None:
         if self.zero == self.one:
@@ -155,7 +158,6 @@ _BOOLEAN = SemiringDescriptor(
     is_zero=lambda a: not a,
     zero_divisor_free=True,
     zero_sum_free=True,
-    sum_maintainable=True,
     parse=_parse_bool,
     format=lambda v: "t" if v else "f",
     sample=lambda rng: rng.random() < 0.5,
@@ -171,13 +173,12 @@ _NATURAL = SemiringDescriptor(
     is_zero=lambda a: a == 0,
     zero_divisor_free=True,
     zero_sum_free=True,
-    sum_maintainable=True,
     parse=_parse_natural,
     format=str,
     sample=lambda rng: rng.randrange(0, 6),
     # Subtraction never leaves the naturals here: a deleted value was
     # previously added to the same total.
-    acc_factory=lambda: _InverseAccumulator(0, lambda t, k: t - k),
+    acc_factory=lambda: _InverseAccumulator(0),
 )
 
 _REAL = SemiringDescriptor(
@@ -189,13 +190,12 @@ _REAL = SemiringDescriptor(
     is_zero=lambda a: a == 0.0,
     zero_divisor_free=True,
     zero_sum_free=False,
-    sum_maintainable=True,
     parse=float,
     format=repr,
     # Dyadic rationals keep float arithmetic exact in tests while still
     # exercising cancellation (k + (-k) == 0.0).
     sample=lambda rng: rng.randrange(-12, 13) / 4.0,
-    acc_factory=lambda: _InverseAccumulator(0.0, lambda t, k: t - k),
+    acc_factory=lambda: _InverseAccumulator(0.0),
 )
 
 _TROPICAL_MIN = SemiringDescriptor(
@@ -207,11 +207,11 @@ _TROPICAL_MIN = SemiringDescriptor(
     is_zero=lambda a: a == math.inf,
     zero_divisor_free=True,
     zero_sum_free=True,
-    sum_maintainable=False,  # min has no inverse; the dynamic engine rejects it
     parse=_parse_tropical,
     format=lambda v: "inf" if v == math.inf else repr(v),
     # Integer-valued floats keep min/+ exact in the axiom suite.
     sample=lambda rng: math.inf if rng.random() < 0.1 else float(rng.randrange(0, 20)),
+    # no acc_factory: min has no inverse, so the dynamic engine rejects it
 )
 
 _BUILTINS = {s.name: s for s in (_BOOLEAN, _NATURAL, _REAL, _TROPICAL_MIN)}
@@ -234,7 +234,7 @@ def builtin_semiring(name: str) -> SemiringDescriptor:
 
 def acc_new(s: SemiringDescriptor) -> SumAccumulator:
     """Fresh empty accumulator; ``total()`` is the semiring zero."""
-    if not s.sum_maintainable or s.acc_factory is None:
+    if s.acc_factory is None:
         raise CapabilityError(f"semiring {s.name!r} is not sum-maintainable")
     return s.acc_factory()
 

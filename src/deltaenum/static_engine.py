@@ -1,6 +1,8 @@
 """Linear-time preprocessing and constant-delay enumeration for free-connex CQs.
 
-Preprocessing runs one bottom-up pass over the query plan:
+Preprocessing runs one bottom-up pass over the nodes of the query plan
+below the connex region and on its frontier, the only node relations
+enumeration reads:
 
 * leaves hold the atom's relation filtered by repeated-variable matching and
   by the inequalities the atom covers;
@@ -76,11 +78,13 @@ class EnumerationState:
     plan: Optional[QueryPlan]  # None when the relational part is empty
     semiring: SemiringDescriptor
     db: Database
-    # per plan node: the aggregated node relation, keyed in ``plan.order``
+    # per plan node outside the connex region or on its frontier: the
+    # aggregated node relation, keyed in ``plan.order``
     relations: Dict[int, Dict[DataTuple, Value]] = field(default_factory=dict)
-    # connex navigation structures
+    # connex navigation structures; only the keys of a candidate set count,
+    # and a frontier node's is its relation itself
     groups: Dict[int, Dict[DataTuple, Dict[DataTuple, bool]]] = field(default_factory=dict)
-    candidates: Dict[int, Dict[DataTuple, bool]] = field(default_factory=dict)
+    candidates: Dict[int, Dict[DataTuple, Value]] = field(default_factory=dict)
     # per plan leaf: its tuple-to-key matcher, built once
     matchers: Dict[int, LeafMatcher] = field(default_factory=dict)
     ineq: Optional[IneqPlanState] = None
@@ -215,6 +219,8 @@ def _bottom_up(state: EnumerationState) -> None:
     plan = state.plan
     s = state.semiring
     for nid in plan.postorder():
+        if nid in plan.connex and nid not in plan.frontier:
+            continue  # enumeration reads the candidates of these nodes only
         node = plan.nodes[nid]
         if node.is_leaf:
             rel = state.db.relation(plan.atoms[node.atom_index].symbol)
@@ -244,7 +250,8 @@ def _build_connex_structures(state: EnumerationState) -> None:
     """Candidate sets and extension groups over the connex region.
 
     ``candidates[n]`` contains the vars(n)-tuples that extend to at least one
-    full assignment of the connex variables below n; ``groups[c]`` (for a
+    full assignment of the connex variables below n (at a frontier node: the
+    tuples of its relation, which it shares); ``groups[c]`` (for a
     connex node whose parent edge is a projection) maps each parent key to
     the candidate tuples of c extending it.
     """
@@ -255,7 +262,7 @@ def _build_connex_structures(state: EnumerationState) -> None:
         # the connex set is sibling-closed: all children are connex, or none
         children = plan.nodes[nid].children
         if nid in plan.frontier:
-            state.candidates[nid] = dict.fromkeys(state.relations[nid], True)
+            state.candidates[nid] = state.relations[nid]
         elif len(children) == 1:
             c = children[0]
             key = plan.key[c]
@@ -404,9 +411,8 @@ def verify_node_invariants(state: EnumerationState) -> List[str]:
         return problems
     plan = state.plan
     s = state.semiring
-    for nid in plan.postorder():
+    for nid, rel in state.relations.items():
         node = plan.nodes[nid]
-        rel = state.relations[nid]
         for t, k in rel.items():
             if s.is_zero(k):
                 problems.append(f"node {nid}: stored zero annotation at {t}")

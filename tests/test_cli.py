@@ -362,3 +362,14 @@ def test_plan_of_an_inequality_only_query_exits_one(tmp_path, capsys, guarded):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.rstrip().endswith("or has no relational atoms")
+
+
+def test_matlang_eval_verify_real_allows_summation_order(tmp_path, capsys):
+    # the engine and the dense evaluator add 0.3, 0.2 and 0.1 in different
+    # orders, which differ in the last bit
+    matrices = {"A": {"type": ["n", "n"]}}
+    files = _matlang_files(tmp_path, matrices, "H := A * ones(n)\n", sizes={"n": 3})
+    (tmp_path / "data" / "A.coo").write_text("1 3 0.3\n1 2 0.2\n1 1 0.1\n")
+    assert main(["matlang", "eval", *files, "--semiring", "real", "--verify"]) == 0
+    (line,) = capsys.readouterr().out.strip().splitlines()
+    assert line.startswith("1 1 0.6")

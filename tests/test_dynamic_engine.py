@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deltaenum.dynamic_engine import (
     dyn_enumerate,
@@ -17,10 +19,18 @@ from deltaenum.semiring import builtin_semiring
 from deltaenum.static_engine import enumerate_state, preprocess
 
 from test_query import random_cq
-from test_static_engine import VOCABULARY_MISMATCHES, equal_answers, make_db, random_db
+from test_static_engine import (
+    JOIN,
+    JOIN_DB,
+    VOCABULARY_MISMATCHES,
+    equal_answers,
+    make_db,
+    random_db,
+)
 
 NAT = builtin_semiring("natural")
 BOOL = builtin_semiring("boolean")
+REAL = builtin_semiring("real")
 
 
 def test_dyn_preprocess_filtered_projection():
@@ -284,3 +294,97 @@ def test_dyn_update_respects_covered_inequalities():
     dyn_update(state, SingleTupleUpdate("insert", "A", (1, 3), 4))
     assert dict(dyn_enumerate(state)) == {(1,): 6}
     assert dict(dyn_enumerate(state)) == oracle_eval_cq(q, db).entries
+
+
+def assert_enumeration_layout(enum):
+    """Relations exist exactly below the connex region and on its frontier,
+    and a frontier node's candidates are its relation."""
+    plan = enum.plan
+    assert set(enum.relations) == (set(plan.nodes) - plan.connex) | plan.frontier
+    for f in plan.frontier:
+        assert enum.candidates[f] is enum.relations[f]
+
+
+# the queries of the join_drain and update_stream benchmark workloads
+@pytest.mark.parametrize("text, relations", [(JOIN, JOIN_DB), (QH, QH_DB)])
+def test_state_lives_below_the_connex_region_and_on_its_frontier(text, relations):
+    q = parse_query(text)
+    assert_enumeration_layout(preprocess(q, make_db(NAT, relations)))
+    db = make_db(NAT, relations)
+    state = dyn_preprocess(q, db)
+    plan = state.plan
+    inner = plan.connex - plan.frontier
+    assert inner  # connex nodes that must have no relation
+    rng = random.Random(31)
+    for step in range(40):
+        assert_enumeration_layout(state.enum)
+        assert not set(state.accs) & inner, step
+        dyn_update(state, random_update(rng, q, db, NAT, domain=3))
+    assert verify_dynamic_invariants(state) == []
+
+
+@st.composite
+def qh_update_streams(draw):
+    """A q-hierarchical query with relational atoms, a small real database
+    for it and a stream of updates to its relations; a ``cancel`` inserts k
+    and then -k into the same tuple."""
+    rng = draw(st.randoms(use_true_random=False))
+    q = random_cq(rng, max_atoms=4, max_vars=4, self_join_prob=0.4)
+    while not (q.relational_atoms and is_q_hierarchical(q)):
+        q = random_cq(rng, max_atoms=4, max_vars=4, self_join_prob=0.4)
+    db = random_db(rng, q, REAL, max_tuples=12, domain=3)
+    arity = {a.symbol: len(a.args) for a in q.relational_atoms}
+    ops = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "delete", "cancel"]),
+                st.sampled_from(sorted(arity)),
+                st.tuples(*[st.integers(1, 3)] * max(arity.values())),
+                st.integers(-12, 12).filter(bool),
+            ),
+            max_size=25,
+        )
+    )
+    updates = []
+    for kind, symbol, values, k in ops:
+        t = values[: arity[symbol]]
+        if kind == "delete":
+            updates.append(SingleTupleUpdate("delete", symbol, t))
+            continue
+        updates.append(SingleTupleUpdate("insert", symbol, t, k / 4))
+        if kind == "cancel":
+            updates.append(SingleTupleUpdate("insert", symbol, t, -k / 4))
+    return q, db, updates
+
+
+@given(qh_update_streams())
+@example(
+    (
+        # a self-join with a covered inequality: R(1,3) lies beyond c, and
+        # the sum over y of R(1,y) cancels to zero and comes back
+        parse_query("H(x) :- R(x,y), R(x,x), y <= c."),
+        make_db(REAL, {"R": (2, {(1, 1): 1.0, (1, 2): 0.5})}, {"c": 2}),
+        [
+            SingleTupleUpdate("insert", "R", (1, 3), 0.75),
+            SingleTupleUpdate("insert", "R", (1, 2), -1.5),
+            SingleTupleUpdate("insert", "R", (1, 2), 1.5),
+            SingleTupleUpdate("insert", "R", (2, 2), 1.25),
+            SingleTupleUpdate("insert", "R", (2, 2), -1.25),
+            SingleTupleUpdate("insert", "R", (1, 1), -1.0),
+            SingleTupleUpdate("insert", "R", (1, 1), 2.0),
+        ],
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_dyn_update_streams_keep_every_invariant_after_every_update(case):
+    q, db, updates = case
+    state = dyn_preprocess(q, db)
+    assert verify_dynamic_invariants(state) == []
+    for step, u in enumerate(updates):
+        dyn_update(state, u)
+        assert verify_dynamic_invariants(state) == [], step
+        got = list(dyn_enumerate(state))
+        assert len(got) == len(dict(got)), step
+        # dyadic annotations keep every sum and product exact in any order
+        fresh = dict(enumerate_state(preprocess(q, db.copy())))
+        assert dict(got) == fresh == oracle_eval_cq(q, db).entries, step

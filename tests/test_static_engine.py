@@ -90,7 +90,6 @@ def test_preprocess_rejects_zero_divisor_semirings():
         is_zero=lambda a: a == 0,
         zero_divisor_free=False,
         zero_sum_free=False,
-        sum_maintainable=False,
         parse=int,
         format=str,
         sample=lambda rng: rng.randrange(6),
