@@ -14,19 +14,35 @@ A frontier node's candidates are the tuples of its relation.  When its
 support changes, the change ripples up the connex region through the
 extension groups and, at a 2-child node, through one lookup in the sibling's
 candidates, again O(1) per step.
+
+``dyn_preprocess`` compiles these paths once per plan (``DynamicState.paths``):
+per leaf, its key getter and relation, then one tuple of steps up to the
+first connex node and one over the connex region, each step holding the
+dicts it reads and writes.  ``dyn_update`` applies the update to the
+database once, through ``kdata.apply_update``, and runs each leaf's path as
+one flat loop without consulting the plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .errors import CapabilityError, ClassificationError
 from .kdata import Database, DataTuple, SingleTupleUpdate, apply_update
-from .planner import QueryPlan, build_guarded_plan
+from .planner import QueryPlan, TupleGetter, build_guarded_plan
 from .query import ConjunctiveQuery
 from .semiring import SumAccumulator, Value, acc_new
 from .static_engine import EnumerationState, enumerate_state, preprocess_with_plan
+
+
+# One step of a compiled update path, from a node to its parent: the
+# parent's relation (upward) or candidates (connex), the key getter from the
+# node's tuple to the parent's (None at a 2-child node, whose children carry
+# the parent's tuple), and the parent's accumulator table (upward), the
+# node's extension group (connex) or the sibling's relation or candidates.
+PathStep = Tuple[Dict[DataTuple, Value], Optional[TupleGetter], Dict]
+LeafPath = Tuple[Callable, Dict[DataTuple, Value], Tuple[PathStep, ...], Tuple[PathStep, ...]]
 
 
 @dataclass
@@ -38,8 +54,9 @@ class DynamicState:
     # its frontier): parent tuple -> accumulator over the multiset of child
     # annotations projecting onto it
     accs: Dict[int, Dict[DataTuple, SumAccumulator]] = field(default_factory=dict)
-    # leaves by relation symbol
-    leaves: Dict[str, List[int]] = field(default_factory=dict)
+    # per relation symbol: the update path of each plan leaf of that symbol,
+    # compiled once; every dict a path holds is one of the state's own
+    paths: Dict[str, List[LeafPath]] = field(default_factory=dict)
 
     @property
     def db(self) -> Database:
@@ -75,10 +92,7 @@ def dyn_preprocess(q: ConjunctiveQuery, db: Database) -> DynamicState:
 
     for nid in plan.postorder():
         node = plan.nodes[nid]
-        if node.is_leaf:
-            atom = plan.atoms[node.atom_index]
-            state.leaves.setdefault(atom.symbol, []).append(nid)
-        elif len(node.children) == 1 and nid in enum.relations:
+        if len(node.children) == 1 and nid in enum.relations:
             c = node.children[0]
             key = plan.key[c]
             table: Dict[DataTuple, SumAccumulator] = {}
@@ -89,6 +103,27 @@ def dyn_preprocess(q: ConjunctiveQuery, db: Database) -> DynamicState:
                     acc = table[kt] = acc_new(s)
                 acc.insert(k)
             state.accs[nid] = table
+    for leaf in plan.postorder():
+        if not plan.nodes[leaf].is_leaf:
+            continue
+        ups: List[PathStep] = []
+        connex: List[PathStep] = []
+        c = leaf
+        while c != plan.root:
+            p = plan.nodes[c].parent
+            children = plan.nodes[p].children
+            in_connex = c in plan.connex
+            store = enum.candidates if in_connex else enum.relations
+            if len(children) == 1:
+                step = (store[p], plan.key[c], enum.groups[c] if in_connex else state.accs[p])
+            else:
+                step = (store[p], None, store[children[1] if children[0] == c else children[0]])
+            (connex if in_connex else ups).append(step)
+            c = p
+        symbol = plan.atoms[plan.nodes[leaf].atom_index].symbol
+        state.paths.setdefault(symbol, []).append(
+            (enum.matchers[leaf].key, enum.relations[leaf], tuple(ups), tuple(connex))
+        )
     return state
 
 
@@ -97,119 +132,89 @@ def dyn_preprocess(q: ConjunctiveQuery, db: Database) -> DynamicState:
 # ---------------------------------------------------------------------------
 
 def dyn_update(state: DynamicState, u: SingleTupleUpdate) -> None:
-    """Apply a single-tuple update and repair all maintained structures."""
-    enum = state.enum
-    db = enum.db
-    rel = db.relation(u.relation)
-    old_db_val = rel.entries.get(u.tuple)
-    apply_update(db, u)
-    new_db_val = rel.entries.get(u.tuple)
-    enum.version += 1
-    if enum.plan is None or u.relation not in state.leaves:
-        return
-    if old_db_val is None and new_db_val is None:
-        return
+    """Apply a single-tuple update and repair all maintained structures.
 
-    for leaf_id in state.leaves[u.relation]:
-        key = enum.matchers[leaf_id].key(u.tuple)
+    Each plan leaf of the updated relation runs its compiled path: the
+    change of its relation at the tuple's key is carried up to the first
+    connex node, and a change of that node's support on up the candidates
+    to the root.  Either part stops at the first node that does not change.
+    """
+    enum = state.enum
+    old_db, new_db = apply_update(enum.db, u)
+    enum.version += 1
+    if old_db == new_db:
+        return
+    s = enum.semiring
+    mul, is_zero = s.mul, s.is_zero
+    for leaf_key, leaf_rel, ups, connex in state.paths.get(u.relation, ()):
+        key = leaf_key(u.tuple)
         if key is None:
             continue
-        old = enum.relations[leaf_id].get(key)
-        new = new_db_val
-        if old == new:
-            continue
+        # the leaf relation holds the database annotation of every key
+        old, new = old_db, new_db
         if new is None:
-            del enum.relations[leaf_id][key]
+            del leaf_rel[key]
         else:
-            enum.relations[leaf_id][key] = new
-        _propagate(state, leaf_id, key, old, new)
-
-
-def _propagate(
-    state: DynamicState, nid: int, key: DataTuple, old: Optional[Value], new: Optional[Value]
-) -> None:
-    """Carry the change of ``nid``'s relation at ``key`` from ``old`` to
-    ``new`` (None: absent) up to the first connex node, a frontier node, and
-    pass a change of that node's support on to the candidates above it."""
-    enum = state.enum
-    plan = enum.plan
-    s = enum.semiring
-    while nid not in plan.connex:  # the root is connex
-        parent = plan.nodes[nid].parent
-        pnode = plan.nodes[parent]
-        if len(pnode.children) == 1:
-            pkey = plan.key[nid](key)
-            table = state.accs[parent]
-            acc = table.get(pkey)
-            if acc is None:
-                acc = table[pkey] = acc_new(s)
-            if old is not None:
-                acc.delete(old)
-            if new is not None:
-                acc.insert(new)
-            if len(acc) == 0:
-                del table[pkey]
-                pnew: Optional[Value] = None
+            leaf_rel[key] = new
+        for prel, get, other in ups:
+            if get is None:
+                pkey = key
+                sib = other.get(key)
+                pnew = None if new is None or sib is None else mul(new, sib)
             else:
-                total = acc.total()
-                pnew = None if s.is_zero(total) else total
-        else:
-            sibling = next(c for c in pnode.children if c != nid)
-            pkey = key  # guarded plans: equal variable sets at 2-child nodes
-            sib_val = enum.relations[sibling].get(key)
-            if new is None or sib_val is None:
+                pkey = get(key)
+                acc = other.get(pkey)
+                if acc is None:
+                    acc = other[pkey] = acc_new(s)
+                if old is not None:
+                    acc.delete(old)
+                if new is not None:
+                    acc.insert(new)
+                if len(acc) == 0:
+                    del other[pkey]
+                    pnew = None
+                else:
+                    pnew = acc.total()
+            if pnew is not None and is_zero(pnew):
                 pnew = None
+            pold = prel.get(pkey)
+            if pold == pnew:
+                break  # nothing changes further up
+            if pnew is None:
+                del prel[pkey]
             else:
-                combined = s.mul(new, sib_val)
-                pnew = None if s.is_zero(combined) else combined
-        pold = enum.relations[parent].get(pkey)
-        if pold == pnew:
-            return  # nothing changes further up
-        if pnew is None:
-            del enum.relations[parent][pkey]
+                prel[pkey] = pnew
+            key, old, new = pkey, pold, pnew
         else:
-            enum.relations[parent][pkey] = pnew
-        nid, key, old, new = parent, pkey, pold, pnew
-    if (old is None) != (new is None):
-        _candidate_delta(state, nid, key, added=new is not None)
-
-
-def _candidate_delta(state: DynamicState, nid: int, t: DataTuple, added: bool) -> None:
-    """Update the candidates above connex node ``nid``, whose candidate set
-    has just gained (``added``) or lost ``t``."""
-    enum = state.enum
-    plan = enum.plan
-    while nid != plan.root:
-        parent = plan.nodes[nid].parent
-        pnode = plan.nodes[parent]
-        if len(pnode.children) == 1:
-            pkey = plan.key[nid](t)
-            grp = enum.groups[nid]
-            if added:
-                bucket = grp.get(pkey)
-                if bucket is None:
-                    bucket = grp[pkey] = {}
-                bucket[t] = True
-                if len(bucket) > 1:
-                    return  # parent candidate already present
-            else:
-                bucket = grp[pkey]
-                del bucket[t]
-                if bucket:
-                    return
-                del grp[pkey]
-            t = pkey
-        else:
-            # guarded plans: both children carry the node's tuple, and the
-            # node's candidates are the tuples in both candidate sets
-            sibling = next(c for c in pnode.children if c != nid)
-            if t not in enum.candidates[sibling]:
-                return
-        if added:
-            enum.candidates[parent][t] = True
-        else:
-            del enum.candidates[parent][t]
-        nid = parent
+            if (old is None) == (new is None):
+                continue  # the support of the first connex node is unchanged
+            added = new is not None
+            for pcands, get, other in connex:
+                if get is None:
+                    # the parent's candidates are the tuples in both
+                    # children's candidate sets
+                    if key not in other:
+                        break
+                else:
+                    pkey = get(key)
+                    if added:
+                        bucket = other.get(pkey)
+                        if bucket is None:
+                            bucket = other[pkey] = {}
+                        bucket[key] = True
+                        if len(bucket) > 1:
+                            break  # parent candidate already present
+                    else:
+                        bucket = other[pkey]
+                        del bucket[key]
+                        if bucket:
+                            break
+                        del other[pkey]
+                    key = pkey
+                if added:
+                    pcands[key] = True
+                else:
+                    del pcands[key]
 
 
 def dyn_enumerate(state: DynamicState, limit: Optional[int] = None) -> Iterator[Tuple[DataTuple, Value]]:

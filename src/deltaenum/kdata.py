@@ -89,28 +89,34 @@ def db_size(db: Database) -> int:
     return total + len(db.constants)
 
 
-def apply_update(db: Database, u: SingleTupleUpdate) -> None:
-    """Apply a single-tuple update in place.
+def apply_update(db: Database, u: SingleTupleUpdate) -> Tuple[Optional[Value], Optional[Value]]:
+    """Apply a single-tuple update in place and return the tuple's stored
+    annotation before and after it, as ``(old, new)``; None means absent.
 
     Insert: new annotation = old (+) k, removing the tuple if the sum is zero.
     Delete: the tuple's annotation becomes zero, i.e. it is removed.
     """
     rel = db.relation(u.relation)
-    if len(u.tuple) != rel.arity:
+    t = u.tuple
+    if len(t) != rel.arity:
         raise SchemaError(
-            f"tuple {u.tuple} has arity {len(u.tuple)}, relation {u.relation!r} expects {rel.arity}"
+            f"tuple {t} has arity {len(t)}, relation {u.relation!r} expects {rel.arity}"
         )
-    if any(v < 1 for v in u.tuple):
-        raise SchemaError(f"data values must be positive integers: {u.tuple}")
-    s = db.semiring
-    if u.kind == "delete":
-        rel.entries.pop(u.tuple, None)
-        return
-    new = s.add(rel.entries.get(u.tuple, s.zero), u.value)
-    if s.is_zero(new):
-        rel.entries.pop(u.tuple, None)
-    else:
-        rel.entries[u.tuple] = new
+    if t and min(t) < 1:
+        raise SchemaError(f"data values must be positive integers: {t}")
+    entries = rel.entries
+    old = entries.get(t)
+    new = None
+    if u.kind == "insert":
+        s = db.semiring
+        new = s.add(s.zero if old is None else old, u.value)
+        if s.is_zero(new):
+            new = None
+    if new is not None:
+        entries[t] = new
+    elif old is not None:
+        del entries[t]
+    return old, new
 
 
 def read_input(path: str | Path) -> str:

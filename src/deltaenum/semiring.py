@@ -142,11 +142,23 @@ def _parse_natural(s: str) -> int:
     return n
 
 
+def _parse_real(s: str) -> float:
+    # inf - inf is nan: a non-finite annotation would poison every sum it
+    # enters, also after it is deleted again
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(f"real annotation must be finite: {s!r}")
+    return v
+
+
 def _parse_tropical(s: str) -> float:
     s = s.strip().lower()
     if s in ("inf", "+inf", "infinity"):
         return math.inf
-    return float(s)
+    v = float(s)
+    if math.isnan(v) or v == -math.inf:
+        raise ValueError(f"tropical annotation must be a number or inf: {s!r}")
+    return v
 
 
 _BOOLEAN = SemiringDescriptor(
@@ -190,7 +202,7 @@ _REAL = SemiringDescriptor(
     is_zero=lambda a: a == 0.0,
     zero_divisor_free=True,
     zero_sum_free=False,
-    parse=float,
+    parse=_parse_real,
     format=repr,
     # Dyadic rationals keep float arithmetic exact in tests while still
     # exercising cancellation (k + (-k) == 0.0).

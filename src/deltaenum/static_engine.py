@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import CapabilityError, ClassificationError, VocabularyError
 from .kdata import AnnotatedRelation, Database, DataTuple
@@ -100,17 +100,21 @@ class LeafMatcher:
     A tuple matches its atom when the components at a repeated variable's
     positions are equal and every inequality the atom covers holds; its key
     lists the values of the atom's distinct variables in sorted order.
+    ``key`` gives the key, or None for a tuple that does not match; without
+    equalities and limits every tuple matches, and ``key`` is ``project``.
     """
 
     positions: Tuple[int, ...]  # first atom position of each key variable
     equalities: Tuple[Tuple[int, int], ...]  # (later, first) position of one variable
     limits: Tuple[Tuple[int, int], ...]  # (position, bound): component <= bound
     project: TupleGetter = field(init=False, repr=False, compare=False)
+    key: Callable[[DataTuple], Optional[DataTuple]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.project = tuple_getter(self.positions)
+        self.key = self._filtered_key if self.equalities or self.limits else self.project
 
-    def key(self, t: DataTuple) -> Optional[DataTuple]:
+    def _filtered_key(self, t: DataTuple) -> Optional[DataTuple]:
         for i, j in self.equalities:
             if t[i] != t[j]:
                 return None
@@ -121,9 +125,7 @@ class LeafMatcher:
 
     def relation(self, entries: Dict[DataTuple, Value]) -> Dict[DataTuple, Value]:
         """The leaf relation: matching tuples re-keyed, annotations kept."""
-        if not self.equalities and not self.limits and self.positions == tuple(
-            range(len(self.positions))
-        ):
+        if self.key is self.project and self.positions == tuple(range(len(self.positions))):
             # common fast path: distinct, already-sorted variables, no filters
             return dict(entries)
         key = self.key

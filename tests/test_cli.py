@@ -373,3 +373,19 @@ def test_matlang_eval_verify_real_allows_summation_order(tmp_path, capsys):
     assert main(["matlang", "eval", *files, "--semiring", "real", "--verify"]) == 0
     (line,) = capsys.readouterr().out.strip().splitlines()
     assert line.startswith("1 1 0.6")
+
+
+@pytest.mark.parametrize("where", ["updates", "csv"])
+def test_non_finite_real_annotation_exits_one(tmp_path, dbdir, capsys, where):
+    # inserting inf and deleting it again left nan in the maintained sums
+    q = write(tmp_path / "q.cq", "H(x) :- R(x,y).")
+    ups = write(tmp_path / "u.ups", "+ R 1 2 inf\n- R 1 2\n")
+    if where == "csv":
+        (dbdir / "R.csv").write_text("1,1,1.0\n1,3,inf\n")
+        ups = write(tmp_path / "u.ups", "- R 1 3\n")
+    args = ["dyn", "--query", q, "--db", str(dbdir), "--updates", ups, "--semiring", "real"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "finite" in captured.err
+    assert "Traceback" not in captured.err

@@ -10,7 +10,7 @@ from deltaenum.dynamic_engine import (
     dyn_update,
     verify_dynamic_invariants,
 )
-from deltaenum.errors import CapabilityError, ClassificationError, VocabularyError
+from deltaenum.errors import CapabilityError, ClassificationError, SchemaError, VocabularyError
 from deltaenum.kdata import SingleTupleUpdate
 from deltaenum.oracle import oracle_eval_cq
 from deltaenum.planner import is_q_hierarchical
@@ -320,6 +320,89 @@ def test_state_lives_below_the_connex_region_and_on_its_frontier(text, relations
         assert_enumeration_layout(state.enum)
         assert not set(state.accs) & inner, step
         dyn_update(state, random_update(rng, q, db, NAT, domain=3))
+    assert verify_dynamic_invariants(state) == []
+
+
+def state_snapshot(state):
+    """Copies of everything an update may change; accumulators as (size, total)."""
+    enum = state.enum
+    return (
+        {name: dict(rel.entries) for name, rel in enum.db.relations.items()},
+        enum.version,
+        {nid: dict(rel) for nid, rel in enum.relations.items()},
+        {nid: dict(c) for nid, c in enum.candidates.items()},
+        {nid: {k: dict(b) for k, b in grp.items()} for nid, grp in enum.groups.items()},
+        {nid: {k: (len(a), a.total()) for k, a in t.items()} for nid, t in state.accs.items()},
+    )
+
+
+@pytest.mark.parametrize(
+    "update, error",
+    [
+        (SingleTupleUpdate("insert", "S", (1, 2, 3), 1), SchemaError),  # arity
+        (SingleTupleUpdate("delete", "R", (1, 2)), SchemaError),  # arity
+        (SingleTupleUpdate("insert", "R", (1, 0, 2), 1), SchemaError),  # value < 1
+        (SingleTupleUpdate("delete", "U", (0,)), SchemaError),  # value < 1
+        (SingleTupleUpdate("insert", "T", (1,), 1), VocabularyError),
+    ],
+)
+def test_rejected_updates_leave_the_state_untouched(update, error):
+    state = dyn_preprocess(parse_query(QH), make_db(NAT, QH_DB))
+    before = state_snapshot(state)
+    with pytest.raises(error):
+        dyn_update(state, update)
+    assert state_snapshot(state) == before
+
+
+def assert_paths_hold_the_states_own_dicts(state):
+    """One path per plan leaf, in postorder per symbol; the leaf's upward
+    steps pass its non-connex nodes (the leaf included) and its connex steps
+    the connex nodes below the root; every dict is the state's own."""
+    enum, plan = state.enum, state.plan
+    own = {
+        id(d)
+        for store in (enum.relations, enum.candidates, enum.groups, state.accs)
+        for d in store.values()
+    }
+    leaves = [n for n in plan.postorder() if plan.nodes[n].is_leaf]
+    symbols = {plan.atoms[plan.nodes[n].atom_index].symbol for n in leaves}
+    assert set(state.paths) == symbols
+    for symbol, paths in state.paths.items():
+        mine = [n for n in leaves if plan.atoms[plan.nodes[n].atom_index].symbol == symbol]
+        assert len(paths) == len(mine)
+        for leaf, (leaf_key, leaf_rel, ups, connex) in zip(mine, paths):
+            assert leaf_key is enum.matchers[leaf].key
+            assert leaf_rel is enum.relations[leaf]
+            chain = [leaf]
+            while chain[-1] != plan.root:
+                chain.append(plan.nodes[chain[-1]].parent)
+            assert len(ups) == sum(n not in plan.connex for n in chain)
+            assert len(connex) == sum(n in plan.connex for n in chain) - 1
+            for (target, _, other), parent in zip(ups + connex, chain[1:]):
+                store = enum.candidates if parent in plan.connex else enum.relations
+                assert target is store[parent]
+                assert id(other) in own
+
+
+@pytest.mark.parametrize(
+    "text, relations",
+    [
+        (JOIN, JOIN_DB),
+        (QH, QH_DB),
+        # a self-join: two leaves, so two paths, under R
+        ("H(x) :- R(x,y), R(x,x), U(x).", {"R": QH_DB["S"], "U": QH_DB["U"]}),
+    ],
+)
+def test_compiled_update_paths_hold_the_states_own_dicts(text, relations):
+    q = parse_query(text)
+    db = make_db(NAT, relations)
+    state = dyn_preprocess(q, db)
+    assert len(state.paths["R"]) == sum(a.symbol == "R" for a in q.relational_atoms)
+    assert_paths_hold_the_states_own_dicts(state)
+    rng = random.Random(8)
+    for _ in range(40):
+        dyn_update(state, random_update(rng, q, db, NAT, domain=3))
+    assert_paths_hold_the_states_own_dicts(state)
     assert verify_dynamic_invariants(state) == []
 
 

@@ -168,12 +168,15 @@ def test_apply_update_matches_model(ops):
     db = make_db(semiring=REAL)
     model = {}
     for kind, t, k in ops:
+        old = model.get(t)
         if kind == "insert":
-            apply_update(db, SingleTupleUpdate("insert", "R", t, float(k)))
+            got = apply_update(db, SingleTupleUpdate("insert", "R", t, float(k)))
             model[t] = model.get(t, 0.0) + k
             if model[t] == 0.0:
                 del model[t]
         else:
-            apply_update(db, SingleTupleUpdate("delete", "R", t))
+            got = apply_update(db, SingleTupleUpdate("delete", "R", t))
             model.pop(t, None)
+        # the stored annotation before and after, None meaning absent
+        assert got == (old, model.get(t))
     assert db.relations["R"].entries == model

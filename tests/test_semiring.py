@@ -171,3 +171,19 @@ def test_sum_of_ones_examples():
     b = builtin_semiring("boolean")
     assert sum_of_ones(b, 3) == b.one
     assert sum_of_ones(b, 0) == b.zero
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan", "Infinity", "1e999", "-1e999"])
+def test_real_parse_rejects_non_finite(text):
+    # inf - inf is nan: such an annotation would poison the sums it enters
+    with pytest.raises(ValueError):
+        builtin_semiring("real").parse(text)
+
+
+def test_tropical_parse_keeps_its_zero_and_rejects_nan_and_minus_inf():
+    t = builtin_semiring("tropical-min")
+    assert t.parse("inf") == t.parse("+inf") == t.parse("1e999") == t.zero
+    assert t.parse(" 2.5 ") == 2.5
+    for text in ("nan", "-inf", "-1e999"):
+        with pytest.raises(ValueError):
+            t.parse(text)
