@@ -15,7 +15,10 @@ support changes, the change ripples up the connex region through the
 extension groups and, at a 2-child node, through one lookup in the sibling's
 candidates, again O(1) per step.
 
-``dyn_preprocess`` compiles these paths once per plan (``DynamicState.paths``):
+``dyn_preprocess`` makes one bottom-up pass: the static preprocess over the
+guarded plan fills each single-child node's accumulators while it groups
+the child, and reads the node's relation off their totals.  It then
+compiles the update paths once per plan (``DynamicState.paths``):
 per leaf, its key getter and relation, then one tuple of steps up to the
 first connex node and one over the connex region, each step holding the
 dicts it reads and writes.  ``dyn_update`` applies the update to the
@@ -84,25 +87,13 @@ def dyn_preprocess(q: ConjunctiveQuery, db: Database) -> DynamicState:
         raise ClassificationError(
             f"query is not q-hierarchical (static evaluation is still available): {q.to_text()}"
         )
-    enum = preprocess_with_plan(q, db, plan)
-    state = DynamicState(enum)
+    # the accumulators are built in the bottom-up pass itself
+    accs: Dict[int, Dict[DataTuple, SumAccumulator]] = {}
+    enum = preprocess_with_plan(q, db, plan, accs)
+    state = DynamicState(enum, accs)
     plan = enum.plan
     if plan is None:
         return state
-
-    for nid in plan.postorder():
-        node = plan.nodes[nid]
-        if len(node.children) == 1 and nid in enum.relations:
-            c = node.children[0]
-            key = plan.key[c]
-            table: Dict[DataTuple, SumAccumulator] = {}
-            for t, k in enum.relations[c].items():
-                kt = key(t)
-                acc = table.get(kt)
-                if acc is None:
-                    acc = table[kt] = acc_new(s)
-                acc.insert(k)
-            state.accs[nid] = table
     for leaf in plan.postorder():
         if not plan.nodes[leaf].is_leaf:
             continue

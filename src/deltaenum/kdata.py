@@ -5,6 +5,13 @@ annotation is nonzero; every mutation goes through ``apply_update`` so the
 "support = stored tuples" invariant the enumeration algorithms rely on is
 never broken (an insert whose sum lands on zero physically removes the
 tuple).
+
+The text loaders (CSV relations and update scripts here, COO matrices in
+``matlang.load_matrix_instance``) each make one pass over their lines: a
+line is split once and its values converted with ``map(int, ...)``, and a
+CSV row is looked at for a blank line or a header only when it does not
+parse.  Input is UTF-8; every malformed line, undecodable byte or oversized
+CSV field is an ``IngestionError`` naming the file and the line.
 """
 
 from __future__ import annotations
@@ -67,7 +74,7 @@ class Database:
         return db
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SingleTupleUpdate:
     """An insert (annotation combined with the old one) or a delete."""
 
@@ -93,8 +100,10 @@ def apply_update(db: Database, u: SingleTupleUpdate) -> Tuple[Optional[Value], O
     """Apply a single-tuple update in place and return the tuple's stored
     annotation before and after it, as ``(old, new)``; None means absent.
 
-    Insert: new annotation = old (+) k, removing the tuple if the sum is zero.
+    Insert: new annotation = old (+) k, removing the tuple if the sum is zero;
+    a k the semiring does not admit is a ``SchemaError``.
     Delete: the tuple's annotation becomes zero, i.e. it is removed.
+    A rejected update leaves the database untouched.
     """
     rel = db.relation(u.relation)
     t = u.tuple
@@ -109,6 +118,8 @@ def apply_update(db: Database, u: SingleTupleUpdate) -> Tuple[Optional[Value], O
     new = None
     if u.kind == "insert":
         s = db.semiring
+        if not s.admits(u.value):
+            raise SchemaError(f"{u.value!r} is not a {s.name} annotation")
         new = s.add(s.zero if old is None else old, u.value)
         if s.is_zero(new):
             new = None
@@ -121,11 +132,25 @@ def apply_update(db: Database, u: SingleTupleUpdate) -> Tuple[Optional[Value], O
 
 def read_input(path: str | Path) -> str:
     """The text of an input file; ``IngestionError`` naming the path when it
-    cannot be read (missing, a directory, not readable)."""
+    cannot be read (missing, a directory, not readable, not UTF-8)."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise IngestionError(f"cannot read: {exc.strerror or exc}", str(path)) from None
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def _not_utf8(path: str | Path) -> IngestionError:
+    """The error for a file that is not UTF-8 text, at the line of its first
+    undecodable byte."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return IngestionError(f"not UTF-8 text: byte {data[exc.start]:#04x}", str(path), line)
+    return IngestionError("not UTF-8 text", str(path))
 
 
 def load_vocabulary(path: str | Path) -> Tuple[Dict[str, int], Dict[str, int]]:
@@ -158,9 +183,10 @@ def load_database(
     """Build a database from a vocabulary file plus one CSV per relation.
 
     Each row of ``<data_dir>/<R>.csv`` is ``v1,...,vk,annotation``.  Rows with
-    a zero annotation are dropped; a header row is skipped if its first field
-    is not an integer.  A missing CSV is an empty relation; a missing
-    ``data_dir`` raises ``IngestionError``.
+    a zero annotation are dropped; blank rows are skipped, and so is a header:
+    a first row that does not parse and whose first field is not an integer.
+    A missing CSV is an empty relation; a missing ``data_dir`` raises
+    ``IngestionError``.
     """
     data_dir = Path(data_dir)
     if not data_dir.is_dir():
@@ -172,72 +198,94 @@ def load_database(
         db.relations[name] = rel
         path = data_dir / f"{name}.csv"
         try:
-            fh = path.open(newline="")
+            fh = path.open(encoding="utf-8", newline="")
         except FileNotFoundError:
             continue  # declared but empty relation
         except OSError as exc:
             raise IngestionError(f"cannot read: {exc.strerror or exc}", str(path)) from None
         with fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if lineno == 1 and not _looks_like_int(row[0]):
-                    continue  # optional header
-                if len(row) != arity + 1:
-                    raise IngestionError(
-                        f"expected {arity + 1} fields, got {len(row)}", str(path), lineno
-                    )
-                try:
-                    values = tuple(int(f) for f in row[:arity])
-                except ValueError:
-                    raise IngestionError(f"malformed data value in {row[:arity]}", str(path), lineno)
-                if any(v < 1 for v in values):
-                    raise IngestionError(
-                        f"data values must be positive integers, got {values}", str(path), lineno
-                    )
-                try:
-                    annotation = semiring.parse(row[arity])
-                except ValueError as exc:
-                    raise IngestionError(str(exc), str(path), lineno)
-                if semiring.is_zero(annotation):
-                    continue
-                if values in rel.entries:
-                    raise IngestionError(f"duplicate tuple {values}", str(path), lineno)
-                rel.entries[values] = annotation
+            _read_rows(fh, str(path), arity, semiring, rel.entries)
     return db
 
 
-def _looks_like_int(s: str) -> bool:
+def _read_rows(fh, path: str, arity: int, semiring: SemiringDescriptor, entries: Dict) -> None:
+    """One pass over the CSV rows of one relation into ``entries``.  The
+    width is tested first; blank rows and the header are looked for only
+    in a row that does not parse."""
+    width = arity + 1
+    parse, is_zero = semiring.parse, semiring.is_zero
+    lineno = 0
     try:
-        int(s)
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if len(row) != width:
+                if _skipped(row, lineno):
+                    continue
+                raise IngestionError(f"expected {width} fields, got {len(row)}", path, lineno)
+            try:
+                values = tuple(map(int, row[:arity]))
+            except ValueError:
+                if _skipped(row, lineno):
+                    continue
+                raise IngestionError(f"malformed data value in {row[:arity]}", path, lineno) from None
+            if arity and min(values) < 1:
+                raise IngestionError(
+                    f"data values must be positive integers, got {values}", path, lineno
+                )
+            try:
+                annotation = parse(row[arity])
+            except ValueError as exc:
+                if _skipped(row, lineno):
+                    continue
+                raise IngestionError(str(exc), path, lineno) from None
+            if is_zero(annotation):
+                continue
+            if values in entries:
+                raise IngestionError(f"duplicate tuple {values}", path, lineno)
+            entries[values] = annotation
+    except csv.Error as exc:
+        raise IngestionError(str(exc), path, lineno + 1) from None
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def _skipped(row: List[str], lineno: int) -> bool:
+    """A blank row, or the optional header: a first row whose first field
+    is not an integer."""
+    if not row or (len(row) == 1 and not row[0].strip()):
         return True
-    except ValueError:
+    if lineno != 1:
         return False
+    try:
+        int(row[0])
+        return False
+    except ValueError:
+        return True
 
 
 def parse_update_script(
     path: str | Path, semiring: SemiringDescriptor
 ) -> List[SingleTupleUpdate]:
-    """Parse an update script: ``+ R 1 2 7`` inserts, ``- R 1 2`` deletes."""
+    """Parse an update script: ``+ R 1 2 7`` inserts, ``- R 1 2`` deletes;
+    ``#`` starts a comment.  One pass, splitting each line once."""
     updates: List[SingleTupleUpdate] = []
+    append, parse = updates.append, semiring.parse
     for lineno, line in enumerate(read_input(path).splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+        if "#" in line:
+            line = line[: line.index("#")]
         fields = line.split()
-        op, symbol, args = fields[0], fields[1] if len(fields) > 1 else None, fields[2:]
-        if op not in ("+", "-") or symbol is None:
-            raise IngestionError(f"malformed update line {line!r}", str(path), lineno)
+        if not fields:
+            continue
+        op = fields[0]
+        if len(fields) < 2 or op not in ("+", "-"):
+            raise IngestionError(f"malformed update line {line.strip()!r}", str(path), lineno)
         try:
-            if op == "+":
-                if not args:
-                    raise ValueError("insert needs at least an annotation")
-                values = tuple(int(f) for f in args[:-1])
-                annotation = semiring.parse(args[-1])
-                updates.append(SingleTupleUpdate("insert", symbol, values, annotation))
+            if op == "-":
+                append(SingleTupleUpdate("delete", fields[1], tuple(map(int, fields[2:]))))
+            elif len(fields) > 2:
+                values = tuple(map(int, fields[2:-1]))
+                append(SingleTupleUpdate("insert", fields[1], values, parse(fields[-1])))
             else:
-                values = tuple(int(f) for f in args)
-                updates.append(SingleTupleUpdate("delete", symbol, values))
+                raise ValueError("insert needs at least an annotation")
         except ValueError as exc:
-            raise IngestionError(str(exc), str(path), lineno)
+            raise IngestionError(str(exc), str(path), lineno) from None
     return updates

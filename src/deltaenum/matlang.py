@@ -271,35 +271,39 @@ def load_matrix_schema(path: str | Path) -> MatrixSchema:
 def load_matrix_instance(
     schema: MatrixSchema, data_dir: str | Path, semiring: SemiringDescriptor
 ) -> MatrixInstance:
-    """COO text per matrix symbol: one ``i j value`` triple per line.  A
-    missing ``<A>.coo`` is a zero matrix; a missing ``data_dir`` raises
+    """COO text per matrix symbol: one ``i j value`` triple per line, ``#``
+    starting a comment; one pass, splitting each line once.  A missing
+    ``<A>.coo`` is a zero matrix; a missing ``data_dir`` raises
     ``IngestionError``."""
     data_dir = Path(data_dir)
     if not data_dir.is_dir():
         raise IngestionError("not a directory", str(data_dir))
+    parse, is_zero = semiring.parse, semiring.is_zero
     entries: Dict[str, Dict[Tuple[int, int], Value]] = {}
     for name in schema.matrices:
         cells: Dict[Tuple[int, int], Value] = {}
-        path = data_dir / f"{name}.coo"
-        if path.exists():
-            for lineno, line in enumerate(read_input(path).splitlines(), start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                fields = line.split()
-                if len(fields) != 3:
-                    raise IngestionError("expected 'i j value'", str(path), lineno)
-                try:
-                    i, j = int(fields[0]), int(fields[1])
-                    v = semiring.parse(fields[2])
-                except ValueError as exc:
-                    raise IngestionError(str(exc), str(path), lineno)
-                if semiring.is_zero(v):
-                    continue
-                if (i, j) in cells:
-                    raise IngestionError(f"duplicate entry ({i},{j})", str(path), lineno)
-                cells[(i, j)] = v
         entries[name] = cells
+        path = data_dir / f"{name}.coo"
+        if not path.exists():
+            continue
+        for lineno, line in enumerate(read_input(path).splitlines(), start=1):
+            if "#" in line:
+                line = line[: line.index("#")]
+            fields = line.split()
+            if len(fields) != 3:
+                if not fields:
+                    continue
+                raise IngestionError("expected 'i j value'", str(path), lineno)
+            try:
+                ij = (int(fields[0]), int(fields[1]))
+                v = parse(fields[2])
+            except ValueError as exc:
+                raise IngestionError(str(exc), str(path), lineno) from None
+            if is_zero(v):
+                continue
+            if ij in cells:
+                raise IngestionError(f"duplicate entry ({ij[0]},{ij[1]})", str(path), lineno)
+            cells[ij] = v
     return MatrixInstance(schema, semiring, entries)
 
 

@@ -116,6 +116,9 @@ class SemiringDescriptor:
     format: Callable[[Value], str]
     sample: Callable[[Any], Value]  # rng -> value, used by tests and --verify corpora
     acc_factory: Optional[Callable[[], SumAccumulator]] = field(default=None, repr=False)
+    # which values are annotations: ``parse`` applies it to the converted
+    # text, ``kdata.apply_update`` to the value of an insert
+    admits: Callable[[Value], bool] = field(default=lambda v: True, repr=False)
 
     @property
     def sum_maintainable(self) -> bool:
@@ -124,6 +127,20 @@ class SemiringDescriptor:
     def __post_init__(self) -> None:
         if self.zero == self.one:
             raise ConfigurationError(f"semiring {self.name!r} is trivial (zero == one)")
+
+
+def _is_natural(v: Value) -> bool:
+    return type(v) is int and v >= 0
+
+
+def _is_real(v: Value) -> bool:
+    # inf - inf is nan: a non-finite annotation would poison every sum it
+    # enters, also after it is deleted again
+    return type(v) is float and math.isfinite(v)
+
+
+def _is_tropical(v: Value) -> bool:
+    return type(v) is float and v == v and v != -math.inf
 
 
 def _parse_bool(s: str) -> bool:
@@ -137,26 +154,22 @@ def _parse_bool(s: str) -> bool:
 
 def _parse_natural(s: str) -> int:
     n = int(s)
-    if n < 0:
+    if not _is_natural(n):
         raise ValueError(f"natural annotation must be non-negative: {s!r}")
     return n
 
 
 def _parse_real(s: str) -> float:
-    # inf - inf is nan: a non-finite annotation would poison every sum it
-    # enters, also after it is deleted again
     v = float(s)
-    if not math.isfinite(v):
+    if not _is_real(v):
         raise ValueError(f"real annotation must be finite: {s!r}")
     return v
 
 
 def _parse_tropical(s: str) -> float:
     s = s.strip().lower()
-    if s in ("inf", "+inf", "infinity"):
-        return math.inf
-    v = float(s)
-    if math.isnan(v) or v == -math.inf:
+    v = math.inf if s in ("inf", "+inf", "infinity") else float(s)
+    if not _is_tropical(v):
         raise ValueError(f"tropical annotation must be a number or inf: {s!r}")
     return v
 
@@ -174,6 +187,7 @@ _BOOLEAN = SemiringDescriptor(
     format=lambda v: "t" if v else "f",
     sample=lambda rng: rng.random() < 0.5,
     acc_factory=_BooleanAccumulator,
+    admits=lambda v: type(v) is bool,
 )
 
 _NATURAL = SemiringDescriptor(
@@ -191,6 +205,7 @@ _NATURAL = SemiringDescriptor(
     # Subtraction never leaves the naturals here: a deleted value was
     # previously added to the same total.
     acc_factory=lambda: _InverseAccumulator(0),
+    admits=_is_natural,
 )
 
 _REAL = SemiringDescriptor(
@@ -208,6 +223,7 @@ _REAL = SemiringDescriptor(
     # exercising cancellation (k + (-k) == 0.0).
     sample=lambda rng: rng.randrange(-12, 13) / 4.0,
     acc_factory=lambda: _InverseAccumulator(0.0),
+    admits=_is_real,
 )
 
 _TROPICAL_MIN = SemiringDescriptor(
@@ -224,6 +240,7 @@ _TROPICAL_MIN = SemiringDescriptor(
     # Integer-valued floats keep min/+ exact in the axiom suite.
     sample=lambda rng: math.inf if rng.random() < 0.1 else float(rng.randrange(0, 20)),
     # no acc_factory: min has no inverse, so the dynamic engine rejects it
+    admits=_is_tropical,
 )
 
 _BUILTINS = {s.name: s for s in (_BOOLEAN, _NATURAL, _REAL, _TROPICAL_MIN)}

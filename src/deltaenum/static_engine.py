@@ -7,7 +7,8 @@ enumeration reads:
 * leaves hold the atom's relation filtered by repeated-variable matching and
   by the inequalities the atom covers;
 * single-child nodes aggregate their child by semiring addition over the
-  projection (dropping zero sums);
+  projection (dropping zero sums); for the dynamic engine the same pass
+  keeps one sum accumulator per tuple and reads the sum off its total;
 * 2-child nodes intersect the guard child with the smaller-variable child,
   multiplying annotations (dropping zero products).
 
@@ -39,7 +40,7 @@ from .errors import CapabilityError, ClassificationError, VocabularyError
 from .kdata import AnnotatedRelation, Database, DataTuple
 from .planner import QueryPlan, TupleGetter, build_fc_plan, is_free_connex, tuple_getter
 from .query import ConjunctiveQuery, IneqAtom, QuerySplit, RelAtom, split
-from .semiring import SemiringDescriptor, Value, sum_of_ones
+from .semiring import SemiringDescriptor, SumAccumulator, Value, sum_of_ones
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +181,33 @@ def _project(
     return {t: k for t, k in out.items() if not is_zero(k)}
 
 
+def _accumulate(
+    child_rel: Dict[DataTuple, Value],
+    key: TupleGetter,
+    s: SemiringDescriptor,
+    table: Dict[DataTuple, SumAccumulator],
+) -> Dict[DataTuple, Value]:
+    """``_project`` through one sum accumulator per key, kept in ``table``:
+    each total adds the same values in the same order, so it equals
+    ``_project``'s sum."""
+    new_acc = s.acc_factory
+    for t, k in child_rel.items():
+        kt = key(t)
+        acc = table.get(kt)
+        if acc is None:
+            acc = table[kt] = new_acc()
+        acc.insert(k)
+    if s.zero_sum_free:
+        return {kt: acc.total() for kt, acc in table.items()}
+    is_zero = s.is_zero
+    out: Dict[DataTuple, Value] = {}
+    for kt, acc in table.items():
+        total = acc.total()
+        if not is_zero(total):
+            out[kt] = total
+    return out
+
+
 def preprocess(q: ConjunctiveQuery, db: Database) -> EnumerationState:
     """Build the enumeration data structure; linear in the database size."""
     if not is_free_connex(q):
@@ -188,10 +216,18 @@ def preprocess(q: ConjunctiveQuery, db: Database) -> EnumerationState:
 
 
 def preprocess_with_plan(
-    q: ConjunctiveQuery, db: Database, plan: Optional[QueryPlan]
+    q: ConjunctiveQuery,
+    db: Database,
+    plan: Optional[QueryPlan],
+    accs: Optional[Dict[int, Dict[DataTuple, SumAccumulator]]] = None,
 ) -> EnumerationState:
     """Preprocess over a caller-supplied plan (the dynamic engine passes a
-    guarded one); ``plan`` may be None only for an empty relational part."""
+    guarded one); ``plan`` may be None only for an empty relational part.
+
+    With ``accs`` (the dynamic engine's table, over a sum-maintainable
+    semiring), each single-child node with a relation gets there one sum
+    accumulator per tuple, grouping the child's annotations, and its
+    relation is read off their totals in the same pass."""
     s = db.semiring
     if not s.zero_divisor_free:
         raise CapabilityError(
@@ -209,7 +245,7 @@ def preprocess_with_plan(
             if node.is_leaf:
                 i = node.atom_index
                 state.matchers[nid] = build_leaf_matcher(plan.atoms[i], sp.covered[i], db)
-        _bottom_up(state)
+        _bottom_up(state, accs)
         _build_connex_structures(state)
         level_vars = [v for level in plan.levels for v in level.order]
     level_vars += [v for v, _ in state.ineq.free_ranges]
@@ -217,7 +253,9 @@ def preprocess_with_plan(
     return state
 
 
-def _bottom_up(state: EnumerationState) -> None:
+def _bottom_up(
+    state: EnumerationState, accs: Optional[Dict[int, Dict[DataTuple, SumAccumulator]]]
+) -> None:
     plan = state.plan
     s = state.semiring
     for nid in plan.postorder():
@@ -229,7 +267,11 @@ def _bottom_up(state: EnumerationState) -> None:
             state.relations[nid] = state.matchers[nid].relation(rel.entries)
         elif len(node.children) == 1:
             c = node.children[0]
-            state.relations[nid] = _project(state.relations[c], plan.key[c], s)
+            if accs is None:
+                state.relations[nid] = _project(state.relations[c], plan.key[c], s)
+            else:
+                table = accs[nid] = {}
+                state.relations[nid] = _accumulate(state.relations[c], plan.key[c], s, table)
         else:
             # c1 carries the node's variables; c2's are contained in them
             c1, c2 = node.children

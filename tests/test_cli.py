@@ -389,3 +389,28 @@ def test_non_finite_real_annotation_exits_one(tmp_path, dbdir, capsys, where):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "finite" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("where", ["csv", "updates", "vocab", "csv-field"])
+def test_undecodable_or_oversized_input_exits_one(tmp_path, dbdir, capsys, where):
+    q = write(tmp_path / "q.cq", "H(x) :- R(x,y).")
+    ups = write(tmp_path / "u.ups", "+ R 1 5 3\n")
+    if where == "csv":
+        bad, line = dbdir / "R.csv", 2
+        bad.write_bytes(b"1,2,2\n3,\xff,1\n")
+    elif where == "updates":
+        bad, line = tmp_path / "u.ups", 3
+        bad.write_bytes(b"+ R 1 5 3\n- R 1 5\n+ R 2 2 \xff\n")
+    elif where == "vocab":
+        bad, line = dbdir / "vocab.json", 1
+        bad.write_bytes(b'{"relations": {"R\xff": 2}}')
+    else:
+        # a quoted field longer than the csv module's field size limit
+        bad, line = dbdir / "R.csv", 2
+        bad.write_text('1,2,2\n"' + "1" * 200_000 + '",2,1\n')
+    args = ["dyn", "--query", q, "--db", str(dbdir), "--updates", ups]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}:{line}: ")
+    assert "Traceback" not in captured.err

@@ -1,3 +1,5 @@
+import functools
+import math
 import random
 
 import pytest
@@ -16,7 +18,7 @@ from deltaenum.oracle import oracle_eval_cq
 from deltaenum.planner import is_q_hierarchical
 from deltaenum.query import parse_query
 from deltaenum.semiring import builtin_semiring
-from deltaenum.static_engine import enumerate_state, preprocess
+from deltaenum.static_engine import enumerate_state, preprocess, preprocess_with_plan
 
 from test_query import random_cq
 from test_static_engine import (
@@ -344,14 +346,76 @@ def state_snapshot(state):
         (SingleTupleUpdate("insert", "R", (1, 0, 2), 1), SchemaError),  # value < 1
         (SingleTupleUpdate("delete", "U", (0,)), SchemaError),  # value < 1
         (SingleTupleUpdate("insert", "T", (1,), 1), VocabularyError),
+        # values outside the semiring; float values run over the reals
+        (SingleTupleUpdate("insert", "U", (1,), -1), SchemaError),
+        (SingleTupleUpdate("insert", "S", (1, 2), True), SchemaError),
+        (SingleTupleUpdate("insert", "U", (1,), math.inf), SchemaError),
+        (SingleTupleUpdate("insert", "S", (1, 4), -math.inf), SchemaError),
+        (SingleTupleUpdate("insert", "R", (1, 2, 3), math.nan), SchemaError),
     ],
 )
 def test_rejected_updates_leave_the_state_untouched(update, error):
-    state = dyn_preprocess(parse_query(QH), make_db(NAT, QH_DB))
+    if isinstance(update.value, float):
+        relations = {n: (a, {t: float(k) for t, k in e.items()}) for n, (a, e) in QH_DB.items()}
+        db = make_db(REAL, relations)
+    else:
+        db = make_db(NAT, QH_DB)
+    state = dyn_preprocess(parse_query(QH), db)
     before = state_snapshot(state)
     with pytest.raises(error):
         dyn_update(state, update)
     assert state_snapshot(state) == before
+
+
+@pytest.mark.parametrize("semiring, value", [(REAL, math.inf), (NAT, -1)])
+def test_an_insert_outside_the_semiring_is_rejected(semiring, value):
+    # an accepted inf would leave nan in the real sums once deleted again, and
+    # an accepted -1 would break the invariants of the natural ones
+    q = parse_query("H(x) :- R(x,y).")
+    state = dyn_preprocess(q, make_db(semiring, {"R": (2, {(1, 1): semiring.one})}))
+    with pytest.raises(SchemaError, match="annotation"):
+        dyn_update(state, SingleTupleUpdate("insert", "R", (1, 2), value))
+    dyn_update(state, SingleTupleUpdate("delete", "R", (1, 2)))
+    assert list(dyn_enumerate(state)) == [((1,), semiring.one)]
+    assert verify_dynamic_invariants(state) == []
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        QH,  # the update_stream query
+        "H(x) :- R(x,y), R(x,x), U(x).",  # a self-join
+    ],
+)
+def test_one_pass_dynamic_state_equals_the_static_preprocess(text):
+    # non-dyadic reals, so that a sum in another order could differ in its
+    # last bit
+    q = parse_query(text)
+    rng = random.Random(23)
+    relations = {}
+    for atom in q.relational_atoms:
+        arity = len(atom.args)
+        entries = {}
+        for _ in range(40):
+            t = tuple(rng.randrange(1, 4) for _ in range(arity))
+            entries[t] = rng.choice([-7, -3, 1, 2, 3, 9, 11]) / 10
+        relations[atom.symbol] = (arity, entries)
+    db = make_db(REAL, relations)
+    state = dyn_preprocess(q, db)
+    assert verify_dynamic_invariants(state) == []
+    plan = state.plan
+    static = preprocess_with_plan(q, db, plan)
+    assert state.accs
+    assert {n: list(r.items()) for n, r in state.enum.relations.items()} == {
+        n: list(r.items()) for n, r in static.relations.items()
+    }
+    for nid, table in state.accs.items():
+        c = plan.nodes[nid].children[0]
+        groups = {}
+        for t, k in state.enum.relations[c].items():
+            groups.setdefault(plan.key[c](t), []).append(k)
+        fresh = {key: (len(ks), functools.reduce(REAL.add, ks)) for key, ks in groups.items()}
+        assert {key: (len(acc), acc.total()) for key, acc in table.items()} == fresh
 
 
 def assert_paths_hold_the_states_own_dicts(state):

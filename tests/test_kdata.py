@@ -180,3 +180,108 @@ def test_apply_update_matches_model(ops):
         # the stored annotation before and after, None meaning absent
         assert got == (old, model.get(t))
     assert db.relations["R"].entries == model
+
+
+# ---------------------------------------------------------------------------
+# The ingest contract: what each text loader accepts, and where it points
+# when it rejects a line
+# ---------------------------------------------------------------------------
+
+def write_bytes(path, text):
+    # bytes, so that CRLF line endings reach the loader as written
+    path.write_bytes(text.encode())
+    return path
+
+
+@pytest.mark.parametrize(
+    "arity, text, entries",
+    [
+        pytest.param(2, "x,y,k\n1,2,3\n", {(1, 2): 3}, id="header"),
+        pytest.param(2, "1,2,3\n\n  \n2,2,1\n", {(1, 2): 3, (2, 2): 1}, id="blank-lines"),
+        pytest.param(2, "1,2,3\r\n2,2,1\r\n", {(1, 2): 3, (2, 2): 1}, id="crlf"),
+        pytest.param(2, '"1",2,"3"\n', {(1, 2): 3}, id="quoted-field"),
+        pytest.param(0, " \n4\n", {(): 4}, id="arity-0"),
+    ],
+)
+def test_load_database_accepts(tmp_path, arity, text, entries):
+    (tmp_path / "vocab.json").write_text('{"relations": {"R": %d}}' % arity)
+    write_bytes(tmp_path / "R.csv", text)
+    db = load_database(tmp_path / "vocab.json", tmp_path, NAT)
+    assert db.relations["R"].entries == entries
+
+
+@pytest.mark.parametrize("name, value", [("real", "2.5"), ("boolean", "t")])
+def test_load_database_reads_a_first_row_that_parses(tmp_path, name, value):
+    # the only field of a nullary relation is its annotation: a first row
+    # that parses is data, not a header, also when it is no integer
+    (tmp_path / "vocab.json").write_text('{"relations": {"Z": 0}}')
+    (tmp_path / "Z.csv").write_text(value + "\n")
+    s = builtin_semiring(name)
+    assert load_database(tmp_path / "vocab.json", tmp_path, s).relations["Z"].entries == {
+        (): s.parse(value)
+    }
+
+
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        pytest.param("1,2,3\n1,2\n", "expected 3 fields, got 2", 2, id="width"),
+        pytest.param("1,2,3\n1,b,3\n", "malformed data value in ['1', 'b']", 2, id="integer"),
+        pytest.param("x,y,k\n1,2,3\n0,2,3\n", "data values must be positive integers", 3, id="below-1"),
+        pytest.param("1,2,3\n1,3,x\n", "invalid literal for int()", 2, id="annotation"),
+        pytest.param("1,2,3\n1,3,-2\n", "must be non-negative", 2, id="negative-annotation"),
+        pytest.param("1,2,3\n\n1,2,4\n", "duplicate tuple (1, 2)", 3, id="duplicate"),
+    ],
+)
+def test_load_database_rejects(tmp_path, text, message, line):
+    (tmp_path / "vocab.json").write_text('{"relations": {"R": 2}}')
+    write_bytes(tmp_path / "R.csv", text)
+    with pytest.raises(IngestionError) as exc:
+        load_database(tmp_path / "vocab.json", tmp_path, NAT)
+    assert message in str(exc.value)
+    assert exc.value.filename == str(tmp_path / "R.csv")
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize(
+    "text, updates",
+    [
+        pytest.param(
+            "# a script\n+ R 1 2 7  # inline comment\n\n   \n- R 1 2\n",
+            [SingleTupleUpdate("insert", "R", (1, 2), 7), SingleTupleUpdate("delete", "R", (1, 2))],
+            id="comments-and-blank-lines",
+        ),
+        pytest.param(
+            "+ R 1 2 7\r\n- R 1 2\r\n",
+            [SingleTupleUpdate("insert", "R", (1, 2), 7), SingleTupleUpdate("delete", "R", (1, 2))],
+            id="crlf",
+        ),
+        pytest.param(
+            "+ Z 5\n-\tZ\n",
+            [SingleTupleUpdate("insert", "Z", (), 5), SingleTupleUpdate("delete", "Z", ())],
+            id="arity-0",
+        ),
+    ],
+)
+def test_parse_update_script_accepts(tmp_path, text, updates):
+    assert parse_update_script(write_bytes(tmp_path / "u.ups", text), NAT) == updates
+
+
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        pytest.param("+ R 1 2 7\n* R 1 2  # star\n", "malformed update line '* R 1 2'", 2, id="operator"),
+        pytest.param("\n-\n", "malformed update line '-'", 2, id="no-symbol"),
+        pytest.param("- R 1 2\n+ R\n", "insert needs at least an annotation", 2, id="no-annotation"),
+        pytest.param("+ R 1 x 7\n", "invalid literal for int()", 1, id="integer"),
+        pytest.param("- R 1 2\r\n+ R 1 2 x\r\n", "invalid literal for int()", 2, id="annotation"),
+        pytest.param("+ R 1 2 -7\n", "must be non-negative", 1, id="negative-annotation"),
+    ],
+)
+def test_parse_update_script_rejects(tmp_path, text, message, line):
+    path = write_bytes(tmp_path / "u.ups", text)
+    with pytest.raises(IngestionError) as exc:
+        parse_update_script(path, NAT)
+    assert message in str(exc.value)
+    assert exc.value.filename == str(path)
+    assert exc.value.line == line

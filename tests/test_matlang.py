@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from deltaenum.errors import ConsistencyError, TypeCheckError
+from deltaenum.errors import ConsistencyError, IngestionError, TypeCheckError
 from deltaenum.matlang import (
     Add,
     Hadamard,
@@ -21,6 +21,7 @@ from deltaenum.matlang import (
     decode_instance,
     encode_instance,
     eval_matlang,
+    load_matrix_instance,
     parse_matlang,
     translate_to_cq,
     typecheck,
@@ -442,3 +443,52 @@ def test_eval_shares_the_input_matrices():
         result = eval_matlang(parse_matlang(text, schema), inst)
         assert all(result.instance.entries[name] is inst.entries[name] for name in ("A", "B"))
 
+
+
+# ---------------------------------------------------------------------------
+# The COO ingest contract
+# ---------------------------------------------------------------------------
+
+def write_coo(tmp_path, text):
+    # bytes, so that CRLF line endings reach the loader as written
+    (tmp_path / "A.coo").write_bytes(text.encode())
+    return MatrixSchema({"alpha": 3, "beta": 2}, {"A": ("alpha", "beta")})
+
+
+@pytest.mark.parametrize(
+    "text, cells",
+    [
+        pytest.param("# i j value\n1 1 2  # inline\n\n  \n3 2 7\n", {(1, 1): 2, (3, 2): 7}, id="comments-and-blank-lines"),
+        pytest.param("1 1 2\r\n3 2 7\r\n", {(1, 1): 2, (3, 2): 7}, id="crlf"),
+        pytest.param("1 1 0\n2\t1 4\n", {(2, 1): 4}, id="zero-entry"),
+    ],
+)
+def test_load_matrix_instance_accepts(tmp_path, text, cells):
+    inst = load_matrix_instance(write_coo(tmp_path, text), tmp_path, NAT)
+    assert inst.entries["A"] == cells
+
+
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        pytest.param("1 1 2\n1 2\n", "expected 'i j value'", 2, id="fields"),
+        pytest.param("1 1 2 # x\n\n1 1 2 3\n", "expected 'i j value'", 3, id="too-many-fields"),
+        pytest.param("1 x 2\n", "invalid literal for int()", 1, id="integer"),
+        pytest.param("1 1 2\r\n1 2 x\r\n", "invalid literal for int()", 2, id="annotation"),
+        pytest.param("1 1 -2\n", "must be non-negative", 1, id="negative-annotation"),
+        pytest.param("1 1 2\n2 2 1\n1 1 3\n", "duplicate entry (1,1)", 3, id="duplicate"),
+    ],
+)
+def test_load_matrix_instance_rejects(tmp_path, text, message, line):
+    schema = write_coo(tmp_path, text)
+    with pytest.raises(IngestionError) as exc:
+        load_matrix_instance(schema, tmp_path, NAT)
+    assert message in str(exc.value)
+    assert exc.value.filename == str(tmp_path / "A.coo")
+    assert exc.value.line == line
+
+
+def test_load_matrix_instance_rejects_entries_outside_the_dimensions(tmp_path):
+    schema = write_coo(tmp_path, "1 1 2\n4 1 1\n")
+    with pytest.raises(ConsistencyError, match="outside its 3x2 dimension"):
+        load_matrix_instance(schema, tmp_path, NAT)

@@ -187,3 +187,19 @@ def test_tropical_parse_keeps_its_zero_and_rejects_nan_and_minus_inf():
     for text in ("nan", "-inf", "-1e999"):
         with pytest.raises(ValueError):
             t.parse(text)
+
+
+@pytest.mark.parametrize("name", BUILTIN_SEMIRING_NAMES)
+def test_admits_every_value_the_semiring_makes(name):
+    s = builtin_semiring(name)
+    rng = random.Random(4)
+    values = [s.zero, s.one] + [s.sample(rng) for _ in range(100)]
+    assert all(s.admits(v) for v in values)
+    assert all(s.admits(s.add(a, b)) and s.admits(s.mul(a, b)) for a, b in zip(values, values[1:]))
+    assert not any(s.admits(v) for v in ("1", None, math.nan, -math.inf))
+
+
+def test_admits_keeps_values_outside_the_semiring_out():
+    nat, real = builtin_semiring("natural"), builtin_semiring("real")
+    assert not nat.admits(-1) and not nat.admits(True) and not nat.admits(1.0)
+    assert not real.admits(math.inf) and not real.admits(1)
