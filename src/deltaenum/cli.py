@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -168,10 +169,10 @@ def _answers_match(answers, want, semiring, limit: Optional[int] = None) -> bool
 
 
 def _values_match(got, want, semiring) -> bool:
-    """Equal annotations; real ones within 1e-9, as summation order moves
-    the last bits of a float sum."""
+    """Equal annotations; real ones within a relative 1e-9 (absolute near
+    zero), as summation order moves the last bits of a float sum."""
     if semiring.name == "real":
-        return abs(got - want) <= 1e-9
+        return math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9)
     return got == want
 
 

@@ -29,7 +29,7 @@ class IngestionError(EngineError):
         self.line = line
         where = ""
         if filename is not None:
-            where = f"{filename}:" if line is None else f"{filename}:{line}: "
+            where = f"{filename}: " if line is None else f"{filename}:{line}: "
         super().__init__(f"{where}{message}")
 
 

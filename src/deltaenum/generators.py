@@ -98,20 +98,20 @@ def random_db_for_query(
 
 
 def random_free_connex_cq(rng: random.Random, **kw) -> ConjunctiveQuery:
-    from .planner import is_free_connex
+    from .planner import classify
 
     while True:
         q = random_cq(rng, **kw)
-        if is_free_connex(q):
+        if classify(q).free_connex:
             return q
 
 
 def random_q_hierarchical_cq(rng: random.Random, **kw) -> ConjunctiveQuery:
-    from .planner import is_q_hierarchical
+    from .planner import classify
 
     while True:
         q = random_cq(rng, **kw)
-        if q.relational_atoms and is_q_hierarchical(q):
+        if q.relational_atoms and classify(q).q_hierarchical:
             return q
 
 

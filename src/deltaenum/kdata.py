@@ -211,49 +211,61 @@ def load_database(
 def _read_rows(fh, path: str, arity: int, semiring: SemiringDescriptor, entries: Dict) -> None:
     """One pass over the CSV rows of one relation into ``entries``.  The
     width is tested first; blank rows and the header are looked for only
-    in a row that does not parse."""
+    in a row that does not parse, and the line of a row only when it is
+    rejected."""
     width = arity + 1
     parse, is_zero = semiring.parse, semiring.is_zero
-    lineno = 0
+    reader = csv.reader(fh)
     try:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+        for rowno, row in enumerate(reader, start=1):
             if len(row) != width:
-                if _skipped(row, lineno):
+                if _skipped(row, rowno):
                     continue
-                raise IngestionError(f"expected {width} fields, got {len(row)}", path, lineno)
+                raise IngestionError(
+                    f"expected {width} fields, got {len(row)}", path, _line(reader, row)
+                )
             try:
                 values = tuple(map(int, row[:arity]))
             except ValueError:
-                if _skipped(row, lineno):
+                if _skipped(row, rowno):
                     continue
-                raise IngestionError(f"malformed data value in {row[:arity]}", path, lineno) from None
+                raise IngestionError(
+                    f"malformed data value in {row[:arity]}", path, _line(reader, row)
+                ) from None
             if arity and min(values) < 1:
                 raise IngestionError(
-                    f"data values must be positive integers, got {values}", path, lineno
+                    f"data values must be positive integers, got {values}", path, _line(reader, row)
                 )
             try:
                 annotation = parse(row[arity])
             except ValueError as exc:
-                if _skipped(row, lineno):
+                if _skipped(row, rowno):
                     continue
-                raise IngestionError(str(exc), path, lineno) from None
+                raise IngestionError(str(exc), path, _line(reader, row)) from None
             if is_zero(annotation):
                 continue
             if values in entries:
-                raise IngestionError(f"duplicate tuple {values}", path, lineno)
+                raise IngestionError(f"duplicate tuple {values}", path, _line(reader, row))
             entries[values] = annotation
     except csv.Error as exc:
-        raise IngestionError(str(exc), path, lineno + 1) from None
+        raise IngestionError(str(exc), path, reader.line_num) from None
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
 
 
-def _skipped(row: List[str], lineno: int) -> bool:
+def _line(reader, row: List[str]) -> int:
+    """The physical line ``row`` starts on: ``reader.line_num`` is the line
+    it ends on, after the line breaks inside its quoted fields."""
+    breaks = sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row)
+    return reader.line_num - breaks
+
+
+def _skipped(row: List[str], rowno: int) -> bool:
     """A blank row, or the optional header: a first row whose first field
     is not an integer."""
     if not row or (len(row) == 1 and not row[0].strip()):
         return True
-    if lineno != 1:
+    if rowno != 1:
         return False
     try:
         int(row[0])

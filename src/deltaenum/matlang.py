@@ -37,7 +37,7 @@ from .errors import (
 )
 from .kdata import AnnotatedRelation, Database, read_input
 from .planner import classify, tuple_getter
-from .query import ConjunctiveQuery, IneqAtom, RelAtom
+from .query import ConjunctiveQuery, IneqAtom, RelAtom, TokenCursor
 from .semiring import SemiringDescriptor, Value
 
 MatType = Tuple[str, str]  # (row size symbol, column size symbol)
@@ -272,17 +272,18 @@ def load_matrix_instance(
     schema: MatrixSchema, data_dir: str | Path, semiring: SemiringDescriptor
 ) -> MatrixInstance:
     """COO text per matrix symbol: one ``i j value`` triple per line, ``#``
-    starting a comment; one pass, splitting each line once.  A missing
-    ``<A>.coo`` is a zero matrix; a missing ``data_dir`` raises
-    ``IngestionError``."""
+    starting a comment; one pass, splitting each line once and checking the
+    entry against the matrix's dimensions, so the instance needs no
+    ``validate`` pass.  A missing ``<A>.coo`` is a zero matrix; a missing
+    ``data_dir`` raises ``IngestionError``."""
     data_dir = Path(data_dir)
     if not data_dir.is_dir():
         raise IngestionError("not a directory", str(data_dir))
     parse, is_zero = semiring.parse, semiring.is_zero
-    entries: Dict[str, Dict[Tuple[int, int], Value]] = {}
+    instance = MatrixInstance(schema, semiring)
     for name in schema.matrices:
-        cells: Dict[Tuple[int, int], Value] = {}
-        entries[name] = cells
+        cells = instance.entries[name]
+        m, n = schema.dims(name)
         path = data_dir / f"{name}.coo"
         if not path.exists():
             continue
@@ -295,16 +296,20 @@ def load_matrix_instance(
                     continue
                 raise IngestionError("expected 'i j value'", str(path), lineno)
             try:
-                ij = (int(fields[0]), int(fields[1]))
+                i, j = ij = (int(fields[0]), int(fields[1]))
                 v = parse(fields[2])
             except ValueError as exc:
                 raise IngestionError(str(exc), str(path), lineno) from None
             if is_zero(v):
                 continue
+            if not (1 <= i <= m and 1 <= j <= n):
+                raise IngestionError(
+                    f"entry ({i},{j}) of {name!r} outside its {m}x{n} dimension", str(path), lineno
+                )
             if ij in cells:
-                raise IngestionError(f"duplicate entry ({ij[0]},{ij[1]})", str(path), lineno)
+                raise IngestionError(f"duplicate entry ({i},{j})", str(path), lineno)
             cells[ij] = v
-    return MatrixInstance(schema, semiring, entries)
+    return instance
 
 
 # ---------------------------------------------------------------------------
@@ -324,42 +329,8 @@ class MatQuery:
     expr: MatLangExpr
 
 
-def _ml_tokens(text: str):
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        pos = 0
-        while pos < len(line):
-            m = _ML_TOKEN.match(line, pos)
-            if m is None:
-                break
-            if m.group("bad"):
-                raise QuerySyntaxError(f"unexpected character {m.group('bad')!r}", lineno, m.start("bad") + 1)
-            kind = "ident" if m.group("ident") else "op"
-            out.append((kind, m.group(kind), lineno, m.start(kind) + 1))
-            pos = m.end()
-    return out
-
-
-class _MlParser:
+class _MlParser(TokenCursor):
     """Recursive-descent parser; '+' binds loosest, then '*' / '.*', then postfix."""
-
-    def __init__(self, text: str, schema: MatrixSchema):
-        self.tokens = _ml_tokens(text)
-        self.schema = schema
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self, expect: Optional[str] = None):
-        tok = self.peek()
-        if tok is None:
-            raise QuerySyntaxError("unexpected end of expression")
-        if expect is not None and tok[1] != expect:
-            raise QuerySyntaxError(f"expected {expect!r}, found {tok[1]!r}", tok[2], tok[3])
-        self.i += 1
-        return tok
 
     def parse_query(self) -> MatQuery:
         head = "H"
@@ -378,14 +349,14 @@ class _MlParser:
 
     def parse_expr(self, env: Dict[str, str]) -> MatLangExpr:
         node = self.parse_product(env)
-        while self.peek() and self.peek()[1] == "+":
+        while self.at("+"):
             self.next("+")
             node = Add(node, self.parse_product(env))
         return node
 
     def parse_product(self, env: Dict[str, str]) -> MatLangExpr:
         node = self.parse_postfix(env)
-        while self.peek() and self.peek()[1] in ("*", ".*"):
+        while self.at("*", ".*"):
             op = self.next()[1]
             rhs = self.parse_postfix(env)
             node = Hadamard(node, rhs) if op == ".*" else MatMul(node, rhs)
@@ -393,7 +364,7 @@ class _MlParser:
 
     def parse_postfix(self, env: Dict[str, str]) -> MatLangExpr:
         node = self.parse_primary(env)
-        while self.peek() and self.peek()[1] in ("^T", "'"):
+        while self.at("^T", "'"):
             self.next()
             node = Transpose(node)
         return node
@@ -407,12 +378,12 @@ class _MlParser:
             return node
         if kind != "ident":
             raise QuerySyntaxError(f"unexpected token {value!r}", tok[2], tok[3])
-        if value in ("ones", "eye") and self.peek() and self.peek()[1] == "(":
+        if value in ("ones", "eye") and self.at("("):
             self.next("(")
             size = self.next()[1]
             self.next(")")
             return OnesVector(size) if value == "ones" else IdentityMatrix(size)
-        if value == "sum" and self.peek() and self.peek()[1] == "(":
+        if value == "sum" and self.at("("):
             self.next("(")
             var = self.next()[1]
             self.next(":")
@@ -427,7 +398,7 @@ class _MlParser:
 
 
 def parse_matlang(text: str, schema: MatrixSchema) -> MatQuery:
-    q = _MlParser(text, schema).parse_query()
+    q = _MlParser(text, _ML_TOKEN).parse_query()
     typecheck(q.expr, schema)
     return q
 

@@ -1,12 +1,12 @@
-"""Join trees, classification, and the query plans both engines execute.
+"""Query plans for both engines, and the classification read off them.
 
-``build_join_tree`` runs GYO ear removal on the atom hypergraph and yields a
-join tree exactly when the query is acyclic; the classification functions
-build on it.  ``build_plan`` runs a two-phase GYO reduction that removes the
-bound variables before the free ones and yields a binary node-labeled plan
-with guards and a sibling-closed connex node set: the free-connex plan of the
+``build_plan`` runs a two-phase GYO reduction that removes the bound
+variables before the free ones and yields a binary node-labeled plan with
+guards and a sibling-closed connex node set: the free-connex plan of the
 static engine (``build_fc_plan``) or the guarded plan of the dynamic engine
-(``build_guarded_plan``).
+(``build_guarded_plan``).  It is the package's only acyclicity test:
+``classify`` reads acyclicity, free-connexity and q-hierarchy off whether a
+plan exists.
 
 Every plan keeps two invariants, which ``verify_plan`` checks: no node is an
 identity copy (a single-child node with its child's variables), and the first
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .query import Atom, ConjunctiveQuery, RelAtom, split
+from .query import ConjunctiveQuery, RelAtom, has_self_join, is_constant_disjoint, split
 
 VarSet = FrozenSet[str]
 TupleGetter = Callable[[tuple], tuple]
@@ -40,171 +40,6 @@ def tuple_getter(positions: Sequence[int]) -> TupleGetter:
         (i,) = positions
         return lambda t: (t[i],)
     return itemgetter(*positions)
-
-
-# ---------------------------------------------------------------------------
-# Join trees (GYO reduction)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class JoinTree:
-    """Undirected tree over atom occurrences (indices into ``atoms``)."""
-
-    atoms: Tuple[Atom, ...]
-    edges: Tuple[Tuple[int, int], ...]
-
-
-def disconnected_variables(
-    bags: Dict[int, VarSet], edges: Iterable[Tuple[int, int]]
-) -> List[str]:
-    """Sorted variables whose holders (the nodes whose bag contains them) do
-    not induce a connected subgraph of the undirected ``edges``.
-
-    Empty exactly when the tree has the running-intersection property that
-    join trees and plans both require.
-    """
-    nbr: Dict[int, List[int]] = {n: [] for n in bags}
-    for a, b in edges:
-        nbr[a].append(b)
-        nbr[b].append(a)
-    out: List[str] = []
-    for v in sorted(set().union(*bags.values())):
-        holders = {n for n, bag in bags.items() if v in bag}
-        start = next(iter(holders))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for nb in nbr[stack.pop()]:
-                if nb in holders and nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if seen != holders:
-            out.append(v)
-    return out
-
-
-def build_join_tree(atoms: Sequence[Atom]) -> Optional[JoinTree]:
-    """GYO reduction: returns a join tree if the hypergraph is acyclic, else None.
-
-    Ear choice is deterministic: the lexicographically smallest removable atom
-    (by its string form, then occurrence index) is removed first, attached to
-    its smallest witness.
-    """
-    n = len(atoms)
-    if n == 0:
-        return JoinTree((), ())
-    alive = set(range(n))
-    order = sorted(alive, key=lambda i: (str(atoms[i]), i))
-    edges: List[Tuple[int, int]] = []
-
-    def occurrences(v: str, exclude: int) -> List[int]:
-        return [j for j in alive if j != exclude and v in atoms[j].vars]
-
-    while len(alive) > 1:
-        removed = None
-        for i in order:
-            if i not in alive:
-                continue
-            shared = {v for v in atoms[i].vars if occurrences(v, i)}
-            witnesses = [
-                j
-                for j in sorted(alive - {i}, key=lambda j: (str(atoms[j]), j))
-                if shared <= atoms[j].vars
-            ]
-            if witnesses:
-                edges.append((i, witnesses[0]))
-                alive.remove(i)
-                removed = i
-                break
-        if removed is None:
-            return None
-    return JoinTree(tuple(atoms), tuple(edges))
-
-
-# ---------------------------------------------------------------------------
-# Classification
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QueryClass:
-    acyclic: bool
-    free_connex: bool
-    q_hierarchical: bool
-    constant_disjoint: bool
-    self_join_free: bool
-
-    def as_dict(self) -> Dict[str, bool]:
-        return {
-            "acyclic": self.acyclic,
-            "free_connex": self.free_connex,
-            "q_hierarchical": self.q_hierarchical,
-            "constant_disjoint": self.constant_disjoint,
-            "self_join_free": self.self_join_free,
-        }
-
-
-def _head_atom(vars_: Sequence[str]) -> RelAtom:
-    # fresh symbol for the adjoined head atom; never collides with user atoms
-    seen: List[str] = []
-    for v in vars_:
-        if v not in seen:
-            seen.append(v)
-    return RelAtom("__head", tuple(seen))
-
-
-def is_acyclic(atoms: Sequence[Atom]) -> bool:
-    return build_join_tree(atoms) is not None
-
-
-def is_free_connex(q: ConjunctiveQuery) -> bool:
-    """Acyclic and still acyclic once the head atom joins the body.
-
-    Decided on the relational part; inequality atoms are unary and never
-    affect (a)cyclicity.
-    """
-    sp = split(q)
-    rel = sp.rel_part
-    if not is_acyclic(rel.atoms):
-        return False
-    return is_acyclic(rel.atoms + (_head_atom(rel.head_vars),))
-
-
-def is_q_hierarchical(q: ConjunctiveQuery) -> bool:
-    """Per-variable relational-atom sets pairwise nested or disjoint, with
-    free variables upward-closed in the strict nesting order.
-
-    Only variables occurring in relational atoms participate; the query with
-    inequalities is q-hierarchical iff its relational part is.
-    """
-    rel_atoms = q.relational_atoms
-    atoms_of: Dict[str, Set[int]] = {}
-    for i, a in enumerate(rel_atoms):
-        for v in a.vars:
-            atoms_of.setdefault(v, set()).add(i)
-    free = q.free_vars
-    names = sorted(atoms_of)
-    for ix, x in enumerate(names):
-        ax = atoms_of[x]
-        for y in names[ix + 1 :]:
-            ay = atoms_of[y]
-            if not (ax <= ay or ay <= ax or not (ax & ay)):
-                return False
-        for y in names:
-            if x in free and ax < atoms_of[y] and y not in free:
-                return False
-    return True
-
-
-def classify(q: ConjunctiveQuery) -> QueryClass:
-    from .query import has_self_join, is_constant_disjoint
-
-    return QueryClass(
-        acyclic=is_acyclic(q.atoms),
-        free_connex=is_free_connex(q),
-        q_hierarchical=is_q_hierarchical(q),
-        constant_disjoint=is_constant_disjoint(q)[0],
-        self_join_free=not has_self_join(q),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +303,78 @@ def build_guarded_plan(q: ConjunctiveQuery) -> Optional[QueryPlan]:
 
 
 # ---------------------------------------------------------------------------
+# Classification
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class QueryClass:
+    acyclic: bool
+    free_connex: bool
+    q_hierarchical: bool
+    constant_disjoint: bool
+    self_join_free: bool
+
+    def as_dict(self) -> Dict[str, bool]:
+        return {
+            "acyclic": self.acyclic,
+            "free_connex": self.free_connex,
+            "q_hierarchical": self.q_hierarchical,
+            "constant_disjoint": self.constant_disjoint,
+            "self_join_free": self.self_join_free,
+        }
+
+
+def classify(q: ConjunctiveQuery) -> QueryClass:
+    """The structural classes of ``q``, read off ``build_plan``: acyclic when
+    its relational part has a plan with every variable free, free-connex
+    when it has a free-connex plan, q-hierarchical when it has a guarded one
+    (Berkholz, Keppeler and Schweikardt, PODS 2017).  A query without
+    relational atoms is in all three classes; inequality atoms are unary and
+    never affect them."""
+    rel = q.relational_atoms
+    rel_vars = tuple(sorted(frozenset().union(*(a.vars for a in rel))))
+    every_var = ConjunctiveQuery(q.head_symbol, rel_vars, rel)
+    return QueryClass(
+        acyclic=not rel or build_plan(every_var, False) is not None,
+        free_connex=not rel or build_plan(q, False) is not None,
+        q_hierarchical=not rel or build_plan(q, True) is not None,
+        constant_disjoint=is_constant_disjoint(q)[0],
+        self_join_free=not has_self_join(q),
+    )
+
+
+# ---------------------------------------------------------------------------
 # Plan validation
 # ---------------------------------------------------------------------------
+
+def disconnected_variables(
+    bags: Dict[int, VarSet], edges: Iterable[Tuple[int, int]]
+) -> List[str]:
+    """Sorted variables whose holders (the nodes whose bag contains them) do
+    not induce a connected subgraph of the undirected ``edges``.
+
+    Empty exactly when the tree has the running-intersection property that
+    every plan requires.
+    """
+    nbr: Dict[int, List[int]] = {n: [] for n in bags}
+    for a, b in edges:
+        nbr[a].append(b)
+        nbr[b].append(a)
+    out: List[str] = []
+    for v in sorted(set().union(*bags.values())):
+        holders = {n for n, bag in bags.items() if v in bag}
+        start = next(iter(holders))
+        seen = {start}
+        stack = [start]
+        while stack:
+            for nb in nbr[stack.pop()]:
+                if nb in holders and nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        if seen != holders:
+            out.append(v)
+    return out
+
 
 def verify_plan(plan: QueryPlan, rel_part: ConjunctiveQuery) -> List[str]:
     """Check every structural plan invariant and, on a sound structure, the

@@ -187,36 +187,45 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str):
+Token = Tuple[str, str, int, int]  # kind ("ident" or "op"), text, line, column
+
+
+def tokenize(text: str, pattern: re.Pattern) -> List[Token]:
+    """The tokens of ``text``; ``pattern`` matches one token at a time in its
+    groups ``ident``, ``op`` or ``bad`` (a character no token starts with).
+    ``#`` starts a comment that runs to the end of the line."""
     tokens = []
-    line = 1
-    col = 1
-    for raw_line in text.splitlines():
-        stripped = raw_line.split("#", 1)[0]
+    for line, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.split("#", 1)[0]
         pos = 0
         while pos < len(stripped):
-            m = _TOKEN_RE.match(stripped, pos)
+            m = pattern.match(stripped, pos)
             if m is None:
                 break
             if m.group("bad"):
                 raise QuerySyntaxError(f"unexpected character {m.group('bad')!r}", line, m.start("bad") + 1)
             kind = "ident" if m.group("ident") else "op"
-            value = m.group(kind)
-            tokens.append((kind, value, line, m.start(kind) + 1))
+            tokens.append((kind, m.group(kind), line, m.start(kind) + 1))
             pos = m.end()
-        line += 1
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+class TokenCursor:
+    """The recursive-descent parsers' position in the tokens of one text."""
+
+    def __init__(self, text: str, pattern: re.Pattern):
+        self.tokens = tokenize(text, pattern)
         self.i = 0
 
-    def peek(self):
+    def peek(self) -> Optional[Token]:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
 
-    def next(self, expect: Optional[str] = None, kind: Optional[str] = None):
+    def at(self, *values: str) -> bool:
+        """The next token is one of ``values``."""
+        tok = self.peek()
+        return tok is not None and tok[1] in values
+
+    def next(self, expect: Optional[str] = None, kind: Optional[str] = None) -> Token:
         tok = self.peek()
         if tok is None:
             raise QuerySyntaxError("unexpected end of input")
@@ -227,10 +236,12 @@ class _Parser:
         self.i += 1
         return tok
 
+
+class _Parser(TokenCursor):
     def parse_var_list(self) -> Tuple[str, ...]:
         self.next("(")
         out: List[str] = []
-        if self.peek() and self.peek()[1] == ")":
+        if self.at(")"):
             self.next(")")
             return tuple(out)
         while True:
@@ -238,8 +249,7 @@ class _Parser:
             if tok[1] == "1":
                 raise QuerySyntaxError("'1' is a reserved constant symbol, not a variable", tok[2], tok[3])
             out.append(tok[1])
-            tok = self.peek()
-            if tok and tok[1] == ",":
+            if self.at(","):
                 self.next(",")
             else:
                 break
@@ -248,21 +258,20 @@ class _Parser:
 
     def parse_atom(self) -> Atom:
         name = self.next(kind="ident")
-        tok = self.peek()
-        if tok is not None and tok[1] == "(":
+        if self.at("("):
             return RelAtom(name[1], self.parse_var_list())
-        if tok is not None and tok[1] == "<=":
+        if self.at("<="):
             if name[1] == "1":
                 raise QuerySyntaxError("'1' is a constant symbol, not a variable", name[2], name[3])
             self.next("<=")
             bound = self.next(kind="ident")
             return IneqAtom(name[1], bound[1])
-        where = tok if tok is not None else name
+        where = self.peek() or name
         raise QuerySyntaxError("expected '(' or '<=' after identifier", where[2], where[3])
 
     def parse_conjunction(self) -> List[Atom]:
         atoms = [self.parse_atom()]
-        while self.peek() and self.peek()[1] == ",":
+        while self.at(","):
             self.next(",")
             atoms.append(self.parse_atom())
         return atoms
@@ -272,7 +281,7 @@ class _Parser:
         head_vars = self.parse_var_list()
         self.next(":-")
         blocks = [self.parse_conjunction()]
-        while self.peek() and self.peek()[1] == ";":
+        while self.at(";"):
             self.next(";")
             blocks.append(self.parse_conjunction())
         self.next(".")
@@ -302,7 +311,7 @@ def _validate_cq(head_symbol: str, head_vars: Tuple[str, ...], atoms: Sequence[A
 
 def parse_query(text: str) -> ConjunctiveQuery:
     """Parse a conjunctive query; disjunction is rejected with a distinct error."""
-    head_symbol, head_vars, blocks = _Parser(text).parse_rule()
+    head_symbol, head_vars, blocks = _Parser(text, _TOKEN_RE).parse_rule()
     if len(blocks) > 1:
         raise NotConjunctiveError("disjunction (';') makes this an FO+ query, not a CQ")
     return _validate_cq(head_symbol, head_vars, blocks[0])
@@ -310,7 +319,7 @@ def parse_query(text: str) -> ConjunctiveQuery:
 
 def parse_fo_query(text: str) -> FoQuery:
     """Parse a positive-FO query: one or more conjunctive blocks joined by ';'."""
-    head_symbol, head_vars, blocks = _Parser(text).parse_rule()
+    head_symbol, head_vars, blocks = _Parser(text, _TOKEN_RE).parse_rule()
     head = set(head_vars)
     _validate_cq(head_symbol, (), [a for block in blocks for a in block])
     disjuncts: List[FoFormula] = []

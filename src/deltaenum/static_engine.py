@@ -38,7 +38,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import CapabilityError, ClassificationError, VocabularyError
 from .kdata import AnnotatedRelation, Database, DataTuple
-from .planner import QueryPlan, TupleGetter, build_fc_plan, is_free_connex, tuple_getter
+from .planner import QueryPlan, TupleGetter, build_fc_plan, tuple_getter
 from .query import ConjunctiveQuery, IneqAtom, QuerySplit, RelAtom, split
 from .semiring import SemiringDescriptor, SumAccumulator, Value, sum_of_ones
 
@@ -210,9 +210,10 @@ def _accumulate(
 
 def preprocess(q: ConjunctiveQuery, db: Database) -> EnumerationState:
     """Build the enumeration data structure; linear in the database size."""
-    if not is_free_connex(q):
+    plan = build_fc_plan(q)
+    if plan is None and q.relational_atoms:
         raise ClassificationError(f"query is not free-connex: {q.to_text()}")
-    return preprocess_with_plan(q, db, build_fc_plan(q))
+    return preprocess_with_plan(q, db, plan)
 
 
 def preprocess_with_plan(

@@ -15,7 +15,7 @@ from deltaenum.dynamic_engine import (
 from deltaenum.errors import CapabilityError, ClassificationError, SchemaError, VocabularyError
 from deltaenum.kdata import SingleTupleUpdate
 from deltaenum.oracle import oracle_eval_cq
-from deltaenum.planner import is_q_hierarchical
+from deltaenum.planner import classify
 from deltaenum.query import parse_query
 from deltaenum.semiring import builtin_semiring
 from deltaenum.static_engine import enumerate_state, preprocess, preprocess_with_plan
@@ -244,7 +244,7 @@ def test_dyn_random_streams_match_recompute_and_oracle(sname):
     checked_queries = 0
     while checked_queries < 25:
         q = random_cq(rng, max_atoms=3, max_vars=4)
-        if not is_q_hierarchical(q) or not q.relational_atoms:
+        if not classify(q).q_hierarchical or not q.relational_atoms:
             continue
         checked_queries += 1
         db = random_db(rng, q, semiring, max_tuples=12)
@@ -477,7 +477,7 @@ def qh_update_streams(draw):
     and then -k into the same tuple."""
     rng = draw(st.randoms(use_true_random=False))
     q = random_cq(rng, max_atoms=4, max_vars=4, self_join_prob=0.4)
-    while not (q.relational_atoms and is_q_hierarchical(q)):
+    while not (q.relational_atoms and classify(q).q_hierarchical):
         q = random_cq(rng, max_atoms=4, max_vars=4, self_join_prob=0.4)
     db = random_db(rng, q, REAL, max_tuples=12, domain=3)
     arity = {a.symbol: len(a.args) for a in q.relational_atoms}

@@ -231,6 +231,9 @@ def test_load_database_reads_a_first_row_that_parses(tmp_path, name, value):
         pytest.param("1,2,3\n1,3,x\n", "invalid literal for int()", 2, id="annotation"),
         pytest.param("1,2,3\n1,3,-2\n", "must be non-negative", 2, id="negative-annotation"),
         pytest.param("1,2,3\n\n1,2,4\n", "duplicate tuple (1, 2)", 3, id="duplicate"),
+        # a quoted field may span lines: the error names the row's first line
+        pytest.param('x,"multi\nline header",k\n1,2,2\n3,b,1\n', "malformed data value in ['3', 'b']", 4, id="after-multiline-header"),
+        pytest.param('1,2,3\n1,"2\r\n\n",3\n', "duplicate tuple (1, 2)", 2, id="multiline-row"),
     ],
 )
 def test_load_database_rejects(tmp_path, text, message, line):

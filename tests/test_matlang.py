@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from deltaenum.errors import ConsistencyError, IngestionError, TypeCheckError
+from deltaenum.errors import ConsistencyError, IngestionError, QuerySyntaxError, TypeCheckError
 from deltaenum.matlang import (
     Add,
     Hadamard,
@@ -445,6 +445,21 @@ def test_eval_shares_the_input_matrices():
 
 
 
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ("H := A .*\n  $ C", "unexpected character '$'", 2, 3),
+        ("H := (A .* C", "unexpected end of input", 1, 1),
+        ("H := A C  # comment", "trailing input 'C'", 1, 8),
+    ],
+)
+def test_parse_matlang_syntax_errors_carry_positions(text, message, line, column):
+    with pytest.raises(QuerySyntaxError) as exc:
+        parse_matlang(text, schema_abc())
+    assert message in str(exc.value)
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
 # ---------------------------------------------------------------------------
 # The COO ingest contract
 # ---------------------------------------------------------------------------
@@ -490,5 +505,5 @@ def test_load_matrix_instance_rejects(tmp_path, text, message, line):
 
 def test_load_matrix_instance_rejects_entries_outside_the_dimensions(tmp_path):
     schema = write_coo(tmp_path, "1 1 2\n4 1 1\n")
-    with pytest.raises(ConsistencyError, match="outside its 3x2 dimension"):
+    with pytest.raises(IngestionError, match=r"A\.coo:2: entry \(4,1\) of 'A' outside its 3x2 dimension"):
         load_matrix_instance(schema, tmp_path, NAT)

@@ -6,40 +6,26 @@ from deltaenum.planner import (
     PlanNode,
     build_fc_plan,
     build_guarded_plan,
-    build_join_tree,
     classify,
     disconnected_variables,
     verify_plan,
 )
-from deltaenum.query import RelAtom, parse_query, split
+from deltaenum.query import parse_query, split
 
 from test_query import random_cq
 
 
-def join_tree_disconnected(jt):
-    return disconnected_variables({i: a.vars for i, a in enumerate(jt.atoms)}, jt.edges)
-
-
-def test_join_tree_path_query():
-    jt = build_join_tree(parse_query("H(x,y,z) :- R(x,z), S(z,y).").atoms)
-    assert jt is not None
-    assert len(jt.edges) == 1
-    assert join_tree_disconnected(jt) == []
-
-
 def test_join_tree_triangle_is_cyclic():
-    jt = build_join_tree(parse_query("H(x,y,z) :- R(x,y), S(y,z), T(z,x).").atoms)
-    assert jt is None
+    q = parse_query("H(x,y,z) :- R(x,y), S(y,z), T(z,x).")
+    assert not _has_join_tree([a.vars for a in q.atoms])
+    assert not classify(q).acyclic
 
 
-def test_join_tree_star():
-    q = parse_query("H(x,y) :- A(x,y), U(x), V(y).")
-    jt = build_join_tree(q.atoms)
-    assert jt is not None
-    # A is adjacent to both U and V
-    a_ix = q.atoms.index(RelAtom("A", ("x", "y")))
-    assert sum(a_ix in edge for edge in jt.edges) == 2
-    assert join_tree_disconnected(jt) == []
+def test_empty_relational_part_is_in_every_class():
+    q = parse_query("H(x) :- x <= c.")
+    flags = classify(q).as_dict()
+    assert flags["acyclic"] and flags["free_connex"] and flags["q_hierarchical"]
+    assert build_fc_plan(q) is None and build_guarded_plan(q) is None  # the engines special-case it
 
 
 def test_classify_textbook_fixtures():
@@ -226,14 +212,10 @@ def corpus(seed, count, **kw):
 
 def test_fc_plan_exists_iff_free_connex_on_corpus():
     for q in corpus(1001, 1000):
-        flags = classify(q)
         plan = build_fc_plan(q)
         rel = split(q).rel_part
-        if not rel.relational_atoms:
-            assert flags.free_connex  # empty relational part is trivially fc
-            assert plan is None  # the engines special-case it
-            continue
-        assert flags.free_connex == (plan is not None), q.to_text()
+        assert _free_connex_by_definition(q) == (plan is not None), q.to_text()
+        assert classify(q).free_connex == (plan is not None), q.to_text()
         if plan is not None:
             assert len(plan.nodes) <= 3 * len(rel.relational_atoms), q.to_text()
             if rel.head_vars:
@@ -243,12 +225,10 @@ def test_fc_plan_exists_iff_free_connex_on_corpus():
 
 def test_guarded_plan_exists_iff_q_hierarchical_on_corpus():
     for q in corpus(2002, 1000):
-        flags = classify(q)
         rel = split(q).rel_part
-        if not rel.relational_atoms:
-            continue
         plan = build_guarded_plan(q)
-        assert flags.q_hierarchical == (plan is not None), q.to_text()
+        assert _q_hierarchical_by_definition(q) == (plan is not None), q.to_text()
+        assert classify(q).q_hierarchical == (plan is not None), q.to_text()
         if plan is not None:
             assert plan.guarded
             assert verify_plan(plan, rel) == [], (q.to_text(), verify_plan(plan, rel))
@@ -261,8 +241,14 @@ def test_q_hierarchical_implies_free_connex_on_corpus():
             assert flags.free_connex, q.to_text()
 
 
+# ---------------------------------------------------------------------------
+# References that share no code with build_plan: a brute-force search for a
+# join tree, and the pairwise definition of q-hierarchical
+# ---------------------------------------------------------------------------
+
 def _all_trees(n):
     # labeled trees on n nodes from Prüfer sequences
+    import bisect
     import itertools
 
     if n == 1:
@@ -275,7 +261,6 @@ def _all_trees(n):
         degree = [1] * n
         for v in seq:
             degree[v] += 1
-        seq = list(seq)
         edges = []
         leaves = sorted(v for v in range(n) if degree[v] == 1)
         for v in seq:
@@ -283,33 +268,57 @@ def _all_trees(n):
             edges.append((leaf, v))
             degree[v] -= 1
             if degree[v] == 1:
-                import bisect
-
                 bisect.insort(leaves, v)
         edges.append((leaves[0], leaves[1]))
         yield edges
 
 
-def _has_join_tree_brute_force(atoms):
-    from deltaenum.planner import JoinTree
+def _has_join_tree(bags):
+    """Some tree over the variable sets ``bags`` has the running-intersection
+    property: the hypergraph is acyclic."""
+    nodes = dict(enumerate(bags))
+    return any(disconnected_variables(nodes, edges) == [] for edges in _all_trees(len(bags)))
 
-    n = len(atoms)
-    for edges in _all_trees(n):
-        if join_tree_disconnected(JoinTree(tuple(atoms), tuple(edges))) == []:
-            return True
-    return False
+
+def _free_connex_by_definition(q):
+    """The relational body is acyclic, and stays acyclic once an atom over
+    its free variables joins it."""
+    rel = split(q).rel_part
+    body = [a.vars for a in rel.relational_atoms]
+    return _has_join_tree(body) and _has_join_tree(body + [frozenset(rel.head_vars)])
+
+
+def _q_hierarchical_by_definition(q):
+    """The relational atom sets of any two variables are nested or disjoint,
+    and a variable whose atom set strictly contains a free variable's is
+    free too."""
+    atoms_of = {}
+    for i, a in enumerate(q.relational_atoms):
+        for v in a.vars:
+            atoms_of.setdefault(v, set()).add(i)
+    for x, ax in atoms_of.items():
+        for y, ay in atoms_of.items():
+            if ax & ay and not (ax <= ay or ay <= ax):
+                return False
+            if x in q.free_vars and ax < ay and y not in q.free_vars:
+                return False
+    return True
+
+
+def test_q_hierarchical_definition_on_textbook_fixtures():
+    assert _q_hierarchical_by_definition(parse_query("H(x) :- A(x,y), U(x)."))
+    # free x below bound y
+    assert not _q_hierarchical_by_definition(parse_query("H(x) :- A(x,y), U(y)."))
+    # the atom sets of x and y overlap without nesting
+    assert not _q_hierarchical_by_definition(parse_query("H() :- A(x,y), U(x), V(y)."))
 
 
 def test_gyo_agrees_with_brute_force_tree_enumeration():
     rng = random.Random(20240815)
     for _ in range(400):
         q = random_cq(rng, max_atoms=5, max_vars=5)
-        atoms = q.atoms
-        if len(atoms) > 5:
+        if len(q.atoms) > 5:
             continue
-        jt = build_join_tree(atoms)
-        want = _has_join_tree_brute_force(atoms)
-        assert (jt is not None) == want, q.to_text()
-        if jt is not None:
-            assert join_tree_disconnected(jt) == [], q.to_text()
-            assert len(jt.edges) == len(atoms) - 1
+        flags = classify(q)
+        assert flags.acyclic == _has_join_tree([a.vars for a in q.atoms]), q.to_text()
+        assert flags.free_connex == _free_connex_by_definition(q), q.to_text()

@@ -51,6 +51,21 @@ def test_parse_errors():
         parse_query("H(x) :- R(x), R(x,y).")  # inconsistent arity
 
 
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ("H(x) :-\n  R(x) $", "unexpected character '$'", 2, 8),
+        ("H(x) :- R(x", "unexpected end of input", 1, 1),
+        ("H(x) :- R(x). S", "trailing input after query: 'S'", 1, 15),
+    ],
+)
+def test_parse_errors_carry_positions(text, message, line, column):
+    with pytest.raises(QuerySyntaxError) as exc:
+        parse_query(text)
+    assert message in str(exc.value)
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
 def test_parse_comments_and_whitespace():
     q = parse_query("# header\nH(x) :-\n  R(x). # tail\n")
     assert q.to_text() == "H(x) :- R(x)."

@@ -5,6 +5,7 @@ import pytest
 from deltaenum.errors import CapabilityError, ClassificationError, VocabularyError
 from deltaenum.kdata import AnnotatedRelation, Database
 from deltaenum.oracle import oracle_eval_cq
+from deltaenum.planner import classify
 from deltaenum.query import parse_query
 from deltaenum.semiring import builtin_semiring
 from deltaenum.static_engine import (
@@ -186,9 +187,7 @@ def test_random_oracle_equivalence(sname):
     found = 0
     while found < 400:
         q = random_cq(rng)
-        from deltaenum.planner import is_free_connex
-
-        if not is_free_connex(q):
+        if not classify(q).free_connex:
             continue
         found += 1
         db = random_db(rng, q, semiring)
