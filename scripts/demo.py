@@ -55,5 +55,5 @@ expr = Hadamard(MatrixSymbol("A"), MatMul(MatrixSymbol("U"), Transpose(MatrixSym
 result = eval_matlang(MatQuery("H", expr), inst)
 print("H := A .* (U * V^T)")
 print("translated CQ:", result.translation)
-print("translation classes:", result.classification)
+print("translation classes:", classify(result.translation).as_dict())
 print("H entries:", result.instance.entries["H"])

@@ -114,7 +114,6 @@ def _load_db(args):
 
 def cmd_eval(args) -> int:
     from .oracle import oracle_eval_cq, oracle_eval_fo_query
-    from .planner import classify
     from .query import parse_fo_query, parse_query
     from .static_engine import enumerate_state, preprocess
 
@@ -133,21 +132,21 @@ def cmd_eval(args) -> int:
         answers = oracle_eval_fo_query(fo, db)
         return _print_answers(args, semiring, itertools.islice(answers.items(), args.limit), None)
 
-    flags = classify(q)
-    if args.verify and not flags.free_connex:
-        raise ClassificationError(
-            "--verify needs an independent evaluator, and queries that are not "
-            "free-connex have none: the oracle is their only evaluator"
-        )
     timing: Dict[str, float] = {}
-    if flags.free_connex:
-        start = time.perf_counter()
+    start = time.perf_counter()
+    try:
         state = preprocess(q, db)
-        timing["preprocess_s"] = time.perf_counter() - start
-        stream = enumerate_state(state, limit=args.limit)
-    else:
+    except ClassificationError:
+        if args.verify:
+            raise ClassificationError(
+                "--verify needs an independent evaluator, and queries that are not "
+                "free-connex have none: the oracle is their only evaluator"
+            ) from None
         print("warning: query is not free-connex; using the oracle evaluator", file=sys.stderr)
         stream = itertools.islice(oracle_eval_cq(q, db).entries.items(), args.limit)
+    else:
+        timing["preprocess_s"] = time.perf_counter() - start
+        stream = enumerate_state(state, limit=args.limit)
 
     if args.verify:
         answers = list(stream)
@@ -183,12 +182,20 @@ def _print_answers(args, semiring, answers, timing) -> int:
             print(json.dumps({"tuple": list(t), "annotation": semiring.format(v)}))
             count += 1
     else:
-        for t, v in answers:
-            print(",".join(map(str, t)) + "," + semiring.format(v))
-            count += 1
+        count = _print_csv(semiring, answers)
     if args.json and timing is not None:
         print(json.dumps({"count": count, "timing": timing}), file=sys.stderr)
     return 0
+
+
+def _print_csv(semiring, answers) -> int:
+    """Print each answer as a CSV line, its values then its annotation, and
+    return how many there were."""
+    count = 0
+    for t, v in answers:
+        print(",".join(map(str, t)) + "," + semiring.format(v))
+        count += 1
+    return count
 
 
 def cmd_dyn(args) -> int:
@@ -204,16 +211,14 @@ def cmd_dyn(args) -> int:
         if args.enumerate_after_each:
             answers = list(dyn_enumerate(state))
             print(f"# after update {i + 1}: {len(answers)} answers")
-            for t, v in answers:
-                print(",".join(map(str, t)) + "," + semiring.format(v))
+            _print_csv(semiring, answers)
         if args.verify:
             want = oracle_eval_cq(q, state.db).entries
             if not _answers_match(list(dyn_enumerate(state)), want, semiring):
                 print(f"verification mismatch after update {i + 1}", file=sys.stderr)
                 return 2
     if not args.enumerate_after_each:
-        for t, v in dyn_enumerate(state):
-            print(",".join(map(str, t)) + "," + semiring.format(v))
+        _print_csv(semiring, dyn_enumerate(state))
     return 0
 
 
@@ -281,7 +286,6 @@ def cmd_matlang(args) -> int:
             "entries": [
                 {"i": i, "j": j, "value": semiring.format(v)} for (i, j), v in sorted(entries.items())
             ],
-            "classification": result.classification,
             "used_engine": result.used_engine,
         }
         print(json.dumps(report, indent=2))

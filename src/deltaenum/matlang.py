@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from .errors import (
+    ClassificationError,
     ConsistencyError,
     FragmentError,
     IngestionError,
@@ -36,7 +37,7 @@ from .errors import (
     TypeCheckError,
 )
 from .kdata import AnnotatedRelation, Database, read_input
-from .planner import classify, tuple_getter
+from .planner import tuple_getter
 from .query import ConjunctiveQuery, IneqAtom, RelAtom, TokenCursor
 from .semiring import SemiringDescriptor, Value
 
@@ -716,8 +717,9 @@ def _split_one_typed_bound_vars(q: ConjunctiveQuery, schema: MatrixSchema) -> Co
 
     Sound on databases consistent with the encoding: such variables only take
     the value 1, so per-occurrence existentials sum over the same singleton.
-    The split removes spurious cycles introduced by shared inner indices of
-    vector-typed subexpressions.
+    The split removes spurious cycles through a shared size-1 index, as in
+    ``((B * A) .* (B * A))^T * V`` with ``B`` of type ``(1, alpha)``: both
+    copies of ``B`` would share their row variable.
     """
     ok, tau = infer_cq_types(q, schema)
     if not ok:
@@ -819,7 +821,6 @@ class MatlangResult:
     instance: MatrixInstance  # the input instance plus the head matrix
     head: str
     translation: Optional[ConjunctiveQuery]
-    classification: Dict[str, bool]
     used_engine: bool
     warning: Optional[str] = None
 
@@ -851,23 +852,21 @@ def eval_matlang(query: MatQuery, instance: MatrixInstance) -> MatlangResult:
     head = query.head
     if not _in_conj(query.expr):
         cells = dense_to_entries(oracle_eval_matlang(query.expr, instance), instance.semiring)
-        cq, flags, used_engine = None, {}, False
+        cq, used_engine = None, False
         warning = "expression uses addition; evaluated by the dense reference evaluator"
     else:
         cq = translate_to_cq(query, schema)
         db = encode_instance(instance)
-        fc = classify(cq)
-        used_engine = fc.free_connex
-        if used_engine:
+        try:
             answer = eval_materialized(cq, db)
-            warning = None
-        else:
+            used_engine, warning = True, None
+        except ClassificationError:
             answer = oracle_eval_cq(cq, db)
+            used_engine = False
             warning = "translated query is not free-connex; evaluated by the oracle"
         cells = decode_relation(answer, schema, head)
-        flags = fc.as_dict()
     # validates the head matrix; the inputs were validated when ``instance``
     # was built, so the result shares them
     result = MatrixInstance(schema, instance.semiring, {head: cells})
     result.entries = {**instance.entries, head: cells}
-    return MatlangResult(result, head, cq, flags, used_engine, warning)
+    return MatlangResult(result, head, cq, used_engine, warning)

@@ -432,3 +432,60 @@ def test_undecodable_or_oversized_input_exits_one(tmp_path, dbdir, capsys, where
     assert captured.out == ""
     assert captured.err.startswith(f"error: {bad}:{line}: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, text, warns",
+    [
+        ("eval", "H(x) :- R(x,y), S(y).", False),
+        ("eval", "H(x,y) :- R(x,z), R(y,z).", True),
+        ("enumerate", "H(x) :- R(x,y), S(y).", False),
+        ("dyn", "H(x) :- R(x,y).", False),
+        ("matlang", "H := A .* A\n", False),
+        ("matlang", "H := A * A^T\n", True),
+    ],
+)
+def test_each_command_plans_once(tmp_path, dbdir, monkeypatch, capsys, command, text, warns):
+    # the engine's preprocess decides between the engine and the oracle; no
+    # command classifies the query before it
+    from deltaenum import planner
+
+    build_plan, calls = planner.build_plan, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_plan(*args, **kwargs)
+
+    monkeypatch.setattr(planner, "build_plan", counted)
+    if command == "matlang":
+        argv = ["matlang", "eval", *_matlang_files(tmp_path, {"A": {"type": ["a", "b"]}}, text)]
+    else:
+        argv = [command, "--query", write(tmp_path / "q.cq", text), "--db", str(dbdir)]
+        if command == "enumerate":
+            argv += ["--limit", "1"]
+        elif command == "dyn":
+            argv += ["--updates", write(tmp_path / "u.ups", "+ R 1 5 3\n")]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out
+    assert ("not free-connex" in captured.err) == warns
+    assert len(calls) == 1
+
+
+def test_eval_of_an_inequality_only_query_runs_on_the_engine(tmp_path, dbdir, capsys):
+    # it has no plan, as it has no relational atoms, and needs none
+    q = write(tmp_path / "q.cq", "H(w) :- w <= c.")
+    assert main(["eval", "--query", q, "--db", str(dbdir), "--verify"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["1,1", "2,1", "3,1"]
+    assert captured.err == ""
+
+
+def test_matlang_eval_json_reports_used_engine(tmp_path, capsys):
+    files = _matlang_files(tmp_path, {}, "H := ones(n) * ones(n)^T\n", sizes={"n": 2})
+    assert main(["matlang", "eval", *files, "--json"]) == 0
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert sorted(report) == ["entries", "head", "used_engine"]
+    assert report["used_engine"] and len(report["entries"]) == 4
+    assert captured.err == ""

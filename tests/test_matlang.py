@@ -298,6 +298,41 @@ def test_eval_hadamard_outer_product():
     assert result.instance.entries["H"] == {(1, 1): 30}
 
 
+def test_eval_splits_a_size_one_index_shared_through_a_hadamard_product():
+    # unified, z1 of both copies of B * A closes the cycle z1-z3-x-z4; split
+    # per occurrence, the translation is free-connex
+    schema = MatrixSchema(
+        {"alpha": 3, "beta": 2},
+        {"B": ("1", "alpha"), "A": ("alpha", "beta"), "V": ("1", "alpha")},
+    )
+    inst = MatrixInstance(
+        schema,
+        NAT,
+        {
+            "B": {(1, 1): 1, (1, 2): 1},
+            "A": {(1, 1): 2, (2, 2): 3, (3, 1): 1},
+            "V": {(1, 1): 1, (1, 3): 1},
+        },
+    )
+    q = parse_matlang("H := ((B * A) .* (B * A))^T * V", schema)
+    result = eval_matlang(q, inst)
+    bound = result.translation.bound_vars
+    assert "z1" not in bound and {"u1", "u2"} <= set(bound)
+    assert result.used_engine and result.warning is None
+    assert result.instance.dense("H") == oracle_eval_matlang(q.expr, inst)
+    assert result.instance.dense("H") == [[4, 0, 4], [9, 0, 9]]
+
+
+def test_eval_without_relational_atoms_runs_on_the_engine():
+    # the translation has no plan, as it has no relational atoms, and needs none
+    schema = MatrixSchema({"n": 2}, {})
+    q = parse_matlang("H := ones(n) * ones(n)^T", schema)
+    result = eval_matlang(q, MatrixInstance(schema, NAT))
+    assert not result.translation.relational_atoms
+    assert result.used_engine and result.warning is None
+    assert result.instance.dense("H") == [[1, 1], [1, 1]]
+
+
 def test_eval_ones_vector():
     schema = MatrixSchema({"alpha": 3}, {})
     result = eval_matlang(MatQuery("H", OnesVector("alpha")), MatrixInstance(schema, NAT))
