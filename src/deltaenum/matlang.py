@@ -625,6 +625,7 @@ class _UnionFind:
 
 @dataclass
 class _Translation:
+    head: Set[str]  # the head variables
     atoms: List[RelAtom | IneqAtom] = field(default_factory=list)
     equalities: List[Tuple[str, str]] = field(default_factory=list)
     counter: int = 0
@@ -633,51 +634,63 @@ class _Translation:
         self.counter += 1
         return f"{stem}{self.counter}"
 
+    def kept(self, v: str, size: str) -> bool:
+        """Whether index ``v`` of size ``size`` stays a shared variable.
+
+        A bound index of size 1 does not: it takes only the value 1 on a
+        consistent database, so each occurrence is summed out on its own, a
+        fresh variable at a stored position and nothing elsewhere.  It then
+        closes no cycle between the atoms that share it.
+        """
+        return size != "1" or v in self.head
+
+    def stored(self, v: str, size: str) -> str:
+        return v if self.kept(v, size) else self.fresh("u")
+
+    def range(self, v: str, size: str) -> None:
+        if self.kept(v, size):
+            self.atoms.append(IneqAtom(v, size))
+
+    def equal(self, a: str, b: str, size: str) -> None:
+        if self.kept(a, size) and self.kept(b, size):
+            self.equalities.append((a, b))
+
 
 def _translate(e: MatLangExpr, x: str, y: str, wmap: Dict[str, str], out: _Translation, schema: MatrixSchema) -> None:
     if isinstance(e, MatrixSymbol):
+        index = tuple(zip((x, y), e.typ))
         indices = schema.stored_indices(e.name)
-        out.atoms.append(RelAtom(e.name, tuple_getter(indices)((x, y))))
+        out.atoms.append(RelAtom(e.name, tuple(out.stored(*index[p]) for p in indices)))
         # the index the relation leaves out is 1
-        out.atoms.extend(IneqAtom(v, "1") for p, v in enumerate((x, y)) if p not in indices)
-    elif isinstance(e, VectorVariable):
-        out.atoms.append(IneqAtom(x, e.size))
-        out.atoms.append(IneqAtom(y, "1"))
-        out.equalities.append((x, wmap[e.name]))
-    elif isinstance(e, OnesVector):
-        out.atoms.append(IneqAtom(x, e.size))
-        out.atoms.append(IneqAtom(y, "1"))
-    elif isinstance(e, IdentityMatrix):
-        out.atoms.append(IneqAtom(x, e.size))
-        out.atoms.append(IneqAtom(y, e.size))
-        out.equalities.append((x, y))
+        for p in (0, 1):
+            if p not in indices:
+                out.range(*index[p])
+    elif isinstance(e, (VectorVariable, OnesVector, IdentityMatrix)):
+        out.range(x, e.typ[0])
+        out.range(y, e.typ[1])
+        if isinstance(e, VectorVariable):
+            out.equal(x, wmap[e.name], e.size)
+        elif isinstance(e, IdentityMatrix):
+            out.equal(x, y, e.size)
     elif isinstance(e, Transpose):
         _translate(e.sub, y, x, wmap, out, schema)
     elif isinstance(e, Hadamard):
         _translate(e.left, x, y, wmap, out, schema)
         _translate(e.right, x, y, wmap, out, schema)
     elif isinstance(e, ScalarMul):
-        # the scalar factor lives at entry (1,1); sum it out on fresh variables
-        sx, sy = out.fresh("s"), out.fresh("s")
-        _translate(e.left, sx, sy, wmap, out, schema)
+        # the scalar factor lives at entry (1,1), summed out on bound indices
+        s = out.fresh("s")
+        _translate(e.left, s, s, wmap, out, schema)
         _translate(e.right, x, y, wmap, out, schema)
     elif isinstance(e, MatMul):
-        inner = e.left.typ[1]
-        if inner == "1":
-            # the shared index is pinned to 1 on consistent databases; keeping
-            # the two sides on separate bound variables preserves acyclicity
-            z1, z2 = out.fresh("z"), out.fresh("z")
-            _translate(e.left, x, z1, wmap, out, schema)
-            _translate(e.right, z2, y, wmap, out, schema)
-        else:
-            z = out.fresh("z")
-            _translate(e.left, x, z, wmap, out, schema)
-            _translate(e.right, z, y, wmap, out, schema)
+        z = out.fresh("z")
+        _translate(e.left, x, z, wmap, out, schema)
+        _translate(e.right, z, y, wmap, out, schema)
     elif isinstance(e, SumIteration):
         w = out.fresh("w")
         # the explicit range keeps the iteration's multiplicity even when the
         # vector variable does not occur in the body (beta copies of the sum)
-        out.atoms.append(IneqAtom(w, e.var_size))
+        out.range(w, e.var_size)
         _translate(e.sub, x, y, {**wmap, e.var: w}, out, schema)
     elif isinstance(e, Add):
         raise FragmentError("matrix addition has no conjunctive translation")
@@ -712,56 +725,6 @@ def infer_cq_types(q: ConjunctiveQuery, schema: MatrixSchema) -> Tuple[bool, Dic
     return ok, tau
 
 
-def _split_one_typed_bound_vars(q: ConjunctiveQuery, schema: MatrixSchema) -> ConjunctiveQuery:
-    """Split bound variables of size type 1 across their atom occurrences.
-
-    Sound on databases consistent with the encoding: such variables only take
-    the value 1, so per-occurrence existentials sum over the same singleton.
-    The split removes spurious cycles through a shared size-1 index, as in
-    ``((B * A) .* (B * A))^T * V`` with ``B`` of type ``(1, alpha)``: both
-    copies of ``B`` would share their row variable.
-    """
-    ok, tau = infer_cq_types(q, schema)
-    if not ok:
-        # conflicting size assignments: a variable may not be pinned after all
-        return q
-    head = set(q.head_vars)
-    occurrences: Dict[str, int] = {}
-    for atom in q.atoms:
-        args = atom.args if isinstance(atom, RelAtom) else (atom.var,)
-        for v in set(args):
-            occurrences[v] = occurrences.get(v, 0) + 1
-    targets = {
-        v
-        for v, size in tau.items()
-        if size == "1" and v not in head and occurrences.get(v, 0) > 1
-    }
-    if not targets:
-        return q
-    counter = 0
-    new_atoms: List[RelAtom | IneqAtom] = []
-    for atom in q.atoms:
-        if isinstance(atom, RelAtom):
-            args = []
-            renamed: Dict[str, str] = {}
-            for v in atom.args:
-                if v in targets:
-                    if v not in renamed:
-                        counter += 1
-                        renamed[v] = f"u{counter}"
-                    args.append(renamed[v])
-                else:
-                    args.append(v)
-            new_atoms.append(RelAtom(atom.symbol, tuple(args)))
-        else:
-            if atom.var in targets:
-                counter += 1
-                new_atoms.append(IneqAtom(f"u{counter}", atom.bound))
-            else:
-                new_atoms.append(atom)
-    return ConjunctiveQuery(q.head_symbol, q.head_vars, tuple(new_atoms))
-
-
 def translate_to_cq(query: MatQuery, schema: MatrixSchema) -> ConjunctiveQuery:
     """Translate an addition-free matrix query into a conjunctive query.
 
@@ -776,26 +739,19 @@ def translate_to_cq(query: MatQuery, schema: MatrixSchema) -> ConjunctiveQuery:
         raise TypeCheckError(f"translate_to_cq needs the head {query.head!r} declared with type {e.typ}")
     if free_vector_variables(e):
         raise TypeCheckError("query expressions cannot have free vector variables")
-    out = _Translation()
-    x, y = "x", "y"
-    _translate(e, x, y, {}, out, schema)
+    head_vars = tuple_getter(schema.stored_indices(query.head))(("x", "y"))
+    out = _Translation(set(head_vars))
+    _translate(e, "x", "y", {}, out, schema)
 
+    # every variable of an equality occurs in an atom: each class is named
+    # by its least member
     uf = _UnionFind()
     for a, b in out.equalities:
         uf.union(a, b)
-    # representative: prefer variables that occur in an atom, then lexicographic
-    in_atoms: Set[str] = set()
-    for atom in out.atoms:
-        in_atoms |= set(atom.args if isinstance(atom, RelAtom) else (atom.var,))
     classes: Dict[str, List[str]] = {}
-    for v in set(list(uf.parent) + [x, y]) | in_atoms:
+    for v in uf.parent:
         classes.setdefault(uf.find(v), []).append(v)
-    rep: Dict[str, str] = {}
-    for members in classes.values():
-        candidates = sorted(m for m in members if m in in_atoms) or sorted(members)
-        chosen = candidates[0]
-        for m in members:
-            rep[m] = chosen
+    rep = {m: min(members) for members in classes.values() for m in members}
 
     def r(v: str) -> str:
         return rep.get(v, v)
@@ -806,10 +762,7 @@ def translate_to_cq(query: MatQuery, schema: MatrixSchema) -> ConjunctiveQuery:
             atoms.append(RelAtom(atom.symbol, tuple(r(v) for v in atom.args)))
         else:
             atoms.append(IneqAtom(r(atom.var), atom.bound))
-
-    head_vars = tuple_getter(schema.stored_indices(query.head))((r(x), r(y)))
-    cq = ConjunctiveQuery(query.head, head_vars, tuple(atoms))
-    return _split_one_typed_bound_vars(cq, schema)
+    return ConjunctiveQuery(query.head, tuple(r(v) for v in head_vars), tuple(atoms))
 
 
 # ---------------------------------------------------------------------------

@@ -332,14 +332,7 @@ def parse_fo_query(text: str) -> FoQuery:
             raise UnsafeFormulaError(
                 f"head variables {sorted(missing)} missing from a disjunct (unsafe)"
             )
-        conj: Optional[FoFormula] = None
-        for a in atoms:
-            lit: FoFormula = (
-                FoRel(a.symbol, a.args) if isinstance(a, RelAtom) else FoCmp(a.var, a.bound)
-            )
-            conj = lit if conj is None else FoAnd(conj, lit)
-        bound = tuple(v for v in sorted(block_vars - head))
-        disjuncts.append(FoExists(bound, conj) if bound else conj)
+        disjuncts.append(cq_to_fo(ConjunctiveQuery(head_symbol, head_vars, tuple(atoms))).body)
     body = disjuncts[0]
     for d in disjuncts[1:]:
         body = FoOr(body, d)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import CapabilityError, ClassificationError, VocabularyError
@@ -56,11 +57,17 @@ class IneqPlanState:
     annotation: Value
 
 
-def build_ineq_state(sp: QuerySplit, db: Database, s: SemiringDescriptor) -> IneqPlanState:
-    bounds: Dict[str, int] = {}
-    for ineq in sp.ineq_part.inequality_atoms:
+def _limits(ineqs: Sequence[IneqAtom], db: Database) -> Dict[str, int]:
+    """Per variable of ``ineqs``, the least constant that bounds it."""
+    limits: Dict[str, int] = {}
+    for ineq in ineqs:
         c = db.constant(ineq.bound)
-        bounds[ineq.var] = min(bounds.get(ineq.var, c), c)
+        limits[ineq.var] = min(limits.get(ineq.var, c), c)
+    return limits
+
+
+def build_ineq_state(sp: QuerySplit, db: Database, s: SemiringDescriptor) -> IneqPlanState:
+    bounds = _limits(sp.ineq_part.inequality_atoms, db)
     free = sp.ineq_part.head_vars
     free_ranges = tuple((v, bounds[v]) for v in free)
     # the annotation is the sum of ones over all valuations of the bound
@@ -153,14 +160,10 @@ def build_leaf_matcher(atom: RelAtom, covered: Sequence[IneqAtom], db: Database)
         j = first.setdefault(arg, i)
         if j != i:
             equalities.append((i, j))
-    limits: Dict[str, int] = {}
-    for ineq in covered:
-        c = db.constant(ineq.bound)
-        limits[ineq.var] = min(limits.get(ineq.var, c), c)
     return LeafMatcher(
         tuple(first[v] for v in sorted(first)),
         tuple(equalities),
-        tuple((first[v], c) for v, c in sorted(limits.items())),
+        tuple((first[v], c) for v, c in sorted(_limits(covered, db).items())),
     )
 
 
@@ -373,7 +376,8 @@ def _levels(state: EnumerationState) -> Tuple[list, list]:
 def enumerate_state(
     state: EnumerationState, limit: Optional[int] = None
 ) -> Iterator[Tuple[DataTuple, Value]]:
-    """Stream (head tuple, annotation) pairs, each exactly once.
+    """Stream (head tuple, annotation) pairs, each exactly once, at most
+    ``limit`` of them.
 
     The levels of the walk (the plan's, then one per free inequality range)
     run as an odometer: the stack holds one iterator per level and, for each
@@ -384,12 +388,16 @@ def enumerate_state(
     ranges degenerates to a scan of the materialized root relation.  An
     update to the state invalidates the cursor.
     """
+    answers = _answers(state)
+    return answers if limit is None else islice(answers, max(limit, 0))
+
+
+def _answers(state: EnumerationState) -> Iterator[Tuple[DataTuple, Value]]:
     s = state.semiring
     ineq = state.ineq
-    if s.is_zero(ineq.annotation) or (limit is not None and limit <= 0):
+    if s.is_zero(ineq.annotation):
         return
     version = state.version
-    emitted = 0
     mul = s.mul
     k_ineq = ineq.annotation
     head = state.head
@@ -401,9 +409,6 @@ def enumerate_state(
             if state.version != version:
                 raise RuntimeError("enumeration cursor invalidated by an update")
             yield head(t), mul(val, k_ineq)
-            emitted += 1
-            if limit is not None and emitted >= limit:
-                return
         return
 
     opens, values = _levels(state)
@@ -421,9 +426,6 @@ def enumerate_state(
                 if state.version != version:
                     raise RuntimeError("enumeration cursor invalidated by an update")
                 yield head(pre + t), (p if value is None else mul(p, value(t)))
-                emitted += 1
-                if limit is not None and emitted >= limit:
-                    return
             i -= 1
             continue
         for t in its[i]:

@@ -157,11 +157,13 @@ def test_dyn_cursor_invalidation():
     q = parse_query("H(x) :- A(x).")
     db = make_db(NAT, {"A": (1, {(1,): 1, (2,): 1, (3,): 1})})
     state = dyn_preprocess(q, db)
-    cursor = dyn_enumerate(state)
-    next(cursor)
+    cursors = [dyn_enumerate(state), dyn_enumerate(state, limit=2)]
+    for cursor in cursors:
+        next(cursor)
     dyn_update(state, SingleTupleUpdate("insert", "A", (9,), 1))
-    with pytest.raises(RuntimeError):
-        list(cursor)
+    for cursor in cursors:
+        with pytest.raises(RuntimeError):
+            list(cursor)
 
 
 # the 3-level q-hierarchical query: its guarded plan walks two levels, x and

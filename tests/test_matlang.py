@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -21,10 +22,12 @@ from deltaenum.matlang import (
     decode_instance,
     encode_instance,
     eval_matlang,
+    infer_cq_types,
     load_matrix_instance,
     parse_matlang,
     translate_to_cq,
     typecheck,
+    with_head,
 )
 from deltaenum.oracle import oracle_eval_matlang
 from deltaenum.query import IneqAtom
@@ -299,8 +302,9 @@ def test_eval_hadamard_outer_product():
 
 
 def test_eval_splits_a_size_one_index_shared_through_a_hadamard_product():
-    # unified, z1 of both copies of B * A closes the cycle z1-z3-x-z4; split
-    # per occurrence, the translation is free-connex
+    # shared, the row index of both copies of B * A would close a 4-cycle
+    # through both A atoms; summed out per occurrence, the translation is
+    # free-connex
     schema = MatrixSchema(
         {"alpha": 3, "beta": 2},
         {"B": ("1", "alpha"), "A": ("alpha", "beta"), "V": ("1", "alpha")},
@@ -316,8 +320,10 @@ def test_eval_splits_a_size_one_index_shared_through_a_hadamard_product():
     )
     q = parse_matlang("H := ((B * A) .* (B * A))^T * V", schema)
     result = eval_matlang(q, inst)
-    bound = result.translation.bound_vars
-    assert "z1" not in bound and {"u1", "u2"} <= set(bound)
+    cq = result.translation
+    tau = infer_cq_types(cq, result.instance.schema)[1]
+    atoms_of = Counter(v for atom in cq.atoms for v in atom.vars)
+    assert not [v for v, n in atoms_of.items() if n > 1 and tau[v] == "1"], cq.to_text()
     assert result.used_engine and result.warning is None
     assert result.instance.dense("H") == oracle_eval_matlang(q.expr, inst)
     assert result.instance.dense("H") == [[4, 0, 4], [9, 0, 9]]
@@ -438,6 +444,29 @@ def test_fc_and_qh_fragments_translate_to_matching_cq_classes():
             qh_seen += 1
             assert qflags.q_hierarchical, (expr, cq.to_text())
     assert fc_seen >= 60 and qh_seen >= 25, (fc_seen, qh_seen)
+
+
+def test_translations_sum_out_each_bound_index_of_size_one_on_its_own():
+    """A bound index of size 1 takes only the value 1: it translates to one
+    variable at one stored position, with no inequality atom."""
+    from deltaenum.generators import random_conj_expression, random_matrix_schema
+
+    rng = random.Random(20240815)
+    found = 0
+    while found < 1000:
+        schema = random_matrix_schema(rng)
+        expr = random_conj_expression(rng, schema)
+        if expr is None:
+            continue
+        found += 1
+        q = MatQuery("HOUT", expr)
+        full = with_head(q, schema)
+        cq = translate_to_cq(q, full)
+        tau = infer_cq_types(cq, full)[1]
+        args = [v for atom in cq.relational_atoms for v in atom.args]
+        for v in cq.bound_vars:
+            if tau[v] == "1":
+                assert args.count(v) == 1 and IneqAtom(v, "1") not in cq.atoms, cq.to_text()
 
 
 def test_eval_with_unary_encoded_head():
