@@ -82,6 +82,7 @@ def cmd_plan(args) -> int:
                 "kind": "leaf" if node.is_leaf else "interior",
                 "children": node.children,
                 "connex": nid in plan.connex,
+                "stored": nid in plan.stored,
             }
         )
     report = {"query": q.to_text(), "guarded": plan.guarded, "root": plan.root, "nodes": nodes}
@@ -99,6 +100,8 @@ def _plan_dot(plan) -> str:
         label = str(plan.atoms[node.atom_index]) if node.is_leaf else "{" + ",".join(sorted(plan.vars(nid))) + "}"
         shape = "box" if node.is_leaf else "ellipse"
         style = ' style=filled fillcolor="lightblue"' if nid in plan.connex else ""
+        if nid in plan.stored:
+            style += " peripheries=2"
         lines.append(f'  n{nid} [label="{label}" shape={shape}{style}];')
         for c in node.children:
             lines.append(f"  n{nid} -> n{c};")

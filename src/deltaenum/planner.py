@@ -12,8 +12,8 @@ Every plan keeps two invariants, which ``verify_plan`` checks: no node is an
 identity copy (a single-child node with its child's variables), and the first
 child of every 2-child node (its guard) carries the node's variables.  The
 layout the engines read -- each node's variable order, one key getter per
-edge, the connex frontier and the levels of the connex walk -- is fixed
-once, when the plan is built.
+edge, the connex frontier, the levels of the connex walk and the nodes whose
+relations preprocessing stores -- is fixed once, when the plan is built.
 
 All constructions are deterministic: ties are broken by atom order and by
 sorted variable names, so plan dumps are reproducible.
@@ -95,6 +95,16 @@ class QueryPlan:
     children.  ``levels`` cuts the connex region into the levels of its walk:
     the root's, then one per projection edge into a connex child, in preorder
     with guards first.
+
+    ``stored`` holds the nodes whose relation preprocessing keeps; the
+    others below the connex region stream their rows into their parent's
+    pass.  A guarded plan stores every node outside the connex region and
+    every frontier node, since an update looks up both children of a 2-child
+    node.  A free-connex plan stores only the frontier nodes, which
+    enumeration reads, the projection outputs, which grouping builds anyway,
+    and the second child of each 2-child node, which is looked up by key:
+    a leaf or 2-child node that is a guard child or a projection's only
+    child is read by one scan, and streams.
     """
 
     atoms: Tuple[RelAtom, ...]
@@ -106,6 +116,7 @@ class QueryPlan:
     key: Dict[int, TupleGetter] = field(default_factory=dict)
     frontier: FrozenSet[int] = frozenset()
     levels: Tuple[Level, ...] = ()
+    stored: FrozenSet[int] = frozenset()
 
     def vars(self, node_id: int) -> VarSet:
         node = self.nodes[node_id]
@@ -184,7 +195,23 @@ def _finalize(
         nid for nid in plan.connex if not any(c in plan.connex for c in plan.nodes[nid].children)
     )
     plan.levels = _cut_levels(plan, positions)
+    plan.stored = _stored(plan)
     return plan
+
+
+def _stored(plan: QueryPlan) -> FrozenSet[int]:
+    """The nodes whose relation preprocessing keeps (see ``QueryPlan``)."""
+    below = [nid for nid in plan.nodes if nid not in plan.connex or nid in plan.frontier]
+    if plan.guarded:
+        return frozenset(below)
+    stored = set(plan.frontier)
+    for nid in below:
+        children = plan.nodes[nid].children
+        if len(children) == 1:
+            stored.add(nid)
+        elif len(children) == 2:
+            stored.add(children[1])
+    return frozenset(stored)
 
 
 def _cut_levels(plan: QueryPlan, positions: Dict[int, Tuple[int, ...]]) -> Tuple[Level, ...]:
@@ -456,4 +483,16 @@ def verify_plan(plan: QueryPlan, rel_part: ConjunctiveQuery) -> List[str]:
         problems.append(
             f"level variables {sorted(level_vars)} != free vars {sorted(rel_part.head_vars)}"
         )
+    below = {nid for nid in nodes if nid not in plan.connex or nid in plan.frontier}
+    if not plan.stored <= below:
+        problems.append(f"stored nodes {sorted(plan.stored - below)} lie inside the connex region")
+    for nid in sorted(below):
+        node = nodes[nid]
+        # a free-connex plan streams a node that one scan of its parent reads
+        scanned = node.parent is not None and nodes[node.parent].children[0] == nid
+        streams = (
+            not plan.guarded and nid not in plan.frontier and len(node.children) != 1 and scanned
+        )
+        if (nid in plan.stored) == streams:
+            problems.append(f"node {nid} should be {'streamed' if streams else 'stored'}")
     return problems

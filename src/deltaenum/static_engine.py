@@ -1,16 +1,27 @@
 """Linear-time preprocessing and constant-delay enumeration for free-connex CQs.
 
 Preprocessing runs one bottom-up pass over the nodes of the query plan
-below the connex region and on its frontier, the only node relations
-enumeration reads:
+below the connex region and on its frontier, whose relations are defined by:
 
-* leaves hold the atom's relation filtered by repeated-variable matching and
-  by the inequalities the atom covers;
-* single-child nodes aggregate their child by semiring addition over the
+* a leaf holds the atom's relation filtered by repeated-variable matching
+  and by the inequalities the atom covers;
+* a single-child node aggregates its child by semiring addition over the
   projection (dropping zero sums); for the dynamic engine the same pass
   keeps one sum accumulator per tuple and reads the sum off its total;
-* 2-child nodes intersect the guard child with the smaller-variable child,
+* a 2-child node intersects the guard child with the smaller-variable child,
   multiplying annotations (dropping zero products).
+
+Only the nodes in ``QueryPlan.stored`` keep their relation: the frontier,
+which enumeration reads, the projection outputs, which grouping builds
+anyway, and the second child of each 2-child node, which is looked up by
+key.  Every other node of a free-connex plan is read once, by one scan in
+its parent's pass, and streams.  Each stored relation comes out of one loop
+that reads its source -- a leaf's database entries or the relation of the
+nearest stored node below -- and carries every row up through the lookups
+of the streamed 2-child nodes above it: Yannakakis' bottom-up pass,
+pipelined up to its pipeline breakers (Neumann, VLDB 2011).  A guarded plan
+stores every node below the connex region and on its frontier, since an
+update looks up both children of a 2-child node.
 
 Enumeration then walks only the connex region of the plan.  Navigation there
 is driven by *candidate* structures built on tuple support, not on aggregated
@@ -86,8 +97,8 @@ class EnumerationState:
     plan: Optional[QueryPlan]  # None when the relational part is empty
     semiring: SemiringDescriptor
     db: Database
-    # per plan node outside the connex region or on its frontier: the
-    # aggregated node relation, keyed in ``plan.order``
+    # per plan node in ``plan.stored``: its node relation, keyed in
+    # ``plan.order``
     relations: Dict[int, Dict[DataTuple, Value]] = field(default_factory=dict)
     # connex navigation structures; only the keys of a candidate set count,
     # and a frontier node's is its relation itself
@@ -110,6 +121,7 @@ class LeafMatcher:
     lists the values of the atom's distinct variables in sorted order.
     ``key`` gives the key, or None for a tuple that does not match; without
     equalities and limits every tuple matches, and ``key`` is ``project``.
+    ``identity`` says that every key is its tuple itself.
     """
 
     positions: Tuple[int, ...]  # first atom position of each key variable
@@ -117,10 +129,13 @@ class LeafMatcher:
     limits: Tuple[Tuple[int, int], ...]  # (position, bound): component <= bound
     project: TupleGetter = field(init=False, repr=False, compare=False)
     key: Callable[[DataTuple], Optional[DataTuple]] = field(init=False, repr=False, compare=False)
+    identity: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.project = tuple_getter(self.positions)
-        self.key = self._filtered_key if self.equalities or self.limits else self.project
+        filtered = bool(self.equalities or self.limits)
+        self.key = self._filtered_key if filtered else self.project
+        self.identity = not filtered and self.positions == tuple(range(len(self.positions)))
 
     def _filtered_key(self, t: DataTuple) -> Optional[DataTuple]:
         for i, j in self.equalities:
@@ -130,19 +145,6 @@ class LeafMatcher:
             if t[i] > bound:
                 return None
         return self.project(t)
-
-    def relation(self, entries: Dict[DataTuple, Value]) -> Dict[DataTuple, Value]:
-        """The leaf relation: matching tuples re-keyed, annotations kept."""
-        if self.key is self.project and self.positions == tuple(range(len(self.positions))):
-            # common fast path: distinct, already-sorted variables, no filters
-            return dict(entries)
-        key = self.key
-        out: Dict[DataTuple, Value] = {}
-        for t, k in entries.items():
-            kt = key(t)
-            if kt is not None:
-                out[kt] = k
-        return out
 
 
 def build_leaf_matcher(atom: RelAtom, covered: Sequence[IneqAtom], db: Database) -> LeafMatcher:
@@ -167,32 +169,15 @@ def build_leaf_matcher(atom: RelAtom, covered: Sequence[IneqAtom], db: Database)
     )
 
 
-def _project(
-    child_rel: Dict[DataTuple, Value], key: TupleGetter, s: SemiringDescriptor
-) -> Dict[DataTuple, Value]:
-    out: Dict[DataTuple, Value] = {}
-    add = s.add
-    for t, k in child_rel.items():
-        kt = key(t)
-        if kt in out:
-            out[kt] = add(out[kt], k)
-        else:
-            out[kt] = k
-    if s.zero_sum_free:
-        return out
-    is_zero = s.is_zero
-    return {t: k for t, k in out.items() if not is_zero(k)}
-
-
 def _accumulate(
     child_rel: Dict[DataTuple, Value],
     key: TupleGetter,
     s: SemiringDescriptor,
     table: Dict[DataTuple, SumAccumulator],
 ) -> Dict[DataTuple, Value]:
-    """``_project`` through one sum accumulator per key, kept in ``table``:
-    each total adds the same values in the same order, so it equals
-    ``_project``'s sum."""
+    """Group ``child_rel`` by ``key`` through one sum accumulator per key,
+    kept in ``table``: each total adds the same values in the same order as
+    ``_scan``'s grouping, so it equals that sum."""
     new_acc = s.acc_factory
     for t, k in child_rel.items():
         kt = key(t)
@@ -260,38 +245,83 @@ def preprocess_with_plan(
 def _bottom_up(
     state: EnumerationState, accs: Optional[Dict[int, Dict[DataTuple, SumAccumulator]]]
 ) -> None:
+    """Build the stored node relations (``plan.stored``) in postorder.
+
+    Each comes out of one ``_scan`` of its source: the relation of the
+    nearest stored node below it, or the database entries of a leaf, read
+    through the leaf's matcher.  Every streamed 2-child node on the way up,
+    and the stored node itself when it is a 2-child node, probes its second
+    child's relation; a projection groups the rows that come through."""
     plan = state.plan
     s = state.semiring
+    relations = state.relations
     for nid in plan.postorder():
-        if nid in plan.connex and nid not in plan.frontier:
-            continue  # enumeration reads the candidates of these nodes only
-        node = plan.nodes[nid]
-        if node.is_leaf:
-            rel = state.db.relation(plan.atoms[node.atom_index].symbol)
-            state.relations[nid] = state.matchers[nid].relation(rel.entries)
-        elif len(node.children) == 1:
-            c = node.children[0]
-            if accs is None:
-                state.relations[nid] = _project(state.relations[c], plan.key[c], s)
-            else:
-                table = accs[nid] = {}
-                state.relations[nid] = _accumulate(state.relations[c], plan.key[c], s, table)
+        if nid not in plan.stored:
+            continue
+        children = plan.nodes[nid].children
+        group = plan.key[children[0]] if len(children) == 1 else None
+        if group is not None and accs is not None:
+            # a guarded plan stores every child of a projection
+            table = accs[nid] = {}
+            relations[nid] = _accumulate(relations[children[0]], group, s, table)
+            continue
+        m = nid if group is None else children[0]
+        probes: List[Tuple[TupleGetter, Dict[DataTuple, Value]]] = []
+        while len(plan.nodes[m].children) == 2 and (m == nid or m not in plan.stored):
+            c1, c2 = plan.nodes[m].children
+            probes.append((plan.key[c2], relations[c2]))
+            m = c1  # the guard child carries m's variables, so the row keeps its tuple
+        probes.reverse()  # the lowest join multiplies first
+        if m in relations:
+            source, key = relations[m], None
         else:
-            # c1 carries the node's variables; c2's are contained in them
-            c1, c2 = node.children
-            key = plan.key[c2]
-            small = state.relations[c2]
-            mul = s.mul
-            is_zero = s.is_zero
-            out: Dict[DataTuple, Value] = {}
-            for t, k in state.relations[c1].items():
-                other = small.get(key(t))
-                if other is None:
-                    continue
-                combined = mul(k, other)
-                if not is_zero(combined):
-                    out[t] = combined
-            state.relations[nid] = out
+            matcher = state.matchers[m]
+            source = state.db.relation(plan.atoms[plan.nodes[m].atom_index].symbol).entries
+            key = None if matcher.identity else matcher.key
+        relations[nid] = _scan(source, key, probes, group, s)
+
+
+def _scan(
+    source: Dict[DataTuple, Value],
+    key: Optional[Callable[[DataTuple], Optional[DataTuple]]],
+    probes: Sequence[Tuple[TupleGetter, Dict[DataTuple, Value]]],
+    group: Optional[TupleGetter],
+    s: SemiringDescriptor,
+) -> Dict[DataTuple, Value]:
+    """One relation in one loop over ``source``: each row is re-keyed by
+    ``key`` (None when it keeps its tuple; a None key drops the row), joined
+    with each probed relation in turn by multiplying its annotation under
+    that probe's key (dropping the row when it is absent or the product is
+    zero), and then stored, or added into its group under ``group``
+    (dropping zero sums)."""
+    if key is None and not probes and group is None:
+        return dict(source)
+    mul, add, is_zero = s.mul, s.add, s.is_zero
+    out: Dict[DataTuple, Value] = {}
+    for t, k in source.items():
+        if key is not None:
+            t = key(t)
+            if t is None:
+                continue
+        for get, rel in probes:
+            other = rel.get(get(t))
+            if other is None:
+                break
+            k = mul(k, other)
+            if is_zero(k):
+                break
+        else:
+            if group is None:
+                out[t] = k
+            else:
+                g = group(t)
+                if g in out:
+                    out[g] = add(out[g], k)
+                else:
+                    out[g] = k
+    if group is None or s.zero_sum_free:
+        return out
+    return {t: k for t, k in out.items() if not is_zero(k)}
 
 
 def _build_connex_structures(state: EnumerationState) -> None:
@@ -451,42 +481,61 @@ def eval_materialized(q: ConjunctiveQuery, db: Database) -> AnnotatedRelation:
 # Invariant walker (tests and --verify)
 # ---------------------------------------------------------------------------
 
+def reference_relation(
+    state: EnumerationState, nid: int, stored: Optional[Dict[int, Dict[DataTuple, Value]]] = None
+) -> Dict[DataTuple, Value]:
+    """Plan node ``nid``'s relation by its defining equation, with one plain
+    loop per node: a child's relation is taken from ``stored`` when there
+    and recomputed the same way from the database otherwise.  Keys are
+    inserted in the order in which preprocessing inserts them."""
+    plan = state.plan
+    s = state.semiring
+    node = plan.nodes[nid]
+    out: Dict[DataTuple, Value] = {}
+    if node.is_leaf:
+        key = state.matchers[nid].key
+        for t, k in state.db.relation(plan.atoms[node.atom_index].symbol).entries.items():
+            kt = key(t)
+            if kt is not None:
+                out[kt] = k
+        return out
+    stored = stored or {}
+    rels = [stored[c] if c in stored else reference_relation(state, c, stored) for c in node.children]
+    if len(rels) == 1:
+        key = plan.key[node.children[0]]
+        for t, k in rels[0].items():
+            kt = key(t)
+            out[kt] = s.add(out[kt], k) if kt in out else k
+        return {t: k for t, k in out.items() if not s.is_zero(k)}
+    key = plan.key[node.children[1]]
+    for t, k in rels[0].items():
+        other = rels[1].get(key(t))
+        if other is not None:
+            k = s.mul(k, other)
+            if not s.is_zero(k):
+                out[t] = k
+    return out
+
+
 def verify_node_invariants(state: EnumerationState) -> List[str]:
-    """Check the stored node relations against their defining equations."""
+    """Check each stored node relation against its defining equation over
+    its children's relations, recomputing from the database a child that is
+    not stored (``reference_relation``)."""
     problems: List[str] = []
     if state.plan is None:
         return problems
-    plan = state.plan
     s = state.semiring
     for nid, rel in state.relations.items():
-        node = plan.nodes[nid]
         for t, k in rel.items():
             if s.is_zero(k):
                 problems.append(f"node {nid}: stored zero annotation at {t}")
-        if node.is_leaf:
-            continue
-        if len(node.children) == 1:
-            c = node.children[0]
-            key = plan.key[c]
-            want: Dict[DataTuple, Value] = {}
-            for t, k in state.relations[c].items():
-                kt = key(t)
-                want[kt] = s.add(want[kt], k) if kt in want else k
-            want = {t: k for t, k in want.items() if not s.is_zero(k)}
-            if want != rel:
-                problems.append(f"node {nid}: projection aggregate mismatch")
-            if s.zero_sum_free:
-                for t in state.relations[c]:
-                    if key(t) not in rel:
-                        problems.append(f"node {nid}: child tuple {t} lacks parent")
-        else:
-            c1, c2 = node.children
-            key = plan.key[c2]
-            for t, k in rel.items():
-                k1 = state.relations[c1].get(t)
-                k2 = state.relations[c2].get(key(t))
-                if k1 is None or k2 is None or s.mul(k1, k2) != k:
-                    problems.append(f"node {nid}: join value mismatch at {t}")
+        want = reference_relation(state, nid, state.relations)
+        problems += [f"node {nid}: missing tuple {t}" for t in want if t not in rel]
+        for t, k in rel.items():
+            if t not in want:
+                problems.append(f"node {nid}: extra tuple {t}")
+            elif want[t] != k:
+                problems.append(f"node {nid}: annotation {k!r} at {t}, want {want[t]!r}")
     return problems
 
 

@@ -170,6 +170,20 @@ def test_plan_json_is_stable(tmp_path, capsys):
     json.loads(first)
 
 
+def test_plan_marks_the_stored_nodes(tmp_path, capsys):
+    # the project_agg benchmark query: only T, the projection onto y and the
+    # root keep a relation; the other nodes stream into their parent's pass
+    q = write(tmp_path / "q.cq", "H(x,w) :- R(x,y), S(y,z), T(z), y <= alpha, w <= beta.")
+    assert main(["plan", q, "--json"]) == 0
+    nodes = json.loads(capsys.readouterr().out)["nodes"]
+    stored = sorted(n["label"] if n["kind"] == "leaf" else ",".join(n["label"]) for n in nodes if n["stored"])
+    assert stored == ["T(z)", "x", "y"]
+    assert main(["plan", q]) == 0
+    dot = capsys.readouterr().out.splitlines()
+    marked = sorted(line.split('"')[1] for line in dot if "peripheries=2" in line)
+    assert marked == ["T(z)", "{x}", "{y}"]
+
+
 def test_dyn_with_verify(tmp_path, dbdir, capsys):
     q = write(tmp_path / "q.cq", "H(x) :- R(x,y), U(x).")
     (dbdir / "vocab.json").write_text(

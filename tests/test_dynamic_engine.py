@@ -301,10 +301,10 @@ def test_dyn_update_respects_covered_inequalities():
 
 
 def assert_enumeration_layout(enum):
-    """Relations exist exactly below the connex region and on its frontier,
-    and a frontier node's candidates are its relation."""
+    """Relations exist exactly at the plan's stored nodes, and a frontier
+    node's candidates are its relation."""
     plan = enum.plan
-    assert set(enum.relations) == (set(plan.nodes) - plan.connex) | plan.frontier
+    assert set(enum.relations) == plan.stored
     for f in plan.frontier:
         assert enum.candidates[f] is enum.relations[f]
 
@@ -317,6 +317,9 @@ def test_state_lives_below_the_connex_region_and_on_its_frontier(text, relations
     db = make_db(NAT, relations)
     state = dyn_preprocess(q, db)
     plan = state.plan
+    # a guarded plan stores every node below the connex region and on its
+    # frontier
+    assert plan.stored == (set(plan.nodes) - plan.connex) | plan.frontier
     inner = plan.connex - plan.frontier
     assert inner  # connex nodes that must have no relation
     rng = random.Random(31)

@@ -105,12 +105,38 @@ def test_levels_cut_the_connex_region_and_verify_plan_checks_them():
     assert verify_plan(plan, rel) == []
 
 
+def test_verify_plan_checks_the_stored_set():
+    q = parse_query("H(x,y) :- A(x,y), U(x), V(y).")
+    rel = split(q).rel_part
+    plan = build_fc_plan(q)
+    stored = plan.stored
+    guard = plan.nodes[plan.root].children[0]  # A joined with V, streamed
+    plan.stored = stored | {guard}
+    assert verify_plan(plan, rel) == [f"node {guard} should be streamed"]
+    plan.stored = stored - {plan.root}
+    assert verify_plan(plan, rel) == [f"node {plan.root} should be stored"]
+    plan.stored = stored
+    assert verify_plan(plan, rel) == []
+    # a guarded plan streams nothing: an update looks up both children
+    q = parse_query("H(x) :- A(x,y), U(x).")
+    guarded = build_guarded_plan(q)
+    leaf = next(n for n in guarded.stored if guarded.nodes[n].is_leaf)
+    guarded.stored -= {leaf}
+    assert verify_plan(guarded, split(q).rel_part) == [f"node {leaf} should be stored"]
+
+
 def _shape(plan, nid=None):
     """(atom or sorted label, in the connex set, children's shapes in order)."""
     nid = plan.root if nid is None else nid
     node = plan.nodes[nid]
     label = str(plan.atoms[node.atom_index]) if node.is_leaf else ",".join(sorted(plan.vars(nid)))
     return (label, nid in plan.connex, [_shape(plan, c) for c in node.children])
+
+
+def _stored(plan):
+    """Sorted labels of the stored nodes, the root's as "root"."""
+    labels = [_shape(plan, n)[0] for n in plan.stored if n != plan.root]
+    return sorted(labels + ["root"] * (plan.root in plan.stored))
 
 
 def test_benchmark_query_plans_are_pinned(tmp_path):
@@ -156,6 +182,11 @@ def test_benchmark_query_plans_are_pinned(tmp_path):
             ("U(x)", False, []),
         ],
     )
+    # only the frontier, the projections and the second children of 2-child
+    # nodes keep a relation
+    assert _stored(join_drain) == ["R(x, y)", "S(y, z)"]
+    assert _stored(project_agg) == ["T(z)", "root", "y"]
+    assert _stored(build_fc_plan(hadamard_cq)) == ["U(x)", "V(y)", "root"]
     update_stream = build_guarded_plan(parse_query("H(x,y) :- R(x,y,z), S(x,y), U(x)."))
     assert _shape(update_stream) == (
         "x", True, [
@@ -168,6 +199,9 @@ def test_benchmark_query_plans_are_pinned(tmp_path):
             ]),
         ],
     )
+    assert _stored(update_stream) == ["R(x, y, z)", "S(x, y)", "U(x)", "x,y"]
+    below = set(update_stream.nodes) - update_stream.connex
+    assert update_stream.stored == below | update_stream.frontier
 
 
 def test_fc_plan_projection_query():
