@@ -2,9 +2,11 @@
 updates, with constant update time for q-hierarchical queries.
 
 The dynamic state is the static one built over a *guarded* plan, extended
-with one sum accumulator per (projection edge, parent tuple) below a node
-that has a relation: the multiset of child annotations grouped under that
-tuple.  An update touches one leaf per matching atom and then walks the
+with one member count per (projection edge, parent tuple) below a node that
+has a relation: the number of child tuples grouped under that tuple.  The
+group's sum is the parent relation's value there, so an update adjusts it
+with the semiring's ``sub`` and ``add`` and the count says when the group
+empties.  An update touches one leaf per matching atom and then walks the
 (query-constant) path up to the first connex node, which is on the connex
 frontier; guarded plans make every step O(1) because the parent tuple
 affected by a child delta is unique (vars(parent) is a subset of
@@ -15,19 +17,20 @@ support changes, the change ripples up the connex region through the
 extension groups and, at a 2-child node, through one lookup in the sibling's
 candidates, again O(1) per step.
 
-``dyn_preprocess`` makes one bottom-up pass: the static preprocess over the
-guarded plan fills each single-child node's accumulators while it groups
-the child, and reads the node's relation off their totals.  It then
-compiles the update paths once per plan (``DynamicState.paths``):
-per leaf, its key getter and relation, then one tuple of steps up to the
-first connex node and one over the connex region, each step holding the
-dicts it reads and writes.  ``dyn_update`` applies the update to the
-database once, through ``kdata.apply_update``, and runs each leaf's path as
-one flat loop without consulting the plan.
+``dyn_preprocess`` runs the static preprocess over the guarded plan, the
+one bottom-up path of both engines, and counts the members of each group
+of a stored projection's child.  It then compiles the update paths once
+per plan (``DynamicState.paths``): per leaf, its key getter and relation,
+then one tuple of steps up to the first connex node and one over the
+connex region, each step holding the dicts it reads and writes.
+``dyn_update`` applies the update to the database once, through
+``kdata.apply_update``, and runs each leaf's path as one flat loop without
+consulting the plan.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -35,15 +38,15 @@ from .errors import CapabilityError, ClassificationError
 from .kdata import Database, DataTuple, SingleTupleUpdate, apply_update
 from .planner import QueryPlan, TupleGetter, build_guarded_plan
 from .query import ConjunctiveQuery
-from .semiring import SumAccumulator, Value, acc_new
+from .semiring import Value
 from .static_engine import EnumerationState, enumerate_state, preprocess_with_plan
 
 
 # One step of a compiled update path, from a node to its parent: the
 # parent's relation (upward) or candidates (connex), the key getter from the
 # node's tuple to the parent's (None at a 2-child node, whose children carry
-# the parent's tuple), and the parent's accumulator table (upward), the
-# node's extension group (connex) or the sibling's relation or candidates.
+# the parent's tuple), and the parent's member counts (upward), the node's
+# extension group (connex) or the sibling's relation or candidates.
 PathStep = Tuple[Dict[DataTuple, Value], Optional[TupleGetter], Dict]
 LeafPath = Tuple[Callable, Dict[DataTuple, Value], Tuple[PathStep, ...], Tuple[PathStep, ...]]
 
@@ -54,9 +57,9 @@ class DynamicState:
 
     enum: EnumerationState
     # per single-child node with a relation (outside the connex region or on
-    # its frontier): parent tuple -> accumulator over the multiset of child
-    # annotations projecting onto it
-    accs: Dict[int, Dict[DataTuple, SumAccumulator]] = field(default_factory=dict)
+    # its frontier): parent tuple -> the number of child tuples projecting
+    # onto it; their sum is the parent relation's value
+    accs: Dict[int, Dict[DataTuple, int]] = field(default_factory=dict)
     # per relation symbol: the update path of each plan leaf of that symbol,
     # compiled once; every dict a path holds is one of the state's own
     paths: Dict[str, List[LeafPath]] = field(default_factory=dict)
@@ -87,13 +90,16 @@ def dyn_preprocess(q: ConjunctiveQuery, db: Database) -> DynamicState:
         raise ClassificationError(
             f"query is not q-hierarchical (static evaluation is still available): {q.to_text()}"
         )
-    # the accumulators are built in the bottom-up pass itself
-    accs: Dict[int, Dict[DataTuple, SumAccumulator]] = {}
-    enum = preprocess_with_plan(q, db, plan, accs)
-    state = DynamicState(enum, accs)
+    enum = preprocess_with_plan(q, db, plan)
+    state = DynamicState(enum)
     plan = enum.plan
     if plan is None:
         return state
+    for p in plan.postorder():
+        children = plan.nodes[p].children
+        if p in plan.stored and len(children) == 1:
+            c = children[0]
+            state.accs[p] = dict(Counter(map(plan.key[c], enum.relations[c])))
     for leaf in plan.postorder():
         if not plan.nodes[leaf].is_leaf:
             continue
@@ -136,7 +142,7 @@ def dyn_update(state: DynamicState, u: SingleTupleUpdate) -> None:
     if old_db == new_db:
         return
     s = enum.semiring
-    mul, is_zero = s.mul, s.is_zero
+    add, sub, mul, is_zero, zero = s.add, s.sub, s.mul, s.is_zero, s.zero
     for leaf_key, leaf_rel, ups, connex in state.paths.get(u.relation, ()):
         key = leaf_key(u.tuple)
         if key is None:
@@ -148,27 +154,28 @@ def dyn_update(state: DynamicState, u: SingleTupleUpdate) -> None:
         else:
             leaf_rel[key] = new
         for prel, get, other in ups:
+            pkey = key if get is None else get(key)
+            pold = prel.get(pkey)
             if get is None:
-                pkey = key
                 sib = other.get(key)
                 pnew = None if new is None or sib is None else mul(new, sib)
             else:
-                pkey = get(key)
-                acc = other.get(pkey)
-                if acc is None:
-                    acc = other[pkey] = acc_new(s)
+                # the group's sum is the parent's value (zero when absent);
+                # it restarts from zero when the group empties
+                n = other.get(pkey, 0)
+                pnew = pold or zero
                 if old is not None:
-                    acc.delete(old)
+                    n -= 1
+                    pnew = sub(pnew, old) if n else zero
                 if new is not None:
-                    acc.insert(new)
-                if len(acc) == 0:
-                    del other[pkey]
-                    pnew = None
+                    n += 1
+                    pnew = add(pnew, new)
+                if n:
+                    other[pkey] = n
                 else:
-                    pnew = acc.total()
+                    del other[pkey]
             if pnew is not None and is_zero(pnew):
                 pnew = None
-            pold = prel.get(pkey)
             if pold == pnew:
                 break  # nothing changes further up
             if pnew is None:
@@ -221,7 +228,9 @@ def dyn_enumerate(state: DynamicState, limit: Optional[int] = None) -> Iterator[
 # ---------------------------------------------------------------------------
 
 def verify_dynamic_invariants(state: DynamicState) -> List[str]:
-    """Cross-check accumulators, candidates, and node relations (small dbs)."""
+    """Cross-check member counts, candidates, and node relations (small
+    dbs); ``verify_node_invariants`` checks the sums, which are the node
+    relations."""
     from .static_engine import verify_node_invariants
 
     enum = state.enum
@@ -229,28 +238,10 @@ def verify_dynamic_invariants(state: DynamicState) -> List[str]:
     if enum.plan is None:
         return problems
     plan = enum.plan
-    s = enum.semiring
-    for nid, table in state.accs.items():
+    for nid, counts in state.accs.items():
         c = plan.nodes[nid].children[0]
-        want: Dict[DataTuple, List[Value]] = {}
-        for t, k in enum.relations[c].items():
-            want.setdefault(plan.key[c](t), []).append(k)
-        if set(want) != set(table):
-            problems.append(f"node {nid}: accumulator keys mismatch")
-            continue
-        for key, values in want.items():
-            acc = table[key]
-            if len(acc) != len(values):
-                problems.append(f"node {nid}: accumulator size mismatch at {key}")
-            total = s.zero
-            for v in values:
-                total = s.add(total, v)
-            got = acc.total()
-            if isinstance(total, float):
-                if abs(got - total) > 1e-6 * max(1.0, abs(total)):
-                    problems.append(f"node {nid}: accumulator total mismatch at {key}")
-            elif got != total:
-                problems.append(f"node {nid}: accumulator total mismatch at {key}")
+        if counts != dict(Counter(map(plan.key[c], enum.relations[c]))):
+            problems.append(f"node {nid}: member counts mismatch")
     # candidate sets against a fresh recomputation
     fresh = preprocess_with_plan(enum.query, enum.db, plan)
     for nid in plan.connex:

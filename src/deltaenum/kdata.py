@@ -101,7 +101,8 @@ def apply_update(db: Database, u: SingleTupleUpdate) -> Tuple[Optional[Value], O
     annotation before and after it, as ``(old, new)``; None means absent.
 
     Insert: new annotation = old (+) k, removing the tuple if the sum is zero;
-    a k the semiring does not admit is a ``SchemaError``.
+    a k or a sum the semiring does not admit (a real sum that overflows) is
+    a ``SchemaError``.
     Delete: the tuple's annotation becomes zero, i.e. it is removed.
     A rejected update leaves the database untouched.
     """
@@ -121,6 +122,8 @@ def apply_update(db: Database, u: SingleTupleUpdate) -> Tuple[Optional[Value], O
         if not s.admits(u.value):
             raise SchemaError(f"{u.value!r} is not a {s.name} annotation")
         new = s.add(s.zero if old is None else old, u.value)
+        if not s.admits(new):
+            raise SchemaError(f"{old!r} + {u.value!r} = {new!r} is not a {s.name} annotation")
         if s.is_zero(new):
             new = None
     if new is not None:

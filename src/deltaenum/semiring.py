@@ -10,9 +10,10 @@ operations with three capability flags:
   must coincide with a zero annotation.
 * ``zero_sum_free``     -- a+b = 0 implies a = b = 0.  When it fails (the
   reals), additions can cancel and stored support can shrink under inserts.
-* ``sum_maintainable``  -- a multiset of values supports O(1) insert, delete
-  and total: the descriptor has an ``acc_factory``.  Required by the dynamic
-  engine.
+* ``sum_maintainable``  -- the descriptor has a ``sub`` that takes a member
+  back out of a sum of nonzero members, as long as one member remains, so a
+  sum and a member count support O(1) insert, delete and total.  Required by
+  the dynamic engine.
 """
 
 from __future__ import annotations
@@ -27,77 +28,43 @@ Value = Any
 
 
 class SumAccumulator:
-    """Multiset of semiring values with O(1) insert/delete/total.
+    """Multiset of semiring values with O(1) insert/delete/total, over the
+    descriptor's ``add`` and ``sub``.
 
     ``total()`` always equals the semiring sum of the represented multiset.
-    Deleting a value that is not a member is a contract violation; the engine
-    always knows the old annotation before deleting.
+    Zero members are counted but not added, and the total restarts from zero
+    when no nonzero member remains.  Deleting a value that is not a member is
+    a contract violation; the engine always knows the old annotation before
+    deleting.
     """
 
-    size: int
+    __slots__ = ("_s", "_total", "_nonzero", "size")
 
-    def insert(self, k: Value) -> None:
-        raise NotImplementedError
-
-    def delete(self, k: Value) -> None:
-        raise NotImplementedError
-
-    def total(self) -> Value:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        return self.size
-
-
-class _InverseAccumulator(SumAccumulator):
-    """Running total for semirings whose addition the ``-`` operator undoes."""
-
-    __slots__ = ("_total", "_zero", "size")
-
-    def __init__(self, zero: Value):
-        self._total = zero
-        self._zero = zero
+    def __init__(self, s: SemiringDescriptor):
+        self._s = s
+        self._total = s.zero
+        self._nonzero = 0
         self.size = 0
 
     def insert(self, k: Value) -> None:
-        self._total = self._total + k
         self.size += 1
+        if not self._s.is_zero(k):
+            self._nonzero += 1
+            self._total = self._s.add(self._total, k)
 
     def delete(self, k: Value) -> None:
         if self.size == 0:
             raise ContractViolationError("delete from an empty accumulator")
-        self._total = self._total - k
         self.size -= 1
-        if self.size == 0:
-            self._total = self._zero
+        if not self._s.is_zero(k):
+            self._nonzero -= 1
+            self._total = self._s.sub(self._total, k) if self._nonzero else self._s.zero
 
     def total(self) -> Value:
         return self._total
 
-
-class _BooleanAccumulator(SumAccumulator):
-    """Counts true members; the disjunction is true iff the count is positive."""
-
-    __slots__ = ("_true_count", "size")
-
-    def __init__(self) -> None:
-        self._true_count = 0
-        self.size = 0
-
-    def insert(self, k: Value) -> None:
-        if k:
-            self._true_count += 1
-        self.size += 1
-
-    def delete(self, k: Value) -> None:
-        if self.size == 0:
-            raise ContractViolationError("delete from an empty accumulator")
-        if k:
-            self._true_count -= 1
-        self.size -= 1
-
-    def total(self) -> Value:
-        return self._true_count > 0
+    def __len__(self) -> int:
+        return self.size
 
 
 @dataclass(frozen=True)
@@ -115,14 +82,16 @@ class SemiringDescriptor:
     parse: Callable[[str], Value]
     format: Callable[[Value], str]
     sample: Callable[[Any], Value]  # rng -> value, used by tests and --verify corpora
-    acc_factory: Optional[Callable[[], SumAccumulator]] = field(default=None, repr=False)
+    # sub(a, b) for a sum a of nonzero members, one of them b, and at least
+    # one other: the sum of the others.  None when there is no such map.
+    sub: Optional[Callable[[Value, Value], Value]] = field(default=None, repr=False)
     # which values are annotations: ``parse`` applies it to the converted
     # text, ``kdata.apply_update`` to the value of an insert
     admits: Callable[[Value], bool] = field(default=lambda v: True, repr=False)
 
     @property
     def sum_maintainable(self) -> bool:
-        return self.acc_factory is not None
+        return self.sub is not None
 
     def __post_init__(self) -> None:
         if self.zero == self.one:
@@ -186,7 +155,8 @@ _BOOLEAN = SemiringDescriptor(
     parse=_parse_bool,
     format=lambda v: "t" if v else "f",
     sample=lambda rng: rng.random() < 0.5,
-    acc_factory=_BooleanAccumulator,
+    # every nonzero member is True, and one remains
+    sub=lambda a, b: a,
     admits=lambda v: type(v) is bool,
 )
 
@@ -204,7 +174,7 @@ _NATURAL = SemiringDescriptor(
     sample=lambda rng: rng.randrange(0, 6),
     # Subtraction never leaves the naturals here: a deleted value was
     # previously added to the same total.
-    acc_factory=lambda: _InverseAccumulator(0),
+    sub=lambda a, b: a - b,
     admits=_is_natural,
 )
 
@@ -222,7 +192,7 @@ _REAL = SemiringDescriptor(
     # Dyadic rationals keep float arithmetic exact in tests while still
     # exercising cancellation (k + (-k) == 0.0).
     sample=lambda rng: rng.randrange(-12, 13) / 4.0,
-    acc_factory=lambda: _InverseAccumulator(0.0),
+    sub=lambda a, b: a - b,
     admits=_is_real,
 )
 
@@ -239,7 +209,7 @@ _TROPICAL_MIN = SemiringDescriptor(
     format=lambda v: "inf" if v == math.inf else repr(v),
     # Integer-valued floats keep min/+ exact in the axiom suite.
     sample=lambda rng: math.inf if rng.random() < 0.1 else float(rng.randrange(0, 20)),
-    # no acc_factory: min has no inverse, so the dynamic engine rejects it
+    # no sub: min has no inverse, so the dynamic engine rejects it
     admits=_is_tropical,
 )
 
@@ -263,9 +233,9 @@ def builtin_semiring(name: str) -> SemiringDescriptor:
 
 def acc_new(s: SemiringDescriptor) -> SumAccumulator:
     """Fresh empty accumulator; ``total()`` is the semiring zero."""
-    if s.acc_factory is None:
+    if s.sub is None:
         raise CapabilityError(f"semiring {s.name!r} is not sum-maintainable")
-    return s.acc_factory()
+    return SumAccumulator(s)
 
 
 def sum_of_ones(s: SemiringDescriptor, n: int) -> Value:

@@ -6,8 +6,7 @@ below the connex region and on its frontier, whose relations are defined by:
 * a leaf holds the atom's relation filtered by repeated-variable matching
   and by the inequalities the atom covers;
 * a single-child node aggregates its child by semiring addition over the
-  projection (dropping zero sums); for the dynamic engine the same pass
-  keeps one sum accumulator per tuple and reads the sum off its total;
+  projection (dropping zero sums);
 * a 2-child node intersects the guard child with the smaller-variable child,
   multiplying annotations (dropping zero products).
 
@@ -52,7 +51,7 @@ from .errors import CapabilityError, ClassificationError, VocabularyError
 from .kdata import AnnotatedRelation, Database, DataTuple
 from .planner import QueryPlan, TupleGetter, build_fc_plan, tuple_getter
 from .query import ConjunctiveQuery, IneqAtom, QuerySplit, RelAtom, split
-from .semiring import SemiringDescriptor, SumAccumulator, Value, sum_of_ones
+from .semiring import SemiringDescriptor, Value, sum_of_ones
 
 
 # ---------------------------------------------------------------------------
@@ -169,33 +168,6 @@ def build_leaf_matcher(atom: RelAtom, covered: Sequence[IneqAtom], db: Database)
     )
 
 
-def _accumulate(
-    child_rel: Dict[DataTuple, Value],
-    key: TupleGetter,
-    s: SemiringDescriptor,
-    table: Dict[DataTuple, SumAccumulator],
-) -> Dict[DataTuple, Value]:
-    """Group ``child_rel`` by ``key`` through one sum accumulator per key,
-    kept in ``table``: each total adds the same values in the same order as
-    ``_scan``'s grouping, so it equals that sum."""
-    new_acc = s.acc_factory
-    for t, k in child_rel.items():
-        kt = key(t)
-        acc = table.get(kt)
-        if acc is None:
-            acc = table[kt] = new_acc()
-        acc.insert(k)
-    if s.zero_sum_free:
-        return {kt: acc.total() for kt, acc in table.items()}
-    is_zero = s.is_zero
-    out: Dict[DataTuple, Value] = {}
-    for kt, acc in table.items():
-        total = acc.total()
-        if not is_zero(total):
-            out[kt] = total
-    return out
-
-
 def preprocess(q: ConjunctiveQuery, db: Database) -> EnumerationState:
     """Build the enumeration data structure; linear in the database size."""
     plan = build_fc_plan(q)
@@ -205,18 +177,10 @@ def preprocess(q: ConjunctiveQuery, db: Database) -> EnumerationState:
 
 
 def preprocess_with_plan(
-    q: ConjunctiveQuery,
-    db: Database,
-    plan: Optional[QueryPlan],
-    accs: Optional[Dict[int, Dict[DataTuple, SumAccumulator]]] = None,
+    q: ConjunctiveQuery, db: Database, plan: Optional[QueryPlan]
 ) -> EnumerationState:
     """Preprocess over a caller-supplied plan (the dynamic engine passes a
-    guarded one); ``plan`` may be None only for an empty relational part.
-
-    With ``accs`` (the dynamic engine's table, over a sum-maintainable
-    semiring), each single-child node with a relation gets there one sum
-    accumulator per tuple, grouping the child's annotations, and its
-    relation is read off their totals in the same pass."""
+    guarded one); ``plan`` may be None only for an empty relational part."""
     s = db.semiring
     if not s.zero_divisor_free:
         raise CapabilityError(
@@ -234,7 +198,7 @@ def preprocess_with_plan(
             if node.is_leaf:
                 i = node.atom_index
                 state.matchers[nid] = build_leaf_matcher(plan.atoms[i], sp.covered[i], db)
-        _bottom_up(state, accs)
+        _bottom_up(state)
         _build_connex_structures(state)
         level_vars = [v for level in plan.levels for v in level.order]
     level_vars += [v for v, _ in state.ineq.free_ranges]
@@ -242,9 +206,7 @@ def preprocess_with_plan(
     return state
 
 
-def _bottom_up(
-    state: EnumerationState, accs: Optional[Dict[int, Dict[DataTuple, SumAccumulator]]]
-) -> None:
+def _bottom_up(state: EnumerationState) -> None:
     """Build the stored node relations (``plan.stored``) in postorder.
 
     Each comes out of one ``_scan`` of its source: the relation of the
@@ -260,11 +222,6 @@ def _bottom_up(
             continue
         children = plan.nodes[nid].children
         group = plan.key[children[0]] if len(children) == 1 else None
-        if group is not None and accs is not None:
-            # a guarded plan stores every child of a projection
-            table = accs[nid] = {}
-            relations[nid] = _accumulate(relations[children[0]], group, s, table)
-            continue
         m = nid if group is None else children[0]
         probes: List[Tuple[TupleGetter, Dict[DataTuple, Value]]] = []
         while len(plan.nodes[m].children) == 2 and (m == nid or m not in plan.stored):

@@ -75,6 +75,14 @@ def test_apply_update_errors():
         apply_update(db, SingleTupleUpdate("insert", "R", (1,), 1))
 
 
+def test_apply_update_rejects_a_sum_outside_the_semiring():
+    # both annotations are finite reals, their sum is not
+    db = make_db(entries={(1, 2): 1e308}, semiring=REAL)
+    with pytest.raises(SchemaError, match="inf is not a real annotation"):
+        apply_update(db, SingleTupleUpdate("insert", "R", (1, 2), 1e308))
+    assert db.relations["R"].entries == {(1, 2): 1e308}
+
+
 def test_no_zero_annotations_after_update_storm():
     rng = random.Random(99)
     db = make_db(semiring=REAL)
