@@ -116,8 +116,8 @@ def _load_db(args):
 
 
 def cmd_eval(args) -> int:
-    from .oracle import oracle_eval_cq, oracle_eval_fo_query
-    from .query import parse_fo_query, parse_query
+    from .oracle import oracle_eval_cq, oracle_eval_ucq
+    from .query import parse_query, parse_ucq
     from .static_engine import enumerate_state, preprocess
 
     db, semiring = _load_db(args)
@@ -130,9 +130,9 @@ def cmd_eval(args) -> int:
                 "--verify needs an independent evaluator, and FO+ queries with "
                 "disjunction have none: the oracle is their only evaluator"
             )
-        fo = parse_fo_query(text)
+        cqs = parse_ucq(text)
         print("warning: FO+ query with disjunction; using the oracle evaluator", file=sys.stderr)
-        answers = oracle_eval_fo_query(fo, db)
+        answers = oracle_eval_ucq(cqs, db)
         return _print_answers(args, semiring, itertools.islice(answers.items(), args.limit), None)
 
     timing: Dict[str, float] = {}

@@ -43,14 +43,14 @@ class QuerySyntaxError(EngineError):
 
 
 class NotConjunctiveError(QuerySyntaxError):
-    """The text parses as positive-FO but is not a conjunctive query.
+    """The text parses as a union of CQs but is not a conjunctive query.
 
     Callers catch this to route the query to the oracle-only path.
     """
 
 
 class UnsafeFormulaError(EngineError):
-    """A disjunction whose operands have different free-variable sets."""
+    """A union block that does not bind every head variable."""
 
 
 class ClassificationError(EngineError):

@@ -1,7 +1,6 @@
 """Seeded random corpora: queries, databases, matrix expressions, instances.
 
-Used by the verification flags of the CLI, the benchmark harness, and the
-acceptance suite.  The seed comes from DELTA_ENUM_SEED when set.
+Used by the test suites.  The seed comes from DELTA_ENUM_SEED when set.
 """
 
 from __future__ import annotations

@@ -90,12 +90,6 @@ class SingleTupleUpdate:
             raise SchemaError("insert updates carry a value")
 
 
-def db_size(db: Database) -> int:
-    """Size measure: sum over relations of (arity+1) * #tuples, plus one per constant."""
-    total = sum((rel.arity + 1) * len(rel.entries) for rel in db.relations.values())
-    return total + len(db.constants)
-
-
 def apply_update(db: Database, u: SingleTupleUpdate) -> Tuple[Optional[Value], Optional[Value]]:
     """Apply a single-tuple update in place and return the tuple's stored
     annotation before and after it, as ``(old, new)``; None means absent.

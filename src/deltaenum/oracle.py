@@ -1,149 +1,93 @@
-"""Brute-force reference evaluators: FO+ semiring semantics and dense matrices.
+"""Brute-force reference evaluators: unions of CQs and dense matrices.
 
-These are the ground truth the engines are tested against.  They favour
-obviousness over speed: formulas are evaluated by structural recursion with
-explicit sums over the bounded domain, matrices by entrywise recursion with
-canonical-vector substitution.  Intended for small instances only.
+These are the ground truth the engines are tested against, and they share no
+code with the planner or the engines.  They favour obviousness over speed: a
+CQ joins its atoms left to right with a hash join and sums out its bound
+variables, a union adds up the answers of its CQs, and a matrix expression is
+evaluated entrywise with canonical-vector substitution.  Intended for small
+instances only.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .errors import VocabularyError
 from .kdata import AnnotatedRelation, Database, DataTuple
-from .query import (
-    ConjunctiveQuery,
-    FoAnd,
-    FoCmp,
-    FoExists,
-    FoFormula,
-    FoOr,
-    FoQuery,
-    FoRel,
-    cq_to_fo,
-    fo_free_vars,
-)
+from .query import Atom, ConjunctiveQuery, IneqAtom
 
-Valuations = Dict[Tuple[int, ...], object]  # keyed by values of sorted free vars
+Rows = Dict[Tuple[int, ...], object]  # values of some variables -> annotation
 
 
-def active_domain_bound(db: Database) -> int:
-    """Largest data value occurring in relations or constant bindings."""
-    bound = 1
-    for rel in db.relations.values():
-        for t in rel.entries:
-            if t:
-                bound = max(bound, max(t))
-    if db.constants:
-        bound = max(bound, max(db.constants.values()))
-    return bound
+def _atom_rows(atom: Atom, db: Database) -> Tuple[Tuple[str, ...], Rows]:
+    """The variables of one atom, first occurrences in order, and the
+    annotation of each of their valuations that satisfies it."""
+    if isinstance(atom, IneqAtom):
+        one = db.semiring.one
+        return (atom.var,), {(v,): one for v in range(1, db.constant(atom.bound) + 1)}
+    rel = db.relation(atom.symbol)
+    if len(atom.args) != rel.arity:
+        raise VocabularyError(
+            f"atom {atom.symbol} has arity {len(atom.args)}, relation expects {rel.arity}"
+        )
+    order = tuple(dict.fromkeys(atom.args))
+    rows: Rows = {}
+    for t, k in rel.entries.items():
+        binding: Dict[str, int] = {}
+        for arg, value in zip(atom.args, t):
+            if binding.setdefault(arg, value) != value:
+                break  # repeated variable, unequal components
+        else:
+            rows[tuple(binding[v] for v in order)] = k
+    return order, rows
 
 
-def oracle_eval_fo(
-    phi: FoFormula, db: Database, domain_bound: Optional[int] = None
-) -> Tuple[Tuple[str, ...], Valuations]:
-    """Evaluate a positive-FO formula; returns (sorted free vars, nonzero map)."""
-    if domain_bound is None:
-        domain_bound = active_domain_bound(db)
+def oracle_eval_cq(q: ConjunctiveQuery, db: Database) -> AnnotatedRelation:
+    """AnsEnum of a CQ as an annotated relation over its head tuples."""
     s = db.semiring
-
-    def rec(f: FoFormula) -> Tuple[Tuple[str, ...], Valuations]:
-        if isinstance(f, FoRel):
-            rel = db.relation(f.symbol)
-            if len(f.args) != rel.arity:
-                raise VocabularyError(
-                    f"atom {f.symbol} has arity {len(f.args)}, relation expects {rel.arity}"
-                )
-            order = tuple(sorted(set(f.args)))
-            out: Valuations = {}
-            for t, k in rel.entries.items():
-                binding: Dict[str, int] = {}
-                for arg, value in zip(f.args, t):
-                    if binding.setdefault(arg, value) != value:
-                        binding = None  # repeated variable, unequal components
-                        break
-                if binding is None:
-                    continue
-                out[tuple(binding[v] for v in order)] = k  # bindings are unique per t
-            return order, out
-        if isinstance(f, FoCmp):
-            c = db.constant(f.bound)
-            hi = min(c, domain_bound)
-            return (f.var,), {(v,): s.one for v in range(1, hi + 1)}
-        if isinstance(f, FoAnd):
-            lorder, lvals = rec(f.left)
-            rorder, rvals = rec(f.right)
-            order = tuple(sorted(set(lorder) | set(rorder)))
-            shared = [v for v in lorder if v in rorder]
-            lpos = {v: i for i, v in enumerate(lorder)}
-            rpos = {v: i for i, v in enumerate(rorder)}
-            index: Dict[Tuple[int, ...], list] = {}
-            for rk, rv in rvals.items():
-                index.setdefault(tuple(rk[rpos[v]] for v in shared), []).append((rk, rv))
-            out = {}
-            for lk, lv in lvals.items():
-                for rk, rv in index.get(tuple(lk[lpos[v]] for v in shared), []):
-                    merged = dict(zip(lorder, lk))
-                    merged.update(zip(rorder, rk))
-                    key = tuple(merged[v] for v in order)
-                    val = s.mul(lv, rv)
-                    if not s.is_zero(val):
-                        out[key] = val  # unique (lk, rk) per key
-            return order, out
-        if isinstance(f, FoOr):
-            lorder, lvals = rec(f.left)
-            rorder, rvals = rec(f.right)
-            assert set(lorder) == set(rorder), "unsafe disjunction"
-            rpos = {v: i for i, v in enumerate(rorder)}
-            out = dict(lvals)
-            for rk, rv in rvals.items():
-                key = tuple(rk[rpos[v]] for v in lorder)
-                out[key] = s.add(out[key], rv) if key in out else rv
-            return lorder, {k: v for k, v in out.items() if not s.is_zero(v)}
-        if isinstance(f, FoExists):
-            sorder, svals = rec(f.sub)
-            drop = set(f.vars)
-            order = tuple(v for v in sorder if v not in drop)
-            keep = [i for i, v in enumerate(sorder) if v not in drop]
-            out = {}
-            for k, v in svals.items():
-                key = tuple(k[i] for i in keep)
-                out[key] = s.add(out[key], v) if key in out else v
-            return order, {k: v for k, v in out.items() if not s.is_zero(v)}
-        raise TypeError(f"unknown formula node {f!r}")
-
-    order, vals = rec(phi)
-    free = tuple(sorted(fo_free_vars(phi)))
-    assert order == free or not vals, (order, free)
-    return free, vals
+    order, rows = _atom_rows(q.atoms[0], db)
+    for atom in q.atoms[1:]:
+        aorder, arows = _atom_rows(atom, db)
+        lpos = [i for i, v in enumerate(order) if v in aorder]
+        rpos = [aorder.index(order[i]) for i in lpos]
+        new = [i for i, v in enumerate(aorder) if v not in order]
+        index: Dict[Tuple[int, ...], list] = {}
+        for rk, rv in arows.items():
+            index.setdefault(tuple(rk[i] for i in rpos), []).append((rk, rv))
+        joined: Rows = {}
+        for lk, lv in rows.items():
+            for rk, rv in index.get(tuple(lk[i] for i in lpos), ()):
+                val = s.mul(lv, rv)
+                if not s.is_zero(val):
+                    joined[lk + tuple(rk[i] for i in new)] = val
+        order += tuple(aorder[i] for i in new)
+        rows = joined
+    head = [order.index(v) for v in q.head_vars]
+    answers = [(tuple(key[i] for i in head), val) for key, val in rows.items()]
+    return AnnotatedRelation(len(q.head_vars), _sum(answers, s))
 
 
-def oracle_eval_fo_query(
-    q: FoQuery, db: Database, domain_bound: Optional[int] = None
-) -> Dict[DataTuple, object]:
-    """Evaluate a positive-FO query into head tuples (repeats honoured)."""
-    order, vals = oracle_eval_fo(q.body, db, domain_bound)
-    pos = {v: i for i, v in enumerate(order)}
+def oracle_eval_ucq(cqs: Sequence[ConjunctiveQuery], db: Database) -> Dict[DataTuple, object]:
+    """The answers of a union of CQs with one head: the sum of their answers."""
     out: Dict[DataTuple, object] = {}
-    for key, val in vals.items():
-        out[tuple(key[pos[v]] for v in q.head_vars)] = val
+    for q in cqs:
+        out = _sum([*out.items(), *oracle_eval_cq(q, db).entries.items()], db.semiring)
     return out
 
 
-def oracle_eval_cq(
-    q: ConjunctiveQuery, db: Database, domain_bound: Optional[int] = None
-) -> AnnotatedRelation:
-    """AnsEnum of a CQ as an annotated relation over its head tuples."""
-    entries = oracle_eval_fo_query(cq_to_fo(q), db, domain_bound)
-    return AnnotatedRelation(len(q.head_vars), entries)
+def _sum(answers, s) -> Dict[DataTuple, object]:
+    """The annotations of equal tuples added up in order; zero sums dropped."""
+    out: Dict[DataTuple, object] = {}
+    for t, v in answers:
+        out[t] = s.add(out[t], v) if t in out else v
+    return {t: v for t, v in out.items() if not s.is_zero(v)}
 
 
 # ---------------------------------------------------------------------------
 # Dense matrix evaluation
 # ---------------------------------------------------------------------------
 
-def oracle_eval_matlang(expr, instance, valuation=None):
+def oracle_eval_matlang(expr, instance):
     """Entrywise evaluation of a matrix expression into a dense row-major list.
 
     ``instance`` is a matlang.MatrixInstance; sum-iteration substitutes the
@@ -153,8 +97,6 @@ def oracle_eval_matlang(expr, instance, valuation=None):
     from . import matlang  # local import; the oracle stays dependency-light
 
     s = instance.semiring
-    if valuation is None:
-        valuation = {}
 
     def dims(e) -> Tuple[int, int]:
         rows, cols = e.typ
@@ -213,4 +155,4 @@ def oracle_eval_matlang(expr, instance, valuation=None):
             return acc
         raise TypeError(f"unknown expression node {e!r}")
 
-    return rec(expr, valuation)
+    return rec(expr, {})

@@ -1,4 +1,4 @@
-"""Conjunctive-query and positive-FO syntax: AST, parser, split, classifiers.
+"""Conjunctive queries and their unions: AST, parser, split, classifiers.
 
 The concrete grammar is Datalog-style, one query per file::
 
@@ -6,9 +6,10 @@ The concrete grammar is Datalog-style, one query per file::
     I(x,x) :- x <= alpha.
 
 Variables bound in the body but absent from the head are implicitly
-existentially quantified.  ``;`` between body blocks denotes disjunction and
-is accepted only by :func:`parse_fo_query` (the oracle path);
-:func:`parse_query` rejects it with :class:`NotConjunctiveError`.
+existentially quantified.  ``;`` between body blocks makes the query a union
+of CQs, the positive-FO queries this package accepts; only
+:func:`parse_ucq` (the oracle path) parses it, and :func:`parse_query`
+rejects it with :class:`NotConjunctiveError`.
 """
 
 from __future__ import annotations
@@ -91,89 +92,6 @@ class ConjunctiveQuery:
 
     def __str__(self) -> str:
         return self.to_text()
-
-
-# ---------------------------------------------------------------------------
-# Positive FO formulas (oracle-side ASTs)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FoRel:
-    symbol: str
-    args: Tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class FoCmp:
-    var: str
-    bound: str
-
-
-@dataclass(frozen=True)
-class FoAnd:
-    left: "FoFormula"
-    right: "FoFormula"
-
-
-@dataclass(frozen=True)
-class FoOr:
-    left: "FoFormula"
-    right: "FoFormula"
-
-
-@dataclass(frozen=True)
-class FoExists:
-    vars: Tuple[str, ...]
-    sub: "FoFormula"
-
-
-FoFormula = Union[FoRel, FoCmp, FoAnd, FoOr, FoExists]
-
-
-def fo_free_vars(phi: FoFormula) -> FrozenSet[str]:
-    if isinstance(phi, FoRel):
-        return frozenset(phi.args)
-    if isinstance(phi, FoCmp):
-        return frozenset((phi.var,))
-    if isinstance(phi, (FoAnd, FoOr)):
-        return fo_free_vars(phi.left) | fo_free_vars(phi.right)
-    return fo_free_vars(phi.sub) - frozenset(phi.vars)
-
-
-def check_safety(phi: FoFormula) -> None:
-    """Safe formulas: both operands of a disjunction share their free variables."""
-    if isinstance(phi, (FoAnd, FoOr)):
-        check_safety(phi.left)
-        check_safety(phi.right)
-        if isinstance(phi, FoOr) and fo_free_vars(phi.left) != fo_free_vars(phi.right):
-            raise UnsafeFormulaError(
-                "disjunction operands have different free variables: "
-                f"{sorted(fo_free_vars(phi.left))} vs {sorted(fo_free_vars(phi.right))}"
-            )
-    elif isinstance(phi, FoExists):
-        check_safety(phi.sub)
-
-
-@dataclass(frozen=True)
-class FoQuery:
-    head_symbol: str
-    head_vars: Tuple[str, ...]
-    body: FoFormula
-
-
-def cq_to_fo(q: ConjunctiveQuery) -> FoQuery:
-    """View a CQ as a positive-FO query (prenex conjunction)."""
-    body: FoFormula
-    conj: Optional[FoFormula] = None
-    for a in q.atoms:
-        lit: FoFormula = (
-            FoRel(a.symbol, a.args) if isinstance(a, RelAtom) else FoCmp(a.var, a.bound)
-        )
-        conj = lit if conj is None else FoAnd(conj, lit)
-    if conj is None:
-        raise QuerySyntaxError("a query body needs at least one atom")
-    body = FoExists(q.bound_vars, conj) if q.bound_vars else conj
-    return FoQuery(q.head_symbol, q.head_vars, body)
 
 
 # ---------------------------------------------------------------------------
@@ -317,27 +235,18 @@ def parse_query(text: str) -> ConjunctiveQuery:
     return _validate_cq(head_symbol, head_vars, blocks[0])
 
 
-def parse_fo_query(text: str) -> FoQuery:
-    """Parse a positive-FO query: one or more conjunctive blocks joined by ';'."""
+def parse_ucq(text: str) -> Tuple[ConjunctiveQuery, ...]:
+    """Parse a union of CQs: conjunctive blocks joined by ';' under one head,
+    each of which binds every head variable."""
     head_symbol, head_vars, blocks = _Parser(text, _TOKEN_RE).parse_rule()
-    head = set(head_vars)
     _validate_cq(head_symbol, (), [a for block in blocks for a in block])
-    disjuncts: List[FoFormula] = []
     for atoms in blocks:
-        block_vars = set()
-        for a in atoms:
-            block_vars |= a.vars
-        missing = head - block_vars
+        missing = set(head_vars).difference(*(a.vars for a in atoms))
         if missing:
             raise UnsafeFormulaError(
                 f"head variables {sorted(missing)} missing from a disjunct (unsafe)"
             )
-        disjuncts.append(cq_to_fo(ConjunctiveQuery(head_symbol, head_vars, tuple(atoms))).body)
-    body = disjuncts[0]
-    for d in disjuncts[1:]:
-        body = FoOr(body, d)
-    check_safety(body)
-    return FoQuery(head_symbol, head_vars, body)
+    return tuple(ConjunctiveQuery(head_symbol, head_vars, tuple(atoms)) for atoms in blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,6 @@ def build_ineq_state(sp: QuerySplit, db: Database, s: SemiringDescriptor) -> Ine
 @dataclass
 class EnumerationState:
     query: ConjunctiveQuery
-    split: QuerySplit
     plan: Optional[QueryPlan]  # None when the relational part is empty
     semiring: SemiringDescriptor
     db: Database
@@ -187,7 +186,7 @@ def preprocess_with_plan(
             f"static enumeration needs a zero-divisor-free semiring, not {s.name!r}"
         )
     sp = split(q)
-    state = EnumerationState(q, sp, None, s, db)
+    state = EnumerationState(q, None, s, db)
     state.ineq = build_ineq_state(sp, db, s)
     level_vars: List[str] = []
 

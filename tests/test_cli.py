@@ -154,6 +154,54 @@ def test_eval_fo_disjunction_routes_to_oracle(tmp_path, dbdir, capsys):
     assert sorted(captured.out.strip().splitlines()) == ["2,7"]
 
 
+def test_eval_unsafe_union_exits_one(tmp_path, dbdir, capsys):
+    q = write(tmp_path / "q.cq", "H(x) :- R(x) ; S(y).")
+    assert main(["eval", "--query", q, "--db", str(dbdir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "unsafe" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_eval_out_jsonl(tmp_path, dbdir, capsys):
+    q = write(tmp_path / "q.cq", "H(x) :- R(x,y), S(y).")
+    assert main(["eval", "--query", q, "--db", str(dbdir), "--out", "jsonl"]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert sorted(lines, key=lambda d: d["tuple"]) == [
+        {"tuple": [1], "annotation": "6"},
+        {"tuple": [3], "annotation": "3"},
+    ]
+
+
+def test_eval_json_reports_count_and_preprocess_time(tmp_path, dbdir, capsys):
+    q = write(tmp_path / "q.cq", "H(x) :- R(x,y), S(y).")
+    assert main(["eval", "--query", q, "--db", str(dbdir), "--json"]) == 0
+    captured = capsys.readouterr()
+    report = json.loads(captured.err)
+    assert report["count"] == len(captured.out.splitlines()) == 2
+    assert report["timing"]["preprocess_s"] >= 0
+
+
+def test_dyn_enumerate_after_each(tmp_path, dbdir, capsys):
+    q = write(tmp_path / "q.cq", "H(x) :- R(x,y).")
+    ups = write(tmp_path / "u.ups", "+ R 1 5 3\n- R 3 2\n")
+    argv = ["dyn", "--query", q, "--db", str(dbdir), "--updates", ups, "--enumerate-after-each"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "# after update 1: 2 answers"
+    assert sorted(out[1:3]) == ["1,5", "3,1"]
+    assert out[3:] == ["# after update 2: 1 answers", "1,5"]
+
+
+def test_classify_plain_text_names_the_witness(tmp_path, capsys):
+    q = write(tmp_path / "q.cq", "H(x) :- R(x), x <= 1.")
+    assert main(["classify", q]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "query: H(x) :- R(x), x <= 1."
+    assert "constant_disjoint: False" in lines
+    assert lines[-1] == "constant_disjoint_witness: (IneqAtom(var='x', bound='1'), None)"
+
+
 def test_plan_outputs_graphviz(tmp_path, capsys):
     q = write(tmp_path / "q.cq", "H(x) :- R(x,y), S(y).")
     assert main(["plan", q]) == 0
@@ -317,6 +365,15 @@ def test_matlang_eval_missing_data_directory_exits_one(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and missing in captured.err
+
+
+def test_matlang_eval_without_data_exits_one(tmp_path, capsys):
+    files = _matlang_files(tmp_path, {"A": {"type": ["a", "b"]}}, "H := A .* A\n")
+    del files[files.index("--data"):]
+    assert main(["matlang", "eval", *files]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "--data" in captured.err
 
 
 @pytest.mark.parametrize("missing", ["query", "db", "updates", "schema", "expr"])

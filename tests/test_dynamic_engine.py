@@ -165,6 +165,23 @@ def test_dyn_cursor_invalidation():
             list(cursor)
 
 
+@pytest.mark.parametrize(
+    "update",
+    [
+        SingleTupleUpdate("insert", "A", (2,), 1),  # into a stored tuple
+        SingleTupleUpdate("delete", "A", (9,)),  # of an absent tuple
+    ],
+)
+def test_dyn_scan_cursor_invalidation_without_a_size_change(update):
+    db = make_db(NAT, {"A": (1, {(1,): 1, (2,): 1, (3,): 1})})
+    state = dyn_preprocess(parse_query("H(x) :- A(x)."), db)
+    cursor = dyn_enumerate(state)
+    next(cursor)
+    dyn_update(state, update)
+    with pytest.raises(RuntimeError):
+        list(cursor)
+
+
 # the 3-level q-hierarchical query: its guarded plan walks two levels, x and
 # then the (x, y) group under it
 QH = "H(x,y) :- R(x,y,z), S(x,y), U(x)."

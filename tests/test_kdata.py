@@ -8,7 +8,6 @@ from deltaenum.kdata import (
     Database,
     SingleTupleUpdate,
     apply_update,
-    db_size,
     load_database,
     parse_update_script,
 )
@@ -22,22 +21,6 @@ def make_db(relname="R", arity=2, entries=None, constants=None, semiring=NAT):
     db = Database(semiring, constants=dict(constants or {}))
     db.relations[relname] = AnnotatedRelation(arity, dict(entries or {}))
     return db
-
-
-def test_db_size_binary_relation():
-    db = make_db(entries={(1, 2): 1, (2, 3): 1, (3, 4): 1}, constants={"c": 2})
-    # one binary relation with 3 tuples and constants {1, c}
-    assert db_size(db) == 3 * 3 + 2
-
-
-def test_db_size_empty():
-    db = Database(NAT)
-    assert db_size(db) == 1  # just the constant "1"
-
-
-def test_db_size_unary():
-    db = make_db(arity=1, entries={(i,): 1 for i in range(1, 5)})
-    assert db_size(db) == 2 * 4 + 1
 
 
 def test_apply_update_insert_adds():

@@ -1,6 +1,6 @@
 from deltaenum.kdata import AnnotatedRelation, Database
-from deltaenum.oracle import oracle_eval_cq, oracle_eval_fo
-from deltaenum.query import FoExists, FoRel, parse_query
+from deltaenum.oracle import oracle_eval_cq, oracle_eval_ucq
+from deltaenum.query import parse_query, parse_ucq
 from deltaenum.semiring import builtin_semiring
 
 NAT = builtin_semiring("natural")
@@ -16,24 +16,20 @@ def natdb(relations, constants=None):
 
 def test_relational_atom_is_the_relation():
     db = natdb({"R": (2, {(1, 2): 2, (3, 1): 5})})
-    order, vals = oracle_eval_fo(FoRel("R", ("x", "y")), db)
-    assert order == ("x", "y")
-    assert vals == {(1, 2): 2, (3, 1): 5}
+    out = oracle_eval_ucq(parse_ucq("H(x,y) :- R(x,y)."), db)
+    assert out == {(1, 2): 2, (3, 1): 5}
 
 
 def test_exists_sums_extensions():
     db = natdb({"R": (2, {(1, 2): 2, (1, 3): 1})})
-    order, vals = oracle_eval_fo(FoExists(("y",), FoRel("R", ("x", "y"))), db)
-    assert order == ("x",)
-    assert vals == {(1,): 3}
+    out = oracle_eval_cq(parse_query("H(x) :- R(x,y)."), db)
+    assert out.entries == {(1,): 3}
 
 
 def test_comparison_semantics():
     db = natdb({}, constants={"c": 2})
-    from deltaenum.query import FoCmp
-
-    order, vals = oracle_eval_fo(FoCmp("x", "c"), db, domain_bound=5)
-    assert vals == {(1,): 1, (2,): 1}
+    out = oracle_eval_cq(parse_query("H(x) :- x <= c."), db)
+    assert out.entries == {(1,): 1, (2,): 1}
 
 
 def test_identity_query():
@@ -66,3 +62,12 @@ def test_cancellation_in_projection():
     db.relations["R"] = AnnotatedRelation(2, {(1, 1): 2.0, (1, 2): -2.0})
     out = oracle_eval_cq(parse_query("H(x) :- R(x,y)."), db)
     assert out.entries == {}
+
+
+def test_union_sums_the_answers_of_its_cqs():
+    REAL = builtin_semiring("real")
+    db = Database(REAL)
+    db.relations["R"] = AnnotatedRelation(1, {(1,): 2.0, (3,): 0.5})
+    db.relations["S"] = AnnotatedRelation(2, {(1, 1): -2.0, (2, 2): 1.0, (3, 1): 0.25})
+    out = oracle_eval_ucq(parse_ucq("H(x) :- R(x) ; S(x,x)."), db)
+    assert out == {(3,): 0.5, (2,): 1.0}  # 2.0 + -2.0 cancels

@@ -2,16 +2,15 @@ import random
 
 import pytest
 
-from deltaenum.errors import NotConjunctiveError, QuerySyntaxError
+from deltaenum.errors import NotConjunctiveError, QuerySyntaxError, UnsafeFormulaError
 from deltaenum.query import (
     ConjunctiveQuery,
-    FoOr,
     IneqAtom,
     RelAtom,
     has_self_join,
     is_constant_disjoint,
-    parse_fo_query,
     parse_query,
+    parse_ucq,
     split,
 )
 
@@ -36,8 +35,15 @@ def test_parse_rejects_disjunction_distinctly():
 
 
 def test_parse_fo_query_accepts_disjunction():
-    q = parse_fo_query("H(x) :- R(x) ; S(x).")
-    assert isinstance(q.body, FoOr)
+    assert parse_ucq("H(x) :- R(x,y), y <= c ; S(x).") == (
+        ConjunctiveQuery("H", ("x",), (RelAtom("R", ("x", "y")), IneqAtom("y", "c"))),
+        ConjunctiveQuery("H", ("x",), (RelAtom("S", ("x",)),)),
+    )
+
+
+def test_parse_ucq_rejects_a_block_without_a_head_variable():
+    with pytest.raises(UnsafeFormulaError, match=r"\['x'\] missing"):
+        parse_ucq("H(x) :- R(x) ; S(y).")
 
 
 def test_parse_errors():

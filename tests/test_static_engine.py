@@ -58,6 +58,16 @@ def test_preprocess_semijoin_example():
     assert dict(enumerate_state(state)) == {(1, 2): 6}
 
 
+def test_underflowing_product_drops_the_row():
+    # 1e-200 * 1e-200 is 0.0 in floating point: the row is gone, as in the oracle
+    q = parse_query("H(x,y) :- R(x,y), S(y).")
+    db = make_db(REAL, {"R": (2, {(1, 1): 1e-200, (2, 1): 1.0}), "S": (1, {(1,): 1e-200})})
+    state = preprocess(q, db)
+    assert dict(enumerate_state(state)) == {(2, 1): 1e-200}
+    assert oracle_eval_cq(q, db).entries == {(2, 1): 1e-200}
+    assert verify_node_invariants(state) == []
+
+
 def test_preprocess_rejects_non_free_connex():
     q = parse_query("H(x,y) :- R(x,z), S(z,y).")
     db = make_db(NAT, {"R": (2, {}), "S": (2, {})})
