@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from .errors import ClassificationError, EngineError, NotConjunctiveError
+from .errors import ClassificationError, EngineError
 from .kdata import load_database, parse_update_script, read_input
 from .semiring import BUILTIN_SEMIRING_NAMES, builtin_semiring
 
@@ -61,6 +61,7 @@ def cmd_classify(args) -> int:
 
 def cmd_plan(args) -> int:
     from .planner import build_fc_plan, build_guarded_plan
+    from .static_engine import walk_source
 
     q = _read_query(args.query)
     plan = build_guarded_plan(q) if args.guarded else build_fc_plan(q)
@@ -86,6 +87,7 @@ def cmd_plan(args) -> int:
             }
         )
     report = {"query": q.to_text(), "guarded": plan.guarded, "root": plan.root, "nodes": nodes}
+    report["walk"] = walk_source(q, plan)
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -117,23 +119,22 @@ def _load_db(args):
 
 def cmd_eval(args) -> int:
     from .oracle import oracle_eval_cq, oracle_eval_ucq
-    from .query import parse_query, parse_ucq
+    from .query import parse_rule, rule_query, rule_union
     from .static_engine import enumerate_state, preprocess
 
     db, semiring = _load_db(args)
-    text = read_input(args.query)
-    try:
-        q = parse_query(text)
-    except NotConjunctiveError:
+    rule = parse_rule(read_input(args.query))
+    if len(rule[2]) > 1:  # more than one block: a union of CQs
         if args.verify:
             raise ClassificationError(
                 "--verify needs an independent evaluator, and FO+ queries with "
                 "disjunction have none: the oracle is their only evaluator"
             )
-        cqs = parse_ucq(text)
+        cqs = rule_union(rule)
         print("warning: FO+ query with disjunction; using the oracle evaluator", file=sys.stderr)
         answers = oracle_eval_ucq(cqs, db)
-        return _print_answers(args, semiring, itertools.islice(answers.items(), args.limit), None)
+        return _print_answers(args, semiring, itertools.islice(answers.items(), args.limit), {})
+    q = rule_query(rule)
 
     timing: Dict[str, float] = {}
     start = time.perf_counter()
@@ -186,7 +187,7 @@ def _print_answers(args, semiring, answers, timing) -> int:
             count += 1
     else:
         count = _print_csv(semiring, answers)
-    if args.json and timing is not None:
+    if args.json:
         print(json.dumps({"count": count, "timing": timing}), file=sys.stderr)
     return 0
 

@@ -65,17 +65,17 @@ class Level:
     ``nodes[0]``, from which the tuples of every node in ``nodes`` are read.
 
     Level 0 ranges over the root's candidates.  Every later level ranges over
-    ``groups[nodes[0]][key(t)]``, where ``t`` is the current tuple of the
-    earlier level ``source``.  ``frontier`` pairs each frontier node of the
-    level with the getter of its tuple from the level's tuple, or with None
-    when that is the level's tuple itself.
+    ``groups[nodes[0]][k]``, where ``k`` takes the components at the
+    positions ``key`` of the current tuple of the earlier level ``source``.
+    ``frontier`` pairs each frontier node of the level with the positions of
+    its tuple's components in the level's tuple.
     """
 
     nodes: Tuple[int, ...]  # connex nodes read from this level, in preorder
     source: Optional[int]  # None for level 0
-    key: TupleGetter
+    key: Tuple[int, ...]  # positions in the source level's tuple; () for level 0
     order: Tuple[str, ...]  # variables of the level's tuples
-    frontier: Tuple[Tuple[int, Optional[TupleGetter]], ...]
+    frontier: Tuple[Tuple[int, Tuple[int, ...]], ...]
 
 
 @dataclass
@@ -194,7 +194,7 @@ def _finalize(
     plan.frontier = frozenset(
         nid for nid in plan.connex if not any(c in plan.connex for c in plan.nodes[nid].children)
     )
-    plan.levels = _cut_levels(plan, positions)
+    plan.levels = _cut_walk(plan, positions)
     plan.stored = _stored(plan)
     return plan
 
@@ -214,12 +214,12 @@ def _stored(plan: QueryPlan) -> FrozenSet[int]:
     return frozenset(stored)
 
 
-def _cut_levels(plan: QueryPlan, positions: Dict[int, Tuple[int, ...]]) -> Tuple[Level, ...]:
+def _cut_walk(plan: QueryPlan, positions: Dict[int, Tuple[int, ...]]) -> Tuple[Level, ...]:
     """The connex region cut into levels (see ``Level``), in preorder.
 
     Along a 2-child node the guard keeps the node's tuple and the other
-    child's tuple is the node's under its key, so each node's getter from its
-    level's tuple composes the keys on the way down.
+    child's tuple is the node's under its key, so each node's positions in
+    its level's tuple compose the keys on the way down.
     """
     levels: List[Optional[Level]] = []
 
@@ -227,15 +227,14 @@ def _cut_levels(plan: QueryPlan, positions: Dict[int, Tuple[int, ...]]) -> Tuple
         i = len(levels)
         levels.append(None)  # levels below this one come after it
         nodes: List[int] = []
-        frontier: List[Tuple[int, Optional[TupleGetter]]] = []
-        own = tuple(range(len(plan.order[top])))
-        stack = [(top, own)]
+        frontier: List[Tuple[int, Tuple[int, ...]]] = []
+        stack = [(top, tuple(range(len(plan.order[top]))))]
         while stack:
             nid, pos = stack.pop()
             nodes.append(nid)
             children = plan.nodes[nid].children
             if nid in plan.frontier:
-                frontier.append((nid, None if pos == own else tuple_getter(pos)))
+                frontier.append((nid, pos))
             elif len(children) == 1:
                 # groups[c] is keyed by this node's tuple
                 cut(children[0], i, pos)
@@ -243,7 +242,7 @@ def _cut_levels(plan: QueryPlan, positions: Dict[int, Tuple[int, ...]]) -> Tuple
                 c1, c2 = children
                 stack.append((c2, tuple(pos[p] for p in positions[c2])))
                 stack.append((c1, pos))
-        levels[i] = Level(tuple(nodes), source, tuple_getter(key), plan.order[top], tuple(frontier))
+        levels[i] = Level(tuple(nodes), source, key, plan.order[top], tuple(frontier))
 
     cut(plan.root, None, ())
     return tuple(levels)

@@ -7,9 +7,10 @@ The concrete grammar is Datalog-style, one query per file::
 
 Variables bound in the body but absent from the head are implicitly
 existentially quantified.  ``;`` between body blocks makes the query a union
-of CQs, the positive-FO queries this package accepts; only
-:func:`parse_ucq` (the oracle path) parses it, and :func:`parse_query`
-rejects it with :class:`NotConjunctiveError`.
+of CQs, the positive-FO queries this package accepts: :func:`parse_rule`
+parses either, :func:`rule_query` rejects a union with
+:class:`NotConjunctiveError`, and :func:`rule_union` (the oracle path)
+validates one.
 """
 
 from __future__ import annotations
@@ -106,6 +107,7 @@ _TOKEN_RE = re.compile(
 
 
 Token = Tuple[str, str, int, int]  # kind ("ident" or "op"), text, line, column
+Rule = Tuple[str, Tuple[str, ...], List[List[Atom]]]  # head symbol, head variables, blocks
 
 
 def tokenize(text: str, pattern: re.Pattern) -> List[Token]:
@@ -194,7 +196,7 @@ class _Parser(TokenCursor):
             atoms.append(self.parse_atom())
         return atoms
 
-    def parse_rule(self):
+    def parse_rule(self) -> Rule:
         head_name = self.next(kind="ident")
         head_vars = self.parse_var_list()
         self.next(":-")
@@ -227,9 +229,20 @@ def _validate_cq(head_symbol: str, head_vars: Tuple[str, ...], atoms: Sequence[A
     return ConjunctiveQuery(head_symbol, head_vars, tuple(atoms))
 
 
+def parse_rule(text: str) -> Rule:
+    """Tokenize and parse one rule, to be validated by ``rule_query`` or
+    ``rule_union``."""
+    return _Parser(text, _TOKEN_RE).parse_rule()
+
+
 def parse_query(text: str) -> ConjunctiveQuery:
     """Parse a conjunctive query; disjunction is rejected with a distinct error."""
-    head_symbol, head_vars, blocks = _Parser(text, _TOKEN_RE).parse_rule()
+    return rule_query(parse_rule(text))
+
+
+def rule_query(rule: Rule) -> ConjunctiveQuery:
+    """The parsed rule as a CQ; disjunction is rejected with a distinct error."""
+    head_symbol, head_vars, blocks = rule
     if len(blocks) > 1:
         raise NotConjunctiveError("disjunction (';') makes this an FO+ query, not a CQ")
     return _validate_cq(head_symbol, head_vars, blocks[0])
@@ -238,7 +251,12 @@ def parse_query(text: str) -> ConjunctiveQuery:
 def parse_ucq(text: str) -> Tuple[ConjunctiveQuery, ...]:
     """Parse a union of CQs: conjunctive blocks joined by ';' under one head,
     each of which binds every head variable."""
-    head_symbol, head_vars, blocks = _Parser(text, _TOKEN_RE).parse_rule()
+    return rule_union(parse_rule(text))
+
+
+def rule_union(rule: Rule) -> Tuple[ConjunctiveQuery, ...]:
+    """The parsed rule as a union of CQs, each binding every head variable."""
+    head_symbol, head_vars, blocks = rule
     _validate_cq(head_symbol, (), [a for block in blocks for a in block])
     for atoms in blocks:
         missing = set(head_vars).difference(*(a.vars for a in atoms))

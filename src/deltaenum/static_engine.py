@@ -31,19 +31,21 @@ variables are free, so no aggregation is allowed to prune them.
 The planner cuts the connex region into *levels* (``QueryPlan.levels``): the
 root's candidates, then one level per projection edge into a connex child,
 ranging over that child's extension group under the tuple of an earlier
-level.  Each free inequality range adds one more level.  One loop, an
-odometer, keeps an iterator per level and advances the last level fastest;
-an answer is the head read off the concatenated level tuples, and its
-annotation the product of the frontier annotations along the way.
-Candidates keep every level non-empty, so the delay is bounded by the
-number of levels, independent of the database.  A single connex node needs
-no walk: enumeration then scans the root relation.
+level.  Each free inequality range adds one more level.  ``walk_source``
+writes the levels out as nested Python loops, the last level innermost, and
+preprocessing compiles that source once per state: the data-centric code
+generation of Neumann (VLDB 2011), applied to the walk.  An answer is the
+head read off the level tuples, and its annotation the product of the
+frontier annotations along the way.  Candidates keep every level non-empty,
+so the delay is bounded by the number of levels, independent of the
+database.  When the root is on the frontier, level 0 reads the root
+relation's entries, annotations included.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -105,8 +107,8 @@ class EnumerationState:
     # per plan leaf: its tuple-to-key matcher, built once
     matchers: Dict[int, LeafMatcher] = field(default_factory=dict)
     ineq: Optional[IneqPlanState] = None
-    # the concatenated tuples of the enumeration levels -> the head tuple
-    head: TupleGetter = field(default=tuple_getter(()), repr=False)
+    # the compiled ``walk_source`` of the query and plan: state -> answers
+    walk: Optional[Callable] = field(default=None, repr=False)
     version: int = 0
 
 
@@ -188,8 +190,6 @@ def preprocess_with_plan(
     sp = split(q)
     state = EnumerationState(q, None, s, db)
     state.ineq = build_ineq_state(sp, db, s)
-    level_vars: List[str] = []
-
     if sp.rel_part.relational_atoms:
         assert plan is not None
         state.plan = plan
@@ -199,9 +199,7 @@ def preprocess_with_plan(
                 state.matchers[nid] = build_leaf_matcher(plan.atoms[i], sp.covered[i], db)
         _bottom_up(state)
         _build_connex_structures(state)
-        level_vars = [v for level in plan.levels for v in level.order]
-    level_vars += [v for v, _ in state.ineq.free_ranges]
-    state.head = tuple_getter([level_vars.index(v) for v in q.head_vars])
+    state.walk = _compile_walk(walk_source(q, state.plan))
     return state
 
 
@@ -316,47 +314,92 @@ def _build_connex_structures(state: EnumerationState) -> None:
 # Enumeration
 # ---------------------------------------------------------------------------
 
-def _levels(state: EnumerationState) -> Tuple[list, list]:
-    """Per enumeration level: the function from the current tuples of all
-    levels to an iterator over this level's tuples, and the function from
-    this level's tuple to the product of its frontier annotations (None when
-    it has no frontier node).  An empty relational part is one level holding
-    the empty tuple."""
-    plan = state.plan
-    mul = state.semiring.mul
-    opens: list = []
-    values: list = []
-    if plan is None:
-        opens.append(lambda cur: iter(((),)))
-        values.append(None)
-    else:
-        for level in plan.levels:
-            if level.source is None:
-                cands = state.candidates[plan.root]
-                opens.append(lambda cur, cands=cands: iter(cands))
-            else:
-                grp, src, key = state.groups[level.nodes[0]], level.source, level.key
-                opens.append(lambda cur, grp=grp, src=src, key=key: iter(grp[key(cur[src])]))
-            lookups = [
-                state.relations[f].__getitem__ if get is None
-                else (lambda t, rel=state.relations[f], get=get: rel[get(t)])
-                for f, get in level.frontier
-            ]
-            if len(lookups) <= 1:
-                values.append(lookups[0] if lookups else None)
-            else:
-                def value(t, first=lookups[0], rest=lookups[1:]):
-                    k = first(t)
-                    for lookup in rest:
-                        k = mul(k, lookup(t))
-                    return k
+_STALE = "enumeration cursor invalidated by an update"
 
-                values.append(value)
-    for _, bound in state.ineq.free_ranges:
-        # zip over one iterable yields 1-tuples
-        opens.append(lambda cur, bound=bound: zip(range(1, bound + 1)))
-        values.append(None)
-    return opens, values
+
+def walk_source(q: ConjunctiveQuery, plan: Optional[QueryPlan]) -> str:
+    """The source of ``walk(state)``, the generator of the answers of a state
+    preprocessed for ``q`` over ``plan`` (None without relational atoms).
+
+    It nests one ``for`` per level, binding level ``j``'s tuple to ``tj``,
+    then one per free inequality range ``n``, binding ``in``.  A level with
+    frontier annotations ``f1, f2, f3`` multiplies the product so far:
+    ``pj = mul(p(j-1), mul(mul(f1, f2), f3))``, from the inequality
+    annotation ``k``.  The innermost loop checks ``state.version`` and
+    yields the head, read off the tuples and ranges, with the product.  Only
+    fixed names and integer literals are written, no symbol of the query.
+    """
+    levels = plan.levels if plan is not None else ()
+    ranges = split(q).ineq_part.head_vars
+    place: Dict[str, str] = {}  # variable -> the expression of its value
+    for j, level in enumerate(levels):
+        for pos, v in enumerate(level.order):
+            place.setdefault(v, f"t{j}[{pos}]")
+    place.update((v, f"i{n}") for n, v in enumerate(ranges))
+    comps = [place[v] for v in q.head_vars]
+    head = _display(comps)
+    for j, level in enumerate(levels):
+        if comps == [f"t{j}[{pos}]" for pos in range(len(level.order))]:
+            head = f"t{j}"  # the level's tuple itself
+
+    hoists = ["k = state.ineq.annotation", "mul = state.semiring.mul", "version = state.version"]
+    if ranges:
+        hoists.append("b = [bound for _, bound in state.ineq.free_ranges]")
+    loops: List[str] = []
+    p = "k"  # the product of the levels entered so far
+    for j, level in enumerate(levels):
+        t, width = f"t{j}", len(level.order)
+        hoists += [f"r{f} = state.relations[{f}]" for f, _ in level.frontier]
+        factors = [f"r{f}[{_project(t, pos, width)}]" for f, pos in level.frontier]
+        if j == 0 and plan.root in plan.frontier:
+            loops.append(f"for t0, v0 in r{plan.root}.items():")
+            factors = ["v0"]
+        elif j == 0:
+            hoists.append(f"c{plan.root} = state.candidates[{plan.root}]")
+            loops.append(f"for t0 in c{plan.root}:")
+        else:
+            n, src = level.nodes[0], level.source
+            hoists.append(f"g{n} = state.groups[{n}]")
+            loops.append(f"for {t} in g{n}[{_project(f't{src}', level.key, len(levels[src].order))}]:")
+        if factors:
+            product = factors[0]
+            for factor in factors[1:]:
+                product = f"mul({product}, {factor})"
+            p_new = f"mul({p}, {product})"
+            if j < len(levels) - 1 or ranges:
+                loops.append(f"p{j} = {p_new}")
+                p_new = f"p{j}"
+            p = p_new  # the innermost level's is read once, in the yield
+    loops += [f"for i{n} in range(1, b[{n}] + 1):" for n in range(len(ranges))]
+    loops += ["if state.version != version:", "    raise RuntimeError(STALE)", f"yield {head}, {p}"]
+    lines = ["def walk(state):", "    if state.semiring.is_zero(state.ineq.annotation):", "        return"]
+    lines += ["    " + line for line in hoists]
+    depth = 1
+    for line in loops:
+        lines.append("    " * depth + line)
+        depth += line.startswith("for ")
+    return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=256)
+def _compile_walk(source: str) -> Callable:
+    """The function ``walk`` that ``source`` defines; it reads everything
+    off its argument, so the states of one walk share it."""
+    namespace = {"STALE": _STALE}
+    exec(compile(source, "<walk>", "exec"), namespace)
+    return namespace["walk"]
+
+
+def _project(t: str, positions: Sequence[int], width: int) -> str:
+    """The source of the tuple of ``t``'s components at ``positions``: ``t``
+    itself when that is all ``width`` of them."""
+    if tuple(positions) == tuple(range(width)):
+        return t
+    return _display([f"{t}[{pos}]" for pos in positions])
+
+
+def _display(comps: Sequence[str]) -> str:
+    return "(" + ", ".join(comps) + ("," if len(comps) == 1 else "") + ")"
 
 
 def enumerate_state(
@@ -365,65 +408,14 @@ def enumerate_state(
     """Stream (head tuple, annotation) pairs, each exactly once, at most
     ``limit`` of them.
 
-    The levels of the walk (the plan's, then one per free inequality range)
-    run as an odometer: the stack holds one iterator per level and, for each
-    level, the product of the annotations and the concatenation of the tuples
-    of the levels above it.  The last level changes fastest, so the output
-    order is the plan's depth-first order, guard children first, with the
-    inequality ranges innermost.  The common single-connex-node shape without
-    ranges degenerates to a scan of the materialized root relation.  An
-    update to the state invalidates the cursor.
+    ``state.walk`` runs the levels of the walk (the plan's, then one per
+    free inequality range) as nested loops, compiled from ``walk_source``.
+    The last level changes fastest, so the output order is the plan's
+    depth-first order, guard children first, with the inequality ranges
+    innermost.  An update to the state invalidates the cursor.
     """
-    answers = _answers(state)
+    answers = state.walk(state)
     return answers if limit is None else islice(answers, max(limit, 0))
-
-
-def _answers(state: EnumerationState) -> Iterator[Tuple[DataTuple, Value]]:
-    s = state.semiring
-    ineq = state.ineq
-    if s.is_zero(ineq.annotation):
-        return
-    version = state.version
-    mul = s.mul
-    k_ineq = ineq.annotation
-    head = state.head
-    plan = state.plan
-
-    if not ineq.free_ranges and plan is not None and len(plan.connex) == 1:
-        # fast path: scan the root relation, project to the head order
-        for t, val in state.relations[plan.root].items():
-            if state.version != version:
-                raise RuntimeError("enumeration cursor invalidated by an update")
-            yield head(t), mul(val, k_ineq)
-        return
-
-    opens, values = _levels(state)
-    last = len(opens) - 1
-    its: list = [None] * len(opens)  # per level: iterator over its tuples
-    cur: list = [None] * len(opens)  # per level: its current tuple
-    prods = [k_ineq] + [None] * last  # annotation of the levels above
-    prefix = [()] + [None] * last  # concatenated tuples of the levels above
-    its[0] = opens[0](cur)
-    i = 0
-    while i >= 0:
-        if i == last:
-            p, pre, value = prods[i], prefix[i], values[i]
-            for t in its[i]:
-                if state.version != version:
-                    raise RuntimeError("enumeration cursor invalidated by an update")
-                yield head(pre + t), (p if value is None else mul(p, value(t)))
-            i -= 1
-            continue
-        for t in its[i]:
-            cur[i] = t
-            value = values[i]
-            prods[i + 1] = prods[i] if value is None else mul(prods[i], value(t))
-            prefix[i + 1] = prefix[i] + t
-            i += 1
-            its[i] = opens[i](cur)
-            break
-        else:
-            i -= 1
 
 
 def eval_materialized(q: ConjunctiveQuery, db: Database) -> AnnotatedRelation:
@@ -493,13 +485,3 @@ def verify_node_invariants(state: EnumerationState) -> List[str]:
             elif want[t] != k:
                 problems.append(f"node {nid}: annotation {k!r} at {t}, want {want[t]!r}")
     return problems
-
-
-# ---------------------------------------------------------------------------
-# Timing helper used by the scaling tests
-# ---------------------------------------------------------------------------
-
-def timed_preprocess(q: ConjunctiveQuery, db: Database) -> Tuple[EnumerationState, float]:
-    start = time.perf_counter()
-    state = preprocess(q, db)
-    return state, time.perf_counter() - start

@@ -182,6 +182,29 @@ def test_eval_json_reports_count_and_preprocess_time(tmp_path, dbdir, capsys):
     assert report["timing"]["preprocess_s"] >= 0
 
 
+def test_eval_json_on_a_union_reports_the_count(tmp_path, dbdir, monkeypatch, capsys):
+    # the oracle path reports like the non-free-connex fallback: a count and
+    # an empty timing; the rule's text is tokenized and parsed once
+    from deltaenum import query
+
+    parse, calls = query._Parser.parse_rule, []
+
+    def counted(self):
+        calls.append(self)
+        return parse(self)
+
+    monkeypatch.setattr(query._Parser, "parse_rule", counted)
+    q = write(tmp_path / "q.cq", "H(x) :- R(x,x) ; S(x).")
+    (dbdir / "R.csv").write_text("2,2,4\n1,1,1\n")
+    assert main(["eval", "--query", q, "--db", str(dbdir), "--json"]) == 0
+    captured = capsys.readouterr()
+    warning, line = captured.err.splitlines()
+    assert "disjunction" in warning
+    assert json.loads(line) == {"count": len(captured.out.splitlines()), "timing": {}}
+    assert sorted(captured.out.splitlines()) == ["1,1", "2,7"]
+    assert len(calls) == 1
+
+
 def test_dyn_enumerate_after_each(tmp_path, dbdir, capsys):
     q = write(tmp_path / "q.cq", "H(x) :- R(x,y).")
     ups = write(tmp_path / "u.ups", "+ R 1 5 3\n- R 3 2\n")
@@ -216,6 +239,19 @@ def test_plan_json_is_stable(tmp_path, capsys):
     assert main(["plan", q, "--json"]) == 0
     assert capsys.readouterr().out == first
     json.loads(first)
+
+
+@pytest.mark.parametrize("guarded", [False, True])
+def test_plan_json_reports_the_walk(tmp_path, capsys, guarded):
+    from deltaenum.planner import build_plan
+    from deltaenum.query import parse_query
+
+    text = "H(x,y,z) :- R(x,y), S(y,z)."
+    q = write(tmp_path / "q.cq", text)
+    assert main(["plan", q, "--json", *(["--guarded"] if guarded else [])]) == 0
+    walk = json.loads(capsys.readouterr().out)["walk"]
+    loops = [line for line in walk.splitlines() if line.lstrip().startswith("for ")]
+    assert len(loops) == len(build_plan(parse_query(text), guarded).levels) == (3 if guarded else 2)
 
 
 def test_plan_marks_the_stored_nodes(tmp_path, capsys):

@@ -24,10 +24,13 @@ from test_query import random_cq
 from test_static_engine import (
     JOIN,
     JOIN_DB,
+    TWO_FACTORS,
     VOCABULARY_MISMATCHES,
     equal_answers,
+    in_tenths,
     make_db,
     random_db,
+    reference_walk,
 )
 
 NAT = builtin_semiring("natural")
@@ -253,6 +256,29 @@ def random_update(rng, q, db, semiring, domain=5):
     while semiring.is_zero(value):
         value = semiring.sample(rng)
     return SingleTupleUpdate("insert", symbol, t, value)
+
+
+@pytest.mark.parametrize("tenths", [False, True])
+def test_dyn_walk_equals_the_reference_walk_after_each_update(tenths):
+    # the guarded plan of TWO_FACTORS multiplies two frontier annotations on
+    # one level; over tenths the association of a product shows in its last bit
+    rng = random.Random(930 + tenths)
+    queries = [parse_query(TWO_FACTORS)]
+    while len(queries) < 20:
+        q = random_cq(rng, max_atoms=3, max_vars=4)
+        if q.relational_atoms and classify(q).q_hierarchical:
+            queries.append(q)
+    for q in queries:
+        db = random_db(rng, q, REAL, max_tuples=30, domain=3)
+        if tenths:
+            in_tenths(db)
+        state = dyn_preprocess(q, db)
+        for step in range(30):
+            u = random_update(rng, q, db, REAL, domain=3)
+            if tenths and u.value is not None:
+                u = SingleTupleUpdate(u.kind, u.relation, u.tuple, u.value / 10)
+            dyn_update(state, u)
+            assert repr(list(dyn_enumerate(state))) == repr(reference_walk(state.enum)), (q.to_text(), step)
 
 
 @pytest.mark.parametrize("sname", ["natural", "boolean", "real"])

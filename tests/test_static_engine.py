@@ -1,19 +1,26 @@
+import io
+import itertools
+import keyword
 import random
+import re
+import tokenize
 
 import pytest
 
 from deltaenum.errors import CapabilityError, ClassificationError, VocabularyError
 from deltaenum.kdata import AnnotatedRelation, Database
 from deltaenum.oracle import oracle_eval_cq
-from deltaenum.planner import classify
+from deltaenum.planner import build_fc_plan, build_guarded_plan, classify
 from deltaenum.query import parse_query
 from deltaenum.semiring import BUILTIN_SEMIRING_NAMES, builtin_semiring
 from deltaenum.static_engine import (
     enumerate_state,
     eval_materialized,
     preprocess,
+    preprocess_with_plan,
     reference_relation,
     verify_node_invariants,
+    walk_source,
 )
 
 from test_query import random_cq
@@ -384,3 +391,128 @@ def test_enumerate_inequality_only_queries():
     assert list(enumerate_state(state)) == [((w, v), 3) for w in (1, 2) for v in (1, 2)]
     state = preprocess(parse_query("H() :- u <= c."), db)
     assert list(enumerate_state(state)) == [((), 3)]
+
+
+# ---------------------------------------------------------------------------
+# The compiled walk against a reference walk
+# ---------------------------------------------------------------------------
+
+def reference_walk(state):
+    """The answers of ``state`` in enumeration order, by a plain recursive
+    walk over its plan's levels and then its free ranges.  Level ``j``
+    multiplies the product of the levels above it by the product of its
+    frontier annotations, taken left to right: p_j = p_(j-1) * ((f1 * f2) * f3)."""
+    s = state.semiring
+    if s.is_zero(state.ineq.annotation):
+        return []
+    plan = state.plan
+    levels = plan.levels if plan is not None else ()
+    ranges = [range(1, bound + 1) for _, bound in state.ineq.free_ranges]
+    order = [v for level in levels for v in level.order] + [v for v, _ in state.ineq.free_ranges]
+    head = [order.index(v) for v in state.query.head_vars]
+    out = []
+
+    def visit(j, tuples, p):
+        if j == len(levels):
+            for values in itertools.product(*ranges):
+                row = [x for t in tuples for x in t] + list(values)
+                out.append((tuple(row[i] for i in head), p))
+            return
+        level = levels[j]
+        if j == 0:
+            tuples_here = state.candidates[plan.root]
+        else:
+            src = tuples[level.source]
+            tuples_here = state.groups[level.nodes[0]][tuple(src[i] for i in level.key)]
+        for t in tuples_here:
+            factors = [state.relations[f][tuple(t[i] for i in pos)] for f, pos in level.frontier]
+            k = p
+            if factors:
+                f = factors[0]
+                for g in factors[1:]:
+                    f = s.mul(f, g)
+                k = s.mul(p, f)
+            visit(j + 1, tuples + [t], k)
+
+    visit(0, [], state.ineq.annotation)
+    return out
+
+
+def in_tenths(db):
+    # a product of tenths can depend on the association of its factors in
+    # the last bit, unlike the quarters that REAL.sample draws
+    for rel in db.relations.values():
+        rel.entries = {t: k / 10 for t, k in rel.entries.items()}
+    return db
+
+
+def assert_walks_alike(state):
+    got = list(enumerate_state(state))
+    want = reference_walk(state)
+    assert repr(got) == repr(want), state.query.to_text()
+
+
+@pytest.mark.parametrize("sname", [*BUILTIN_SEMIRING_NAMES, "real-tenths"])
+def test_walk_equals_the_reference_walk(sname):
+    semiring = builtin_semiring(sname.removesuffix("-tenths"))
+    rng = random.Random(620 + len(sname))
+    found = 0
+    while found < 300:
+        q = random_cq(rng)
+        if not classify(q).free_connex:
+            continue
+        found += 1
+        db = random_db(rng, q, semiring)
+        if sname == "real-tenths":
+            in_tenths(db)
+        assert_walks_alike(preprocess(q, db))
+
+
+# two frontier annotations on the level under x, p0 = c * U(x) above it,
+# a free range w and the bound range u
+TWO_FACTORS = "H(x,y,w) :- R(x,y,z), S(x,y), U(x), w <= c, u <= d."
+
+
+def test_walk_multiplies_each_level_in_the_documented_order():
+    q = parse_query(TWO_FACTORS)
+    plan = build_guarded_plan(q)
+    assert max(len(level.frontier) for level in plan.levels) == 2
+    rng = random.Random(623)
+    for _ in range(40):
+        db = in_tenths(random_db(rng, q, REAL, max_tuples=60, domain=3))
+        db.constants["d"] = 3
+        assert_walks_alike(preprocess_with_plan(q, db, plan))
+        assert_walks_alike(preprocess_with_plan(q, db, build_fc_plan(q)))
+
+
+# every name that ``walk_source`` writes, besides Python keywords and the
+# numbered names of its tuples, products, ranges and hoisted dicts
+WALK_NAMES = {
+    "walk", "state", "k", "ineq", "annotation", "semiring", "is_zero", "mul", "version",
+    "b", "bound", "_", "free_ranges", "range", "relations", "candidates", "groups",
+    "items", "RuntimeError", "STALE",
+}
+
+
+def test_no_query_text_reaches_the_compiled_walk():
+    # relation, variable and constant names that the generated source uses
+    # itself, and a free range
+    text = "H(r, yield, t0) :- state(r, yield), mul(r), import(r, yield, z), t0 <= k."
+    # the same query under names in the same sorted order, so the same plans
+    plain = "H(a, c, b) :- A(a, c), B(a), C(a, c, d), b <= e."
+    q, p = parse_query(text), parse_query(plain)
+    rng = random.Random(624)
+    db = random_db(rng, q, NAT, max_tuples=60, domain=3)
+    db.constants["k"] = 2
+    for plan_of in (build_fc_plan, build_guarded_plan):
+        state = preprocess_with_plan(q, db, plan_of(q))
+        assert state.plan.levels and state.ineq.free_ranges
+        got = list(enumerate_state(state))
+        assert got and dict(got) == oracle_eval_cq(q, db).entries
+        source = walk_source(q, state.plan)
+        assert source == walk_source(p, plan_of(p))
+        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+        assert not [t for t in tokens if t.type == tokenize.STRING]
+        names = {t.string for t in tokens if t.type == tokenize.NAME}
+        numbered = {n for n in names if re.fullmatch(r"[bcgiprtv][0-9]+", n)}
+        assert names - numbered - set(keyword.kwlist) <= WALK_NAMES
