@@ -210,16 +210,18 @@ def cmd_dyn(args) -> int:
     q = _read_query(args.query)
     updates = parse_update_script(args.updates, semiring)
     state = dyn_preprocess(q, db)
-    for i, update in enumerate(updates):
-        dyn_update(state, update)
-        if args.enumerate_after_each:
-            answers = list(dyn_enumerate(state))
-            print(f"# after update {i + 1}: {len(answers)} answers")
-            _print_csv(semiring, answers)
+    for i, update in enumerate([None, *updates]):  # i = 0: the preprocessed state
+        if update is not None:
+            dyn_update(state, update)
+            if args.enumerate_after_each:
+                answers = list(dyn_enumerate(state))
+                print(f"# after update {i}: {len(answers)} answers")
+                _print_csv(semiring, answers)
         if args.verify:
             want = oracle_eval_cq(q, state.db).entries
             if not _answers_match(list(dyn_enumerate(state)), want, semiring):
-                print(f"verification mismatch after update {i + 1}", file=sys.stderr)
+                where = f"update {i}" if i else "preprocessing"
+                print(f"verification mismatch after {where}", file=sys.stderr)
                 return 2
     if not args.enumerate_after_each:
         _print_csv(semiring, dyn_enumerate(state))
@@ -238,6 +240,9 @@ def cmd_matlang(args) -> int:
         with_head,
     )
 
+    if args.verify and args.action != "eval":
+        print(f"error: --verify applies to matlang eval, not matlang {args.action}", file=sys.stderr)
+        return 1
     schema = load_matrix_schema(args.schema)
     query = parse_matlang(read_input(args.expr), schema)
 

@@ -163,13 +163,13 @@ def load_vocabulary(path: str | Path) -> Tuple[Dict[str, int], Dict[str, int]]:
     if not (isinstance(relations, dict) and isinstance(constants, dict)):
         raise IngestionError("'relations' and 'constants' must be JSON objects", str(path))
     for name, arity in relations.items():
-        if not isinstance(arity, int) or arity < 0:
+        if type(arity) is not int or arity < 0:
             raise IngestionError(f"relation {name!r} has invalid arity {arity!r}", str(path))
     constants.setdefault("1", 1)
     if constants["1"] != 1:
         raise IngestionError("the constant symbol '1' must be bound to 1", str(path))
     for name, value in constants.items():
-        if not isinstance(value, int) or value < 1:
+        if type(value) is not int or value < 1:
             raise IngestionError(f"constant {name!r} must be a positive integer", str(path))
     return relations, constants
 

@@ -81,7 +81,6 @@ class SemiringDescriptor:
     zero_sum_free: bool
     parse: Callable[[str], Value]
     format: Callable[[Value], str]
-    sample: Callable[[Any], Value]  # rng -> value, used by tests and --verify corpora
     # sub(a, b) for a sum a of nonzero members, one of them b, and at least
     # one other: the sum of the others.  None when there is no such map.
     sub: Optional[Callable[[Value, Value], Value]] = field(default=None, repr=False)
@@ -154,7 +153,6 @@ _BOOLEAN = SemiringDescriptor(
     zero_sum_free=True,
     parse=_parse_bool,
     format=lambda v: "t" if v else "f",
-    sample=lambda rng: rng.random() < 0.5,
     # every nonzero member is True, and one remains
     sub=lambda a, b: a,
     admits=lambda v: type(v) is bool,
@@ -171,7 +169,6 @@ _NATURAL = SemiringDescriptor(
     zero_sum_free=True,
     parse=_parse_natural,
     format=str,
-    sample=lambda rng: rng.randrange(0, 6),
     # Subtraction never leaves the naturals here: a deleted value was
     # previously added to the same total.
     sub=lambda a, b: a - b,
@@ -189,9 +186,6 @@ _REAL = SemiringDescriptor(
     zero_sum_free=False,
     parse=_parse_real,
     format=repr,
-    # Dyadic rationals keep float arithmetic exact in tests while still
-    # exercising cancellation (k + (-k) == 0.0).
-    sample=lambda rng: rng.randrange(-12, 13) / 4.0,
     sub=lambda a, b: a - b,
     admits=_is_real,
 )
@@ -207,8 +201,6 @@ _TROPICAL_MIN = SemiringDescriptor(
     zero_sum_free=True,
     parse=_parse_tropical,
     format=lambda v: "inf" if v == math.inf else repr(v),
-    # Integer-valued floats keep min/+ exact in the axiom suite.
-    sample=lambda rng: math.inf if rng.random() < 0.1 else float(rng.randrange(0, 20)),
     # no sub: min has no inverse, so the dynamic engine rejects it
     admits=_is_tropical,
 )

@@ -1,33 +1,39 @@
-"""Seeded random corpora: queries, databases, matrix expressions, instances.
+"""Seeded random corpora for the tests: annotations, queries, databases,
+updates, matrix expressions and instances, and the scaling databases.
 
-Used by the test suites.  The seed comes from DELTA_ENUM_SEED when set.
+The seed of ``corpus_rng`` comes from DELTA_ENUM_SEED when set.
+``test_corpora`` pins what the draws return.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from typing import Dict, List, Optional, Tuple
 
-from .kdata import AnnotatedRelation, Database
-from .matlang import (
+from deltaenum.errors import TypeCheckError
+from deltaenum.kdata import AnnotatedRelation, Database, SingleTupleUpdate
+from deltaenum.matlang import (
     Add,
     Hadamard,
+    IdentityMatrix,
     MatLangExpr,
     MatMul,
     MatrixInstance,
     MatrixSchema,
     MatrixSymbol,
     OnesVector,
-    IdentityMatrix,
     ScalarMul,
     SumIteration,
     Transpose,
     VectorVariable,
+    free_vector_variables,
     typecheck,
 )
-from .query import ConjunctiveQuery, IneqAtom, RelAtom
-from .semiring import SemiringDescriptor
+from deltaenum.planner import classify
+from deltaenum.query import ConjunctiveQuery, IneqAtom, RelAtom, parse_query
+from deltaenum.semiring import SemiringDescriptor
 
 DEFAULT_SEED = 987654321
 
@@ -37,8 +43,73 @@ def corpus_rng(offset: int = 0) -> random.Random:
     return random.Random(seed + offset)
 
 
+# What the corpora draw as annotations of each built-in semiring.  Quarters
+# keep real sums exact while still cancelling (k + (-k) == 0.0), and
+# integer-valued floats keep min/+ exact.
+_SAMPLERS = {
+    "boolean": lambda rng: rng.random() < 0.5,
+    "natural": lambda rng: rng.randrange(0, 6),
+    "real": lambda rng: rng.randrange(-12, 13) / 4.0,
+    "tropical-min": lambda rng: math.inf if rng.random() < 0.1 else float(rng.randrange(0, 20)),
+}
+
+
+def sample(semiring: SemiringDescriptor, rng: random.Random):
+    """A random value of a built-in semiring, possibly its zero."""
+    return _SAMPLERS[semiring.name](rng)
+
+
+def close(semiring, a, b) -> bool:
+    """Equal values; finite reals within an absolute 1e-9."""
+    if semiring.name == "real" and isinstance(a, float) and math.isfinite(a) and math.isfinite(b):
+        return abs(a - b) <= 1e-9
+    return a == b
+
+
+def equal_answers(got, want, semiring) -> bool:
+    if semiring.name == "real":
+        return set(got) == set(want) and all(abs(got[t] - want[t]) <= 1e-9 for t in got)
+    return got == want
+
+
+def fold(s, values):
+    total = s.zero
+    for v in values:
+        total = s.add(total, v)
+    return total
+
+
+def axioms_hold(s, a, b, c) -> bool:
+    """The commutative-semiring axioms on one triple, up to ``close``."""
+    return all((
+        close(s, s.add(s.add(a, b), c), s.add(a, s.add(b, c))),
+        close(s, s.add(a, b), s.add(b, a)),
+        close(s, s.add(a, s.zero), a),
+        close(s, s.mul(s.mul(a, b), c), s.mul(a, s.mul(b, c))),
+        close(s, s.mul(a, b), s.mul(b, a)),
+        close(s, s.mul(a, s.one), a),
+        close(s, s.mul(a, s.add(b, c)), s.add(s.mul(a, b), s.mul(a, c))),
+        s.is_zero(s.mul(s.zero, a)),
+    ))
+
+
+def interleave_members(rng, semiring, acc, steps):
+    """``steps`` random updates of accumulator ``acc``: while it has members,
+    delete a random one with probability 0.4, else insert a fresh sample.
+    Yields the list of members after each step."""
+    members = []
+    for _ in range(steps):
+        if members and rng.random() < 0.4:
+            acc.delete(members.pop(rng.randrange(len(members))))
+        else:
+            v = sample(semiring, rng)
+            members.append(v)
+            acc.insert(v)
+        yield members
+
+
 # ---------------------------------------------------------------------------
-# Conjunctive queries and databases
+# Conjunctive queries, databases and updates
 # ---------------------------------------------------------------------------
 
 def random_cq(
@@ -87,7 +158,7 @@ def random_db_for_query(
         rel = AnnotatedRelation(arity)
         for _ in range(rng.randrange(0, per_relation + 1)):
             t = tuple(rng.randrange(1, domain + 1) for _ in range(arity))
-            value = semiring.sample(rng)
+            value = sample(semiring, rng)
             if not semiring.is_zero(value):
                 rel.entries[t] = value
         db.relations[symbol] = rel
@@ -97,8 +168,6 @@ def random_db_for_query(
 
 
 def random_free_connex_cq(rng: random.Random, **kw) -> ConjunctiveQuery:
-    from .planner import classify
-
     while True:
         q = random_cq(rng, **kw)
         if classify(q).free_connex:
@@ -106,12 +175,25 @@ def random_free_connex_cq(rng: random.Random, **kw) -> ConjunctiveQuery:
 
 
 def random_q_hierarchical_cq(rng: random.Random, **kw) -> ConjunctiveQuery:
-    from .planner import classify
-
     while True:
         q = random_cq(rng, **kw)
         if q.relational_atoms and classify(q).q_hierarchical:
             return q
+
+
+def random_update(rng, q, db, semiring, domain=5) -> SingleTupleUpdate:
+    """A delete (probability 0.4) or an insert of a nonzero value into one of
+    the relations of ``q``."""
+    symbols = sorted({a.symbol for a in q.relational_atoms})
+    symbol = rng.choice(symbols)
+    arity = db.relations[symbol].arity
+    t = tuple(rng.randrange(1, domain + 1) for _ in range(arity))
+    if rng.random() < 0.4:
+        return SingleTupleUpdate("delete", symbol, t)
+    value = sample(semiring, rng)
+    while semiring.is_zero(value):
+        value = sample(semiring, rng)
+    return SingleTupleUpdate("insert", symbol, t, value)
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +268,21 @@ def random_conj_expression(
     expr = grow(max_depth, {})
     try:
         typecheck(expr, schema)
-    except Exception:
+    except TypeCheckError:
         return None
-    from .matlang import free_vector_variables
-
     if free_vector_variables(expr):
         return None
     return expr
+
+
+def random_conj_expressions(rng: random.Random, max_dim: int = 6, max_depth: int = 4):
+    """Endless pairs of a random schema and a random expression over it,
+    skipping the failed draws."""
+    while True:
+        schema = random_matrix_schema(rng, max_dim=max_dim)
+        expr = random_conj_expression(rng, schema, max_depth=max_depth)
+        if expr is not None:
+            yield schema, expr
 
 
 def random_matrix_instance(
@@ -208,7 +298,7 @@ def random_matrix_instance(
         for i in range(1, m + 1):
             for j in range(1, n + 1):
                 if rng.random() < density:
-                    v = semiring.sample(rng)
+                    v = sample(semiring, rng)
                     if not semiring.is_zero(v):
                         cells[(i, j)] = v
         entries[name] = cells
@@ -220,14 +310,10 @@ def random_matrix_instance(
 # ---------------------------------------------------------------------------
 
 def scaling_static_query() -> ConjunctiveQuery:
-    from .query import parse_query
-
     return parse_query("H(x) :- R(x,y), S(y).")
 
 
 def scaling_dynamic_query() -> ConjunctiveQuery:
-    from .query import parse_query
-
     return parse_query("H(x) :- A(x,y), U(x).")
 
 

@@ -6,6 +6,7 @@ minutes in total.
 """
 
 import gc
+import itertools
 import math
 import random
 import statistics
@@ -15,21 +16,30 @@ import time
 import pytest
 
 from deltaenum.dynamic_engine import dyn_enumerate, dyn_preprocess, dyn_update
-from deltaenum.generators import (
-    corpus_rng,
-    random_db_for_query,
-    random_free_connex_cq,
-    random_q_hierarchical_cq,
-    scaling_db,
-    scaling_dynamic_query,
-    scaling_static_query,
-)
 from deltaenum.kdata import SingleTupleUpdate
 from deltaenum.oracle import oracle_eval_cq
 from deltaenum.planner import build_fc_plan, classify, verify_plan
 from deltaenum.query import parse_query, split
 from deltaenum.semiring import builtin_semiring
 from deltaenum.static_engine import enumerate_state, preprocess, preprocess_with_plan
+
+from support import (
+    axioms_hold,
+    corpus_rng,
+    equal_answers,
+    fold,
+    interleave_members,
+    random_conj_expressions,
+    random_db_for_query,
+    random_free_connex_cq,
+    random_matrix_instance,
+    random_q_hierarchical_cq,
+    random_update,
+    sample,
+    scaling_db,
+    scaling_dynamic_query,
+    scaling_static_query,
+)
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -38,12 +48,6 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
     if detail:
         line += f" ({detail})"
     print(line, file=sys.stderr)
-
-
-def answers_match(got, want, semiring) -> bool:
-    if semiring.name == "real":
-        return set(got) == set(want) and all(abs(got[t] - want[t]) <= 1e-9 for t in got)
-    return got == want
 
 
 def test_criterion_1_static_oracle_equivalence():
@@ -58,7 +62,7 @@ def test_criterion_1_static_oracle_equivalence():
             db = random_db_for_query(rng, q, semiring, max_tuples=30, domain=5)
             got = dict(enumerate_state(preprocess(q, db)))
             want = oracle_eval_cq(q, db).entries
-            if not answers_match(got, want, semiring):
+            if not equal_answers(got, want, semiring):
                 failures += 1
                 print(f"  mismatch: {q.to_text()} over {semiring.name}", file=sys.stderr)
     elapsed = time.perf_counter() - start
@@ -77,19 +81,8 @@ def test_criterion_2_dynamic_oracle_equivalence():
         db = random_db_for_query(rng, q, semiring, max_tuples=15, domain=4)
         state = dyn_preprocess(q, db)
         fc_plan = build_fc_plan(q)
-        symbols = sorted({a.symbol for a in q.relational_atoms})
         for step in range(200):
-            symbol = rng.choice(symbols)
-            arity = db.relations[symbol].arity
-            t = tuple(rng.randrange(1, 5) for _ in range(arity))
-            if rng.random() < 0.4:
-                u = SingleTupleUpdate("delete", symbol, t)
-            else:
-                value = semiring.sample(rng)
-                while semiring.is_zero(value):
-                    value = semiring.sample(rng)
-                u = SingleTupleUpdate("insert", symbol, t, value)
-            dyn_update(state, u)
+            dyn_update(state, random_update(rng, q, db, semiring, domain=4))
             got = dict(dyn_enumerate(state))
             want = oracle_eval_cq(q, db).entries
             static = dict(enumerate_state(preprocess_with_plan(q, db, fc_plan)))
@@ -263,11 +256,6 @@ def test_criterion_7_constant_update_time():
 
 
 def test_criterion_8_matlang_simulation():
-    from deltaenum.generators import (
-        random_conj_expression,
-        random_matrix_instance,
-        random_matrix_schema,
-    )
     from deltaenum.matlang import (
         MatQuery,
         decode_instance,
@@ -279,13 +267,8 @@ def test_criterion_8_matlang_simulation():
     rng = corpus_rng(8)
     semirings = [builtin_semiring("boolean"), builtin_semiring("natural")]
     failures = 0
-    found = 0
-    while found < 200:
-        schema = random_matrix_schema(rng, max_dim=6)
-        expr = random_conj_expression(rng, schema, max_depth=4)
-        if expr is None:
-            continue
-        found += 1
+    draws = random_conj_expressions(rng, max_dim=6, max_depth=4)
+    for found, (schema, expr) in enumerate(itertools.islice(draws, 200), 1):
         semiring = semirings[found % 2]
         instance = random_matrix_instance(rng, schema, semiring, density=0.5)
         # simulation commutes
@@ -316,26 +299,9 @@ def test_criterion_9_semiring_axioms_and_accumulators():
     ok = True
     for name in ("boolean", "natural", "real", "tropical-min"):
         s = builtin_semiring(name)
-        tol = 1e-9 if name == "real" else 0.0
-
-        def close(a, b):
-            if tol and isinstance(a, float) and math.isfinite(a) and math.isfinite(b):
-                return abs(a - b) <= tol
-            return a == b
-
         for _ in range(10_000):
-            a, b, c = s.sample(rng), s.sample(rng), s.sample(rng)
-            checks = (
-                close(s.add(s.add(a, b), c), s.add(a, s.add(b, c))),
-                close(s.add(a, b), s.add(b, a)),
-                close(s.add(a, s.zero), a),
-                close(s.mul(s.mul(a, b), c), s.mul(a, s.mul(b, c))),
-                close(s.mul(a, b), s.mul(b, a)),
-                close(s.mul(a, s.one), a),
-                close(s.mul(a, s.add(b, c)), s.add(s.mul(a, b), s.mul(a, c))),
-                s.is_zero(s.mul(s.zero, a)),
-            )
-            if not all(checks):
+            a, b, c = sample(s, rng), sample(s, rng), sample(s, rng)
+            if not axioms_hold(s, a, b, c):
                 ok = False
                 print(f"  axiom failure in {name}: {(a, b, c)}", file=sys.stderr)
                 break
@@ -343,18 +309,9 @@ def test_criterion_9_semiring_axioms_and_accumulators():
     for name in ("boolean", "natural", "real"):
         s = builtin_semiring(name)
         acc = acc_new(s)
-        members = []
-        for step in range(10_000):
-            if members and rng.random() < 0.4:
-                v = members.pop(rng.randrange(len(members)))
-                acc.delete(v)
-            else:
-                v = s.sample(rng)
-                members.append(v)
-                acc.insert(v)
-        want = s.zero
-        for v in members:
-            want = s.add(want, v)
+        for members in interleave_members(rng, s, acc, 10_000):
+            pass
+        want = fold(s, members)
         got = acc.total()
         if name == "real":
             if abs(got - want) > 1e-6 * max(1.0, abs(want)):
@@ -364,10 +321,7 @@ def test_criterion_9_semiring_axioms_and_accumulators():
     for n in range(0, 1001):
         for name in ("boolean", "natural"):
             s = builtin_semiring(name)
-            want = s.zero
-            for _ in range(n):
-                want = s.add(want, s.one)
-            if sum_of_ones(s, n) != want:
+            if sum_of_ones(s, n) != fold(s, [s.one] * n):
                 ok = False
     report("9 semiring axioms and accumulators", ok)
     assert ok

@@ -280,6 +280,20 @@ def test_dyn_with_verify(tmp_path, dbdir, capsys):
     assert sorted(out) == ["1,5"]
 
 
+def test_dyn_verify_compares_the_preprocessed_state(tmp_path, dbdir, monkeypatch, capsys):
+    from deltaenum import dynamic_engine
+
+    q = write(tmp_path / "q.cq", "H(x,y) :- R(x,y), S(y).")
+    ups = write(tmp_path / "u.ups", "")
+    argv = ["dyn", "--query", q, "--db", str(dbdir), "--updates", ups, "--verify"]
+    assert main(argv) == 0
+    assert sorted(capsys.readouterr().out.splitlines()) == ["1,2,6", "3,2,3"]
+    dyn_enumerate = dynamic_engine.dyn_enumerate
+    monkeypatch.setattr(dynamic_engine, "dyn_enumerate", lambda state: _drop_first(dyn_enumerate(state)))
+    assert main(argv) == 2
+    assert "verification mismatch after preprocessing" in capsys.readouterr().err
+
+
 def test_matlang_cli_roundtrip(tmp_path, capsys):
     schema = write(
         tmp_path / "s.json",
@@ -357,6 +371,16 @@ def test_matlang_eval_verify_with_addition_exits_one(tmp_path, capsys):
     assert captured.err.startswith("error: ") and "independent evaluator" in captured.err
 
 
+@pytest.mark.parametrize("action", ["classify", "compile"])
+def test_matlang_verify_outside_eval_exits_one(tmp_path, capsys, action):
+    files = _matlang_files(tmp_path, {"A": {"type": ["a", "b"]}}, "H := A .* A\n")[:4]
+    assert main(["matlang", action, *files]) == 0
+    capsys.readouterr()
+    assert main(["matlang", action, *files, "--verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: --verify applies to matlang eval")
+
+
 def test_matlang_head_type_mismatch_exits_one(tmp_path, capsys):
     matrices = {"H": {"type": ["a", "a"]}, "A": {"type": ["a", "b"]}}
     files = _matlang_files(tmp_path, matrices, "H := A\n")
@@ -391,6 +415,15 @@ def test_vocabulary_top_level_array_exits_one(tmp_path, dbdir, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("vocab", [{"relations": {"R": False}}, {"relations": {"R": 2}, "constants": {"c": True}}])
+def test_vocabulary_boolean_numbers_exit_one(tmp_path, dbdir, capsys, vocab):
+    (dbdir / "vocab.json").write_text(json.dumps(vocab))
+    q = write(tmp_path / "q.cq", "H(x,y) :- R(x,y).")
+    assert main(["eval", "--query", q, "--db", str(dbdir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {dbdir / 'vocab.json'}: ")
 
 
 def test_matlang_eval_missing_data_directory_exits_one(tmp_path, capsys):

@@ -15,21 +15,18 @@ from deltaenum.dynamic_engine import (
 from deltaenum.errors import CapabilityError, ClassificationError, SchemaError, VocabularyError
 from deltaenum.kdata import SingleTupleUpdate
 from deltaenum.oracle import oracle_eval_cq
-from deltaenum.planner import classify
 from deltaenum.query import parse_query
 from deltaenum.semiring import builtin_semiring
 from deltaenum.static_engine import enumerate_state, preprocess, preprocess_with_plan
 
-from test_query import random_cq
+from support import equal_answers, random_db_for_query, random_q_hierarchical_cq, random_update
 from test_static_engine import (
     JOIN,
     JOIN_DB,
     TWO_FACTORS,
     VOCABULARY_MISMATCHES,
-    equal_answers,
     in_tenths,
     make_db,
-    random_db,
     reference_walk,
 )
 
@@ -245,31 +242,15 @@ def test_dyn_walk_matches_static_and_oracle_over_a_stream():
     assert verify_dynamic_invariants(state) == []
 
 
-def random_update(rng, q, db, semiring, domain=5):
-    symbols = sorted({a.symbol for a in q.relational_atoms})
-    symbol = rng.choice(symbols)
-    arity = db.relations[symbol].arity
-    t = tuple(rng.randrange(1, domain + 1) for _ in range(arity))
-    if rng.random() < 0.4:
-        return SingleTupleUpdate("delete", symbol, t)
-    value = semiring.sample(rng)
-    while semiring.is_zero(value):
-        value = semiring.sample(rng)
-    return SingleTupleUpdate("insert", symbol, t, value)
-
-
 @pytest.mark.parametrize("tenths", [False, True])
 def test_dyn_walk_equals_the_reference_walk_after_each_update(tenths):
     # the guarded plan of TWO_FACTORS multiplies two frontier annotations on
     # one level; over tenths the association of a product shows in its last bit
     rng = random.Random(930 + tenths)
     queries = [parse_query(TWO_FACTORS)]
-    while len(queries) < 20:
-        q = random_cq(rng, max_atoms=3, max_vars=4)
-        if q.relational_atoms and classify(q).q_hierarchical:
-            queries.append(q)
+    queries += [random_q_hierarchical_cq(rng, max_atoms=3, max_vars=4) for _ in range(19)]
     for q in queries:
-        db = random_db(rng, q, REAL, max_tuples=30, domain=3)
+        db = random_db_for_query(rng, q, REAL, max_tuples=30, domain=3)
         if tenths:
             in_tenths(db)
         state = dyn_preprocess(q, db)
@@ -285,13 +266,9 @@ def test_dyn_walk_equals_the_reference_walk_after_each_update(tenths):
 def test_dyn_random_streams_match_recompute_and_oracle(sname):
     semiring = builtin_semiring(sname)
     rng = random.Random(910 + len(sname))
-    checked_queries = 0
-    while checked_queries < 25:
-        q = random_cq(rng, max_atoms=3, max_vars=4)
-        if not classify(q).q_hierarchical or not q.relational_atoms:
-            continue
-        checked_queries += 1
-        db = random_db(rng, q, semiring, max_tuples=12)
+    for _ in range(25):
+        q = random_q_hierarchical_cq(rng, max_atoms=3, max_vars=4)
+        db = random_db_for_query(rng, q, semiring, max_tuples=12)
         state = dyn_preprocess(q, db)
         for step in range(60):
             dyn_update(state, random_update(rng, q, db, semiring))
@@ -312,7 +289,7 @@ def test_nullary_atoms_match_oracle_under_updates(text, sname):
     semiring = builtin_semiring(sname)
     rng = random.Random(17 + len(text) + len(sname))
     q = parse_query(text)
-    db = random_db(rng, q, semiring, max_tuples=12)
+    db = random_db_for_query(rng, q, semiring, max_tuples=12)
     state = dyn_preprocess(q, db)
     for step in range(60):
         u = random_update(rng, q, db, semiring)
@@ -574,10 +551,8 @@ def qh_update_streams(draw):
     for it and a stream of updates to its relations; a ``cancel`` inserts k
     and then -k into the same tuple."""
     rng = draw(st.randoms(use_true_random=False))
-    q = random_cq(rng, max_atoms=4, max_vars=4, self_join_prob=0.4)
-    while not (q.relational_atoms and classify(q).q_hierarchical):
-        q = random_cq(rng, max_atoms=4, max_vars=4, self_join_prob=0.4)
-    db = random_db(rng, q, REAL, max_tuples=12, domain=3)
+    q = random_q_hierarchical_cq(rng, max_atoms=4, max_vars=4, self_join_prob=0.4)
+    db = random_db_for_query(rng, q, REAL, max_tuples=12, domain=3)
     arity = {a.symbol: len(a.args) for a in q.relational_atoms}
     ops = draw(
         st.lists(

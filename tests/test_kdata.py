@@ -13,6 +13,8 @@ from deltaenum.kdata import (
 )
 from deltaenum.semiring import builtin_semiring
 
+from support import sample
+
 NAT = builtin_semiring("natural")
 REAL = builtin_semiring("real")
 
@@ -74,7 +76,7 @@ def test_no_zero_annotations_after_update_storm():
         if rng.random() < 0.3:
             apply_update(db, SingleTupleUpdate("delete", "R", t))
         else:
-            apply_update(db, SingleTupleUpdate("insert", "R", t, REAL.sample(rng)))
+            apply_update(db, SingleTupleUpdate("insert", "R", t, sample(REAL, rng)))
         assert all(not REAL.is_zero(v) for v in db.relations["R"].entries.values())
 
 
@@ -199,6 +201,14 @@ def test_load_database_accepts(tmp_path, arity, text, entries):
     write_bytes(tmp_path / "R.csv", text)
     db = load_database(tmp_path / "vocab.json", tmp_path, NAT)
     assert db.relations["R"].entries == entries
+
+
+@pytest.mark.parametrize("vocab", ['{"relations": {"R": false}}', '{"relations": {}, "constants": {"c": true}}'])
+def test_load_vocabulary_rejects_booleans_as_numbers(tmp_path, vocab):
+    (tmp_path / "vocab.json").write_text(vocab)
+    with pytest.raises(IngestionError) as exc:
+        load_database(tmp_path / "vocab.json", tmp_path, NAT)
+    assert exc.value.filename == str(tmp_path / "vocab.json")
 
 
 @pytest.mark.parametrize("name, value", [("real", "2.5"), ("boolean", "t")])

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -32,6 +33,8 @@ from deltaenum.matlang import (
 from deltaenum.oracle import oracle_eval_matlang
 from deltaenum.query import IneqAtom
 from deltaenum.semiring import builtin_semiring
+
+from support import random_conj_expression, random_conj_expressions, random_matrix_instance, random_matrix_schema
 
 NAT = builtin_semiring("natural")
 BOOL = builtin_semiring("boolean")
@@ -173,18 +176,7 @@ def test_roundtrip_encode_decode_identity():
         {"U": "unary", "S": "nullary"},
     )
     for _ in range(50):
-        entries = {}
-        for name in schema.matrices:
-            m, n = schema.dims(name)
-            cells = {}
-            for i in range(1, m + 1):
-                for j in range(1, n + 1):
-                    if rng.random() < 0.4:
-                        v = NAT.sample(rng)
-                        if not NAT.is_zero(v):
-                            cells[(i, j)] = v
-            entries[name] = cells
-        inst = MatrixInstance(schema, NAT, entries)
+        inst = random_matrix_instance(rng, schema, NAT, density=0.4)
         back = decode_instance(encode_instance(inst), schema)
         assert back.entries == inst.entries
         assert back.schema.sizes == inst.schema.sizes
@@ -394,21 +386,9 @@ def test_oracle_sum_identity_derivation():
 # ---------------------------------------------------------------------------
 
 def test_simulation_commutes_on_random_corpus():
-    from deltaenum.generators import (
-        random_conj_expression,
-        random_matrix_instance,
-        random_matrix_schema,
-    )
-
     rng = random.Random(20240813)
     semirings = [BOOL, NAT]
-    found = 0
-    while found < 200:
-        schema = random_matrix_schema(rng)
-        expr = random_conj_expression(rng, schema)
-        if expr is None:
-            continue
-        found += 1
+    for found, (schema, expr) in enumerate(islice(random_conj_expressions(rng), 200), 1):
         semiring = semirings[found % 2]
         inst = random_matrix_instance(rng, schema, semiring)
         result = eval_matlang(MatQuery("HOUT", expr), inst)
@@ -418,7 +398,6 @@ def test_simulation_commutes_on_random_corpus():
 
 
 def test_fc_and_qh_fragments_translate_to_matching_cq_classes():
-    from deltaenum.generators import random_conj_expression, random_matrix_schema
     from deltaenum.planner import classify
 
     rng = random.Random(20240814)
@@ -449,16 +428,8 @@ def test_fc_and_qh_fragments_translate_to_matching_cq_classes():
 def test_translations_sum_out_each_bound_index_of_size_one_on_its_own():
     """A bound index of size 1 takes only the value 1: it translates to one
     variable at one stored position, with no inequality atom."""
-    from deltaenum.generators import random_conj_expression, random_matrix_schema
-
     rng = random.Random(20240815)
-    found = 0
-    while found < 1000:
-        schema = random_matrix_schema(rng)
-        expr = random_conj_expression(rng, schema)
-        if expr is None:
-            continue
-        found += 1
+    for schema, expr in islice(random_conj_expressions(rng), 1000):
         q = MatQuery("HOUT", expr)
         full = with_head(q, schema)
         cq = translate_to_cq(q, full)

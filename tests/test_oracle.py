@@ -1,73 +1,64 @@
-from deltaenum.kdata import AnnotatedRelation, Database
 from deltaenum.oracle import oracle_eval_cq, oracle_eval_ucq
 from deltaenum.query import parse_query, parse_ucq
 from deltaenum.semiring import builtin_semiring
+
+from test_static_engine import make_db
 
 NAT = builtin_semiring("natural")
 BOOL = builtin_semiring("boolean")
 
 
-def natdb(relations, constants=None):
-    db = Database(NAT, constants=dict(constants or {}))
-    for name, (arity, entries) in relations.items():
-        db.relations[name] = AnnotatedRelation(arity, dict(entries))
-    return db
-
-
 def test_relational_atom_is_the_relation():
-    db = natdb({"R": (2, {(1, 2): 2, (3, 1): 5})})
+    db = make_db(NAT, {"R": (2, {(1, 2): 2, (3, 1): 5})})
     out = oracle_eval_ucq(parse_ucq("H(x,y) :- R(x,y)."), db)
     assert out == {(1, 2): 2, (3, 1): 5}
 
 
 def test_exists_sums_extensions():
-    db = natdb({"R": (2, {(1, 2): 2, (1, 3): 1})})
+    db = make_db(NAT, {"R": (2, {(1, 2): 2, (1, 3): 1})})
     out = oracle_eval_cq(parse_query("H(x) :- R(x,y)."), db)
     assert out.entries == {(1,): 3}
 
 
 def test_comparison_semantics():
-    db = natdb({}, constants={"c": 2})
+    db = make_db(NAT, {}, constants={"c": 2})
     out = oracle_eval_cq(parse_query("H(x) :- x <= c."), db)
     assert out.entries == {(1,): 1, (2,): 1}
 
 
 def test_identity_query():
-    db = natdb({}, constants={"alpha": 2})
+    db = make_db(NAT, {}, constants={"alpha": 2})
     out = oracle_eval_cq(parse_query("I(x,x) :- x <= alpha."), db)
     assert out.entries == {(1, 1): 1, (2, 2): 1}
 
 
 def test_single_atom_full_query_is_identity():
-    db = natdb({"R": (2, {(1, 2): 2, (3, 1): 5})})
+    db = make_db(NAT, {"R": (2, {(1, 2): 2, (3, 1): 5})})
     out = oracle_eval_cq(parse_query("H(x,y) :- R(x,y)."), db)
     assert out.entries == db.relations["R"].entries
 
 
 def test_join_example():
-    db = natdb({"R": (2, {(1, 2): 2}), "S": (2, {(2, 4): 3})})
+    db = make_db(NAT, {"R": (2, {(1, 2): 2}), "S": (2, {(2, 4): 3})})
     out = oracle_eval_cq(parse_query("H(x,y,z) :- R(x,z), S(z,y)."), db)
     assert out.entries == {(1, 4, 2): 6}
 
 
 def test_repeated_variable_atom():
-    db = natdb({"S": (2, {(1, 1): 2, (1, 2): 7})})
+    db = make_db(NAT, {"S": (2, {(1, 1): 2, (1, 2): 7})})
     out = oracle_eval_cq(parse_query("H(x) :- S(x,x)."), db)
     assert out.entries == {(1,): 2}
 
 
 def test_cancellation_in_projection():
     REAL = builtin_semiring("real")
-    db = Database(REAL)
-    db.relations["R"] = AnnotatedRelation(2, {(1, 1): 2.0, (1, 2): -2.0})
+    db = make_db(REAL, {"R": (2, {(1, 1): 2.0, (1, 2): -2.0})})
     out = oracle_eval_cq(parse_query("H(x) :- R(x,y)."), db)
     assert out.entries == {}
 
 
 def test_union_sums_the_answers_of_its_cqs():
     REAL = builtin_semiring("real")
-    db = Database(REAL)
-    db.relations["R"] = AnnotatedRelation(1, {(1,): 2.0, (3,): 0.5})
-    db.relations["S"] = AnnotatedRelation(2, {(1, 1): -2.0, (2, 2): 1.0, (3, 1): 0.25})
+    db = make_db(REAL, {"R": (1, {(1,): 2.0, (3,): 0.5}), "S": (2, {(1, 1): -2.0, (2, 2): 1.0, (3, 1): 0.25})})
     out = oracle_eval_ucq(parse_ucq("H(x) :- R(x) ; S(x,x)."), db)
     assert out == {(3,): 0.5, (2,): 1.0}  # 2.0 + -2.0 cancels

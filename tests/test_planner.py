@@ -12,7 +12,7 @@ from deltaenum.planner import (
 )
 from deltaenum.query import parse_query, split
 
-from test_query import random_cq
+from support import random_cq
 
 
 def test_join_tree_triangle_is_cyclic():

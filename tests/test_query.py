@@ -143,7 +143,7 @@ def test_has_self_join():
 # Random corpus properties
 # ---------------------------------------------------------------------------
 
-from deltaenum.generators import random_cq  # shared corpus generator
+from support import random_cq, random_db_for_query
 
 
 def test_split_partitions_free_vars_on_corpus():
@@ -187,14 +187,12 @@ def test_split_product_identity_on_atomically_consistent_dbs():
     from deltaenum.oracle import oracle_eval_cq
     from deltaenum.semiring import builtin_semiring
 
-    from test_static_engine import random_db
-
     NAT = builtin_semiring("natural")
     rng = random.Random(424242)
     checked = 0
     while checked < 300:
         q = random_cq(rng)
-        db = atomically_consistent(random_db(rng, q, NAT), q)
+        db = atomically_consistent(random_db_for_query(rng, q, NAT), q)
         sp = split(q)
         full = oracle_eval_cq(q, db).entries
         rel = oracle_eval_cq(sp.rel_part, db).entries

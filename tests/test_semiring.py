@@ -13,14 +13,9 @@ from deltaenum.semiring import (
     sum_of_ones,
 )
 
+from support import axioms_hold, fold, interleave_members, sample
+
 ALL = [builtin_semiring(n) for n in BUILTIN_SEMIRING_NAMES]
-
-
-def fold(s, values):
-    total = s.zero
-    for v in values:
-        total = s.add(total, v)
-    return total
 
 
 def test_builtin_names_and_flags():
@@ -60,23 +55,9 @@ def test_tropical_zero_annihilates():
 def test_axioms_on_random_triples(name):
     s = builtin_semiring(name)
     rng = random.Random(20240811)
-    tol = 1e-9 if name == "real" else 0.0
-
-    def close(a, b):
-        if tol and isinstance(a, float) and math.isfinite(a) and math.isfinite(b):
-            return abs(a - b) <= tol
-        return a == b
-
     for _ in range(10_000):
-        a, b, c = s.sample(rng), s.sample(rng), s.sample(rng)
-        assert close(s.add(s.add(a, b), c), s.add(a, s.add(b, c)))
-        assert close(s.add(a, b), s.add(b, a))
-        assert close(s.add(a, s.zero), a)
-        assert close(s.mul(s.mul(a, b), c), s.mul(a, s.mul(b, c)))
-        assert close(s.mul(a, b), s.mul(b, a))
-        assert close(s.mul(a, s.one), a)
-        assert close(s.mul(a, s.add(b, c)), s.add(s.mul(a, b), s.mul(a, c)))
-        assert s.is_zero(s.mul(s.zero, a))
+        a, b, c = sample(s, rng), sample(s, rng), sample(s, rng)
+        assert axioms_hold(s, a, b, c), (a, b, c)
         if s.zero_divisor_free and s.is_zero(s.mul(a, b)):
             assert s.is_zero(a) or s.is_zero(b)
         if s.zero_sum_free and s.is_zero(s.add(a, b)):
@@ -141,15 +122,7 @@ def test_acc_random_interleavings_match_reference(name):
     s = builtin_semiring(name)
     rng = random.Random(7)
     acc = acc_new(s)
-    members = []
-    for step in range(10_000):
-        if members and rng.random() < 0.4:
-            v = members.pop(rng.randrange(len(members)))
-            acc.delete(v)
-        else:
-            v = s.sample(rng)
-            members.append(v)
-            acc.insert(v)
+    for step, members in enumerate(interleave_members(rng, s, acc, 10_000)):
         if step % 500 == 0 or not members:
             want = fold(s, members)
             got = acc.total()
@@ -193,7 +166,7 @@ def test_tropical_parse_keeps_its_zero_and_rejects_nan_and_minus_inf():
 def test_admits_every_value_the_semiring_makes(name):
     s = builtin_semiring(name)
     rng = random.Random(4)
-    values = [s.zero, s.one] + [s.sample(rng) for _ in range(100)]
+    values = [s.zero, s.one] + [sample(s, rng) for _ in range(100)]
     assert all(s.admits(v) for v in values)
     assert all(s.admits(s.add(a, b)) and s.admits(s.mul(a, b)) for a, b in zip(values, values[1:]))
     assert not any(s.admits(v) for v in ("1", None, math.nan, -math.inf))

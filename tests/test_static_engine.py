@@ -10,7 +10,7 @@ import pytest
 from deltaenum.errors import CapabilityError, ClassificationError, VocabularyError
 from deltaenum.kdata import AnnotatedRelation, Database
 from deltaenum.oracle import oracle_eval_cq
-from deltaenum.planner import build_fc_plan, build_guarded_plan, classify
+from deltaenum.planner import build_fc_plan, build_guarded_plan
 from deltaenum.query import parse_query
 from deltaenum.semiring import BUILTIN_SEMIRING_NAMES, builtin_semiring
 from deltaenum.static_engine import (
@@ -23,7 +23,7 @@ from deltaenum.static_engine import (
     walk_source,
 )
 
-from test_query import random_cq
+from support import equal_answers, random_db_for_query, random_free_connex_cq
 
 NAT = builtin_semiring("natural")
 BOOL = builtin_semiring("boolean")
@@ -95,9 +95,6 @@ def test_preprocess_rejects_vocabulary_mismatch(text):
 
 
 def test_preprocess_rejects_zero_divisor_semirings():
-    class Mod6:
-        pass
-
     from deltaenum.semiring import SemiringDescriptor
 
     mod6 = SemiringDescriptor(
@@ -111,7 +108,6 @@ def test_preprocess_rejects_zero_divisor_semirings():
         zero_sum_free=False,
         parse=int,
         format=str,
-        sample=lambda rng: rng.randrange(6),
     )
     q = parse_query("H(x) :- R(x).")
     db = Database(mod6)
@@ -172,43 +168,14 @@ def test_cancelled_projection_does_not_block_connex_navigation():
 # Random oracle equivalence
 # ---------------------------------------------------------------------------
 
-def random_db(rng: random.Random, q, semiring, max_tuples=30, domain=5):
-    db = Database(semiring)
-    arities = {}
-    for atom in q.relational_atoms:
-        arities[atom.symbol] = len(atom.args)
-    for symbol, arity in arities.items():
-        rel = AnnotatedRelation(arity)
-        for _ in range(rng.randrange(0, max_tuples // max(1, len(arities)) + 1)):
-            t = tuple(rng.randrange(1, domain + 1) for _ in range(arity))
-            value = semiring.sample(rng)
-            if not semiring.is_zero(value):
-                rel.entries[t] = value
-        db.relations[symbol] = rel
-    for const in ("c", "d"):
-        db.constants[const] = rng.randrange(1, domain + 1)
-    return db
-
-
-def equal_answers(got, want, semiring):
-    if semiring.name == "real":
-        if set(got) != set(want):
-            return False
-        return all(abs(got[t] - want[t]) <= 1e-9 for t in got)
-    return got == want
-
-
 @pytest.mark.parametrize("sname", BUILTIN_SEMIRING_NAMES)
 def test_random_oracle_equivalence(sname):
     semiring = builtin_semiring(sname)
     rng = random.Random(600 + len(sname))
-    found = streamed = 0
-    while found < 400:
-        q = random_cq(rng)
-        if not classify(q).free_connex:
-            continue
-        found += 1
-        db = random_db(rng, q, semiring)
+    streamed = 0
+    for _ in range(400):
+        q = random_free_connex_cq(rng)
+        db = random_db_for_query(rng, q, semiring)
         state = preprocess(q, db)
         got = dict(enumerate_state(state))
         want = oracle_eval_cq(q, db).entries
@@ -228,18 +195,11 @@ def test_random_oracle_equivalence(sname):
 
 
 def test_streamed_joins_multiply_in_the_reference_order():
-    # a product of tenths can depend on the order of its factors in the last
-    # bit, unlike the quarters that REAL.sample draws
     rng = random.Random(611)
-    found = chains = 0
-    while found < 400:
-        q = random_cq(rng)
-        if not classify(q).free_connex:
-            continue
-        found += 1
-        db = random_db(rng, q, REAL)
-        for rel in db.relations.values():
-            rel.entries = {t: k / 10 for t, k in rel.entries.items()}
+    chains = 0
+    for _ in range(400):
+        q = random_free_connex_cq(rng)
+        db = in_tenths(random_db_for_query(rng, q, REAL))
         state = preprocess(q, db)
         if state.plan is None:
             continue
@@ -440,7 +400,7 @@ def reference_walk(state):
 
 def in_tenths(db):
     # a product of tenths can depend on the association of its factors in
-    # the last bit, unlike the quarters that REAL.sample draws
+    # the last bit, unlike the quarters that the corpora draw
     for rel in db.relations.values():
         rel.entries = {t: k / 10 for t, k in rel.entries.items()}
     return db
@@ -456,13 +416,9 @@ def assert_walks_alike(state):
 def test_walk_equals_the_reference_walk(sname):
     semiring = builtin_semiring(sname.removesuffix("-tenths"))
     rng = random.Random(620 + len(sname))
-    found = 0
-    while found < 300:
-        q = random_cq(rng)
-        if not classify(q).free_connex:
-            continue
-        found += 1
-        db = random_db(rng, q, semiring)
+    for _ in range(300):
+        q = random_free_connex_cq(rng)
+        db = random_db_for_query(rng, q, semiring)
         if sname == "real-tenths":
             in_tenths(db)
         assert_walks_alike(preprocess(q, db))
@@ -479,7 +435,7 @@ def test_walk_multiplies_each_level_in_the_documented_order():
     assert max(len(level.frontier) for level in plan.levels) == 2
     rng = random.Random(623)
     for _ in range(40):
-        db = in_tenths(random_db(rng, q, REAL, max_tuples=60, domain=3))
+        db = in_tenths(random_db_for_query(rng, q, REAL, max_tuples=60, domain=3))
         db.constants["d"] = 3
         assert_walks_alike(preprocess_with_plan(q, db, plan))
         assert_walks_alike(preprocess_with_plan(q, db, build_fc_plan(q)))
@@ -502,7 +458,7 @@ def test_no_query_text_reaches_the_compiled_walk():
     plain = "H(a, c, b) :- A(a, c), B(a), C(a, c, d), b <= e."
     q, p = parse_query(text), parse_query(plain)
     rng = random.Random(624)
-    db = random_db(rng, q, NAT, max_tuples=60, domain=3)
+    db = random_db_for_query(rng, q, NAT, max_tuples=60, domain=3)
     db.constants["k"] = 2
     for plan_of in (build_fc_plan, build_guarded_plan):
         state = preprocess_with_plan(q, db, plan_of(q))
