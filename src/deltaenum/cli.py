@@ -197,7 +197,7 @@ def _print_csv(semiring, answers) -> int:
     return how many there were."""
     count = 0
     for t, v in answers:
-        print(",".join(map(str, t)) + "," + semiring.format(v))
+        print(",".join([*map(str, t), semiring.format(v)]))
         count += 1
     return count
 

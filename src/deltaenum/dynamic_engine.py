@@ -12,15 +12,17 @@ frontier; guarded plans make every step O(1) because the parent tuple
 affected by a child delta is unique (vars(parent) is a subset of
 vars(child)) and 2-child nodes carry equal variable sets on both children.
 
-A frontier node's candidates are the tuples of its relation.  When its
-support changes, the change ripples up the connex region through the
-extension groups and, at a 2-child node, through one lookup in the sibling's
-candidates, again O(1) per step.
+A frontier node's candidates are the tuples of its relation, and a
+projection's are the keys of its child's extension group.  When a frontier
+node's support changes, the change ripples up the connex region: a
+projection step moves the tuple in or out of its group, which changes the
+parent's candidates with it, and a 2-child step looks the tuple up in the
+sibling's candidates and writes the parent's, again O(1) per step.
 
 ``dyn_preprocess`` runs the static preprocess over the guarded plan, the
 one bottom-up path of both engines, and counts the members of each group
 of a stored projection's child.  It then compiles the update paths once
-per plan (``DynamicState.paths``): per leaf, its key getter and relation,
+per plan (``DynamicState.paths``): per leaf, its key function and relation,
 then one tuple of steps up to the first connex node and one over the
 connex region, each step holding the dicts it reads and writes.
 ``dyn_update`` applies the update to the database once, through
@@ -45,8 +47,9 @@ from .static_engine import EnumerationState, enumerate_state, preprocess_with_pl
 # One step of a compiled update path, from a node to its parent: the
 # parent's relation (upward) or candidates (connex), the key getter from the
 # node's tuple to the parent's (None at a 2-child node, whose children carry
-# the parent's tuple), and the parent's member counts (upward), the node's
-# extension group (connex) or the sibling's relation or candidates.
+# the parent's tuple), and the parent's member counts (upward projection),
+# the sibling's relation or candidates (2-child node), or None (connex
+# projection: the parent's candidates are the node's extension group).
 PathStep = Tuple[Dict[DataTuple, Value], Optional[TupleGetter], Dict]
 LeafPath = Tuple[Callable, Dict[DataTuple, Value], Tuple[PathStep, ...], Tuple[PathStep, ...]]
 
@@ -112,14 +115,14 @@ def dyn_preprocess(q: ConjunctiveQuery, db: Database) -> DynamicState:
             in_connex = c in plan.connex
             store = enum.candidates if in_connex else enum.relations
             if len(children) == 1:
-                step = (store[p], plan.key[c], enum.groups[c] if in_connex else state.accs[p])
+                step = (store[p], plan.key[c], None if in_connex else state.accs[p])
             else:
                 step = (store[p], None, store[children[1] if children[0] == c else children[0]])
             (connex if in_connex else ups).append(step)
             c = p
         symbol = plan.atoms[plan.nodes[leaf].atom_index].symbol
         state.paths.setdefault(symbol, []).append(
-            (enum.matchers[leaf].key, enum.relations[leaf], tuple(ups), tuple(connex))
+            (enum.matchers[leaf], enum.relations[leaf], tuple(ups), tuple(connex))
         )
     return state
 
@@ -193,26 +196,27 @@ def dyn_update(state: DynamicState, u: SingleTupleUpdate) -> None:
                     # children's candidate sets
                     if key not in other:
                         break
-                else:
-                    pkey = get(key)
                     if added:
-                        bucket = other.get(pkey)
-                        if bucket is None:
-                            bucket = other[pkey] = {}
-                        bucket[key] = True
-                        if len(bucket) > 1:
-                            break  # parent candidate already present
+                        pcands[key] = True
                     else:
-                        bucket = other[pkey]
-                        del bucket[key]
-                        if bucket:
-                            break
-                        del other[pkey]
-                    key = pkey
+                        del pcands[key]
+                    continue
+                # the parent's candidates are the keys of this node's group
+                pkey = get(key)
                 if added:
-                    pcands[key] = True
+                    bucket = pcands.get(pkey)
+                    if bucket is None:
+                        bucket = pcands[pkey] = {}
+                    bucket[key] = True
+                    if len(bucket) > 1:
+                        break  # parent candidate already present
                 else:
-                    del pcands[key]
+                    bucket = pcands[pkey]
+                    del bucket[key]
+                    if bucket:
+                        break
+                    del pcands[pkey]
+                key = pkey
 
 
 def dyn_enumerate(state: DynamicState, limit: Optional[int] = None) -> Iterator[Tuple[DataTuple, Value]]:
@@ -248,6 +252,8 @@ def verify_dynamic_invariants(state: DynamicState) -> List[str]:
         if set(fresh.candidates.get(nid, {})) != set(enum.candidates.get(nid, {})):
             problems.append(f"node {nid}: candidate set mismatch")
     for nid, grp in enum.groups.items():
+        if enum.candidates[plan.nodes[nid].parent] is not grp:
+            problems.append(f"node {nid}: its group is not its parent's candidate set")
         fresh_grp = fresh.groups.get(nid, {})
         if {k: set(v) for k, v in grp.items()} != {k: set(v) for k, v in fresh_grp.items()}:
             problems.append(f"node {nid}: extension groups mismatch")

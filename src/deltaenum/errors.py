@@ -45,7 +45,9 @@ class QuerySyntaxError(EngineError):
 class NotConjunctiveError(QuerySyntaxError):
     """The text parses as a union of CQs but is not a conjunctive query.
 
-    Callers catch this to route the query to the oracle-only path.
+    Raised by ``query.rule_query``.  No caller catches it: ``cli.cmd_eval``
+    routes a union by its block count before it asks for a CQ, and every other
+    command reports it like any syntax error.
     """
 
 

@@ -21,7 +21,7 @@ sorted variable names, so plan dumps are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -48,7 +48,6 @@ def tuple_getter(positions: Sequence[int]) -> TupleGetter:
 
 @dataclass
 class PlanNode:
-    id: int
     label: Optional[VarSet]  # None for leaves
     atom_index: Optional[int]  # leaf: index into plan.atoms
     children: List[int] = field(default_factory=list)
@@ -144,41 +143,15 @@ class QueryPlan:
         return frozenset(out)
 
 
-class _PlanBuilder:
-    def __init__(self, atoms: Tuple[RelAtom, ...]):
-        self.atoms = atoms
-        self.nodes: Dict[int, PlanNode] = {}
-        self.next_id = 0
-
-    def leaf(self, atom_index: int) -> int:
-        return self._add(PlanNode(-1, None, atom_index))
-
-    def interior(self, label: VarSet, children: List[int]) -> int:
-        return self._add(PlanNode(-1, frozenset(label), None, children))
-
-    def _add(self, node: PlanNode) -> int:
-        node.id = self.next_id
-        self.nodes[node.id] = node
-        self.next_id += 1
-        return node.id
-
-    def vars(self, nid: int) -> VarSet:
-        node = self.nodes[nid]
-        return self.atoms[node.atom_index].vars if node.is_leaf else node.label
-
-
-def _finalize(
-    builder: _PlanBuilder, root: int, connex: Set[int], guarded: bool, free: VarSet
-) -> QueryPlan:
+def _finalize(plan: QueryPlan, free: VarSet) -> QueryPlan:
     """Fix the plan's layout; the engines only read it.
 
     When the root's label already covers the free variables, N = {root}: the
     root relation then materializes the full relational answer and
     enumeration degenerates to a scan.
     """
-    plan = QueryPlan(builder.atoms, builder.nodes, root, connex, guarded)
-    if plan.vars(root) == free:
-        plan.connex = {root}
+    if plan.vars(plan.root) == free:
+        plan.connex = {plan.root}
     for nid, node in plan.nodes.items():
         plan.order[nid] = tuple(sorted(plan.vars(nid)))
         node.children.sort(key=lambda c: plan.vars(c) != plan.vars(nid))
@@ -274,47 +247,53 @@ def build_plan(q: ConjunctiveQuery, guarded: bool) -> Optional[QueryPlan]:
     if not rel.relational_atoms:
         return None
     free = frozenset(rel.head_vars)
-    builder = _PlanBuilder(rel.relational_atoms)
-    roots = [builder.leaf(i) for i in range(len(builder.atoms))]
+    plan = QueryPlan(rel.relational_atoms, {}, -1, set(), guarded)
+
+    def add(label: Optional[VarSet], atom_index: Optional[int], children: List[int]) -> int:
+        nid = len(plan.nodes)
+        plan.nodes[nid] = PlanNode(label, atom_index, children)
+        return nid
+
+    roots = [add(None, i, []) for i in range(len(plan.atoms))]
 
     def absorbs(w: int, rv: VarSet) -> bool:
-        return rv == builder.vars(w) if guarded else rv <= builder.vars(w)
+        return rv == plan.vars(w) if guarded else rv <= plan.vars(w)
 
     def step(keep: VarSet) -> bool:
         """One absorb, else one projection that drops no variable of
         ``keep``; False when neither applies."""
         for r in reversed(roots):
-            rv = builder.vars(r)
+            rv = plan.vars(r)
             w = next((w for w in roots if w != r and absorbs(w, rv)), None)
             if w is not None:
-                roots[roots.index(w)] = builder.interior(builder.vars(w), [w, r])
+                roots[roots.index(w)] = add(plan.vars(w), None, [w, r])
                 roots.remove(r)
                 return True
         for r in reversed(roots):
-            rv = builder.vars(r)
-            drop = rv - keep - frozenset().union(*(builder.vars(o) for o in roots if o != r))
+            rv = plan.vars(r)
+            drop = rv - keep - frozenset().union(*(plan.vars(o) for o in roots if o != r))
             if drop:
                 roots.remove(r)
-                roots.append(builder.interior(rv - drop, [r]))
+                roots.append(add(rv - drop, None, [r]))
                 return True
         return False
 
     while step(free):  # phase 1: bound variables only
         pass
-    if any(builder.vars(r) - free for r in roots):
+    if any(plan.vars(r) - free for r in roots):
         return None
     while len(roots) > 1 and step(frozenset()):  # phase 2: all, never the last root
         pass
     if len(roots) > 1:
         return None
-    connex: Set[int] = set()
-    stack = [roots[0]]
+    plan.root = roots[0]
+    stack = [plan.root]
     while stack:
         nid = stack.pop()
-        if builder.vars(nid) <= free:
-            connex.add(nid)
-            stack.extend(builder.nodes[nid].children)
-    return _finalize(builder, roots[0], connex, guarded, free)
+        if plan.vars(nid) <= free:
+            plan.connex.add(nid)
+            stack.extend(plan.nodes[nid].children)
+    return _finalize(plan, free)
 
 
 def build_fc_plan(q: ConjunctiveQuery) -> Optional[QueryPlan]:
@@ -341,13 +320,7 @@ class QueryClass:
     self_join_free: bool
 
     def as_dict(self) -> Dict[str, bool]:
-        return {
-            "acyclic": self.acyclic,
-            "free_connex": self.free_connex,
-            "q_hierarchical": self.q_hierarchical,
-            "constant_disjoint": self.constant_disjoint,
-            "self_join_free": self.self_join_free,
-        }
+        return asdict(self)
 
 
 def classify(q: ConjunctiveQuery) -> QueryClass:

@@ -26,7 +26,9 @@ Enumeration then walks only the connex region of the plan.  Navigation there
 is driven by *candidate* structures built on tuple support, not on aggregated
 annotations: over semirings with cancelling sums (the reals) an aggregated
 value can vanish while its extensions remain enumerable, and the connex
-variables are free, so no aggregation is allowed to prune them.
+variables are free, so no aggregation is allowed to prune them.  Only the
+keys of a candidate set count: a frontier node's candidate set is its
+relation, and a projection's is its child's extension group.
 
 The planner cuts the connex region into *levels* (``QueryPlan.levels``): the
 root's candidates, then one level per projection edge into a connex child,
@@ -100,57 +102,37 @@ class EnumerationState:
     # per plan node in ``plan.stored``: its node relation, keyed in
     # ``plan.order``
     relations: Dict[int, Dict[DataTuple, Value]] = field(default_factory=dict)
-    # connex navigation structures; only the keys of a candidate set count,
-    # and a frontier node's is its relation itself
+    # connex navigation structures; only the keys of a candidate set count:
+    # a frontier node's is its relation, a projection's its child's group
     groups: Dict[int, Dict[DataTuple, Dict[DataTuple, bool]]] = field(default_factory=dict)
-    candidates: Dict[int, Dict[DataTuple, Value]] = field(default_factory=dict)
-    # per plan leaf: its tuple-to-key matcher, built once
-    matchers: Dict[int, LeafMatcher] = field(default_factory=dict)
+    candidates: Dict[int, Dict[DataTuple, object]] = field(default_factory=dict)
+    # per plan leaf: its key function (``build_leaf_matcher``), built once
+    matchers: Dict[int, Callable[[DataTuple], Optional[DataTuple]]] = field(default_factory=dict)
     ineq: Optional[IneqPlanState] = None
     # the compiled ``walk_source`` of the query and plan: state -> answers
     walk: Optional[Callable] = field(default=None, repr=False)
     version: int = 0
 
 
-@dataclass
-class LeafMatcher:
-    """Maps the tuples of one plan leaf's relation to the leaf's keys.
+def identity_key(t: DataTuple) -> DataTuple:
+    """The key function of a leaf whose every tuple is its own key."""
+    return t
+
+
+def build_leaf_matcher(
+    atom: RelAtom, covered: Sequence[IneqAtom], db: Database
+) -> Callable[[DataTuple], Optional[DataTuple]]:
+    """The key function of ``atom`` and the inequalities it covers, checked
+    against the database vocabulary (unknown symbols and arity mismatches
+    raise ``VocabularyError``).
 
     A tuple matches its atom when the components at a repeated variable's
     positions are equal and every inequality the atom covers holds; its key
-    lists the values of the atom's distinct variables in sorted order.
-    ``key`` gives the key, or None for a tuple that does not match; without
-    equalities and limits every tuple matches, and ``key`` is ``project``.
-    ``identity`` says that every key is its tuple itself.
+    lists the values of the atom's distinct variables in sorted order, and a
+    tuple that does not match has the key None.  Without equalities and
+    limits every tuple matches: the key function is then ``identity_key``
+    when every key is its tuple, and a plain ``tuple_getter`` otherwise.
     """
-
-    positions: Tuple[int, ...]  # first atom position of each key variable
-    equalities: Tuple[Tuple[int, int], ...]  # (later, first) position of one variable
-    limits: Tuple[Tuple[int, int], ...]  # (position, bound): component <= bound
-    project: TupleGetter = field(init=False, repr=False, compare=False)
-    key: Callable[[DataTuple], Optional[DataTuple]] = field(init=False, repr=False, compare=False)
-    identity: bool = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.project = tuple_getter(self.positions)
-        filtered = bool(self.equalities or self.limits)
-        self.key = self._filtered_key if filtered else self.project
-        self.identity = not filtered and self.positions == tuple(range(len(self.positions)))
-
-    def _filtered_key(self, t: DataTuple) -> Optional[DataTuple]:
-        for i, j in self.equalities:
-            if t[i] != t[j]:
-                return None
-        for i, bound in self.limits:
-            if t[i] > bound:
-                return None
-        return self.project(t)
-
-
-def build_leaf_matcher(atom: RelAtom, covered: Sequence[IneqAtom], db: Database) -> LeafMatcher:
-    """Matcher for ``atom`` and the inequalities it covers, checked against
-    the database vocabulary (unknown symbols and arity mismatches raise
-    ``VocabularyError``)."""
     rel = db.relation(atom.symbol)
     if len(atom.args) != rel.arity:
         raise VocabularyError(
@@ -162,11 +144,22 @@ def build_leaf_matcher(atom: RelAtom, covered: Sequence[IneqAtom], db: Database)
         j = first.setdefault(arg, i)
         if j != i:
             equalities.append((i, j))
-    return LeafMatcher(
-        tuple(first[v] for v in sorted(first)),
-        tuple(equalities),
-        tuple((first[v], c) for v, c in sorted(_limits(covered, db).items())),
-    )
+    positions = tuple(first[v] for v in sorted(first))
+    limits = tuple((first[v], c) for v, c in sorted(_limits(covered, db).items()))
+    project = tuple_getter(positions)
+    if equalities or limits:
+
+        def key(t: DataTuple) -> Optional[DataTuple]:
+            for i, j in equalities:
+                if t[i] != t[j]:
+                    return None
+            for i, bound in limits:
+                if t[i] > bound:
+                    return None
+            return project(t)
+
+        return key
+    return identity_key if positions == tuple(range(len(positions))) else project
 
 
 def preprocess(q: ConjunctiveQuery, db: Database) -> EnumerationState:
@@ -208,9 +201,9 @@ def _bottom_up(state: EnumerationState) -> None:
 
     Each comes out of one ``_scan`` of its source: the relation of the
     nearest stored node below it, or the database entries of a leaf, read
-    through the leaf's matcher.  Every streamed 2-child node on the way up,
-    and the stored node itself when it is a 2-child node, probes its second
-    child's relation; a projection groups the rows that come through."""
+    through the leaf's key function.  Every streamed 2-child node on the way
+    up, and the stored node itself when it is a 2-child node, probes its
+    second child's relation; a projection groups the rows that pass."""
     plan = state.plan
     s = state.semiring
     relations = state.relations
@@ -229,9 +222,10 @@ def _bottom_up(state: EnumerationState) -> None:
         if m in relations:
             source, key = relations[m], None
         else:
-            matcher = state.matchers[m]
+            key = state.matchers[m]
             source = state.db.relation(plan.atoms[plan.nodes[m].atom_index].symbol).entries
-            key = None if matcher.identity else matcher.key
+            if key is identity_key:
+                key = None
         relations[nid] = _scan(source, key, probes, group, s)
 
 
@@ -281,11 +275,11 @@ def _scan(
 def _build_connex_structures(state: EnumerationState) -> None:
     """Candidate sets and extension groups over the connex region.
 
-    ``candidates[n]`` contains the vars(n)-tuples that extend to at least one
-    full assignment of the connex variables below n (at a frontier node: the
-    tuples of its relation, which it shares); ``groups[c]`` (for a
-    connex node whose parent edge is a projection) maps each parent key to
-    the candidate tuples of c extending it.
+    ``candidates[n]`` holds as keys the vars(n)-tuples that extend to at
+    least one full assignment of the connex variables below n; ``groups[c]``
+    (for a connex node whose parent edge is a projection) maps each parent
+    key to the candidate tuples of c extending it.  A frontier node's
+    candidate set is its relation, and a projection's is its child's group.
     """
     plan = state.plan
     for nid in plan.postorder():
@@ -301,8 +295,7 @@ def _build_connex_structures(state: EnumerationState) -> None:
             grp: Dict[DataTuple, Dict[DataTuple, bool]] = {}
             for t in state.candidates[c]:
                 grp.setdefault(key(t), {})[t] = True
-            state.groups[c] = grp
-            state.candidates[nid] = dict.fromkeys(grp, True)
+            state.groups[c] = state.candidates[nid] = grp
         else:
             c1, c2 = children
             key = plan.key[c2]
@@ -426,7 +419,7 @@ def eval_materialized(q: ConjunctiveQuery, db: Database) -> AnnotatedRelation:
 
 
 # ---------------------------------------------------------------------------
-# Invariant walker (tests and --verify)
+# Invariant walker (tests)
 # ---------------------------------------------------------------------------
 
 def reference_relation(
@@ -441,7 +434,7 @@ def reference_relation(
     node = plan.nodes[nid]
     out: Dict[DataTuple, Value] = {}
     if node.is_leaf:
-        key = state.matchers[nid].key
+        key = state.matchers[nid]
         for t, k in state.db.relation(plan.atoms[node.atom_index].symbol).entries.items():
             kt = key(t)
             if kt is not None:

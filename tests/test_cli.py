@@ -45,6 +45,22 @@ def test_eval_verify_exits_zero(tmp_path, dbdir, capsys):
     assert sorted(out) == ["1,6", "3,3"]
 
 
+@pytest.mark.parametrize("command", ["eval", "dyn"])
+def test_a_printed_nullary_answer_reads_back_as_a_nullary_relation(tmp_path, dbdir, capsys, command):
+    def run(text):
+        argv = [command, "--query", write(tmp_path / "q.cq", text), "--db", str(dbdir), "--verify"]
+        if command == "dyn":
+            argv += ["--updates", write(tmp_path / "u.ups", "")]
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    out = run("H() :- R(x,y).")
+    assert out == "3\n"
+    (dbdir / "vocab.json").write_text(json.dumps({"relations": {"R": 2, "S": 1, "N": 0}}))
+    (dbdir / "N.csv").write_text(out)
+    assert run("H() :- N().") == out
+
+
 def _corrupt_annotation(answers):
     for i, (t, v) in enumerate(answers):
         yield t, (v + 1 if i == 0 else v)

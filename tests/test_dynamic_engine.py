@@ -320,12 +320,17 @@ def test_dyn_update_respects_covered_inequalities():
 
 
 def assert_enumeration_layout(enum):
-    """Relations exist exactly at the plan's stored nodes, and a frontier
-    node's candidates are its relation."""
+    """Relations exist exactly at the plan's stored nodes, a frontier node's
+    candidates are its relation, and a connex projection's candidates are
+    its child's group."""
     plan = enum.plan
     assert set(enum.relations) == plan.stored
     for f in plan.frontier:
         assert enum.candidates[f] is enum.relations[f]
+    for p in plan.connex - plan.frontier:
+        children = plan.nodes[p].children
+        if len(children) == 1:
+            assert enum.candidates[p] is enum.groups[children[0]]
 
 
 # the queries of the join_drain and update_stream benchmark workloads
@@ -510,17 +515,21 @@ def assert_paths_hold_the_states_own_dicts(state):
         mine = [n for n in leaves if plan.atoms[plan.nodes[n].atom_index].symbol == symbol]
         assert len(paths) == len(mine)
         for leaf, (leaf_key, leaf_rel, ups, connex) in zip(mine, paths):
-            assert leaf_key is enum.matchers[leaf].key
+            assert leaf_key is enum.matchers[leaf]
             assert leaf_rel is enum.relations[leaf]
             chain = [leaf]
             while chain[-1] != plan.root:
                 chain.append(plan.nodes[chain[-1]].parent)
             assert len(ups) == sum(n not in plan.connex for n in chain)
             assert len(connex) == sum(n in plan.connex for n in chain) - 1
-            for (target, _, other), parent in zip(ups + connex, chain[1:]):
+            for (target, get, other), child, parent in zip(ups + connex, chain, chain[1:]):
                 store = enum.candidates if parent in plan.connex else enum.relations
                 assert target is store[parent]
-                assert id(other) in own
+                if child in plan.connex and get is not None:
+                    # a projection's candidates are its child's group
+                    assert other is None and target is enum.groups[child]
+                else:
+                    assert id(other) in own
 
 
 @pytest.mark.parametrize(

@@ -79,7 +79,7 @@ def test_verify_plan_rejects_identity_and_misoriented_nodes():
     ]
     plan.nodes[plan.root].children.reverse()
     top = max(plan.nodes) + 1
-    plan.nodes[top] = PlanNode(top, plan.vars(plan.root), None, [plan.root])
+    plan.nodes[top] = PlanNode(plan.vars(plan.root), None, [plan.root])
     plan.nodes[plan.root].parent = top
     plan.root = top
     plan.connex.add(top)

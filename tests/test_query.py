@@ -172,8 +172,8 @@ def atomically_consistent(db, q):
     sp = split(q)
     out = db.copy()
     for i, atom in enumerate(sp.rel_part.relational_atoms):
-        matches = build_leaf_matcher(atom, (), db).key
-        passes = build_leaf_matcher(atom, sp.covered[i], db).key
+        matches = build_leaf_matcher(atom, (), db)
+        passes = build_leaf_matcher(atom, sp.covered[i], db)
         entries = out.relations[atom.symbol].entries
         for t in list(entries):
             if matches(t) is not None and passes(t) is None:

@@ -11,11 +11,13 @@ from deltaenum.errors import CapabilityError, ClassificationError, VocabularyErr
 from deltaenum.kdata import AnnotatedRelation, Database
 from deltaenum.oracle import oracle_eval_cq
 from deltaenum.planner import build_fc_plan, build_guarded_plan
-from deltaenum.query import parse_query
+from deltaenum.query import parse_query, split
 from deltaenum.semiring import BUILTIN_SEMIRING_NAMES, builtin_semiring
 from deltaenum.static_engine import (
+    build_leaf_matcher,
     enumerate_state,
     eval_materialized,
+    identity_key,
     preprocess,
     preprocess_with_plan,
     reference_relation,
@@ -35,6 +37,29 @@ def make_db(semiring, relations, constants=None):
     for name, (arity, entries) in relations.items():
         db.relations[name] = AnnotatedRelation(arity, dict(entries))
     return db
+
+
+@pytest.mark.parametrize(
+    "text, keys",
+    [
+        # distinct variables in sorted order: every tuple is its own key
+        ("H(x,y) :- R(x,y).", None),
+        ("H(x,y) :- R(y,x).", {(1, 2): (2, 1), (3, 3): (3, 3)}),
+        ("H(x) :- R(x,x).", {(1, 2): None, (3, 3): (3,)}),
+        ("H(x,y) :- R(x,y), x <= c.", {(1, 3): (1, 3), (3, 1): None}),
+        ("H(x) :- R(x,x), x <= c.", {(1, 1): (1,), (1, 2): None, (3, 3): None}),
+    ],
+)
+def test_leaf_key_functions(text, keys):
+    sp = split(parse_query(text))
+    db = make_db(NAT, {"R": (2, {})}, {"c": 2})
+    key = build_leaf_matcher(sp.rel_part.relational_atoms[0], sp.covered[0], db)
+    if keys is None:
+        t = (1, 2)
+        assert key is identity_key and key(t) is t
+    else:
+        assert key is not identity_key
+        assert {t: key(t) for t in keys} == keys
 
 
 # ---------------------------------------------------------------------------
