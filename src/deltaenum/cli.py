@@ -6,7 +6,8 @@ read data (eval, enumerate, dyn, matlang); --json asks classify, plan, eval,
 enumerate and matlang for machine-readable reports (timing isolated under a
 "timing" key); --verify cross-checks eval, enumerate, dyn and matlang eval
 against the oracle.  Exit codes: 0 success, 1 user error, 2 verification
-mismatch.  The benchmark is ``perfbench/run.py``.
+mismatch, 141 when the reader closes stdout early.  The benchmark is
+``perfbench/run.py``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -23,6 +25,10 @@ from typing import Dict, List, Optional
 from .errors import ClassificationError, EngineError
 from .kdata import load_database, parse_update_script, read_input
 from .semiring import BUILTIN_SEMIRING_NAMES, builtin_semiring
+
+
+# the status of a process ended by SIGPIPE, as a shell reports it
+EXIT_BROKEN_PIPE = 141
 
 
 def _read_query(path: str):
@@ -88,6 +94,13 @@ def cmd_plan(args) -> int:
         )
     report = {"query": q.to_text(), "guarded": plan.guarded, "root": plan.root, "nodes": nodes}
     report["walk"] = walk_source(q, plan)
+    if plan.guarded:
+        from .dynamic_engine import leaves_by_symbol, update_source
+
+        report["updates"] = {
+            symbol: "\n".join(update_source(q, plan, leaf) for leaf in leaves)
+            for symbol, leaves in leaves_by_symbol(plan).items()
+        }
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -381,6 +394,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left, and the flush at
+        # interpreter exit, to the null device (Python's ``signal`` docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -21,37 +21,30 @@ sibling's candidates and writes the parent's, again O(1) per step.
 
 ``dyn_preprocess`` runs the static preprocess over the guarded plan, the
 one bottom-up path of both engines, and counts the members of each group
-of a stored projection's child.  It then compiles the update paths once
-per plan (``DynamicState.paths``): per leaf, its key function and relation,
-then one tuple of steps up to the first connex node and one over the
-connex region, each step holding the dicts it reads and writes.
-``dyn_update`` applies the update to the database once, through
-``kdata.apply_update``, and runs each leaf's path as one flat loop without
-consulting the plan.
+of a stored projection's child.  The update path of each plan leaf is
+generated as Python source (``update_source``): the leaf's key, then every
+step up to the root unrolled, with its dicts hoisted and its keys written as
+tuple displays.  Each source is compiled once per plan, and
+``DynamicState.paths`` holds one callable per relation symbol: its leaf's,
+or a chain over its leaves in postorder.  ``dyn_update`` applies the update
+to the database once, through ``kdata.apply_update``, and calls its
+symbol's path.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import CapabilityError, ClassificationError
 from .kdata import Database, DataTuple, SingleTupleUpdate, apply_update
-from .planner import QueryPlan, TupleGetter, build_guarded_plan
-from .query import ConjunctiveQuery
+from .planner import QueryPlan, build_guarded_plan
+from .query import ConjunctiveQuery, split
 from .semiring import Value
-from .static_engine import EnumerationState, enumerate_state, preprocess_with_plan
-
-
-# One step of a compiled update path, from a node to its parent: the
-# parent's relation (upward) or candidates (connex), the key getter from the
-# node's tuple to the parent's (None at a 2-child node, whose children carry
-# the parent's tuple), and the parent's member counts (upward projection),
-# the sibling's relation or candidates (2-child node), or None (connex
-# projection: the parent's candidates are the node's extension group).
-PathStep = Tuple[Dict[DataTuple, Value], Optional[TupleGetter], Dict]
-LeafPath = Tuple[Callable, Dict[DataTuple, Value], Tuple[PathStep, ...], Tuple[PathStep, ...]]
+from .static_engine import EnumerationState, _compile, _project, enumerate_state, identity_leaf
+from .static_engine import preprocess_with_plan
 
 
 @dataclass
@@ -63,9 +56,11 @@ class DynamicState:
     # its frontier): parent tuple -> the number of child tuples projecting
     # onto it; their sum is the parent relation's value
     accs: Dict[int, Dict[DataTuple, int]] = field(default_factory=dict)
-    # per relation symbol: the update path of each plan leaf of that symbol,
-    # compiled once; every dict a path holds is one of the state's own
-    paths: Dict[str, List[LeafPath]] = field(default_factory=dict)
+    # per relation symbol: ``update(t, old, new)``, which carries a change of
+    # the symbol's annotation at ``t`` through the paths of its plan leaves;
+    # compiled once per plan from ``update_source``, it holds only the
+    # state's own dicts
+    paths: Dict[str, Callable[[DataTuple, Optional[Value], Optional[Value]], None]] = field(default_factory=dict)
 
     @property
     def db(self) -> Database:
@@ -103,120 +98,116 @@ def dyn_preprocess(q: ConjunctiveQuery, db: Database) -> DynamicState:
         if p in plan.stored and len(children) == 1:
             c = children[0]
             state.accs[p] = dict(Counter(map(plan.key[c], enum.relations[c])))
-    for leaf in plan.postorder():
-        if not plan.nodes[leaf].is_leaf:
-            continue
-        ups: List[PathStep] = []
-        connex: List[PathStep] = []
-        c = leaf
-        while c != plan.root:
-            p = plan.nodes[c].parent
-            children = plan.nodes[p].children
-            in_connex = c in plan.connex
-            store = enum.candidates if in_connex else enum.relations
-            if len(children) == 1:
-                step = (store[p], plan.key[c], None if in_connex else state.accs[p])
-            else:
-                step = (store[p], None, store[children[1] if children[0] == c else children[0]])
-            (connex if in_connex else ups).append(step)
-            c = p
-        symbol = plan.atoms[plan.nodes[leaf].atom_index].symbol
-        state.paths.setdefault(symbol, []).append(
-            (enum.matchers[leaf], enum.relations[leaf], tuple(ups), tuple(connex))
-        )
+    for symbol, leaves in leaves_by_symbol(plan).items():
+        updates = [_compile(update_source(q, plan, leaf), "make")(state, enum.matchers[leaf]) for leaf in leaves]
+        state.paths[symbol] = updates[0] if len(updates) == 1 else _chain(tuple(updates))
     return state
+
+
+def leaves_by_symbol(plan: QueryPlan) -> Dict[str, List[int]]:
+    """The plan leaves of each relation symbol, in postorder."""
+    out: Dict[str, List[int]] = {}
+    for nid in plan.postorder():
+        if plan.nodes[nid].is_leaf:
+            out.setdefault(plan.atoms[plan.nodes[nid].atom_index].symbol, []).append(nid)
+    return out
+
+
+def _chain(updates: Sequence[Callable]) -> Callable:
+    """One update that runs each of ``updates`` in turn."""
+    def update(t, old, new):
+        for path in updates:
+            path(t, old, new)
+
+    return update
 
 
 # ---------------------------------------------------------------------------
 # Update propagation
 # ---------------------------------------------------------------------------
 
+def update_source(q: ConjunctiveQuery, plan: QueryPlan, leaf: int) -> str:
+    """The source of ``make(state, key)``, which returns ``update(t, old,
+    new)``: the update path of the guarded plan's ``leaf`` unrolled, for a
+    change of its relation symbol's annotation at ``t`` from ``old`` to
+    ``new`` (None when absent), ``key`` being the leaf's key function.
+
+    Node ``n``'s key is ``kn``, its old and new value ``on`` and ``vn``; its
+    relation, member counts and candidates are ``rn``, ``an`` and ``cn``,
+    read off the state once, by ``make``.  The steps up to the first connex
+    node carry the change of value, and the path returns at the first node
+    whose value does not change.  From there a change of support goes on up
+    the candidates to the root: one chain for a tuple that enters the
+    support, one for a tuple that leaves it, each returning at the first
+    node whose candidates do not change.  Only fixed names and integer
+    literals are written, no symbol of the query.
+    """
+    i = plan.nodes[leaf].atom_index
+    c, k, o, v = leaf, f"k{leaf}", "old", "new"
+    if identity_leaf(plan.atoms[i], split(q).covered[i]):
+        body = [f"{k} = t"]
+    else:
+        body = [f"{k} = key(t)", f"if {k} is None:", "    return"]
+    body += [f"if {v} is None:", f"    del r{c}[{k}]", "else:", f"    r{c}[{k}] = {v}"]
+    enters, leaves = [], []  # the chains of a tuple entering or leaving the support
+    while c != plan.root:
+        p = plan.nodes[c].parent
+        children = plan.nodes[p].children
+        sib, kp = sum(children) - c, k  # a 2-child node's tuple is its children's
+        if len(children) == 1:
+            order = plan.order[c]
+            kp = f"k{p}"
+            key_line = f"{kp} = {_project(k, [order.index(x) for x in plan.order[p]], len(order))}"
+        if c in plan.connex and len(children) == 2:
+            # the parent's candidates are the tuples in both children's
+            enters += [f"if {k} not in c{sib}:", "    return", f"c{p}[{k}] = True"]
+            leaves += [f"if {k} not in c{sib}:", "    return", f"del c{p}[{k}]"]
+        elif c in plan.connex:
+            # the parent's candidates are the keys of this node's group
+            enters += [key_line, f"b = c{p}.get({kp})", "if b is not None:", f"    b[{k}] = True", "    return"]
+            enters += [f"c{p}[{kp}] = {{{k}: True}}"]
+            leaves += [key_line, f"b = c{p}[{kp}]", f"del b[{k}]", "if b:", "    return", f"del c{p}[{kp}]"]
+        elif len(children) == 2:
+            body += [f"o{p} = r{p}.get({k})", f"x = r{sib}.get({k})"]
+            body += [f"v{p} = None if {v} is None or x is None or is_zero(x := mul({v}, x)) else x"]
+        else:
+            # the group's sum is the parent's value (zero when absent); it
+            # restarts from zero when the group empties
+            body += [key_line, f"o{p} = r{p}.get({kp})", f"n = a{p}.get({kp}, 0)", f"v{p} = o{p} or zero"]
+            body += [f"if {o} is not None:", "    n -= 1", f"    v{p} = sub(v{p}, {o}) if n else zero"]
+            body += [f"if {v} is not None:", "    n += 1", f"    v{p} = add(v{p}, {v})"]
+            body += ["if n:", f"    a{p}[{kp}] = n", "else:", f"    del a{p}[{kp}]", f"if is_zero(v{p}):", f"    v{p} = None"]
+        if c not in plan.connex:
+            o, v = f"o{p}", f"v{p}"
+            body += [f"if {o} == {v}:", "    return", f"if {v} is None:", f"    del r{p}[{kp}]", "else:", f"    r{p}[{kp}] = {v}"]
+        c, k = p, kp
+    if enters:
+        body += [f"if {o} is None:", *["    " + line for line in enters]]
+        body += [f"elif {v} is None:", *["    " + line for line in leaves]]
+    # make reads each dict that the body names once
+    stores = {"r": "enum.relations", "a": "state.accs", "c": "enum.candidates"}
+    dicts = dict.fromkeys(re.findall(r"\b([rac])([0-9]+)\b", "\n".join(body)))
+    lines = ["def make(state, key):", "    enum = state.enum", "    s = enum.semiring"]
+    lines += ["    add, sub, mul, is_zero, zero = s.add, s.sub, s.mul, s.is_zero, s.zero"]
+    lines += [f"    {x}{n} = {stores[x]}[{n}]" for x, n in dicts]
+    lines += ["", "    def update(t, old, new):", *["        " + line for line in body], "", "    return update"]
+    return "\n".join(lines) + "\n"
+
+
 def dyn_update(state: DynamicState, u: SingleTupleUpdate) -> None:
     """Apply a single-tuple update and repair all maintained structures.
 
-    Each plan leaf of the updated relation runs its compiled path: the
-    change of its relation at the tuple's key is carried up to the first
-    connex node, and a change of that node's support on up the candidates
-    to the root.  Either part stops at the first node that does not change.
+    The path of the updated relation (``update_source``) carries the change
+    of each of its plan leaves up to the first connex node, and a change of
+    that node's support on up the candidates to the root.  Either part
+    stops at the first node that does not change.
     """
     enum = state.enum
-    old_db, new_db = apply_update(enum.db, u)
+    old, new = apply_update(enum.db, u)
     enum.version += 1
-    if old_db == new_db:
-        return
-    s = enum.semiring
-    add, sub, mul, is_zero, zero = s.add, s.sub, s.mul, s.is_zero, s.zero
-    for leaf_key, leaf_rel, ups, connex in state.paths.get(u.relation, ()):
-        key = leaf_key(u.tuple)
-        if key is None:
-            continue
-        # the leaf relation holds the database annotation of every key
-        old, new = old_db, new_db
-        if new is None:
-            del leaf_rel[key]
-        else:
-            leaf_rel[key] = new
-        for prel, get, other in ups:
-            pkey = key if get is None else get(key)
-            pold = prel.get(pkey)
-            if get is None:
-                sib = other.get(key)
-                pnew = None if new is None or sib is None else mul(new, sib)
-            else:
-                # the group's sum is the parent's value (zero when absent);
-                # it restarts from zero when the group empties
-                n = other.get(pkey, 0)
-                pnew = pold or zero
-                if old is not None:
-                    n -= 1
-                    pnew = sub(pnew, old) if n else zero
-                if new is not None:
-                    n += 1
-                    pnew = add(pnew, new)
-                if n:
-                    other[pkey] = n
-                else:
-                    del other[pkey]
-            if pnew is not None and is_zero(pnew):
-                pnew = None
-            if pold == pnew:
-                break  # nothing changes further up
-            if pnew is None:
-                del prel[pkey]
-            else:
-                prel[pkey] = pnew
-            key, old, new = pkey, pold, pnew
-        else:
-            if (old is None) == (new is None):
-                continue  # the support of the first connex node is unchanged
-            added = new is not None
-            for pcands, get, other in connex:
-                if get is None:
-                    # the parent's candidates are the tuples in both
-                    # children's candidate sets
-                    if key not in other:
-                        break
-                    if added:
-                        pcands[key] = True
-                    else:
-                        del pcands[key]
-                    continue
-                # the parent's candidates are the keys of this node's group
-                pkey = get(key)
-                if added:
-                    bucket = pcands.get(pkey)
-                    if bucket is None:
-                        bucket = pcands[pkey] = {}
-                    bucket[key] = True
-                    if len(bucket) > 1:
-                        break  # parent candidate already present
-                else:
-                    bucket = pcands[pkey]
-                    del bucket[key]
-                    if bucket:
-                        break
-                    del pcands[pkey]
-                key = pkey
+    path = state.paths.get(u.relation)
+    if path is not None and old != new:
+        path(u.tuple, old, new)
 
 
 def dyn_enumerate(state: DynamicState, limit: Optional[int] = None) -> Iterator[Tuple[DataTuple, Value]]:

@@ -119,6 +119,12 @@ def identity_key(t: DataTuple) -> DataTuple:
     return t
 
 
+def identity_leaf(atom: RelAtom, covered: Sequence[IneqAtom]) -> bool:
+    """Whether every tuple of ``atom`` is its own key: its variables are
+    distinct and in sorted order, and it covers no inequality."""
+    return not covered and list(atom.args) == sorted(set(atom.args))
+
+
 def build_leaf_matcher(
     atom: RelAtom, covered: Sequence[IneqAtom], db: Database
 ) -> Callable[[DataTuple], Optional[DataTuple]]:
@@ -138,6 +144,8 @@ def build_leaf_matcher(
         raise VocabularyError(
             f"atom {atom} has arity {len(atom.args)}, relation {atom.symbol!r} expects {rel.arity}"
         )
+    if identity_leaf(atom, covered):
+        return identity_key
     first: Dict[str, int] = {}
     equalities = []
     for i, arg in enumerate(atom.args):
@@ -159,7 +167,7 @@ def build_leaf_matcher(
             return project(t)
 
         return key
-    return identity_key if positions == tuple(range(len(positions))) else project
+    return project
 
 
 def preprocess(q: ConjunctiveQuery, db: Database) -> EnumerationState:
@@ -192,7 +200,7 @@ def preprocess_with_plan(
                 state.matchers[nid] = build_leaf_matcher(plan.atoms[i], sp.covered[i], db)
         _bottom_up(state)
         _build_connex_structures(state)
-    state.walk = _compile_walk(walk_source(q, state.plan))
+    state.walk = _compile(walk_source(q, state.plan), "walk")
     return state
 
 
@@ -375,12 +383,12 @@ def walk_source(q: ConjunctiveQuery, plan: Optional[QueryPlan]) -> str:
 
 
 @lru_cache(maxsize=256)
-def _compile_walk(source: str) -> Callable:
-    """The function ``walk`` that ``source`` defines; it reads everything
-    off its argument, so the states of one walk share it."""
+def _compile(source: str, name: str) -> Callable:
+    """The function ``name`` that ``source`` defines; it reads everything
+    off its arguments, so the states compiled from one source share it."""
     namespace = {"STALE": _STALE}
-    exec(compile(source, "<walk>", "exec"), namespace)
-    return namespace["walk"]
+    exec(compile(source, f"<{name}>", "exec"), namespace)
+    return namespace[name]
 
 
 def _project(t: str, positions: Sequence[int], width: int) -> str:

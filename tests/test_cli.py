@@ -1,8 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import deltaenum
 from deltaenum.cli import main
 
 
@@ -645,3 +650,54 @@ def test_matlang_eval_json_reports_used_engine(tmp_path, capsys):
     assert sorted(report) == ["entries", "head", "used_engine"]
     assert report["used_engine"] and len(report["entries"]) == 4
     assert captured.err == ""
+
+
+def test_plan_json_reports_the_update_paths(tmp_path, capsys):
+    from deltaenum.dynamic_engine import update_source
+    from deltaenum.planner import build_guarded_plan
+    from deltaenum.query import parse_query
+
+    text = "H(x) :- R(x,y), R(x,x), S(x)."
+    q = write(tmp_path / "q.cq", text)
+    assert main(["plan", q, "--json"]) == 0
+    assert "updates" not in json.loads(capsys.readouterr().out)
+    assert main(["plan", q, "--json", "--guarded"]) == 0
+    updates = json.loads(capsys.readouterr().out)["updates"]
+    cq = parse_query(text)
+    plan = build_guarded_plan(cq)
+    leaves = {
+        symbol: [n for n in plan.postorder() if plan.nodes[n].is_leaf and plan.atoms[plan.nodes[n].atom_index].symbol == symbol]
+        for symbol in ("R", "S")
+    }
+    assert updates == {s: "\n".join(update_source(cq, plan, n) for n in ns) for s, ns in leaves.items()}
+    assert updates["R"].count("def make(") == 2
+
+
+def _closed_early(tmp_path, args):
+    """Run the CLI with ``args``, read one line of its output and close the
+    pipe; the exit code and the standard error."""
+    env = dict(os.environ, PYTHONPATH=str(Path(deltaenum.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "deltaenum.cli", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path, env=env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    return proc.wait(timeout=60), err
+
+
+def test_a_closed_stdout_ends_eval_cleanly(tmp_path, dbdir):
+    # far more output than the pipe and the stream buffers hold
+    (dbdir / "R.csv").write_text("".join(f"{x},{y},1\n" for x in range(1, 201) for y in range(1, 201)))
+    q = write(tmp_path / "q.cq", "H(x,y) :- R(x,y).")
+    code, err = _closed_early(tmp_path, ["eval", "--query", q, "--db", str(dbdir)])
+    assert "Traceback" not in err and code == 141, err
+
+
+def test_a_closed_stdout_ends_plan_cleanly(tmp_path):
+    # a star of 40 atoms: the guarded plan's update sources run to ~340 kB
+    q = write(tmp_path / "q.cq", "H(x) :- " + ", ".join(f"R{i}(x,y{i})" for i in range(40)) + ".")
+    code, err = _closed_early(tmp_path, ["plan", q, "--json", "--guarded"])
+    assert "Traceback" not in err and code == 141, err

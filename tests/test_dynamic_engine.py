@@ -1,6 +1,10 @@
 import functools
+import io
+import keyword
 import math
 import random
+import re
+import tokenize
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,14 +14,17 @@ from deltaenum.dynamic_engine import (
     dyn_enumerate,
     dyn_preprocess,
     dyn_update,
+    leaves_by_symbol,
+    update_source,
     verify_dynamic_invariants,
 )
 from deltaenum.errors import CapabilityError, ClassificationError, SchemaError, VocabularyError
 from deltaenum.kdata import SingleTupleUpdate
 from deltaenum.oracle import oracle_eval_cq
+from deltaenum.planner import build_guarded_plan
 from deltaenum.query import parse_query
 from deltaenum.semiring import builtin_semiring
-from deltaenum.static_engine import enumerate_state, preprocess, preprocess_with_plan
+from deltaenum.static_engine import enumerate_state, identity_key, preprocess, preprocess_with_plan
 
 from support import equal_answers, random_db_for_query, random_q_hierarchical_cq, random_update
 from test_static_engine import (
@@ -498,38 +505,31 @@ def test_one_pass_dynamic_state_equals_the_static_preprocess(text):
         assert state.enum.relations[nid] == {key: v for key, v in sums.items() if v != 0.0}
 
 
+def leaf_paths(path):
+    """The per-leaf updates of a symbol's compiled path: the path itself, or
+    the updates its chain runs."""
+    chained = [cell.cell_contents for cell in path.__closure__ if isinstance(cell.cell_contents, tuple)]
+    return list(chained[0]) if chained else [path]
+
+
 def assert_paths_hold_the_states_own_dicts(state):
-    """One path per plan leaf, in postorder per symbol; the leaf's upward
-    steps pass its non-connex nodes (the leaf included) and its connex steps
-    the connex nodes below the root; every dict is the state's own."""
+    """One compiled path per relation symbol of the plan, with one update per
+    plan leaf of that symbol; every dict an update closes over is one of the
+    state's own, the relation of its leaf among them."""
     enum, plan = state.enum, state.plan
     own = {
         id(d)
         for store in (enum.relations, enum.candidates, enum.groups, state.accs)
         for d in store.values()
     }
-    leaves = [n for n in plan.postorder() if plan.nodes[n].is_leaf]
-    symbols = {plan.atoms[plan.nodes[n].atom_index].symbol for n in leaves}
-    assert set(state.paths) == symbols
-    for symbol, paths in state.paths.items():
-        mine = [n for n in leaves if plan.atoms[plan.nodes[n].atom_index].symbol == symbol]
-        assert len(paths) == len(mine)
-        for leaf, (leaf_key, leaf_rel, ups, connex) in zip(mine, paths):
-            assert leaf_key is enum.matchers[leaf]
-            assert leaf_rel is enum.relations[leaf]
-            chain = [leaf]
-            while chain[-1] != plan.root:
-                chain.append(plan.nodes[chain[-1]].parent)
-            assert len(ups) == sum(n not in plan.connex for n in chain)
-            assert len(connex) == sum(n in plan.connex for n in chain) - 1
-            for (target, get, other), child, parent in zip(ups + connex, chain, chain[1:]):
-                store = enum.candidates if parent in plan.connex else enum.relations
-                assert target is store[parent]
-                if child in plan.connex and get is not None:
-                    # a projection's candidates are its child's group
-                    assert other is None and target is enum.groups[child]
-                else:
-                    assert id(other) in own
+    assert set(state.paths) == {atom.symbol for atom in plan.atoms}
+    for symbol, leaves in leaves_by_symbol(plan).items():
+        updates = leaf_paths(state.paths[symbol])
+        assert len(updates) == len(leaves)
+        for leaf, update in zip(leaves, updates):
+            held = [cell.cell_contents for cell in update.__closure__ if isinstance(cell.cell_contents, dict)]
+            assert {id(d) for d in held} <= own
+            assert any(d is enum.relations[leaf] for d in held)
 
 
 @pytest.mark.parametrize(
@@ -537,7 +537,7 @@ def assert_paths_hold_the_states_own_dicts(state):
     [
         (JOIN, JOIN_DB),
         (QH, QH_DB),
-        # a self-join: two leaves, so two paths, under R
+        # a self-join: two leaves, so two updates, under R
         ("H(x) :- R(x,y), R(x,x), U(x).", {"R": QH_DB["S"], "U": QH_DB["U"]}),
     ],
 )
@@ -545,13 +545,85 @@ def test_compiled_update_paths_hold_the_states_own_dicts(text, relations):
     q = parse_query(text)
     db = make_db(NAT, relations)
     state = dyn_preprocess(q, db)
-    assert len(state.paths["R"]) == sum(a.symbol == "R" for a in q.relational_atoms)
+    assert len(leaf_paths(state.paths["R"])) == sum(a.symbol == "R" for a in q.relational_atoms)
     assert_paths_hold_the_states_own_dicts(state)
     rng = random.Random(8)
     for _ in range(40):
         dyn_update(state, random_update(rng, q, db, NAT, domain=3))
     assert_paths_hold_the_states_own_dicts(state)
     assert verify_dynamic_invariants(state) == []
+
+
+# one symbol with two leaves, neither keyed by identity: one by a repeated
+# variable, one by a covered inequality
+TWO_KEYED_LEAVES = "H(x,y) :- R(x,y), R(x,x), y <= c."
+# an upward 2-child step below the connex root
+JOIN_BELOW_ROOT = "H(x) :- R(x,y), S(x,y)."
+
+
+@pytest.mark.parametrize("text", [TWO_KEYED_LEAVES, JOIN_BELOW_ROOT])
+@pytest.mark.parametrize("sname", ["boolean", "natural", "real"])
+def test_generated_paths_over_a_seeded_stream(text, sname):
+    # paths that the update_stream benchmark never drives
+    semiring = builtin_semiring(sname)
+    q = parse_query(text)
+    rng = random.Random(1900 + len(text) + len(sname))
+    db = random_db_for_query(rng, q, semiring, max_tuples=12, domain=3)
+    db.constants["c"] = 2
+    state = dyn_preprocess(q, db)
+    plan = state.plan
+    if text == TWO_KEYED_LEAVES:
+        leaves = leaves_by_symbol(plan)["R"]
+        assert len(leaves) == 2 and not any(state.enum.matchers[n] is identity_key for n in leaves)
+    else:
+        assert any(len(plan.nodes[n].children) == 2 for n in set(plan.nodes) - plan.connex)
+
+    def answers(pairs):
+        return {t: repr(k) for t, k in pairs}
+
+    for step in range(200):
+        dyn_update(state, random_update(rng, q, db, semiring, domain=3))
+        assert verify_dynamic_invariants(state) == [], step
+        got = answers(dyn_enumerate(state))
+        # quarters keep every real sum and product exact in any order
+        assert got == answers(enumerate_state(preprocess(q, db.copy()))), step
+        assert got == answers(oracle_eval_cq(q, db).entries.items()), step
+
+
+# every name that ``update_source`` writes, besides Python keywords and the
+# numbered names of its keys, values and hoisted dicts
+UPDATE_NAMES = {
+    "make", "state", "key", "enum", "s", "semiring", "add", "sub", "mul", "is_zero", "zero",
+    "relations", "accs", "candidates", "update", "t", "old", "new", "n", "x", "b", "get", "True",
+}
+
+
+def test_no_query_text_reaches_the_update_paths():
+    # relation, variable and constant names that the generated source uses
+    # itself; a repeated variable and a covered inequality key two leaves
+    text = "H(r, new) :- state(r, new), key(r), state(r, r), import(r, new, z), z <= k."
+    # the same query under names in the same sorted order, so the same plan
+    plain = "H(b, a) :- A(b, a), B(b), A(b, b), C(b, a, c), c <= d."
+    q, p = parse_query(text), parse_query(plain)
+    plan, plain_plan = build_guarded_plan(q), build_guarded_plan(p)
+    leaves = [n for ns in leaves_by_symbol(plan).values() for n in ns]
+    assert leaves == [n for ns in leaves_by_symbol(plain_plan).values() for n in ns]
+    rng = random.Random(625)
+    db = random_db_for_query(rng, q, NAT, max_tuples=60, domain=3)
+    db.constants["k"] = 2
+    state = dyn_preprocess(q, db)
+    for _ in range(60):
+        dyn_update(state, random_update(rng, q, db, NAT, domain=3))
+    assert dict(dyn_enumerate(state)) == oracle_eval_cq(q, db).entries
+    assert verify_dynamic_invariants(state) == []
+    for leaf in leaves:
+        source = update_source(q, plan, leaf)
+        assert source == update_source(p, plain_plan, leaf)
+        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+        assert not [t for t in tokens if t.type == tokenize.STRING]
+        names = {t.string for t in tokens if t.type == tokenize.NAME}
+        numbered = {n for n in names if re.fullmatch(r"[acknorv][0-9]+", n)}
+        assert names - numbered - set(keyword.kwlist) <= UPDATE_NAMES
 
 
 @st.composite
