@@ -67,7 +67,8 @@ def cmd_classify(args) -> int:
 
 def cmd_plan(args) -> int:
     from .planner import build_fc_plan, build_guarded_plan
-    from .static_engine import walk_source
+    from .query import split
+    from .static_engine import identity_leaf, key_source, walk_source
 
     q = _read_query(args.query)
     plan = build_guarded_plan(q) if args.guarded else build_fc_plan(q)
@@ -94,6 +95,12 @@ def cmd_plan(args) -> int:
         )
     report = {"query": q.to_text(), "guarded": plan.guarded, "root": plan.root, "nodes": nodes}
     report["walk"] = walk_source(q, plan)
+    covered = split(q).covered
+    report["keys"] = {
+        str(nid): key_source(plan.atoms[node.atom_index], covered[node.atom_index])
+        for nid, node in sorted(plan.nodes.items())
+        if node.is_leaf and not identity_leaf(plan.atoms[node.atom_index], covered[node.atom_index])
+    }
     if plan.guarded:
         from .dynamic_engine import leaves_by_symbol, update_source
 

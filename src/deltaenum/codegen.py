@@ -1,0 +1,38 @@
+"""Compiling generated code: the CSV row readers of ``kdata``, the leaf
+key functions and connex walks of ``static_engine`` and the update paths of
+``dynamic_engine`` are each written as Python source and compiled here.
+
+A generated source holds only fixed names and integer literals, never a
+symbol of the query or a data value: the function it defines reads
+everything else off its arguments, so one compiled function serves every
+caller whose source is the same.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from typing import Callable, Sequence
+
+# the message of the error a walk raises when its state was updated
+STALE = "enumeration cursor invalidated by an update"
+
+
+@lru_cache(maxsize=256)
+def compile_source(source: str, name: str) -> Callable:
+    """The function ``name`` that ``source`` defines."""
+    namespace = {"STALE": STALE}
+    exec(compile(source, f"<{name}>", "exec"), namespace)
+    return namespace[name]
+
+
+def project(t: str, positions: Sequence[int], width: int) -> str:
+    """The source of the tuple of ``t``'s components at ``positions``: ``t``
+    itself when that is all ``width`` of them."""
+    if tuple(positions) == tuple(range(width)):
+        return t
+    return display([f"{t}[{pos}]" for pos in positions])
+
+
+def display(comps: Sequence[str]) -> str:
+    """The source of the tuple of the expressions ``comps``."""
+    return "(" + ", ".join(comps) + ("," if len(comps) == 1 else "") + ")"

@@ -38,12 +38,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .codegen import compile_source, project
 from .errors import CapabilityError, ClassificationError
 from .kdata import Database, DataTuple, SingleTupleUpdate, apply_update
 from .planner import QueryPlan, build_guarded_plan
 from .query import ConjunctiveQuery, split
 from .semiring import Value
-from .static_engine import EnumerationState, _compile, _project, enumerate_state, identity_leaf
+from .static_engine import EnumerationState, enumerate_state, identity_leaf
 from .static_engine import preprocess_with_plan
 
 
@@ -99,7 +100,7 @@ def dyn_preprocess(q: ConjunctiveQuery, db: Database) -> DynamicState:
             c = children[0]
             state.accs[p] = dict(Counter(map(plan.key[c], enum.relations[c])))
     for symbol, leaves in leaves_by_symbol(plan).items():
-        updates = [_compile(update_source(q, plan, leaf), "make")(state, enum.matchers[leaf]) for leaf in leaves]
+        updates = [compile_source(update_source(q, plan, leaf), "make")(state, enum.matchers[leaf]) for leaf in leaves]
         state.paths[symbol] = updates[0] if len(updates) == 1 else _chain(tuple(updates))
     return state
 
@@ -157,7 +158,7 @@ def update_source(q: ConjunctiveQuery, plan: QueryPlan, leaf: int) -> str:
         if len(children) == 1:
             order = plan.order[c]
             kp = f"k{p}"
-            key_line = f"{kp} = {_project(k, [order.index(x) for x in plan.order[p]], len(order))}"
+            key_line = f"{kp} = {project(k, [order.index(x) for x in plan.order[p]], len(order))}"
         if c in plan.connex and len(children) == 2:
             # the parent's candidates are the tuples in both children's
             enters += [f"if {k} not in c{sib}:", "    return", f"c{p}[{k}] = True"]

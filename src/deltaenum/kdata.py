@@ -7,11 +7,15 @@ never broken (an insert whose sum lands on zero physically removes the
 tuple).
 
 The text loaders (CSV relations and update scripts here, COO matrices in
-``matlang.load_matrix_instance``) each make one pass over their lines: a
-line is split once and its values converted with ``map(int, ...)``, and a
-CSV row is looked at for a blank line or a header only when it does not
-parse.  Input is UTF-8; every malformed line, undecodable byte or oversized
-CSV field is an ``IngestionError`` naming the file and the line.
+``matlang.load_matrix_instance``) each make one pass over their lines,
+splitting each line once.  The CSV rows of a relation are read by a loop
+generated for its arity (``reader_source``) and compiled once per arity:
+it unpacks a row into its fields, converts each data field with ``int``
+and parses the annotation, and hands every row it cannot take as it stands
+to the full per-row check, which looks for a blank line or a header and
+names the line of a rejected row.  Input is UTF-8, with or without a byte
+order mark; every malformed line, undecodable byte or oversized CSV field is
+an ``IngestionError`` naming the file and the line.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from .codegen import compile_source, display
 from .errors import IngestionError, SchemaError, VocabularyError
 from .semiring import SemiringDescriptor, Value
 
@@ -131,7 +136,7 @@ def read_input(path: str | Path) -> str:
     """The text of an input file; ``IngestionError`` naming the path when it
     cannot be read (missing, a directory, not readable, not UTF-8)."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise IngestionError(f"cannot read: {exc.strerror or exc}", str(path)) from None
     except UnicodeDecodeError:
@@ -195,7 +200,7 @@ def load_database(
         db.relations[name] = rel
         path = data_dir / f"{name}.csv"
         try:
-            fh = path.open(encoding="utf-8", newline="")
+            fh = path.open(encoding="utf-8-sig", newline="")
         except FileNotFoundError:
             continue  # declared but empty relation
         except OSError as exc:
@@ -205,45 +210,83 @@ def load_database(
     return db
 
 
+def reader_source(arity: int) -> str:
+    """The source of ``read(rows, parse, is_zero, entries, check)``, the
+    loop over the numbered CSV rows of a relation of ``arity``.
+
+    It takes a row as it stands when the row unpacks into ``arity`` data
+    fields and an annotation, each data field converts with ``int`` to a
+    value of at least 1, the annotation parses and the tuple is new: the
+    tuple is then stored, or dropped when its annotation is zero.  Any other
+    row goes to ``check(row, rowno)``, which skips it, stores it or raises.
+    """
+    xs = [f"x{i}" for i in range(arity)]
+    t = display([f"int({x})" for x in xs])
+    reject = " or ".join([f"t[{i}] < 1" for i in range(arity)] + ["t in entries"])
+    lines = [
+        "def read(rows, parse, is_zero, entries, check):",
+        "    for rowno, row in rows:",
+        "        try:",
+        f"            {display(xs + ['a'])} = row",
+        f"            t = {t}",
+        "            a = parse(a)",
+        "        except ValueError:",
+        "            check(row, rowno)",
+        "            continue",
+        f"        if {reject}:",
+        "            check(row, rowno)",
+        "        elif not is_zero(a):",
+        "            entries[t] = a",
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def _read_rows(fh, path: str, arity: int, semiring: SemiringDescriptor, entries: Dict) -> None:
-    """One pass over the CSV rows of one relation into ``entries``.  The
-    width is tested first; blank rows and the header are looked for only
+    """One pass over the CSV rows of one relation into ``entries``, by the
+    reader compiled for ``arity`` (``reader_source``).  A row the reader
+    does not take goes to ``check``, which tests it in full: the width, the
+    data values, their positivity, the annotation, a zero annotation and a
+    duplicate, in that order.  Blank rows and the header are looked for only
     in a row that does not parse, and the line of a row only when it is
     rejected."""
     width = arity + 1
     parse, is_zero = semiring.parse, semiring.is_zero
     reader = csv.reader(fh)
+
+    def check(row: List[str], rowno: int) -> None:
+        if len(row) != width:
+            if _skipped(row, rowno):
+                return
+            raise IngestionError(
+                f"expected {width} fields, got {len(row)}", path, _line(reader, row)
+            )
+        try:
+            values = tuple(map(int, row[:arity]))
+        except ValueError:
+            if _skipped(row, rowno):
+                return
+            raise IngestionError(
+                f"malformed data value in {row[:arity]}", path, _line(reader, row)
+            ) from None
+        if arity and min(values) < 1:
+            raise IngestionError(
+                f"data values must be positive integers, got {values}", path, _line(reader, row)
+            )
+        try:
+            annotation = parse(row[arity])
+        except ValueError as exc:
+            if _skipped(row, rowno):
+                return
+            raise IngestionError(str(exc), path, _line(reader, row)) from None
+        if is_zero(annotation):
+            return
+        if values in entries:
+            raise IngestionError(f"duplicate tuple {values}", path, _line(reader, row))
+        entries[values] = annotation
+
+    read = compile_source(reader_source(arity), "read")
     try:
-        for rowno, row in enumerate(reader, start=1):
-            if len(row) != width:
-                if _skipped(row, rowno):
-                    continue
-                raise IngestionError(
-                    f"expected {width} fields, got {len(row)}", path, _line(reader, row)
-                )
-            try:
-                values = tuple(map(int, row[:arity]))
-            except ValueError:
-                if _skipped(row, rowno):
-                    continue
-                raise IngestionError(
-                    f"malformed data value in {row[:arity]}", path, _line(reader, row)
-                ) from None
-            if arity and min(values) < 1:
-                raise IngestionError(
-                    f"data values must be positive integers, got {values}", path, _line(reader, row)
-                )
-            try:
-                annotation = parse(row[arity])
-            except ValueError as exc:
-                if _skipped(row, rowno):
-                    continue
-                raise IngestionError(str(exc), path, _line(reader, row)) from None
-            if is_zero(annotation):
-                continue
-            if values in entries:
-                raise IngestionError(f"duplicate tuple {values}", path, _line(reader, row))
-            entries[values] = annotation
+        read(enumerate(reader, start=1), parse, is_zero, entries, check)
     except csv.Error as exc:
         raise IngestionError(str(exc), path, reader.line_num) from None
     except UnicodeDecodeError:

@@ -4,7 +4,10 @@ Preprocessing runs one bottom-up pass over the nodes of the query plan
 below the connex region and on its frontier, whose relations are defined by:
 
 * a leaf holds the atom's relation filtered by repeated-variable matching
-  and by the inequalities the atom covers;
+  and by the inequalities the atom covers, and re-keyed by its variables:
+  unless every tuple is its own key, one generated expression
+  (``key_source``) tests and re-keys a tuple, compiled once per leaf shape
+  with the covered limits passed in;
 * a single-child node aggregates its child by semiring addition over the
   projection (dropping zero sums);
 * a 2-child node intersects the guard child with the smaller-variable child,
@@ -47,13 +50,13 @@ relation's entries, annotations included.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import islice
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .codegen import compile_source, display, project
 from .errors import CapabilityError, ClassificationError, VocabularyError
 from .kdata import AnnotatedRelation, Database, DataTuple
-from .planner import QueryPlan, TupleGetter, build_fc_plan, tuple_getter
+from .planner import QueryPlan, TupleGetter, build_fc_plan
 from .query import ConjunctiveQuery, IneqAtom, QuerySplit, RelAtom, split
 from .semiring import SemiringDescriptor, Value, sum_of_ones
 
@@ -130,15 +133,8 @@ def build_leaf_matcher(
 ) -> Callable[[DataTuple], Optional[DataTuple]]:
     """The key function of ``atom`` and the inequalities it covers, checked
     against the database vocabulary (unknown symbols and arity mismatches
-    raise ``VocabularyError``).
-
-    A tuple matches its atom when the components at a repeated variable's
-    positions are equal and every inequality the atom covers holds; its key
-    lists the values of the atom's distinct variables in sorted order, and a
-    tuple that does not match has the key None.  Without equalities and
-    limits every tuple matches: the key function is then ``identity_key``
-    when every key is its tuple, and a plain ``tuple_getter`` otherwise.
-    """
+    raise ``VocabularyError``): ``identity_key`` when every tuple is its own
+    key, and otherwise the function compiled from ``key_source``."""
     rel = db.relation(atom.symbol)
     if len(atom.args) != rel.arity:
         raise VocabularyError(
@@ -146,28 +142,33 @@ def build_leaf_matcher(
         )
     if identity_leaf(atom, covered):
         return identity_key
+    bounds = tuple(c for _, c in sorted(_limits(covered, db).items()))
+    return compile_source(key_source(atom, covered), "make")(bounds)
+
+
+def key_source(atom: RelAtom, covered: Sequence[IneqAtom]) -> str:
+    """The source of ``make(b)``, which returns the key function of ``atom``
+    and the inequalities it covers, ``b`` holding per covered variable, in
+    sorted order, the least constant that bounds it.
+
+    A tuple matches its atom when the components at a repeated variable's
+    positions are equal and every inequality the atom covers holds; its key
+    lists the values of the atom's distinct variables in sorted order, and a
+    tuple that does not match has the key None.  Only fixed names and
+    integer literals are written, no symbol of the query.
+    """
     first: Dict[str, int] = {}
-    equalities = []
+    misses = []
     for i, arg in enumerate(atom.args):
         j = first.setdefault(arg, i)
         if j != i:
-            equalities.append((i, j))
-    positions = tuple(first[v] for v in sorted(first))
-    limits = tuple((first[v], c) for v, c in sorted(_limits(covered, db).items()))
-    project = tuple_getter(positions)
-    if equalities or limits:
-
-        def key(t: DataTuple) -> Optional[DataTuple]:
-            for i, j in equalities:
-                if t[i] != t[j]:
-                    return None
-            for i, bound in limits:
-                if t[i] > bound:
-                    return None
-            return project(t)
-
-        return key
-    return project
+            misses.append(f"t[{i}] != t[{j}]")
+    limited = sorted({ineq.var for ineq in covered})
+    misses += [f"t[{first[v]}] > b[{n}]" for n, v in enumerate(limited)]
+    key = project("t", [first[v] for v in sorted(first)], len(atom.args))
+    if misses:
+        key = f"None if {' or '.join(misses)} else {key}"
+    return f"def make(b):\n    return lambda t: {key}\n"
 
 
 def preprocess(q: ConjunctiveQuery, db: Database) -> EnumerationState:
@@ -200,7 +201,7 @@ def preprocess_with_plan(
                 state.matchers[nid] = build_leaf_matcher(plan.atoms[i], sp.covered[i], db)
         _bottom_up(state)
         _build_connex_structures(state)
-    state.walk = _compile(walk_source(q, state.plan), "walk")
+    state.walk = compile_source(walk_source(q, state.plan), "walk")
     return state
 
 
@@ -315,9 +316,6 @@ def _build_connex_structures(state: EnumerationState) -> None:
 # Enumeration
 # ---------------------------------------------------------------------------
 
-_STALE = "enumeration cursor invalidated by an update"
-
-
 def walk_source(q: ConjunctiveQuery, plan: Optional[QueryPlan]) -> str:
     """The source of ``walk(state)``, the generator of the answers of a state
     preprocessed for ``q`` over ``plan`` (None without relational atoms).
@@ -338,7 +336,7 @@ def walk_source(q: ConjunctiveQuery, plan: Optional[QueryPlan]) -> str:
             place.setdefault(v, f"t{j}[{pos}]")
     place.update((v, f"i{n}") for n, v in enumerate(ranges))
     comps = [place[v] for v in q.head_vars]
-    head = _display(comps)
+    head = display(comps)
     for j, level in enumerate(levels):
         if comps == [f"t{j}[{pos}]" for pos in range(len(level.order))]:
             head = f"t{j}"  # the level's tuple itself
@@ -351,7 +349,7 @@ def walk_source(q: ConjunctiveQuery, plan: Optional[QueryPlan]) -> str:
     for j, level in enumerate(levels):
         t, width = f"t{j}", len(level.order)
         hoists += [f"r{f} = state.relations[{f}]" for f, _ in level.frontier]
-        factors = [f"r{f}[{_project(t, pos, width)}]" for f, pos in level.frontier]
+        factors = [f"r{f}[{project(t, pos, width)}]" for f, pos in level.frontier]
         if j == 0 and plan.root in plan.frontier:
             loops.append(f"for t0, v0 in r{plan.root}.items():")
             factors = ["v0"]
@@ -361,7 +359,7 @@ def walk_source(q: ConjunctiveQuery, plan: Optional[QueryPlan]) -> str:
         else:
             n, src = level.nodes[0], level.source
             hoists.append(f"g{n} = state.groups[{n}]")
-            loops.append(f"for {t} in g{n}[{_project(f't{src}', level.key, len(levels[src].order))}]:")
+            loops.append(f"for {t} in g{n}[{project(f't{src}', level.key, len(levels[src].order))}]:")
         if factors:
             product = factors[0]
             for factor in factors[1:]:
@@ -380,27 +378,6 @@ def walk_source(q: ConjunctiveQuery, plan: Optional[QueryPlan]) -> str:
         lines.append("    " * depth + line)
         depth += line.startswith("for ")
     return "\n".join(lines) + "\n"
-
-
-@lru_cache(maxsize=256)
-def _compile(source: str, name: str) -> Callable:
-    """The function ``name`` that ``source`` defines; it reads everything
-    off its arguments, so the states compiled from one source share it."""
-    namespace = {"STALE": _STALE}
-    exec(compile(source, f"<{name}>", "exec"), namespace)
-    return namespace[name]
-
-
-def _project(t: str, positions: Sequence[int], width: int) -> str:
-    """The source of the tuple of ``t``'s components at ``positions``: ``t``
-    itself when that is all ``width`` of them."""
-    if tuple(positions) == tuple(range(width)):
-        return t
-    return _display([f"{t}[{pos}]" for pos in positions])
-
-
-def _display(comps: Sequence[str]) -> str:
-    return "(" + ", ".join(comps) + ("," if len(comps) == 1 else "") + ")"
 
 
 def enumerate_state(

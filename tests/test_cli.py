@@ -275,6 +275,22 @@ def test_plan_json_reports_the_walk(tmp_path, capsys, guarded):
     assert len(loops) == len(build_plan(parse_query(text), guarded).levels) == (3 if guarded else 2)
 
 
+def test_plan_json_reports_the_leaf_keys(tmp_path, capsys):
+    from deltaenum.query import parse_query, split
+    from deltaenum.static_engine import key_source
+
+    # R(x,y) covers y <= c and R(x,x) repeats x; S(x) is its own key
+    text = "H(x,y) :- R(x,y), R(x,x), S(x), y <= c."
+    q = write(tmp_path / "q.cq", text)
+    assert main(["plan", q, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    sp = split(parse_query(text))
+    leaves = {str(n["id"]): n["label"] for n in report["nodes"] if n["kind"] == "leaf"}
+    assert sorted(leaves[n] for n in report["keys"]) == ["R(x, x)", "R(x, y)"]
+    sources = {key_source(atom, sp.covered[i]) for i, atom in enumerate(sp.rel_part.relational_atoms[:2])}
+    assert set(report["keys"].values()) == sources
+
+
 def test_plan_marks_the_stored_nodes(tmp_path, capsys):
     # the project_agg benchmark query: only T, the projection onto y and the
     # root keep a relation; the other nodes stream into their parent's pass

@@ -1,4 +1,8 @@
+import io
+import keyword
 import random
+import re
+import tokenize
 
 import pytest
 
@@ -10,6 +14,7 @@ from deltaenum.kdata import (
     apply_update,
     load_database,
     parse_update_script,
+    reader_source,
 )
 from deltaenum.semiring import builtin_semiring
 
@@ -125,6 +130,28 @@ def test_load_database_skips_header(tmp_path):
     assert db.relations["R"].entries == {(1, 2): 3}
 
 
+# every name that ``reader_source`` writes, besides Python keywords and the
+# numbered names of its data fields
+READER_NAMES = {"read", "rows", "parse", "is_zero", "entries", "check", "rowno", "row", "a", "t", "int", "ValueError"}
+
+
+def test_no_relation_name_reaches_the_row_readers(tmp_path):
+    # relation names that the generated reader uses itself, of arities 0 to 3
+    names = ["read", "row", "entries", "t"]
+    rows = {name: ",".join(["1"] * arity + ["5"]) + "\n" for arity, name in enumerate(names)}
+    vocab, data = write_db(tmp_path, {"relations": {name: arity for arity, name in enumerate(names)}}, rows)
+    db = load_database(vocab, data, NAT)
+    assert {name: rel.entries for name, rel in db.relations.items()} == {
+        name: {(1,) * arity: 5} for arity, name in enumerate(names)
+    }
+    for arity in range(13):
+        tokens = list(tokenize.generate_tokens(io.StringIO(reader_source(arity)).readline))
+        assert not [t for t in tokens if t.type == tokenize.STRING]
+        found = {t.string for t in tokens if t.type == tokenize.NAME}
+        numbered = {n for n in found if re.fullmatch(r"x[0-9]+", n)}
+        assert found - numbered - set(keyword.kwlist) <= READER_NAMES
+
+
 def test_load_database_boolean_annotations(tmp_path):
     B = builtin_semiring("boolean")
     vocab, data = write_db(tmp_path, {"relations": {"R": 1}}, {"R": "1,t\n2,f\n"})
@@ -194,6 +221,12 @@ def write_bytes(path, text):
         pytest.param(2, "1,2,3\r\n2,2,1\r\n", {(1, 2): 3, (2, 2): 1}, id="crlf"),
         pytest.param(2, '"1",2,"3"\n', {(1, 2): 3}, id="quoted-field"),
         pytest.param(0, " \n4\n", {(): 4}, id="arity-0"),
+        pytest.param(1, "5,7\n", {(5,): 7}, id="arity-1"),
+        pytest.param(12, ",".join(map(str, range(1, 14))) + "\n", {tuple(range(1, 13)): 13}, id="arity-12"),
+        # a byte order mark is no part of the first field
+        pytest.param(2, "\ufeff1,2,5\n3,4,6\n", {(1, 2): 5, (3, 4): 6}, id="bom"),
+        # a zero annotation drops the row before the duplicate test
+        pytest.param(2, "1,2,3\n1,2,0\n", {(1, 2): 3}, id="zero-duplicate"),
     ],
 )
 def test_load_database_accepts(tmp_path, arity, text, entries):
@@ -235,6 +268,12 @@ def test_load_database_reads_a_first_row_that_parses(tmp_path, name, value):
         # a quoted field may span lines: the error names the row's first line
         pytest.param('x,"multi\nline header",k\n1,2,2\n3,b,1\n', "malformed data value in ['3', 'b']", 4, id="after-multiline-header"),
         pytest.param('1,2,3\n1,"2\r\n\n",3\n', "duplicate tuple (1, 2)", 2, id="multiline-row"),
+        # the checks of a row run in a fixed order: width, integers,
+        # positivity, annotation, zero, duplicate
+        pytest.param("0,2,x\n", "data values must be positive integers", 1, id="below-1-before-annotation"),
+        pytest.param("1,b,x\n", "malformed data value in ['1', 'b']", 1, id="integer-before-annotation"),
+        pytest.param("0,2,0\n", "data values must be positive integers", 1, id="below-1-before-zero"),
+        pytest.param("x,y\n1,2\n", "expected 3 fields, got 2", 2, id="short-row-after-header"),
     ],
 )
 def test_load_database_rejects(tmp_path, text, message, line):
@@ -265,6 +304,7 @@ def test_load_database_rejects(tmp_path, text, message, line):
             [SingleTupleUpdate("insert", "Z", (), 5), SingleTupleUpdate("delete", "Z", ())],
             id="arity-0",
         ),
+        pytest.param("\ufeff+ R 1 2 7\n", [SingleTupleUpdate("insert", "R", (1, 2), 7)], id="bom"),
     ],
 )
 def test_parse_update_script_accepts(tmp_path, text, updates):

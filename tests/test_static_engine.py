@@ -18,6 +18,7 @@ from deltaenum.static_engine import (
     enumerate_state,
     eval_materialized,
     identity_key,
+    key_source,
     preprocess,
     preprocess_with_plan,
     reference_relation,
@@ -497,3 +498,25 @@ def test_no_query_text_reaches_the_compiled_walk():
         names = {t.string for t in tokens if t.type == tokenize.NAME}
         numbered = {n for n in names if re.fullmatch(r"[bcgiprtv][0-9]+", n)}
         assert names - numbered - set(keyword.kwlist) <= WALK_NAMES
+
+
+def test_no_query_text_reaches_the_leaf_keys():
+    # relation and constant names that the generated key function uses
+    # itself; one leaf covers an inequality, one repeats a variable
+    text = "H(t, x) :- make(t, x), lambda(t, t), x <= b."
+    # the same query under names in the same sorted order
+    plain = "H(a, c) :- A(a, c), B(a, a), c <= d."
+    q, p = parse_query(text), parse_query(plain)
+    rng = random.Random(626)
+    db = random_db_for_query(rng, q, NAT, max_tuples=60, domain=3)
+    db.constants["b"] = 2
+    got = list(enumerate_state(preprocess(q, db)))
+    assert got and dict(got) == oracle_eval_cq(q, db).entries
+    sq, sp = split(q), split(p)
+    for i, atom in enumerate(sq.rel_part.relational_atoms):
+        source = key_source(atom, sq.covered[i])
+        assert source == key_source(sp.rel_part.relational_atoms[i], sp.covered[i])
+        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+        assert not [t for t in tokens if t.type == tokenize.STRING]
+        names = {t.string for t in tokens if t.type == tokenize.NAME}
+        assert names - set(keyword.kwlist) <= {"make", "b", "t"}
