@@ -67,8 +67,7 @@ def cmd_classify(args) -> int:
 
 def cmd_plan(args) -> int:
     from .planner import build_fc_plan, build_guarded_plan
-    from .query import split
-    from .static_engine import identity_leaf, key_source, walk_source
+    from .static_engine import plan_sources
 
     q = _read_query(args.query)
     plan = build_guarded_plan(q) if args.guarded else build_fc_plan(q)
@@ -94,19 +93,14 @@ def cmd_plan(args) -> int:
             }
         )
     report = {"query": q.to_text(), "guarded": plan.guarded, "root": plan.root, "nodes": nodes}
-    report["walk"] = walk_source(q, plan)
-    covered = split(q).covered
-    report["keys"] = {
-        str(nid): key_source(plan.atoms[node.atom_index], covered[node.atom_index])
-        for nid, node in sorted(plan.nodes.items())
-        if node.is_leaf and not identity_leaf(plan.atoms[node.atom_index], covered[node.atom_index])
-    }
+    # the sources that preprocessing compiles for this query and plan
+    report["walk"], keys = plan_sources(q, plan)
+    report["keys"] = {str(nid): source for nid, source in keys.items()}
     if plan.guarded:
-        from .dynamic_engine import leaves_by_symbol, update_source
+        from .dynamic_engine import update_sources
 
         report["updates"] = {
-            symbol: "\n".join(update_source(q, plan, leaf) for leaf in leaves)
-            for symbol, leaves in leaves_by_symbol(plan).items()
+            symbol: "\n".join(sources.values()) for symbol, sources in update_sources(plan, keys).items()
         }
     if args.json:
         print(json.dumps(report, indent=2))

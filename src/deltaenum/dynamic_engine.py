@@ -20,60 +20,37 @@ parent's candidates with it, and a 2-child step looks the tuple up in the
 sibling's candidates and writes the parent's, again O(1) per step.
 
 ``dyn_preprocess`` runs the static preprocess over the guarded plan, the
-one bottom-up path of both engines, and counts the members of each group
-of a stored projection's child.  The update path of each plan leaf is
-generated as Python source (``update_source``): the leaf's key, then every
-step up to the root unrolled, with its dicts hoisted and its keys written as
-tuple displays.  Each source is compiled once per plan, and
-``DynamicState.paths`` holds one callable per relation symbol: its leaf's,
-or a chain over its leaves in postorder.  ``dyn_update`` applies the update
-to the database once, through ``kdata.apply_update``, and calls its
-symbol's path.
+one bottom-up path of both engines, and returns the ``EnumerationState`` it
+builds, with the member counts of each group of a stored projection's child
+in ``accs``.  The update path of each plan leaf is generated as Python
+source (``update_source``, per relation symbol ``update_sources``): the
+leaf's key, then every step up to the root unrolled, with its dicts hoisted
+and its keys written as tuple displays.  Each distinct source is compiled
+once (``codegen.compile_source`` caches them), and the state's ``paths``
+holds one callable per relation symbol: its leaf's, or a chain over its
+leaves in postorder.  ``dyn_update`` applies the update to the database
+once, through ``kdata.apply_update``, and calls its symbol's path.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Container, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .codegen import compile_source, project
 from .errors import CapabilityError, ClassificationError
 from .kdata import Database, DataTuple, SingleTupleUpdate, apply_update
 from .planner import QueryPlan, build_guarded_plan
-from .query import ConjunctiveQuery, split
+from .query import ConjunctiveQuery
 from .semiring import Value
-from .static_engine import EnumerationState, enumerate_state, identity_leaf
+from .static_engine import EnumerationState, enumerate_state, identity_key
 from .static_engine import preprocess_with_plan
 
 
-@dataclass
-class DynamicState:
-    """Maintained evaluation state; owns and mutates its database."""
-
-    enum: EnumerationState
-    # per single-child node with a relation (outside the connex region or on
-    # its frontier): parent tuple -> the number of child tuples projecting
-    # onto it; their sum is the parent relation's value
-    accs: Dict[int, Dict[DataTuple, int]] = field(default_factory=dict)
-    # per relation symbol: ``update(t, old, new)``, which carries a change of
-    # the symbol's annotation at ``t`` through the paths of its plan leaves;
-    # compiled once per plan from ``update_source``, it holds only the
-    # state's own dicts
-    paths: Dict[str, Callable[[DataTuple, Optional[Value], Optional[Value]], None]] = field(default_factory=dict)
-
-    @property
-    def db(self) -> Database:
-        return self.enum.db
-
-    @property
-    def plan(self) -> Optional[QueryPlan]:
-        return self.enum.plan
-
-
-def dyn_preprocess(q: ConjunctiveQuery, db: Database) -> DynamicState:
-    """Linear-time preprocessing for dynamic evaluation.
+def dyn_preprocess(q: ConjunctiveQuery, db: Database) -> EnumerationState:
+    """Linear-time preprocessing for dynamic evaluation: the state, which
+    owns and mutates its database, with its ``accs`` and ``paths``.
 
     Requires a q-hierarchical query and a sum-maintainable semi-integral
     domain; static evaluation remains available for merely free-connex
@@ -89,28 +66,31 @@ def dyn_preprocess(q: ConjunctiveQuery, db: Database) -> DynamicState:
         raise ClassificationError(
             f"query is not q-hierarchical (static evaluation is still available): {q.to_text()}"
         )
-    enum = preprocess_with_plan(q, db, plan)
-    state = DynamicState(enum)
-    plan = enum.plan
+    state = preprocess_with_plan(q, db, plan)
+    plan = state.plan
     if plan is None:
         return state
     for p in plan.postorder():
         children = plan.nodes[p].children
         if p in plan.stored and len(children) == 1:
             c = children[0]
-            state.accs[p] = dict(Counter(map(plan.key[c], enum.relations[c])))
-    for symbol, leaves in leaves_by_symbol(plan).items():
-        updates = [compile_source(update_source(q, plan, leaf), "make")(state, enum.matchers[leaf]) for leaf in leaves]
+            state.accs[p] = dict(Counter(map(plan.key[c], state.relations[c])))
+    keyed = [leaf for leaf, key in state.matchers.items() if key is not identity_key]
+    for symbol, sources in update_sources(plan, keyed).items():
+        updates = [compile_source(source, "make")(state, state.matchers[leaf]) for leaf, source in sources.items()]
         state.paths[symbol] = updates[0] if len(updates) == 1 else _chain(tuple(updates))
     return state
 
 
-def leaves_by_symbol(plan: QueryPlan) -> Dict[str, List[int]]:
-    """The plan leaves of each relation symbol, in postorder."""
-    out: Dict[str, List[int]] = {}
+def update_sources(plan: QueryPlan, keyed: Container[int]) -> Dict[str, Dict[int, str]]:
+    """Per relation symbol, the ``update_source`` of each of its plan
+    leaves, in postorder; ``keyed`` holds the leaves whose tuples are not
+    their own keys (``static_engine.plan_sources`` decides which)."""
+    out: Dict[str, Dict[int, str]] = {}
     for nid in plan.postorder():
         if plan.nodes[nid].is_leaf:
-            out.setdefault(plan.atoms[plan.nodes[nid].atom_index].symbol, []).append(nid)
+            symbol = plan.atoms[plan.nodes[nid].atom_index].symbol
+            out.setdefault(symbol, {})[nid] = update_source(plan, nid, nid in keyed)
     return out
 
 
@@ -127,11 +107,12 @@ def _chain(updates: Sequence[Callable]) -> Callable:
 # Update propagation
 # ---------------------------------------------------------------------------
 
-def update_source(q: ConjunctiveQuery, plan: QueryPlan, leaf: int) -> str:
+def update_source(plan: QueryPlan, leaf: int, keyed: bool) -> str:
     """The source of ``make(state, key)``, which returns ``update(t, old,
     new)``: the update path of the guarded plan's ``leaf`` unrolled, for a
     change of its relation symbol's annotation at ``t`` from ``old`` to
-    ``new`` (None when absent), ``key`` being the leaf's key function.
+    ``new`` (None when absent), ``key`` being the leaf's key function, which
+    is called only when ``keyed`` (its tuples are not their own keys).
 
     Node ``n``'s key is ``kn``, its old and new value ``on`` and ``vn``; its
     relation, member counts and candidates are ``rn``, ``an`` and ``cn``,
@@ -143,12 +124,11 @@ def update_source(q: ConjunctiveQuery, plan: QueryPlan, leaf: int) -> str:
     node whose candidates do not change.  Only fixed names and integer
     literals are written, no symbol of the query.
     """
-    i = plan.nodes[leaf].atom_index
     c, k, o, v = leaf, f"k{leaf}", "old", "new"
-    if identity_leaf(plan.atoms[i], split(q).covered[i]):
-        body = [f"{k} = t"]
-    else:
+    if keyed:
         body = [f"{k} = key(t)", f"if {k} is None:", "    return"]
+    else:
+        body = [f"{k} = t"]
     body += [f"if {v} is None:", f"    del r{c}[{k}]", "else:", f"    r{c}[{k}] = {v}"]
     enters, leaves = [], []  # the chains of a tuple entering or leaving the support
     while c != plan.root:
@@ -156,9 +136,8 @@ def update_source(q: ConjunctiveQuery, plan: QueryPlan, leaf: int) -> str:
         children = plan.nodes[p].children
         sib, kp = sum(children) - c, k  # a 2-child node's tuple is its children's
         if len(children) == 1:
-            order = plan.order[c]
             kp = f"k{p}"
-            key_line = f"{kp} = {project(k, [order.index(x) for x in plan.order[p]], len(order))}"
+            key_line = f"{kp} = {project(k, plan.positions[c], len(plan.order[c]))}"
         if c in plan.connex and len(children) == 2:
             # the parent's candidates are the tuples in both children's
             enters += [f"if {k} not in c{sib}:", "    return", f"c{p}[{k}] = True"]
@@ -186,16 +165,16 @@ def update_source(q: ConjunctiveQuery, plan: QueryPlan, leaf: int) -> str:
         body += [f"if {o} is None:", *["    " + line for line in enters]]
         body += [f"elif {v} is None:", *["    " + line for line in leaves]]
     # make reads each dict that the body names once
-    stores = {"r": "enum.relations", "a": "state.accs", "c": "enum.candidates"}
+    stores = {"r": "state.relations", "a": "state.accs", "c": "state.candidates"}
     dicts = dict.fromkeys(re.findall(r"\b([rac])([0-9]+)\b", "\n".join(body)))
-    lines = ["def make(state, key):", "    enum = state.enum", "    s = enum.semiring"]
+    lines = ["def make(state, key):", "    s = state.semiring"]
     lines += ["    add, sub, mul, is_zero, zero = s.add, s.sub, s.mul, s.is_zero, s.zero"]
     lines += [f"    {x}{n} = {stores[x]}[{n}]" for x, n in dicts]
     lines += ["", "    def update(t, old, new):", *["        " + line for line in body], "", "    return update"]
     return "\n".join(lines) + "\n"
 
 
-def dyn_update(state: DynamicState, u: SingleTupleUpdate) -> None:
+def dyn_update(state: EnumerationState, u: SingleTupleUpdate) -> None:
     """Apply a single-tuple update and repair all maintained structures.
 
     The path of the updated relation (``update_source``) carries the change
@@ -203,48 +182,46 @@ def dyn_update(state: DynamicState, u: SingleTupleUpdate) -> None:
     that node's support on up the candidates to the root.  Either part
     stops at the first node that does not change.
     """
-    enum = state.enum
-    old, new = apply_update(enum.db, u)
-    enum.version += 1
+    old, new = apply_update(state.db, u)
+    state.version += 1
     path = state.paths.get(u.relation)
     if path is not None and old != new:
         path(u.tuple, old, new)
 
 
-def dyn_enumerate(state: DynamicState, limit: Optional[int] = None) -> Iterator[Tuple[DataTuple, Value]]:
+def dyn_enumerate(state: EnumerationState, limit: Optional[int] = None) -> Iterator[Tuple[DataTuple, Value]]:
     """Stream the maintained answer; same contract as static enumeration.
 
     Cursors are invalidated by any update (single-writer discipline).
     """
-    return enumerate_state(state.enum, limit=limit)
+    return enumerate_state(state, limit=limit)
 
 
 # ---------------------------------------------------------------------------
 # Invariant walker
 # ---------------------------------------------------------------------------
 
-def verify_dynamic_invariants(state: DynamicState) -> List[str]:
+def verify_dynamic_invariants(state: EnumerationState) -> List[str]:
     """Cross-check member counts, candidates, and node relations (small
     dbs); ``verify_node_invariants`` checks the sums, which are the node
     relations."""
     from .static_engine import verify_node_invariants
 
-    enum = state.enum
-    problems = verify_node_invariants(enum)
-    if enum.plan is None:
+    problems = verify_node_invariants(state)
+    plan = state.plan
+    if plan is None:
         return problems
-    plan = enum.plan
     for nid, counts in state.accs.items():
         c = plan.nodes[nid].children[0]
-        if counts != dict(Counter(map(plan.key[c], enum.relations[c]))):
+        if counts != dict(Counter(map(plan.key[c], state.relations[c]))):
             problems.append(f"node {nid}: member counts mismatch")
     # candidate sets against a fresh recomputation
-    fresh = preprocess_with_plan(enum.query, enum.db, plan)
+    fresh = preprocess_with_plan(state.query, state.db, plan)
     for nid in plan.connex:
-        if set(fresh.candidates.get(nid, {})) != set(enum.candidates.get(nid, {})):
+        if set(fresh.candidates.get(nid, {})) != set(state.candidates.get(nid, {})):
             problems.append(f"node {nid}: candidate set mismatch")
-    for nid, grp in enum.groups.items():
-        if enum.candidates[plan.nodes[nid].parent] is not grp:
+    for nid, grp in state.groups.items():
+        if state.candidates[plan.nodes[nid].parent] is not grp:
             problems.append(f"node {nid}: its group is not its parent's candidate set")
         fresh_grp = fresh.groups.get(nid, {})
         if {k: set(v) for k, v in grp.items()} != {k: set(v) for k, v in fresh_grp.items()}:

@@ -11,9 +11,10 @@ plan exists.
 Every plan keeps two invariants, which ``verify_plan`` checks: no node is an
 identity copy (a single-child node with its child's variables), and the first
 child of every 2-child node (its guard) carries the node's variables.  The
-layout the engines read -- each node's variable order, one key getter per
-edge, the connex frontier, the levels of the connex walk and the nodes whose
-relations preprocessing stores -- is fixed once, when the plan is built.
+layout the engines read -- each node's variable order, the projection
+positions and key getter of each edge, the connex frontier, the levels of
+the connex walk and the nodes whose relations preprocessing stores -- is
+fixed once, when the plan is built.
 
 All constructions are deterministic: ties are broken by atom order and by
 sorted variable names, so plan dumps are reproducible.
@@ -89,11 +90,12 @@ class QueryPlan:
     cover exactly the free variables of the relational part.
 
     ``order[n]`` lists the variables of node ``n``'s tuples (sorted);
-    ``key[c]`` maps a tuple of the larger of ``c`` and its parent to the
-    tuple of the smaller; ``frontier`` holds the connex nodes without connex
-    children.  ``levels`` cuts the connex region into the levels of its walk:
-    the root's, then one per projection edge into a connex child, in preorder
-    with guards first.
+    ``positions[c]`` lists the positions, in a tuple of the larger of ``c``
+    and its parent, of the smaller's variables, and ``key[c]`` maps a tuple
+    of the larger to the tuple of the smaller; ``frontier`` holds the connex
+    nodes without connex children.  ``levels`` cuts the connex region into
+    the levels of its walk: the root's, then one per projection edge into a
+    connex child, in preorder with guards first.
 
     ``stored`` holds the nodes whose relation preprocessing keeps; the
     others below the connex region stream their rows into their parent's
@@ -112,6 +114,7 @@ class QueryPlan:
     connex: Set[int]
     guarded: bool
     order: Dict[int, Tuple[str, ...]] = field(default_factory=dict)
+    positions: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
     key: Dict[int, TupleGetter] = field(default_factory=dict)
     frontier: FrozenSet[int] = frozenset()
     levels: Tuple[Level, ...] = ()
@@ -155,19 +158,18 @@ def _finalize(plan: QueryPlan, free: VarSet) -> QueryPlan:
     for nid, node in plan.nodes.items():
         plan.order[nid] = tuple(sorted(plan.vars(nid)))
         node.children.sort(key=lambda c: plan.vars(c) != plan.vars(nid))
-    positions: Dict[int, Tuple[int, ...]] = {}
     for nid, node in plan.nodes.items():
         for c in node.children:
             plan.nodes[c].parent = nid
             big, small = plan.order[c], plan.order[nid]
             if len(big) < len(small):
                 big, small = small, big
-            positions[c] = tuple(big.index(v) for v in small)
-            plan.key[c] = tuple_getter(positions[c])
+            plan.positions[c] = tuple(big.index(v) for v in small)
+            plan.key[c] = tuple_getter(plan.positions[c])
     plan.frontier = frozenset(
         nid for nid in plan.connex if not any(c in plan.connex for c in plan.nodes[nid].children)
     )
-    plan.levels = _cut_walk(plan, positions)
+    plan.levels = _cut_walk(plan)
     plan.stored = _stored(plan)
     return plan
 
@@ -187,7 +189,7 @@ def _stored(plan: QueryPlan) -> FrozenSet[int]:
     return frozenset(stored)
 
 
-def _cut_walk(plan: QueryPlan, positions: Dict[int, Tuple[int, ...]]) -> Tuple[Level, ...]:
+def _cut_walk(plan: QueryPlan) -> Tuple[Level, ...]:
     """The connex region cut into levels (see ``Level``), in preorder.
 
     Along a 2-child node the guard keeps the node's tuple and the other
@@ -213,7 +215,7 @@ def _cut_walk(plan: QueryPlan, positions: Dict[int, Tuple[int, ...]]) -> Tuple[L
                 cut(children[0], i, pos)
             else:
                 c1, c2 = children
-                stack.append((c2, tuple(pos[p] for p in positions[c2])))
+                stack.append((c2, tuple(pos[p] for p in plan.positions[c2])))
                 stack.append((c1, pos))
         levels[i] = Level(tuple(nodes), source, key, plan.order[top], tuple(frontier))
 

@@ -6,8 +6,8 @@ below the connex region and on its frontier, whose relations are defined by:
 * a leaf holds the atom's relation filtered by repeated-variable matching
   and by the inequalities the atom covers, and re-keyed by its variables:
   unless every tuple is its own key, one generated expression
-  (``key_source``) tests and re-keys a tuple, compiled once per leaf shape
-  with the covered limits passed in;
+  (``key_source``) tests and re-keys a tuple, with the covered limits
+  passed in;
 * a single-child node aggregates its child by semiring addition over the
   projection (dropping zero sums);
 * a 2-child node intersects the guard child with the smaller-variable child,
@@ -37,14 +37,15 @@ The planner cuts the connex region into *levels* (``QueryPlan.levels``): the
 root's candidates, then one level per projection edge into a connex child,
 ranging over that child's extension group under the tuple of an earlier
 level.  Each free inequality range adds one more level.  ``walk_source``
-writes the levels out as nested Python loops, the last level innermost, and
-preprocessing compiles that source once per state: the data-centric code
-generation of Neumann (VLDB 2011), applied to the walk.  An answer is the
-head read off the level tuples, and its annotation the product of the
-frontier annotations along the way.  Candidates keep every level non-empty,
-so the delay is bounded by the number of levels, independent of the
-database.  When the root is on the frontier, level 0 reads the root
-relation's entries, annotations included.
+writes the levels out as nested Python loops, the last level innermost: the
+data-centric code generation of Neumann (VLDB 2011), applied to the walk.
+Preprocessing compiles the walk and leaf keys that ``plan_sources`` writes,
+each distinct source once (``codegen.compile_source``); ``plan --json``
+prints them.  An answer is the head read off the level tuples, and its
+annotation the product of the frontier annotations along the way.
+Candidates keep every level non-empty, so the delay is bounded by the
+number of levels, independent of the database.  When the root is on the
+frontier, level 0 reads the root relation's entries, annotations included.
 """
 
 from __future__ import annotations
@@ -114,6 +115,11 @@ class EnumerationState:
     ineq: Optional[IneqPlanState] = None
     # the compiled ``walk_source`` of the query and plan: state -> answers
     walk: Optional[Callable] = field(default=None, repr=False)
+    # a dynamic state's (``dynamic_engine.dyn_preprocess``), empty otherwise:
+    # per stored projection, parent tuple -> its number of child tuples; per
+    # relation symbol, ``update(t, old, new)`` along its plan leaves' paths
+    accs: Dict[int, Dict[DataTuple, int]] = field(default_factory=dict)
+    paths: Dict[str, Callable[[DataTuple, Optional[Value], Optional[Value]], None]] = field(default_factory=dict)
     version: int = 0
 
 
@@ -122,28 +128,23 @@ def identity_key(t: DataTuple) -> DataTuple:
     return t
 
 
-def identity_leaf(atom: RelAtom, covered: Sequence[IneqAtom]) -> bool:
-    """Whether every tuple of ``atom`` is its own key: its variables are
-    distinct and in sorted order, and it covers no inequality."""
-    return not covered and list(atom.args) == sorted(set(atom.args))
-
-
 def build_leaf_matcher(
-    atom: RelAtom, covered: Sequence[IneqAtom], db: Database
+    atom: RelAtom, covered: Sequence[IneqAtom], source: Optional[str], db: Database
 ) -> Callable[[DataTuple], Optional[DataTuple]]:
     """The key function of ``atom`` and the inequalities it covers, checked
     against the database vocabulary (unknown symbols and arity mismatches
-    raise ``VocabularyError``): ``identity_key`` when every tuple is its own
-    key, and otherwise the function compiled from ``key_source``."""
+    raise ``VocabularyError``): ``identity_key`` when ``source`` is None,
+    every tuple being its own key, and otherwise the function compiled from
+    ``source``, its ``key_source``."""
     rel = db.relation(atom.symbol)
     if len(atom.args) != rel.arity:
         raise VocabularyError(
             f"atom {atom} has arity {len(atom.args)}, relation {atom.symbol!r} expects {rel.arity}"
         )
-    if identity_leaf(atom, covered):
+    if source is None:
         return identity_key
     bounds = tuple(c for _, c in sorted(_limits(covered, db).items()))
-    return compile_source(key_source(atom, covered), "make")(bounds)
+    return compile_source(source, "make")(bounds)
 
 
 def key_source(atom: RelAtom, covered: Sequence[IneqAtom]) -> str:
@@ -171,6 +172,22 @@ def key_source(atom: RelAtom, covered: Sequence[IneqAtom]) -> str:
     return f"def make(b):\n    return lambda t: {key}\n"
 
 
+def plan_sources(q: ConjunctiveQuery, plan: Optional[QueryPlan]) -> Tuple[str, Dict[int, str]]:
+    """The sources preprocessing compiles for ``q`` over ``plan`` (None
+    without relational atoms): the walk's and, in node order, the key
+    function's of each plan leaf whose tuples are not their own keys; they
+    are when the atom's variables are distinct and in sorted order and it
+    covers no inequality."""
+    sp = split(q)
+    keys: Dict[int, str] = {}
+    for nid, node in sorted(plan.nodes.items()) if plan is not None else ():
+        if node.is_leaf:
+            atom, covered = plan.atoms[node.atom_index], sp.covered[node.atom_index]
+            if covered or list(atom.args) != sorted(set(atom.args)):
+                keys[nid] = key_source(atom, covered)
+    return walk_source(sp, plan), keys
+
+
 def preprocess(q: ConjunctiveQuery, db: Database) -> EnumerationState:
     """Build the enumeration data structure; linear in the database size."""
     plan = build_fc_plan(q)
@@ -190,18 +207,18 @@ def preprocess_with_plan(
             f"static enumeration needs a zero-divisor-free semiring, not {s.name!r}"
         )
     sp = split(q)
-    state = EnumerationState(q, None, s, db)
+    assert plan is not None or not sp.rel_part.relational_atoms
+    state = EnumerationState(q, plan if sp.rel_part.relational_atoms else None, s, db)
     state.ineq = build_ineq_state(sp, db, s)
-    if sp.rel_part.relational_atoms:
-        assert plan is not None
-        state.plan = plan
+    walk, keys = plan_sources(q, state.plan)
+    if state.plan is not None:
         for nid, node in plan.nodes.items():
             if node.is_leaf:
                 i = node.atom_index
-                state.matchers[nid] = build_leaf_matcher(plan.atoms[i], sp.covered[i], db)
+                state.matchers[nid] = build_leaf_matcher(plan.atoms[i], sp.covered[i], keys.get(nid), db)
         _bottom_up(state)
         _build_connex_structures(state)
-    state.walk = compile_source(walk_source(q, state.plan), "walk")
+    state.walk = compile_source(walk, "walk")
     return state
 
 
@@ -316,9 +333,10 @@ def _build_connex_structures(state: EnumerationState) -> None:
 # Enumeration
 # ---------------------------------------------------------------------------
 
-def walk_source(q: ConjunctiveQuery, plan: Optional[QueryPlan]) -> str:
+def walk_source(sp: QuerySplit, plan: Optional[QueryPlan]) -> str:
     """The source of ``walk(state)``, the generator of the answers of a state
-    preprocessed for ``q`` over ``plan`` (None without relational atoms).
+    preprocessed for the query ``sp`` splits over ``plan`` (None without
+    relational atoms).
 
     It nests one ``for`` per level, binding level ``j``'s tuple to ``tj``,
     then one per free inequality range ``n``, binding ``in``.  A level with
@@ -329,13 +347,13 @@ def walk_source(q: ConjunctiveQuery, plan: Optional[QueryPlan]) -> str:
     fixed names and integer literals are written, no symbol of the query.
     """
     levels = plan.levels if plan is not None else ()
-    ranges = split(q).ineq_part.head_vars
+    ranges = sp.ineq_part.head_vars
     place: Dict[str, str] = {}  # variable -> the expression of its value
     for j, level in enumerate(levels):
         for pos, v in enumerate(level.order):
             place.setdefault(v, f"t{j}[{pos}]")
     place.update((v, f"i{n}") for n, v in enumerate(ranges))
-    comps = [place[v] for v in q.head_vars]
+    comps = [place[v] for v in sp.query.head_vars]
     head = display(comps)
     for j, level in enumerate(levels):
         if comps == [f"t{j}[{pos}]" for pos in range(len(level.order))]:

@@ -678,15 +678,47 @@ def test_plan_json_reports_the_update_paths(tmp_path, capsys):
     assert main(["plan", q, "--json"]) == 0
     assert "updates" not in json.loads(capsys.readouterr().out)
     assert main(["plan", q, "--json", "--guarded"]) == 0
-    updates = json.loads(capsys.readouterr().out)["updates"]
-    cq = parse_query(text)
-    plan = build_guarded_plan(cq)
+    report = json.loads(capsys.readouterr().out)
+    plan = build_guarded_plan(parse_query(text))
     leaves = {
         symbol: [n for n in plan.postorder() if plan.nodes[n].is_leaf and plan.atoms[plan.nodes[n].atom_index].symbol == symbol]
         for symbol in ("R", "S")
     }
-    assert updates == {s: "\n".join(update_source(cq, plan, n) for n in ns) for s, ns in leaves.items()}
-    assert updates["R"].count("def make(") == 2
+    # R(x,x) is the one leaf keyed, and its update path calls its key
+    (keyed,) = map(int, report["keys"])
+    assert plan.atoms[plan.nodes[keyed].atom_index].args == ("x", "x")
+    want = {s: "\n".join(update_source(plan, n, n == keyed) for n in ns) for s, ns in leaves.items()}
+    assert report["updates"] == want
+    assert report["updates"]["R"].count("def make(") == 2
+    assert report["updates"]["R"].count("= key(t)") == 1
+
+
+@pytest.mark.parametrize("guarded", [False, True])
+def test_plan_json_prints_what_preprocessing_compiles(tmp_path, capsys, guarded):
+    from deltaenum.codegen import compile_source
+    from deltaenum.dynamic_engine import dyn_preprocess
+    from deltaenum.semiring import builtin_semiring
+    from deltaenum.static_engine import identity_key, preprocess
+
+    from support import random_db_for_query, random_free_connex_cq, random_q_hierarchical_cq
+
+    draw, prep = (random_q_hierarchical_cq, dyn_preprocess) if guarded else (random_free_connex_cq, preprocess)
+    rng = random.Random(2101 + guarded)
+    keyed = 0
+    for _ in range(60):
+        q = draw(rng)
+        if not q.relational_atoms:
+            continue
+        state = prep(q, random_db_for_query(rng, q, builtin_semiring("natural"), max_tuples=12, domain=3))
+        assert main(["plan", write(tmp_path / "q.cq", q.to_text()), "--json", *(["--guarded"] * guarded)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        # "keys" names exactly the leaves that preprocessing gave a key function
+        leaves = sorted(n for n, key in state.matchers.items() if key is not identity_key)
+        assert sorted(map(int, report["keys"])) == leaves, q.to_text()
+        assert compile_source(report["walk"], "walk") is state.walk
+        assert set(report.get("updates", {})) == set(state.paths)
+        keyed += len(leaves)
+    assert keyed  # some drawn leaf is not its own key
 
 
 def _closed_early(tmp_path, args):

@@ -14,8 +14,7 @@ from deltaenum.dynamic_engine import (
     dyn_enumerate,
     dyn_preprocess,
     dyn_update,
-    leaves_by_symbol,
-    update_source,
+    update_sources,
     verify_dynamic_invariants,
 )
 from deltaenum.errors import CapabilityError, ClassificationError, SchemaError, VocabularyError
@@ -24,7 +23,7 @@ from deltaenum.oracle import oracle_eval_cq
 from deltaenum.planner import build_guarded_plan
 from deltaenum.query import parse_query
 from deltaenum.semiring import builtin_semiring
-from deltaenum.static_engine import enumerate_state, identity_key, preprocess, preprocess_with_plan
+from deltaenum.static_engine import enumerate_state, identity_key, plan_sources, preprocess, preprocess_with_plan
 
 from support import equal_answers, random_db_for_query, random_q_hierarchical_cq, random_update
 from test_static_engine import (
@@ -50,7 +49,7 @@ def test_dyn_preprocess_filtered_projection():
     # 2+1 as its relation
     (nid, counts), = state.accs.items()
     assert counts == {(1,): 2}
-    assert state.enum.relations[nid] == {(1,): 3}
+    assert state.relations[nid] == {(1,): 3}
     assert dict(dyn_enumerate(state)) == {(1,): 12}
     assert verify_dynamic_invariants(state) == []
 
@@ -96,7 +95,7 @@ def test_dyn_answers_inequality_only_queries(text):
     q = parse_query(text)
     db = make_db(NAT, {"R": (1, {(1,): 2})}, {"c": 3})
     state = dyn_preprocess(q, db)
-    assert state.enum.plan is None
+    assert state.plan is None
     want = list(enumerate_state(preprocess(q, db)))
     assert list(dyn_enumerate(state)) == want
     dyn_update(state, SingleTupleUpdate("insert", "R", (2,), 5))
@@ -110,7 +109,7 @@ def test_dyn_update_insert_example():
     dyn_update(state, SingleTupleUpdate("insert", "A", (1, 5), 1))
     (nid, counts), = state.accs.items()
     assert counts == {(1,): 3}
-    assert state.enum.relations[nid] == {(1,): 4}
+    assert state.relations[nid] == {(1,): 4}
     assert dict(dyn_enumerate(state)) == {(1,): 16}
     assert verify_dynamic_invariants(state) == []
 
@@ -266,7 +265,7 @@ def test_dyn_walk_equals_the_reference_walk_after_each_update(tenths):
             if tenths and u.value is not None:
                 u = SingleTupleUpdate(u.kind, u.relation, u.tuple, u.value / 10)
             dyn_update(state, u)
-            assert repr(list(dyn_enumerate(state))) == repr(reference_walk(state.enum)), (q.to_text(), step)
+            assert repr(list(dyn_enumerate(state))) == repr(reference_walk(state)), (q.to_text(), step)
 
 
 @pytest.mark.parametrize("sname", ["natural", "boolean", "real"])
@@ -326,18 +325,18 @@ def test_dyn_update_respects_covered_inequalities():
     assert dict(dyn_enumerate(state)) == oracle_eval_cq(q, db).entries
 
 
-def assert_enumeration_layout(enum):
+def assert_enumeration_layout(state):
     """Relations exist exactly at the plan's stored nodes, a frontier node's
     candidates are its relation, and a connex projection's candidates are
     its child's group."""
-    plan = enum.plan
-    assert set(enum.relations) == plan.stored
+    plan = state.plan
+    assert set(state.relations) == plan.stored
     for f in plan.frontier:
-        assert enum.candidates[f] is enum.relations[f]
+        assert state.candidates[f] is state.relations[f]
     for p in plan.connex - plan.frontier:
         children = plan.nodes[p].children
         if len(children) == 1:
-            assert enum.candidates[p] is enum.groups[children[0]]
+            assert state.candidates[p] is state.groups[children[0]]
 
 
 # the queries of the join_drain and update_stream benchmark workloads
@@ -355,7 +354,7 @@ def test_state_lives_below_the_connex_region_and_on_its_frontier(text, relations
     assert inner  # connex nodes that must have no relation
     rng = random.Random(31)
     for step in range(40):
-        assert_enumeration_layout(state.enum)
+        assert_enumeration_layout(state)
         assert not set(state.accs) & inner, step
         dyn_update(state, random_update(rng, q, db, NAT, domain=3))
     assert verify_dynamic_invariants(state) == []
@@ -363,13 +362,12 @@ def test_state_lives_below_the_connex_region_and_on_its_frontier(text, relations
 
 def state_snapshot(state):
     """Copies of everything an update may change."""
-    enum = state.enum
     return (
-        {name: dict(rel.entries) for name, rel in enum.db.relations.items()},
-        enum.version,
-        {nid: dict(rel) for nid, rel in enum.relations.items()},
-        {nid: dict(c) for nid, c in enum.candidates.items()},
-        {nid: {k: dict(b) for k, b in grp.items()} for nid, grp in enum.groups.items()},
+        {name: dict(rel.entries) for name, rel in state.db.relations.items()},
+        state.version,
+        {nid: dict(rel) for nid, rel in state.relations.items()},
+        {nid: dict(c) for nid, c in state.candidates.items()},
+        {nid: {k: dict(b) for k, b in grp.items()} for nid, grp in state.groups.items()},
         {nid: dict(counts) for nid, counts in state.accs.items()},
     )
 
@@ -490,19 +488,24 @@ def test_one_pass_dynamic_state_equals_the_static_preprocess(text):
     plan = state.plan
     static = preprocess_with_plan(q, db, plan)
     assert state.accs
-    assert {n: list(r.items()) for n, r in state.enum.relations.items()} == {
+    assert {n: list(r.items()) for n, r in state.relations.items()} == {
         n: list(r.items()) for n, r in static.relations.items()
     }
     for nid, counts in state.accs.items():
         c = plan.nodes[nid].children[0]
         groups = {}
-        for t, k in state.enum.relations[c].items():
+        for t, k in state.relations[c].items():
             groups.setdefault(plan.key[c](t), []).append(k)
         # one count per group, of its child tuples; the group's sum in child
         # order is the parent's value, or a zero that the parent drops
         assert counts == {key: len(ks) for key, ks in groups.items()}
         sums = {key: functools.reduce(REAL.add, ks) for key, ks in groups.items()}
-        assert state.enum.relations[nid] == {key: v for key, v in sums.items() if v != 0.0}
+        assert state.relations[nid] == {key: v for key, v in sums.items() if v != 0.0}
+
+
+def leaves_by_symbol(plan):
+    """The plan leaves of each relation symbol, in postorder."""
+    return {symbol: list(sources) for symbol, sources in update_sources(plan, ()).items()}
 
 
 def leaf_paths(path):
@@ -516,10 +519,10 @@ def assert_paths_hold_the_states_own_dicts(state):
     """One compiled path per relation symbol of the plan, with one update per
     plan leaf of that symbol; every dict an update closes over is one of the
     state's own, the relation of its leaf among them."""
-    enum, plan = state.enum, state.plan
+    plan = state.plan
     own = {
         id(d)
-        for store in (enum.relations, enum.candidates, enum.groups, state.accs)
+        for store in (state.relations, state.candidates, state.groups, state.accs)
         for d in store.values()
     }
     assert set(state.paths) == {atom.symbol for atom in plan.atoms}
@@ -529,7 +532,7 @@ def assert_paths_hold_the_states_own_dicts(state):
         for leaf, update in zip(leaves, updates):
             held = [cell.cell_contents for cell in update.__closure__ if isinstance(cell.cell_contents, dict)]
             assert {id(d) for d in held} <= own
-            assert any(d is enum.relations[leaf] for d in held)
+            assert any(d is state.relations[leaf] for d in held)
 
 
 @pytest.mark.parametrize(
@@ -574,7 +577,7 @@ def test_generated_paths_over_a_seeded_stream(text, sname):
     plan = state.plan
     if text == TWO_KEYED_LEAVES:
         leaves = leaves_by_symbol(plan)["R"]
-        assert len(leaves) == 2 and not any(state.enum.matchers[n] is identity_key for n in leaves)
+        assert len(leaves) == 2 and not any(state.matchers[n] is identity_key for n in leaves)
     else:
         assert any(len(plan.nodes[n].children) == 2 for n in set(plan.nodes) - plan.connex)
 
@@ -593,7 +596,7 @@ def test_generated_paths_over_a_seeded_stream(text, sname):
 # every name that ``update_source`` writes, besides Python keywords and the
 # numbered names of its keys, values and hoisted dicts
 UPDATE_NAMES = {
-    "make", "state", "key", "enum", "s", "semiring", "add", "sub", "mul", "is_zero", "zero",
+    "make", "state", "key", "s", "semiring", "add", "sub", "mul", "is_zero", "zero",
     "relations", "accs", "candidates", "update", "t", "old", "new", "n", "x", "b", "get", "True",
 }
 
@@ -616,9 +619,14 @@ def test_no_query_text_reaches_the_update_paths():
         dyn_update(state, random_update(rng, q, db, NAT, domain=3))
     assert dict(dyn_enumerate(state)) == oracle_eval_cq(q, db).entries
     assert verify_dynamic_invariants(state) == []
-    for leaf in leaves:
-        source = update_source(q, plan, leaf)
-        assert source == update_source(p, plain_plan, leaf)
+    # state(r, new) is out of sorted order, state(r, r) repeats r and
+    # import(r, new, z) covers z <= k
+    keyed = [leaf for leaf, key in state.matchers.items() if key is not identity_key]
+    assert len(keyed) == 3
+    sources = [source for by_leaf in update_sources(plan, keyed).values() for source in by_leaf.values()]
+    plain_sources = update_sources(plain_plan, plan_sources(p, plain_plan)[1]).values()
+    assert sources == [source for by_leaf in plain_sources for source in by_leaf.values()]
+    for source in sources:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
         assert not [t for t in tokens if t.type == tokenize.STRING]
         names = {t.string for t in tokens if t.type == tokenize.NAME}

@@ -52,7 +52,7 @@ def test_traced_dynamic_run_reads_the_state_fields():
     # relations: the leaves U, S and R (3 + 5 + 6 tuples) and the frontier
     # node projecting R onto (x, y) (5 tuples); candidates: those 3 + 5 + 5,
     # 4 at the (x, y) join, 2 at x and 2 at the root, plus 4 group entries
-    assert tracing._state_info(state.enum) == {"rows_materialized": 20, "connex_entries": 26}
+    assert tracing._state_info(state) == {"rows_materialized": 20, "connex_entries": 26}
     assert tracing._dyn_info(state) == {"accumulators": 5}
     infos = {span[1]: span[6] for span in tracer.spans}
     assert infos["static_engine.preprocess_with_plan"] == {

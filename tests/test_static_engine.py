@@ -14,7 +14,6 @@ from deltaenum.planner import build_fc_plan, build_guarded_plan
 from deltaenum.query import parse_query, split
 from deltaenum.semiring import BUILTIN_SEMIRING_NAMES, builtin_semiring
 from deltaenum.static_engine import (
-    build_leaf_matcher,
     enumerate_state,
     eval_materialized,
     identity_key,
@@ -52,9 +51,8 @@ def make_db(semiring, relations, constants=None):
     ],
 )
 def test_leaf_key_functions(text, keys):
-    sp = split(parse_query(text))
     db = make_db(NAT, {"R": (2, {})}, {"c": 2})
-    key = build_leaf_matcher(sp.rel_part.relational_atoms[0], sp.covered[0], db)
+    (key,) = preprocess(parse_query(text), db).matchers.values()
     if keys is None:
         t = (1, 2)
         assert key is identity_key and key(t) is t
@@ -491,8 +489,8 @@ def test_no_query_text_reaches_the_compiled_walk():
         assert state.plan.levels and state.ineq.free_ranges
         got = list(enumerate_state(state))
         assert got and dict(got) == oracle_eval_cq(q, db).entries
-        source = walk_source(q, state.plan)
-        assert source == walk_source(p, plan_of(p))
+        source = walk_source(split(q), state.plan)
+        assert source == walk_source(split(p), plan_of(p))
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
         assert not [t for t in tokens if t.type == tokenize.STRING]
         names = {t.string for t in tokens if t.type == tokenize.NAME}
