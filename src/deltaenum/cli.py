@@ -2,12 +2,12 @@
 
 Subcommands: classify, plan, eval, enumerate, dyn, matlang {eval, compile,
 classify}.  --semiring selects the annotation domain of the commands that
-read data (eval, enumerate, dyn, matlang); --json asks classify, plan, eval,
-enumerate and matlang for machine-readable reports (timing isolated under a
-"timing" key); --verify cross-checks eval, enumerate, dyn and matlang eval
-against the oracle.  Exit codes: 0 success, 1 user error, 2 verification
-mismatch, 141 when the reader closes stdout early.  The benchmark is
-``perfbench/run.py``.
+read data (eval, enumerate, dyn, matlang) and of the generated sources that
+plan prints; --json asks classify, plan, eval, enumerate and matlang for
+machine-readable reports (timing isolated under a "timing" key); --verify
+cross-checks eval, enumerate, dyn and matlang eval against the oracle.  Exit
+codes: 0 success, 1 user error, 2 verification mismatch, 141 when the reader
+closes stdout early.  The benchmark is ``perfbench/run.py``.
 """
 
 from __future__ import annotations
@@ -93,14 +93,16 @@ def cmd_plan(args) -> int:
             }
         )
     report = {"query": q.to_text(), "guarded": plan.guarded, "root": plan.root, "nodes": nodes}
-    # the sources that preprocessing compiles for this query and plan
-    report["walk"], keys = plan_sources(q, plan)
+    # the sources that preprocessing compiles for this query, plan and semiring
+    semiring = builtin_semiring(args.semiring)
+    report["walk"], keys, scans = plan_sources(q, plan, semiring)
     report["keys"] = {str(nid): source for nid, source in keys.items()}
+    report["scans"] = {str(nid): source for nid, source in scans.items()}
     if plan.guarded:
         from .dynamic_engine import update_sources
 
         report["updates"] = {
-            symbol: "\n".join(sources.values()) for symbol, sources in update_sources(plan, keys).items()
+            symbol: "\n".join(sources.values()) for symbol, sources in update_sources(plan, keys, semiring).items()
         }
     if args.json:
         print(json.dumps(report, indent=2))
@@ -355,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="emit the query plan as JSON or Graphviz")
     p.add_argument("query")
     p.add_argument("--guarded", action="store_true", help="build the guarded (dynamic) plan")
-    add_flags(p, "--json")
+    add_flags(p, "--semiring", "--json")
     p.set_defaults(func=cmd_plan)
 
     for name, help_text in (("eval", "evaluate a query"), ("enumerate", "stream answers")):

@@ -1,15 +1,20 @@
 """Compiling generated code: the CSV row readers of ``kdata``, the leaf
-key functions and connex walks of ``static_engine`` and the update paths of
-``dynamic_engine`` are each written as Python source and compiled here.
+key functions, bottom-up scans and connex walks of ``static_engine``, the
+update paths of ``dynamic_engine`` and the builtin semiring operators are
+each written as Python source and compiled here.
 
-A generated source holds only fixed names and integer literals, never a
-symbol of the query or a data value: the function it defines reads
-everything else off its arguments, so one compiled function serves every
-caller whose source is the same.
+A generated source holds only fixed names, integer literals and the
+semiring's operator templates (``SemiringDescriptor.templates``), which are
+the only text not written by the generator itself; never a symbol of the
+query or a data value.  The function it defines reads everything else off
+its arguments, so one compiled function serves every caller whose source is
+the same.  Sources see two names besides the builtins: ``STALE`` and
+``inf``, the tropical zero.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -20,7 +25,7 @@ STALE = "enumeration cursor invalidated by an update"
 @lru_cache(maxsize=256)
 def compile_source(source: str, name: str) -> Callable:
     """The function ``name`` that ``source`` defines."""
-    namespace = {"STALE": STALE}
+    namespace = {"STALE": STALE, "inf": math.inf}
     exec(compile(source, f"<{name}>", "exec"), namespace)
     return namespace[name]
 

@@ -43,7 +43,7 @@ from .errors import CapabilityError, ClassificationError
 from .kdata import Database, DataTuple, SingleTupleUpdate, apply_update
 from .planner import QueryPlan, build_guarded_plan
 from .query import ConjunctiveQuery
-from .semiring import Value
+from .semiring import SemiringDescriptor, Value
 from .static_engine import EnumerationState, enumerate_state, identity_key
 from .static_engine import preprocess_with_plan
 
@@ -76,21 +76,22 @@ def dyn_preprocess(q: ConjunctiveQuery, db: Database) -> EnumerationState:
             c = children[0]
             state.accs[p] = dict(Counter(map(plan.key[c], state.relations[c])))
     keyed = [leaf for leaf, key in state.matchers.items() if key is not identity_key]
-    for symbol, sources in update_sources(plan, keyed).items():
+    for symbol, sources in update_sources(plan, keyed, s).items():
         updates = [compile_source(source, "make")(state, state.matchers[leaf]) for leaf, source in sources.items()]
         state.paths[symbol] = updates[0] if len(updates) == 1 else _chain(tuple(updates))
     return state
 
 
-def update_sources(plan: QueryPlan, keyed: Container[int]) -> Dict[str, Dict[int, str]]:
+def update_sources(plan: QueryPlan, keyed: Container[int], s: SemiringDescriptor) -> Dict[str, Dict[int, str]]:
     """Per relation symbol, the ``update_source`` of each of its plan
-    leaves, in postorder; ``keyed`` holds the leaves whose tuples are not
-    their own keys (``static_engine.plan_sources`` decides which)."""
+    leaves over the semiring ``s``, in postorder; ``keyed`` holds the leaves
+    whose tuples are not their own keys (``static_engine.plan_sources``
+    decides which)."""
     out: Dict[str, Dict[int, str]] = {}
     for nid in plan.postorder():
         if plan.nodes[nid].is_leaf:
             symbol = plan.atoms[plan.nodes[nid].atom_index].symbol
-            out.setdefault(symbol, {})[nid] = update_source(plan, nid, nid in keyed)
+            out.setdefault(symbol, {})[nid] = update_source(plan, nid, nid in keyed, s)
     return out
 
 
@@ -107,7 +108,7 @@ def _chain(updates: Sequence[Callable]) -> Callable:
 # Update propagation
 # ---------------------------------------------------------------------------
 
-def update_source(plan: QueryPlan, leaf: int, keyed: bool) -> str:
+def update_source(plan: QueryPlan, leaf: int, keyed: bool, s: SemiringDescriptor) -> str:
     """The source of ``make(state, key)``, which returns ``update(t, old,
     new)``: the update path of the guarded plan's ``leaf`` unrolled, for a
     change of its relation symbol's annotation at ``t`` from ``old`` to
@@ -122,7 +123,8 @@ def update_source(plan: QueryPlan, leaf: int, keyed: bool) -> str:
     the candidates to the root: one chain for a tuple that enters the
     support, one for a tuple that leaves it, each returning at the first
     node whose candidates do not change.  Only fixed names and integer
-    literals are written, no symbol of the query.
+    literals are written besides the semiring ``s``'s operator templates,
+    no symbol of the query.
     """
     c, k, o, v = leaf, f"k{leaf}", "old", "new"
     if keyed:
@@ -149,14 +151,15 @@ def update_source(plan: QueryPlan, leaf: int, keyed: bool) -> str:
             leaves += [key_line, f"b = c{p}[{kp}]", f"del b[{k}]", "if b:", "    return", f"del c{p}[{kp}]"]
         elif len(children) == 2:
             body += [f"o{p} = r{p}.get({k})", f"x = r{sib}.get({k})"]
-            body += [f"v{p} = None if {v} is None or x is None or is_zero(x := mul({v}, x)) else x"]
+            product = s.expr("mul", v, "x")
+            body += [f"v{p} = None if {v} is None or x is None or {s.expr('is_zero', f'(x := {product})')} else x"]
         else:
             # the group's sum is the parent's value (zero when absent); it
             # restarts from zero when the group empties
-            body += [key_line, f"o{p} = r{p}.get({kp})", f"n = a{p}.get({kp}, 0)", f"v{p} = o{p} or zero"]
-            body += [f"if {o} is not None:", "    n -= 1", f"    v{p} = sub(v{p}, {o}) if n else zero"]
-            body += [f"if {v} is not None:", "    n += 1", f"    v{p} = add(v{p}, {v})"]
-            body += ["if n:", f"    a{p}[{kp}] = n", "else:", f"    del a{p}[{kp}]", f"if is_zero(v{p}):", f"    v{p} = None"]
+            body += [key_line, f"o{p} = r{p}.get({kp})", f"n = a{p}.get({kp}, 0)", f"v{p} = zero if o{p} is None else o{p}"]
+            body += [f"if {o} is not None:", "    n -= 1", f"    v{p} = {s.expr('sub', f'v{p}', o)} if n else zero"]
+            body += [f"if {v} is not None:", "    n += 1", f"    v{p} = {s.expr('add', f'v{p}', v)}"]
+            body += ["if n:", f"    a{p}[{kp}] = n", "else:", f"    del a{p}[{kp}]", f"if {s.expr('is_zero', f'v{p}')}:", f"    v{p} = None"]
         if c not in plan.connex:
             o, v = f"o{p}", f"v{p}"
             body += [f"if {o} == {v}:", "    return", f"if {v} is None:", f"    del r{p}[{kp}]", "else:", f"    r{p}[{kp}] = {v}"]

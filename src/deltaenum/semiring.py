@@ -14,14 +14,22 @@ operations with three capability flags:
   back out of a sum of nonzero members, as long as one member remains, so a
   sum and a member count support O(1) insert, delete and total.  Required by
   the dynamic engine.
+
+Generated code (the scans, walks and update paths) writes an operator
+through its source template, such as ``({0} * {1})``, so that a builtin's
+operators run inline; each builtin's callables are compiled from the same
+templates, so each operator is defined once.  A descriptor without
+templates, such as a custom semiring, gets the call form ``mul({0}, {1})``,
+which generated code binds to the descriptor's callable.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Dict, Optional
 
+from .codegen import compile_source
 from .errors import CapabilityError, ConfigurationError, ContractViolationError
 
 Value = Any
@@ -87,6 +95,17 @@ class SemiringDescriptor:
     # which values are annotations: ``parse`` applies it to the converted
     # text, ``kdata.apply_update`` to the value of an insert
     admits: Callable[[Value], bool] = field(default=lambda v: True, repr=False)
+    # per operator ("add", "mul", "sub", "is_zero"), the source of its
+    # application to the sources {0} and {1} of its operands, each used
+    # once, such as "({0} * {1})"; see ``expr``
+    templates: Dict[str, str] = field(default_factory=dict, repr=False, compare=False)
+
+    def expr(self, op: str, *operands: str) -> str:
+        """The source of operator ``op`` applied to the sources
+        ``operands``: its template filled in, or without one the call of the
+        name ``op``, which generated code binds to the callable."""
+        template = self.templates.get(op) or op + ("({0})" if len(operands) == 1 else "({0}, {1})")
+        return template.format(*operands)
 
     @property
     def sum_maintainable(self) -> bool:
@@ -142,66 +161,65 @@ def _parse_tropical(s: str) -> float:
     return v
 
 
-_BOOLEAN = SemiringDescriptor(
+def _builtin(templates: Dict[str, str], **fields: Any) -> SemiringDescriptor:
+    """A descriptor whose operators are compiled from their ``templates``,
+    so that each is defined once, for generated code and for callers alike."""
+    ops = {}
+    for op, template in templates.items():
+        params = "a" if op == "is_zero" else "a, b"
+        ops[op] = compile_source(f"def {op}({params}):\n    return {template.format('a', 'b')}\n", op)
+    return SemiringDescriptor(**fields, **ops, templates=templates)
+
+
+_BOOLEAN = _builtin(
+    # every nonzero member is True, and one remains: sub keeps the sum
+    {"add": "({0} or {1})", "mul": "({0} and {1})", "sub": "{0}", "is_zero": "(not {0})"},
     name="boolean",
     zero=False,
     one=True,
-    add=lambda a, b: a or b,
-    mul=lambda a, b: a and b,
-    is_zero=lambda a: not a,
     zero_divisor_free=True,
     zero_sum_free=True,
     parse=_parse_bool,
     format=lambda v: "t" if v else "f",
-    # every nonzero member is True, and one remains
-    sub=lambda a, b: a,
     admits=lambda v: type(v) is bool,
 )
 
-_NATURAL = SemiringDescriptor(
+_NATURAL = _builtin(
+    # Subtraction never leaves the naturals here: a deleted value was
+    # previously added to the same total.
+    {"add": "({0} + {1})", "mul": "({0} * {1})", "sub": "({0} - {1})", "is_zero": "({0} == 0)"},
     name="natural",
     zero=0,
     one=1,
-    add=lambda a, b: a + b,
-    mul=lambda a, b: a * b,
-    is_zero=lambda a: a == 0,
     zero_divisor_free=True,
     zero_sum_free=True,
     parse=_parse_natural,
     format=str,
-    # Subtraction never leaves the naturals here: a deleted value was
-    # previously added to the same total.
-    sub=lambda a, b: a - b,
     admits=_is_natural,
 )
 
-_REAL = SemiringDescriptor(
+_REAL = _builtin(
+    {"add": "({0} + {1})", "mul": "({0} * {1})", "sub": "({0} - {1})", "is_zero": "({0} == 0.0)"},
     name="real",
     zero=0.0,
     one=1.0,
-    add=lambda a, b: a + b,
-    mul=lambda a, b: a * b,
-    is_zero=lambda a: a == 0.0,
     zero_divisor_free=True,
     zero_sum_free=False,
     parse=_parse_real,
     format=repr,
-    sub=lambda a, b: a - b,
     admits=_is_real,
 )
 
-_TROPICAL_MIN = SemiringDescriptor(
+_TROPICAL_MIN = _builtin(
+    # no sub: min has no inverse, so the dynamic engine rejects it
+    {"add": "min({0}, {1})", "mul": "({0} + {1})", "is_zero": "({0} == inf)"},
     name="tropical-min",
     zero=math.inf,
     one=0.0,
-    add=min,
-    mul=lambda a, b: a + b,
-    is_zero=lambda a: a == math.inf,
     zero_divisor_free=True,
     zero_sum_free=True,
     parse=_parse_tropical,
     format=lambda v: "inf" if v == math.inf else repr(v),
-    # no sub: min has no inverse, so the dynamic engine rejects it
     admits=_is_tropical,
 )
 

@@ -21,9 +21,13 @@ its parent's pass, and streams.  Each stored relation comes out of one loop
 that reads its source -- a leaf's database entries or the relation of the
 nearest stored node below -- and carries every row up through the lookups
 of the streamed 2-child nodes above it: Yannakakis' bottom-up pass,
-pipelined up to its pipeline breakers (Neumann, VLDB 2011).  A guarded plan
-stores every node below the connex region and on its frontier, since an
-update looks up both children of a 2-child node.
+pipelined up to its pipeline breakers (Neumann, VLDB 2011).  That loop is
+generated per stored node as straight-line Python (``scan_source``), with
+its lookups hoisted and written as tuple displays and the semiring's
+operators written out; a stored leaf whose tuples are their own keys is a
+plain copy of its entries.  A guarded plan stores every node below the
+connex region and on its frontier, since an update looks up both children
+of a 2-child node.
 
 Enumeration then walks only the connex region of the plan.  Navigation there
 is driven by *candidate* structures built on tuple support, not on aggregated
@@ -39,10 +43,11 @@ ranging over that child's extension group under the tuple of an earlier
 level.  Each free inequality range adds one more level.  ``walk_source``
 writes the levels out as nested Python loops, the last level innermost: the
 data-centric code generation of Neumann (VLDB 2011), applied to the walk.
-Preprocessing compiles the walk and leaf keys that ``plan_sources`` writes,
-each distinct source once (``codegen.compile_source``); ``plan --json``
-prints them.  An answer is the head read off the level tuples, and its
-annotation the product of the frontier annotations along the way.
+Preprocessing compiles the walk, leaf keys and scans that ``plan_sources``
+writes, each distinct source once (``codegen.compile_source``);
+``plan --json`` prints them.  An answer is the head read off the level
+tuples, and its annotation the product of the frontier annotations along
+the way.
 Candidates keep every level non-empty, so the delay is bounded by the
 number of levels, independent of the database.  When the root is on the
 frontier, level 0 reads the root relation's entries, annotations included.
@@ -52,12 +57,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Container, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .codegen import compile_source, display, project
 from .errors import CapabilityError, ClassificationError, VocabularyError
 from .kdata import AnnotatedRelation, Database, DataTuple
-from .planner import QueryPlan, TupleGetter, build_fc_plan
+from .planner import QueryPlan, build_fc_plan
 from .query import ConjunctiveQuery, IneqAtom, QuerySplit, RelAtom, split
 from .semiring import SemiringDescriptor, Value, sum_of_ones
 
@@ -172,20 +177,30 @@ def key_source(atom: RelAtom, covered: Sequence[IneqAtom]) -> str:
     return f"def make(b):\n    return lambda t: {key}\n"
 
 
-def plan_sources(q: ConjunctiveQuery, plan: Optional[QueryPlan]) -> Tuple[str, Dict[int, str]]:
+def plan_sources(
+    q: ConjunctiveQuery, plan: Optional[QueryPlan], s: SemiringDescriptor
+) -> Tuple[str, Dict[int, str], Dict[int, str]]:
     """The sources preprocessing compiles for ``q`` over ``plan`` (None
-    without relational atoms): the walk's and, in node order, the key
-    function's of each plan leaf whose tuples are not their own keys; they
-    are when the atom's variables are distinct and in sorted order and it
-    covers no inequality."""
+    without relational atoms) and the semiring ``s``, in node order: the
+    walk's, the key function's of each plan leaf whose tuples are not their
+    own keys, and the scan's of each stored node that is not a plain copy of
+    such a leaf's entries.  A leaf's tuples are their own keys when the
+    atom's variables are distinct and in sorted order and it covers no
+    inequality."""
     sp = split(q)
+    nodes = sorted(plan.nodes.items()) if plan is not None else []
     keys: Dict[int, str] = {}
-    for nid, node in sorted(plan.nodes.items()) if plan is not None else ():
+    for nid, node in nodes:
         if node.is_leaf:
             atom, covered = plan.atoms[node.atom_index], sp.covered[node.atom_index]
             if covered or list(atom.args) != sorted(set(atom.args)):
                 keys[nid] = key_source(atom, covered)
-    return walk_source(sp, plan), keys
+    scans = {
+        nid: scan_source(plan, nid, keys, s)
+        for nid, node in nodes
+        if nid in plan.stored and (nid in keys or not node.is_leaf)
+    }
+    return walk_source(sp, plan, s), keys, scans
 
 
 def preprocess(q: ConjunctiveQuery, db: Database) -> EnumerationState:
@@ -210,92 +225,79 @@ def preprocess_with_plan(
     assert plan is not None or not sp.rel_part.relational_atoms
     state = EnumerationState(q, plan if sp.rel_part.relational_atoms else None, s, db)
     state.ineq = build_ineq_state(sp, db, s)
-    walk, keys = plan_sources(q, state.plan)
+    walk, keys, scans = plan_sources(q, state.plan, s)
     if state.plan is not None:
         for nid, node in plan.nodes.items():
             if node.is_leaf:
                 i = node.atom_index
                 state.matchers[nid] = build_leaf_matcher(plan.atoms[i], sp.covered[i], keys.get(nid), db)
-        _bottom_up(state)
+        _bottom_up(state, {nid: compile_source(source, "scan") for nid, source in scans.items()})
         _build_connex_structures(state)
     state.walk = compile_source(walk, "walk")
     return state
 
 
-def _bottom_up(state: EnumerationState) -> None:
-    """Build the stored node relations (``plan.stored``) in postorder.
-
-    Each comes out of one ``_scan`` of its source: the relation of the
-    nearest stored node below it, or the database entries of a leaf, read
-    through the leaf's key function.  Every streamed 2-child node on the way
-    up, and the stored node itself when it is a 2-child node, probes its
-    second child's relation; a projection groups the rows that pass."""
-    plan = state.plan
-    s = state.semiring
-    relations = state.relations
+def _bottom_up(state: EnumerationState, scans: Dict[int, Callable]) -> None:
+    """Build the stored node relations (``plan.stored``) in postorder: each
+    by its compiled ``scan_source``, given the database entries of every
+    leaf, or else as a plain copy of its own entries."""
+    plan, db = state.plan, state.db
+    entries = {
+        nid: db.relation(plan.atoms[node.atom_index].symbol).entries
+        for nid, node in plan.nodes.items()
+        if node.is_leaf
+    }
     for nid in plan.postorder():
-        if nid not in plan.stored:
-            continue
-        children = plan.nodes[nid].children
-        group = plan.key[children[0]] if len(children) == 1 else None
-        m = nid if group is None else children[0]
-        probes: List[Tuple[TupleGetter, Dict[DataTuple, Value]]] = []
-        while len(plan.nodes[m].children) == 2 and (m == nid or m not in plan.stored):
-            c1, c2 = plan.nodes[m].children
-            probes.append((plan.key[c2], relations[c2]))
-            m = c1  # the guard child carries m's variables, so the row keeps its tuple
-        probes.reverse()  # the lowest join multiplies first
-        if m in relations:
-            source, key = relations[m], None
-        else:
-            key = state.matchers[m]
-            source = state.db.relation(plan.atoms[plan.nodes[m].atom_index].symbol).entries
-            if key is identity_key:
-                key = None
-        relations[nid] = _scan(source, key, probes, group, s)
+        if nid in plan.stored:
+            scan = scans.get(nid)
+            state.relations[nid] = dict(entries[nid]) if scan is None else scan(state, entries)
 
 
-def _scan(
-    source: Dict[DataTuple, Value],
-    key: Optional[Callable[[DataTuple], Optional[DataTuple]]],
-    probes: Sequence[Tuple[TupleGetter, Dict[DataTuple, Value]]],
-    group: Optional[TupleGetter],
-    s: SemiringDescriptor,
-) -> Dict[DataTuple, Value]:
-    """One relation in one loop over ``source``: each row is re-keyed by
-    ``key`` (None when it keeps its tuple; a None key drops the row), joined
-    with each probed relation in turn by multiplying its annotation under
-    that probe's key (dropping the row when it is absent or the product is
-    zero), and then stored, or added into its group under ``group``
-    (dropping zero sums)."""
-    if key is None and not probes and group is None:
-        return dict(source)
-    mul, add, is_zero = s.mul, s.add, s.is_zero
-    out: Dict[DataTuple, Value] = {}
-    for t, k in source.items():
-        if key is not None:
-            t = key(t)
-            if t is None:
-                continue
-        for get, rel in probes:
-            other = rel.get(get(t))
-            if other is None:
-                break
-            k = mul(k, other)
-            if is_zero(k):
-                break
-        else:
-            if group is None:
-                out[t] = k
-            else:
-                g = group(t)
-                if g in out:
-                    out[g] = add(out[g], k)
-                else:
-                    out[g] = k
-    if group is None or s.zero_sum_free:
-        return out
-    return {t: k for t, k in out.items() if not is_zero(k)}
+def scan_source(plan: QueryPlan, nid: int, keyed: Container[int], s: SemiringDescriptor) -> str:
+    """The source of ``scan(state, entries)``, which returns the relation of
+    the stored node ``nid``, given per plan leaf its database entries;
+    ``keyed`` holds the leaves whose tuples are not their own keys.
+
+    One loop reads the relation of the nearest stored node below ``nid``,
+    or a leaf's entries, each re-keyed by the leaf's key function and
+    dropped under the key None.  Each streamed 2-child node on the way up,
+    and ``nid`` itself when it is one, looks the row's tuple up in its
+    second child's hoisted relation, lowest first: the row is dropped when
+    the lookup misses or the product of the annotations is zero.  A row
+    that passes is stored, or under a projection added into its group, and
+    over a semiring whose sums cancel the zero sums are dropped at the end.
+    Besides the semiring's operator templates, only fixed names and integer
+    literals are written, no symbol of the query.
+    """
+    children = plan.nodes[nid].children
+    m = children[0] if len(children) == 1 else nid
+    probes: List[int] = []
+    while len(plan.nodes[m].children) == 2 and (m == nid or m not in plan.stored):
+        c1, c2 = plan.nodes[m].children
+        probes.append(c2)
+        m = c1  # the guard child carries m's variables, so the row keeps its tuple
+    width = len(plan.order[m])
+    from_leaf = m == nid or m not in plan.stored
+    lines = ["def scan(state, entries):", "    add, mul, is_zero = state.semiring.add, state.semiring.mul, state.semiring.is_zero"]
+    lines += [f"    key = state.matchers[{m}]"] if from_leaf and m in keyed else []
+    lines += [f"    r{c} = state.relations[{c}]" for c in probes]
+    lines += ["    out = {}", f"    for t, k in {f'entries[{m}]' if from_leaf else f'state.relations[{m}]'}.items():"]
+    body = ["t = key(t)", "if t is None:", "    continue"] if from_leaf and m in keyed else []
+    product = s.expr("mul", "k", "x")
+    for c in reversed(probes):  # the lowest join multiplies first
+        body += [f"x = r{c}.get({project('t', plan.positions[c], width)})"]
+        body += [f"if x is None or {s.expr('is_zero', f'(k := {product})')}:", "    continue"]
+    if len(children) != 1:
+        body.append("out[t] = k")
+    else:
+        body += [f"g = {project('t', plan.positions[children[0]], width)}", "if g in out:"]
+        body += [f"    out[g] = {s.expr('add', 'out[g]', 'k')}", "else:", "    out[g] = k"]
+    lines += ["        " + line for line in body]
+    if len(children) == 1 and not s.zero_sum_free:
+        lines.append(f"    return {{g: k for g, k in out.items() if not {s.expr('is_zero', 'k')}}}")
+    else:
+        lines.append("    return out")
+    return "\n".join(lines) + "\n"
 
 
 def _build_connex_structures(state: EnumerationState) -> None:
@@ -333,18 +335,20 @@ def _build_connex_structures(state: EnumerationState) -> None:
 # Enumeration
 # ---------------------------------------------------------------------------
 
-def walk_source(sp: QuerySplit, plan: Optional[QueryPlan]) -> str:
+def walk_source(sp: QuerySplit, plan: Optional[QueryPlan], s: SemiringDescriptor) -> str:
     """The source of ``walk(state)``, the generator of the answers of a state
     preprocessed for the query ``sp`` splits over ``plan`` (None without
-    relational atoms).
+    relational atoms) and the semiring ``s``.
 
     It nests one ``for`` per level, binding level ``j``'s tuple to ``tj``,
     then one per free inequality range ``n``, binding ``in``.  A level with
     frontier annotations ``f1, f2, f3`` multiplies the product so far:
     ``pj = mul(p(j-1), mul(mul(f1, f2), f3))``, from the inequality
-    annotation ``k``.  The innermost loop checks ``state.version`` and
-    yields the head, read off the tuples and ranges, with the product.  Only
-    fixed names and integer literals are written, no symbol of the query.
+    annotation ``k``, each ``mul`` written through the semiring's template.
+    The innermost loop checks ``state.version`` and yields the head, read
+    off the tuples and ranges, with the product.  Besides the templates,
+    only fixed names and integer literals are written, no symbol of the
+    query.
     """
     levels = plan.levels if plan is not None else ()
     ranges = sp.ineq_part.head_vars
@@ -359,7 +363,7 @@ def walk_source(sp: QuerySplit, plan: Optional[QueryPlan]) -> str:
         if comps == [f"t{j}[{pos}]" for pos in range(len(level.order))]:
             head = f"t{j}"  # the level's tuple itself
 
-    hoists = ["k = state.ineq.annotation", "mul = state.semiring.mul", "version = state.version"]
+    hoists = ["version = state.version"]
     if ranges:
         hoists.append("b = [bound for _, bound in state.ineq.free_ranges]")
     loops: List[str] = []
@@ -381,15 +385,16 @@ def walk_source(sp: QuerySplit, plan: Optional[QueryPlan]) -> str:
         if factors:
             product = factors[0]
             for factor in factors[1:]:
-                product = f"mul({product}, {factor})"
-            p_new = f"mul({p}, {product})"
+                product = s.expr("mul", product, factor)
+            p_new = s.expr("mul", p, product)
             if j < len(levels) - 1 or ranges:
                 loops.append(f"p{j} = {p_new}")
                 p_new = f"p{j}"
             p = p_new  # the innermost level's is read once, in the yield
     loops += [f"for i{n} in range(1, b[{n}] + 1):" for n in range(len(ranges))]
     loops += ["if state.version != version:", "    raise RuntimeError(STALE)", f"yield {head}, {p}"]
-    lines = ["def walk(state):", "    if state.semiring.is_zero(state.ineq.annotation):", "        return"]
+    lines = ["def walk(state):", "    k = state.ineq.annotation", "    mul, is_zero = state.semiring.mul, state.semiring.is_zero"]
+    lines += [f"    if {s.expr('is_zero', 'k')}:", "        return"]
     lines += ["    " + line for line in hoists]
     depth = 1
     for line in loops:

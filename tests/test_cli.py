@@ -672,6 +672,7 @@ def test_plan_json_reports_the_update_paths(tmp_path, capsys):
     from deltaenum.dynamic_engine import update_source
     from deltaenum.planner import build_guarded_plan
     from deltaenum.query import parse_query
+    from deltaenum.semiring import builtin_semiring
 
     text = "H(x) :- R(x,y), R(x,x), S(x)."
     q = write(tmp_path / "q.cq", text)
@@ -687,38 +688,63 @@ def test_plan_json_reports_the_update_paths(tmp_path, capsys):
     # R(x,x) is the one leaf keyed, and its update path calls its key
     (keyed,) = map(int, report["keys"])
     assert plan.atoms[plan.nodes[keyed].atom_index].args == ("x", "x")
-    want = {s: "\n".join(update_source(plan, n, n == keyed) for n in ns) for s, ns in leaves.items()}
+    natural = builtin_semiring("natural")
+    want = {s: "\n".join(update_source(plan, n, n == keyed, natural) for n in ns) for s, ns in leaves.items()}
     assert report["updates"] == want
     assert report["updates"]["R"].count("def make(") == 2
     assert report["updates"]["R"].count("= key(t)") == 1
 
 
 @pytest.mark.parametrize("guarded", [False, True])
-def test_plan_json_prints_what_preprocessing_compiles(tmp_path, capsys, guarded):
+def test_plan_json_prints_what_preprocessing_compiles(tmp_path, capsys, monkeypatch, guarded):
+    from deltaenum import dynamic_engine, static_engine
     from deltaenum.codegen import compile_source
-    from deltaenum.dynamic_engine import dyn_preprocess
-    from deltaenum.semiring import builtin_semiring
-    from deltaenum.static_engine import identity_key, preprocess
+    from deltaenum.semiring import BUILTIN_SEMIRING_NAMES, builtin_semiring
 
     from support import random_db_for_query, random_free_connex_cq, random_q_hierarchical_cq
 
-    draw, prep = (random_q_hierarchical_cq, dyn_preprocess) if guarded else (random_free_connex_cq, preprocess)
+    compiled = []
+
+    def recording(source, name):
+        compiled.append(source)
+        return compile_source(source, name)
+
+    monkeypatch.setattr(static_engine, "compile_source", recording)
+    monkeypatch.setattr(dynamic_engine, "compile_source", recording)
+    draw, prep = (
+        (random_q_hierarchical_cq, dynamic_engine.dyn_preprocess)
+        if guarded
+        else (random_free_connex_cq, static_engine.preprocess)
+    )
+    names = [name for name in BUILTIN_SEMIRING_NAMES if not guarded or builtin_semiring(name).sum_maintainable]
     rng = random.Random(2101 + guarded)
-    keyed = 0
-    for _ in range(60):
+    keyed = scanned = 0
+    for i in range(60):
         q = draw(rng)
         if not q.relational_atoms:
             continue
-        state = prep(q, random_db_for_query(rng, q, builtin_semiring("natural"), max_tuples=12, domain=3))
-        assert main(["plan", write(tmp_path / "q.cq", q.to_text()), "--json", *(["--guarded"] * guarded)]) == 0
+        s = builtin_semiring(names[i % len(names)])
+        db = random_db_for_query(rng, q, s, max_tuples=12, domain=3)
+        compiled.clear()
+        state = prep(q, db)
+        argv = ["plan", write(tmp_path / "q.cq", q.to_text()), "--json", "--semiring", s.name]
+        assert main(argv + ["--guarded"] * guarded) == 0
         report = json.loads(capsys.readouterr().out)
+        # preprocessing compiles exactly the printed sources: the update
+        # paths last, symbol by symbol, and the others in any order
+        updates = [source for source in compiled if source.startswith("def make(state, key):")]
+        rest = [source for source in compiled if source not in updates]
+        assert "\n".join(updates) == "\n".join(report.get("updates", {}).values()), q.to_text()
+        assert compiled[len(rest):] == updates
+        assert sorted(rest) == sorted([report["walk"], *report["keys"].values(), *report["scans"].values()])
         # "keys" names exactly the leaves that preprocessing gave a key function
-        leaves = sorted(n for n, key in state.matchers.items() if key is not identity_key)
+        leaves = sorted(n for n, key in state.matchers.items() if key is not static_engine.identity_key)
         assert sorted(map(int, report["keys"])) == leaves, q.to_text()
         assert compile_source(report["walk"], "walk") is state.walk
         assert set(report.get("updates", {})) == set(state.paths)
         keyed += len(leaves)
-    assert keyed  # some drawn leaf is not its own key
+        scanned += len(report["scans"])
+    assert keyed and scanned  # some drawn leaf is not its own key, some node is scanned
 
 
 def _closed_early(tmp_path, args):

@@ -1,10 +1,6 @@
 import functools
-import io
-import keyword
 import math
 import random
-import re
-import tokenize
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +18,7 @@ from deltaenum.kdata import SingleTupleUpdate
 from deltaenum.oracle import oracle_eval_cq
 from deltaenum.planner import build_guarded_plan
 from deltaenum.query import parse_query
-from deltaenum.semiring import builtin_semiring
+from deltaenum.semiring import SemiringDescriptor, builtin_semiring
 from deltaenum.static_engine import enumerate_state, identity_key, plan_sources, preprocess, preprocess_with_plan
 
 from support import equal_answers, random_db_for_query, random_q_hierarchical_cq, random_update
@@ -32,6 +28,9 @@ from test_static_engine import (
     TWO_FACTORS,
     VOCABULARY_MISMATCHES,
     in_tenths,
+    SEMIRINGS,
+    TEMPLATE_NAMES,
+    assert_fixed_names,
     make_db,
     reference_walk,
 )
@@ -505,7 +504,7 @@ def test_one_pass_dynamic_state_equals_the_static_preprocess(text):
 
 def leaves_by_symbol(plan):
     """The plan leaves of each relation symbol, in postorder."""
-    return {symbol: list(sources) for symbol, sources in update_sources(plan, ()).items()}
+    return {symbol: list(sources) for symbol, sources in update_sources(plan, (), NAT).items()}
 
 
 def leaf_paths(path):
@@ -593,8 +592,8 @@ def test_generated_paths_over_a_seeded_stream(text, sname):
         assert got == answers(oracle_eval_cq(q, db).entries.items()), step
 
 
-# every name that ``update_source`` writes, besides Python keywords and the
-# numbered names of its keys, values and hoisted dicts
+# every name that ``update_source`` writes, besides Python keywords, the
+# numbered names of its keys, values and hoisted dicts, and TEMPLATE_NAMES
 UPDATE_NAMES = {
     "make", "state", "key", "s", "semiring", "add", "sub", "mul", "is_zero", "zero",
     "relations", "accs", "candidates", "update", "t", "old", "new", "n", "x", "b", "get", "True",
@@ -623,15 +622,57 @@ def test_no_query_text_reaches_the_update_paths():
     # import(r, new, z) covers z <= k
     keyed = [leaf for leaf, key in state.matchers.items() if key is not identity_key]
     assert len(keyed) == 3
-    sources = [source for by_leaf in update_sources(plan, keyed).values() for source in by_leaf.values()]
-    plain_sources = update_sources(plain_plan, plan_sources(p, plain_plan)[1]).values()
-    assert sources == [source for by_leaf in plain_sources for source in by_leaf.values()]
-    for source in sources:
-        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
-        assert not [t for t in tokens if t.type == tokenize.STRING]
-        names = {t.string for t in tokens if t.type == tokenize.NAME}
-        numbered = {n for n in names if re.fullmatch(r"[acknorv][0-9]+", n)}
-        assert names - numbered - set(keyword.kwlist) <= UPDATE_NAMES
+    for s in SEMIRINGS:
+        sources = [source for by_leaf in update_sources(plan, keyed, s).values() for source in by_leaf.values()]
+        plain_sources = update_sources(plain_plan, plan_sources(p, plain_plan, s)[1], s).values()
+        assert sources == [source for by_leaf in plain_sources for source in by_leaf.values()]
+        for source in sources:
+            assert_fixed_names(source, UPDATE_NAMES | TEMPLATE_NAMES, r"[acknorv][0-9]+")
+
+
+# the integers shifted by -1, a ring whose zero is -1 and whose one is 0, so
+# that a nonzero value can be falsy; it has no templates
+SHIFTED = SemiringDescriptor(
+    name="shifted",
+    zero=-1,
+    one=0,
+    add=lambda a, b: a + b + 1,
+    mul=lambda a, b: a * b + a + b,
+    is_zero=lambda a: a == -1,
+    zero_divisor_free=True,
+    zero_sum_free=False,
+    parse=int,
+    format=str,
+    sub=lambda a, b: a - b - 1,
+)
+
+
+@pytest.mark.parametrize("text", ["H(x) :- R(x,y).", "H(x) :- R(x,y), S(x,y), U(x)."])
+def test_a_falsy_nonzero_sum_is_not_absent(text):
+    q = parse_query(text)
+    db = make_db(SHIFTED, {"R": (2, {(1, 1): 0, (1, 2): 0}), "S": (2, {(1, 1): 0, (1, 3): 0}), "U": (1, {(1,): 0})})
+    for symbol in set(db.relations) - {a.symbol for a in q.relational_atoms}:
+        del db.relations[symbol]
+    # the group R(1, .) keeps one member of value 0, then gains another
+    updates = [SingleTupleUpdate("delete", "R", (1, 2)), SingleTupleUpdate("insert", "R", (1, 3), 0)]
+    rng = random.Random(2201)
+    for _ in range(60):
+        symbol = rng.choice(sorted(db.relations))
+        t = tuple(rng.randrange(1, 4) for _ in range(db.relations[symbol].arity))
+        if rng.random() < 0.4:
+            updates.append(SingleTupleUpdate("delete", symbol, t))
+        else:
+            updates.append(SingleTupleUpdate("insert", symbol, t, rng.choice([0, 0, 1, 2])))
+    state = dyn_preprocess(q, db)
+    answered = 0
+    for step, u in enumerate(updates):
+        dyn_update(state, u)
+        want = oracle_eval_cq(q, db).entries
+        assert dict(dyn_enumerate(state)) == want, step
+        assert dict(enumerate_state(preprocess(q, db.copy()))) == want, step
+        assert verify_dynamic_invariants(state) == [], step
+        answered += bool(want)
+    assert answered > len(updates) // 2
 
 
 @st.composite

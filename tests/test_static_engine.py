@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import keyword
@@ -18,6 +19,7 @@ from deltaenum.static_engine import (
     eval_materialized,
     identity_key,
     key_source,
+    plan_sources,
     preprocess,
     preprocess_with_plan,
     reference_relation,
@@ -465,18 +467,43 @@ def test_walk_multiplies_each_level_in_the_documented_order():
         assert_walks_alike(preprocess_with_plan(q, db, build_fc_plan(q)))
 
 
-# every name that ``walk_source`` writes, besides Python keywords and the
-# numbered names of its tuples, products, ranges and hoisted dicts
+# the builtin semirings, whose operators generated code writes out through
+# their templates, and the naturals without templates, whose operators it
+# calls by name
+SEMIRINGS = [builtin_semiring(name) for name in BUILTIN_SEMIRING_NAMES]
+SEMIRINGS.append(dataclasses.replace(NAT, name="natural-calls", templates={}))
+# the names the builtin templates write
+TEMPLATE_NAMES = {"min", "inf"}
+
+# every name that ``walk_source`` writes, besides Python keywords, the
+# numbered names of its tuples, products, ranges and hoisted dicts, and
+# TEMPLATE_NAMES
 WALK_NAMES = {
     "walk", "state", "k", "ineq", "annotation", "semiring", "is_zero", "mul", "version",
     "b", "bound", "_", "free_ranges", "range", "relations", "candidates", "groups",
     "items", "RuntimeError", "STALE",
 }
+# every name that ``scan_source`` writes, besides Python keywords, the
+# numbered names of its hoisted dicts and TEMPLATE_NAMES
+SCAN_NAMES = {
+    "scan", "state", "entries", "semiring", "add", "mul", "is_zero", "matchers", "relations",
+    "key", "out", "t", "k", "x", "g", "get", "items",
+}
+
+
+def assert_fixed_names(source, allowed, numbered):
+    """``source`` holds no string literal, and every name in it is a Python
+    keyword, a name matching ``numbered`` or one of ``allowed``."""
+    tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+    assert not [t for t in tokens if t.type == tokenize.STRING], source
+    names = {t.string for t in tokens if t.type == tokenize.NAME}
+    names -= {n for n in names if re.fullmatch(numbered, n)}
+    assert names - set(keyword.kwlist) <= allowed, source
 
 
 def test_no_query_text_reaches_the_compiled_walk():
-    # relation, variable and constant names that the generated source uses
-    # itself, and a free range
+    # relation, variable and constant names that the generated sources use
+    # themselves, and a free range
     text = "H(r, yield, t0) :- state(r, yield), mul(r), import(r, yield, z), t0 <= k."
     # the same query under names in the same sorted order, so the same plans
     plain = "H(a, c, b) :- A(a, c), B(a), C(a, c, d), b <= e."
@@ -489,18 +516,18 @@ def test_no_query_text_reaches_the_compiled_walk():
         assert state.plan.levels and state.ineq.free_ranges
         got = list(enumerate_state(state))
         assert got and dict(got) == oracle_eval_cq(q, db).entries
-        source = walk_source(split(q), state.plan)
-        assert source == walk_source(split(p), plan_of(p))
-        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
-        assert not [t for t in tokens if t.type == tokenize.STRING]
-        names = {t.string for t in tokens if t.type == tokenize.NAME}
-        numbered = {n for n in names if re.fullmatch(r"[bcgiprtv][0-9]+", n)}
-        assert names - numbered - set(keyword.kwlist) <= WALK_NAMES
+        for s in SEMIRINGS:
+            walk, _, scans = plan_sources(q, state.plan, s)
+            assert (walk, scans) == plan_sources(p, plan_of(p), s)[::2]
+            assert walk == walk_source(split(q), state.plan, s) and scans
+            assert_fixed_names(walk, WALK_NAMES | TEMPLATE_NAMES, r"[bcgiprtv][0-9]+")
+            for source in scans.values():
+                assert_fixed_names(source, SCAN_NAMES | TEMPLATE_NAMES, r"r[0-9]+")
 
 
 def test_no_query_text_reaches_the_leaf_keys():
-    # relation and constant names that the generated key function uses
-    # itself; one leaf covers an inequality, one repeats a variable
+    # relation and constant names that the generated key function and scans
+    # use themselves; one leaf covers an inequality, one repeats a variable
     text = "H(t, x) :- make(t, x), lambda(t, t), x <= b."
     # the same query under names in the same sorted order
     plain = "H(a, c) :- A(a, c), B(a, a), c <= d."
@@ -514,7 +541,11 @@ def test_no_query_text_reaches_the_leaf_keys():
     for i, atom in enumerate(sq.rel_part.relational_atoms):
         source = key_source(atom, sq.covered[i])
         assert source == key_source(sp.rel_part.relational_atoms[i], sp.covered[i])
-        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
-        assert not [t for t in tokens if t.type == tokenize.STRING]
-        names = {t.string for t in tokens if t.type == tokenize.NAME}
-        assert names - set(keyword.kwlist) <= {"make", "b", "t"}
+        assert_fixed_names(source, {"make", "b", "t"}, r"$^")
+    for s in SEMIRINGS:
+        _, keys, scans = plan_sources(q, build_fc_plan(q), s)
+        # each keyed leaf is read by one scan, which calls its key
+        assert all(sum(f"key = state.matchers[{n}]" in src for src in scans.values()) == 1 for n in keys)
+        assert scans == plan_sources(p, build_fc_plan(p), s)[2]
+        for source in scans.values():
+            assert_fixed_names(source, SCAN_NAMES | TEMPLATE_NAMES, r"r[0-9]+")
