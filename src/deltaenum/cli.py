@@ -95,14 +95,14 @@ def cmd_plan(args) -> int:
     report = {"query": q.to_text(), "guarded": plan.guarded, "root": plan.root, "nodes": nodes}
     # the sources that preprocessing compiles for this query, plan and semiring
     semiring = builtin_semiring(args.semiring)
-    report["walk"], keys, scans = plan_sources(q, plan, semiring)
-    report["keys"] = {str(nid): source for nid, source in keys.items()}
+    report["walk"], scans = plan_sources(q, plan, semiring)
     report["scans"] = {str(nid): source for nid, source in scans.items()}
-    if plan.guarded:
+    # the dynamic engine refuses a semiring that is not sum-maintainable
+    if plan.guarded and semiring.sum_maintainable:
         from .dynamic_engine import update_sources
 
         report["updates"] = {
-            symbol: "\n".join(sources.values()) for symbol, sources in update_sources(plan, keys, semiring).items()
+            symbol: "\n".join(sources.values()) for symbol, sources in update_sources(q, plan, semiring).items()
         }
     if args.json:
         print(json.dumps(report, indent=2))

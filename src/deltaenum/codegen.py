@@ -1,7 +1,8 @@
-"""Compiling generated code: the CSV row readers of ``kdata``, the leaf
-key functions, bottom-up scans and connex walks of ``static_engine``, the
-update paths of ``dynamic_engine`` and the builtin semiring operators are
-each written as Python source and compiled here.
+"""Compiling generated code: the CSV row readers of ``kdata``, the
+bottom-up scans and connex walks of ``static_engine``, the update paths of
+``dynamic_engine`` and the builtin semiring operators are each written as
+Python source and compiled here.  A plan leaf's key is an expression that
+the scans and update paths write inline.
 
 A generated source holds only fixed names, integer literals and the
 semiring's operator templates (``SemiringDescriptor.templates``), which are

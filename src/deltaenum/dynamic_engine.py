@@ -24,11 +24,11 @@ one bottom-up path of both engines, and returns the ``EnumerationState`` it
 builds, with the member counts of each group of a stored projection's child
 in ``accs``.  The update path of each plan leaf is generated as Python
 source (``update_source``, per relation symbol ``update_sources``): the
-leaf's key, then every step up to the root unrolled, with its dicts hoisted
-and its keys written as tuple displays.  Each distinct source is compiled
-once (``codegen.compile_source`` caches them), and the state's ``paths``
-holds one callable per relation symbol: its leaf's, or a chain over its
-leaves in postorder.  ``dyn_update`` applies the update to the database
+leaf's key expression (``static_engine.leaf_key``), then every step up to
+the root unrolled, with its dicts hoisted and its keys written as tuple
+displays.  Each distinct source is compiled once (``codegen.compile_source``
+caches them), and the state's ``paths`` holds one callable per relation
+symbol: its leaf's, or a chain over its leaves in postorder.  ``dyn_update`` applies the update to the database
 once, through ``kdata.apply_update``, and calls its symbol's path.
 """
 
@@ -36,16 +36,15 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import Callable, Container, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .codegen import compile_source, project
 from .errors import CapabilityError, ClassificationError
 from .kdata import Database, DataTuple, SingleTupleUpdate, apply_update
 from .planner import QueryPlan, build_guarded_plan
-from .query import ConjunctiveQuery
+from .query import ConjunctiveQuery, split
 from .semiring import SemiringDescriptor, Value
-from .static_engine import EnumerationState, enumerate_state, identity_key
-from .static_engine import preprocess_with_plan
+from .static_engine import EnumerationState, enumerate_state, leaf_key, preprocess_with_plan
 
 
 def dyn_preprocess(q: ConjunctiveQuery, db: Database) -> EnumerationState:
@@ -75,23 +74,21 @@ def dyn_preprocess(q: ConjunctiveQuery, db: Database) -> EnumerationState:
         if p in plan.stored and len(children) == 1:
             c = children[0]
             state.accs[p] = dict(Counter(map(plan.key[c], state.relations[c])))
-    keyed = [leaf for leaf, key in state.matchers.items() if key is not identity_key]
-    for symbol, sources in update_sources(plan, keyed, s).items():
-        updates = [compile_source(source, "make")(state, state.matchers[leaf]) for leaf, source in sources.items()]
+    for symbol, sources in update_sources(q, plan, s).items():
+        updates = [compile_source(source, "make")(state) for source in sources.values()]
         state.paths[symbol] = updates[0] if len(updates) == 1 else _chain(tuple(updates))
     return state
 
 
-def update_sources(plan: QueryPlan, keyed: Container[int], s: SemiringDescriptor) -> Dict[str, Dict[int, str]]:
-    """Per relation symbol, the ``update_source`` of each of its plan
-    leaves over the semiring ``s``, in postorder; ``keyed`` holds the leaves
-    whose tuples are not their own keys (``static_engine.plan_sources``
-    decides which)."""
+def update_sources(q: ConjunctiveQuery, plan: QueryPlan, s: SemiringDescriptor) -> Dict[str, Dict[int, str]]:
+    """Per relation symbol, the ``update_source`` of each of its leaves in
+    the guarded ``plan`` of ``q`` over the semiring ``s``, in postorder."""
+    sp = split(q)
     out: Dict[str, Dict[int, str]] = {}
     for nid in plan.postorder():
         if plan.nodes[nid].is_leaf:
             symbol = plan.atoms[plan.nodes[nid].atom_index].symbol
-            out.setdefault(symbol, {})[nid] = update_source(plan, nid, nid in keyed, s)
+            out.setdefault(symbol, {})[nid] = update_source(plan, nid, leaf_key(sp, plan, nid), s)
     return out
 
 
@@ -108,16 +105,17 @@ def _chain(updates: Sequence[Callable]) -> Callable:
 # Update propagation
 # ---------------------------------------------------------------------------
 
-def update_source(plan: QueryPlan, leaf: int, keyed: bool, s: SemiringDescriptor) -> str:
-    """The source of ``make(state, key)``, which returns ``update(t, old,
-    new)``: the update path of the guarded plan's ``leaf`` unrolled, for a
-    change of its relation symbol's annotation at ``t`` from ``old`` to
-    ``new`` (None when absent), ``key`` being the leaf's key function, which
-    is called only when ``keyed`` (its tuples are not their own keys).
+def update_source(plan: QueryPlan, leaf: int, key: Optional[str], s: SemiringDescriptor) -> str:
+    """The source of ``make(state)``, which returns ``update(t, old, new)``:
+    the update path of the guarded plan's ``leaf`` unrolled, for a change of
+    its relation symbol's annotation at ``t`` from ``old`` to ``new`` (None
+    when absent), ``key`` being the leaf's key expression (``leaf_key``),
+    None when its tuples are their own keys.
 
     Node ``n``'s key is ``kn``, its old and new value ``on`` and ``vn``; its
     relation, member counts and candidates are ``rn``, ``an`` and ``cn``,
-    read off the state once, by ``make``.  The steps up to the first connex
+    read off the state once, by ``make``, as is ``state.bounds`` when the
+    key reads it.  The steps up to the first connex
     node carry the change of value, and the path returns at the first node
     whose value does not change.  From there a change of support goes on up
     the candidates to the root: one chain for a tuple that enters the
@@ -127,8 +125,8 @@ def update_source(plan: QueryPlan, leaf: int, keyed: bool, s: SemiringDescriptor
     no symbol of the query.
     """
     c, k, o, v = leaf, f"k{leaf}", "old", "new"
-    if keyed:
-        body = [f"{k} = key(t)", f"if {k} is None:", "    return"]
+    if key is not None:
+        body = [f"{k} = {key}", f"if {k} is None:", "    return"]
     else:
         body = [f"{k} = t"]
     body += [f"if {v} is None:", f"    del r{c}[{k}]", "else:", f"    r{c}[{k}] = {v}"]
@@ -170,8 +168,9 @@ def update_source(plan: QueryPlan, leaf: int, keyed: bool, s: SemiringDescriptor
     # make reads each dict that the body names once
     stores = {"r": "state.relations", "a": "state.accs", "c": "state.candidates"}
     dicts = dict.fromkeys(re.findall(r"\b([rac])([0-9]+)\b", "\n".join(body)))
-    lines = ["def make(state, key):", "    s = state.semiring"]
+    lines = ["def make(state):", "    s = state.semiring"]
     lines += ["    add, sub, mul, is_zero, zero = s.add, s.sub, s.mul, s.is_zero, s.zero"]
+    lines += ["    bounds = state.bounds"] if key and "bounds" in key else []
     lines += [f"    {x}{n} = {stores[x]}[{n}]" for x, n in dicts]
     lines += ["", "    def update(t, old, new):", *["        " + line for line in body], "", "    return update"]
     return "\n".join(lines) + "\n"

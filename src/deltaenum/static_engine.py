@@ -6,8 +6,8 @@ below the connex region and on its frontier, whose relations are defined by:
 * a leaf holds the atom's relation filtered by repeated-variable matching
   and by the inequalities the atom covers, and re-keyed by its variables:
   unless every tuple is its own key, one generated expression
-  (``key_source``) tests and re-keys a tuple, with the covered limits
-  passed in;
+  (``leaf_key``) tests and re-keys a tuple where the scan or update path
+  reads it, with the covered limits read off ``EnumerationState.bounds``;
 * a single-child node aggregates its child by semiring addition over the
   projection (dropping zero sums);
 * a 2-child node intersects the guard child with the smaller-variable child,
@@ -43,11 +43,10 @@ ranging over that child's extension group under the tuple of an earlier
 level.  Each free inequality range adds one more level.  ``walk_source``
 writes the levels out as nested Python loops, the last level innermost: the
 data-centric code generation of Neumann (VLDB 2011), applied to the walk.
-Preprocessing compiles the walk, leaf keys and scans that ``plan_sources``
-writes, each distinct source once (``codegen.compile_source``);
-``plan --json`` prints them.  An answer is the head read off the level
-tuples, and its annotation the product of the frontier annotations along
-the way.
+Preprocessing compiles the walk and scans that ``plan_sources`` writes,
+each distinct source once (``codegen.compile_source``); ``plan --json``
+prints them.  An answer is the head read off the level tuples, and its
+annotation the product of the frontier annotations along the way.
 Candidates keep every level non-empty, so the delay is bounded by the
 number of levels, independent of the database.  When the root is on the
 frontier, level 0 reads the root relation's entries, annotations included.
@@ -56,51 +55,21 @@ frontier, level 0 reads the root relation's entries, annotations included.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
 from itertools import islice
-from typing import Callable, Container, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .codegen import compile_source, display, project
 from .errors import CapabilityError, ClassificationError, VocabularyError
 from .kdata import AnnotatedRelation, Database, DataTuple
 from .planner import QueryPlan, build_fc_plan
-from .query import ConjunctiveQuery, IneqAtom, QuerySplit, RelAtom, split
+from .query import ConjunctiveQuery, QuerySplit, split
 from .semiring import SemiringDescriptor, Value, sum_of_ones
 
 
 # ---------------------------------------------------------------------------
 # Preprocessing
 # ---------------------------------------------------------------------------
-
-@dataclass
-class IneqPlanState:
-    """Uncovered-inequality part: per free variable its range bound, plus the
-    constant annotation contributed by the bound inequality variables."""
-
-    free_ranges: Tuple[Tuple[str, int], ...]  # (variable, upper bound)
-    annotation: Value
-
-
-def _limits(ineqs: Sequence[IneqAtom], db: Database) -> Dict[str, int]:
-    """Per variable of ``ineqs``, the least constant that bounds it."""
-    limits: Dict[str, int] = {}
-    for ineq in ineqs:
-        c = db.constant(ineq.bound)
-        limits[ineq.var] = min(limits.get(ineq.var, c), c)
-    return limits
-
-
-def build_ineq_state(sp: QuerySplit, db: Database, s: SemiringDescriptor) -> IneqPlanState:
-    bounds = _limits(sp.ineq_part.inequality_atoms, db)
-    free = sp.ineq_part.head_vars
-    free_ranges = tuple((v, bounds[v]) for v in free)
-    # the annotation is the sum of ones over all valuations of the bound
-    # inequality variables
-    count = 1
-    for v, bound in bounds.items():
-        if v not in free:
-            count *= bound
-    return IneqPlanState(free_ranges, sum_of_ones(s, count))
-
 
 @dataclass
 class EnumerationState:
@@ -115,9 +84,13 @@ class EnumerationState:
     # a frontier node's is its relation, a projection's its child's group
     groups: Dict[int, Dict[DataTuple, Dict[DataTuple, bool]]] = field(default_factory=dict)
     candidates: Dict[int, Dict[DataTuple, object]] = field(default_factory=dict)
-    # per plan leaf: its key function (``build_leaf_matcher``), built once
-    matchers: Dict[int, Callable[[DataTuple], Optional[DataTuple]]] = field(default_factory=dict)
-    ineq: Optional[IneqPlanState] = None
+    # per inequality variable of the query, in sorted order (``_bound_index``),
+    # the least constant that bounds it; the covered leaf keys and the free
+    # ranges of the walk read it by index
+    bounds: Tuple[int, ...] = ()
+    # the walk's constant factor: the sum of ones over the valuations of the
+    # bound uncovered inequality variables
+    factor: Value = None
     # the compiled ``walk_source`` of the query and plan: state -> answers
     walk: Optional[Callable] = field(default=None, repr=False)
     # a dynamic state's (``dynamic_engine.dyn_preprocess``), empty otherwise:
@@ -128,79 +101,55 @@ class EnumerationState:
     version: int = 0
 
 
-def identity_key(t: DataTuple) -> DataTuple:
-    """The key function of a leaf whose every tuple is its own key."""
-    return t
+def _bound_index(q: ConjunctiveQuery) -> Dict[str, int]:
+    """Per inequality variable of ``q``, its index in ``EnumerationState.bounds``."""
+    return {v: n for n, v in enumerate(sorted({ineq.var for ineq in q.inequality_atoms}))}
 
 
-def build_leaf_matcher(
-    atom: RelAtom, covered: Sequence[IneqAtom], source: Optional[str], db: Database
-) -> Callable[[DataTuple], Optional[DataTuple]]:
-    """The key function of ``atom`` and the inequalities it covers, checked
-    against the database vocabulary (unknown symbols and arity mismatches
-    raise ``VocabularyError``): ``identity_key`` when ``source`` is None,
-    every tuple being its own key, and otherwise the function compiled from
-    ``source``, its ``key_source``."""
-    rel = db.relation(atom.symbol)
-    if len(atom.args) != rel.arity:
-        raise VocabularyError(
-            f"atom {atom} has arity {len(atom.args)}, relation {atom.symbol!r} expects {rel.arity}"
-        )
-    if source is None:
-        return identity_key
-    bounds = tuple(c for _, c in sorted(_limits(covered, db).items()))
-    return compile_source(source, "make")(bounds)
-
-
-def key_source(atom: RelAtom, covered: Sequence[IneqAtom]) -> str:
-    """The source of ``make(b)``, which returns the key function of ``atom``
-    and the inequalities it covers, ``b`` holding per covered variable, in
-    sorted order, the least constant that bounds it.
+def leaf_key(sp: QuerySplit, plan: QueryPlan, leaf: int) -> Optional[str]:
+    """The source of the key expression of the plan ``leaf`` over a tuple
+    ``t`` of its relation, for the query ``sp`` splits; None when every
+    tuple is its own key, that is when the atom's variables are distinct and
+    in sorted order and it covers no inequality.
 
     A tuple matches its atom when the components at a repeated variable's
-    positions are equal and every inequality the atom covers holds; its key
-    lists the values of the atom's distinct variables in sorted order, and a
-    tuple that does not match has the key None.  Only fixed names and
-    integer literals are written, no symbol of the query.
+    positions are equal and every inequality the atom covers holds, its
+    limit read off ``bounds`` (``EnumerationState.bounds``); its key lists
+    the values of the atom's distinct variables in sorted order, and a tuple
+    that does not match has the key None.  Only fixed names and integer
+    literals are written, no symbol of the query.
     """
+    i = plan.nodes[leaf].atom_index
     first: Dict[str, int] = {}
     misses = []
-    for i, arg in enumerate(atom.args):
-        j = first.setdefault(arg, i)
-        if j != i:
-            misses.append(f"t[{i}] != t[{j}]")
-    limited = sorted({ineq.var for ineq in covered})
-    misses += [f"t[{first[v]}] > b[{n}]" for n, v in enumerate(limited)]
-    key = project("t", [first[v] for v in sorted(first)], len(atom.args))
-    if misses:
-        key = f"None if {' or '.join(misses)} else {key}"
-    return f"def make(b):\n    return lambda t: {key}\n"
+    for pos, arg in enumerate(plan.atoms[i].args):
+        j = first.setdefault(arg, pos)
+        if j != pos:
+            misses.append(f"t[{pos}] != t[{j}]")
+    index = _bound_index(sp.query)
+    misses += [f"t[{first[v]}] > bounds[{index[v]}]" for v in sorted({ineq.var for ineq in sp.covered[i]})]
+    if not misses and list(first) == sorted(first):
+        return None
+    key = project("t", [first[v] for v in sorted(first)], len(plan.atoms[i].args))
+    return f"None if {' or '.join(misses)} else {key}" if misses else key
 
 
 def plan_sources(
     q: ConjunctiveQuery, plan: Optional[QueryPlan], s: SemiringDescriptor
-) -> Tuple[str, Dict[int, str], Dict[int, str]]:
+) -> Tuple[str, Dict[int, str]]:
     """The sources preprocessing compiles for ``q`` over ``plan`` (None
-    without relational atoms) and the semiring ``s``, in node order: the
-    walk's, the key function's of each plan leaf whose tuples are not their
-    own keys, and the scan's of each stored node that is not a plain copy of
-    such a leaf's entries.  A leaf's tuples are their own keys when the
-    atom's variables are distinct and in sorted order and it covers no
-    inequality."""
+    without relational atoms) and the semiring ``s``: the walk's, and in
+    node order the scan's of each stored node that is not a plain copy of a
+    leaf's entries, the leaf's tuples being their own keys (``leaf_key``)."""
     sp = split(q)
     nodes = sorted(plan.nodes.items()) if plan is not None else []
-    keys: Dict[int, str] = {}
-    for nid, node in nodes:
-        if node.is_leaf:
-            atom, covered = plan.atoms[node.atom_index], sp.covered[node.atom_index]
-            if covered or list(atom.args) != sorted(set(atom.args)):
-                keys[nid] = key_source(atom, covered)
+    keys = {nid: key for nid, node in nodes if node.is_leaf and (key := leaf_key(sp, plan, nid)) is not None}
     scans = {
         nid: scan_source(plan, nid, keys, s)
         for nid, node in nodes
         if nid in plan.stored and (nid in keys or not node.is_leaf)
     }
-    return walk_source(sp, plan, s), keys, scans
+    return walk_source(sp, plan, s), scans
 
 
 def preprocess(q: ConjunctiveQuery, db: Database) -> EnumerationState:
@@ -224,13 +173,15 @@ def preprocess_with_plan(
     sp = split(q)
     assert plan is not None or not sp.rel_part.relational_atoms
     state = EnumerationState(q, plan if sp.rel_part.relational_atoms else None, s, db)
-    state.ineq = build_ineq_state(sp, db, s)
-    walk, keys, scans = plan_sources(q, state.plan, s)
+    limits: Dict[str, int] = {}
+    for ineq in q.inequality_atoms:
+        c = db.constant(ineq.bound)
+        limits[ineq.var] = min(limits.get(ineq.var, c), c)
+    state.bounds = tuple(limits[v] for v in _bound_index(q))
+    rel_vars = set().union(*(atom.vars for atom in q.relational_atoms))
+    state.factor = sum_of_ones(s, math.prod(c for v, c in limits.items() if v not in rel_vars and v not in q.head_vars))
+    walk, scans = plan_sources(q, state.plan, s)
     if state.plan is not None:
-        for nid, node in plan.nodes.items():
-            if node.is_leaf:
-                i = node.atom_index
-                state.matchers[nid] = build_leaf_matcher(plan.atoms[i], sp.covered[i], keys.get(nid), db)
         _bottom_up(state, {nid: compile_source(source, "scan") for nid, source in scans.items()})
         _build_connex_structures(state)
     state.walk = compile_source(walk, "walk")
@@ -240,26 +191,34 @@ def preprocess_with_plan(
 def _bottom_up(state: EnumerationState, scans: Dict[int, Callable]) -> None:
     """Build the stored node relations (``plan.stored``) in postorder: each
     by its compiled ``scan_source``, given the database entries of every
-    leaf, or else as a plain copy of its own entries."""
+    leaf, or else as a plain copy of its own entries.  A leaf's relation
+    symbol must be in the database, at the atom's arity (``VocabularyError``
+    otherwise)."""
     plan, db = state.plan, state.db
-    entries = {
-        nid: db.relation(plan.atoms[node.atom_index].symbol).entries
-        for nid, node in plan.nodes.items()
-        if node.is_leaf
-    }
+    entries = {}
+    for nid, node in plan.nodes.items():
+        if node.is_leaf:
+            atom = plan.atoms[node.atom_index]
+            rel = db.relation(atom.symbol)
+            if len(atom.args) != rel.arity:
+                raise VocabularyError(
+                    f"atom {atom} has arity {len(atom.args)}, relation {atom.symbol!r} expects {rel.arity}"
+                )
+            entries[nid] = rel.entries
     for nid in plan.postorder():
         if nid in plan.stored:
             scan = scans.get(nid)
             state.relations[nid] = dict(entries[nid]) if scan is None else scan(state, entries)
 
 
-def scan_source(plan: QueryPlan, nid: int, keyed: Container[int], s: SemiringDescriptor) -> str:
+def scan_source(plan: QueryPlan, nid: int, keys: Dict[int, str], s: SemiringDescriptor) -> str:
     """The source of ``scan(state, entries)``, which returns the relation of
     the stored node ``nid``, given per plan leaf its database entries;
-    ``keyed`` holds the leaves whose tuples are not their own keys.
+    ``keys`` holds the key expression (``leaf_key``) of each leaf whose
+    tuples are not their own keys.
 
     One loop reads the relation of the nearest stored node below ``nid``,
-    or a leaf's entries, each re-keyed by the leaf's key function and
+    or a leaf's entries, each re-keyed by the leaf's key expression and
     dropped under the key None.  Each streamed 2-child node on the way up,
     and ``nid`` itself when it is one, looks the row's tuple up in its
     second child's hoisted relation, lowest first: the row is dropped when
@@ -278,11 +237,12 @@ def scan_source(plan: QueryPlan, nid: int, keyed: Container[int], s: SemiringDes
         m = c1  # the guard child carries m's variables, so the row keeps its tuple
     width = len(plan.order[m])
     from_leaf = m == nid or m not in plan.stored
+    key = keys.get(m) if from_leaf else None
     lines = ["def scan(state, entries):", "    add, mul, is_zero = state.semiring.add, state.semiring.mul, state.semiring.is_zero"]
-    lines += [f"    key = state.matchers[{m}]"] if from_leaf and m in keyed else []
+    lines += ["    bounds = state.bounds"] if key and "bounds" in key else []
     lines += [f"    r{c} = state.relations[{c}]" for c in probes]
     lines += ["    out = {}", f"    for t, k in {f'entries[{m}]' if from_leaf else f'state.relations[{m}]'}.items():"]
-    body = ["t = key(t)", "if t is None:", "    continue"] if from_leaf and m in keyed else []
+    body = [f"t = {key}", "if t is None:", "    continue"] if key else []
     product = s.expr("mul", "k", "x")
     for c in reversed(probes):  # the lowest join multiplies first
         body += [f"x = r{c}.get({project('t', plan.positions[c], width)})"]
@@ -341,10 +301,12 @@ def walk_source(sp: QuerySplit, plan: Optional[QueryPlan], s: SemiringDescriptor
     relational atoms) and the semiring ``s``.
 
     It nests one ``for`` per level, binding level ``j``'s tuple to ``tj``,
-    then one per free inequality range ``n``, binding ``in``.  A level with
-    frontier annotations ``f1, f2, f3`` multiplies the product so far:
-    ``pj = mul(p(j-1), mul(mul(f1, f2), f3))``, from the inequality
-    annotation ``k``, each ``mul`` written through the semiring's template.
+    then one per free inequality range ``n``, binding ``in`` from 1 up to
+    its variable's limit in ``state.bounds``.  A level with frontier
+    annotations ``f1, f2, f3`` multiplies the product so far:
+    ``pj = mul(p(j-1), mul(mul(f1, f2), f3))``, from the constant factor
+    ``k = state.factor``, each ``mul`` written through the semiring's
+    template.
     The innermost loop checks ``state.version`` and yields the head, read
     off the tuples and ranges, with the product.  Besides the templates,
     only fixed names and integer literals are written, no symbol of the
@@ -352,6 +314,7 @@ def walk_source(sp: QuerySplit, plan: Optional[QueryPlan], s: SemiringDescriptor
     """
     levels = plan.levels if plan is not None else ()
     ranges = sp.ineq_part.head_vars
+    index = _bound_index(sp.query)
     place: Dict[str, str] = {}  # variable -> the expression of its value
     for j, level in enumerate(levels):
         for pos, v in enumerate(level.order):
@@ -365,7 +328,7 @@ def walk_source(sp: QuerySplit, plan: Optional[QueryPlan], s: SemiringDescriptor
 
     hoists = ["version = state.version"]
     if ranges:
-        hoists.append("b = [bound for _, bound in state.ineq.free_ranges]")
+        hoists.append("bounds = state.bounds")
     loops: List[str] = []
     p = "k"  # the product of the levels entered so far
     for j, level in enumerate(levels):
@@ -391,9 +354,9 @@ def walk_source(sp: QuerySplit, plan: Optional[QueryPlan], s: SemiringDescriptor
                 loops.append(f"p{j} = {p_new}")
                 p_new = f"p{j}"
             p = p_new  # the innermost level's is read once, in the yield
-    loops += [f"for i{n} in range(1, b[{n}] + 1):" for n in range(len(ranges))]
+    loops += [f"for i{n} in range(1, bounds[{index[v]}] + 1):" for n, v in enumerate(ranges)]
     loops += ["if state.version != version:", "    raise RuntimeError(STALE)", f"yield {head}, {p}"]
-    lines = ["def walk(state):", "    k = state.ineq.annotation", "    mul, is_zero = state.semiring.mul, state.semiring.is_zero"]
+    lines = ["def walk(state):", "    k = state.factor", "    mul, is_zero = state.semiring.mul, state.semiring.is_zero"]
     lines += [f"    if {s.expr('is_zero', 'k')}:", "        return"]
     lines += ["    " + line for line in hoists]
     depth = 1
@@ -442,9 +405,9 @@ def reference_relation(
     node = plan.nodes[nid]
     out: Dict[DataTuple, Value] = {}
     if node.is_leaf:
-        key = state.matchers[nid]
+        key = compile_source(f"def key(t, bounds):\n    return {leaf_key(split(state.query), plan, nid) or 't'}\n", "key")
         for t, k in state.db.relation(plan.atoms[node.atom_index].symbol).entries.items():
-            kt = key(t)
+            kt = key(t, state.bounds)
             if kt is not None:
                 out[kt] = k
         return out

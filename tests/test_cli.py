@@ -276,19 +276,25 @@ def test_plan_json_reports_the_walk(tmp_path, capsys, guarded):
 
 
 def test_plan_json_reports_the_leaf_keys(tmp_path, capsys):
+    from deltaenum.planner import build_fc_plan
     from deltaenum.query import parse_query, split
-    from deltaenum.static_engine import key_source
+    from deltaenum.static_engine import leaf_key
 
     # R(x,y) covers y <= c and R(x,x) repeats x; S(x) is its own key
     text = "H(x,y) :- R(x,y), R(x,x), S(x), y <= c."
     q = write(tmp_path / "q.cq", text)
     assert main(["plan", q, "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    sp = split(parse_query(text))
-    leaves = {str(n["id"]): n["label"] for n in report["nodes"] if n["kind"] == "leaf"}
-    assert sorted(leaves[n] for n in report["keys"]) == ["R(x, x)", "R(x, y)"]
-    sources = {key_source(atom, sp.covered[i]) for i, atom in enumerate(sp.rel_part.relational_atoms[:2])}
-    assert set(report["keys"].values()) == sources
+    query = parse_query(text)
+    plan = build_fc_plan(query)
+    keys = {n: leaf_key(split(query), plan, n) for n in plan.nodes if plan.nodes[n].is_leaf}
+    labels = {n["id"]: n["label"] for n in report["nodes"]}
+    assert sorted(labels[n] for n, key in keys.items() if key is not None) == ["R(x, x)", "R(x, y)"]
+    # the scan that reads a keyed leaf's entries writes its key expression
+    for n, key in keys.items():
+        scans = [src for src in report["scans"].values() if f"entries[{n}]" in src]
+        assert len(scans) == (key is not None) and all(f"t = {key}\n" in src for src in scans)
+    assert "keys" not in report
 
 
 def test_plan_marks_the_stored_nodes(tmp_path, capsys):
@@ -671,8 +677,9 @@ def test_matlang_eval_json_reports_used_engine(tmp_path, capsys):
 def test_plan_json_reports_the_update_paths(tmp_path, capsys):
     from deltaenum.dynamic_engine import update_source
     from deltaenum.planner import build_guarded_plan
-    from deltaenum.query import parse_query
+    from deltaenum.query import parse_query, split
     from deltaenum.semiring import builtin_semiring
+    from deltaenum.static_engine import leaf_key
 
     text = "H(x) :- R(x,y), R(x,x), S(x)."
     q = write(tmp_path / "q.cq", text)
@@ -685,20 +692,39 @@ def test_plan_json_reports_the_update_paths(tmp_path, capsys):
         symbol: [n for n in plan.postorder() if plan.nodes[n].is_leaf and plan.atoms[plan.nodes[n].atom_index].symbol == symbol]
         for symbol in ("R", "S")
     }
-    # R(x,x) is the one leaf keyed, and its update path calls its key
-    (keyed,) = map(int, report["keys"])
+    # R(x,x) is the one leaf keyed, and its update path writes its key
+    sp = split(parse_query(text))
+    keys = {n: leaf_key(sp, plan, n) for ns in leaves.values() for n in ns}
+    (keyed,) = [n for n, key in keys.items() if key is not None]
     assert plan.atoms[plan.nodes[keyed].atom_index].args == ("x", "x")
     natural = builtin_semiring("natural")
-    want = {s: "\n".join(update_source(plan, n, n == keyed, natural) for n in ns) for s, ns in leaves.items()}
+    want = {s: "\n".join(update_source(plan, n, keys[n], natural) for n in ns) for s, ns in leaves.items()}
     assert report["updates"] == want
     assert report["updates"]["R"].count("def make(") == 2
-    assert report["updates"]["R"].count("= key(t)") == 1
+    assert report["updates"]["R"].count(f"k{keyed} = {keys[keyed]}\n") == 1
+
+
+@pytest.mark.parametrize("semiring", ["natural", "tropical-min"])
+def test_plan_json_prints_update_paths_only_for_sum_maintainable_semirings(tmp_path, capsys, semiring):
+    from deltaenum.semiring import builtin_semiring
+
+    # dyn refuses tropical-min, which has no sub for the projections' sums
+    text = "H(x,w) :- R(x,y), S(x,y,z), U(x,x), z <= c, w <= d."
+    q = write(tmp_path / "q.cq", text)
+    assert main(["plan", q, "--json", "--guarded", "--semiring", semiring]) == 0
+    report = json.loads(capsys.readouterr().out)
+    maintainable = builtin_semiring(semiring).sum_maintainable
+    assert ("updates" in report) == maintainable == (semiring == "natural")
+    for source in report.get("updates", {}).values():
+        compile(source, "<updates>", "exec")
+    assert report["walk"] and report["scans"]
 
 
 @pytest.mark.parametrize("guarded", [False, True])
 def test_plan_json_prints_what_preprocessing_compiles(tmp_path, capsys, monkeypatch, guarded):
     from deltaenum import dynamic_engine, static_engine
     from deltaenum.codegen import compile_source
+    from deltaenum.query import split
     from deltaenum.semiring import BUILTIN_SEMIRING_NAMES, builtin_semiring
 
     from support import random_db_for_query, random_free_connex_cq, random_q_hierarchical_cq
@@ -732,17 +758,19 @@ def test_plan_json_prints_what_preprocessing_compiles(tmp_path, capsys, monkeypa
         report = json.loads(capsys.readouterr().out)
         # preprocessing compiles exactly the printed sources: the update
         # paths last, symbol by symbol, and the others in any order
-        updates = [source for source in compiled if source.startswith("def make(state, key):")]
+        updates = [source for source in compiled if source.startswith("def make(state):")]
         rest = [source for source in compiled if source not in updates]
         assert "\n".join(updates) == "\n".join(report.get("updates", {}).values()), q.to_text()
         assert compiled[len(rest):] == updates
-        assert sorted(rest) == sorted([report["walk"], *report["keys"].values(), *report["scans"].values()])
-        # "keys" names exactly the leaves that preprocessing gave a key function
-        leaves = sorted(n for n, key in state.matchers.items() if key is not static_engine.identity_key)
-        assert sorted(map(int, report["keys"])) == leaves, q.to_text()
+        assert sorted(rest) == sorted([report["walk"], *report["scans"].values()])
+        # every key expression is written inline in a compiled source
+        plan, sp = state.plan, split(q)
+        keys = [static_engine.leaf_key(sp, plan, n) for n in plan.nodes if plan.nodes[n].is_leaf]
+        keys = [key for key in keys if key is not None]
+        assert all(any(f" = {key}\n" in source for source in compiled) for key in keys), q.to_text()
         assert compile_source(report["walk"], "walk") is state.walk
         assert set(report.get("updates", {})) == set(state.paths)
-        keyed += len(leaves)
+        keyed += len(keys)
         scanned += len(report["scans"])
     assert keyed and scanned  # some drawn leaf is not its own key, some node is scanned
 

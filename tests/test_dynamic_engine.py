@@ -17,9 +17,9 @@ from deltaenum.errors import CapabilityError, ClassificationError, SchemaError, 
 from deltaenum.kdata import SingleTupleUpdate
 from deltaenum.oracle import oracle_eval_cq
 from deltaenum.planner import build_guarded_plan
-from deltaenum.query import parse_query
+from deltaenum.query import parse_query, split
 from deltaenum.semiring import SemiringDescriptor, builtin_semiring
-from deltaenum.static_engine import enumerate_state, identity_key, plan_sources, preprocess, preprocess_with_plan
+from deltaenum.static_engine import enumerate_state, leaf_key, preprocess, preprocess_with_plan
 
 from support import equal_answers, random_db_for_query, random_q_hierarchical_cq, random_update
 from test_static_engine import (
@@ -504,7 +504,11 @@ def test_one_pass_dynamic_state_equals_the_static_preprocess(text):
 
 def leaves_by_symbol(plan):
     """The plan leaves of each relation symbol, in postorder."""
-    return {symbol: list(sources) for symbol, sources in update_sources(plan, (), NAT).items()}
+    out = {}
+    for n in plan.postorder():
+        if plan.nodes[n].is_leaf:
+            out.setdefault(plan.atoms[plan.nodes[n].atom_index].symbol, []).append(n)
+    return out
 
 
 def leaf_paths(path):
@@ -576,7 +580,7 @@ def test_generated_paths_over_a_seeded_stream(text, sname):
     plan = state.plan
     if text == TWO_KEYED_LEAVES:
         leaves = leaves_by_symbol(plan)["R"]
-        assert len(leaves) == 2 and not any(state.matchers[n] is identity_key for n in leaves)
+        assert len(leaves) == 2 and all(leaf_key(split(q), plan, n) is not None for n in leaves)
     else:
         assert any(len(plan.nodes[n].children) == 2 for n in set(plan.nodes) - plan.connex)
 
@@ -595,36 +599,35 @@ def test_generated_paths_over_a_seeded_stream(text, sname):
 # every name that ``update_source`` writes, besides Python keywords, the
 # numbered names of its keys, values and hoisted dicts, and TEMPLATE_NAMES
 UPDATE_NAMES = {
-    "make", "state", "key", "s", "semiring", "add", "sub", "mul", "is_zero", "zero",
+    "make", "state", "bounds", "s", "semiring", "add", "sub", "mul", "is_zero", "zero",
     "relations", "accs", "candidates", "update", "t", "old", "new", "n", "x", "b", "get", "True",
 }
 
 
 def test_no_query_text_reaches_the_update_paths():
     # relation, variable and constant names that the generated source uses
-    # itself; a repeated variable and a covered inequality key two leaves
-    text = "H(r, new) :- state(r, new), key(r), state(r, r), import(r, new, z), z <= k."
+    # itself; a repeated variable and covered inequalities key three leaves
+    text = "H(r, new) :- state(r, new), key(r), state(r, r), import(r, new, z), bounds(r, bounds), z <= k, bounds <= bounds."
     # the same query under names in the same sorted order, so the same plan
-    plain = "H(b, a) :- A(b, a), B(b), A(b, b), C(b, a, c), c <= d."
+    plain = "H(c, b) :- A(c, b), B(c), A(c, c), C(c, b, d), D(c, a), d <= e, a <= f."
     q, p = parse_query(text), parse_query(plain)
     plan, plain_plan = build_guarded_plan(q), build_guarded_plan(p)
     leaves = [n for ns in leaves_by_symbol(plan).values() for n in ns]
     assert leaves == [n for ns in leaves_by_symbol(plain_plan).values() for n in ns]
     rng = random.Random(625)
     db = random_db_for_query(rng, q, NAT, max_tuples=60, domain=3)
-    db.constants["k"] = 2
+    db.constants.update(k=2, bounds=2)
     state = dyn_preprocess(q, db)
     for _ in range(60):
         dyn_update(state, random_update(rng, q, db, NAT, domain=3))
     assert dict(dyn_enumerate(state)) == oracle_eval_cq(q, db).entries
     assert verify_dynamic_invariants(state) == []
-    # state(r, new) is out of sorted order, state(r, r) repeats r and
-    # import(r, new, z) covers z <= k
-    keyed = [leaf for leaf, key in state.matchers.items() if key is not identity_key]
-    assert len(keyed) == 3
+    # state(r, new) and bounds(r, bounds) are out of sorted order, state(r, r)
+    # repeats r, and import(r, new, z) and bounds(r, bounds) cover an inequality
+    assert sum(leaf_key(split(q), plan, n) is not None for n in leaves) == 4
     for s in SEMIRINGS:
-        sources = [source for by_leaf in update_sources(plan, keyed, s).values() for source in by_leaf.values()]
-        plain_sources = update_sources(plain_plan, plan_sources(p, plain_plan, s)[1], s).values()
+        sources = [source for by_leaf in update_sources(q, plan, s).values() for source in by_leaf.values()]
+        plain_sources = update_sources(p, plain_plan, s).values()
         assert sources == [source for by_leaf in plain_sources for source in by_leaf.values()]
         for source in sources:
             assert_fixed_names(source, UPDATE_NAMES | TEMPLATE_NAMES, r"[acknorv][0-9]+")

@@ -167,17 +167,16 @@ def test_split_partitions_free_vars_on_corpus():
 def atomically_consistent(db, q):
     """Copy of ``db`` without the tuples that match some atom of ``q`` but
     violate an inequality that atom covers."""
-    from deltaenum.static_engine import build_leaf_matcher, key_source
-
     sp = split(q)
     out = db.copy()
     for i, atom in enumerate(sp.rel_part.relational_atoms):
-        matches = build_leaf_matcher(atom, (), key_source(atom, ()), db)
-        passes = build_leaf_matcher(atom, sp.covered[i], key_source(atom, sp.covered[i]), db)
         entries = out.relations[atom.symbol].entries
         for t in list(entries):
-            if matches(t) is not None and passes(t) is None:
-                del entries[t]
+            # t matches the atom when the components at a repeated variable agree
+            value = {}
+            if all(value.setdefault(v, x) == x for v, x in zip(atom.args, t)):
+                if any(value[ineq.var] > db.constant(ineq.bound) for ineq in sp.covered[i]):
+                    del entries[t]
     return out
 
 

@@ -17,8 +17,7 @@ from deltaenum.semiring import BUILTIN_SEMIRING_NAMES, builtin_semiring
 from deltaenum.static_engine import (
     enumerate_state,
     eval_materialized,
-    identity_key,
-    key_source,
+    leaf_key,
     plan_sources,
     preprocess,
     preprocess_with_plan,
@@ -50,17 +49,24 @@ def make_db(semiring, relations, constants=None):
         ("H(x) :- R(x,x).", {(1, 2): None, (3, 3): (3,)}),
         ("H(x,y) :- R(x,y), x <= c.", {(1, 3): (1, 3), (3, 1): None}),
         ("H(x) :- R(x,x), x <= c.", {(1, 1): (1,), (1, 2): None, (3, 3): None}),
+        # a variable under two constants takes the least, in either order
+        ("H(x,y) :- R(x,y), x <= c, x <= d.", {(2, 1): (2, 1), (3, 1): None}),
+        ("H(x,y) :- R(x,y), x <= d, x <= c.", {(2, 1): (2, 1), (3, 1): None}),
     ],
 )
 def test_leaf_key_functions(text, keys):
-    db = make_db(NAT, {"R": (2, {})}, {"c": 2})
-    (key,) = preprocess(parse_query(text), db).matchers.values()
-    if keys is None:
-        t = (1, 2)
-        assert key is identity_key and key(t) is t
-    else:
-        assert key is not identity_key
-        assert {t: key(t) for t in keys} == keys
+    # ``keys`` maps each tuple of R to its key, None when it does not match;
+    # without ``keys``, every tuple is its own key
+    q = parse_query(text)
+    tuples = keys or {(1, 2): (1, 2), (2, 1): (2, 1)}
+    db = make_db(NAT, {"R": (2, {t: n + 1 for n, t in enumerate(tuples)})}, {"c": 2, "d": 3})
+    state = preprocess(q, db)
+    (leaf,) = [n for n, node in state.plan.nodes.items() if node.is_leaf]
+    assert (leaf_key(split(q), state.plan, leaf) is None) == (keys is None)
+    want = {tuples[t]: k for t, k in db.relations["R"].entries.items() if tuples[t] is not None}
+    # the scan writes the key inline, and the reference compiles it alone
+    assert state.relations[leaf] == reference_relation(state, leaf) == want
+    assert dict(enumerate_state(state)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +395,15 @@ def reference_walk(state):
     multiplies the product of the levels above it by the product of its
     frontier annotations, taken left to right: p_j = p_(j-1) * ((f1 * f2) * f3)."""
     s = state.semiring
-    if s.is_zero(state.ineq.annotation):
+    if s.is_zero(state.factor):
         return []
     plan = state.plan
     levels = plan.levels if plan is not None else ()
-    ranges = [range(1, bound + 1) for _, bound in state.ineq.free_ranges]
-    order = [v for level in levels for v in level.order] + [v for v, _ in state.ineq.free_ranges]
+    # the bounds of the inequality variables, in sorted order
+    bound = dict(zip(sorted({ineq.var for ineq in state.query.inequality_atoms}), state.bounds))
+    free = split(state.query).ineq_part.head_vars
+    ranges = [range(1, bound[v] + 1) for v in free]
+    order = [v for level in levels for v in level.order] + list(free)
     head = [order.index(v) for v in state.query.head_vars]
     out = []
 
@@ -420,7 +429,7 @@ def reference_walk(state):
                 k = s.mul(p, f)
             visit(j + 1, tuples + [t], k)
 
-    visit(0, [], state.ineq.annotation)
+    visit(0, [], state.factor)
     return out
 
 
@@ -479,15 +488,14 @@ TEMPLATE_NAMES = {"min", "inf"}
 # numbered names of its tuples, products, ranges and hoisted dicts, and
 # TEMPLATE_NAMES
 WALK_NAMES = {
-    "walk", "state", "k", "ineq", "annotation", "semiring", "is_zero", "mul", "version",
-    "b", "bound", "_", "free_ranges", "range", "relations", "candidates", "groups",
-    "items", "RuntimeError", "STALE",
+    "walk", "state", "k", "factor", "semiring", "is_zero", "mul", "version",
+    "bounds", "range", "relations", "candidates", "groups", "items", "RuntimeError", "STALE",
 }
 # every name that ``scan_source`` writes, besides Python keywords, the
 # numbered names of its hoisted dicts and TEMPLATE_NAMES
 SCAN_NAMES = {
-    "scan", "state", "entries", "semiring", "add", "mul", "is_zero", "matchers", "relations",
-    "key", "out", "t", "k", "x", "g", "get", "items",
+    "scan", "state", "entries", "semiring", "add", "mul", "is_zero", "bounds", "relations",
+    "out", "t", "k", "x", "g", "get", "items",
 }
 
 
@@ -503,22 +511,22 @@ def assert_fixed_names(source, allowed, numbered):
 
 def test_no_query_text_reaches_the_compiled_walk():
     # relation, variable and constant names that the generated sources use
-    # themselves, and a free range
-    text = "H(r, yield, t0) :- state(r, yield), mul(r), import(r, yield, z), t0 <= k."
+    # themselves, a free range and a covered inequality
+    text = "H(r, yield, t0) :- state(r, yield), mul(r), import(r, yield, z), bounds(r, bounds), t0 <= k, bounds <= bounds."
     # the same query under names in the same sorted order, so the same plans
-    plain = "H(a, c, b) :- A(a, c), B(a), C(a, c, d), b <= e."
+    plain = "H(b, d, c) :- A(b, d), B(b), C(b, d, e), D(b, a), c <= f, a <= g."
     q, p = parse_query(text), parse_query(plain)
     rng = random.Random(624)
     db = random_db_for_query(rng, q, NAT, max_tuples=60, domain=3)
-    db.constants["k"] = 2
+    db.constants.update(k=2, bounds=2)
     for plan_of in (build_fc_plan, build_guarded_plan):
         state = preprocess_with_plan(q, db, plan_of(q))
-        assert state.plan.levels and state.ineq.free_ranges
+        assert state.plan.levels and split(q).ineq_part.head_vars
         got = list(enumerate_state(state))
         assert got and dict(got) == oracle_eval_cq(q, db).entries
         for s in SEMIRINGS:
-            walk, _, scans = plan_sources(q, state.plan, s)
-            assert (walk, scans) == plan_sources(p, plan_of(p), s)[::2]
+            walk, scans = plan_sources(q, state.plan, s)
+            assert (walk, scans) == plan_sources(p, plan_of(p), s)
             assert walk == walk_source(split(q), state.plan, s) and scans
             assert_fixed_names(walk, WALK_NAMES | TEMPLATE_NAMES, r"[bcgiprtv][0-9]+")
             for source in scans.values():
@@ -526,26 +534,30 @@ def test_no_query_text_reaches_the_compiled_walk():
 
 
 def test_no_query_text_reaches_the_leaf_keys():
-    # relation and constant names that the generated key function and scans
-    # use themselves; one leaf covers an inequality, one repeats a variable
-    text = "H(t, x) :- make(t, x), lambda(t, t), x <= b."
+    # relation, variable and constant names that the generated key
+    # expressions and scans use themselves; one leaf is out of sorted order,
+    # one repeats a variable and one covers two inequalities
+    text = "H(t, bounds) :- make(t, bounds), lambda(t, t), bounds(t), bounds <= b, t <= bounds."
     # the same query under names in the same sorted order
-    plain = "H(a, c) :- A(a, c), B(a, a), c <= d."
+    plain = "H(c, a) :- A(c, a), B(c, c), C(c), a <= d, c <= e."
     q, p = parse_query(text), parse_query(plain)
-    rng = random.Random(626)
+    rng = random.Random(628)
     db = random_db_for_query(rng, q, NAT, max_tuples=60, domain=3)
-    db.constants["b"] = 2
+    db.constants.update(b=2, bounds=2)
     got = list(enumerate_state(preprocess(q, db)))
     assert got and dict(got) == oracle_eval_cq(q, db).entries
-    sq, sp = split(q), split(p)
-    for i, atom in enumerate(sq.rel_part.relational_atoms):
-        source = key_source(atom, sq.covered[i])
-        assert source == key_source(sp.rel_part.relational_atoms[i], sp.covered[i])
-        assert_fixed_names(source, {"make", "b", "t"}, r"$^")
-    for s in SEMIRINGS:
-        _, keys, scans = plan_sources(q, build_fc_plan(q), s)
-        # each keyed leaf is read by one scan, which calls its key
-        assert all(sum(f"key = state.matchers[{n}]" in src for src in scans.values()) == 1 for n in keys)
-        assert scans == plan_sources(p, build_fc_plan(p), s)[2]
-        for source in scans.values():
-            assert_fixed_names(source, SCAN_NAMES | TEMPLATE_NAMES, r"r[0-9]+")
+    for plan_of in (build_fc_plan, build_guarded_plan):
+        plan, plain_plan = plan_of(q), plan_of(p)
+        leaves = [n for n in sorted(plan.nodes) if plan.nodes[n].is_leaf]
+        keys = {n: leaf_key(split(q), plan, n) for n in leaves}
+        assert list(keys.values()) == [leaf_key(split(p), plain_plan, n) for n in leaves]
+        assert None not in keys.values()
+        for key in keys.values():
+            assert_fixed_names(key, {"t", "bounds"}, r"$^")
+        for s in SEMIRINGS:
+            scans = plan_sources(q, plan, s)[1]
+            # each leaf is read by one scan, which writes its key inline
+            assert all(sum(f"entries[{n}]" in src and f"t = {key}\n" in src for src in scans.values()) == 1 for n, key in keys.items())
+            assert scans == plan_sources(p, plain_plan, s)[1]
+            for source in scans.values():
+                assert_fixed_names(source, SCAN_NAMES | TEMPLATE_NAMES, r"r[0-9]+")
