@@ -100,10 +100,13 @@ def cmd_plan(args) -> int:
     # the dynamic engine refuses a semiring that is not sum-maintainable
     if plan.guarded and semiring.sum_maintainable:
         from .dynamic_engine import update_sources
+        from .kdata import apply_source
 
         report["updates"] = {
             symbol: "\n".join(sources.values()) for symbol, sources in update_sources(q, plan, semiring).items()
         }
+        arity = {atom.symbol: len(atom.args) for atom in plan.atoms}
+        report["applies"] = {symbol: apply_source(arity[symbol], semiring) for symbol in report["updates"]}
     if args.json:
         print(json.dumps(report, indent=2))
     else:

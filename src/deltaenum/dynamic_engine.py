@@ -22,25 +22,32 @@ sibling's candidates and writes the parent's, again O(1) per step.
 ``dyn_preprocess`` runs the static preprocess over the guarded plan, the
 one bottom-up path of both engines, and returns the ``EnumerationState`` it
 builds, with the member counts of each group of a stored projection's child
-in ``accs``.  The update path of each plan leaf is generated as Python
-source (``update_source``, per relation symbol ``update_sources``): the
-leaf's key expression (``static_engine.leaf_key``), then every step up to
-the root unrolled, with its dicts hoisted and its keys written as tuple
-displays.  Each distinct source is compiled once (``codegen.compile_source``
-caches them), and the state's ``paths`` holds one callable per relation
-symbol: its leaf's, or a chain over its leaves in postorder.  ``dyn_update`` applies the update to the database
-once, through ``kdata.apply_update``, and calls its symbol's path.
+in ``accs``.  A leaf whose tuples are their own keys has the database's
+entries themselves as its relation.  The update path of each plan leaf is
+generated as Python source (``update_source``, per relation symbol
+``update_sources``): the leaf's key expression (``static_engine.leaf_key``),
+then every step up to the root unrolled, with its dicts hoisted and its
+keys written as tuple displays.  Each symbol's apply step is generated too
+(``kdata.apply_source``): it checks the update, writes the database's
+entries and calls the symbol's leaf path, or a chain over its leaves in
+postorder, when the annotation changed.  Each distinct source is compiled
+once (``codegen.compile_source`` caches them), and the state's ``paths``
+holds one apply step per relation symbol.  ``dyn_update`` makes one call
+per update, to its symbol's apply step; an update that the step does not
+take, and one to a symbol outside the query, goes through
+``kdata.apply_update``, the reference, which raises the error.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import AbstractSet, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .codegen import compile_source, project
 from .errors import CapabilityError, ClassificationError
-from .kdata import Database, DataTuple, SingleTupleUpdate, apply_update
+from .kdata import Database, DataTuple, SingleTupleUpdate, apply_source, apply_update
 from .planner import QueryPlan, build_guarded_plan
 from .query import ConjunctiveQuery, split
 from .semiring import SemiringDescriptor, Value
@@ -74,21 +81,28 @@ def dyn_preprocess(q: ConjunctiveQuery, db: Database) -> EnumerationState:
         if p in plan.stored and len(children) == 1:
             c = children[0]
             state.accs[p] = dict(Counter(map(plan.key[c], state.relations[c])))
+    reject = partial(apply_update, db)
     for symbol, sources in update_sources(q, plan, s).items():
         updates = [compile_source(source, "make")(state) for source in sources.values()]
-        state.paths[symbol] = updates[0] if len(updates) == 1 else _chain(tuple(updates))
+        path = updates[0] if len(updates) == 1 else _chain(tuple(updates))
+        rel = db.relations[symbol]
+        state.paths[symbol] = compile_source(apply_source(rel.arity, s), "make")(s, rel.entries, path, reject)
     return state
 
 
 def update_sources(q: ConjunctiveQuery, plan: QueryPlan, s: SemiringDescriptor) -> Dict[str, Dict[int, str]]:
     """Per relation symbol, the ``update_source`` of each of its leaves in
-    the guarded ``plan`` of ``q`` over the semiring ``s``, in postorder."""
+    the guarded ``plan`` of ``q`` over the semiring ``s``, in postorder,
+    each given as ``later`` the leaves of its symbol after it whose tuples
+    are their own keys."""
     sp = split(q)
+    leaves = [nid for nid in plan.postorder() if plan.nodes[nid].is_leaf]
+    keys = {nid: leaf_key(sp, plan, nid) for nid in leaves}
+    symbols = {nid: plan.atoms[plan.nodes[nid].atom_index].symbol for nid in leaves}
     out: Dict[str, Dict[int, str]] = {}
-    for nid in plan.postorder():
-        if plan.nodes[nid].is_leaf:
-            symbol = plan.atoms[plan.nodes[nid].atom_index].symbol
-            out.setdefault(symbol, {})[nid] = update_source(plan, nid, leaf_key(sp, plan, nid), s)
+    for i, nid in enumerate(leaves):
+        later = {m for m in leaves[i + 1:] if keys[m] is None and symbols[m] == symbols[nid]}
+        out.setdefault(symbols[nid], {})[nid] = update_source(plan, nid, keys[nid], s, later)
     return out
 
 
@@ -105,12 +119,20 @@ def _chain(updates: Sequence[Callable]) -> Callable:
 # Update propagation
 # ---------------------------------------------------------------------------
 
-def update_source(plan: QueryPlan, leaf: int, key: Optional[str], s: SemiringDescriptor) -> str:
+def update_source(
+    plan: QueryPlan, leaf: int, key: Optional[str], s: SemiringDescriptor, later: AbstractSet[int] = frozenset()
+) -> str:
     """The source of ``make(state)``, which returns ``update(t, old, new)``:
     the update path of the guarded plan's ``leaf`` unrolled, for a change of
     its relation symbol's annotation at ``t`` from ``old`` to ``new`` (None
-    when absent), ``key`` being the leaf's key expression (``leaf_key``),
-    None when its tuples are their own keys.
+    when absent), made after the database's entries were written, ``key``
+    being the leaf's key expression (``leaf_key``), None when its tuples are
+    their own keys.  Such a leaf's relation is the database's entries, so
+    the path does not write it.  ``later`` holds the leaves of the same
+    symbol whose tuples are their own keys and whose paths run after this
+    one's: their relation, the database's entries, is read as it was before
+    the update, with the value ``old`` at ``t``, as each leaf's change is
+    carried up in turn.
 
     Node ``n``'s key is ``kn``, its old and new value ``on`` and ``vn``; its
     relation, member counts and candidates are ``rn``, ``an`` and ``cn``,
@@ -124,31 +146,38 @@ def update_source(plan: QueryPlan, leaf: int, key: Optional[str], s: SemiringDes
     literals are written besides the semiring ``s``'s operator templates,
     no symbol of the query.
     """
-    c, k, o, v = leaf, f"k{leaf}", "old", "new"
+    c, k, o, v = leaf, "t", "old", "new"
+    body = []
     if key is not None:
-        body = [f"{k} = {key}", f"if {k} is None:", "    return"]
-    else:
-        body = [f"{k} = t"]
-    body += [f"if {v} is None:", f"    del r{c}[{k}]", "else:", f"    r{c}[{k}] = {v}"]
+        k = f"k{leaf}"
+        body += [f"{k} = {key}", f"if {k} is None:", "    return"]
+        body += [f"if {v} is None:", f"    del r{c}[{k}]", "else:", f"    r{c}[{k}] = {v}"]
     enters, leaves = [], []  # the chains of a tuple entering or leaving the support
     while c != plan.root:
         p = plan.nodes[c].parent
         children = plan.nodes[p].children
         sib, kp = sum(children) - c, k  # a 2-child node's tuple is its children's
+        # the sibling's support and value at this tuple; a later leaf in
+        # ``later`` reads as before the update, ``old`` at ``t``
+        absent, lookup = f"{k} not in c{sib}", f"r{sib}.get({k})"
+        if sib in later and k == "t":
+            absent, lookup = "old is None", "old"
+        elif sib in later:
+            absent, lookup = f"(old is None if {k} == t else {absent})", f"(old if {k} == t else {lookup})"
         if len(children) == 1:
             kp = f"k{p}"
             key_line = f"{kp} = {project(k, plan.positions[c], len(plan.order[c]))}"
         if c in plan.connex and len(children) == 2:
             # the parent's candidates are the tuples in both children's
-            enters += [f"if {k} not in c{sib}:", "    return", f"c{p}[{k}] = True"]
-            leaves += [f"if {k} not in c{sib}:", "    return", f"del c{p}[{k}]"]
+            enters += [f"if {absent}:", "    return", f"c{p}[{k}] = True"]
+            leaves += [f"if {absent}:", "    return", f"del c{p}[{k}]"]
         elif c in plan.connex:
             # the parent's candidates are the keys of this node's group
             enters += [key_line, f"b = c{p}.get({kp})", "if b is not None:", f"    b[{k}] = True", "    return"]
             enters += [f"c{p}[{kp}] = {{{k}: True}}"]
             leaves += [key_line, f"b = c{p}[{kp}]", f"del b[{k}]", "if b:", "    return", f"del c{p}[{kp}]"]
         elif len(children) == 2:
-            body += [f"o{p} = r{p}.get({k})", f"x = r{sib}.get({k})"]
+            body += [f"o{p} = r{p}.get({k})", f"x = {lookup}"]
             product = s.expr("mul", v, "x")
             body += [f"v{p} = None if {v} is None or x is None or {s.expr('is_zero', f'(x := {product})')} else x"]
         else:
@@ -172,23 +201,27 @@ def update_source(plan: QueryPlan, leaf: int, key: Optional[str], s: SemiringDes
     lines += ["    add, sub, mul, is_zero, zero = s.add, s.sub, s.mul, s.is_zero, s.zero"]
     lines += ["    bounds = state.bounds"] if key and "bounds" in key else []
     lines += [f"    {x}{n} = {stores[x]}[{n}]" for x, n in dicts]
-    lines += ["", "    def update(t, old, new):", *["        " + line for line in body], "", "    return update"]
+    # (nothing is left to do at a root leaf whose tuples are their own keys)
+    lines += ["", "    def update(t, old, new):", *["        " + line for line in body or ["pass"]], "", "    return update"]
     return "\n".join(lines) + "\n"
 
 
 def dyn_update(state: EnumerationState, u: SingleTupleUpdate) -> None:
     """Apply a single-tuple update and repair all maintained structures.
 
-    The path of the updated relation (``update_source``) carries the change
-    of each of its plan leaves up to the first connex node, and a change of
+    The apply step of the updated relation (``kdata.apply_source``) writes
+    the database, and its path (``update_source``) carries the change of
+    each of its plan leaves up to the first connex node, and a change of
     that node's support on up the candidates to the root.  Either part
-    stops at the first node that does not change.
+    stops at the first node that does not change.  A rejected update raises
+    the error of ``kdata.apply_update`` and changes nothing.
     """
-    old, new = apply_update(state.db, u)
-    state.version += 1
     path = state.paths.get(u.relation)
-    if path is not None and old != new:
-        path(u.tuple, old, new)
+    if path is None:
+        apply_update(state.db, u)
+    else:
+        path(u)
+    state.version += 1
 
 
 def dyn_enumerate(state: EnumerationState, limit: Optional[int] = None) -> Iterator[Tuple[DataTuple, Value]]:

@@ -15,12 +15,14 @@ operations with three capability flags:
   sum and a member count support O(1) insert, delete and total.  Required by
   the dynamic engine.
 
-Generated code (the scans, walks and update paths) writes an operator
-through its source template, such as ``({0} * {1})``, so that a builtin's
-operators run inline; each builtin's callables are compiled from the same
-templates, so each operator is defined once.  A descriptor without
-templates, such as a custom semiring, gets the call form ``mul({0}, {1})``,
-which generated code binds to the descriptor's callable.
+Generated code (the scans, walks, update paths and apply steps) writes an
+operator through its source template, such as ``({0} * {1})``, so that a
+builtin's operators run inline; each builtin's callables are compiled from
+the same templates, so each operator is defined once, the test of which
+values are annotations (``admits``) among them.  A descriptor without
+templates, such as a custom semiring, gets the call form ``mul({0}, {1})``
+or ``admits({0})``, which generated code binds to the descriptor's
+callable.
 """
 
 from __future__ import annotations
@@ -93,11 +95,13 @@ class SemiringDescriptor:
     # one other: the sum of the others.  None when there is no such map.
     sub: Optional[Callable[[Value, Value], Value]] = field(default=None, repr=False)
     # which values are annotations: ``parse`` applies it to the converted
-    # text, ``kdata.apply_update`` to the value of an insert
+    # text, ``kdata.apply_update`` and the apply step (``kdata.apply_source``)
+    # to the value of an insert and to its sum
     admits: Callable[[Value], bool] = field(default=lambda v: True, repr=False)
-    # per operator ("add", "mul", "sub", "is_zero"), the source of its
-    # application to the sources {0} and {1} of its operands, each used
-    # once, such as "({0} * {1})"; see ``expr``
+    # per operator ("add", "mul", "sub", "is_zero", "admits"), the source of
+    # its application to the sources {0} and {1} of its operands, each used
+    # once, such as "({0} * {1})"; see ``expr``.  Generated code passes
+    # ``admits`` a name, which its template may use more than once
     templates: Dict[str, str] = field(default_factory=dict, repr=False, compare=False)
 
     def expr(self, op: str, *operands: str) -> str:
@@ -116,20 +120,6 @@ class SemiringDescriptor:
             raise ConfigurationError(f"semiring {self.name!r} is trivial (zero == one)")
 
 
-def _is_natural(v: Value) -> bool:
-    return type(v) is int and v >= 0
-
-
-def _is_real(v: Value) -> bool:
-    # inf - inf is nan: a non-finite annotation would poison every sum it
-    # enters, also after it is deleted again
-    return type(v) is float and math.isfinite(v)
-
-
-def _is_tropical(v: Value) -> bool:
-    return type(v) is float and v == v and v != -math.inf
-
-
 def _parse_bool(s: str) -> bool:
     s = s.strip().lower()
     if s in ("t", "true", "1"):
@@ -139,88 +129,108 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean annotation: {s!r}")
 
 
-def _parse_natural(s: str) -> int:
-    n = int(s)
-    if not _is_natural(n):
-        raise ValueError(f"natural annotation must be non-negative: {s!r}")
-    return n
+def _natural_parser(admits: Callable[[Value], bool]) -> Callable[[str], int]:
+    def parse(s: str) -> int:
+        n = int(s)
+        if not admits(n):
+            raise ValueError(f"natural annotation must be non-negative: {s!r}")
+        return n
+
+    return parse
 
 
-def _parse_real(s: str) -> float:
-    v = float(s)
-    if not _is_real(v):
-        raise ValueError(f"real annotation must be finite: {s!r}")
-    return v
+def _real_parser(admits: Callable[[Value], bool]) -> Callable[[str], float]:
+    def parse(s: str) -> float:
+        v = float(s)
+        if not admits(v):
+            raise ValueError(f"real annotation must be finite: {s!r}")
+        return v
+
+    return parse
 
 
-def _parse_tropical(s: str) -> float:
-    s = s.strip().lower()
-    v = math.inf if s in ("inf", "+inf", "infinity") else float(s)
-    if not _is_tropical(v):
-        raise ValueError(f"tropical annotation must be a number or inf: {s!r}")
-    return v
+def _tropical_parser(admits: Callable[[Value], bool]) -> Callable[[str], float]:
+    def parse(s: str) -> float:
+        s = s.strip().lower()
+        v = math.inf if s in ("inf", "+inf", "infinity") else float(s)
+        if not admits(v):
+            raise ValueError(f"tropical annotation must be a number or inf: {s!r}")
+        return v
+
+    return parse
 
 
-def _builtin(templates: Dict[str, str], **fields: Any) -> SemiringDescriptor:
+def _builtin(templates: Dict[str, str], parser: Callable, **fields: Any) -> SemiringDescriptor:
     """A descriptor whose operators are compiled from their ``templates``,
-    so that each is defined once, for generated code and for callers alike."""
+    so that each is defined once, for generated code and for callers alike;
+    ``parser(admits)`` makes its ``parse``, given the compiled ``admits``."""
     ops = {}
     for op, template in templates.items():
-        params = "a" if op == "is_zero" else "a, b"
+        params = "a" if op in ("is_zero", "admits") else "a, b"
         ops[op] = compile_source(f"def {op}({params}):\n    return {template.format('a', 'b')}\n", op)
-    return SemiringDescriptor(**fields, **ops, templates=templates)
+    return SemiringDescriptor(**fields, **ops, parse=parser(ops["admits"]), templates=templates)
 
 
 _BOOLEAN = _builtin(
     # every nonzero member is True, and one remains: sub keeps the sum
-    {"add": "({0} or {1})", "mul": "({0} and {1})", "sub": "{0}", "is_zero": "(not {0})"},
+    {
+        "add": "({0} or {1})", "mul": "({0} and {1})", "sub": "{0}", "is_zero": "(not {0})",
+        "admits": "(type({0}) is bool)",
+    },
     name="boolean",
     zero=False,
     one=True,
     zero_divisor_free=True,
     zero_sum_free=True,
-    parse=_parse_bool,
+    parser=lambda admits: _parse_bool,
     format=lambda v: "t" if v else "f",
-    admits=lambda v: type(v) is bool,
 )
 
 _NATURAL = _builtin(
     # Subtraction never leaves the naturals here: a deleted value was
     # previously added to the same total.
-    {"add": "({0} + {1})", "mul": "({0} * {1})", "sub": "({0} - {1})", "is_zero": "({0} == 0)"},
+    {
+        "add": "({0} + {1})", "mul": "({0} * {1})", "sub": "({0} - {1})", "is_zero": "({0} == 0)",
+        "admits": "(type({0}) is int and {0} >= 0)",
+    },
     name="natural",
     zero=0,
     one=1,
     zero_divisor_free=True,
     zero_sum_free=True,
-    parse=_parse_natural,
+    parser=_natural_parser,
     format=str,
-    admits=_is_natural,
 )
 
 _REAL = _builtin(
-    {"add": "({0} + {1})", "mul": "({0} * {1})", "sub": "({0} - {1})", "is_zero": "({0} == 0.0)"},
+    # inf - inf is nan: a non-finite annotation would poison every sum it
+    # enters, also after it is deleted again
+    {
+        "add": "({0} + {1})", "mul": "({0} * {1})", "sub": "({0} - {1})", "is_zero": "({0} == 0.0)",
+        "admits": "(type({0}) is float and isfinite({0}))",
+    },
     name="real",
     zero=0.0,
     one=1.0,
     zero_divisor_free=True,
     zero_sum_free=False,
-    parse=_parse_real,
+    parser=_real_parser,
     format=repr,
-    admits=_is_real,
 )
 
 _TROPICAL_MIN = _builtin(
     # no sub: min has no inverse, so the dynamic engine rejects it
-    {"add": "min({0}, {1})", "mul": "({0} + {1})", "is_zero": "({0} == inf)"},
+    {
+        "add": "min({0}, {1})", "mul": "({0} + {1})", "is_zero": "({0} == inf)",
+        "admits": "(type({0}) is float and -inf < {0})",
+    },
     name="tropical-min",
     zero=math.inf,
     one=0.0,
     zero_divisor_free=True,
     zero_sum_free=True,
-    parse=_parse_tropical,
+    parser=_tropical_parser,
     format=lambda v: "inf" if v == math.inf else repr(v),
-    admits=_is_tropical,
 )
 
 _BUILTINS = {s.name: s for s in (_BOOLEAN, _NATURAL, _REAL, _TROPICAL_MIN)}

@@ -24,10 +24,10 @@ of the streamed 2-child nodes above it: Yannakakis' bottom-up pass,
 pipelined up to its pipeline breakers (Neumann, VLDB 2011).  That loop is
 generated per stored node as straight-line Python (``scan_source``), with
 its lookups hoisted and written as tuple displays and the semiring's
-operators written out; a stored leaf whose tuples are their own keys is a
-plain copy of its entries.  A guarded plan stores every node below the
-connex region and on its frontier, since an update looks up both children
-of a 2-child node.
+operators written out; a stored leaf whose tuples are their own keys is
+its database entries themselves, not a copy.  A guarded plan stores every
+node below the connex region and on its frontier, since an update looks up
+both children of a 2-child node.
 
 Enumeration then walks only the connex region of the plan.  Navigation there
 is driven by *candidate* structures built on tuple support, not on aggregated
@@ -61,7 +61,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .codegen import compile_source, display, project
 from .errors import CapabilityError, ClassificationError, VocabularyError
-from .kdata import AnnotatedRelation, Database, DataTuple
+from .kdata import AnnotatedRelation, Database, DataTuple, SingleTupleUpdate
 from .planner import QueryPlan, build_fc_plan
 from .query import ConjunctiveQuery, QuerySplit, split
 from .semiring import SemiringDescriptor, Value, sum_of_ones
@@ -78,7 +78,9 @@ class EnumerationState:
     semiring: SemiringDescriptor
     db: Database
     # per plan node in ``plan.stored``: its node relation, keyed in
-    # ``plan.order``
+    # ``plan.order``; a leaf whose tuples are their own keys has the
+    # database's entries, so the database changes only through
+    # ``dynamic_engine.dyn_update`` while a state over it is in use
     relations: Dict[int, Dict[DataTuple, Value]] = field(default_factory=dict)
     # connex navigation structures; only the keys of a candidate set count:
     # a frontier node's is its relation, a projection's its child's group
@@ -95,9 +97,10 @@ class EnumerationState:
     walk: Optional[Callable] = field(default=None, repr=False)
     # a dynamic state's (``dynamic_engine.dyn_preprocess``), empty otherwise:
     # per stored projection, parent tuple -> its number of child tuples; per
-    # relation symbol, ``update(t, old, new)`` along its plan leaves' paths
+    # relation symbol, ``update(u)``, its apply step, which writes the
+    # database and carries the change along its plan leaves' paths
     accs: Dict[int, Dict[DataTuple, int]] = field(default_factory=dict)
-    paths: Dict[str, Callable[[DataTuple, Optional[Value], Optional[Value]], None]] = field(default_factory=dict)
+    paths: Dict[str, Callable[[SingleTupleUpdate], None]] = field(default_factory=dict)
     version: int = 0
 
 
@@ -139,8 +142,9 @@ def plan_sources(
 ) -> Tuple[str, Dict[int, str]]:
     """The sources preprocessing compiles for ``q`` over ``plan`` (None
     without relational atoms) and the semiring ``s``: the walk's, and in
-    node order the scan's of each stored node that is not a plain copy of a
-    leaf's entries, the leaf's tuples being their own keys (``leaf_key``)."""
+    node order the scan's of each stored node that is not a leaf's database
+    entries themselves, the leaf's tuples being their own keys
+    (``leaf_key``)."""
     sp = split(q)
     nodes = sorted(plan.nodes.items()) if plan is not None else []
     keys = {nid: key for nid, node in nodes if node.is_leaf and (key := leaf_key(sp, plan, nid)) is not None}
@@ -191,9 +195,9 @@ def preprocess_with_plan(
 def _bottom_up(state: EnumerationState, scans: Dict[int, Callable]) -> None:
     """Build the stored node relations (``plan.stored``) in postorder: each
     by its compiled ``scan_source``, given the database entries of every
-    leaf, or else as a plain copy of its own entries.  A leaf's relation
-    symbol must be in the database, at the atom's arity (``VocabularyError``
-    otherwise)."""
+    leaf, or else, a leaf whose tuples are their own keys, as its database
+    entries themselves.  A leaf's relation symbol must be in the database,
+    at the atom's arity (``VocabularyError`` otherwise)."""
     plan, db = state.plan, state.db
     entries = {}
     for nid, node in plan.nodes.items():
@@ -208,7 +212,7 @@ def _bottom_up(state: EnumerationState, scans: Dict[int, Callable]) -> None:
     for nid in plan.postorder():
         if nid in plan.stored:
             scan = scans.get(nid)
-            state.relations[nid] = dict(entries[nid]) if scan is None else scan(state, entries)
+            state.relations[nid] = entries[nid] if scan is None else scan(state, entries)
 
 
 def scan_source(plan: QueryPlan, nid: int, keys: Dict[int, str], s: SemiringDescriptor) -> str:

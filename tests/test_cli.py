@@ -676,6 +676,7 @@ def test_matlang_eval_json_reports_used_engine(tmp_path, capsys):
 
 def test_plan_json_reports_the_update_paths(tmp_path, capsys):
     from deltaenum.dynamic_engine import update_source
+    from deltaenum.kdata import apply_source
     from deltaenum.planner import build_guarded_plan
     from deltaenum.query import parse_query, split
     from deltaenum.semiring import builtin_semiring
@@ -684,7 +685,8 @@ def test_plan_json_reports_the_update_paths(tmp_path, capsys):
     text = "H(x) :- R(x,y), R(x,x), S(x)."
     q = write(tmp_path / "q.cq", text)
     assert main(["plan", q, "--json"]) == 0
-    assert "updates" not in json.loads(capsys.readouterr().out)
+    report = json.loads(capsys.readouterr().out)
+    assert "updates" not in report and "applies" not in report
     assert main(["plan", q, "--json", "--guarded"]) == 0
     report = json.loads(capsys.readouterr().out)
     plan = build_guarded_plan(parse_query(text))
@@ -702,6 +704,8 @@ def test_plan_json_reports_the_update_paths(tmp_path, capsys):
     assert report["updates"] == want
     assert report["updates"]["R"].count("def make(") == 2
     assert report["updates"]["R"].count(f"k{keyed} = {keys[keyed]}\n") == 1
+    # one apply step per symbol, for its arity
+    assert report["applies"] == {"R": apply_source(2, natural), "S": apply_source(1, natural)}
 
 
 @pytest.mark.parametrize("semiring", ["natural", "tropical-min"])
@@ -714,8 +718,8 @@ def test_plan_json_prints_update_paths_only_for_sum_maintainable_semirings(tmp_p
     assert main(["plan", q, "--json", "--guarded", "--semiring", semiring]) == 0
     report = json.loads(capsys.readouterr().out)
     maintainable = builtin_semiring(semiring).sum_maintainable
-    assert ("updates" in report) == maintainable == (semiring == "natural")
-    for source in report.get("updates", {}).values():
+    assert ("updates" in report) == ("applies" in report) == maintainable == (semiring == "natural")
+    for source in [*report.get("updates", {}).values(), *report.get("applies", {}).values()]:
         compile(source, "<updates>", "exec")
     assert report["walk"] and report["scans"]
 
@@ -756,12 +760,14 @@ def test_plan_json_prints_what_preprocessing_compiles(tmp_path, capsys, monkeypa
         argv = ["plan", write(tmp_path / "q.cq", q.to_text()), "--json", "--semiring", s.name]
         assert main(argv + ["--guarded"] * guarded) == 0
         report = json.loads(capsys.readouterr().out)
-        # preprocessing compiles exactly the printed sources: the update
-        # paths last, symbol by symbol, and the others in any order
-        updates = [source for source in compiled if source.startswith("def make(state):")]
-        rest = [source for source in compiled if source not in updates]
-        assert "\n".join(updates) == "\n".join(report.get("updates", {}).values()), q.to_text()
-        assert compiled[len(rest):] == updates
+        # preprocessing compiles exactly the printed sources: last, symbol
+        # by symbol, the update paths of its leaves and then its apply step,
+        # and the others in any order
+        dynamic = [source for source in compiled if source.startswith("def make(")]
+        rest = [source for source in compiled if source not in dynamic]
+        printed = [report[part][symbol] for symbol in report.get("updates", {}) for part in ("updates", "applies")]
+        assert "\n".join(dynamic) == "\n".join(printed), q.to_text()
+        assert compiled[len(rest):] == dynamic
         assert sorted(rest) == sorted([report["walk"], *report["scans"].values()])
         # every key expression is written inline in a compiled source
         plan, sp = state.plan, split(q)
@@ -769,7 +775,7 @@ def test_plan_json_prints_what_preprocessing_compiles(tmp_path, capsys, monkeypa
         keys = [key for key in keys if key is not None]
         assert all(any(f" = {key}\n" in source for source in compiled) for key in keys), q.to_text()
         assert compile_source(report["walk"], "walk") is state.walk
-        assert set(report.get("updates", {})) == set(state.paths)
+        assert set(report.get("updates", {})) == set(report.get("applies", {})) == set(state.paths)
         keyed += len(keys)
         scanned += len(report["scans"])
     assert keyed and scanned  # some drawn leaf is not its own key, some node is scanned

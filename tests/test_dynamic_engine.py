@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import random
@@ -13,8 +14,8 @@ from deltaenum.dynamic_engine import (
     update_sources,
     verify_dynamic_invariants,
 )
-from deltaenum.errors import CapabilityError, ClassificationError, SchemaError, VocabularyError
-from deltaenum.kdata import SingleTupleUpdate
+from deltaenum.errors import CapabilityError, ClassificationError, EngineError, SchemaError, VocabularyError
+from deltaenum.kdata import SingleTupleUpdate, apply_source, apply_update
 from deltaenum.oracle import oracle_eval_cq
 from deltaenum.planner import build_guarded_plan
 from deltaenum.query import parse_query, split
@@ -511,18 +512,26 @@ def leaves_by_symbol(plan):
     return out
 
 
-def leaf_paths(path):
-    """The per-leaf updates of a symbol's compiled path: the path itself, or
-    the updates its chain runs."""
-    chained = [cell.cell_contents for cell in path.__closure__ if isinstance(cell.cell_contents, tuple)]
+def closure(f):
+    """What the function ``f`` closes over, by name."""
+    return {name: cell.cell_contents for name, cell in zip(f.__code__.co_freevars, f.__closure__ or ())}
+
+
+def leaf_paths(apply):
+    """The per-leaf updates that a symbol's compiled apply step calls: its
+    path itself, or the updates its chain runs."""
+    path = closure(apply)["path"]
+    chained = [v for v in closure(path).values() if isinstance(v, tuple)]
     return list(chained[0]) if chained else [path]
 
 
 def assert_paths_hold_the_states_own_dicts(state):
-    """One compiled path per relation symbol of the plan, with one update per
-    plan leaf of that symbol; every dict an update closes over is one of the
-    state's own, the relation of its leaf among them."""
-    plan = state.plan
+    """One compiled apply step per relation symbol of the plan, over the
+    symbol's database entries, calling one update per plan leaf of that
+    symbol; every dict an update closes over is one of the state's own.  A
+    leaf whose tuples are their own keys has the database's entries as its
+    relation; any other leaf's update holds its relation."""
+    plan, sp = state.plan, split(state.query)
     own = {
         id(d)
         for store in (state.relations, state.candidates, state.groups, state.accs)
@@ -530,12 +539,17 @@ def assert_paths_hold_the_states_own_dicts(state):
     }
     assert set(state.paths) == {atom.symbol for atom in plan.atoms}
     for symbol, leaves in leaves_by_symbol(plan).items():
+        entries = state.db.relations[symbol].entries
+        assert closure(state.paths[symbol])["entries"] is entries
         updates = leaf_paths(state.paths[symbol])
         assert len(updates) == len(leaves)
         for leaf, update in zip(leaves, updates):
-            held = [cell.cell_contents for cell in update.__closure__ if isinstance(cell.cell_contents, dict)]
+            held = [v for v in closure(update).values() if isinstance(v, dict)]
             assert {id(d) for d in held} <= own
-            assert any(d is state.relations[leaf] for d in held)
+            if leaf_key(sp, plan, leaf) is None:
+                assert state.relations[leaf] is entries
+            else:
+                assert any(d is state.relations[leaf] for d in held)
 
 
 @pytest.mark.parametrize(
@@ -596,11 +610,15 @@ def test_generated_paths_over_a_seeded_stream(text, sname):
         assert got == answers(oracle_eval_cq(q, db).entries.items()), step
 
 
-# every name that ``update_source`` writes, besides Python keywords, the
-# numbered names of its keys, values and hoisted dicts, and TEMPLATE_NAMES
+# every name that ``update_source`` and ``kdata.apply_source`` write,
+# besides Python keywords, the numbered names of their keys, values and
+# hoisted dicts, and TEMPLATE_NAMES; the builtins' ``admits`` templates write
+# the last line
 UPDATE_NAMES = {
     "make", "state", "bounds", "s", "semiring", "add", "sub", "mul", "is_zero", "zero",
     "relations", "accs", "candidates", "update", "t", "old", "new", "n", "x", "b", "get", "True",
+    "entries", "path", "reject", "u", "tuple", "len", "kind", "INSERT", "value", "a", "admits",
+    "type", "int", "float", "bool", "isfinite",
 }
 
 
@@ -631,6 +649,9 @@ def test_no_query_text_reaches_the_update_paths():
         assert sources == [source for by_leaf in plain_sources for source in by_leaf.values()]
         for source in sources:
             assert_fixed_names(source, UPDATE_NAMES | TEMPLATE_NAMES, r"[acknorv][0-9]+")
+        # the apply step of each symbol, written for its arity alone
+        for arity in sorted({len(atom.args) for atom in q.relational_atoms}):
+            assert_fixed_names(apply_source(arity, s), UPDATE_NAMES | TEMPLATE_NAMES, r"$^")
 
 
 # the integers shifted by -1, a ring whose zero is -1 and whose one is 0, so
@@ -741,3 +762,92 @@ def test_dyn_update_streams_keep_every_invariant_after_every_update(case):
         # dyadic annotations keep every sum and product exact in any order
         fresh = dict(enumerate_state(preprocess(q, db.copy())))
         assert dict(got) == fresh == oracle_eval_cq(q, db).entries, step
+
+
+# the update_stream query over a database that also has a relation outside it
+PARITY_DB = {**QH_DB, "Z": (1, {(2,): 1})}
+# the shifted integers with an ``admits`` of their own, which generated code
+# calls by name
+SHIFTED_INTS = dataclasses.replace(SHIFTED, name="shifted-ints", admits=lambda v: type(v) is int)
+
+
+@pytest.mark.parametrize(
+    "semiring, updates",
+    [
+        (NAT, [SingleTupleUpdate("insert", "S", (1, 2, 3), 1)]),  # arity
+        (NAT, [SingleTupleUpdate("delete", "R", (1, 0, 2))]),  # a data value of 0
+        (NAT, [SingleTupleUpdate("insert", "U", (1,), -1)]),
+        (NAT, [SingleTupleUpdate("insert", "S", (1, 2), True)]),
+        (REAL, [SingleTupleUpdate("insert", "S", (1, 2), math.nan)]),
+        (REAL, [SingleTupleUpdate("insert", "U", (4,), math.inf)]),
+        # each value is a real annotation, but the second insert's sum is not
+        (REAL, [SingleTupleUpdate("insert", "R", (3, 1, 1), 1e308)] * 2),
+        (NAT, [SingleTupleUpdate("insert", "T", (1,), 1)]),  # an unknown symbol
+        (NAT, [SingleTupleUpdate("insert", "Z", (2, 1), 1)]),  # outside the query
+        (SHIFTED, [SingleTupleUpdate("insert", "U", (0,), 1)]),  # no templates
+        (SHIFTED_INTS, [SingleTupleUpdate("insert", "S", (1, 3), 0.5)]),
+    ],
+)
+def test_a_rejected_update_raises_what_apply_update_raises(semiring, updates):
+    # the apply step hands every update it does not take to apply_update,
+    # before it writes anything
+    *accepted, update = updates
+    relations = PARITY_DB
+    if semiring is REAL:
+        relations = {n: (a, {t: float(k) for t, k in e.items()}) for n, (a, e) in PARITY_DB.items()}
+    db = make_db(semiring, relations)
+    state = dyn_preprocess(parse_query(QH), db)
+    for u in accepted:
+        dyn_update(state, u)
+    with pytest.raises(EngineError) as want:
+        apply_update(db.copy(), update)
+    before = state_snapshot(state)
+    with pytest.raises(type(want.value)) as got:
+        dyn_update(state, update)
+    assert str(got.value) == str(want.value)
+    assert state_snapshot(state) == before
+    assert verify_dynamic_invariants(state) == []
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        QH,
+        # self-joins: two leaves of R share the database's entries, and the
+        # second and third queries read one of them as the other's 2-child
+        # sibling, the first below the connex region, the others on it
+        "H(x,y) :- R(x,y), S(x,y), R(x,y).",
+        "H(x,y) :- R(x,y), U(x), R(x,y).",
+        # a keyed leaf of R whose sibling is R's entries
+        "H(x,y) :- R(y,x), U(x), R(x,y).",
+    ],
+)
+@pytest.mark.parametrize("sname", ["natural", "real"])
+def test_identity_leaves_are_the_databases_entries(text, sname):
+    semiring = builtin_semiring(sname)
+    q = parse_query(text)
+    rng = random.Random(2401 + len(text) + len(sname))
+    db = random_db_for_query(rng, q, semiring, max_tuples=12, domain=3)
+    sp = split(q)
+
+    def shared(state):
+        """The stored leaves whose tuples are their own keys, each asserted
+        to hold its symbol's database entries as its relation."""
+        plan = state.plan
+        leaves = [n for n in plan.stored if plan.nodes[n].is_leaf and leaf_key(sp, plan, n) is None]
+        for n in leaves:
+            assert state.relations[n] is db.relations[plan.atoms[plan.nodes[n].atom_index].symbol].entries
+        return leaves
+
+    assert shared(preprocess(q, db))
+    state = dyn_preprocess(q, db)
+    leaves = shared(state)
+    if text != QH:
+        assert len(leaves_by_symbol(state.plan)["R"]) == 2
+    for step in range(200):
+        dyn_update(state, random_update(rng, q, db, semiring, domain=3))
+        assert shared(state) == leaves, step
+    assert verify_dynamic_invariants(state) == []
+    # quarters keep every real sum and product exact in any order
+    assert list(dyn_enumerate(state))
+    assert dict(dyn_enumerate(state)) == dict(enumerate_state(preprocess(q, db.copy())))
