@@ -72,12 +72,7 @@ def cmd_plan(args) -> int:
     q = _read_query(args.query)
     plan = build_guarded_plan(q) if args.guarded else build_fc_plan(q)
     if plan is None:
-        print(
-            "no plan: query is "
-            + ("not q-hierarchical" if args.guarded else "not free-connex")
-            + " or has no relational atoms",
-            file=sys.stderr,
-        )
+        print(f"no plan: query is not {'q-hierarchical' if args.guarded else 'free-connex'}", file=sys.stderr)
         return 1
     nodes = []
     for nid in sorted(plan.nodes):
@@ -95,15 +90,17 @@ def cmd_plan(args) -> int:
     report = {"query": q.to_text(), "guarded": plan.guarded, "root": plan.root, "nodes": nodes}
     # the sources that preprocessing compiles for this query, plan and semiring
     semiring = builtin_semiring(args.semiring)
-    report["walk"], scans = plan_sources(q, plan, semiring)
+    report["walk"], scans = plan_sources(plan, semiring)
     report["scans"] = {str(nid): source for nid, source in scans.items()}
+    # ``bounds[i]`` in the sources is the least constant bounding the i-th of these
+    report["bounds"] = list(plan.bounded)
     # the dynamic engine refuses a semiring that is not sum-maintainable
     if plan.guarded and semiring.sum_maintainable:
         from .dynamic_engine import update_sources
         from .kdata import apply_source
 
         report["updates"] = {
-            symbol: "\n".join(sources.values()) for symbol, sources in update_sources(q, plan, semiring).items()
+            symbol: "\n".join(sources.values()) for symbol, sources in update_sources(plan, semiring).items()
         }
         arity = {atom.symbol: len(atom.args) for atom in plan.atoms}
         report["applies"] = {symbol: apply_source(arity[symbol], semiring) for symbol in report["updates"]}

@@ -35,7 +35,9 @@ once (``codegen.compile_source`` caches them), and the state's ``paths``
 holds one apply step per relation symbol.  ``dyn_update`` makes one call
 per update, to its symbol's apply step; an update that the step does not
 take, and one to a symbol outside the query, goes through
-``kdata.apply_update``, the reference, which raises the error.
+``kdata.apply_update``, the reference, which raises the error.  A query
+without relational atoms has the guarded plan with no nodes, so its state
+has no apply step and no update changes its answers.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .codegen import compile_source, project
 from .errors import CapabilityError, ClassificationError
 from .kdata import Database, DataTuple, SingleTupleUpdate, apply_source, apply_update
 from .planner import QueryPlan, build_guarded_plan
-from .query import ConjunctiveQuery, split
+from .query import ConjunctiveQuery
 from .semiring import SemiringDescriptor, Value
 from .static_engine import EnumerationState, enumerate_state, leaf_key, preprocess_with_plan
 
@@ -68,21 +70,18 @@ def dyn_preprocess(q: ConjunctiveQuery, db: Database) -> EnumerationState:
             f"dynamic maintenance needs a sum-maintainable semiring, not {s.name!r}"
         )
     plan = build_guarded_plan(q)
-    if plan is None and q.relational_atoms:
+    if plan is None:
         raise ClassificationError(
             f"query is not q-hierarchical (static evaluation is still available): {q.to_text()}"
         )
     state = preprocess_with_plan(q, db, plan)
-    plan = state.plan
-    if plan is None:
-        return state
     for p in plan.postorder():
         children = plan.nodes[p].children
         if p in plan.stored and len(children) == 1:
             c = children[0]
             state.accs[p] = dict(Counter(map(plan.key[c], state.relations[c])))
     reject = partial(apply_update, db)
-    for symbol, sources in update_sources(q, plan, s).items():
+    for symbol, sources in update_sources(plan, s).items():
         updates = [compile_source(source, "make")(state) for source in sources.values()]
         path = updates[0] if len(updates) == 1 else _chain(tuple(updates))
         rel = db.relations[symbol]
@@ -90,14 +89,13 @@ def dyn_preprocess(q: ConjunctiveQuery, db: Database) -> EnumerationState:
     return state
 
 
-def update_sources(q: ConjunctiveQuery, plan: QueryPlan, s: SemiringDescriptor) -> Dict[str, Dict[int, str]]:
+def update_sources(plan: QueryPlan, s: SemiringDescriptor) -> Dict[str, Dict[int, str]]:
     """Per relation symbol, the ``update_source`` of each of its leaves in
-    the guarded ``plan`` of ``q`` over the semiring ``s``, in postorder,
-    each given as ``later`` the leaves of its symbol after it whose tuples
-    are their own keys."""
-    sp = split(q)
+    the guarded ``plan`` over the semiring ``s``, in postorder, each given
+    as ``later`` the leaves of its symbol after it whose tuples are their
+    own keys."""
     leaves = [nid for nid in plan.postorder() if plan.nodes[nid].is_leaf]
-    keys = {nid: leaf_key(sp, plan, nid) for nid in leaves}
+    keys = {nid: leaf_key(plan, nid) for nid in leaves}
     symbols = {nid: plan.atoms[plan.nodes[nid].atom_index].symbol for nid in leaves}
     out: Dict[str, Dict[int, str]] = {}
     for i, nid in enumerate(leaves):
@@ -244,14 +242,12 @@ def verify_dynamic_invariants(state: EnumerationState) -> List[str]:
 
     problems = verify_node_invariants(state)
     plan = state.plan
-    if plan is None:
-        return problems
     for nid, counts in state.accs.items():
         c = plan.nodes[nid].children[0]
         if counts != dict(Counter(map(plan.key[c], state.relations[c]))):
             problems.append(f"node {nid}: member counts mismatch")
     # candidate sets against a fresh recomputation
-    fresh = preprocess_with_plan(state.query, state.db, plan)
+    fresh = preprocess_with_plan(plan.query, state.db, plan)
     for nid in plan.connex:
         if set(fresh.candidates.get(nid, {})) != set(state.candidates.get(nid, {})):
             problems.append(f"node {nid}: candidate set mismatch")

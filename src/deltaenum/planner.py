@@ -4,17 +4,19 @@
 variables before the free ones and yields a binary node-labeled plan with
 guards and a sibling-closed connex node set: the free-connex plan of the
 static engine (``build_fc_plan``) or the guarded plan of the dynamic engine
-(``build_guarded_plan``).  It is the package's only acyclicity test:
-``classify`` reads acyclicity, free-connexity and q-hierarchy off whether a
-plan exists.
+(``build_guarded_plan``).  Every query that has a plan gets one, and a query
+without relational atoms gets the plan with no nodes.  It is the package's
+only acyclicity test: ``classify`` reads acyclicity, free-connexity and
+q-hierarchy off whether a plan exists.
 
 Every plan keeps two invariants, which ``verify_plan`` checks: no node is an
 identity copy (a single-child node with its child's variables), and the first
 child of every 2-child node (its guard) carries the node's variables.  The
 layout the engines read -- each node's variable order, the projection
 positions and key getter of each edge, the connex frontier, the levels of
-the connex walk and the nodes whose relations preprocessing stores -- is
-fixed once, when the plan is built.
+the connex walk, the nodes whose relations preprocessing stores, and the
+inequality layout read off the query's one ``query.split`` -- is fixed once,
+when the plan is built.
 
 All constructions are deterministic: ties are broken by atom order and by
 sorted variable names, so plan dumps are reproducible.
@@ -26,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .query import ConjunctiveQuery, RelAtom, has_self_join, is_constant_disjoint, split
+from .query import ConjunctiveQuery, QuerySplit, RelAtom, has_self_join, is_constant_disjoint, split
 
 VarSet = FrozenSet[str]
 TupleGetter = Callable[[tuple], tuple]
@@ -106,11 +108,22 @@ class QueryPlan:
     and the second child of each 2-child node, which is looked up by key:
     a leaf or 2-child node that is a guard child or a projection's only
     child is read by one scan, and streams.
+
+    A query without relational atoms has the plan with no nodes: no root,
+    no levels, nothing stored.  The inequality layout of ``query`` is read
+    off its split: ``bounded`` lists its inequality variables, sorted, and
+    ``EnumerationState.bounds[i]`` is the least constant that bounds
+    ``bounded[i]``; ``covered[i]`` lists, sorted, the variables of the
+    inequalities the atom ``atoms[i]`` covers; ``ranges`` lists the free
+    uncovered ones, the walk's free ranges, in head order; and ``summed``
+    the bound uncovered ones, whose valuations ``EnumerationState.factor``
+    counts.
     """
 
+    query: ConjunctiveQuery
     atoms: Tuple[RelAtom, ...]
     nodes: Dict[int, PlanNode]
-    root: int
+    root: Optional[int]  # None without relational atoms
     connex: Set[int]
     guarded: bool
     order: Dict[int, Tuple[str, ...]] = field(default_factory=dict)
@@ -119,6 +132,10 @@ class QueryPlan:
     frontier: FrozenSet[int] = frozenset()
     levels: Tuple[Level, ...] = ()
     stored: FrozenSet[int] = frozenset()
+    bounded: Tuple[str, ...] = ()
+    covered: Tuple[Tuple[str, ...], ...] = ()
+    ranges: Tuple[str, ...] = ()
+    summed: Tuple[str, ...] = ()
 
     def vars(self, node_id: int) -> VarSet:
         node = self.nodes[node_id]
@@ -128,7 +145,7 @@ class QueryPlan:
 
     def postorder(self) -> List[int]:
         out: List[int] = []
-        stack: List[Tuple[int, bool]] = [(self.root, False)]
+        stack: List[Tuple[int, bool]] = [(self.root, False)] if self.nodes else []
         while stack:
             nid, expanded = stack.pop()
             if expanded:
@@ -146,14 +163,15 @@ class QueryPlan:
         return frozenset(out)
 
 
-def _finalize(plan: QueryPlan, free: VarSet) -> QueryPlan:
+def _finalize(plan: QueryPlan, sp: QuerySplit) -> QueryPlan:
     """Fix the plan's layout; the engines only read it.
 
     When the root's label already covers the free variables, N = {root}: the
     root relation then materializes the full relational answer and
-    enumeration degenerates to a scan.
+    enumeration degenerates to a scan.  The inequality layout is read off
+    ``sp``, the split of the plan's query.
     """
-    if plan.vars(plan.root) == free:
+    if plan.nodes and plan.vars(plan.root) == frozenset(sp.rel_part.head_vars):
         plan.connex = {plan.root}
     for nid, node in plan.nodes.items():
         plan.order[nid] = tuple(sorted(plan.vars(nid)))
@@ -169,8 +187,13 @@ def _finalize(plan: QueryPlan, free: VarSet) -> QueryPlan:
     plan.frontier = frozenset(
         nid for nid in plan.connex if not any(c in plan.connex for c in plan.nodes[nid].children)
     )
-    plan.levels = _cut_walk(plan)
+    plan.levels = _cut_walk(plan) if plan.nodes else ()
     plan.stored = _stored(plan)
+    plan.bounded = tuple(sorted({ineq.var for ineq in plan.query.inequality_atoms}))
+    plan.covered = tuple(tuple(sorted({ineq.var for ineq in sp.covered[i]})) for i in range(len(plan.atoms)))
+    plan.ranges = sp.ineq_part.head_vars
+    ranged_or_covered = set(plan.ranges).union(*plan.covered)
+    plan.summed = tuple(v for v in plan.bounded if v not in ranged_or_covered)
     return plan
 
 
@@ -224,9 +247,9 @@ def _cut_walk(plan: QueryPlan) -> Tuple[Level, ...]:
 
 
 def build_plan(q: ConjunctiveQuery, guarded: bool) -> Optional[QueryPlan]:
-    """Plan for the relational part of ``q`` by a two-phase GYO reduction, or
-    None when it has no relational atoms or is not free-connex (not
-    q-hierarchical, when ``guarded``).
+    """Plan for ``q`` by a two-phase GYO reduction of its relational part, or
+    None when it is not free-connex (not q-hierarchical, when ``guarded``).
+    A query without relational atoms has the plan with no nodes.
 
     Each relational atom starts as a leaf in a list of roots, which two steps
     shrink until one root is left:
@@ -245,11 +268,9 @@ def build_plan(q: ConjunctiveQuery, guarded: bool) -> Optional[QueryPlan]:
     projects the last root.  The connex set is the top subtree of the nodes
     whose variables lie within the free ones.
     """
-    rel = split(q).rel_part
-    if not rel.relational_atoms:
-        return None
-    free = frozenset(rel.head_vars)
-    plan = QueryPlan(rel.relational_atoms, {}, -1, set(), guarded)
+    sp = split(q)
+    free = frozenset(sp.rel_part.head_vars)
+    plan = QueryPlan(q, sp.rel_part.relational_atoms, {}, None, set(), guarded)
 
     def add(label: Optional[VarSet], atom_index: Optional[int], children: List[int]) -> int:
         nid = len(plan.nodes)
@@ -288,14 +309,14 @@ def build_plan(q: ConjunctiveQuery, guarded: bool) -> Optional[QueryPlan]:
         pass
     if len(roots) > 1:
         return None
-    plan.root = roots[0]
-    stack = [plan.root]
+    plan.root = roots[0] if roots else None
+    stack = list(roots)
     while stack:
         nid = stack.pop()
         if plan.vars(nid) <= free:
             plan.connex.add(nid)
             stack.extend(plan.nodes[nid].children)
-    return _finalize(plan, free)
+    return _finalize(plan, sp)
 
 
 def build_fc_plan(q: ConjunctiveQuery) -> Optional[QueryPlan]:
@@ -330,15 +351,15 @@ def classify(q: ConjunctiveQuery) -> QueryClass:
     its relational part has a plan with every variable free, free-connex
     when it has a free-connex plan, q-hierarchical when it has a guarded one
     (Berkholz, Keppeler and Schweikardt, PODS 2017).  A query without
-    relational atoms is in all three classes; inequality atoms are unary and
-    never affect them."""
+    relational atoms has the plan with no nodes, so it is in all three
+    classes; inequality atoms are unary and never affect them."""
     rel = q.relational_atoms
     rel_vars = tuple(sorted(frozenset().union(*(a.vars for a in rel))))
     every_var = ConjunctiveQuery(q.head_symbol, rel_vars, rel)
     return QueryClass(
-        acyclic=not rel or build_plan(every_var, False) is not None,
-        free_connex=not rel or build_plan(q, False) is not None,
-        q_hierarchical=not rel or build_plan(q, True) is not None,
+        acyclic=build_plan(every_var, False) is not None,
+        free_connex=build_plan(q, False) is not None,
+        q_hierarchical=build_plan(q, True) is not None,
         constant_disjoint=is_constant_disjoint(q)[0],
         self_join_free=not has_self_join(q),
     )
@@ -384,7 +405,7 @@ def verify_plan(plan: QueryPlan, rel_part: ConjunctiveQuery) -> List[str]:
     nodes = plan.nodes
 
     reachable: Set[int] = set()
-    stack = [plan.root]
+    stack = [plan.root] if plan.nodes else []
     while stack:
         nid = stack.pop()
         if nid in reachable:
@@ -432,7 +453,7 @@ def verify_plan(plan: QueryPlan, rel_part: ConjunctiveQuery) -> List[str]:
     for v in disconnected_variables(bags, edges):
         problems.append(f"variable {v} is not connected in the plan")
 
-    if plan.root not in plan.connex:
+    if plan.nodes and plan.root not in plan.connex:
         problems.append("connex set misses the root")
     for nid in plan.connex:
         node = nodes[nid]

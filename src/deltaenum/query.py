@@ -64,22 +64,6 @@ class ConjunctiveQuery:
     atoms: Tuple[Atom, ...]
 
     @property
-    def free_vars(self) -> FrozenSet[str]:
-        return frozenset(self.head_vars)
-
-    @property
-    def bound_vars(self) -> Tuple[str, ...]:
-        """Quantified variables in first-occurrence order."""
-        head = set(self.head_vars)
-        seen: List[str] = []
-        for a in self.atoms:
-            args = a.args if isinstance(a, RelAtom) else (a.var,)
-            for v in args:
-                if v not in head and v not in seen:
-                    seen.append(v)
-        return tuple(seen)
-
-    @property
     def relational_atoms(self) -> Tuple[RelAtom, ...]:
         return tuple(a for a in self.atoms if isinstance(a, RelAtom))
 
@@ -308,20 +292,15 @@ def split(q: ConjunctiveQuery) -> QuerySplit:
         else:
             uncovered.append(ineq)
 
-    # rel head: head order with duplicates removed, restricted to relational vars
-    seen: List[str] = []
-    for v in q.head_vars:
-        if v in rel_vars and v not in seen:
-            seen.append(v)
-    rel_part = ConjunctiveQuery(REL_HEAD, tuple(seen), rel_atoms)
+    # each part's head: the head in order, duplicates dropped, restricted
+    # to the part's variables
+    rel_head = tuple(dict.fromkeys(v for v in q.head_vars if v in rel_vars))
+    rel_part = ConjunctiveQuery(REL_HEAD, rel_head, rel_atoms)
 
     if uncovered:
         uncovered_vars = {i.var for i in uncovered}
-        useen: List[str] = []
-        for v in q.head_vars:
-            if v in uncovered_vars and v not in useen:
-                useen.append(v)
-        ineq_part = ConjunctiveQuery(INEQ_HEAD, tuple(useen), tuple(uncovered))
+        ineq_head = tuple(dict.fromkeys(v for v in q.head_vars if v in uncovered_vars))
+        ineq_part = ConjunctiveQuery(INEQ_HEAD, ineq_head, tuple(uncovered))
     else:
         ineq_part = ConjunctiveQuery(INEQ_HEAD, (), (IneqAtom("x", "1"),))
 

@@ -29,13 +29,17 @@ its database entries themselves, not a copy.  A guarded plan stores every
 node below the connex region and on its frontier, since an update looks up
 both children of a 2-child node.
 
-Enumeration then walks only the connex region of the plan.  Navigation there
-is driven by *candidate* structures built on tuple support, not on aggregated
-annotations: over semirings with cancelling sums (the reals) an aggregated
-value can vanish while its extensions remain enumerable, and the connex
-variables are free, so no aggregation is allowed to prune them.  Only the
-keys of a candidate set count: a frontier node's candidate set is its
-relation, and a projection's is its child's extension group.
+Every query that preprocessing takes has a plan (``planner.build_plan``),
+which also fixes the inequality layout that the sources read; a query
+without relational atoms has the plan with no nodes, whose walk is its free
+inequality ranges alone.  Enumeration then walks only the connex region of
+the plan.  Navigation there is driven by *candidate* structures built on
+tuple support, not on aggregated annotations: over semirings with
+cancelling sums (the reals) an aggregated value can vanish while its
+extensions remain enumerable, and the connex variables are free, so no
+aggregation is allowed to prune them.  Only the keys of a candidate set
+count: a frontier node's candidate set is its relation, and a projection's
+is its child's extension group.
 
 The planner cuts the connex region into *levels* (``QueryPlan.levels``): the
 root's candidates, then one level per projection edge into a connex child,
@@ -63,7 +67,7 @@ from .codegen import compile_source, display, project
 from .errors import CapabilityError, ClassificationError, VocabularyError
 from .kdata import AnnotatedRelation, Database, DataTuple, SingleTupleUpdate
 from .planner import QueryPlan, build_fc_plan
-from .query import ConjunctiveQuery, QuerySplit, split
+from .query import ConjunctiveQuery
 from .semiring import SemiringDescriptor, Value, sum_of_ones
 
 
@@ -73,8 +77,10 @@ from .semiring import SemiringDescriptor, Value, sum_of_ones
 
 @dataclass
 class EnumerationState:
-    query: ConjunctiveQuery
-    plan: Optional[QueryPlan]  # None when the relational part is empty
+    """What preprocessing builds for the query of ``plan`` over ``db``, and
+    what its compiled sources read; the dynamic engine extends it."""
+
+    plan: QueryPlan  # with no nodes when the query has no relational atoms
     semiring: SemiringDescriptor
     db: Database
     # per plan node in ``plan.stored``: its node relation, keyed in
@@ -86,14 +92,14 @@ class EnumerationState:
     # a frontier node's is its relation, a projection's its child's group
     groups: Dict[int, Dict[DataTuple, Dict[DataTuple, bool]]] = field(default_factory=dict)
     candidates: Dict[int, Dict[DataTuple, object]] = field(default_factory=dict)
-    # per inequality variable of the query, in sorted order (``_bound_index``),
+    # per inequality variable of the query, in the order of ``plan.bounded``,
     # the least constant that bounds it; the covered leaf keys and the free
     # ranges of the walk read it by index
     bounds: Tuple[int, ...] = ()
     # the walk's constant factor: the sum of ones over the valuations of the
-    # bound uncovered inequality variables
+    # bound uncovered inequality variables (``plan.summed``)
     factor: Value = None
-    # the compiled ``walk_source`` of the query and plan: state -> answers
+    # the compiled ``walk_source`` of the plan: state -> answers
     walk: Optional[Callable] = field(default=None, repr=False)
     # a dynamic state's (``dynamic_engine.dyn_preprocess``), empty otherwise:
     # per stored projection, parent tuple -> its number of child tuples; per
@@ -104,20 +110,16 @@ class EnumerationState:
     version: int = 0
 
 
-def _bound_index(q: ConjunctiveQuery) -> Dict[str, int]:
-    """Per inequality variable of ``q``, its index in ``EnumerationState.bounds``."""
-    return {v: n for n, v in enumerate(sorted({ineq.var for ineq in q.inequality_atoms}))}
-
-
-def leaf_key(sp: QuerySplit, plan: QueryPlan, leaf: int) -> Optional[str]:
+def leaf_key(plan: QueryPlan, leaf: int) -> Optional[str]:
     """The source of the key expression of the plan ``leaf`` over a tuple
-    ``t`` of its relation, for the query ``sp`` splits; None when every
-    tuple is its own key, that is when the atom's variables are distinct and
-    in sorted order and it covers no inequality.
+    ``t`` of its relation; None when every tuple is its own key, that is
+    when the atom's variables are distinct and in sorted order and it covers
+    no inequality.
 
     A tuple matches its atom when the components at a repeated variable's
-    positions are equal and every inequality the atom covers holds, its
-    limit read off ``bounds`` (``EnumerationState.bounds``); its key lists
+    positions are equal and every inequality the atom covers
+    (``plan.covered``) holds, its limit read off ``bounds``
+    (``EnumerationState.bounds``, indexed like ``plan.bounded``); its key lists
     the values of the atom's distinct variables in sorted order, and a tuple
     that does not match has the key None.  Only fixed names and integer
     literals are written, no symbol of the query.
@@ -129,65 +131,54 @@ def leaf_key(sp: QuerySplit, plan: QueryPlan, leaf: int) -> Optional[str]:
         j = first.setdefault(arg, pos)
         if j != pos:
             misses.append(f"t[{pos}] != t[{j}]")
-    index = _bound_index(sp.query)
-    misses += [f"t[{first[v]}] > bounds[{index[v]}]" for v in sorted({ineq.var for ineq in sp.covered[i]})]
+    misses += [f"t[{first[v]}] > bounds[{plan.bounded.index(v)}]" for v in plan.covered[i]]
     if not misses and list(first) == sorted(first):
         return None
     key = project("t", [first[v] for v in sorted(first)], len(plan.atoms[i].args))
     return f"None if {' or '.join(misses)} else {key}" if misses else key
 
 
-def plan_sources(
-    q: ConjunctiveQuery, plan: Optional[QueryPlan], s: SemiringDescriptor
-) -> Tuple[str, Dict[int, str]]:
-    """The sources preprocessing compiles for ``q`` over ``plan`` (None
-    without relational atoms) and the semiring ``s``: the walk's, and in
-    node order the scan's of each stored node that is not a leaf's database
-    entries themselves, the leaf's tuples being their own keys
-    (``leaf_key``)."""
-    sp = split(q)
-    nodes = sorted(plan.nodes.items()) if plan is not None else []
-    keys = {nid: key for nid, node in nodes if node.is_leaf and (key := leaf_key(sp, plan, nid)) is not None}
+def plan_sources(plan: QueryPlan, s: SemiringDescriptor) -> Tuple[str, Dict[int, str]]:
+    """The sources preprocessing compiles for ``plan`` and the semiring
+    ``s``: the walk's, and in node order the scan's of each stored node that
+    is not a leaf's database entries themselves, the leaf's tuples being
+    their own keys (``leaf_key``)."""
+    nodes = sorted(plan.nodes.items())
+    keys = {nid: key for nid, node in nodes if node.is_leaf and (key := leaf_key(plan, nid)) is not None}
     scans = {
         nid: scan_source(plan, nid, keys, s)
         for nid, node in nodes
         if nid in plan.stored and (nid in keys or not node.is_leaf)
     }
-    return walk_source(sp, plan, s), scans
+    return walk_source(plan, s), scans
 
 
 def preprocess(q: ConjunctiveQuery, db: Database) -> EnumerationState:
     """Build the enumeration data structure; linear in the database size."""
     plan = build_fc_plan(q)
-    if plan is None and q.relational_atoms:
+    if plan is None:
         raise ClassificationError(f"query is not free-connex: {q.to_text()}")
     return preprocess_with_plan(q, db, plan)
 
 
-def preprocess_with_plan(
-    q: ConjunctiveQuery, db: Database, plan: Optional[QueryPlan]
-) -> EnumerationState:
-    """Preprocess over a caller-supplied plan (the dynamic engine passes a
-    guarded one); ``plan`` may be None only for an empty relational part."""
+def preprocess_with_plan(q: ConjunctiveQuery, db: Database, plan: QueryPlan) -> EnumerationState:
+    """Preprocess ``q`` over a caller-supplied plan of it (the dynamic
+    engine passes a guarded one)."""
     s = db.semiring
     if not s.zero_divisor_free:
         raise CapabilityError(
             f"static enumeration needs a zero-divisor-free semiring, not {s.name!r}"
         )
-    sp = split(q)
-    assert plan is not None or not sp.rel_part.relational_atoms
-    state = EnumerationState(q, plan if sp.rel_part.relational_atoms else None, s, db)
+    state = EnumerationState(plan, s, db)
     limits: Dict[str, int] = {}
     for ineq in q.inequality_atoms:
         c = db.constant(ineq.bound)
         limits[ineq.var] = min(limits.get(ineq.var, c), c)
-    state.bounds = tuple(limits[v] for v in _bound_index(q))
-    rel_vars = set().union(*(atom.vars for atom in q.relational_atoms))
-    state.factor = sum_of_ones(s, math.prod(c for v, c in limits.items() if v not in rel_vars and v not in q.head_vars))
-    walk, scans = plan_sources(q, state.plan, s)
-    if state.plan is not None:
-        _bottom_up(state, {nid: compile_source(source, "scan") for nid, source in scans.items()})
-        _build_connex_structures(state)
+    state.bounds = tuple(limits[v] for v in plan.bounded)
+    state.factor = sum_of_ones(s, math.prod(limits[v] for v in plan.summed))
+    walk, scans = plan_sources(plan, s)
+    _bottom_up(state, {nid: compile_source(source, "scan") for nid, source in scans.items()})
+    _build_connex_structures(state)
     state.walk = compile_source(walk, "walk")
     return state
 
@@ -299,14 +290,13 @@ def _build_connex_structures(state: EnumerationState) -> None:
 # Enumeration
 # ---------------------------------------------------------------------------
 
-def walk_source(sp: QuerySplit, plan: Optional[QueryPlan], s: SemiringDescriptor) -> str:
+def walk_source(plan: QueryPlan, s: SemiringDescriptor) -> str:
     """The source of ``walk(state)``, the generator of the answers of a state
-    preprocessed for the query ``sp`` splits over ``plan`` (None without
-    relational atoms) and the semiring ``s``.
+    preprocessed over ``plan`` and the semiring ``s``.
 
     It nests one ``for`` per level, binding level ``j``'s tuple to ``tj``,
-    then one per free inequality range ``n``, binding ``in`` from 1 up to
-    its variable's limit in ``state.bounds``.  A level with frontier
+    then one per free inequality range ``n`` (``plan.ranges``), binding
+    ``in`` from 1 up to its variable's limit in ``state.bounds``.  A level with frontier
     annotations ``f1, f2, f3`` multiplies the product so far:
     ``pj = mul(p(j-1), mul(mul(f1, f2), f3))``, from the constant factor
     ``k = state.factor``, each ``mul`` written through the semiring's
@@ -316,15 +306,13 @@ def walk_source(sp: QuerySplit, plan: Optional[QueryPlan], s: SemiringDescriptor
     only fixed names and integer literals are written, no symbol of the
     query.
     """
-    levels = plan.levels if plan is not None else ()
-    ranges = sp.ineq_part.head_vars
-    index = _bound_index(sp.query)
+    levels, ranges = plan.levels, plan.ranges
     place: Dict[str, str] = {}  # variable -> the expression of its value
     for j, level in enumerate(levels):
         for pos, v in enumerate(level.order):
             place.setdefault(v, f"t{j}[{pos}]")
     place.update((v, f"i{n}") for n, v in enumerate(ranges))
-    comps = [place[v] for v in sp.query.head_vars]
+    comps = [place[v] for v in plan.query.head_vars]
     head = display(comps)
     for j, level in enumerate(levels):
         if comps == [f"t{j}[{pos}]" for pos in range(len(level.order))]:
@@ -358,7 +346,7 @@ def walk_source(sp: QuerySplit, plan: Optional[QueryPlan], s: SemiringDescriptor
                 loops.append(f"p{j} = {p_new}")
                 p_new = f"p{j}"
             p = p_new  # the innermost level's is read once, in the yield
-    loops += [f"for i{n} in range(1, bounds[{index[v]}] + 1):" for n, v in enumerate(ranges)]
+    loops += [f"for i{n} in range(1, bounds[{plan.bounded.index(v)}] + 1):" for n, v in enumerate(ranges)]
     loops += ["if state.version != version:", "    raise RuntimeError(STALE)", f"yield {head}, {p}"]
     lines = ["def walk(state):", "    k = state.factor", "    mul, is_zero = state.semiring.mul, state.semiring.is_zero"]
     lines += [f"    if {s.expr('is_zero', 'k')}:", "        return"]
@@ -409,7 +397,7 @@ def reference_relation(
     node = plan.nodes[nid]
     out: Dict[DataTuple, Value] = {}
     if node.is_leaf:
-        key = compile_source(f"def key(t, bounds):\n    return {leaf_key(split(state.query), plan, nid) or 't'}\n", "key")
+        key = compile_source(f"def key(t, bounds):\n    return {leaf_key(plan, nid) or 't'}\n", "key")
         for t, k in state.db.relation(plan.atoms[node.atom_index].symbol).entries.items():
             kt = key(t, state.bounds)
             if kt is not None:
@@ -438,8 +426,6 @@ def verify_node_invariants(state: EnumerationState) -> List[str]:
     its children's relations, recomputing from the database a child that is
     not stored (``reference_relation``)."""
     problems: List[str] = []
-    if state.plan is None:
-        return problems
     s = state.semiring
     for nid, rel in state.relations.items():
         for t, k in rel.items():

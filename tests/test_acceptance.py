@@ -120,7 +120,7 @@ def test_criterion_4_structural_bounds():
     while checked < 500:
         q = random_free_connex_cq(rng, max_atoms=4, max_vars=6)
         rel = split(q).rel_part
-        if not rel.relational_atoms or not rel.head_vars:
+        if not rel.head_vars:
             continue
         checked += 1
         plan = build_fc_plan(q)

@@ -277,7 +277,7 @@ def test_plan_json_reports_the_walk(tmp_path, capsys, guarded):
 
 def test_plan_json_reports_the_leaf_keys(tmp_path, capsys):
     from deltaenum.planner import build_fc_plan
-    from deltaenum.query import parse_query, split
+    from deltaenum.query import parse_query
     from deltaenum.static_engine import leaf_key
 
     # R(x,y) covers y <= c and R(x,x) repeats x; S(x) is its own key
@@ -287,7 +287,7 @@ def test_plan_json_reports_the_leaf_keys(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     query = parse_query(text)
     plan = build_fc_plan(query)
-    keys = {n: leaf_key(split(query), plan, n) for n in plan.nodes if plan.nodes[n].is_leaf}
+    keys = {n: leaf_key(plan, n) for n in plan.nodes if plan.nodes[n].is_leaf}
     labels = {n["id"]: n["label"] for n in report["nodes"]}
     assert sorted(labels[n] for n, key in keys.items() if key is not None) == ["R(x, x)", "R(x, y)"]
     # the scan that reads a keyed leaf's entries writes its key expression
@@ -540,12 +540,78 @@ def test_dyn_answers_inequality_only_queries_like_eval(tmp_path, dbdir, capsys, 
 
 
 @pytest.mark.parametrize("guarded", [False, True])
-def test_plan_of_an_inequality_only_query_exits_one(tmp_path, capsys, guarded):
-    q = write(tmp_path / "q.cq", "H(w) :- w <= c.")
-    assert main(["plan", q, *(["--guarded"] if guarded else [])]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.rstrip().endswith("or has no relational atoms")
+def test_plan_exits_one_only_when_the_query_has_no_plan(tmp_path, capsys, guarded):
+    # an inequality-only query has the plan with no nodes; a query that is
+    # not free-connex (not q-hierarchical, when guarded) has none
+    message = f"no plan: query is not {'q-hierarchical' if guarded else 'free-connex'}\n"
+    cases = [
+        ("H(w) :- w <= c.", ""),
+        ("H(x) :- A(x,y), U(y).", message if guarded else ""),
+        ("H(x,y) :- A(x,z), B(z,y).", message),
+    ]
+    for i, (text, err) in enumerate(cases):
+        q = write(tmp_path / f"q{i}.cq", text)
+        assert main(["plan", q, *(["--guarded"] if guarded else [])]) == (1 if err else 0)
+        captured = capsys.readouterr()
+        assert captured.err == err
+        assert (captured.out == "") == bool(err)
+
+
+@pytest.mark.parametrize(
+    "text, bounds",
+    [
+        ("H(w) :- w <= c.", ["w"]),
+        ("H() :- u <= c.", ["u"]),
+        ("H(w,v) :- w <= d, v <= d, u <= c.", ["u", "v", "w"]),
+        ("H(w,w) :- w <= c, w <= d.", ["w"]),
+    ],
+)
+def test_inequality_only_queries_have_the_plan_with_no_nodes(tmp_path, capsys, monkeypatch, text, bounds):
+    from deltaenum import dynamic_engine, static_engine
+    from deltaenum.codegen import compile_source
+    from deltaenum.kdata import AnnotatedRelation, Database, SingleTupleUpdate
+    from deltaenum.oracle import oracle_eval_cq
+    from deltaenum.planner import build_fc_plan, build_guarded_plan, classify, verify_plan
+    from deltaenum.query import parse_query, split
+    from deltaenum.semiring import builtin_semiring
+
+    q = parse_query(text)
+    for plan in (build_fc_plan(q), build_guarded_plan(q)):
+        assert not plan.nodes and plan.root is None and not plan.levels and not plan.stored
+        assert verify_plan(plan, split(q).rel_part) == []
+    assert all(classify(q).as_dict().values())
+
+    # static, dynamic and oracle answers agree, also after an insert into a
+    # relation the query does not read
+    db = Database(builtin_semiring("natural"), {"R": AnnotatedRelation(1, {(1,): 2})}, {"c": 3, "d": 2})
+    state = dynamic_engine.dyn_preprocess(q, db)
+    for step in range(2):
+        if step:
+            dynamic_engine.dyn_update(state, SingleTupleUpdate("insert", "R", (2,), 5))
+        static = list(static_engine.enumerate_state(static_engine.preprocess(q, db.copy())))
+        assert static and list(dynamic_engine.dyn_enumerate(state)) == static
+        assert dict(static) == oracle_eval_cq(q, db).entries
+
+    # plan --json prints exactly the walk that preprocessing compiles, and
+    # the variable behind each of its bounds
+    compiled = []
+
+    def recording(source, name):
+        compiled.append(source)
+        return compile_source(source, name)
+
+    monkeypatch.setattr(static_engine, "compile_source", recording)
+    monkeypatch.setattr(dynamic_engine, "compile_source", recording)
+    path = write(tmp_path / "q.cq", text)
+    for guarded, prep in ((False, static_engine.preprocess), (True, dynamic_engine.dyn_preprocess)):
+        compiled.clear()
+        prep(q, db.copy())
+        assert main(["plan", path, "--json", *(["--guarded"] if guarded else [])]) == 0
+        (walk,) = compiled
+        want = {"query": q.to_text(), "guarded": guarded, "root": None, "nodes": [], "walk": walk, "scans": {}, "bounds": bounds}
+        if guarded:
+            want.update(updates={}, applies={})
+        assert json.loads(capsys.readouterr().out) == want
 
 
 def test_matlang_eval_verify_real_allows_summation_order(tmp_path, capsys):
@@ -678,7 +744,7 @@ def test_plan_json_reports_the_update_paths(tmp_path, capsys):
     from deltaenum.dynamic_engine import update_source
     from deltaenum.kdata import apply_source
     from deltaenum.planner import build_guarded_plan
-    from deltaenum.query import parse_query, split
+    from deltaenum.query import parse_query
     from deltaenum.semiring import builtin_semiring
     from deltaenum.static_engine import leaf_key
 
@@ -695,8 +761,7 @@ def test_plan_json_reports_the_update_paths(tmp_path, capsys):
         for symbol in ("R", "S")
     }
     # R(x,x) is the one leaf keyed, and its update path writes its key
-    sp = split(parse_query(text))
-    keys = {n: leaf_key(sp, plan, n) for ns in leaves.values() for n in ns}
+    keys = {n: leaf_key(plan, n) for ns in leaves.values() for n in ns}
     (keyed,) = [n for n, key in keys.items() if key is not None]
     assert plan.atoms[plan.nodes[keyed].atom_index].args == ("x", "x")
     natural = builtin_semiring("natural")
@@ -728,7 +793,6 @@ def test_plan_json_prints_update_paths_only_for_sum_maintainable_semirings(tmp_p
 def test_plan_json_prints_what_preprocessing_compiles(tmp_path, capsys, monkeypatch, guarded):
     from deltaenum import dynamic_engine, static_engine
     from deltaenum.codegen import compile_source
-    from deltaenum.query import split
     from deltaenum.semiring import BUILTIN_SEMIRING_NAMES, builtin_semiring
 
     from support import random_db_for_query, random_free_connex_cq, random_q_hierarchical_cq
@@ -751,8 +815,6 @@ def test_plan_json_prints_what_preprocessing_compiles(tmp_path, capsys, monkeypa
     keyed = scanned = 0
     for i in range(60):
         q = draw(rng)
-        if not q.relational_atoms:
-            continue
         s = builtin_semiring(names[i % len(names)])
         db = random_db_for_query(rng, q, s, max_tuples=12, domain=3)
         compiled.clear()
@@ -770,8 +832,8 @@ def test_plan_json_prints_what_preprocessing_compiles(tmp_path, capsys, monkeypa
         assert compiled[len(rest):] == dynamic
         assert sorted(rest) == sorted([report["walk"], *report["scans"].values()])
         # every key expression is written inline in a compiled source
-        plan, sp = state.plan, split(q)
-        keys = [static_engine.leaf_key(sp, plan, n) for n in plan.nodes if plan.nodes[n].is_leaf]
+        plan = state.plan
+        keys = [static_engine.leaf_key(plan, n) for n in plan.nodes if plan.nodes[n].is_leaf]
         keys = [key for key in keys if key is not None]
         assert all(any(f" = {key}\n" in source for source in compiled) for key in keys), q.to_text()
         assert compile_source(report["walk"], "walk") is state.walk

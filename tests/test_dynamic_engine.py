@@ -18,7 +18,7 @@ from deltaenum.errors import CapabilityError, ClassificationError, EngineError, 
 from deltaenum.kdata import SingleTupleUpdate, apply_source, apply_update
 from deltaenum.oracle import oracle_eval_cq
 from deltaenum.planner import build_guarded_plan
-from deltaenum.query import parse_query, split
+from deltaenum.query import parse_query
 from deltaenum.semiring import SemiringDescriptor, builtin_semiring
 from deltaenum.static_engine import enumerate_state, leaf_key, preprocess, preprocess_with_plan
 
@@ -95,7 +95,7 @@ def test_dyn_answers_inequality_only_queries(text):
     q = parse_query(text)
     db = make_db(NAT, {"R": (1, {(1,): 2})}, {"c": 3})
     state = dyn_preprocess(q, db)
-    assert state.plan is None
+    assert not state.plan.nodes
     want = list(enumerate_state(preprocess(q, db)))
     assert list(dyn_enumerate(state)) == want
     dyn_update(state, SingleTupleUpdate("insert", "R", (2,), 5))
@@ -531,7 +531,7 @@ def assert_paths_hold_the_states_own_dicts(state):
     symbol; every dict an update closes over is one of the state's own.  A
     leaf whose tuples are their own keys has the database's entries as its
     relation; any other leaf's update holds its relation."""
-    plan, sp = state.plan, split(state.query)
+    plan = state.plan
     own = {
         id(d)
         for store in (state.relations, state.candidates, state.groups, state.accs)
@@ -546,7 +546,7 @@ def assert_paths_hold_the_states_own_dicts(state):
         for leaf, update in zip(leaves, updates):
             held = [v for v in closure(update).values() if isinstance(v, dict)]
             assert {id(d) for d in held} <= own
-            if leaf_key(sp, plan, leaf) is None:
+            if leaf_key(plan, leaf) is None:
                 assert state.relations[leaf] is entries
             else:
                 assert any(d is state.relations[leaf] for d in held)
@@ -594,7 +594,7 @@ def test_generated_paths_over_a_seeded_stream(text, sname):
     plan = state.plan
     if text == TWO_KEYED_LEAVES:
         leaves = leaves_by_symbol(plan)["R"]
-        assert len(leaves) == 2 and all(leaf_key(split(q), plan, n) is not None for n in leaves)
+        assert len(leaves) == 2 and all(leaf_key(plan, n) is not None for n in leaves)
     else:
         assert any(len(plan.nodes[n].children) == 2 for n in set(plan.nodes) - plan.connex)
 
@@ -642,10 +642,10 @@ def test_no_query_text_reaches_the_update_paths():
     assert verify_dynamic_invariants(state) == []
     # state(r, new) and bounds(r, bounds) are out of sorted order, state(r, r)
     # repeats r, and import(r, new, z) and bounds(r, bounds) cover an inequality
-    assert sum(leaf_key(split(q), plan, n) is not None for n in leaves) == 4
+    assert sum(leaf_key(plan, n) is not None for n in leaves) == 4
     for s in SEMIRINGS:
-        sources = [source for by_leaf in update_sources(q, plan, s).values() for source in by_leaf.values()]
-        plain_sources = update_sources(p, plain_plan, s).values()
+        sources = [source for by_leaf in update_sources(plan, s).values() for source in by_leaf.values()]
+        plain_sources = update_sources(plain_plan, s).values()
         assert sources == [source for by_leaf in plain_sources for source in by_leaf.values()]
         for source in sources:
             assert_fixed_names(source, UPDATE_NAMES | TEMPLATE_NAMES, r"[acknorv][0-9]+")
@@ -828,13 +828,12 @@ def test_identity_leaves_are_the_databases_entries(text, sname):
     q = parse_query(text)
     rng = random.Random(2401 + len(text) + len(sname))
     db = random_db_for_query(rng, q, semiring, max_tuples=12, domain=3)
-    sp = split(q)
 
     def shared(state):
         """The stored leaves whose tuples are their own keys, each asserted
         to hold its symbol's database entries as its relation."""
         plan = state.plan
-        leaves = [n for n in plan.stored if plan.nodes[n].is_leaf and leaf_key(sp, plan, n) is None]
+        leaves = [n for n in plan.stored if plan.nodes[n].is_leaf and leaf_key(plan, n) is None]
         for n in leaves:
             assert state.relations[n] is db.relations[plan.atoms[plan.nodes[n].atom_index].symbol].entries
         return leaves

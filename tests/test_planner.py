@@ -25,7 +25,10 @@ def test_empty_relational_part_is_in_every_class():
     q = parse_query("H(x) :- x <= c.")
     flags = classify(q).as_dict()
     assert flags["acyclic"] and flags["free_connex"] and flags["q_hierarchical"]
-    assert build_fc_plan(q) is None and build_guarded_plan(q) is None  # the engines special-case it
+    # its plans have no nodes: no root, no levels, nothing stored
+    for plan in (build_fc_plan(q), build_guarded_plan(q)):
+        assert not plan.nodes and plan.root is None and not plan.levels and not plan.stored
+        assert plan.bounded == plan.ranges == ("x",) and not plan.summed
 
 
 def test_classify_textbook_fixtures():
@@ -326,7 +329,7 @@ def _q_hierarchical_by_definition(q):
     """The relational atom sets of any two variables are nested or disjoint,
     and a variable whose atom set strictly contains a free variable's is
     free too."""
-    atoms_of = {}
+    free, atoms_of = set(q.head_vars), {}
     for i, a in enumerate(q.relational_atoms):
         for v in a.vars:
             atoms_of.setdefault(v, set()).add(i)
@@ -334,7 +337,7 @@ def _q_hierarchical_by_definition(q):
         for y, ay in atoms_of.items():
             if ax & ay and not (ax <= ay or ay <= ax):
                 return False
-            if x in q.free_vars and ax < ay and y not in q.free_vars:
+            if x in free and ax < ay and y not in free:
                 return False
     return True
 

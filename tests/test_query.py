@@ -19,7 +19,6 @@ def test_parse_basic_join():
     q = parse_query("H(x,y) :- R(x,z), S(z,y).")
     assert q.head_symbol == "H"
     assert q.head_vars == ("x", "y")
-    assert q.bound_vars == ("z",)
     assert q.relational_atoms == (RelAtom("R", ("x", "z")), RelAtom("S", ("z", "y")))
 
 

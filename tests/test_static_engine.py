@@ -62,7 +62,7 @@ def test_leaf_key_functions(text, keys):
     db = make_db(NAT, {"R": (2, {t: n + 1 for n, t in enumerate(tuples)})}, {"c": 2, "d": 3})
     state = preprocess(q, db)
     (leaf,) = [n for n, node in state.plan.nodes.items() if node.is_leaf]
-    assert (leaf_key(split(q), state.plan, leaf) is None) == (keys is None)
+    assert (leaf_key(state.plan, leaf) is None) == (keys is None)
     want = {tuples[t]: k for t, k in db.relations["R"].entries.items() if tuples[t] is not None}
     # the scan writes the key inline, and the reference compiles it alone
     assert state.relations[leaf] == reference_relation(state, leaf) == want
@@ -214,8 +214,6 @@ def test_random_oracle_equivalence(sname):
         assert equal_answers(got, want, semiring), (q.to_text(), db.relations, db.constants)
         assert verify_node_invariants(state) == []
         assert all(not semiring.is_zero(v) for v in got.values())
-        if state.plan is None:
-            continue
         # streaming a node through its parent's pass changes no stored value,
         # not even in the last bit of a real, and no insertion order
         assert set(state.relations) == state.plan.stored
@@ -233,8 +231,6 @@ def test_streamed_joins_multiply_in_the_reference_order():
         q = random_free_connex_cq(rng)
         db = in_tenths(random_db_for_query(rng, q, REAL))
         state = preprocess(q, db)
-        if state.plan is None:
-            continue
         for nid, rel in state.relations.items():
             full = reference_relation(state, nid)
             assert list(rel.items()) == list(full.items()), (q.to_text(), nid)
@@ -376,7 +372,7 @@ def test_two_interleaved_cursors_over_a_walk():
 def test_enumerate_inequality_only_queries():
     db = make_db(NAT, {}, {"c": 3, "d": 2})
     state = preprocess(parse_query("H(w) :- w <= c."), db)
-    assert state.plan is None
+    assert not state.plan.nodes
     assert list(enumerate_state(state)) == [((1,), 1), ((2,), 1), ((3,), 1)]
     assert list(enumerate_state(state, limit=2)) == [((1,), 1), ((2,), 1)]
     state = preprocess(parse_query("H(w,v) :- w <= d, v <= d, u <= c."), db)
@@ -398,13 +394,13 @@ def reference_walk(state):
     if s.is_zero(state.factor):
         return []
     plan = state.plan
-    levels = plan.levels if plan is not None else ()
+    levels = plan.levels
     # the bounds of the inequality variables, in sorted order
-    bound = dict(zip(sorted({ineq.var for ineq in state.query.inequality_atoms}), state.bounds))
-    free = split(state.query).ineq_part.head_vars
+    bound = dict(zip(sorted({ineq.var for ineq in state.plan.query.inequality_atoms}), state.bounds))
+    free = split(state.plan.query).ineq_part.head_vars
     ranges = [range(1, bound[v] + 1) for v in free]
     order = [v for level in levels for v in level.order] + list(free)
-    head = [order.index(v) for v in state.query.head_vars]
+    head = [order.index(v) for v in state.plan.query.head_vars]
     out = []
 
     def visit(j, tuples, p):
@@ -444,7 +440,7 @@ def in_tenths(db):
 def assert_walks_alike(state):
     got = list(enumerate_state(state))
     want = reference_walk(state)
-    assert repr(got) == repr(want), state.query.to_text()
+    assert repr(got) == repr(want), state.plan.query.to_text()
 
 
 @pytest.mark.parametrize("sname", [*BUILTIN_SEMIRING_NAMES, "real-tenths"])
@@ -525,9 +521,9 @@ def test_no_query_text_reaches_the_compiled_walk():
         got = list(enumerate_state(state))
         assert got and dict(got) == oracle_eval_cq(q, db).entries
         for s in SEMIRINGS:
-            walk, scans = plan_sources(q, state.plan, s)
-            assert (walk, scans) == plan_sources(p, plan_of(p), s)
-            assert walk == walk_source(split(q), state.plan, s) and scans
+            walk, scans = plan_sources(state.plan, s)
+            assert (walk, scans) == plan_sources(plan_of(p), s)
+            assert walk == walk_source(state.plan, s) and scans
             assert_fixed_names(walk, WALK_NAMES | TEMPLATE_NAMES, r"[bcgiprtv][0-9]+")
             for source in scans.values():
                 assert_fixed_names(source, SCAN_NAMES | TEMPLATE_NAMES, r"r[0-9]+")
@@ -549,15 +545,15 @@ def test_no_query_text_reaches_the_leaf_keys():
     for plan_of in (build_fc_plan, build_guarded_plan):
         plan, plain_plan = plan_of(q), plan_of(p)
         leaves = [n for n in sorted(plan.nodes) if plan.nodes[n].is_leaf]
-        keys = {n: leaf_key(split(q), plan, n) for n in leaves}
-        assert list(keys.values()) == [leaf_key(split(p), plain_plan, n) for n in leaves]
+        keys = {n: leaf_key(plan, n) for n in leaves}
+        assert list(keys.values()) == [leaf_key(plain_plan, n) for n in leaves]
         assert None not in keys.values()
         for key in keys.values():
             assert_fixed_names(key, {"t", "bounds"}, r"$^")
         for s in SEMIRINGS:
-            scans = plan_sources(q, plan, s)[1]
+            scans = plan_sources(plan, s)[1]
             # each leaf is read by one scan, which writes its key inline
             assert all(sum(f"entries[{n}]" in src and f"t = {key}\n" in src for src in scans.values()) == 1 for n, key in keys.items())
-            assert scans == plan_sources(p, plain_plan, s)[1]
+            assert scans == plan_sources(plain_plan, s)[1]
             for source in scans.values():
                 assert_fixed_names(source, SCAN_NAMES | TEMPLATE_NAMES, r"r[0-9]+")
