@@ -90,7 +90,7 @@ def cmd_plan(args) -> int:
     report = {"query": q.to_text(), "guarded": plan.guarded, "root": plan.root, "nodes": nodes}
     # the sources that preprocessing compiles for this query, plan and semiring
     semiring = builtin_semiring(args.semiring)
-    report["walk"], scans = plan_sources(plan, semiring)
+    report["walk"], scans, report["connex"] = plan_sources(plan, semiring)
     report["scans"] = {str(nid): source for nid, source in scans.items()}
     # ``bounds[i]`` in the sources is the least constant bounding the i-th of these
     report["bounds"] = list(plan.bounded)

@@ -1,8 +1,8 @@
 """Compiling generated code: the CSV row readers and update apply steps of
-``kdata``, the bottom-up scans and connex walks of ``static_engine``, the
-update paths of ``dynamic_engine`` and the builtin semiring operators are
-each written as Python source and compiled here.  A plan leaf's key is an
-expression that the scans and update paths write inline.
+``kdata``, every data pass of preprocessing and the connex walk of
+``static_engine``, the update paths of ``dynamic_engine`` and the builtin
+semiring operators are each written as Python source and compiled here.  A
+plan leaf's key is an expression that the scans and update paths write inline.
 
 A generated source holds only fixed names, integer literals and the
 semiring's operator templates (``SemiringDescriptor.templates``), which are
@@ -18,18 +18,31 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, List, Sequence
+
+from .errors import CapabilityError
 
 # the message of the error a walk raises when its state was updated
 STALE = "enumeration cursor invalidated by an update"
 # the kind of an insert update (``kdata.SingleTupleUpdate``), which an
 # apply step tells from a delete
 INSERT = "insert"
+MAX_NESTED_BLOCKS = 20  # CPython's limit of nested blocks in one function
 
 
 @lru_cache(maxsize=256)
 def compile_source(source: str, name: str) -> Callable:
-    """The function ``name`` that ``source`` defines."""
+    """The function ``name`` that ``source`` defines; a ``CapabilityError`` when
+    it nests more ``for``, ``while``, ``try`` and ``with`` blocks than CPython
+    compiles, each opening a line above its deeper indented body."""
+    open_at: List[int] = []  # the indentation of each open block
+    for line in filter(str.strip, source.splitlines()):
+        indent = len(line) - len(line.lstrip())
+        open_at = [i for i in open_at if i < indent]
+        if line.startswith(("for ", "while ", "try:", "with "), indent):
+            open_at.append(indent)
+            if len(open_at) > MAX_NESTED_BLOCKS:
+                raise CapabilityError(f"the generated {name} nests more than {MAX_NESTED_BLOCKS} loops, which CPython does not compile")
     namespace = {"STALE": STALE, "INSERT": INSERT, "inf": math.inf, "isfinite": math.isfinite}
     exec(compile(source, f"<{name}>", "exec"), namespace)
     return namespace[name]

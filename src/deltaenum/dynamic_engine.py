@@ -21,8 +21,9 @@ sibling's candidates and writes the parent's, again O(1) per step.
 
 ``dyn_preprocess`` runs the static preprocess over the guarded plan, the
 one bottom-up path of both engines, and returns the ``EnumerationState`` it
-builds, with the member counts of each group of a stored projection's child
-in ``accs``.  A leaf whose tuples are their own keys has the database's
+builds, whose generated connex build (``static_engine.connex_source``) also
+counts the members of each group of a stored projection's child into
+``accs``.  A leaf whose tuples are their own keys has the database's
 entries themselves as its relation.  The update path of each plan leaf is
 generated as Python source (``update_source``, per relation symbol
 ``update_sources``): the leaf's key expression (``static_engine.leaf_key``),
@@ -75,11 +76,6 @@ def dyn_preprocess(q: ConjunctiveQuery, db: Database) -> EnumerationState:
             f"query is not q-hierarchical (static evaluation is still available): {q.to_text()}"
         )
     state = preprocess_with_plan(q, db, plan)
-    for p in plan.postorder():
-        children = plan.nodes[p].children
-        if p in plan.stored and len(children) == 1:
-            c = children[0]
-            state.accs[p] = dict(Counter(map(plan.key[c], state.relations[c])))
     reject = partial(apply_update, db)
     for symbol, sources in update_sources(plan, s).items():
         updates = [compile_source(source, "make")(state) for source in sources.values()]
@@ -244,7 +240,7 @@ def verify_dynamic_invariants(state: EnumerationState) -> List[str]:
     plan = state.plan
     for nid, counts in state.accs.items():
         c = plan.nodes[nid].children[0]
-        if counts != dict(Counter(map(plan.key[c], state.relations[c]))):
+        if counts != dict(Counter(tuple(t[i] for i in plan.positions[c]) for t in state.relations[c])):
             problems.append(f"node {nid}: member counts mismatch")
     # candidate sets against a fresh recomputation
     fresh = preprocess_with_plan(plan.query, state.db, plan)

@@ -37,7 +37,6 @@ from .errors import (
     TypeCheckError,
 )
 from .kdata import AnnotatedRelation, Database, read_input
-from .planner import tuple_getter
 from .query import ConjunctiveQuery, IneqAtom, RelAtom, TokenCursor
 from .semiring import SemiringDescriptor, Value
 
@@ -573,8 +572,7 @@ def encode_instance(instance: MatrixInstance) -> Database:
         if indices == (0, 1):  # the (i, j) keys as they are
             db.relations[name] = AnnotatedRelation(2, dict(cells))
         else:
-            stored = tuple_getter(indices)
-            db.relations[name] = AnnotatedRelation(len(indices), {stored(ij): v for ij, v in cells.items()})
+            db.relations[name] = AnnotatedRelation(len(indices), {tuple(ij[i] for i in indices): v for ij, v in cells.items()})
     return db
 
 
@@ -589,8 +587,8 @@ def decode_relation(rel: AnnotatedRelation, schema: MatrixSchema, name: str) -> 
     if indices == (0, 1):  # the tuples are the (i, j) keys
         return dict(rel.entries)
     # padded with a 1, a stored tuple gives the left-out index as that 1
-    entry = tuple_getter([indices.index(p) if p in indices else len(indices) for p in (0, 1)])
-    return {entry(t + (1,)): v for t, v in rel.entries.items()}
+    i, j = (indices.index(p) if p in indices else len(indices) for p in (0, 1))
+    return {(u[i], u[j]): v for t, v in rel.entries.items() for u in [t + (1,)]}
 
 
 def decode_instance(db: Database, schema: MatrixSchema) -> MatrixInstance:
@@ -739,7 +737,7 @@ def translate_to_cq(query: MatQuery, schema: MatrixSchema) -> ConjunctiveQuery:
         raise TypeCheckError(f"translate_to_cq needs the head {query.head!r} declared with type {e.typ}")
     if free_vector_variables(e):
         raise TypeCheckError("query expressions cannot have free vector variables")
-    head_vars = tuple_getter(schema.stored_indices(query.head))(("x", "y"))
+    head_vars = tuple(("x", "y")[i] for i in schema.stored_indices(query.head))
     out = _Translation(set(head_vars))
     _translate(e, "x", "y", {}, out, schema)
 

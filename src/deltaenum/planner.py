@@ -1,22 +1,22 @@
 """Query plans for both engines, and the classification read off them.
 
-``build_plan`` runs a two-phase GYO reduction that removes the bound
-variables before the free ones and yields a binary node-labeled plan with
-guards and a sibling-closed connex node set: the free-connex plan of the
-static engine (``build_fc_plan``) or the guarded plan of the dynamic engine
-(``build_guarded_plan``).  Every query that has a plan gets one, and a query
-without relational atoms gets the plan with no nodes.  It is the package's
-only acyclicity test: ``classify`` reads acyclicity, free-connexity and
-q-hierarchy off whether a plan exists.
+``build_plan`` runs a two-phase GYO reduction (``_reduce``) that removes the
+bound variables before the free ones and yields a binary node-labeled plan
+with guards and a sibling-closed connex node set: the free-connex plan of
+the static engine (``build_fc_plan``) or the guarded plan of the dynamic
+engine (``build_guarded_plan``).  Every query that has a plan gets one, and
+a query without relational atoms gets the plan with no nodes.  The
+reduction is the package's only acyclicity test: ``classify`` reads
+acyclicity, free-connexity and q-hierarchy off whether it yields a plan.
 
 Every plan keeps two invariants, which ``verify_plan`` checks: no node is an
 identity copy (a single-child node with its child's variables), and the first
 child of every 2-child node (its guard) carries the node's variables.  The
 layout the engines read -- each node's variable order, the projection
-positions and key getter of each edge, the connex frontier, the levels of
-the connex walk, the nodes whose relations preprocessing stores, and the
-inequality layout read off the query's one ``query.split`` -- is fixed once,
-when the plan is built.
+positions of each edge, the connex frontier, the levels of the connex walk,
+the nodes whose relations preprocessing stores, and the inequality layout
+read off the query's one ``query.split`` -- is fixed once, by ``_finalize``,
+and is plain data: every data pass of preprocessing is generated from it.
 
 All constructions are deterministic: ties are broken by atom order and by
 sorted variable names, so plan dumps are reproducible.
@@ -25,24 +25,11 @@ sorted variable names, so plan dumps are reproducible.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from operator import itemgetter
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .query import ConjunctiveQuery, QuerySplit, RelAtom, has_self_join, is_constant_disjoint, split
 
 VarSet = FrozenSet[str]
-TupleGetter = Callable[[tuple], tuple]
-
-
-def tuple_getter(positions: Sequence[int]) -> TupleGetter:
-    """``t -> tuple(t[i] for i in positions)``, a tuple also for one or no
-    position (where ``operator.itemgetter`` returns a scalar or raises)."""
-    if not positions:
-        return lambda t: ()
-    if len(positions) == 1:
-        (i,) = positions
-        return lambda t: (t[i],)
-    return itemgetter(*positions)
 
 
 # ---------------------------------------------------------------------------
@@ -93,11 +80,11 @@ class QueryPlan:
 
     ``order[n]`` lists the variables of node ``n``'s tuples (sorted);
     ``positions[c]`` lists the positions, in a tuple of the larger of ``c``
-    and its parent, of the smaller's variables, and ``key[c]`` maps a tuple
-    of the larger to the tuple of the smaller; ``frontier`` holds the connex
-    nodes without connex children.  ``levels`` cuts the connex region into
-    the levels of its walk: the root's, then one per projection edge into a
-    connex child, in preorder with guards first.
+    and its parent, of the smaller's variables; ``frontier`` holds the
+    connex nodes without connex children.  ``levels`` cuts the connex region
+    into the levels of its walk: the root's, then one per projection edge
+    into a connex child, in preorder with guards first.  All of it is plain
+    data, which the generated sources of every data pass write out.
 
     ``stored`` holds the nodes whose relation preprocessing keeps; the
     others below the connex region stream their rows into their parent's
@@ -128,7 +115,6 @@ class QueryPlan:
     guarded: bool
     order: Dict[int, Tuple[str, ...]] = field(default_factory=dict)
     positions: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
-    key: Dict[int, TupleGetter] = field(default_factory=dict)
     frontier: FrozenSet[int] = frozenset()
     levels: Tuple[Level, ...] = ()
     stored: FrozenSet[int] = frozenset()
@@ -183,7 +169,6 @@ def _finalize(plan: QueryPlan, sp: QuerySplit) -> QueryPlan:
             if len(big) < len(small):
                 big, small = small, big
             plan.positions[c] = tuple(big.index(v) for v in small)
-            plan.key[c] = tuple_getter(plan.positions[c])
     plan.frontier = frozenset(
         nid for nid in plan.connex if not any(c in plan.connex for c in plan.nodes[nid].children)
     )
@@ -247,9 +232,17 @@ def _cut_walk(plan: QueryPlan) -> Tuple[Level, ...]:
 
 
 def build_plan(q: ConjunctiveQuery, guarded: bool) -> Optional[QueryPlan]:
-    """Plan for ``q`` by a two-phase GYO reduction of its relational part, or
-    None when it is not free-connex (not q-hierarchical, when ``guarded``).
-    A query without relational atoms has the plan with no nodes.
+    """The plan of ``q`` that ``_reduce`` builds, laid out by ``_finalize``;
+    None when ``_reduce`` finds none."""
+    plan = _reduce(q, guarded)
+    return None if plan is None else _finalize(plan, split(q))
+
+
+def _reduce(q: ConjunctiveQuery, guarded: bool) -> Optional[QueryPlan]:
+    """The plan tree and connex set of ``q`` by a two-phase GYO reduction of
+    its relational atoms, not laid out yet; None when it is not free-connex
+    (not q-hierarchical, when ``guarded``), and the plan with no nodes when
+    it has no relational atom.
 
     Each relational atom starts as a leaf in a list of roots, which two steps
     shrink until one root is left:
@@ -268,9 +261,8 @@ def build_plan(q: ConjunctiveQuery, guarded: bool) -> Optional[QueryPlan]:
     projects the last root.  The connex set is the top subtree of the nodes
     whose variables lie within the free ones.
     """
-    sp = split(q)
-    free = frozenset(sp.rel_part.head_vars)
-    plan = QueryPlan(q, sp.rel_part.relational_atoms, {}, None, set(), guarded)
+    free = frozenset(q.head_vars)  # a variable of no atom changes nothing
+    plan = QueryPlan(q, q.relational_atoms, {}, None, set(), guarded)
 
     def add(label: Optional[VarSet], atom_index: Optional[int], children: List[int]) -> int:
         nid = len(plan.nodes)
@@ -316,7 +308,7 @@ def build_plan(q: ConjunctiveQuery, guarded: bool) -> Optional[QueryPlan]:
         if plan.vars(nid) <= free:
             plan.connex.add(nid)
             stack.extend(plan.nodes[nid].children)
-    return _finalize(plan, sp)
+    return plan
 
 
 def build_fc_plan(q: ConjunctiveQuery) -> Optional[QueryPlan]:
@@ -347,7 +339,7 @@ class QueryClass:
 
 
 def classify(q: ConjunctiveQuery) -> QueryClass:
-    """The structural classes of ``q``, read off ``build_plan``: acyclic when
+    """The structural classes of ``q``, read off ``_reduce``: acyclic when
     its relational part has a plan with every variable free, free-connex
     when it has a free-connex plan, q-hierarchical when it has a guarded one
     (Berkholz, Keppeler and Schweikardt, PODS 2017).  A query without
@@ -357,9 +349,9 @@ def classify(q: ConjunctiveQuery) -> QueryClass:
     rel_vars = tuple(sorted(frozenset().union(*(a.vars for a in rel))))
     every_var = ConjunctiveQuery(q.head_symbol, rel_vars, rel)
     return QueryClass(
-        acyclic=build_plan(every_var, False) is not None,
-        free_connex=build_plan(q, False) is not None,
-        q_hierarchical=build_plan(q, True) is not None,
+        acyclic=_reduce(every_var, False) is not None,
+        free_connex=_reduce(q, False) is not None,
+        q_hierarchical=_reduce(q, True) is not None,
         constant_disjoint=is_constant_disjoint(q)[0],
         self_join_free=not has_self_join(q),
     )

@@ -39,7 +39,8 @@ cancelling sums (the reals) an aggregated value can vanish while its
 extensions remain enumerable, and the connex variables are free, so no
 aggregation is allowed to prune them.  Only the keys of a candidate set
 count: a frontier node's candidate set is its relation, and a projection's
-is its child's extension group.
+is its child's extension group.  ``connex_source`` writes the pass that
+builds them as ``scan_source`` writes the bottom-up pass.
 
 The planner cuts the connex region into *levels* (``QueryPlan.levels``): the
 root's candidates, then one level per projection edge into a connex child,
@@ -47,7 +48,7 @@ ranging over that child's extension group under the tuple of an earlier
 level.  Each free inequality range adds one more level.  ``walk_source``
 writes the levels out as nested Python loops, the last level innermost: the
 data-centric code generation of Neumann (VLDB 2011), applied to the walk.
-Preprocessing compiles the walk and scans that ``plan_sources`` writes,
+Preprocessing compiles the walk, scans and connex build of ``plan_sources``,
 each distinct source once (``codegen.compile_source``); ``plan --json``
 prints them.  An answer is the head read off the level tuples, and its
 annotation the product of the frontier annotations along the way.
@@ -101,9 +102,9 @@ class EnumerationState:
     factor: Value = None
     # the compiled ``walk_source`` of the plan: state -> answers
     walk: Optional[Callable] = field(default=None, repr=False)
-    # a dynamic state's (``dynamic_engine.dyn_preprocess``), empty otherwise:
-    # per stored projection, parent tuple -> its number of child tuples; per
-    # relation symbol, ``update(u)``, its apply step, which writes the
+    # over a guarded plan, per stored projection, parent tuple -> its number
+    # of child tuples; in a dynamic state (``dynamic_engine.dyn_preprocess``),
+    # per relation symbol, ``update(u)``, its apply step, which writes the
     # database and carries the change along its plan leaves' paths
     accs: Dict[int, Dict[DataTuple, int]] = field(default_factory=dict)
     paths: Dict[str, Callable[[SingleTupleUpdate], None]] = field(default_factory=dict)
@@ -138,11 +139,11 @@ def leaf_key(plan: QueryPlan, leaf: int) -> Optional[str]:
     return f"None if {' or '.join(misses)} else {key}" if misses else key
 
 
-def plan_sources(plan: QueryPlan, s: SemiringDescriptor) -> Tuple[str, Dict[int, str]]:
+def plan_sources(plan: QueryPlan, s: SemiringDescriptor) -> Tuple[str, Dict[int, str], str]:
     """The sources preprocessing compiles for ``plan`` and the semiring
-    ``s``: the walk's, and in node order the scan's of each stored node that
-    is not a leaf's database entries themselves, the leaf's tuples being
-    their own keys (``leaf_key``)."""
+    ``s``: the walk's; in node order the scan's of each stored node that is
+    not a leaf's database entries themselves, the leaf's tuples being their
+    own keys (``leaf_key``); and the connex build's (``connex_source``)."""
     nodes = sorted(plan.nodes.items())
     keys = {nid: key for nid, node in nodes if node.is_leaf and (key := leaf_key(plan, nid)) is not None}
     scans = {
@@ -150,7 +151,7 @@ def plan_sources(plan: QueryPlan, s: SemiringDescriptor) -> Tuple[str, Dict[int,
         for nid, node in nodes
         if nid in plan.stored and (nid in keys or not node.is_leaf)
     }
-    return walk_source(plan, s), scans
+    return walk_source(plan, s), scans, connex_source(plan)
 
 
 def preprocess(q: ConjunctiveQuery, db: Database) -> EnumerationState:
@@ -176,10 +177,10 @@ def preprocess_with_plan(q: ConjunctiveQuery, db: Database, plan: QueryPlan) -> 
         limits[ineq.var] = min(limits.get(ineq.var, c), c)
     state.bounds = tuple(limits[v] for v in plan.bounded)
     state.factor = sum_of_ones(s, math.prod(limits[v] for v in plan.summed))
-    walk, scans = plan_sources(plan, s)
-    _bottom_up(state, {nid: compile_source(source, "scan") for nid, source in scans.items()})
-    _build_connex_structures(state)
+    walk, scans, connex = plan_sources(plan, s)
     state.walk = compile_source(walk, "walk")
+    _bottom_up(state, {nid: compile_source(source, "scan") for nid, source in scans.items()})
+    compile_source(connex, "connex")(state)
     return state
 
 
@@ -255,35 +256,35 @@ def scan_source(plan: QueryPlan, nid: int, keys: Dict[int, str], s: SemiringDesc
     return "\n".join(lines) + "\n"
 
 
-def _build_connex_structures(state: EnumerationState) -> None:
-    """Candidate sets and extension groups over the connex region.
-
-    ``candidates[n]`` holds as keys the vars(n)-tuples that extend to at
-    least one full assignment of the connex variables below n; ``groups[c]``
-    (for a connex node whose parent edge is a projection) maps each parent
-    key to the candidate tuples of c extending it.  A frontier node's
-    candidate set is its relation, and a projection's is its child's group.
-    """
-    plan = state.plan
+def connex_source(plan: QueryPlan) -> str:
+    """The source of ``connex(state)``, which builds in postorder the candidate
+    sets of the connex region (a node's tuples that extend to the connex
+    variables below it), its extension groups and, over a guarded plan, each
+    stored projection's member counts.  A frontier node's candidates are its
+    relation, a projection's its child's group, built by one loop, and a
+    2-child node's its guard's whose key is in the other child's, kept by
+    one comprehension.  Only fixed names and integer literals are written."""
+    body: List[str] = []
     for nid in plan.postorder():
-        if nid not in plan.connex:
-            continue
-        # the connex set is sibling-closed: all children are connex, or none
         children = plan.nodes[nid].children
         if nid in plan.frontier:
-            state.candidates[nid] = state.relations[nid]
-        elif len(children) == 1:
-            c = children[0]
-            key = plan.key[c]
-            grp: Dict[DataTuple, Dict[DataTuple, bool]] = {}
-            for t in state.candidates[c]:
-                grp.setdefault(key(t), {})[t] = True
-            state.groups[c] = state.candidates[nid] = grp
+            body.append(f"c{nid} = state.candidates[{nid}] = state.relations[{nid}]")
+        if not children:
+            continue
+        # the first child's tuple under the last child's positions: the key of
+        # a projection, or of a 2-child node's lookup in its second child
+        c, key = children[0], project("t", plan.positions[children[-1]], len(plan.order[children[0]]))
+        if plan.guarded and nid in plan.stored and len(children) == 1:
+            body += [f"a{nid} = state.accs[{nid}] = {{}}", f"for t in state.relations[{c}]:", f"    g = {key}", f"    a{nid}[g] = a{nid}.get(g, 0) + 1"]
+        # the connex set is sibling-closed: all children are connex, or none
+        if nid not in plan.connex or nid in plan.frontier:
+            continue
+        if len(children) == 1:
+            body += [f"c{nid} = state.candidates[{nid}] = state.groups[{c}] = {{}}", f"for t in c{c}:"]
+            body.append(f"    c{nid}.setdefault({key}, {{}})[t] = True")
         else:
-            c1, c2 = children
-            key = plan.key[c2]
-            small = state.candidates[c2]
-            state.candidates[nid] = {t: True for t in state.candidates[c1] if key(t) in small}
+            body.append(f"c{nid} = state.candidates[{nid}] = {{t: True for t in c{c} if {key} in c{children[1]}}}")
+    return "\n".join(["def connex(state):", *("    " + line for line in body or ["pass"])]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -405,15 +406,14 @@ def reference_relation(
         return out
     stored = stored or {}
     rels = [stored[c] if c in stored else reference_relation(state, c, stored) for c in node.children]
+    positions = plan.positions[node.children[-1]]  # a projection's, or the lookup's
     if len(rels) == 1:
-        key = plan.key[node.children[0]]
         for t, k in rels[0].items():
-            kt = key(t)
+            kt = tuple(t[i] for i in positions)
             out[kt] = s.add(out[kt], k) if kt in out else k
         return {t: k for t, k in out.items() if not s.is_zero(k)}
-    key = plan.key[node.children[1]]
     for t, k in rels[0].items():
-        other = rels[1].get(key(t))
+        other = rels[1].get(tuple(t[i] for i in positions))
         if other is not None:
             k = s.mul(k, other)
             if not s.is_zero(k):

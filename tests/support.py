@@ -1,5 +1,6 @@
 """Seeded random corpora for the tests: annotations, queries, databases,
-updates, matrix expressions and instances, and the scaling databases.
+updates, matrix expressions and instances, and the scaling databases; and
+the interpreted connex build, the reference for the generated one.
 
 The seed of ``corpus_rng`` comes from DELTA_ENUM_SEED when set.
 ``test_corpora`` pins what the draws return.
@@ -10,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 import random
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 from deltaenum.errors import TypeCheckError
@@ -351,3 +353,39 @@ def scaling_db(
         db.relations["R"] = binary
         db.relations["S"] = unary
     return db
+
+
+# ---------------------------------------------------------------------------
+# The connex build by plain loops
+# ---------------------------------------------------------------------------
+
+def reference_connex(state):
+    """The candidate sets, extension groups and member counts that
+    ``static_engine.connex_source`` builds for ``state``, from its stored
+    node relations by one plain loop per node, each dict inserted in the
+    same order."""
+    plan = state.plan
+
+    def key(c, t):
+        return tuple(t[i] for i in plan.positions[c])
+
+    candidates, groups, accs = {}, {}, {}
+    for nid in plan.postorder():
+        children = plan.nodes[nid].children
+        if plan.guarded and nid in plan.stored and len(children) == 1:
+            c = children[0]
+            accs[nid] = dict(Counter(key(c, t) for t in state.relations[c]))
+        if nid not in plan.connex:
+            continue
+        if nid in plan.frontier:
+            candidates[nid] = state.relations[nid]
+        elif len(children) == 1:
+            c = children[0]
+            grp = {}
+            for t in candidates[c]:
+                grp.setdefault(key(c, t), {})[t] = True
+            groups[c] = candidates[nid] = grp
+        else:
+            c1, c2 = children
+            candidates[nid] = {t: True for t in candidates[c1] if key(c2, t) in candidates[c2]}
+    return candidates, groups, accs

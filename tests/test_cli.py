@@ -66,6 +66,42 @@ def test_a_printed_nullary_answer_reads_back_as_a_nullary_relation(tmp_path, dbd
     assert run("H() :- N().") == out
 
 
+def _ranges(n):
+    """A query with ``n`` free inequality ranges and no relational atom."""
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    return f"H({','.join(xs)}) :- {', '.join(f'{x} <= c' for x in xs)}."
+
+
+def _star(k):
+    """The q-hierarchical star over ``k`` atoms, whose guarded walk nests
+    k + 1 loops."""
+    return f"H(x,{','.join(f'y{i}' for i in range(1, k + 1))}) :- {', '.join(f'R{i}(x,y{i})' for i in range(1, k + 1))}."
+
+
+@pytest.mark.parametrize(
+    "command, text, loops",
+    [("eval", _ranges(21), 21), ("dyn", _star(20), 21), ("eval", _ranges(20), 20), ("dyn", _star(19), 20)],
+)
+def test_a_walk_of_more_than_twenty_loops_exits_one(tmp_path, capsys, command, text, loops):
+    # CPython compiles a function with at most 20 statically nested blocks
+    d = tmp_path / "db"
+    d.mkdir()
+    (d / "vocab.json").write_text(json.dumps({"relations": {f"R{i}": 2 for i in range(1, 21)}, "constants": {"c": 1}}))
+    for i in range(1, 21):
+        (d / f"R{i}.csv").write_text("1,1,1\n")
+    argv = [command, "--query", write(tmp_path / "q.cq", text), "--db", str(d), "--verify"]
+    if command == "dyn":
+        argv += ["--updates", write(tmp_path / "u.ups", "+ R1 1 2 1\n")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    if loops > 20:
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: the generated walk nests more than 20 loops, which CPython does not compile\n"
+    else:
+        assert code == 0 and captured.err == ""
+        assert captured.out.count("\n") == (1 if command == "eval" else 2)
+
+
 def _corrupt_annotation(answers):
     for i, (t, v) in enumerate(answers):
         yield t, (v + 1 if i == 0 else v)
@@ -592,8 +628,9 @@ def test_inequality_only_queries_have_the_plan_with_no_nodes(tmp_path, capsys, m
         assert static and list(dynamic_engine.dyn_enumerate(state)) == static
         assert dict(static) == oracle_eval_cq(q, db).entries
 
-    # plan --json prints exactly the walk that preprocessing compiles, and
-    # the variable behind each of its bounds
+    # plan --json prints exactly the walk and the connex build, which has
+    # nothing to build, that preprocessing compiles, and the variable behind
+    # each of the walk's bounds
     compiled = []
 
     def recording(source, name):
@@ -607,8 +644,9 @@ def test_inequality_only_queries_have_the_plan_with_no_nodes(tmp_path, capsys, m
         compiled.clear()
         prep(q, db.copy())
         assert main(["plan", path, "--json", *(["--guarded"] if guarded else [])]) == 0
-        (walk,) = compiled
-        want = {"query": q.to_text(), "guarded": guarded, "root": None, "nodes": [], "walk": walk, "scans": {}, "bounds": bounds}
+        walk, connex = compiled
+        assert connex == "def connex(state):\n    pass\n"
+        want = {"query": q.to_text(), "guarded": guarded, "root": None, "nodes": [], "walk": walk, "connex": connex, "scans": {}, "bounds": bounds}
         if guarded:
             want.update(updates={}, applies={})
         assert json.loads(capsys.readouterr().out) == want
@@ -830,13 +868,17 @@ def test_plan_json_prints_what_preprocessing_compiles(tmp_path, capsys, monkeypa
         printed = [report[part][symbol] for symbol in report.get("updates", {}) for part in ("updates", "applies")]
         assert "\n".join(dynamic) == "\n".join(printed), q.to_text()
         assert compiled[len(rest):] == dynamic
-        assert sorted(rest) == sorted([report["walk"], *report["scans"].values()])
+        assert sorted(rest) == sorted([report["walk"], report["connex"], *report["scans"].values()])
         # every key expression is written inline in a compiled source
         plan = state.plan
         keys = [static_engine.leaf_key(plan, n) for n in plan.nodes if plan.nodes[n].is_leaf]
         keys = [key for key in keys if key is not None]
         assert all(any(f" = {key}\n" in source for source in compiled) for key in keys), q.to_text()
         assert compile_source(report["walk"], "walk") is state.walk
+        # the connex build of a guarded plan also counts the members of each
+        # stored projection
+        assert ("state.accs[" in report["connex"]) == bool(state.accs)
+        assert guarded or not state.accs
         assert set(report.get("updates", {})) == set(report.get("applies", {})) == set(state.paths)
         keyed += len(keys)
         scanned += len(report["scans"])

@@ -495,7 +495,7 @@ def test_one_pass_dynamic_state_equals_the_static_preprocess(text):
         c = plan.nodes[nid].children[0]
         groups = {}
         for t, k in state.relations[c].items():
-            groups.setdefault(plan.key[c](t), []).append(k)
+            groups.setdefault(tuple(t[i] for i in plan.positions[c]), []).append(k)
         # one count per group, of its child tuples; the group's sum in child
         # order is the parent's value, or a zero that the parent drops
         assert counts == {key: len(ks) for key, ks in groups.items()}

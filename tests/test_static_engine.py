@@ -15,6 +15,7 @@ from deltaenum.planner import build_fc_plan, build_guarded_plan
 from deltaenum.query import parse_query, split
 from deltaenum.semiring import BUILTIN_SEMIRING_NAMES, builtin_semiring
 from deltaenum.static_engine import (
+    connex_source,
     enumerate_state,
     eval_materialized,
     leaf_key,
@@ -26,7 +27,13 @@ from deltaenum.static_engine import (
     walk_source,
 )
 
-from support import equal_answers, random_db_for_query, random_free_connex_cq
+from support import (
+    equal_answers,
+    random_db_for_query,
+    random_free_connex_cq,
+    random_q_hierarchical_cq,
+    reference_connex,
+)
 
 NAT = builtin_semiring("natural")
 BOOL = builtin_semiring("boolean")
@@ -382,6 +389,35 @@ def test_enumerate_inequality_only_queries():
 
 
 # ---------------------------------------------------------------------------
+# The compiled connex build against the reference build
+# ---------------------------------------------------------------------------
+
+def in_order(d):
+    """The items of the dict ``d``, and of each dict in it, as nested lists,
+    which are equal only when every dict was inserted in the same order."""
+    return [(k, in_order(v) if isinstance(v, dict) else v) for k, v in d.items()]
+
+
+@pytest.mark.parametrize("sname", BUILTIN_SEMIRING_NAMES)
+def test_connex_build_equals_the_reference_build(sname):
+    semiring = builtin_semiring(sname)
+    rng = random.Random(630)
+    for i in range(160):
+        # free-connex plans, and guarded plans, which also count members
+        draw, plan_of = (random_free_connex_cq, build_fc_plan) if i % 2 else (random_q_hierarchical_cq, build_guarded_plan)
+        q = draw(rng)
+        plan = plan_of(q)
+        state = preprocess_with_plan(q, random_db_for_query(rng, q, semiring), plan)
+        candidates, groups, accs = reference_connex(state)
+        got = (in_order(state.candidates), in_order(state.groups), in_order(state.accs))
+        assert got == (in_order(candidates), in_order(groups), in_order(accs)), connex_source(plan)
+        # the walk and the update paths read a group as its parent's
+        # candidates, and a frontier node's candidates as its relation
+        assert all(grp is state.candidates[plan.nodes[c].parent] for c, grp in state.groups.items())
+        assert all(state.candidates[n] is state.relations[n] for n in plan.frontier)
+
+
+# ---------------------------------------------------------------------------
 # The compiled walk against a reference walk
 # ---------------------------------------------------------------------------
 
@@ -493,6 +529,9 @@ SCAN_NAMES = {
     "scan", "state", "entries", "semiring", "add", "mul", "is_zero", "bounds", "relations",
     "out", "t", "k", "x", "g", "get", "items",
 }
+# every name that ``connex_source`` writes, besides Python keywords and the
+# numbered names of its candidate sets and member counts
+CONNEX_NAMES = {"connex", "state", "relations", "candidates", "groups", "accs", "t", "g", "get", "setdefault", "True"}
 
 
 def assert_fixed_names(source, allowed, numbered):
@@ -521,12 +560,16 @@ def test_no_query_text_reaches_the_compiled_walk():
         got = list(enumerate_state(state))
         assert got and dict(got) == oracle_eval_cq(q, db).entries
         for s in SEMIRINGS:
-            walk, scans = plan_sources(state.plan, s)
-            assert (walk, scans) == plan_sources(plan_of(p), s)
+            walk, scans, connex = plan_sources(state.plan, s)
+            assert (walk, scans, connex) == plan_sources(plan_of(p), s)
             assert walk == walk_source(state.plan, s) and scans
             assert_fixed_names(walk, WALK_NAMES | TEMPLATE_NAMES, r"[bcgiprtv][0-9]+")
             for source in scans.values():
                 assert_fixed_names(source, SCAN_NAMES | TEMPLATE_NAMES, r"r[0-9]+")
+            # the guarded plan's connex build counts members and builds a
+            # group; the free-connex plan's root is on its frontier
+            assert ("state.accs[" in connex and "state.groups[" in connex) == state.plan.guarded
+            assert_fixed_names(connex, CONNEX_NAMES, r"[ac][0-9]+")
 
 
 def test_no_query_text_reaches_the_leaf_keys():
