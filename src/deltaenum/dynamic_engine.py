@@ -44,9 +44,8 @@ has no apply step and no update changes its answers.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from functools import partial
-from typing import AbstractSet, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 from .codegen import compile_source, project
 from .errors import CapabilityError, ClassificationError
@@ -224,33 +223,3 @@ def dyn_enumerate(state: EnumerationState, limit: Optional[int] = None) -> Itera
     Cursors are invalidated by any update (single-writer discipline).
     """
     return enumerate_state(state, limit=limit)
-
-
-# ---------------------------------------------------------------------------
-# Invariant walker
-# ---------------------------------------------------------------------------
-
-def verify_dynamic_invariants(state: EnumerationState) -> List[str]:
-    """Cross-check member counts, candidates, and node relations (small
-    dbs); ``verify_node_invariants`` checks the sums, which are the node
-    relations."""
-    from .static_engine import verify_node_invariants
-
-    problems = verify_node_invariants(state)
-    plan = state.plan
-    for nid, counts in state.accs.items():
-        c = plan.nodes[nid].children[0]
-        if counts != dict(Counter(tuple(t[i] for i in plan.positions[c]) for t in state.relations[c])):
-            problems.append(f"node {nid}: member counts mismatch")
-    # candidate sets against a fresh recomputation
-    fresh = preprocess_with_plan(plan.query, state.db, plan)
-    for nid in plan.connex:
-        if set(fresh.candidates.get(nid, {})) != set(state.candidates.get(nid, {})):
-            problems.append(f"node {nid}: candidate set mismatch")
-    for nid, grp in state.groups.items():
-        if state.candidates[plan.nodes[nid].parent] is not grp:
-            problems.append(f"node {nid}: its group is not its parent's candidate set")
-        fresh_grp = fresh.groups.get(nid, {})
-        if {k: set(v) for k, v in grp.items()} != {k: set(v) for k, v in fresh_grp.items()}:
-            problems.append(f"node {nid}: extension groups mismatch")
-    return problems

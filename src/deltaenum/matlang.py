@@ -591,15 +591,6 @@ def decode_relation(rel: AnnotatedRelation, schema: MatrixSchema, name: str) -> 
     return {(u[i], u[j]): v for t, v in rel.entries.items() for u in [t + (1,)]}
 
 
-def decode_instance(db: Database, schema: MatrixSchema) -> MatrixInstance:
-    """Unique matrix instance of ``schema``'s symbols encoded by a consistent database."""
-    decoded = MatrixSchema(
-        {size: db.constant(size) for size in schema.sizes}, dict(schema.matrices), dict(schema.encodings)
-    )
-    entries = {name: decode_relation(db.relation(name), decoded, name) for name in schema.matrices}
-    return MatrixInstance(decoded, db.semiring, entries)
-
-
 # ---------------------------------------------------------------------------
 # Translation to conjunctive queries
 # ---------------------------------------------------------------------------

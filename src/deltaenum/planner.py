@@ -9,14 +9,15 @@ a query without relational atoms gets the plan with no nodes.  The
 reduction is the package's only acyclicity test: ``classify`` reads
 acyclicity, free-connexity and q-hierarchy off whether it yields a plan.
 
-Every plan keeps two invariants, which ``verify_plan`` checks: no node is an
-identity copy (a single-child node with its child's variables), and the first
-child of every 2-child node (its guard) carries the node's variables.  The
-layout the engines read -- each node's variable order, the projection
-positions of each edge, the connex frontier, the levels of the connex walk,
-the nodes whose relations preprocessing stores, and the inequality layout
-read off the query's one ``query.split`` -- is fixed once, by ``_finalize``,
-and is plain data: every data pass of preprocessing is generated from it.
+Every plan keeps two invariants, which the tests' ``verify_plan`` checks
+(``tests/support.py``): no node is an identity copy (a single-child node
+with its child's variables), and the first child of every 2-child node (its
+guard) carries the node's variables.  The layout the engines read -- each
+node's variable order, the projection positions of each edge, the connex
+frontier, the levels of the connex walk, the nodes whose relations
+preprocessing stores, and the inequality layout read off the query's one
+``query.split`` -- is fixed once, by ``_finalize``, and is plain data: every
+data pass of preprocessing is generated from it.
 
 All constructions are deterministic: ties are broken by atom order and by
 sorted variable names, so plan dumps are reproducible.
@@ -25,7 +26,7 @@ sorted variable names, so plan dumps are reproducible.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .query import ConjunctiveQuery, QuerySplit, RelAtom, has_self_join, is_constant_disjoint, split
 
@@ -141,12 +142,6 @@ class QueryPlan:
                 for c in reversed(self.nodes[nid].children):
                     stack.append((c, False))
         return out
-
-    def connex_vars(self) -> VarSet:
-        out: Set[str] = set()
-        for nid in self.connex:
-            out |= self.vars(nid)
-        return frozenset(out)
 
 
 def _finalize(plan: QueryPlan, sp: QuerySplit) -> QueryPlan:
@@ -355,131 +350,3 @@ def classify(q: ConjunctiveQuery) -> QueryClass:
         constant_disjoint=is_constant_disjoint(q)[0],
         self_join_free=not has_self_join(q),
     )
-
-
-# ---------------------------------------------------------------------------
-# Plan validation
-# ---------------------------------------------------------------------------
-
-def disconnected_variables(
-    bags: Dict[int, VarSet], edges: Iterable[Tuple[int, int]]
-) -> List[str]:
-    """Sorted variables whose holders (the nodes whose bag contains them) do
-    not induce a connected subgraph of the undirected ``edges``.
-
-    Empty exactly when the tree has the running-intersection property that
-    every plan requires.
-    """
-    nbr: Dict[int, List[int]] = {n: [] for n in bags}
-    for a, b in edges:
-        nbr[a].append(b)
-        nbr[b].append(a)
-    out: List[str] = []
-    for v in sorted(set().union(*bags.values())):
-        holders = {n for n, bag in bags.items() if v in bag}
-        start = next(iter(holders))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for nb in nbr[stack.pop()]:
-                if nb in holders and nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if seen != holders:
-            out.append(v)
-    return out
-
-
-def verify_plan(plan: QueryPlan, rel_part: ConjunctiveQuery) -> List[str]:
-    """Check every structural plan invariant and, on a sound structure, the
-    levels of the connex walk; returns a list of violations."""
-    problems: List[str] = []
-    nodes = plan.nodes
-
-    reachable: Set[int] = set()
-    stack = [plan.root] if plan.nodes else []
-    while stack:
-        nid = stack.pop()
-        if nid in reachable:
-            problems.append(f"node {nid} reachable twice (not a tree)")
-            continue
-        reachable.add(nid)
-        stack.extend(nodes[nid].children)
-    if reachable != set(nodes):
-        problems.append("unreachable nodes in plan")
-
-    leaf_atoms: List[int] = []
-    for nid, node in nodes.items():
-        if node.is_leaf:
-            if node.children:
-                problems.append(f"leaf {nid} has children")
-            leaf_atoms.append(node.atom_index)
-            continue
-        if len(node.children) > 2:
-            problems.append(f"node {nid} has {len(node.children)} children")
-        if not node.children:
-            problems.append(f"interior node {nid} has no children")
-            continue
-        if len(node.children) == 1 and plan.vars(node.children[0]) == plan.vars(nid):
-            problems.append(f"node {nid} is an identity copy of its child")
-        if not any(plan.vars(nid) <= plan.vars(c) for c in node.children):
-            problems.append(f"node {nid} has no guard child")
-        if plan.guarded and not all(plan.vars(nid) <= plan.vars(c) for c in node.children):
-            problems.append(f"guarded plan: child of {nid} is not a guard")
-        if len(node.children) == 2:
-            c1, c2 = node.children
-            if not (plan.vars(c1) <= plan.vars(nid) and plan.vars(c2) <= plan.vars(nid)):
-                problems.append(f"2-child node {nid} lacks child containment")
-            if plan.vars(c1) != plan.vars(nid):
-                problems.append(f"2-child node {nid}: first child lacks the node's variables")
-            if plan.guarded and not (
-                plan.vars(c1) == plan.vars(nid) == plan.vars(c2)
-            ):
-                problems.append(f"guarded 2-child node {nid} lacks equal labels")
-
-    if sorted(leaf_atoms) != list(range(len(plan.atoms))):
-        problems.append("leaf atoms do not match the atom multiset")
-
-    bags = {nid: plan.vars(nid) for nid in nodes}
-    edges = [(nid, c) for nid, node in nodes.items() for c in node.children]
-    for v in disconnected_variables(bags, edges):
-        problems.append(f"variable {v} is not connected in the plan")
-
-    if plan.nodes and plan.root not in plan.connex:
-        problems.append("connex set misses the root")
-    for nid in plan.connex:
-        node = nodes[nid]
-        if node.parent is not None and node.parent not in plan.connex:
-            problems.append(f"connex set not connected at {nid}")
-        if node.parent is not None:
-            for sib in nodes[node.parent].children:
-                if sib != nid and sib not in plan.connex:
-                    problems.append(f"connex set not sibling-closed at {nid}")
-    if plan.connex_vars() != frozenset(rel_part.head_vars):
-        problems.append(
-            f"connex vars {sorted(plan.connex_vars())} != free vars {sorted(rel_part.head_vars)}"
-        )
-    if problems:
-        return problems  # the layout is derived from the structure checked above
-
-    walked = sorted(nid for level in plan.levels for nid in level.nodes)
-    if walked != sorted(plan.connex):
-        problems.append(f"levels walk connex nodes {walked}, not {sorted(plan.connex)}")
-    level_vars = {v for level in plan.levels for v in level.order}
-    if level_vars != set(rel_part.head_vars):
-        problems.append(
-            f"level variables {sorted(level_vars)} != free vars {sorted(rel_part.head_vars)}"
-        )
-    below = {nid for nid in nodes if nid not in plan.connex or nid in plan.frontier}
-    if not plan.stored <= below:
-        problems.append(f"stored nodes {sorted(plan.stored - below)} lie inside the connex region")
-    for nid in sorted(below):
-        node = nodes[nid]
-        # a free-connex plan streams a node that one scan of its parent reads
-        scanned = node.parent is not None and nodes[node.parent].children[0] == nid
-        streams = (
-            not plan.guarded and nid not in plan.frontier and len(node.children) != 1 and scanned
-        )
-        if (nid in plan.stored) == streams:
-            problems.append(f"node {nid} should be {'streamed' if streams else 'stored'}")
-    return problems

@@ -232,12 +232,6 @@ def rule_query(rule: Rule) -> ConjunctiveQuery:
     return _validate_cq(head_symbol, head_vars, blocks[0])
 
 
-def parse_ucq(text: str) -> Tuple[ConjunctiveQuery, ...]:
-    """Parse a union of CQs: conjunctive blocks joined by ';' under one head,
-    each of which binds every head variable."""
-    return rule_union(parse_rule(text))
-
-
 def rule_union(rule: Rule) -> Tuple[ConjunctiveQuery, ...]:
     """The parsed rule as a union of CQs, each binding every head variable."""
     head_symbol, head_vars, blocks = rule

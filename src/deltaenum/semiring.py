@@ -129,35 +129,19 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean annotation: {s!r}")
 
 
-def _natural_parser(admits: Callable[[Value], bool]) -> Callable[[str], int]:
-    def parse(s: str) -> int:
-        n = int(s)
-        if not admits(n):
-            raise ValueError(f"natural annotation must be non-negative: {s!r}")
-        return n
+def _parser(convert: Callable[[str], Value], message: str) -> Callable:
+    """``parser(admits)`` for ``_builtin``: ``parse`` converts the text and
+    raises ``ValueError`` with ``message`` on a value that ``admits`` rejects."""
+    def parser(admits: Callable[[Value], bool]) -> Callable[[str], Value]:
+        def parse(s: str) -> Value:
+            v = convert(s)
+            if not admits(v):
+                raise ValueError(f"{message}: {s!r}")
+            return v
 
-    return parse
+        return parse
 
-
-def _real_parser(admits: Callable[[Value], bool]) -> Callable[[str], float]:
-    def parse(s: str) -> float:
-        v = float(s)
-        if not admits(v):
-            raise ValueError(f"real annotation must be finite: {s!r}")
-        return v
-
-    return parse
-
-
-def _tropical_parser(admits: Callable[[Value], bool]) -> Callable[[str], float]:
-    def parse(s: str) -> float:
-        s = s.strip().lower()
-        v = math.inf if s in ("inf", "+inf", "infinity") else float(s)
-        if not admits(v):
-            raise ValueError(f"tropical annotation must be a number or inf: {s!r}")
-        return v
-
-    return parse
+    return parser
 
 
 def _builtin(templates: Dict[str, str], parser: Callable, **fields: Any) -> SemiringDescriptor:
@@ -198,7 +182,7 @@ _NATURAL = _builtin(
     one=1,
     zero_divisor_free=True,
     zero_sum_free=True,
-    parser=_natural_parser,
+    parser=_parser(int, "natural annotation must be non-negative"),
     format=str,
 )
 
@@ -214,7 +198,7 @@ _REAL = _builtin(
     one=1.0,
     zero_divisor_free=True,
     zero_sum_free=False,
-    parser=_real_parser,
+    parser=_parser(float, "real annotation must be finite"),
     format=repr,
 )
 
@@ -229,7 +213,7 @@ _TROPICAL_MIN = _builtin(
     one=0.0,
     zero_divisor_free=True,
     zero_sum_free=True,
-    parser=_tropical_parser,
+    parser=_parser(float, "tropical annotation must be a number or inf"),
     format=lambda v: "inf" if v == math.inf else repr(v),
 )
 

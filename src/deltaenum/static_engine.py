@@ -380,62 +380,3 @@ def eval_materialized(q: ConjunctiveQuery, db: Database) -> AnnotatedRelation:
     state = preprocess(q, db)
     entries = dict(enumerate_state(state))
     return AnnotatedRelation(len(q.head_vars), entries)
-
-
-# ---------------------------------------------------------------------------
-# Invariant walker (tests)
-# ---------------------------------------------------------------------------
-
-def reference_relation(
-    state: EnumerationState, nid: int, stored: Optional[Dict[int, Dict[DataTuple, Value]]] = None
-) -> Dict[DataTuple, Value]:
-    """Plan node ``nid``'s relation by its defining equation, with one plain
-    loop per node: a child's relation is taken from ``stored`` when there
-    and recomputed the same way from the database otherwise.  Keys are
-    inserted in the order in which preprocessing inserts them."""
-    plan = state.plan
-    s = state.semiring
-    node = plan.nodes[nid]
-    out: Dict[DataTuple, Value] = {}
-    if node.is_leaf:
-        key = compile_source(f"def key(t, bounds):\n    return {leaf_key(plan, nid) or 't'}\n", "key")
-        for t, k in state.db.relation(plan.atoms[node.atom_index].symbol).entries.items():
-            kt = key(t, state.bounds)
-            if kt is not None:
-                out[kt] = k
-        return out
-    stored = stored or {}
-    rels = [stored[c] if c in stored else reference_relation(state, c, stored) for c in node.children]
-    positions = plan.positions[node.children[-1]]  # a projection's, or the lookup's
-    if len(rels) == 1:
-        for t, k in rels[0].items():
-            kt = tuple(t[i] for i in positions)
-            out[kt] = s.add(out[kt], k) if kt in out else k
-        return {t: k for t, k in out.items() if not s.is_zero(k)}
-    for t, k in rels[0].items():
-        other = rels[1].get(tuple(t[i] for i in positions))
-        if other is not None:
-            k = s.mul(k, other)
-            if not s.is_zero(k):
-                out[t] = k
-    return out
-
-
-def verify_node_invariants(state: EnumerationState) -> List[str]:
-    """Check each stored node relation against its defining equation over
-    its children's relations, recomputing from the database a child that is
-    not stored (``reference_relation``)."""
-    problems: List[str] = []
-    s = state.semiring
-    for nid, rel in state.relations.items():
-        for t, k in rel.items():
-            if s.is_zero(k):
-                problems.append(f"node {nid}: stored zero annotation at {t}")
-        want = reference_relation(state, nid, state.relations)
-        problems += [f"node {nid}: missing tuple {t}" for t in want if t not in rel]
-        for t, k in rel.items():
-            if t not in want:
-                problems.append(f"node {nid}: extra tuple {t}")
-            elif want[t] != k:
-                problems.append(f"node {nid}: annotation {k!r} at {t}, want {want[t]!r}")
-    return problems

@@ -1,6 +1,9 @@
 """Seeded random corpora for the tests: annotations, queries, databases,
 updates, matrix expressions and instances, and the scaling databases; and
-the interpreted connex build, the reference for the generated one.
+the tests' references, which no product path calls: the plan checker, the
+node relations by their defining equations, the interpreted connex build
+(the reference for the generated one), the dynamic state's checker and the
+matrix decoding of a whole database.
 
 The seed of ``corpus_rng`` comes from DELTA_ENUM_SEED when set.
 ``test_corpora`` pins what the draws return.
@@ -12,10 +15,11 @@ import math
 import os
 import random
 from collections import Counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+from deltaenum.codegen import compile_source
 from deltaenum.errors import TypeCheckError
-from deltaenum.kdata import AnnotatedRelation, Database, SingleTupleUpdate
+from deltaenum.kdata import AnnotatedRelation, Database, DataTuple, SingleTupleUpdate
 from deltaenum.matlang import (
     Add,
     Hadamard,
@@ -30,12 +34,14 @@ from deltaenum.matlang import (
     SumIteration,
     Transpose,
     VectorVariable,
+    decode_relation,
     free_vector_variables,
     typecheck,
 )
-from deltaenum.planner import classify
+from deltaenum.planner import QueryPlan, classify
 from deltaenum.query import ConjunctiveQuery, IneqAtom, RelAtom, parse_query
-from deltaenum.semiring import SemiringDescriptor
+from deltaenum.semiring import SemiringDescriptor, Value
+from deltaenum.static_engine import EnumerationState, leaf_key
 
 DEFAULT_SEED = 987654321
 
@@ -307,6 +313,15 @@ def random_matrix_instance(
     return MatrixInstance(schema, semiring, entries)
 
 
+def decode_instance(db: Database, schema: MatrixSchema) -> MatrixInstance:
+    """Unique matrix instance of ``schema``'s symbols encoded by a consistent database."""
+    decoded = MatrixSchema(
+        {size: db.constant(size) for size in schema.sizes}, dict(schema.matrices), dict(schema.encodings)
+    )
+    entries = {name: decode_relation(db.relation(name), decoded, name) for name in schema.matrices}
+    return MatrixInstance(decoded, db.semiring, entries)
+
+
 # ---------------------------------------------------------------------------
 # Synthetic databases for the scaling benchmarks
 # ---------------------------------------------------------------------------
@@ -356,7 +371,202 @@ def scaling_db(
 
 
 # ---------------------------------------------------------------------------
-# The connex build by plain loops
+# Plan validation
+# ---------------------------------------------------------------------------
+
+def disconnected_variables(
+    bags: Dict[int, FrozenSet[str]], edges: Iterable[Tuple[int, int]]
+) -> List[str]:
+    """Sorted variables whose holders (the nodes whose bag contains them) do
+    not induce a connected subgraph of the undirected ``edges``.
+
+    Empty exactly when the tree has the running-intersection property that
+    every plan requires.
+    """
+    nbr: Dict[int, List[int]] = {n: [] for n in bags}
+    for a, b in edges:
+        nbr[a].append(b)
+        nbr[b].append(a)
+    out: List[str] = []
+    for v in sorted(set().union(*bags.values())):
+        holders = {n for n, bag in bags.items() if v in bag}
+        start = next(iter(holders))
+        seen = {start}
+        stack = [start]
+        while stack:
+            for nb in nbr[stack.pop()]:
+                if nb in holders and nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        if seen != holders:
+            out.append(v)
+    return out
+
+
+def connex_vars(plan: QueryPlan) -> FrozenSet[str]:
+    """The variables of the plan's connex nodes."""
+    out: Set[str] = set()
+    for nid in plan.connex:
+        out |= plan.vars(nid)
+    return frozenset(out)
+
+
+def verify_plan(plan: QueryPlan, rel_part: ConjunctiveQuery) -> List[str]:
+    """Check every structural plan invariant and, on a sound structure, the
+    levels of the connex walk; returns a list of violations."""
+    problems: List[str] = []
+    nodes = plan.nodes
+
+    reachable: Set[int] = set()
+    stack = [plan.root] if plan.nodes else []
+    while stack:
+        nid = stack.pop()
+        if nid in reachable:
+            problems.append(f"node {nid} reachable twice (not a tree)")
+            continue
+        reachable.add(nid)
+        stack.extend(nodes[nid].children)
+    if reachable != set(nodes):
+        problems.append("unreachable nodes in plan")
+
+    leaf_atoms: List[int] = []
+    for nid, node in nodes.items():
+        if node.is_leaf:
+            if node.children:
+                problems.append(f"leaf {nid} has children")
+            leaf_atoms.append(node.atom_index)
+            continue
+        if len(node.children) > 2:
+            problems.append(f"node {nid} has {len(node.children)} children")
+        if not node.children:
+            problems.append(f"interior node {nid} has no children")
+            continue
+        if len(node.children) == 1 and plan.vars(node.children[0]) == plan.vars(nid):
+            problems.append(f"node {nid} is an identity copy of its child")
+        if not any(plan.vars(nid) <= plan.vars(c) for c in node.children):
+            problems.append(f"node {nid} has no guard child")
+        if plan.guarded and not all(plan.vars(nid) <= plan.vars(c) for c in node.children):
+            problems.append(f"guarded plan: child of {nid} is not a guard")
+        if len(node.children) == 2:
+            c1, c2 = node.children
+            if not (plan.vars(c1) <= plan.vars(nid) and plan.vars(c2) <= plan.vars(nid)):
+                problems.append(f"2-child node {nid} lacks child containment")
+            if plan.vars(c1) != plan.vars(nid):
+                problems.append(f"2-child node {nid}: first child lacks the node's variables")
+            if plan.guarded and not (
+                plan.vars(c1) == plan.vars(nid) == plan.vars(c2)
+            ):
+                problems.append(f"guarded 2-child node {nid} lacks equal labels")
+
+    if sorted(leaf_atoms) != list(range(len(plan.atoms))):
+        problems.append("leaf atoms do not match the atom multiset")
+
+    bags = {nid: plan.vars(nid) for nid in nodes}
+    edges = [(nid, c) for nid, node in nodes.items() for c in node.children]
+    for v in disconnected_variables(bags, edges):
+        problems.append(f"variable {v} is not connected in the plan")
+
+    if plan.nodes and plan.root not in plan.connex:
+        problems.append("connex set misses the root")
+    for nid in plan.connex:
+        node = nodes[nid]
+        if node.parent is not None and node.parent not in plan.connex:
+            problems.append(f"connex set not connected at {nid}")
+        if node.parent is not None:
+            for sib in nodes[node.parent].children:
+                if sib != nid and sib not in plan.connex:
+                    problems.append(f"connex set not sibling-closed at {nid}")
+    if connex_vars(plan) != frozenset(rel_part.head_vars):
+        problems.append(
+            f"connex vars {sorted(connex_vars(plan))} != free vars {sorted(rel_part.head_vars)}"
+        )
+    if problems:
+        return problems  # the layout is derived from the structure checked above
+
+    walked = sorted(nid for level in plan.levels for nid in level.nodes)
+    if walked != sorted(plan.connex):
+        problems.append(f"levels walk connex nodes {walked}, not {sorted(plan.connex)}")
+    level_vars = {v for level in plan.levels for v in level.order}
+    if level_vars != set(rel_part.head_vars):
+        problems.append(
+            f"level variables {sorted(level_vars)} != free vars {sorted(rel_part.head_vars)}"
+        )
+    below = {nid for nid in nodes if nid not in plan.connex or nid in plan.frontier}
+    if not plan.stored <= below:
+        problems.append(f"stored nodes {sorted(plan.stored - below)} lie inside the connex region")
+    for nid in sorted(below):
+        node = nodes[nid]
+        # a free-connex plan streams a node that one scan of its parent reads
+        scanned = node.parent is not None and nodes[node.parent].children[0] == nid
+        streams = (
+            not plan.guarded and nid not in plan.frontier and len(node.children) != 1 and scanned
+        )
+        if (nid in plan.stored) == streams:
+            problems.append(f"node {nid} should be {'streamed' if streams else 'stored'}")
+    return problems
+
+
+# ---------------------------------------------------------------------------
+# Node relations by their defining equations
+# ---------------------------------------------------------------------------
+
+def reference_relation(
+    state: EnumerationState, nid: int, stored: Optional[Dict[int, Dict[DataTuple, Value]]] = None
+) -> Dict[DataTuple, Value]:
+    """Plan node ``nid``'s relation by its defining equation, with one plain
+    loop per node: a child's relation is taken from ``stored`` when there
+    and recomputed the same way from the database otherwise.  Keys are
+    inserted in the order in which preprocessing inserts them."""
+    plan = state.plan
+    s = state.semiring
+    node = plan.nodes[nid]
+    out: Dict[DataTuple, Value] = {}
+    if node.is_leaf:
+        key = compile_source(f"def key(t, bounds):\n    return {leaf_key(plan, nid) or 't'}\n", "key")
+        for t, k in state.db.relation(plan.atoms[node.atom_index].symbol).entries.items():
+            kt = key(t, state.bounds)
+            if kt is not None:
+                out[kt] = k
+        return out
+    stored = stored or {}
+    rels = [stored[c] if c in stored else reference_relation(state, c, stored) for c in node.children]
+    positions = plan.positions[node.children[-1]]  # a projection's, or the lookup's
+    if len(rels) == 1:
+        for t, k in rels[0].items():
+            kt = tuple(t[i] for i in positions)
+            out[kt] = s.add(out[kt], k) if kt in out else k
+        return {t: k for t, k in out.items() if not s.is_zero(k)}
+    for t, k in rels[0].items():
+        other = rels[1].get(tuple(t[i] for i in positions))
+        if other is not None:
+            k = s.mul(k, other)
+            if not s.is_zero(k):
+                out[t] = k
+    return out
+
+
+def verify_node_invariants(state: EnumerationState) -> List[str]:
+    """Check each stored node relation against its defining equation over
+    its children's relations, recomputing from the database a child that is
+    not stored (``reference_relation``)."""
+    problems: List[str] = []
+    s = state.semiring
+    for nid, rel in state.relations.items():
+        for t, k in rel.items():
+            if s.is_zero(k):
+                problems.append(f"node {nid}: stored zero annotation at {t}")
+        want = reference_relation(state, nid, state.relations)
+        problems += [f"node {nid}: missing tuple {t}" for t in want if t not in rel]
+        for t, k in rel.items():
+            if t not in want:
+                problems.append(f"node {nid}: extra tuple {t}")
+            elif want[t] != k:
+                problems.append(f"node {nid}: annotation {k!r} at {t}, want {want[t]!r}")
+    return problems
+
+
+# ---------------------------------------------------------------------------
+# The connex structures
 # ---------------------------------------------------------------------------
 
 def reference_connex(state):
@@ -389,3 +599,26 @@ def reference_connex(state):
             c1, c2 = children
             candidates[nid] = {t: True for t in candidates[c1] if key(c2, t) in candidates[c2]}
     return candidates, groups, accs
+
+
+def verify_dynamic_invariants(state: EnumerationState) -> List[str]:
+    """Check the node relations (``verify_node_invariants``; over a guarded
+    plan they are the group sums), then the member counts, candidate sets and
+    extension groups against ``reference_connex``, and that each group is
+    its parent's candidate set."""
+    problems = verify_node_invariants(state)
+    plan = state.plan
+    candidates, groups, accs = reference_connex(state)
+    for nid in sorted(accs.keys() | state.accs.keys()):
+        if state.accs.get(nid) != accs.get(nid):
+            problems.append(f"node {nid}: member counts mismatch")
+    for nid in sorted(plan.connex):
+        if set(state.candidates.get(nid, {})) != set(candidates.get(nid, {})):
+            problems.append(f"node {nid}: candidate set mismatch")
+    for nid in sorted(groups.keys() | state.groups.keys()):
+        grp = state.groups.get(nid, {})
+        if nid in state.groups and state.candidates.get(plan.nodes[nid].parent) is not grp:
+            problems.append(f"node {nid}: its group is not its parent's candidate set")
+        if {k: set(v) for k, v in grp.items()} != {k: set(v) for k, v in groups.get(nid, {}).items()}:
+            problems.append(f"node {nid}: extension groups mismatch")
+    return problems

@@ -18,7 +18,7 @@ import pytest
 from deltaenum.dynamic_engine import dyn_enumerate, dyn_preprocess, dyn_update
 from deltaenum.kdata import SingleTupleUpdate
 from deltaenum.oracle import oracle_eval_cq
-from deltaenum.planner import build_fc_plan, classify, verify_plan
+from deltaenum.planner import build_fc_plan, classify
 from deltaenum.query import parse_query, split
 from deltaenum.semiring import builtin_semiring
 from deltaenum.static_engine import enumerate_state, preprocess, preprocess_with_plan
@@ -26,6 +26,7 @@ from deltaenum.static_engine import enumerate_state, preprocess, preprocess_with
 from support import (
     axioms_hold,
     corpus_rng,
+    decode_instance,
     equal_answers,
     fold,
     interleave_members,
@@ -39,6 +40,7 @@ from support import (
     scaling_db,
     scaling_dynamic_query,
     scaling_static_query,
+    verify_plan,
 )
 
 
@@ -261,7 +263,6 @@ def test_criterion_7_constant_update_time():
 def test_criterion_8_matlang_simulation():
     from deltaenum.matlang import (
         MatQuery,
-        decode_instance,
         encode_instance,
         eval_matlang,
     )

@@ -607,9 +607,10 @@ def test_inequality_only_queries_have_the_plan_with_no_nodes(tmp_path, capsys, m
     from deltaenum.codegen import compile_source
     from deltaenum.kdata import AnnotatedRelation, Database, SingleTupleUpdate
     from deltaenum.oracle import oracle_eval_cq
-    from deltaenum.planner import build_fc_plan, build_guarded_plan, classify, verify_plan
+    from deltaenum.planner import build_fc_plan, build_guarded_plan, classify
     from deltaenum.query import parse_query, split
     from deltaenum.semiring import builtin_semiring
+    from support import verify_plan
 
     q = parse_query(text)
     for plan in (build_fc_plan(q), build_guarded_plan(q)):

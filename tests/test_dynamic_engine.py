@@ -12,7 +12,6 @@ from deltaenum.dynamic_engine import (
     dyn_preprocess,
     dyn_update,
     update_sources,
-    verify_dynamic_invariants,
 )
 from deltaenum.errors import CapabilityError, ClassificationError, EngineError, SchemaError, VocabularyError
 from deltaenum.kdata import SingleTupleUpdate, apply_source, apply_update
@@ -22,7 +21,13 @@ from deltaenum.query import parse_query
 from deltaenum.semiring import SemiringDescriptor, builtin_semiring
 from deltaenum.static_engine import enumerate_state, leaf_key, preprocess, preprocess_with_plan
 
-from support import equal_answers, random_db_for_query, random_q_hierarchical_cq, random_update
+from support import (
+    equal_answers,
+    random_db_for_query,
+    random_q_hierarchical_cq,
+    random_update,
+    verify_dynamic_invariants,
+)
 from test_static_engine import (
     JOIN,
     JOIN_DB,

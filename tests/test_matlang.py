@@ -20,7 +20,6 @@ from deltaenum.matlang import (
     Transpose,
     VectorVariable,
     classify_fragment,
-    decode_instance,
     encode_instance,
     eval_matlang,
     infer_cq_types,
@@ -34,7 +33,13 @@ from deltaenum.oracle import oracle_eval_matlang
 from deltaenum.query import IneqAtom
 from deltaenum.semiring import builtin_semiring
 
-from support import random_conj_expression, random_conj_expressions, random_matrix_instance, random_matrix_schema
+from support import (
+    decode_instance,
+    random_conj_expression,
+    random_conj_expressions,
+    random_matrix_instance,
+    random_matrix_schema,
+)
 
 NAT = builtin_semiring("natural")
 BOOL = builtin_semiring("boolean")

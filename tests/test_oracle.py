@@ -1,5 +1,5 @@
 from deltaenum.oracle import oracle_eval_cq, oracle_eval_ucq
-from deltaenum.query import parse_query, parse_ucq
+from deltaenum.query import parse_query, parse_rule, rule_union
 from deltaenum.semiring import builtin_semiring
 
 from test_static_engine import make_db
@@ -10,7 +10,7 @@ BOOL = builtin_semiring("boolean")
 
 def test_relational_atom_is_the_relation():
     db = make_db(NAT, {"R": (2, {(1, 2): 2, (3, 1): 5})})
-    out = oracle_eval_ucq(parse_ucq("H(x,y) :- R(x,y)."), db)
+    out = oracle_eval_ucq(rule_union(parse_rule("H(x,y) :- R(x,y).")), db)
     assert out == {(1, 2): 2, (3, 1): 5}
 
 
@@ -60,5 +60,5 @@ def test_cancellation_in_projection():
 def test_union_sums_the_answers_of_its_cqs():
     REAL = builtin_semiring("real")
     db = make_db(REAL, {"R": (1, {(1,): 2.0, (3,): 0.5}), "S": (2, {(1, 1): -2.0, (2, 2): 1.0, (3, 1): 0.25})})
-    out = oracle_eval_ucq(parse_ucq("H(x) :- R(x) ; S(x,x)."), db)
+    out = oracle_eval_ucq(rule_union(parse_rule("H(x) :- R(x) ; S(x,x).")), db)
     assert out == {(3,): 0.5, (2,): 1.0}  # 2.0 + -2.0 cancels

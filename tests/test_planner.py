@@ -7,12 +7,10 @@ from deltaenum.planner import (
     build_fc_plan,
     build_guarded_plan,
     classify,
-    disconnected_variables,
-    verify_plan,
 )
 from deltaenum.query import parse_query, split
 
-from support import random_cq
+from support import connex_vars, disconnected_variables, random_cq, verify_plan
 
 
 def test_join_tree_triangle_is_cyclic():
@@ -220,7 +218,7 @@ def test_guarded_plan_filtered_projection():
     assert plan is not None
     assert plan.guarded
     assert verify_plan(plan, split(q).rel_part) == []
-    assert plan.connex_vars() == frozenset({"x"})
+    assert connex_vars(plan) == frozenset({"x"})
 
 
 def test_guarded_plan_rejects_non_qh():
@@ -239,7 +237,7 @@ def test_guarded_plan_cross_product():
     plan = build_guarded_plan(q)
     assert plan is not None and plan.guarded
     assert verify_plan(plan, split(q).rel_part) == []
-    assert plan.connex_vars() == frozenset({"x", "y"})
+    assert connex_vars(plan) == frozenset({"x", "y"})
 
 
 def corpus(seed, count, **kw):

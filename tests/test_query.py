@@ -10,7 +10,8 @@ from deltaenum.query import (
     has_self_join,
     is_constant_disjoint,
     parse_query,
-    parse_ucq,
+    parse_rule,
+    rule_union,
     split,
 )
 
@@ -34,7 +35,7 @@ def test_parse_rejects_disjunction_distinctly():
 
 
 def test_parse_fo_query_accepts_disjunction():
-    assert parse_ucq("H(x) :- R(x,y), y <= c ; S(x).") == (
+    assert rule_union(parse_rule("H(x) :- R(x,y), y <= c ; S(x).")) == (
         ConjunctiveQuery("H", ("x",), (RelAtom("R", ("x", "y")), IneqAtom("y", "c"))),
         ConjunctiveQuery("H", ("x",), (RelAtom("S", ("x",)),)),
     )
@@ -42,7 +43,7 @@ def test_parse_fo_query_accepts_disjunction():
 
 def test_parse_ucq_rejects_a_block_without_a_head_variable():
     with pytest.raises(UnsafeFormulaError, match=r"\['x'\] missing"):
-        parse_ucq("H(x) :- R(x) ; S(y).")
+        rule_union(parse_rule("H(x) :- R(x) ; S(y)."))
 
 
 def test_parse_errors():

@@ -22,8 +22,6 @@ from deltaenum.static_engine import (
     plan_sources,
     preprocess,
     preprocess_with_plan,
-    reference_relation,
-    verify_node_invariants,
     walk_source,
 )
 
@@ -33,6 +31,8 @@ from support import (
     random_free_connex_cq,
     random_q_hierarchical_cq,
     reference_connex,
+    reference_relation,
+    verify_node_invariants,
 )
 
 NAT = builtin_semiring("natural")
