@@ -66,6 +66,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    from .dynamic_engine import update_sources
     from .planner import build_fc_plan, build_guarded_plan
     from .static_engine import plan_sources
 
@@ -90,20 +91,12 @@ def cmd_plan(args) -> int:
     report = {"query": q.to_text(), "guarded": plan.guarded, "root": plan.root, "nodes": nodes}
     # the sources that preprocessing compiles for this query, plan and semiring
     semiring = builtin_semiring(args.semiring)
-    report["walk"], scans, report["connex"] = plan_sources(plan, semiring)
-    report["scans"] = {str(nid): source for nid, source in scans.items()}
+    report["walk"], report["build"] = plan_sources(plan, semiring)
     # ``bounds[i]`` in the sources is the least constant bounding the i-th of these
     report["bounds"] = list(plan.bounded)
     # the dynamic engine refuses a semiring that is not sum-maintainable
     if plan.guarded and semiring.sum_maintainable:
-        from .dynamic_engine import update_sources
-        from .kdata import apply_source
-
-        report["updates"] = {
-            symbol: "\n".join(sources.values()) for symbol, sources in update_sources(plan, semiring).items()
-        }
-        arity = {atom.symbol: len(atom.args) for atom in plan.atoms}
-        report["applies"] = {symbol: apply_source(arity[symbol], semiring) for symbol in report["updates"]}
+        report["updates"] = update_sources(plan, semiring)
     if args.json:
         print(json.dumps(report, indent=2))
     else:

@@ -1,8 +1,8 @@
-"""Compiling generated code: the CSV row readers and update apply steps of
-``kdata``, every data pass of preprocessing and the connex walk of
-``static_engine``, the update paths of ``dynamic_engine`` and the builtin
-semiring operators are each written as Python source and compiled here.  A
-plan leaf's key is an expression that the scans and update paths write inline.
+"""Compiling generated code: the CSV row readers of ``kdata``, the build
+and walk of each plan (``static_engine``), the update step of each relation
+symbol (``dynamic_engine``) and the builtin semiring operators are written
+as Python source and compiled here.  A plan leaf's key is an expression
+that the builds and update steps write inline.
 
 A generated source holds only fixed names, integer literals and the
 semiring's operator templates (``SemiringDescriptor.templates``), which are
@@ -25,7 +25,7 @@ from .errors import CapabilityError
 # the message of the error a walk raises when its state was updated
 STALE = "enumeration cursor invalidated by an update"
 # the kind of an insert update (``kdata.SingleTupleUpdate``), which an
-# apply step tells from a delete
+# update step tells from a delete
 INSERT = "insert"
 MAX_NESTED_BLOCKS = 20  # CPython's limit of nested blocks in one function
 

@@ -21,35 +21,34 @@ sibling's candidates and writes the parent's, again O(1) per step.
 
 ``dyn_preprocess`` runs the static preprocess over the guarded plan, the
 one bottom-up path of both engines, and returns the ``EnumerationState`` it
-builds, whose generated connex build (``static_engine.connex_source``) also
-counts the members of each group of a stored projection's child into
-``accs``.  A leaf whose tuples are their own keys has the database's
-entries themselves as its relation.  The update path of each plan leaf is
-generated as Python source (``update_source``, per relation symbol
-``update_sources``): the leaf's key expression (``static_engine.leaf_key``),
-then every step up to the root unrolled, with its dicts hoisted and its
-keys written as tuple displays.  Each symbol's apply step is generated too
-(``kdata.apply_source``): it checks the update, writes the database's
-entries and calls the symbol's leaf path, or a chain over its leaves in
-postorder, when the annotation changed.  Each distinct source is compiled
-once (``codegen.compile_source`` caches them), and the state's ``paths``
-holds one apply step per relation symbol.  ``dyn_update`` makes one call
-per update, to its symbol's apply step; an update that the step does not
-take, and one to a symbol outside the query, goes through
-``kdata.apply_update``, the reference, which raises the error.  A query
-without relational atoms has the guarded plan with no nodes, so its state
-has no apply step and no update changes its answers.
+builds, whose generated build (``static_engine.build_source``) also counts
+the members of each group of a stored projection's child into ``accs``.  A
+leaf whose tuples are their own keys has the database's entries themselves
+as its relation.  Each relation symbol's update step is one generated
+function (``update_source``, per plan ``update_sources``): it checks the
+update with the semiring's operators written inline, writes the database's
+entries and, when the annotation changed, runs the path of each of the
+symbol's plan leaves in postorder, a nested function each: the leaf's key
+expression (``static_engine.leaf_key``), then every step up to the root
+unrolled, with its dicts hoisted and its keys written as tuple displays.
+Each distinct source is compiled once (``codegen.compile_source`` caches
+them), and the state's ``paths`` holds one update step per relation symbol.
+``dyn_update`` makes one call per update, to its symbol's step; an update
+that the step does not take, and one to a symbol outside the query, goes
+through ``kdata.apply_update``, the reference, which raises the error.  A
+query without relational atoms has the guarded plan with no nodes, so its
+state has no update step and no update changes its answers.
 """
 
 from __future__ import annotations
 
 import re
 from functools import partial
-from typing import AbstractSet, Callable, Dict, Iterator, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, Iterator, List, Optional, Tuple
 
 from .codegen import compile_source, project
 from .errors import CapabilityError, ClassificationError
-from .kdata import Database, DataTuple, SingleTupleUpdate, apply_source, apply_update
+from .kdata import Database, DataTuple, SingleTupleUpdate, apply_update
 from .planner import QueryPlan, build_guarded_plan
 from .query import ConjunctiveQuery
 from .semiring import SemiringDescriptor, Value
@@ -76,47 +75,84 @@ def dyn_preprocess(q: ConjunctiveQuery, db: Database) -> EnumerationState:
         )
     state = preprocess_with_plan(q, db, plan)
     reject = partial(apply_update, db)
-    for symbol, sources in update_sources(plan, s).items():
-        updates = [compile_source(source, "make")(state) for source in sources.values()]
-        path = updates[0] if len(updates) == 1 else _chain(tuple(updates))
-        rel = db.relations[symbol]
-        state.paths[symbol] = compile_source(apply_source(rel.arity, s), "make")(s, rel.entries, path, reject)
+    for symbol, source in update_sources(plan, s).items():
+        state.paths[symbol] = compile_source(source, "make")(state, db.relations[symbol].entries, reject)
     return state
 
 
-def update_sources(plan: QueryPlan, s: SemiringDescriptor) -> Dict[str, Dict[int, str]]:
-    """Per relation symbol, the ``update_source`` of each of its leaves in
-    the guarded ``plan`` over the semiring ``s``, in postorder, each given
-    as ``later`` the leaves of its symbol after it whose tuples are their
-    own keys."""
-    leaves = [nid for nid in plan.postorder() if plan.nodes[nid].is_leaf]
-    keys = {nid: leaf_key(plan, nid) for nid in leaves}
-    symbols = {nid: plan.atoms[plan.nodes[nid].atom_index].symbol for nid in leaves}
-    out: Dict[str, Dict[int, str]] = {}
-    for i, nid in enumerate(leaves):
-        later = {m for m in leaves[i + 1:] if keys[m] is None and symbols[m] == symbols[nid]}
-        out.setdefault(symbols[nid], {})[nid] = update_source(plan, nid, keys[nid], s, later)
-    return out
-
-
-def _chain(updates: Sequence[Callable]) -> Callable:
-    """One update that runs each of ``updates`` in turn."""
-    def update(t, old, new):
-        for path in updates:
-            path(t, old, new)
-
-    return update
+def update_sources(plan: QueryPlan, s: SemiringDescriptor) -> Dict[str, str]:
+    """Per relation symbol of the guarded ``plan``, in the postorder of its
+    first leaf, its ``update_source`` over the semiring ``s``."""
+    symbols = [plan.atoms[plan.nodes[n].atom_index].symbol for n in plan.postorder() if plan.nodes[n].is_leaf]
+    return {symbol: update_source(plan, symbol, s) for symbol in dict.fromkeys(symbols)}
 
 
 # ---------------------------------------------------------------------------
 # Update propagation
 # ---------------------------------------------------------------------------
 
-def update_source(
-    plan: QueryPlan, leaf: int, key: Optional[str], s: SemiringDescriptor, later: AbstractSet[int] = frozenset()
-) -> str:
-    """The source of ``make(state)``, which returns ``update(t, old, new)``:
-    the update path of the guarded plan's ``leaf`` unrolled, for a change of
+def update_source(plan: QueryPlan, symbol: str, s: SemiringDescriptor) -> str:
+    """The source of ``make(state, entries, reject)``, which returns
+    ``update(u)``, the update step of the relation ``symbol`` of the guarded
+    ``plan``, whose database ``entries`` are given, over the semiring ``s``:
+    the accepted path of ``kdata.apply_update``, then, when the annotation
+    changed, the path of each leaf of ``symbol`` in postorder
+    (``_leaf_path``), a nested ``pathn`` for the leaf ``n``.
+
+    An update that is not taken as it stands goes to ``reject(u)``, which is
+    ``apply_update`` on the database, before anything is written: a tuple of
+    another arity or with a value below 1, or an insert whose value or sum
+    ``s`` does not admit.  ``make`` reads each dict that the paths name off
+    the state once.  Only fixed names and integer literals are written
+    besides the semiring's operator templates, no symbol of the query.
+    """
+    leaves = [n for n in plan.postorder() if plan.nodes[n].is_leaf and plan.atoms[plan.nodes[n].atom_index].symbol == symbol]
+    arity = len(plan.atoms[plan.nodes[leaves[0]].atom_index].args)
+    keys = {n: leaf_key(plan, n) for n in leaves}
+    paths = []
+    for i, n in enumerate(leaves):
+        later = {m for m in leaves[i + 1:] if keys[m] is None}
+        # (nothing is left to do at a root leaf whose tuples are their own keys)
+        body = _leaf_path(plan, n, keys[n], s, later) or ["pass"]
+        paths += ["", f"    def path{n}(t, old, new):", *("        " + line for line in body)]
+    text = "\n".join(paths)
+    stores = {"r": "state.relations", "a": "state.accs", "c": "state.candidates"}
+    reject = " or ".join([f"len(t) != {arity}"] + [f"t[{i}] < 1" for i in range(arity)])
+    lines = ["def make(state, entries, reject):", "    s = state.semiring"]
+    lines += ["    add, sub, mul, is_zero, admits, zero = s.add, s.sub, s.mul, s.is_zero, s.admits, s.zero"]
+    lines += ["    bounds = state.bounds"] if "bounds[" in text else []
+    lines += [f"    {x}{n} = {stores[x]}[{n}]" for x, n in dict.fromkeys(re.findall(r"\b([rac])([0-9]+)\b", text))]
+    lines += [
+        *paths,
+        "",
+        "    def update(u):",
+        "        t = u.tuple",
+        f"        if {reject}:",
+        "            return reject(u)",
+        "        old = entries.get(t)",
+        "        if u.kind == INSERT:",
+        "            a = u.value",
+        f"            if not {s.expr('admits', 'a')}:",
+        "                return reject(u)",
+        f"            new = {s.expr('add', '(zero if old is None else old)', 'a')}",
+        f"            if not {s.expr('admits', 'new')}:",
+        "                return reject(u)",
+        f"            if not {s.expr('is_zero', 'new')}:",
+        "                entries[t] = new",
+        "                if old != new:",
+        *[f"                    path{n}(t, old, new)" for n in leaves],
+        "                return",
+        "        if old is not None:",
+        "            del entries[t]",
+        *[f"            path{n}(t, old, None)" for n in leaves],
+        "",
+        "    return update",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _leaf_path(plan: QueryPlan, leaf: int, key: Optional[str], s: SemiringDescriptor, later: AbstractSet[int]) -> List[str]:
+    """The body of the path of the guarded plan's ``leaf``, for a change of
     its relation symbol's annotation at ``t`` from ``old`` to ``new`` (None
     when absent), made after the database's entries were written, ``key``
     being the leaf's key expression (``leaf_key``), None when its tuples are
@@ -129,21 +165,20 @@ def update_source(
 
     Node ``n``'s key is ``kn``, its old and new value ``on`` and ``vn``; its
     relation, member counts and candidates are ``rn``, ``an`` and ``cn``,
-    read off the state once, by ``make``, as is ``state.bounds`` when the
-    key reads it.  The steps up to the first connex
+    and ``bounds`` is ``state.bounds``.  The steps up to the first connex
     node carry the change of value, and the path returns at the first node
     whose value does not change.  From there a change of support goes on up
     the candidates to the root: one chain for a tuple that enters the
     support, one for a tuple that leaves it, each returning at the first
-    node whose candidates do not change.  Only fixed names and integer
-    literals are written besides the semiring ``s``'s operator templates,
-    no symbol of the query.
+    node whose candidates do not change.
     """
     c, k, o, v = leaf, "t", "old", "new"
     body = []
     if key is not None:
         k = f"k{leaf}"
-        body += [f"{k} = {key}", f"if {k} is None:", "    return"]
+        body.append(f"{k} = {key}")
+        if key.startswith("None if "):
+            body += [f"if {k} is None:", "    return"]
         body += [f"if {v} is None:", f"    del r{c}[{k}]", "else:", f"    r{c}[{k}] = {v}"]
     enters, leaves = [], []  # the chains of a tuple entering or leaving the support
     while c != plan.root:
@@ -160,7 +195,12 @@ def update_source(
         if len(children) == 1:
             kp = f"k{p}"
             key_line = f"{kp} = {project(k, plan.positions[c], len(plan.order[c]))}"
-        if c in plan.connex and len(children) == 2:
+        if c in plan.connex and len(children) == 2 and absent == "old is None" and o == "old":
+            # the enter chain runs when old is None, the leave chain when it
+            # is not: the sibling is absent in the one, present in the other
+            enters.append("return")
+            leaves.append(f"del c{p}[{k}]")
+        elif c in plan.connex and len(children) == 2:
             # the parent's candidates are the tuples in both children's
             enters += [f"if {absent}:", "    return", f"c{p}[{k}] = True"]
             leaves += [f"if {absent}:", "    return", f"del c{p}[{k}]"]
@@ -185,29 +225,22 @@ def update_source(
             body += [f"if {o} == {v}:", "    return", f"if {v} is None:", f"    del r{p}[{kp}]", "else:", f"    r{p}[{kp}] = {v}"]
         c, k = p, kp
     if enters:
+        # nothing after an unconditional return runs
+        enters = enters[: enters.index("return") + 1] if "return" in enters else enters
         body += [f"if {o} is None:", *["    " + line for line in enters]]
         body += [f"elif {v} is None:", *["    " + line for line in leaves]]
-    # make reads each dict that the body names once
-    stores = {"r": "state.relations", "a": "state.accs", "c": "state.candidates"}
-    dicts = dict.fromkeys(re.findall(r"\b([rac])([0-9]+)\b", "\n".join(body)))
-    lines = ["def make(state):", "    s = state.semiring"]
-    lines += ["    add, sub, mul, is_zero, zero = s.add, s.sub, s.mul, s.is_zero, s.zero"]
-    lines += ["    bounds = state.bounds"] if key and "bounds" in key else []
-    lines += [f"    {x}{n} = {stores[x]}[{n}]" for x, n in dicts]
-    # (nothing is left to do at a root leaf whose tuples are their own keys)
-    lines += ["", "    def update(t, old, new):", *["        " + line for line in body or ["pass"]], "", "    return update"]
-    return "\n".join(lines) + "\n"
+    return body
 
 
 def dyn_update(state: EnumerationState, u: SingleTupleUpdate) -> None:
     """Apply a single-tuple update and repair all maintained structures.
 
-    The apply step of the updated relation (``kdata.apply_source``) writes
-    the database, and its path (``update_source``) carries the change of
-    each of its plan leaves up to the first connex node, and a change of
-    that node's support on up the candidates to the root.  Either part
-    stops at the first node that does not change.  A rejected update raises
-    the error of ``kdata.apply_update`` and changes nothing.
+    The update step of the updated relation (``update_source``) writes the
+    database, and its paths carry the change of each of its plan leaves up
+    to the first connex node, and a change of that node's support on up the
+    candidates to the root.  Either part stops at the first node that does
+    not change.  A rejected update raises the error of
+    ``kdata.apply_update`` and changes nothing.
     """
     path = state.paths.get(u.relation)
     if path is None:

@@ -5,10 +5,10 @@ annotation is nonzero; every mutation goes through ``apply_update`` so the
 "support = stored tuples" invariant the enumeration algorithms rely on is
 never broken (an insert whose sum lands on zero physically removes the
 tuple).  The dynamic engine applies an update through a step generated per
-arity and semiring (``apply_source``), with the semiring's operators
-written inline; it takes the updates ``apply_update`` accepts, with the same
-result, and hands every other one to ``apply_update``, the reference, which
-raises its error before anything is written.
+relation symbol (``dynamic_engine.update_source``), with the semiring's
+operators written inline; it takes the updates ``apply_update`` accepts,
+with the same result, and hands every other one to ``apply_update``, the
+reference, which raises its error before anything is written.
 
 The text loaders (CSV relations and update scripts here, COO matrices in
 ``matlang.load_matrix_instance``) each make one pass over their lines,
@@ -108,8 +108,9 @@ def apply_update(db: Database, u: SingleTupleUpdate) -> Tuple[Optional[Value], O
     a ``SchemaError``.
     Delete: the tuple's annotation becomes zero, i.e. it is removed.
     A rejected update leaves the database untouched.  This is the reference
-    for the generated apply step (``apply_source``), which hands it every
-    update it does not take.
+    for the dynamic engine's generated update step
+    (``dynamic_engine.update_source``), which hands it every update it does
+    not take.
     """
     rel = db.relation(u.relation)
     t = u.tuple
@@ -136,52 +137,6 @@ def apply_update(db: Database, u: SingleTupleUpdate) -> Tuple[Optional[Value], O
     elif old is not None:
         del entries[t]
     return old, new
-
-
-def apply_source(arity: int, s: SemiringDescriptor) -> str:
-    """The source of ``make(s, entries, path, reject)``, which returns
-    ``update(u)``: the accepted path of ``apply_update`` for an update ``u``
-    of a relation of ``arity`` whose ``entries`` are given, over the
-    semiring ``s``, followed by ``path(t, old, new)`` when the tuple's
-    annotation changed.
-
-    An update that is not taken as it stands goes to ``reject(u)`` before
-    anything is written: a tuple of another arity or with a value below 1,
-    or an insert whose value or sum ``s`` does not admit.  ``reject`` is
-    ``apply_update`` on the database, which raises the error.  The
-    semiring's ``admits``, ``add`` and ``is_zero`` are written through their
-    templates.  Only fixed names and integer literals are written besides
-    them.
-    """
-    reject = " or ".join([f"len(t) != {arity}"] + [f"t[{i}] < 1" for i in range(arity)])
-    lines = [
-        "def make(s, entries, path, reject):",
-        "    add, is_zero, admits, zero = s.add, s.is_zero, s.admits, s.zero",
-        "",
-        "    def update(u):",
-        "        t = u.tuple",
-        f"        if {reject}:",
-        "            return reject(u)",
-        "        old = entries.get(t)",
-        "        if u.kind == INSERT:",
-        "            a = u.value",
-        f"            if not {s.expr('admits', 'a')}:",
-        "                return reject(u)",
-        f"            new = {s.expr('add', '(zero if old is None else old)', 'a')}",
-        f"            if not {s.expr('admits', 'new')}:",
-        "                return reject(u)",
-        f"            if not {s.expr('is_zero', 'new')}:",
-        "                entries[t] = new",
-        "                if old != new:",
-        "                    path(t, old, new)",
-        "                return",
-        "        if old is not None:",
-        "            del entries[t]",
-        "            path(t, old, None)",
-        "",
-        "    return update",
-    ]
-    return "\n".join(lines) + "\n"
 
 
 def read_input(path: str | Path) -> str:

@@ -15,7 +15,7 @@ operations with three capability flags:
   sum and a member count support O(1) insert, delete and total.  Required by
   the dynamic engine.
 
-Generated code (the scans, walks, update paths and apply steps) writes an
+Generated code (the builds, walks and update steps) writes an
 operator through its source template, such as ``({0} * {1})``, so that a
 builtin's operators run inline; each builtin's callables are compiled from
 the same templates, so each operator is defined once, the test of which
@@ -95,8 +95,8 @@ class SemiringDescriptor:
     # one other: the sum of the others.  None when there is no such map.
     sub: Optional[Callable[[Value, Value], Value]] = field(default=None, repr=False)
     # which values are annotations: ``parse`` applies it to the converted
-    # text, ``kdata.apply_update`` and the apply step (``kdata.apply_source``)
-    # to the value of an insert and to its sum
+    # text, ``kdata.apply_update`` and the generated update steps to the
+    # value of an insert and to its sum
     admits: Callable[[Value], bool] = field(default=lambda v: True, repr=False)
     # per operator ("add", "mul", "sub", "is_zero", "admits"), the source of
     # its application to the sources {0} and {1} of its operands, each used

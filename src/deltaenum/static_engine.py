@@ -6,7 +6,7 @@ below the connex region and on its frontier, whose relations are defined by:
 * a leaf holds the atom's relation filtered by repeated-variable matching
   and by the inequalities the atom covers, and re-keyed by its variables:
   unless every tuple is its own key, one generated expression
-  (``leaf_key``) tests and re-keys a tuple where the scan or update path
+  (``leaf_key``) tests and re-keys a tuple where the build or update path
   reads it, with the covered limits read off ``EnumerationState.bounds``;
 * a single-child node aggregates its child by semiring addition over the
   projection (dropping zero sums);
@@ -21,13 +21,14 @@ its parent's pass, and streams.  Each stored relation comes out of one loop
 that reads its source -- a leaf's database entries or the relation of the
 nearest stored node below -- and carries every row up through the lookups
 of the streamed 2-child nodes above it: Yannakakis' bottom-up pass,
-pipelined up to its pipeline breakers (Neumann, VLDB 2011).  That loop is
-generated per stored node as straight-line Python (``scan_source``), with
-its lookups hoisted and written as tuple displays and the semiring's
-operators written out; a stored leaf whose tuples are their own keys is
-its database entries themselves, not a copy.  A guarded plan stores every
-node below the connex region and on its frontier, since an update looks up
-both children of a 2-child node.
+pipelined up to its pipeline breakers (Neumann, VLDB 2011).  One generated
+function per plan, ``build`` (``build_source``), runs these loops in
+postorder as straight-line Python, with its lookups written as tuple
+displays into the relations it built before and the semiring's operators
+written out; a stored leaf whose tuples are their own keys is its database
+entries themselves, not a copy.  A guarded plan stores every node below
+the connex region and on its frontier, since an update looks up both
+children of a 2-child node.
 
 Every query that preprocessing takes has a plan (``planner.build_plan``),
 which also fixes the inequality layout that the sources read; a query
@@ -39,8 +40,8 @@ cancelling sums (the reals) an aggregated value can vanish while its
 extensions remain enumerable, and the connex variables are free, so no
 aggregation is allowed to prune them.  Only the keys of a candidate set
 count: a frontier node's candidate set is its relation, and a projection's
-is its child's extension group.  ``connex_source`` writes the pass that
-builds them as ``scan_source`` writes the bottom-up pass.
+is its child's extension group.  ``build`` builds them after the relations,
+in one more pass in postorder.
 
 The planner cuts the connex region into *levels* (``QueryPlan.levels``): the
 root's candidates, then one level per projection edge into a connex child,
@@ -48,9 +49,9 @@ ranging over that child's extension group under the tuple of an earlier
 level.  Each free inequality range adds one more level.  ``walk_source``
 writes the levels out as nested Python loops, the last level innermost: the
 data-centric code generation of Neumann (VLDB 2011), applied to the walk.
-Preprocessing compiles the walk, scans and connex build of ``plan_sources``,
-each distinct source once (``codegen.compile_source``); ``plan --json``
-prints them.  An answer is the head read off the level tuples, and its
+Preprocessing compiles the walk and the build of ``plan_sources``, each
+distinct source once (``codegen.compile_source``); ``plan --json`` prints
+them.  An answer is the head read off the level tuples, and its
 annotation the product of the frontier annotations along the way.
 Candidates keep every level non-empty, so the delay is bounded by the
 number of levels, independent of the database.  When the root is on the
@@ -104,8 +105,8 @@ class EnumerationState:
     walk: Optional[Callable] = field(default=None, repr=False)
     # over a guarded plan, per stored projection, parent tuple -> its number
     # of child tuples; in a dynamic state (``dynamic_engine.dyn_preprocess``),
-    # per relation symbol, ``update(u)``, its apply step, which writes the
-    # database and carries the change along its plan leaves' paths
+    # per relation symbol, ``update(u)``, its compiled ``update_source``,
+    # which writes the database and runs its plan leaves' paths
     accs: Dict[int, Dict[DataTuple, int]] = field(default_factory=dict)
     paths: Dict[str, Callable[[SingleTupleUpdate], None]] = field(default_factory=dict)
     version: int = 0
@@ -139,19 +140,10 @@ def leaf_key(plan: QueryPlan, leaf: int) -> Optional[str]:
     return f"None if {' or '.join(misses)} else {key}" if misses else key
 
 
-def plan_sources(plan: QueryPlan, s: SemiringDescriptor) -> Tuple[str, Dict[int, str], str]:
+def plan_sources(plan: QueryPlan, s: SemiringDescriptor) -> Tuple[str, str]:
     """The sources preprocessing compiles for ``plan`` and the semiring
-    ``s``: the walk's; in node order the scan's of each stored node that is
-    not a leaf's database entries themselves, the leaf's tuples being their
-    own keys (``leaf_key``); and the connex build's (``connex_source``)."""
-    nodes = sorted(plan.nodes.items())
-    keys = {nid: key for nid, node in nodes if node.is_leaf and (key := leaf_key(plan, nid)) is not None}
-    scans = {
-        nid: scan_source(plan, nid, keys, s)
-        for nid, node in nodes
-        if nid in plan.stored and (nid in keys or not node.is_leaf)
-    }
-    return walk_source(plan, s), scans, connex_source(plan)
+    ``s``: the walk's (``walk_source``) and the build's (``build_source``)."""
+    return walk_source(plan, s), build_source(plan, s)
 
 
 def preprocess(q: ConjunctiveQuery, db: Database) -> EnumerationState:
@@ -164,7 +156,8 @@ def preprocess(q: ConjunctiveQuery, db: Database) -> EnumerationState:
 
 def preprocess_with_plan(q: ConjunctiveQuery, db: Database, plan: QueryPlan) -> EnumerationState:
     """Preprocess ``q`` over a caller-supplied plan of it (the dynamic
-    engine passes a guarded one)."""
+    engine passes a guarded one).  A leaf's relation symbol must be in the
+    database, at the atom's arity (``VocabularyError`` otherwise)."""
     s = db.semiring
     if not s.zero_divisor_free:
         raise CapabilityError(
@@ -177,20 +170,8 @@ def preprocess_with_plan(q: ConjunctiveQuery, db: Database, plan: QueryPlan) -> 
         limits[ineq.var] = min(limits.get(ineq.var, c), c)
     state.bounds = tuple(limits[v] for v in plan.bounded)
     state.factor = sum_of_ones(s, math.prod(limits[v] for v in plan.summed))
-    walk, scans, connex = plan_sources(plan, s)
+    walk, build = plan_sources(plan, s)
     state.walk = compile_source(walk, "walk")
-    _bottom_up(state, {nid: compile_source(source, "scan") for nid, source in scans.items()})
-    compile_source(connex, "connex")(state)
-    return state
-
-
-def _bottom_up(state: EnumerationState, scans: Dict[int, Callable]) -> None:
-    """Build the stored node relations (``plan.stored``) in postorder: each
-    by its compiled ``scan_source``, given the database entries of every
-    leaf, or else, a leaf whose tuples are their own keys, as its database
-    entries themselves.  A leaf's relation symbol must be in the database,
-    at the atom's arity (``VocabularyError`` otherwise)."""
-    plan, db = state.plan, state.db
     entries = {}
     for nid, node in plan.nodes.items():
         if node.is_leaf:
@@ -201,29 +182,67 @@ def _bottom_up(state: EnumerationState, scans: Dict[int, Callable]) -> None:
                     f"atom {atom} has arity {len(atom.args)}, relation {atom.symbol!r} expects {rel.arity}"
                 )
             entries[nid] = rel.entries
+    compile_source(build, "build")(state, entries)
+    return state
+
+
+def build_source(plan: QueryPlan, s: SemiringDescriptor) -> str:
+    """The source of ``build(state, entries)``, which builds, given per plan
+    leaf its database entries, the relations of the stored nodes
+    (``plan.stored``) in postorder, node ``n``'s also as the local ``rn``
+    that the nodes above it read (``_scan``), and then, in postorder, the
+    connex structures, each into its dict of the state: the candidate sets
+    of the connex region (a node's tuples that extend to the connex
+    variables below it), its extension groups and, over a guarded plan,
+    each stored projection's member counts.  A frontier node's candidates
+    are its relation, a projection's its child's group, built by one loop,
+    and a 2-child node's its guard's whose key is in the other child's,
+    kept by one comprehension.  Besides the semiring's operator templates,
+    only fixed names and integer literals are written, no symbol of the
+    query.
+    """
+    body: List[str] = []
     for nid in plan.postorder():
         if nid in plan.stored:
-            scan = scans.get(nid)
-            state.relations[nid] = entries[nid] if scan is None else scan(state, entries)
+            body += _scan(plan, nid, s)
+    if any(line.startswith("for ") for line in body):
+        body[:0] = ["add, mul, is_zero = state.semiring.add, state.semiring.mul, state.semiring.is_zero"]
+    if "bounds[" in "\n".join(body):
+        body[:0] = ["bounds = state.bounds"]
+    for nid in plan.postorder():
+        children = plan.nodes[nid].children
+        if nid in plan.frontier:
+            body.append(f"c{nid} = state.candidates[{nid}] = r{nid}")
+        if not children:
+            continue
+        # the first child's tuple under the last child's positions: the key of
+        # a projection, or of a 2-child node's lookup in its second child
+        c, key = children[0], project("t", plan.positions[children[-1]], len(plan.order[children[0]]))
+        if plan.guarded and nid in plan.stored and len(children) == 1:
+            body += [f"a{nid} = state.accs[{nid}] = {{}}", f"for t in r{c}:", f"    g = {key}", f"    a{nid}[g] = a{nid}.get(g, 0) + 1"]
+        # the connex set is sibling-closed: all children are connex, or none
+        if nid not in plan.connex or nid in plan.frontier:
+            continue
+        if len(children) == 1:
+            body += [f"c{nid} = state.candidates[{nid}] = state.groups[{c}] = {{}}", f"for t in c{c}:"]
+            body.append(f"    c{nid}.setdefault({key}, {{}})[t] = True")
+        else:
+            body.append(f"c{nid} = state.candidates[{nid}] = {{t: True for t in c{c} if {key} in c{children[1]}}}")
+    return "\n".join(["def build(state, entries):", *("    " + line for line in body or ["pass"])]) + "\n"
 
 
-def scan_source(plan: QueryPlan, nid: int, keys: Dict[int, str], s: SemiringDescriptor) -> str:
-    """The source of ``scan(state, entries)``, which returns the relation of
-    the stored node ``nid``, given per plan leaf its database entries;
-    ``keys`` holds the key expression (``leaf_key``) of each leaf whose
-    tuples are not their own keys.
-
-    One loop reads the relation of the nearest stored node below ``nid``,
-    or a leaf's entries, each re-keyed by the leaf's key expression and
-    dropped under the key None.  Each streamed 2-child node on the way up,
-    and ``nid`` itself when it is one, looks the row's tuple up in its
-    second child's hoisted relation, lowest first: the row is dropped when
-    the lookup misses or the product of the annotations is zero.  A row
-    that passes is stored, or under a projection added into its group, and
-    over a semiring whose sums cancel the zero sums are dropped at the end.
-    Besides the semiring's operator templates, only fixed names and integer
-    literals are written, no symbol of the query.
-    """
+def _scan(plan: QueryPlan, nid: int, s: SemiringDescriptor) -> List[str]:
+    """The lines of ``build_source`` that build the relation ``rn`` of the
+    stored node ``n`` = ``nid``: its database entries themselves for a leaf
+    whose tuples are their own keys (``leaf_key``), and otherwise one loop
+    that reads the relation of the nearest stored node below, or a leaf's
+    entries, each re-keyed by the leaf's key expression and dropped under
+    the key None.  Each streamed 2-child node on the way up, and ``nid``
+    itself when it is one, looks the row's tuple up in its second child's
+    relation, lowest first: the row is dropped when the lookup misses or
+    the product of the annotations is zero.  A row that passes is stored,
+    or under a projection added into its group, and over a semiring whose
+    sums cancel the zero sums are dropped at the end."""
     children = plan.nodes[nid].children
     m = children[0] if len(children) == 1 else nid
     probes: List[int] = []
@@ -233,58 +252,27 @@ def scan_source(plan: QueryPlan, nid: int, keys: Dict[int, str], s: SemiringDesc
         m = c1  # the guard child carries m's variables, so the row keeps its tuple
     width = len(plan.order[m])
     from_leaf = m == nid or m not in plan.stored
-    key = keys.get(m) if from_leaf else None
-    lines = ["def scan(state, entries):", "    add, mul, is_zero = state.semiring.add, state.semiring.mul, state.semiring.is_zero"]
-    lines += ["    bounds = state.bounds"] if key and "bounds" in key else []
-    lines += [f"    r{c} = state.relations[{c}]" for c in probes]
-    lines += ["    out = {}", f"    for t, k in {f'entries[{m}]' if from_leaf else f'state.relations[{m}]'}.items():"]
-    body = [f"t = {key}", "if t is None:", "    continue"] if key else []
+    key = leaf_key(plan, m) if from_leaf else None
+    r = f"r{nid}"
+    if not children and key is None:
+        return [f"{r} = state.relations[{nid}] = entries[{nid}]"]
+    body = [f"t = {key}"] if key else []
+    if key and key.startswith("None if "):
+        body += ["if t is None:", "    continue"]
     product = s.expr("mul", "k", "x")
     for c in reversed(probes):  # the lowest join multiplies first
         body += [f"x = r{c}.get({project('t', plan.positions[c], width)})"]
         body += [f"if x is None or {s.expr('is_zero', f'(k := {product})')}:", "    continue"]
     if len(children) != 1:
-        body.append("out[t] = k")
+        body.append(f"{r}[t] = k")
     else:
-        body += [f"g = {project('t', plan.positions[children[0]], width)}", "if g in out:"]
-        body += [f"    out[g] = {s.expr('add', 'out[g]', 'k')}", "else:", "    out[g] = k"]
-    lines += ["        " + line for line in body]
+        body += [f"g = {project('t', plan.positions[children[0]], width)}", f"if g in {r}:"]
+        body += [f"    {r}[g] = {s.expr('add', f'{r}[g]', 'k')}", "else:", f"    {r}[g] = k"]
+    lines = [f"{r} = state.relations[{nid}] = {{}}", f"for t, k in {f'entries[{m}]' if from_leaf else f'r{m}'}.items():"]
+    lines += ["    " + line for line in body]
     if len(children) == 1 and not s.zero_sum_free:
-        lines.append(f"    return {{g: k for g, k in out.items() if not {s.expr('is_zero', 'k')}}}")
-    else:
-        lines.append("    return out")
-    return "\n".join(lines) + "\n"
-
-
-def connex_source(plan: QueryPlan) -> str:
-    """The source of ``connex(state)``, which builds in postorder the candidate
-    sets of the connex region (a node's tuples that extend to the connex
-    variables below it), its extension groups and, over a guarded plan, each
-    stored projection's member counts.  A frontier node's candidates are its
-    relation, a projection's its child's group, built by one loop, and a
-    2-child node's its guard's whose key is in the other child's, kept by
-    one comprehension.  Only fixed names and integer literals are written."""
-    body: List[str] = []
-    for nid in plan.postorder():
-        children = plan.nodes[nid].children
-        if nid in plan.frontier:
-            body.append(f"c{nid} = state.candidates[{nid}] = state.relations[{nid}]")
-        if not children:
-            continue
-        # the first child's tuple under the last child's positions: the key of
-        # a projection, or of a 2-child node's lookup in its second child
-        c, key = children[0], project("t", plan.positions[children[-1]], len(plan.order[children[0]]))
-        if plan.guarded and nid in plan.stored and len(children) == 1:
-            body += [f"a{nid} = state.accs[{nid}] = {{}}", f"for t in state.relations[{c}]:", f"    g = {key}", f"    a{nid}[g] = a{nid}.get(g, 0) + 1"]
-        # the connex set is sibling-closed: all children are connex, or none
-        if nid not in plan.connex or nid in plan.frontier:
-            continue
-        if len(children) == 1:
-            body += [f"c{nid} = state.candidates[{nid}] = state.groups[{c}] = {{}}", f"for t in c{c}:"]
-            body.append(f"    c{nid}.setdefault({key}, {{}})[t] = True")
-        else:
-            body.append(f"c{nid} = state.candidates[{nid}] = {{t: True for t in c{c} if {key} in c{children[1]}}}")
-    return "\n".join(["def connex(state):", *("    " + line for line in body or ["pass"])]) + "\n"
+        lines.append(f"{r} = state.relations[{nid}] = {{g: k for g, k in {r}.items() if not {s.expr('is_zero', 'k')}}}")
+    return lines
 
 
 # ---------------------------------------------------------------------------

@@ -571,7 +571,7 @@ def verify_node_invariants(state: EnumerationState) -> List[str]:
 
 def reference_connex(state):
     """The candidate sets, extension groups and member counts that
-    ``static_engine.connex_source`` builds for ``state``, from its stored
+    ``static_engine.build_source`` builds for ``state``, from its stored
     node relations by one plain loop per node, each dict inserted in the
     same order."""
     plan = state.plan

@@ -326,10 +326,9 @@ def test_plan_json_reports_the_leaf_keys(tmp_path, capsys):
     keys = {n: leaf_key(plan, n) for n in plan.nodes if plan.nodes[n].is_leaf}
     labels = {n["id"]: n["label"] for n in report["nodes"]}
     assert sorted(labels[n] for n, key in keys.items() if key is not None) == ["R(x, x)", "R(x, y)"]
-    # the scan that reads a keyed leaf's entries writes its key expression
+    # the loop that reads a keyed leaf's entries writes its key expression
     for n, key in keys.items():
-        scans = [src for src in report["scans"].values() if f"entries[{n}]" in src]
-        assert len(scans) == (key is not None) and all(f"t = {key}\n" in src for src in scans)
+        assert (f"in entries[{n}].items():\n        t = {key}\n" in report["build"]) == (key is not None)
     assert "keys" not in report
 
 
@@ -629,9 +628,9 @@ def test_inequality_only_queries_have_the_plan_with_no_nodes(tmp_path, capsys, m
         assert static and list(dynamic_engine.dyn_enumerate(state)) == static
         assert dict(static) == oracle_eval_cq(q, db).entries
 
-    # plan --json prints exactly the walk and the connex build, which has
-    # nothing to build, that preprocessing compiles, and the variable behind
-    # each of the walk's bounds
+    # plan --json prints exactly the walk and the build, which has nothing
+    # to build, that preprocessing compiles, and the variable behind each of
+    # the walk's bounds
     compiled = []
 
     def recording(source, name):
@@ -645,11 +644,11 @@ def test_inequality_only_queries_have_the_plan_with_no_nodes(tmp_path, capsys, m
         compiled.clear()
         prep(q, db.copy())
         assert main(["plan", path, "--json", *(["--guarded"] if guarded else [])]) == 0
-        walk, connex = compiled
-        assert connex == "def connex(state):\n    pass\n"
-        want = {"query": q.to_text(), "guarded": guarded, "root": None, "nodes": [], "walk": walk, "connex": connex, "scans": {}, "bounds": bounds}
+        walk, build = compiled
+        assert build == "def build(state, entries):\n    pass\n"
+        want = {"query": q.to_text(), "guarded": guarded, "root": None, "nodes": [], "walk": walk, "build": build, "bounds": bounds}
         if guarded:
-            want.update(updates={}, applies={})
+            want.update(updates={})
         assert json.loads(capsys.readouterr().out) == want
 
 
@@ -781,7 +780,6 @@ def test_matlang_eval_json_reports_used_engine(tmp_path, capsys):
 
 def test_plan_json_reports_the_update_paths(tmp_path, capsys):
     from deltaenum.dynamic_engine import update_source
-    from deltaenum.kdata import apply_source
     from deltaenum.planner import build_guarded_plan
     from deltaenum.query import parse_query
     from deltaenum.semiring import builtin_semiring
@@ -791,7 +789,7 @@ def test_plan_json_reports_the_update_paths(tmp_path, capsys):
     q = write(tmp_path / "q.cq", text)
     assert main(["plan", q, "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert "updates" not in report and "applies" not in report
+    assert "updates" not in report
     assert main(["plan", q, "--json", "--guarded"]) == 0
     report = json.loads(capsys.readouterr().out)
     plan = build_guarded_plan(parse_query(text))
@@ -799,17 +797,19 @@ def test_plan_json_reports_the_update_paths(tmp_path, capsys):
         symbol: [n for n in plan.postorder() if plan.nodes[n].is_leaf and plan.atoms[plan.nodes[n].atom_index].symbol == symbol]
         for symbol in ("R", "S")
     }
-    # R(x,x) is the one leaf keyed, and its update path writes its key
+    # R(x,x) is the one leaf keyed, and its path writes its key
     keys = {n: leaf_key(plan, n) for ns in leaves.values() for n in ns}
     (keyed,) = [n for n, key in keys.items() if key is not None]
     assert plan.atoms[plan.nodes[keyed].atom_index].args == ("x", "x")
+    # one update step per symbol, with one path per leaf of the symbol
     natural = builtin_semiring("natural")
-    want = {s: "\n".join(update_source(plan, n, keys[n], natural) for n in ns) for s, ns in leaves.items()}
-    assert report["updates"] == want
-    assert report["updates"]["R"].count("def make(") == 2
+    assert report["updates"] == {s: update_source(plan, s, natural) for s in leaves}
+    assert report["updates"]["R"].count("def make(") == 1
+    assert [report["updates"]["R"].count(f"def path{n}(") for n in leaves["R"]] == [1, 1]
     assert report["updates"]["R"].count(f"k{keyed} = {keys[keyed]}\n") == 1
-    # one apply step per symbol, for its arity
-    assert report["applies"] == {"R": apply_source(2, natural), "S": apply_source(1, natural)}
+    # the step checks a tuple of R's arity
+    assert "if len(t) != 2 or t[0] < 1 or t[1] < 1:" in report["updates"]["R"]
+    assert "if len(t) != 1 or t[0] < 1:" in report["updates"]["S"]
 
 
 @pytest.mark.parametrize("semiring", ["natural", "tropical-min"])
@@ -822,10 +822,10 @@ def test_plan_json_prints_update_paths_only_for_sum_maintainable_semirings(tmp_p
     assert main(["plan", q, "--json", "--guarded", "--semiring", semiring]) == 0
     report = json.loads(capsys.readouterr().out)
     maintainable = builtin_semiring(semiring).sum_maintainable
-    assert ("updates" in report) == ("applies" in report) == maintainable == (semiring == "natural")
-    for source in [*report.get("updates", {}).values(), *report.get("applies", {}).values()]:
+    assert ("updates" in report) == maintainable == (semiring == "natural")
+    for source in report.get("updates", {}).values():
         compile(source, "<updates>", "exec")
-    assert report["walk"] and report["scans"]
+    assert report["walk"] and "for t, k in " in report["build"]
 
 
 @pytest.mark.parametrize("guarded", [False, True])
@@ -861,28 +861,22 @@ def test_plan_json_prints_what_preprocessing_compiles(tmp_path, capsys, monkeypa
         argv = ["plan", write(tmp_path / "q.cq", q.to_text()), "--json", "--semiring", s.name]
         assert main(argv + ["--guarded"] * guarded) == 0
         report = json.loads(capsys.readouterr().out)
-        # preprocessing compiles exactly the printed sources: last, symbol
-        # by symbol, the update paths of its leaves and then its apply step,
-        # and the others in any order
-        dynamic = [source for source in compiled if source.startswith("def make(")]
-        rest = [source for source in compiled if source not in dynamic]
-        printed = [report[part][symbol] for symbol in report.get("updates", {}) for part in ("updates", "applies")]
-        assert "\n".join(dynamic) == "\n".join(printed), q.to_text()
-        assert compiled[len(rest):] == dynamic
-        assert sorted(rest) == sorted([report["walk"], report["connex"], *report["scans"].values()])
+        # preprocessing compiles exactly the printed sources: the walk, the
+        # build and then, symbol by symbol, the update step
+        assert compiled == [report["walk"], report["build"], *report.get("updates", {}).values()], q.to_text()
         # every key expression is written inline in a compiled source
         plan = state.plan
         keys = [static_engine.leaf_key(plan, n) for n in plan.nodes if plan.nodes[n].is_leaf]
         keys = [key for key in keys if key is not None]
         assert all(any(f" = {key}\n" in source for source in compiled) for key in keys), q.to_text()
         assert compile_source(report["walk"], "walk") is state.walk
-        # the connex build of a guarded plan also counts the members of each
-        # stored projection
-        assert ("state.accs[" in report["connex"]) == bool(state.accs)
+        # the build of a guarded plan also counts the members of each stored
+        # projection
+        assert ("state.accs[" in report["build"]) == bool(state.accs)
         assert guarded or not state.accs
-        assert set(report.get("updates", {})) == set(report.get("applies", {})) == set(state.paths)
+        assert list(report.get("updates", {})) == list(state.paths)
         keyed += len(keys)
-        scanned += len(report["scans"])
+        scanned += report["build"].count("for t, k in ")
     assert keyed and scanned  # some drawn leaf is not its own key, some node is scanned
 
 

@@ -14,12 +14,12 @@ from deltaenum.dynamic_engine import (
     update_sources,
 )
 from deltaenum.errors import CapabilityError, ClassificationError, EngineError, SchemaError, VocabularyError
-from deltaenum.kdata import SingleTupleUpdate, apply_source, apply_update
+from deltaenum.kdata import SingleTupleUpdate, apply_update
 from deltaenum.oracle import oracle_eval_cq
 from deltaenum.planner import build_guarded_plan
 from deltaenum.query import parse_query
 from deltaenum.semiring import SemiringDescriptor, builtin_semiring
-from deltaenum.static_engine import enumerate_state, leaf_key, preprocess, preprocess_with_plan
+from deltaenum.static_engine import enumerate_state, leaf_key, plan_sources, preprocess, preprocess_with_plan
 
 from support import (
     equal_answers,
@@ -522,20 +522,17 @@ def closure(f):
     return {name: cell.cell_contents for name, cell in zip(f.__code__.co_freevars, f.__closure__ or ())}
 
 
-def leaf_paths(apply):
-    """The per-leaf updates that a symbol's compiled apply step calls: its
-    path itself, or the updates its chain runs."""
-    path = closure(apply)["path"]
-    chained = [v for v in closure(path).values() if isinstance(v, tuple)]
-    return list(chained[0]) if chained else [path]
+def leaf_paths(update):
+    """The leaf paths that a symbol's compiled update step calls, by leaf."""
+    return {int(name[4:]): f for name, f in closure(update).items() if name.startswith("path")}
 
 
 def assert_paths_hold_the_states_own_dicts(state):
-    """One compiled apply step per relation symbol of the plan, over the
-    symbol's database entries, calling one update per plan leaf of that
-    symbol; every dict an update closes over is one of the state's own.  A
+    """One compiled update step per relation symbol of the plan, over the
+    symbol's database entries, calling one path per plan leaf of that
+    symbol; every dict a path closes over is one of the state's own.  A
     leaf whose tuples are their own keys has the database's entries as its
-    relation; any other leaf's update holds its relation."""
+    relation; any other leaf's path holds its relation."""
     plan = state.plan
     own = {
         id(d)
@@ -546,10 +543,10 @@ def assert_paths_hold_the_states_own_dicts(state):
     for symbol, leaves in leaves_by_symbol(plan).items():
         entries = state.db.relations[symbol].entries
         assert closure(state.paths[symbol])["entries"] is entries
-        updates = leaf_paths(state.paths[symbol])
-        assert len(updates) == len(leaves)
-        for leaf, update in zip(leaves, updates):
-            held = [v for v in closure(update).values() if isinstance(v, dict)]
+        paths = leaf_paths(state.paths[symbol])
+        assert sorted(paths) == sorted(leaves)
+        for leaf, path in paths.items():
+            held = [v for v in closure(path).values() if isinstance(v, dict)]
             assert {id(d) for d in held} <= own
             if leaf_key(plan, leaf) is None:
                 assert state.relations[leaf] is entries
@@ -562,7 +559,7 @@ def assert_paths_hold_the_states_own_dicts(state):
     [
         (JOIN, JOIN_DB),
         (QH, QH_DB),
-        # a self-join: two leaves, so two updates, under R
+        # a self-join: two leaves, so two paths, under R
         ("H(x) :- R(x,y), R(x,x), U(x).", {"R": QH_DB["S"], "U": QH_DB["U"]}),
     ],
 )
@@ -615,14 +612,74 @@ def test_generated_paths_over_a_seeded_stream(text, sname):
         assert got == answers(oracle_eval_cq(q, db).entries.items()), step
 
 
-# every name that ``update_source`` and ``kdata.apply_source`` write,
-# besides Python keywords, the numbered names of their keys, values and
-# hoisted dicts, and TEMPLATE_NAMES; the builtins' ``admits`` templates write
-# the last line
+# three leaves of R: R(y,x), keyed by a reorder, then the two R(x,y), whose
+# relation is the database's entries
+SELF_JOIN_3 = "H(x,y) :- R(y,x), U(x), R(x,y), R(x,y)."
+
+
+def test_a_later_sibling_read_as_old_ends_the_enter_chain():
+    plan = build_guarded_plan(parse_query(SELF_JOIN_3))
+    assert leaves_by_symbol(plan)["R"] == [0, 3, 2] and plan.nodes[5].children == [4, 2]
+    source = update_sources(plan, NAT)["R"]
+    # leaf 3 enters c4 with leaf 0; its sibling under node 5, leaf 2, reads
+    # as before the update, absent when old is None and present otherwise
+    path3 = source[source.index("    def path3("):source.index("    def path2(")]
+    assert path3 == """    def path3(t, old, new):
+        if old is None:
+            if t not in c0:
+                return
+            c4[t] = True
+            return
+        elif new is None:
+            if t not in c0:
+                return
+            del c4[t]
+            del c5[t]
+            k6 = (t[0],)
+            b = c6[k6]
+            del b[t]
+            if b:
+                return
+            del c6[k6]
+            if k6 not in c1:
+                return
+            del c7[k6]
+
+"""
+    # the update step runs the leaves' paths in postorder
+    assert "path0(t, old, None)\n            path3(t, old, None)\n            path2(t, old, None)\n" in source
+
+
+def test_a_leaf_key_is_tested_for_none_only_when_it_can_be_none():
+    # R(y,x) only reorders its tuple; R(x,x) repeats x and S(x,y,z) covers z <= c
+    q = parse_query("H(x,y) :- R(y,x), R(x,x), S(x,y,z), z <= c.")
+    plan = build_guarded_plan(q)
+    keys = {n: leaf_key(plan, n) for ns in leaves_by_symbol(plan).values() for n in ns}
+    assert sorted(key.startswith("None if ") for key in keys.values()) == [False, True, True]
+    build = plan_sources(plan, NAT)[1]
+    updates = "".join(update_sources(plan, NAT).values())
+    for n, key in keys.items():
+        can_be_none = key.startswith("None if ")
+        assert f"t = {key}\n" in build
+        assert (f"t = {key}\n        if t is None:\n" in build) == can_be_none
+        assert (f"k{n} = {key}\n        if k{n} is None:\n" in updates) == can_be_none
+        assert f"k{n} = {key}\n" in updates
+    rng = random.Random(2411)
+    db = random_db_for_query(rng, q, NAT, max_tuples=12, domain=3)
+    state = dyn_preprocess(q, db)
+    for step in range(100):
+        dyn_update(state, random_update(rng, q, db, NAT, domain=3))
+        assert dict(dyn_enumerate(state)) == oracle_eval_cq(q, db).entries, step
+    assert verify_dynamic_invariants(state) == []
+
+
+# every name that ``update_source`` writes, besides Python keywords, the
+# numbered names of its leaf paths, keys, values and hoisted dicts, and
+# TEMPLATE_NAMES; the builtins' ``admits`` templates write the last line
 UPDATE_NAMES = {
     "make", "state", "bounds", "s", "semiring", "add", "sub", "mul", "is_zero", "zero",
     "relations", "accs", "candidates", "update", "t", "old", "new", "n", "x", "b", "get", "True",
-    "entries", "path", "reject", "u", "tuple", "len", "kind", "INSERT", "value", "a", "admits",
+    "entries", "reject", "u", "tuple", "len", "kind", "INSERT", "value", "a", "admits",
     "type", "int", "float", "bool", "isfinite",
 }
 
@@ -649,14 +706,10 @@ def test_no_query_text_reaches_the_update_paths():
     # repeats r, and import(r, new, z) and bounds(r, bounds) cover an inequality
     assert sum(leaf_key(plan, n) is not None for n in leaves) == 4
     for s in SEMIRINGS:
-        sources = [source for by_leaf in update_sources(plan, s).values() for source in by_leaf.values()]
-        plain_sources = update_sources(plain_plan, s).values()
-        assert sources == [source for by_leaf in plain_sources for source in by_leaf.values()]
+        sources = list(update_sources(plan, s).values())
+        assert sources == list(update_sources(plain_plan, s).values())
         for source in sources:
-            assert_fixed_names(source, UPDATE_NAMES | TEMPLATE_NAMES, r"[acknorv][0-9]+")
-        # the apply step of each symbol, written for its arity alone
-        for arity in sorted({len(atom.args) for atom in q.relational_atoms}):
-            assert_fixed_names(apply_source(arity, s), UPDATE_NAMES | TEMPLATE_NAMES, r"$^")
+            assert_fixed_names(source, UPDATE_NAMES | TEMPLATE_NAMES, r"(path|[acknorv])[0-9]+")
 
 
 # the integers shifted by -1, a ring whose zero is -1 and whose one is 0, so
@@ -825,6 +878,9 @@ def test_a_rejected_update_raises_what_apply_update_raises(semiring, updates):
         "H(x,y) :- R(x,y), U(x), R(x,y).",
         # a keyed leaf of R whose sibling is R's entries
         "H(x,y) :- R(y,x), U(x), R(x,y).",
+        # three leaves of R, whose paths run one after the other, the last
+        # two read by the earlier ones as before the update
+        SELF_JOIN_3,
     ],
 )
 @pytest.mark.parametrize("sname", ["natural", "real"])
@@ -847,11 +903,12 @@ def test_identity_leaves_are_the_databases_entries(text, sname):
     state = dyn_preprocess(q, db)
     leaves = shared(state)
     if text != QH:
-        assert len(leaves_by_symbol(state.plan)["R"]) == 2
+        assert len(leaves_by_symbol(state.plan)["R"]) == sum(a.symbol == "R" for a in q.relational_atoms) > 1
     for step in range(200):
         dyn_update(state, random_update(rng, q, db, semiring, domain=3))
         assert shared(state) == leaves, step
-    assert verify_dynamic_invariants(state) == []
-    # quarters keep every real sum and product exact in any order
+        assert verify_dynamic_invariants(state) == [], step
+        # quarters keep every real sum and product exact in any order
+        assert dict(dyn_enumerate(state)) == oracle_eval_cq(q, db).entries, step
     assert list(dyn_enumerate(state))
     assert dict(dyn_enumerate(state)) == dict(enumerate_state(preprocess(q, db.copy())))

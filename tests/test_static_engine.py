@@ -15,7 +15,7 @@ from deltaenum.planner import build_fc_plan, build_guarded_plan
 from deltaenum.query import parse_query, split
 from deltaenum.semiring import BUILTIN_SEMIRING_NAMES, builtin_semiring
 from deltaenum.static_engine import (
-    connex_source,
+    build_source,
     enumerate_state,
     eval_materialized,
     leaf_key,
@@ -410,7 +410,7 @@ def test_connex_build_equals_the_reference_build(sname):
         state = preprocess_with_plan(q, random_db_for_query(rng, q, semiring), plan)
         candidates, groups, accs = reference_connex(state)
         got = (in_order(state.candidates), in_order(state.groups), in_order(state.accs))
-        assert got == (in_order(candidates), in_order(groups), in_order(accs)), connex_source(plan)
+        assert got == (in_order(candidates), in_order(groups), in_order(accs)), build_source(plan, semiring)
         # the walk and the update paths read a group as its parent's
         # candidates, and a frontier node's candidates as its relation
         assert all(grp is state.candidates[plan.nodes[c].parent] for c, grp in state.groups.items())
@@ -523,15 +523,13 @@ WALK_NAMES = {
     "walk", "state", "k", "factor", "semiring", "is_zero", "mul", "version",
     "bounds", "range", "relations", "candidates", "groups", "items", "RuntimeError", "STALE",
 }
-# every name that ``scan_source`` writes, besides Python keywords, the
-# numbered names of its hoisted dicts and TEMPLATE_NAMES
-SCAN_NAMES = {
-    "scan", "state", "entries", "semiring", "add", "mul", "is_zero", "bounds", "relations",
-    "out", "t", "k", "x", "g", "get", "items",
+# every name that ``build_source`` writes, besides Python keywords, the
+# numbered names of its relations, candidate sets and member counts, and
+# TEMPLATE_NAMES
+BUILD_NAMES = {
+    "build", "state", "entries", "semiring", "add", "mul", "is_zero", "bounds", "relations",
+    "candidates", "groups", "accs", "t", "k", "x", "g", "get", "items", "setdefault", "True",
 }
-# every name that ``connex_source`` writes, besides Python keywords and the
-# numbered names of its candidate sets and member counts
-CONNEX_NAMES = {"connex", "state", "relations", "candidates", "groups", "accs", "t", "g", "get", "setdefault", "True"}
 
 
 def assert_fixed_names(source, allowed, numbered):
@@ -560,16 +558,14 @@ def test_no_query_text_reaches_the_compiled_walk():
         got = list(enumerate_state(state))
         assert got and dict(got) == oracle_eval_cq(q, db).entries
         for s in SEMIRINGS:
-            walk, scans, connex = plan_sources(state.plan, s)
-            assert (walk, scans, connex) == plan_sources(plan_of(p), s)
-            assert walk == walk_source(state.plan, s) and scans
+            walk, build = plan_sources(state.plan, s)
+            assert (walk, build) == plan_sources(plan_of(p), s)
+            assert walk == walk_source(state.plan, s) and "for t, k in " in build
             assert_fixed_names(walk, WALK_NAMES | TEMPLATE_NAMES, r"[bcgiprtv][0-9]+")
-            for source in scans.values():
-                assert_fixed_names(source, SCAN_NAMES | TEMPLATE_NAMES, r"r[0-9]+")
-            # the guarded plan's connex build counts members and builds a
-            # group; the free-connex plan's root is on its frontier
-            assert ("state.accs[" in connex and "state.groups[" in connex) == state.plan.guarded
-            assert_fixed_names(connex, CONNEX_NAMES, r"[ac][0-9]+")
+            assert_fixed_names(build, BUILD_NAMES | TEMPLATE_NAMES, r"[acr][0-9]+")
+            # the guarded plan's build counts members and builds a group;
+            # the free-connex plan's root is on its frontier
+            assert ("state.accs[" in build and "state.groups[" in build) == state.plan.guarded
 
 
 def test_no_query_text_reaches_the_leaf_keys():
@@ -594,9 +590,9 @@ def test_no_query_text_reaches_the_leaf_keys():
         for key in keys.values():
             assert_fixed_names(key, {"t", "bounds"}, r"$^")
         for s in SEMIRINGS:
-            scans = plan_sources(plan, s)[1]
-            # each leaf is read by one scan, which writes its key inline
-            assert all(sum(f"entries[{n}]" in src and f"t = {key}\n" in src for src in scans.values()) == 1 for n, key in keys.items())
-            assert scans == plan_sources(plain_plan, s)[1]
-            for source in scans.values():
-                assert_fixed_names(source, SCAN_NAMES | TEMPLATE_NAMES, r"r[0-9]+")
+            build = plan_sources(plan, s)[1]
+            # each leaf is read by one loop, which writes its key inline
+            assert all(build.count(f"entries[{n}]") == 1 for n in keys)
+            assert all(f"in entries[{n}].items():\n        t = {key}\n" in build for n, key in keys.items())
+            assert build == plan_sources(plain_plan, s)[1]
+            assert_fixed_names(build, BUILD_NAMES | TEMPLATE_NAMES, r"[acr][0-9]+")
