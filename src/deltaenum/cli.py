@@ -42,8 +42,6 @@ def _emit(report: Dict, as_json: bool) -> None:
         print(json.dumps(report, indent=2, sort_keys=True, default=str))
     else:
         for key, value in report.items():
-            if key == "timing":
-                continue
             print(f"{key}: {value}")
 
 

@@ -10,7 +10,7 @@ class ConfigurationError(EngineError):
 
 
 class CapabilityError(EngineError):
-    """A semiring lacks a capability required by the requested operation."""
+    """A semiring or the engine lacks a capability the operation needs: an operator, or a depth."""
 
 
 class VocabularyError(EngineError):

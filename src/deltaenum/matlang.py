@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from .errors import (
+    CapabilityError,
     ClassificationError,
     ConsistencyError,
     FragmentError,
@@ -323,6 +324,11 @@ _ML_TOKEN = re.compile(
 )
 
 
+# the deepest nesting of the parser's scopes and of an expression tree: every
+# recursion over a tree, two frames a level in ``_in_*``, fits Python's stack
+MAX_DEPTH = 100
+
+
 @dataclass
 class MatQuery:
     head: str
@@ -331,6 +337,8 @@ class MatQuery:
 
 class _MlParser(TokenCursor):
     """Recursive-descent parser; '+' binds loosest, then '*' / '.*', then postfix."""
+
+    depth = -1  # the open '(' and 'sum(' scopes; parse_query's own parse_expr makes it 0
 
     def parse_query(self) -> MatQuery:
         head = "H"
@@ -348,10 +356,14 @@ class _MlParser(TokenCursor):
         return MatQuery(head, expr)
 
     def parse_expr(self, env: Dict[str, str]) -> MatLangExpr:
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise CapabilityError(f"the expression nests more than {MAX_DEPTH} parentheses and sums")
         node = self.parse_product(env)
         while self.at("+"):
             self.next("+")
             node = Add(node, self.parse_product(env))
+        self.depth -= 1
         return node
 
     def parse_product(self, env: Dict[str, str]) -> MatLangExpr:
@@ -398,7 +410,14 @@ class _MlParser(TokenCursor):
 
 
 def parse_matlang(text: str, schema: MatrixSchema) -> MatQuery:
+    """The typechecked query of ``text``, whose tree is at most ``MAX_DEPTH``
+    high; its height is found level by level, without recursion."""
     q = _MlParser(text, _ML_TOKEN).parse_query()
+    level = [q.expr]
+    for _ in range(MAX_DEPTH):
+        level = [c for e in level for c in children(e)]
+    if level:
+        raise CapabilityError(f"the expression tree is more than {MAX_DEPTH} levels high")
     typecheck(q.expr, schema)
     return q
 

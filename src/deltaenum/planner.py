@@ -15,9 +15,9 @@ with its child's variables), and the first child of every 2-child node (its
 guard) carries the node's variables.  The layout the engines read -- each
 node's variable order, the projection positions of each edge, the connex
 frontier, the levels of the connex walk, the nodes whose relations
-preprocessing stores, and the inequality layout read off the query's one
-``query.split`` -- is fixed once, by ``_finalize``, and is plain data: every
-data pass of preprocessing is generated from it.
+preprocessing stores, and the inequality layout read off the query's atoms
+and head -- is fixed once, by ``_finalize``, and is plain data: every data
+pass of preprocessing is generated from it.
 
 All constructions are deterministic: ties are broken by atom order and by
 sorted variable names, so plan dumps are reproducible.
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .query import ConjunctiveQuery, QuerySplit, RelAtom, has_self_join, is_constant_disjoint, split
+from .query import ConjunctiveQuery, RelAtom, has_self_join, is_constant_disjoint
 
 VarSet = FrozenSet[str]
 
@@ -98,14 +98,14 @@ class QueryPlan:
     child is read by one scan, and streams.
 
     A query without relational atoms has the plan with no nodes: no root,
-    no levels, nothing stored.  The inequality layout of ``query`` is read
-    off its split: ``bounded`` lists its inequality variables, sorted, and
-    ``EnumerationState.bounds[i]`` is the least constant that bounds
-    ``bounded[i]``; ``covered[i]`` lists, sorted, the variables of the
-    inequalities the atom ``atoms[i]`` covers; ``ranges`` lists the free
-    uncovered ones, the walk's free ranges, in head order; and ``summed``
-    the bound uncovered ones, whose valuations ``EnumerationState.factor``
-    counts.
+    no levels, nothing stored.  The inequality layout of ``query``, read off
+    its atoms and head: ``bounded`` lists its inequality variables, sorted,
+    and ``EnumerationState.bounds[i]`` is the least constant that bounds
+    ``bounded[i]``; ``covered[i]`` lists, sorted, those that the atom
+    ``atoms[i]`` holds, whose inequalities it covers; ``ranges`` lists the
+    free variables of no atom, the walk's free ranges, in head order without
+    repeats; and ``summed`` the bound ones of no atom, whose valuations
+    ``EnumerationState.factor`` counts.
     """
 
     query: ConjunctiveQuery
@@ -144,15 +144,18 @@ class QueryPlan:
         return out
 
 
-def _finalize(plan: QueryPlan, sp: QuerySplit) -> QueryPlan:
+def _finalize(plan: QueryPlan) -> QueryPlan:
     """Fix the plan's layout; the engines only read it.
 
-    When the root's label already covers the free variables, N = {root}: the
-    root relation then materializes the full relational answer and
-    enumeration degenerates to a scan.  The inequality layout is read off
-    ``sp``, the split of the plan's query.
+    When the root's label already covers the free variables of the atoms,
+    N = {root}: the root relation then materializes the full relational
+    answer and enumeration degenerates to a scan.  The inequality layout is
+    read off the plan's query: an inequality is covered by the atoms that
+    hold its variable, and a free variable of no atom is a free range.
     """
-    if plan.nodes and plan.vars(plan.root) == frozenset(sp.rel_part.head_vars):
+    q = plan.query
+    rel_vars = frozenset().union(*(a.vars for a in plan.atoms))
+    if plan.nodes and plan.vars(plan.root) == rel_vars.intersection(q.head_vars):
         plan.connex = {plan.root}
     for nid, node in plan.nodes.items():
         plan.order[nid] = tuple(sorted(plan.vars(nid)))
@@ -169,11 +172,10 @@ def _finalize(plan: QueryPlan, sp: QuerySplit) -> QueryPlan:
     )
     plan.levels = _cut_walk(plan) if plan.nodes else ()
     plan.stored = _stored(plan)
-    plan.bounded = tuple(sorted({ineq.var for ineq in plan.query.inequality_atoms}))
-    plan.covered = tuple(tuple(sorted({ineq.var for ineq in sp.covered[i]})) for i in range(len(plan.atoms)))
-    plan.ranges = sp.ineq_part.head_vars
-    ranged_or_covered = set(plan.ranges).union(*plan.covered)
-    plan.summed = tuple(v for v in plan.bounded if v not in ranged_or_covered)
+    plan.bounded = tuple(sorted({ineq.var for ineq in q.inequality_atoms}))
+    plan.covered = tuple(tuple(v for v in plan.bounded if v in a.vars) for a in plan.atoms)
+    plan.ranges = tuple(dict.fromkeys(v for v in q.head_vars if v not in rel_vars))
+    plan.summed = tuple(v for v in plan.bounded if v not in rel_vars and v not in q.head_vars)
     return plan
 
 
@@ -230,7 +232,7 @@ def build_plan(q: ConjunctiveQuery, guarded: bool) -> Optional[QueryPlan]:
     """The plan of ``q`` that ``_reduce`` builds, laid out by ``_finalize``;
     None when ``_reduce`` finds none."""
     plan = _reduce(q, guarded)
-    return None if plan is None else _finalize(plan, split(q))
+    return None if plan is None else _finalize(plan)
 
 
 def _reduce(q: ConjunctiveQuery, guarded: bool) -> Optional[QueryPlan]:

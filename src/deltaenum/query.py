@@ -1,4 +1,4 @@
-"""Conjunctive queries and their unions: AST, parser, split, classifiers.
+"""Conjunctive queries and their unions: AST, parser, classifiers.
 
 The concrete grammar is Datalog-style, one query per file::
 
@@ -243,62 +243,6 @@ def rule_union(rule: Rule) -> Tuple[ConjunctiveQuery, ...]:
                 f"head variables {sorted(missing)} missing from a disjunct (unsafe)"
             )
     return tuple(ConjunctiveQuery(head_symbol, head_vars, tuple(atoms)) for atoms in blocks)
-
-
-# ---------------------------------------------------------------------------
-# Split into relational and inequality parts
-# ---------------------------------------------------------------------------
-
-REL_HEAD = "__rel"
-INEQ_HEAD = "__ineq"
-
-
-@dataclass(frozen=True)
-class QuerySplit:
-    """Relational part, uncovered-inequality part, and per-atom covered inequalities.
-
-    ``covered`` maps the index of each relational atom (position within
-    ``query.relational_atoms``) to the inequalities it covers.  An inequality
-    is covered iff its variable occurs in some relational atom; otherwise it
-    belongs to ``ineq_part``.  When no uncovered inequality exists,
-    ``ineq_part`` is the canonical true query ``__ineq() :- x <= 1``.
-    """
-
-    query: ConjunctiveQuery
-    rel_part: ConjunctiveQuery
-    ineq_part: ConjunctiveQuery
-    covered: Dict[int, Tuple[IneqAtom, ...]]
-
-
-def split(q: ConjunctiveQuery) -> QuerySplit:
-    rel_atoms = q.relational_atoms
-    rel_vars: set = set()
-    for a in rel_atoms:
-        rel_vars |= a.vars
-
-    covered: Dict[int, List[IneqAtom]] = {i: [] for i in range(len(rel_atoms))}
-    uncovered: List[IneqAtom] = []
-    for ineq in q.inequality_atoms:
-        if ineq.var in rel_vars:
-            for i, a in enumerate(rel_atoms):
-                if ineq.var in a.vars:
-                    covered[i].append(ineq)
-        else:
-            uncovered.append(ineq)
-
-    # each part's head: the head in order, duplicates dropped, restricted
-    # to the part's variables
-    rel_head = tuple(dict.fromkeys(v for v in q.head_vars if v in rel_vars))
-    rel_part = ConjunctiveQuery(REL_HEAD, rel_head, rel_atoms)
-
-    if uncovered:
-        uncovered_vars = {i.var for i in uncovered}
-        ineq_head = tuple(dict.fromkeys(v for v in q.head_vars if v in uncovered_vars))
-        ineq_part = ConjunctiveQuery(INEQ_HEAD, ineq_head, tuple(uncovered))
-    else:
-        ineq_part = ConjunctiveQuery(INEQ_HEAD, (), (IneqAtom("x", "1"),))
-
-    return QuerySplit(q, rel_part, ineq_part, {i: tuple(v) for i, v in covered.items()})
 
 
 def is_constant_disjoint(q: ConjunctiveQuery) -> Tuple[bool, Optional[Tuple[IneqAtom, Optional[IneqAtom]]]]:

@@ -411,9 +411,19 @@ def connex_vars(plan: QueryPlan) -> FrozenSet[str]:
     return frozenset(out)
 
 
-def verify_plan(plan: QueryPlan, rel_part: ConjunctiveQuery) -> List[str]:
+def relational_free(q: ConjunctiveQuery) -> Tuple[str, ...]:
+    """The head variables of ``q`` that some relational atom holds, in head
+    order without repeats: the variables a plan's connex nodes must cover.
+    The other head variables are the walk's free ranges."""
+    rel_vars = frozenset().union(*(a.vars for a in q.relational_atoms))
+    return tuple(dict.fromkeys(v for v in q.head_vars if v in rel_vars))
+
+
+def verify_plan(plan: QueryPlan, free: Iterable[str]) -> List[str]:
     """Check every structural plan invariant and, on a sound structure, the
-    levels of the connex walk; returns a list of violations."""
+    levels of the connex walk, against the relational free variables
+    ``free`` (see ``relational_free``); returns a list of violations."""
+    free = sorted(set(free))
     problems: List[str] = []
     nodes = plan.nodes
 
@@ -476,21 +486,17 @@ def verify_plan(plan: QueryPlan, rel_part: ConjunctiveQuery) -> List[str]:
             for sib in nodes[node.parent].children:
                 if sib != nid and sib not in plan.connex:
                     problems.append(f"connex set not sibling-closed at {nid}")
-    if connex_vars(plan) != frozenset(rel_part.head_vars):
-        problems.append(
-            f"connex vars {sorted(connex_vars(plan))} != free vars {sorted(rel_part.head_vars)}"
-        )
+    if sorted(connex_vars(plan)) != free:
+        problems.append(f"connex vars {sorted(connex_vars(plan))} != free vars {free}")
     if problems:
         return problems  # the layout is derived from the structure checked above
 
     walked = sorted(nid for level in plan.levels for nid in level.nodes)
     if walked != sorted(plan.connex):
         problems.append(f"levels walk connex nodes {walked}, not {sorted(plan.connex)}")
-    level_vars = {v for level in plan.levels for v in level.order}
-    if level_vars != set(rel_part.head_vars):
-        problems.append(
-            f"level variables {sorted(level_vars)} != free vars {sorted(rel_part.head_vars)}"
-        )
+    level_vars = sorted({v for level in plan.levels for v in level.order})
+    if level_vars != free:
+        problems.append(f"level variables {level_vars} != free vars {free}")
     below = {nid for nid in nodes if nid not in plan.connex or nid in plan.frontier}
     if not plan.stored <= below:
         problems.append(f"stored nodes {sorted(plan.stored - below)} lie inside the connex region")

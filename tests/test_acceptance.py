@@ -19,7 +19,7 @@ from deltaenum.dynamic_engine import dyn_enumerate, dyn_preprocess, dyn_update
 from deltaenum.kdata import SingleTupleUpdate
 from deltaenum.oracle import oracle_eval_cq
 from deltaenum.planner import build_fc_plan, classify
-from deltaenum.query import parse_query, split
+from deltaenum.query import parse_query
 from deltaenum.semiring import builtin_semiring
 from deltaenum.static_engine import enumerate_state, preprocess, preprocess_with_plan
 
@@ -36,6 +36,7 @@ from support import (
     random_matrix_instance,
     random_q_hierarchical_cq,
     random_update,
+    relational_free,
     sample,
     scaling_db,
     scaling_dynamic_query,
@@ -121,18 +122,18 @@ def test_criterion_4_structural_bounds():
     checked = 0
     while checked < 500:
         q = random_free_connex_cq(rng, max_atoms=4, max_vars=6)
-        rel = split(q).rel_part
-        if not rel.head_vars:
+        free = relational_free(q)
+        if not free:
             continue
         checked += 1
         plan = build_fc_plan(q)
-        if len(plan.levels) > len(rel.head_vars):
+        if len(plan.levels) > len(free):
             ok = False
             print(f"  levels > |free|: {q.to_text()}", file=sys.stderr)
-        if len(plan.nodes) > 3 * len(rel.relational_atoms):
+        if len(plan.nodes) > 3 * len(q.relational_atoms):
             ok = False
             print(f"  nodes > 3|atoms|: {q.to_text()}", file=sys.stderr)
-        problems = verify_plan(plan, rel)
+        problems = verify_plan(plan, free)
         if problems:
             ok = False
             print(f"  plan invariants: {q.to_text()}: {problems}", file=sys.stderr)

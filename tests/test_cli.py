@@ -523,6 +523,80 @@ def test_matlang_eval_without_data_exits_one(tmp_path, capsys):
     assert captured.err.startswith("error: ") and "--data" in captured.err
 
 
+MATRIX_A = {"sizes": {"a": 2}, "matrices": {"A": {"type": ["a", "a"]}}}
+
+
+@pytest.mark.parametrize(
+    "argv, doc, text, message",
+    [
+        # matrix schemas
+        (["matlang", "classify"], {"sizes": {"1": 2}}, "H := A", "the size symbol '1' always denotes 1"),
+        (["matlang", "classify"], {"sizes": {"m": 0}}, "H := A", "size symbol 'm' must be positive"),
+        (["matlang", "classify"], {"matrices": {"A": {"type": ["a", "1"]}}}, "H := A", "undeclared size symbol 'a'"),
+        (["matlang", "classify"], {"matrices": {"A": {"type": ["1", "1"], "encoding": "ternary"}}}, "H := A", "unknown encoding 'ternary'"),
+        (["matlang", "classify"], {**MATRIX_A, "matrices": {"A": {"type": ["a", "a"], "encoding": "unary"}}}, "H := A", "unary encoding needs a vector type"),
+        (["matlang", "classify"], {**MATRIX_A, "matrices": {"A": {"type": ["a", "1"], "encoding": "nullary"}}}, "H := A", "nullary encoding needs a scalar type"),
+        (["matlang", "classify"], {"sizes": [2]}, "H := A", "'sizes' and 'matrices' must be JSON objects"),
+        (["matlang", "classify"], {"matrices": {"A": {"type": "a"}}}, "H := A", "needs a [rows, cols] type"),
+        # vocabularies
+        (["eval"], {"relations": ["R"]}, "H(x,y) :- R(x,y).", "'relations' and 'constants' must be JSON objects"),
+        (["eval"], {"relations": {"R": 2}, "constants": {"1": 2}}, "H(x,y) :- R(x,y).", "the constant symbol '1' must be bound to 1"),
+        # type checking
+        (["matlang", "classify"], MATRIX_A, "H := B", "unknown matrix symbol 'B'"),
+        (["matlang", "classify"], MATRIX_A, "H := ones(q)", "ones(q) uses an unknown size symbol"),
+        (["matlang", "classify"], MATRIX_A, "H := eye(q)", "eye(q) uses an unknown size symbol"),
+        (["matlang", "classify"], MATRIX_A, "H := sum(v:q, A)", "sum variable 'v' uses unknown size 'q'"),
+        # query text
+        (["classify"], None, "H(1) :- R(1).", "'1' is a reserved constant symbol"),
+        (["classify"], None, "H(x) :- R x.", "expected '(' or '<=' after identifier"),
+        # translation
+        (["matlang", "compile"], MATRIX_A, "H := A + A", "matrix addition has no conjunctive translation"),
+    ],
+)
+def test_reachable_input_errors_exit_one(tmp_path, dbdir, capsys, argv, doc, text, message):
+    if argv[0] == "matlang":
+        argv = [*argv, "--expr", write(tmp_path / "e.ml", text), "--schema", write(tmp_path / "s.json", json.dumps(doc))]
+    elif argv[0] == "eval":
+        (dbdir / "vocab.json").write_text(json.dumps(doc))
+        argv = [*argv, "--query", write(tmp_path / "q.cq", text), "--db", str(dbdir)]
+    else:
+        argv = [*argv, write(tmp_path / "q.cq", text)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert captured.out == "" and line.startswith("error: ") and message in line
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "deep, at_cap",
+    [
+        pytest.param(lambda n: "(" * n + "A" + ")" * n, ["classify", "compile", "eval"], id="parentheses"),
+        pytest.param(lambda n: "A" + "^T" * (n - 1), ["classify", "compile", "eval"], id="transposes"),
+        # the cap bounds no evaluator's cost: the oracle joins the path a product
+        # chain translates to before it projects, and the dense evaluator
+        # substitutes every canonical vector into every nested sum
+        pytest.param(lambda n: " * ".join(["A"] * n), ["classify", "compile"], id="products"),
+        pytest.param(lambda n: "sum(v:a, " * (n - 1) + "A" + ")" * (n - 1), ["classify", "compile"], id="sums"),
+    ],
+)
+def test_matlang_expressions_are_at_most_max_depth_deep(tmp_path, capsys, deep, at_cap):
+    from deltaenum.matlang import MAX_DEPTH
+
+    files = _matlang_files(tmp_path, {"A": {"type": ["a", "a"]}}, f"H := {deep(MAX_DEPTH)}\n", sizes={"a": 2})
+    (tmp_path / "data" / "A.coo").write_text("1 1 2\n2 1 3\n")
+    for action in at_cap:
+        assert main(["matlang", action, *files, *(["--verify"] if action == "eval" else [])]) == 0
+    capsys.readouterr()
+    write(tmp_path / "e.ml", f"H := {deep(10_000)}\n")
+    for action in ("classify", "compile", "eval"):
+        assert main(["matlang", action, *files]) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert captured.out == "" and line.startswith("error: the expression ")
+        assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("missing", ["query", "db", "updates", "schema", "expr"])
 def test_missing_input_file_exits_one(tmp_path, dbdir, capsys, missing):
     nope = str(tmp_path / "nope")
@@ -607,14 +681,14 @@ def test_inequality_only_queries_have_the_plan_with_no_nodes(tmp_path, capsys, m
     from deltaenum.kdata import AnnotatedRelation, Database, SingleTupleUpdate
     from deltaenum.oracle import oracle_eval_cq
     from deltaenum.planner import build_fc_plan, build_guarded_plan, classify
-    from deltaenum.query import parse_query, split
+    from deltaenum.query import parse_query
     from deltaenum.semiring import builtin_semiring
-    from support import verify_plan
+    from support import relational_free, verify_plan
 
     q = parse_query(text)
     for plan in (build_fc_plan(q), build_guarded_plan(q)):
         assert not plan.nodes and plan.root is None and not plan.levels and not plan.stored
-        assert verify_plan(plan, split(q).rel_part) == []
+        assert verify_plan(plan, relational_free(q)) == []
     assert all(classify(q).as_dict().values())
 
     # static, dynamic and oracle answers agree, also after an insert into a

@@ -129,13 +129,21 @@ def test_fragment_matrix_matrix_product_is_not_fc():
 
 
 def test_fragment_qh_two_layer():
-    s = MatrixSchema({"alpha": 3, "beta": 2}, {"A": ("alpha", "beta"), "U": ("alpha", "1")})
-    inner = MatMul(MatrixSymbol("U"), Transpose(OnesVector("beta")))
-    e = Hadamard(MatrixSymbol("A"), inner)
-    typecheck(e, s)
-    flags = classify_fragment(e)
-    assert flags["qh_matlang"] and flags["fc_matlang"]
-    assert not flags["simple_matlang"]
+    from deltaenum.planner import classify
+
+    # the three two-layer forms: simple .* row expansion, column expansion .*
+    # simple, and column expansion .* row expansion
+    s = MatrixSchema({"alpha": 3, "beta": 2}, {"A": ("alpha", "beta"), "U": ("alpha", "1"), "V": ("beta", "1")})
+    for text in (
+        "H := A .* (U * ones(beta)^T)",
+        "H := (ones(alpha) * V^T) .* A",
+        "H := (ones(alpha) * V^T) .* (U * ones(beta)^T)",
+    ):
+        q = parse_matlang(text, s)
+        flags = classify_fragment(q.expr)
+        assert flags["qh_matlang"] and flags["fc_matlang"], text
+        assert not flags["simple_matlang"], text
+        assert classify(translate_to_cq(q, with_head(q, s))).q_hierarchical, text
 
 
 def test_fragment_simple():

@@ -8,9 +8,9 @@ from deltaenum.planner import (
     build_guarded_plan,
     classify,
 )
-from deltaenum.query import parse_query, split
+from deltaenum.query import parse_query
 
-from support import connex_vars, disconnected_variables, random_cq, verify_plan
+from support import connex_vars, disconnected_variables, random_cq, relational_free, verify_plan
 
 
 def test_join_tree_triangle_is_cyclic():
@@ -59,23 +59,23 @@ def test_fc_plan_single_atom():
     assert plan.vars(plan.root) == frozenset({"x", "y"})
     assert plan.nodes[plan.root].is_leaf
     assert plan.connex == {plan.root}
-    assert verify_plan(plan, split(q).rel_part) == []
+    assert verify_plan(plan, relational_free(q)) == []
 
 
 def test_fc_plan_full_join_has_no_identity_nodes():
     q = parse_query("H(x,y,z) :- R(x,y), S(y,z).")
     plan = build_fc_plan(q)
-    assert verify_plan(plan, split(q).rel_part) == []
+    assert verify_plan(plan, relational_free(q)) == []
     # the two leaves, the projection of S onto y, and their join
     assert len(plan.nodes) == 4
 
 
 def test_verify_plan_rejects_identity_and_misoriented_nodes():
     q = parse_query("H(x,y,z) :- R(x,y), S(y,z).")
-    rel = split(q).rel_part
+    free = relational_free(q)
     plan = build_fc_plan(q)
     plan.nodes[plan.root].children.reverse()
-    assert verify_plan(plan, rel) == [
+    assert verify_plan(plan, free) == [
         f"2-child node {plan.root}: first child lacks the node's variables"
     ]
     plan.nodes[plan.root].children.reverse()
@@ -84,46 +84,46 @@ def test_verify_plan_rejects_identity_and_misoriented_nodes():
     plan.nodes[plan.root].parent = top
     plan.root = top
     plan.connex.add(top)
-    assert verify_plan(plan, rel) == [f"node {top} is an identity copy of its child"]
+    assert verify_plan(plan, free) == [f"node {top} is an identity copy of its child"]
 
 
 def test_levels_cut_the_connex_region_and_verify_plan_checks_them():
     q = parse_query("H(x,y,z) :- R(x,y), S(y,z).")
-    rel = split(q).rel_part
+    free = relational_free(q)
     plan = build_fc_plan(q)
     # the root's candidates (x, y), then the group of S under y
     assert [(lv.source, lv.order) for lv in plan.levels] == [(None, ("x", "y")), (0, ("y", "z"))]
     assert sorted(n for lv in plan.levels for n in lv.nodes) == sorted(plan.connex)
     levels = plan.levels
     plan.levels = levels[:1]
-    assert verify_plan(plan, rel) == [
+    assert verify_plan(plan, free) == [
         f"levels walk connex nodes {sorted(levels[0].nodes)}, not {sorted(plan.connex)}",
         "level variables ['x', 'y'] != free vars ['x', 'y', 'z']",
     ]
     plan.levels = levels + levels[1:]
-    assert len(verify_plan(plan, rel)) == 1
+    assert len(verify_plan(plan, free)) == 1
     plan.levels = levels
-    assert verify_plan(plan, rel) == []
+    assert verify_plan(plan, free) == []
 
 
 def test_verify_plan_checks_the_stored_set():
     q = parse_query("H(x,y) :- A(x,y), U(x), V(y).")
-    rel = split(q).rel_part
+    free = relational_free(q)
     plan = build_fc_plan(q)
     stored = plan.stored
     guard = plan.nodes[plan.root].children[0]  # A joined with V, streamed
     plan.stored = stored | {guard}
-    assert verify_plan(plan, rel) == [f"node {guard} should be streamed"]
+    assert verify_plan(plan, free) == [f"node {guard} should be streamed"]
     plan.stored = stored - {plan.root}
-    assert verify_plan(plan, rel) == [f"node {plan.root} should be stored"]
+    assert verify_plan(plan, free) == [f"node {plan.root} should be stored"]
     plan.stored = stored
-    assert verify_plan(plan, rel) == []
+    assert verify_plan(plan, free) == []
     # a guarded plan streams nothing: an update looks up both children
     q = parse_query("H(x) :- A(x,y), U(x).")
     guarded = build_guarded_plan(q)
     leaf = next(n for n in guarded.stored if guarded.nodes[n].is_leaf)
     guarded.stored -= {leaf}
-    assert verify_plan(guarded, split(q).rel_part) == [f"node {leaf} should be stored"]
+    assert verify_plan(guarded, relational_free(q)) == [f"node {leaf} should be stored"]
 
 
 def _shape(plan, nid=None):
@@ -208,7 +208,7 @@ def test_benchmark_query_plans_are_pinned(tmp_path):
 def test_fc_plan_projection_query():
     q = parse_query("H(x) :- A(x,y), U(y).")
     plan = build_fc_plan(q)
-    assert verify_plan(plan, split(q).rel_part) == []
+    assert verify_plan(plan, relational_free(q)) == []
     assert plan.vars(plan.root) == frozenset({"x"})
 
 
@@ -217,7 +217,7 @@ def test_guarded_plan_filtered_projection():
     plan = build_guarded_plan(q)
     assert plan is not None
     assert plan.guarded
-    assert verify_plan(plan, split(q).rel_part) == []
+    assert verify_plan(plan, relational_free(q)) == []
     assert connex_vars(plan) == frozenset({"x"})
 
 
@@ -229,14 +229,14 @@ def test_guarded_plan_single_atom():
     q = parse_query("H(x,y) :- R(x,y).")
     plan = build_guarded_plan(q)
     assert plan is not None and plan.guarded
-    assert verify_plan(plan, split(q).rel_part) == []
+    assert verify_plan(plan, relational_free(q)) == []
 
 
 def test_guarded_plan_cross_product():
     q = parse_query("H(x,y) :- A(x), B(y).")
     plan = build_guarded_plan(q)
     assert plan is not None and plan.guarded
-    assert verify_plan(plan, split(q).rel_part) == []
+    assert verify_plan(plan, relational_free(q)) == []
     assert connex_vars(plan) == frozenset({"x", "y"})
 
 
@@ -248,25 +248,25 @@ def corpus(seed, count, **kw):
 def test_fc_plan_exists_iff_free_connex_on_corpus():
     for q in corpus(1001, 1000):
         plan = build_fc_plan(q)
-        rel = split(q).rel_part
+        free = relational_free(q)
         assert _free_connex_by_definition(q) == (plan is not None), q.to_text()
         assert classify(q).free_connex == (plan is not None), q.to_text()
         if plan is not None:
-            assert len(plan.nodes) <= 3 * len(rel.relational_atoms), q.to_text()
-            if rel.head_vars:
-                assert len(plan.levels) <= len(rel.head_vars), q.to_text()
-            assert verify_plan(plan, rel) == [], (q.to_text(), verify_plan(plan, rel))
+            assert len(plan.nodes) <= 3 * len(q.relational_atoms), q.to_text()
+            if free:
+                assert len(plan.levels) <= len(free), q.to_text()
+            assert verify_plan(plan, free) == [], (q.to_text(), verify_plan(plan, free))
 
 
 def test_guarded_plan_exists_iff_q_hierarchical_on_corpus():
     for q in corpus(2002, 1000):
-        rel = split(q).rel_part
+        free = relational_free(q)
         plan = build_guarded_plan(q)
         assert _q_hierarchical_by_definition(q) == (plan is not None), q.to_text()
         assert classify(q).q_hierarchical == (plan is not None), q.to_text()
         if plan is not None:
             assert plan.guarded
-            assert verify_plan(plan, rel) == [], (q.to_text(), verify_plan(plan, rel))
+            assert verify_plan(plan, free) == [], (q.to_text(), verify_plan(plan, free))
 
 
 def test_q_hierarchical_implies_free_connex_on_corpus():
@@ -318,9 +318,8 @@ def _has_join_tree(bags):
 def _free_connex_by_definition(q):
     """The relational body is acyclic, and stays acyclic once an atom over
     its free variables joins it."""
-    rel = split(q).rel_part
-    body = [a.vars for a in rel.relational_atoms]
-    return _has_join_tree(body) and _has_join_tree(body + [frozenset(rel.head_vars)])
+    body = [a.vars for a in q.relational_atoms]
+    return _has_join_tree(body) and _has_join_tree(body + [frozenset(relational_free(q))])
 
 
 def _q_hierarchical_by_definition(q):

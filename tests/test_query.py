@@ -3,6 +3,7 @@ import random
 import pytest
 
 from deltaenum.errors import NotConjunctiveError, QuerySyntaxError, UnsafeFormulaError
+from deltaenum.planner import build_fc_plan
 from deltaenum.query import (
     ConjunctiveQuery,
     IneqAtom,
@@ -12,7 +13,6 @@ from deltaenum.query import (
     parse_query,
     parse_rule,
     rule_union,
-    split,
 )
 
 
@@ -90,27 +90,18 @@ def test_roundtrip_is_fixpoint():
 
 
 def test_split_mixed_inequalities():
-    q = parse_query("H(y,z) :- R(x,y), y<=c, z<=d.")
-    sp = split(q)
-    assert sp.rel_part.head_vars == ("y",)
-    assert sp.rel_part.atoms == (RelAtom("R", ("x", "y")),)
-    assert sp.covered[0] == (IneqAtom("y", "c"),)
-    assert sp.ineq_part.head_vars == ("z",)
-    assert sp.ineq_part.atoms == (IneqAtom("z", "d"),)
-
-
-def test_split_no_inequalities_gives_canonical_true():
-    q = parse_query("H(x) :- R(x).")
-    sp = split(q)
-    assert sp.ineq_part.head_vars == ()
-    assert sp.ineq_part.atoms == (IneqAtom("x", "1"),)
+    # the plan's inequality layout: y <= c is covered by R, z is a free range
+    plan = build_fc_plan(parse_query("H(y,z) :- R(x,y), y<=c, z<=d."))
+    assert plan.atoms == (RelAtom("R", ("x", "y")),)
+    assert plan.covered == (("y",),)
+    assert plan.ranges == ("z",)
+    assert plan.summed == ()
 
 
 def test_split_covered_only():
-    q = parse_query("H(x) :- R(x), x<=c.")
-    sp = split(q)
-    assert sp.ineq_part.atoms == (IneqAtom("x", "1"),)
-    assert sp.covered[0] == (IneqAtom("x", "c"),)
+    plan = build_fc_plan(parse_query("H(x) :- R(x), x<=c."))
+    assert plan.covered == (("x",),)
+    assert plan.ranges == () and plan.summed == ()
 
 
 def test_constant_disjoint_covered_one():
@@ -143,46 +134,46 @@ def test_has_self_join():
 # Random corpus properties
 # ---------------------------------------------------------------------------
 
-from support import random_cq, random_db_for_query
+from support import random_db_for_query, random_free_connex_cq
 
 
 def test_split_partitions_free_vars_on_corpus():
     rng = random.Random(20240812)
     for _ in range(1000):
-        q = random_cq(rng)
-        sp = split(q)
-        rel_free = set(sp.rel_part.head_vars)
-        ineq_free = set(sp.ineq_part.head_vars)
-        assert rel_free & ineq_free == set()
-        assert rel_free | ineq_free == set(q.head_vars)
-        # covered iff some relational atom mentions the variable
-        rel_vars = set()
-        for a in q.relational_atoms:
-            rel_vars |= a.vars
-        covered_ineqs = {i for v in sp.covered.values() for i in v}
-        for ineq in q.inequality_atoms:
-            assert (ineq in covered_ineqs) == (ineq.var in rel_vars)
+        q = random_free_connex_cq(rng)
+        plan = build_fc_plan(q)
+        rel_free = {v for nid in plan.connex for v in plan.vars(nid)}
+        assert rel_free & set(plan.ranges) == set()
+        assert rel_free | set(plan.ranges) == set(q.head_vars)
+        assert list(plan.ranges) == [v for v in dict.fromkeys(q.head_vars) if v in plan.ranges]
+        # an inequality is covered by exactly the atoms that mention its variable
+        for atom, covered in zip(plan.atoms, plan.covered):
+            assert set(covered) == {i.var for i in q.inequality_atoms if i.var in atom.vars}
 
 
-def atomically_consistent(db, q):
+def atomically_consistent(db, q, plan):
     """Copy of ``db`` without the tuples that match some atom of ``q`` but
-    violate an inequality that atom covers."""
-    sp = split(q)
+    violate an inequality that atom covers, by ``plan.covered``."""
     out = db.copy()
-    for i, atom in enumerate(sp.rel_part.relational_atoms):
+    for atom, covered in zip(plan.atoms, plan.covered):
         entries = out.relations[atom.symbol].entries
         for t in list(entries):
             # t matches the atom when the components at a repeated variable agree
             value = {}
             if all(value.setdefault(v, x) == x for v, x in zip(atom.args, t)):
-                if any(value[ineq.var] > db.constant(ineq.bound) for ineq in sp.covered[i]):
+                if any(
+                    value[ineq.var] > db.constant(ineq.bound)
+                    for ineq in q.inequality_atoms
+                    if ineq.var in covered
+                ):
                     del entries[t]
     return out
 
 
 def test_split_product_identity_on_atomically_consistent_dbs():
     # on an atomically consistent database the query factorizes into the
-    # product of its relational and inequality parts
+    # product of its relational part and its uncovered inequalities, which
+    # the plan lays out as its free ranges and summed variables
     from deltaenum.oracle import oracle_eval_cq
     from deltaenum.semiring import builtin_semiring
 
@@ -190,17 +181,22 @@ def test_split_product_identity_on_atomically_consistent_dbs():
     rng = random.Random(424242)
     checked = 0
     while checked < 300:
-        q = random_cq(rng)
-        db = atomically_consistent(random_db_for_query(rng, q, NAT), q)
-        sp = split(q)
+        q = random_free_connex_cq(rng)
+        plan = build_fc_plan(q)
+        db = atomically_consistent(random_db_for_query(rng, q, NAT), q, plan)
+        rel_head = tuple(v for v in dict.fromkeys(q.head_vars) if v not in plan.ranges)
+        covered = set().union(*plan.covered)
+        uncovered = tuple(i for i in q.inequality_atoms if i.var not in covered)
         full = oracle_eval_cq(q, db).entries
-        rel = oracle_eval_cq(sp.rel_part, db).entries
-        ineq = oracle_eval_cq(sp.ineq_part, db).entries
+        rel = oracle_eval_cq(ConjunctiveQuery("H", rel_head, plan.atoms), db).entries
+        ineq = {(): 1}  # the true query, when every inequality is covered
+        if uncovered:
+            ineq = oracle_eval_cq(ConjunctiveQuery("H", plan.ranges, uncovered), db).entries
         product = {}
         for t1, v1 in rel.items():
-            env = dict(zip(sp.rel_part.head_vars, t1))
+            env = dict(zip(rel_head, t1))
             for t2, v2 in ineq.items():
-                env.update(zip(sp.ineq_part.head_vars, t2))
+                env.update(zip(plan.ranges, t2))
                 product[tuple(env[v] for v in q.head_vars)] = v1 * v2
         assert product == full, q.to_text()
         checked += 1

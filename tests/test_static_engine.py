@@ -12,7 +12,7 @@ from deltaenum.errors import CapabilityError, ClassificationError, VocabularyErr
 from deltaenum.kdata import AnnotatedRelation, Database
 from deltaenum.oracle import oracle_eval_cq
 from deltaenum.planner import build_fc_plan, build_guarded_plan
-from deltaenum.query import parse_query, split
+from deltaenum.query import parse_query
 from deltaenum.semiring import BUILTIN_SEMIRING_NAMES, builtin_semiring
 from deltaenum.static_engine import (
     build_source,
@@ -32,6 +32,7 @@ from support import (
     random_q_hierarchical_cq,
     reference_connex,
     reference_relation,
+    relational_free,
     verify_node_invariants,
 )
 
@@ -431,12 +432,14 @@ def reference_walk(state):
         return []
     plan = state.plan
     levels = plan.levels
+    q = plan.query
     # the bounds of the inequality variables, in sorted order
-    bound = dict(zip(sorted({ineq.var for ineq in state.plan.query.inequality_atoms}), state.bounds))
-    free = split(state.plan.query).ineq_part.head_vars
+    bound = dict(zip(sorted({ineq.var for ineq in q.inequality_atoms}), state.bounds))
+    # the free variables of no atom, in head order without repeats
+    free = [v for v in dict.fromkeys(q.head_vars) if v not in relational_free(q)]
     ranges = [range(1, bound[v] + 1) for v in free]
-    order = [v for level in levels for v in level.order] + list(free)
-    head = [order.index(v) for v in state.plan.query.head_vars]
+    order = [v for level in levels for v in level.order] + free
+    head = [order.index(v) for v in q.head_vars]
     out = []
 
     def visit(j, tuples, p):
@@ -554,7 +557,7 @@ def test_no_query_text_reaches_the_compiled_walk():
     db.constants.update(k=2, bounds=2)
     for plan_of in (build_fc_plan, build_guarded_plan):
         state = preprocess_with_plan(q, db, plan_of(q))
-        assert state.plan.levels and split(q).ineq_part.head_vars
+        assert state.plan.levels and set(q.head_vars) - set(relational_free(q))
         got = list(enumerate_state(state))
         assert got and dict(got) == oracle_eval_cq(q, db).entries
         for s in SEMIRINGS:
