@@ -1,8 +1,8 @@
-"""Compiling generated code: the CSV row readers of ``kdata``, the build
-and walk of each plan (``static_engine``), the update step of each relation
-symbol (``dynamic_engine``) and the builtin semiring operators are written
-as Python source and compiled here.  A plan leaf's key is an expression
-that the builds and update steps write inline.
+"""Compiling generated code: the CSV and COO row readers of ``kdata``, the
+build and walk of each plan (``static_engine``), the update step of each
+relation symbol (``dynamic_engine``) and the builtin semiring operators are
+written as Python source and compiled here.  A plan leaf's key is an
+expression that the builds and update steps write inline.
 
 A generated source holds only fixed names, integer literals and the
 semiring's operator templates (``SemiringDescriptor.templates``), which are

@@ -12,14 +12,14 @@ reference, which raises its error before anything is written.
 
 The text loaders (CSV relations and update scripts here, COO matrices in
 ``matlang.load_matrix_instance``) each make one pass over their lines,
-splitting each line once.  The CSV rows of a relation are read by a loop
-generated for its arity (``reader_source``) and compiled once per arity:
-it unpacks a row into its fields, converts each data field with ``int``
-and parses the annotation, and hands every row it cannot take as it stands
-to the full per-row check, which looks for a blank line or a header and
-names the line of a rejected row.  Input is UTF-8, with or without a byte
-order mark; every malformed line, undecodable byte or oversized CSV field is
-an ``IngestionError`` naming the file and the line.
+splitting each line once.  CSV rows and COO lines are read by a loop
+generated per arity and semiring (``reader_source``), which converts the
+data fields with ``int`` and the annotation by the semiring's template and
+hands every row it cannot take as it stands to the loader's full check of
+one row, which skips a blank line, a header or a comment and names the line
+of a rejected row.  Input is UTF-8, with or without a byte order mark; every
+malformed line, undecodable byte or oversized CSV field is an
+``IngestionError`` naming the file and the line.
 """
 
 from __future__ import annotations
@@ -217,32 +217,35 @@ def load_database(
     return db
 
 
-def reader_source(arity: int) -> str:
-    """The source of ``read(rows, parse, is_zero, entries, check)``, the
-    loop over the numbered CSV rows of a relation of ``arity``.
+def reader_source(arity: int, s: SemiringDescriptor, bounded: bool = False) -> str:
+    """The source of ``read(rows, convert, dims, entries, check)``, the loop
+    over numbered rows of ``arity`` data fields and an annotation: CSV rows,
+    or (``bounded``) the split lines of a COO matrix of dimensions ``dims``.
 
-    It takes a row as it stands when the row unpacks into ``arity`` data
-    fields and an annotation, each data field converts with ``int`` to a
-    value of at least 1, the annotation parses and the tuple is new: the
-    tuple is then stored, or dropped when its annotation is zero.  Any other
-    row goes to ``check(row, rowno)``, which skips it, stores it or raises.
+    A row is stored, or dropped when its annotation is zero, when its data
+    fields convert with ``int`` to values from 1 (to ``dims``, if
+    ``bounded``), its annotation converts by ``s``'s template (without one,
+    by ``convert``) to a value that ``s`` admits and its tuple is new.  Any
+    other row, and every row when ``s`` has no ``is_zero`` or ``admits``
+    template, goes to ``check(row, rowno)``, which skips, stores or raises.
     """
+    lines = ["def read(rows, convert, dims, entries, check):", "    for rowno, row in rows:"]
+    if not {"is_zero", "admits"} <= s.templates.keys():
+        return "\n".join(lines + ["        check(row, rowno)"]) + "\n"
     xs = [f"x{i}" for i in range(arity)]
-    t = display([f"int({x})" for x in xs])
-    reject = " or ".join([f"t[{i}] < 1" for i in range(arity)] + ["t in entries"])
-    lines = [
-        "def read(rows, parse, is_zero, entries, check):",
-        "    for rowno, row in rows:",
+    reject = [f"t[{i}] < 1" for i in range(arity)] + [f"t[{i}] > dims[{i}]" for i in range(arity) if bounded]
+    reject += ["t in entries", f"not {s.expr('admits', 'a')}"]
+    lines += [
         "        try:",
         f"            {display(xs + ['a'])} = row",
-        f"            t = {t}",
-        "            a = parse(a)",
+        f"            t = {display([f'int({x})' for x in xs])}",
+        f"            a = {s.expr('convert', 'a')}",
         "        except ValueError:",
         "            check(row, rowno)",
         "            continue",
-        f"        if {reject}:",
+        f"        if {' or '.join(reject)}:",
         "            check(row, rowno)",
-        "        elif not is_zero(a):",
+        f"        elif not {s.expr('is_zero', 'a')}:",
         "            entries[t] = a",
     ]
     return "\n".join(lines) + "\n"
@@ -250,12 +253,11 @@ def reader_source(arity: int) -> str:
 
 def _read_rows(fh, path: str, arity: int, semiring: SemiringDescriptor, entries: Dict) -> None:
     """One pass over the CSV rows of one relation into ``entries``, by the
-    reader compiled for ``arity`` (``reader_source``).  A row the reader
-    does not take goes to ``check``, which tests it in full: the width, the
-    data values, their positivity, the annotation, a zero annotation and a
-    duplicate, in that order.  Blank rows and the header are looked for only
-    in a row that does not parse, and the line of a row only when it is
-    rejected."""
+    reader of ``arity`` and ``semiring`` (``reader_source``).  A row it does
+    not take goes to ``check``, which tests the width, the data values, their
+    positivity, the annotation, a zero annotation and a duplicate, in that
+    order; it looks for a blank row, the header and the line of a row only
+    when the row fails."""
     width = arity + 1
     parse, is_zero = semiring.parse, semiring.is_zero
     reader = csv.reader(fh)
@@ -291,9 +293,9 @@ def _read_rows(fh, path: str, arity: int, semiring: SemiringDescriptor, entries:
             raise IngestionError(f"duplicate tuple {values}", path, _line(reader, row))
         entries[values] = annotation
 
-    read = compile_source(reader_source(arity), "read")
+    read = compile_source(reader_source(arity, semiring), "read")
     try:
-        read(enumerate(reader, start=1), parse, is_zero, entries, check)
+        read(enumerate(reader, start=1), parse, None, entries, check)
     except csv.Error as exc:
         raise IngestionError(str(exc), path, reader.line_num) from None
     except UnicodeDecodeError:

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
+from .codegen import compile_source
 from .errors import (
     CapabilityError,
     ClassificationError,
@@ -37,7 +38,7 @@ from .errors import (
     SchemaError,
     TypeCheckError,
 )
-from .kdata import AnnotatedRelation, Database, read_input
+from .kdata import AnnotatedRelation, Database, read_input, reader_source
 from .query import ConjunctiveQuery, IneqAtom, RelAtom, TokenCursor
 from .semiring import SemiringDescriptor, Value
 
@@ -273,14 +274,16 @@ def load_matrix_instance(
     schema: MatrixSchema, data_dir: str | Path, semiring: SemiringDescriptor
 ) -> MatrixInstance:
     """COO text per matrix symbol: one ``i j value`` triple per line, ``#``
-    starting a comment; one pass, splitting each line once and checking the
-    entry against the matrix's dimensions, so the instance needs no
-    ``validate`` pass.  A missing ``<A>.coo`` is a zero matrix; a missing
-    ``data_dir`` raises ``IngestionError``."""
+    starting a comment; one pass by the bounded row reader of arity 2
+    (``kdata.reader_source``), which hands ``check`` each line it cannot
+    take as it stands, every line that holds ``#`` among them.  A missing
+    ``<A>.coo`` is a zero matrix; a missing ``data_dir`` raises
+    ``IngestionError``."""
     data_dir = Path(data_dir)
     if not data_dir.is_dir():
         raise IngestionError("not a directory", str(data_dir))
     parse, is_zero = semiring.parse, semiring.is_zero
+    read = compile_source(reader_source(2, semiring, bounded=True), "read")
     instance = MatrixInstance(schema, semiring)
     for name in schema.matrices:
         cells = instance.entries[name]
@@ -288,13 +291,13 @@ def load_matrix_instance(
         path = data_dir / f"{name}.coo"
         if not path.exists():
             continue
-        for lineno, line in enumerate(read_input(path).splitlines(), start=1):
-            if "#" in line:
-                line = line[: line.index("#")]
-            fields = line.split()
+
+        def check(fields: List[str], lineno: int) -> None:
+            if "#" in fields:
+                fields = fields[: fields.index("#")]
             if len(fields) != 3:
                 if not fields:
-                    continue
+                    return
                 raise IngestionError("expected 'i j value'", str(path), lineno)
             try:
                 i, j = ij = (int(fields[0]), int(fields[1]))
@@ -302,7 +305,7 @@ def load_matrix_instance(
             except ValueError as exc:
                 raise IngestionError(str(exc), str(path), lineno) from None
             if is_zero(v):
-                continue
+                return
             if not (1 <= i <= m and 1 <= j <= n):
                 raise IngestionError(
                     f"entry ({i},{j}) of {name!r} outside its {m}x{n} dimension", str(path), lineno
@@ -310,6 +313,10 @@ def load_matrix_instance(
             if ij in cells:
                 raise IngestionError(f"duplicate entry ({i},{j})", str(path), lineno)
             cells[ij] = v
+
+        # each "#" becomes four fields: a line holding one never unpacks into three
+        lines = read_input(path).replace("#", " # # # # ").splitlines()
+        read(enumerate(map(str.split, lines), 1), parse, (m, n), cells, check)
     return instance
 
 

@@ -146,9 +146,11 @@ def oracle_eval_matlang(expr, instance):
         if isinstance(e, matlang.SumIteration):
             size = instance.size_of(e.var_size)
             acc = [[s.zero for _ in range(n)] for _ in range(m)]
+            varies = e.var in matlang.free_vector_variables(e.sub)
             for k in range(size):
-                canonical = [[s.one if i == k else s.zero] for i in range(size)]
-                sub = rec(e.sub, {**mu, e.var: canonical})
+                if varies or k == 0:
+                    canonical = [[s.one if i == k else s.zero] for i in range(size)]
+                    sub = rec(e.sub, {**mu, e.var: canonical})
                 acc = [
                     [s.add(acc[i][j], sub[i][j]) for j in range(n)] for i in range(m)
                 ]

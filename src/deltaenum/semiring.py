@@ -15,14 +15,14 @@ operations with three capability flags:
   sum and a member count support O(1) insert, delete and total.  Required by
   the dynamic engine.
 
-Generated code (the builds, walks and update steps) writes an
+Generated code (the row readers, builds, walks and update steps) writes an
 operator through its source template, such as ``({0} * {1})``, so that a
 builtin's operators run inline; each builtin's callables are compiled from
-the same templates, so each operator is defined once, the test of which
-values are annotations (``admits``) among them.  A descriptor without
-templates, such as a custom semiring, gets the call form ``mul({0}, {1})``
-or ``admits({0})``, which generated code binds to the descriptor's
-callable.
+the same templates, so each is defined once, ``admits`` (which values are
+annotations) and the ``convert`` of annotation text that ``parse`` makes
+among them.  A descriptor without templates, such as a custom semiring,
+gets the call form ``mul({0}, {1})`` or ``admits({0})``, which generated
+code binds to the descriptor's callable.
 """
 
 from __future__ import annotations
@@ -98,10 +98,10 @@ class SemiringDescriptor:
     # text, ``kdata.apply_update`` and the generated update steps to the
     # value of an insert and to its sum
     admits: Callable[[Value], bool] = field(default=lambda v: True, repr=False)
-    # per operator ("add", "mul", "sub", "is_zero", "admits"), the source of
-    # its application to the sources {0} and {1} of its operands, each used
-    # once, such as "({0} * {1})"; see ``expr``.  Generated code passes
-    # ``admits`` a name, which its template may use more than once
+    # per operator ("add", "mul", "sub", "is_zero", "admits", "convert"), the
+    # source of its application to the sources {0} and {1} of its operands,
+    # each used once, such as "({0} * {1})"; see ``expr``.  Generated code
+    # passes ``admits`` a name, which its template may use more than once
     templates: Dict[str, str] = field(default_factory=dict, repr=False, compare=False)
 
     def expr(self, op: str, *operands: str) -> str:
@@ -129,30 +129,29 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean annotation: {s!r}")
 
 
-def _parser(convert: Callable[[str], Value], message: str) -> Callable:
-    """``parser(admits)`` for ``_builtin``: ``parse`` converts the text and
-    raises ``ValueError`` with ``message`` on a value that ``admits`` rejects."""
-    def parser(admits: Callable[[Value], bool]) -> Callable[[str], Value]:
-        def parse(s: str) -> Value:
-            v = convert(s)
-            if not admits(v):
-                raise ValueError(f"{message}: {s!r}")
-            return v
+def _parser(convert: Callable[[str], Value], admits: Callable[[Value], bool], message: str) -> Callable:
+    """``parse`` for ``_builtin``: it converts the text and raises
+    ``ValueError`` with ``message`` on a value that ``admits`` rejects."""
+    def parse(s: str) -> Value:
+        v = convert(s)
+        if not admits(v):
+            raise ValueError(f"{message}: {s!r}")
+        return v
 
-        return parse
-
-    return parser
+    return parse
 
 
-def _builtin(templates: Dict[str, str], parser: Callable, **fields: Any) -> SemiringDescriptor:
+def _builtin(templates: Dict[str, str], message: str = "", **fields: Any) -> SemiringDescriptor:
     """A descriptor whose operators are compiled from their ``templates``,
-    so that each is defined once, for generated code and for callers alike;
-    ``parser(admits)`` makes its ``parse``, given the compiled ``admits``."""
+    so that each is defined once, for generated code and for callers alike,
+    and, given a ``convert`` template, whose ``parse`` is ``_parser``'s."""
     ops = {}
     for op, template in templates.items():
-        params = "a" if op in ("is_zero", "admits") else "a, b"
+        params = "a" if op in ("is_zero", "admits", "convert") else "a, b"
         ops[op] = compile_source(f"def {op}({params}):\n    return {template.format('a', 'b')}\n", op)
-    return SemiringDescriptor(**fields, **ops, parse=parser(ops["admits"]), templates=templates)
+    if "convert" in ops:
+        fields["parse"] = _parser(ops.pop("convert"), ops["admits"], message)
+    return SemiringDescriptor(**fields, **ops, templates=templates)
 
 
 _BOOLEAN = _builtin(
@@ -166,7 +165,7 @@ _BOOLEAN = _builtin(
     one=True,
     zero_divisor_free=True,
     zero_sum_free=True,
-    parser=lambda admits: _parse_bool,
+    parse=_parse_bool,
     format=lambda v: "t" if v else "f",
 )
 
@@ -175,14 +174,14 @@ _NATURAL = _builtin(
     # previously added to the same total.
     {
         "add": "({0} + {1})", "mul": "({0} * {1})", "sub": "({0} - {1})", "is_zero": "({0} == 0)",
-        "admits": "(type({0}) is int and {0} >= 0)",
+        "admits": "(type({0}) is int and {0} >= 0)", "convert": "int({0})",
     },
     name="natural",
     zero=0,
     one=1,
     zero_divisor_free=True,
     zero_sum_free=True,
-    parser=_parser(int, "natural annotation must be non-negative"),
+    message="natural annotation must be non-negative",
     format=str,
 )
 
@@ -191,14 +190,14 @@ _REAL = _builtin(
     # enters, also after it is deleted again
     {
         "add": "({0} + {1})", "mul": "({0} * {1})", "sub": "({0} - {1})", "is_zero": "({0} == 0.0)",
-        "admits": "(type({0}) is float and isfinite({0}))",
+        "admits": "(type({0}) is float and isfinite({0}))", "convert": "float({0})",
     },
     name="real",
     zero=0.0,
     one=1.0,
     zero_divisor_free=True,
     zero_sum_free=False,
-    parser=_parser(float, "real annotation must be finite"),
+    message="real annotation must be finite",
     format=repr,
 )
 
@@ -206,14 +205,14 @@ _TROPICAL_MIN = _builtin(
     # no sub: min has no inverse, so the dynamic engine rejects it
     {
         "add": "min({0}, {1})", "mul": "({0} + {1})", "is_zero": "({0} == inf)",
-        "admits": "(type({0}) is float and -inf < {0})",
+        "admits": "(type({0}) is float and -inf < {0})", "convert": "float({0})",
     },
     name="tropical-min",
     zero=math.inf,
     one=0.0,
     zero_divisor_free=True,
     zero_sum_free=True,
-    parser=_parser(float, "tropical annotation must be a number or inf"),
+    message="tropical annotation must be a number or inf",
     format=lambda v: "inf" if v == math.inf else repr(v),
 )
 

@@ -1,9 +1,10 @@
 """Seeded random corpora for the tests: annotations, queries, databases,
-updates, matrix expressions and instances, and the scaling databases; and
-the tests' references, which no product path calls: the plan checker, the
-node relations by their defining equations, the interpreted connex build
-(the reference for the generated one), the dynamic state's checker and the
-matrix decoding of a whole database.
+updates, matrix expressions and instances, COO texts and the scaling
+databases; and the tests' references, which no product path calls: the plan
+checker, the node relations by their defining equations, the interpreted
+connex build (the reference for the generated one), the dynamic state's
+checker, the matrix decoding of a whole database and the interpreted COO
+loader (the reference for the generated row reader).
 
 The seed of ``corpus_rng`` comes from DELTA_ENUM_SEED when set.
 ``test_corpora`` pins what the draws return.
@@ -15,11 +16,12 @@ import math
 import os
 import random
 from collections import Counter
+from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from deltaenum.codegen import compile_source
-from deltaenum.errors import TypeCheckError
-from deltaenum.kdata import AnnotatedRelation, Database, DataTuple, SingleTupleUpdate
+from deltaenum.errors import IngestionError, TypeCheckError
+from deltaenum.kdata import AnnotatedRelation, Database, DataTuple, SingleTupleUpdate, read_input
 from deltaenum.matlang import (
     Add,
     Hadamard,
@@ -320,6 +322,107 @@ def decode_instance(db: Database, schema: MatrixSchema) -> MatrixInstance:
     )
     entries = {name: decode_relation(db.relation(name), decoded, name) for name in schema.matrices}
     return MatrixInstance(decoded, db.semiring, entries)
+
+
+def reference_coo(
+    schema: MatrixSchema, data_dir: str | Path, semiring: SemiringDescriptor
+) -> MatrixInstance:
+    """The interpreted COO loader, the reference for
+    ``matlang.load_matrix_instance``: one ``i j value`` triple per line,
+    ``#`` starting a comment, each line split once and checked in full."""
+    data_dir = Path(data_dir)
+    if not data_dir.is_dir():
+        raise IngestionError("not a directory", str(data_dir))
+    parse, is_zero = semiring.parse, semiring.is_zero
+    instance = MatrixInstance(schema, semiring)
+    for name in schema.matrices:
+        cells = instance.entries[name]
+        m, n = schema.dims(name)
+        path = data_dir / f"{name}.coo"
+        if not path.exists():
+            continue
+        for lineno, line in enumerate(read_input(path).splitlines(), start=1):
+            if "#" in line:
+                line = line[: line.index("#")]
+            fields = line.split()
+            if len(fields) != 3:
+                if not fields:
+                    continue
+                raise IngestionError("expected 'i j value'", str(path), lineno)
+            try:
+                i, j = ij = (int(fields[0]), int(fields[1]))
+                v = parse(fields[2])
+            except ValueError as exc:
+                raise IngestionError(str(exc), str(path), lineno) from None
+            if is_zero(v):
+                continue
+            if not (1 <= i <= m and 1 <= j <= n):
+                raise IngestionError(
+                    f"entry ({i},{j}) of {name!r} outside its {m}x{n} dimension", str(path), lineno
+                )
+            if ij in cells:
+                raise IngestionError(f"duplicate entry ({i},{j})", str(path), lineno)
+            cells[ij] = v
+    return instance
+
+
+# annotation texts of each builtin semiring for the COO corpus: nonzero, zero
+# and not admitted (a text no builtin converts is drawn for every semiring)
+_COO_ANNOTATIONS = {
+    "boolean": (["t", "true", "1", "T", "TRUE"], ["f", "0", "false"], ["2", "yes", "-1"]),
+    "natural": (["1", "2", "7", "+3", "12"], ["0", "00", "-0"], ["-1", "3.0", "1e3", "nan"]),
+    "real": (["0.5", "-2.25", "3", "1e3", "-0.1"], ["0", "0.0", "-0.0"], ["nan", "1e400", "inf", "-inf"]),
+    "tropical-min": (["0.5", "-2.0", "3", "0", "-1e3"], ["inf", "Infinity"], ["-inf", "nan", "-1e400"]),
+}
+
+
+def random_coo_text(rng: random.Random, semiring: SemiringDescriptor, m: int, n: int) -> str:
+    """A short COO text for an ``m`` x ``n`` matrix of ``semiring``: valid,
+    zero, out-of-range and duplicate entries, blank and whitespace-only
+    lines, ``#`` comments (also of three fields, such as ``1 2 #``),
+    annotations the semiring does not admit and malformed lines, with tabs
+    and runs of blanks between fields and LF or CRLF line endings."""
+    nonzero, zero, bad = _COO_ANNOTATIONS[semiring.name]
+    end = rng.choice(["\n", "\r\n"])
+    seen: List[Tuple[int, int]] = []
+
+    def cell(inside: bool = True) -> Tuple[int, int]:
+        if inside:
+            return rng.randint(1, m), rng.randint(1, n)
+        return rng.choice([(0, 1), (m + 1, 1), (1, n + 1), (1, 0), (-1, 2), (m + 1, n + 1)])
+
+    def entry(ij: Tuple[int, int], value: str) -> str:
+        gaps = [rng.choice([" ", "\t", "  ", " \t "]) for _ in range(2)]
+        lead, trail = rng.choice(["", "", " ", "\t"]), rng.choice(["", "", " ", "\t"])
+        return f"{lead}{ij[0]}{gaps[0]}{ij[1]}{gaps[1]}{value}{trail}"
+
+    lines = []
+    for _ in range(rng.randint(0, 8)):
+        r = rng.random()
+        if r < 0.45:
+            ij = cell()
+            seen.append(ij)
+            line = entry(ij, rng.choice(nonzero))
+            if rng.random() < 0.1:
+                line += rng.choice([" # note", "# a b", "#", " #1 2 3"])
+        elif r < 0.55:
+            line = entry(cell(rng.random() < 0.5), rng.choice(zero))
+        elif r < 0.63:
+            line = rng.choice(["", " ", "\t", "  \t "])
+        elif r < 0.73:
+            i, j = cell()
+            line = rng.choice(["# i j value", "#", f"{i} {j} #", "# a b", f"{i} {j} #{rng.choice(nonzero)}", f"#{i} {j} 1", f"{i} {j}#x 1"])
+        elif r < 0.8:
+            line = entry(cell(False), rng.choice(nonzero))
+        elif r < 0.88 and seen:
+            line = entry(rng.choice(seen), rng.choice(nonzero + zero))
+        elif r < 0.94:
+            line = entry(cell(), rng.choice(bad + ["x"]))
+        else:
+            i, j = cell()
+            line = rng.choice([f"{i} {j}", f"{i} {j} 1 2", f"{i} x 1", f"{i}.0 {j} 1", str(i)])
+        lines.append(line)
+    return "".join(line + end for line in lines)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -574,10 +575,9 @@ def test_reachable_input_errors_exit_one(tmp_path, dbdir, capsys, argv, doc, tex
         pytest.param(lambda n: "(" * n + "A" + ")" * n, ["classify", "compile", "eval"], id="parentheses"),
         pytest.param(lambda n: "A" + "^T" * (n - 1), ["classify", "compile", "eval"], id="transposes"),
         # the cap bounds no evaluator's cost: the oracle joins the path a product
-        # chain translates to before it projects, and the dense evaluator
-        # substitutes every canonical vector into every nested sum
+        # chain translates to before it projects
         pytest.param(lambda n: " * ".join(["A"] * n), ["classify", "compile"], id="products"),
-        pytest.param(lambda n: "sum(v:a, " * (n - 1) + "A" + ")" * (n - 1), ["classify", "compile"], id="sums"),
+        pytest.param(lambda n: "sum(v:a, " * (n - 1) + "A" + ")" * (n - 1), ["classify", "compile", "eval"], id="sums"),
     ],
 )
 def test_matlang_expressions_are_at_most_max_depth_deep(tmp_path, capsys, deep, at_cap):
@@ -595,6 +595,20 @@ def test_matlang_expressions_are_at_most_max_depth_deep(tmp_path, capsys, deep, 
         (line,) = captured.err.splitlines()
         assert captured.out == "" and line.startswith("error: the expression ")
         assert "Traceback" not in captured.err
+
+
+def test_matlang_eval_verify_of_nested_sums_that_ignore_their_variable(tmp_path, capsys):
+    # the dense evaluator evaluates a body that does not read its variable
+    # once per sum, not once per canonical vector of every enclosing sum
+    from deltaenum.matlang import MAX_DEPTH
+
+    nested = "sum(v:a, " * (MAX_DEPTH - 1) + "A" + ")" * (MAX_DEPTH - 1)
+    files = _matlang_files(tmp_path, {"A": {"type": ["a", "a"]}}, f"H := {nested}\n", sizes={"a": 2})
+    (tmp_path / "data" / "A.coo").write_text("1 1 2\n1 2 5\n2 2 7\n")
+    start = time.perf_counter()
+    assert main(["matlang", "eval", *files, "--verify"]) == 0
+    assert time.perf_counter() - start < 10
+    assert capsys.readouterr().out.splitlines() == [f"{i} {j} {v * 2 ** 99}" for i, j, v in [(1, 1, 2), (1, 2, 5), (2, 2, 7)]]
 
 
 @pytest.mark.parametrize("missing", ["query", "db", "updates", "schema", "expr"])

@@ -10,7 +10,7 @@ from deltaenum.semiring import BUILTIN_SEMIRING_NAMES, acc_new, builtin_semiring
 
 import support
 
-CORPUS_SHA256 = "a957e37a3a44b990e10f0d4f552ac0b202a23eea540cceeffdbab95bc8fddc41"
+CORPUS_SHA256 = "d7d8f1029afea674dccbb6d038c0c77884cc6d7c2e231c4fb26b6bdd63df2cfc"
 
 
 def db_text(db) -> str:
@@ -45,6 +45,9 @@ def corpus_draws():
         yield repr([next(draws) for _ in range(3)])
         nat = builtin_semiring("natural")
         yield db_text(support.scaling_db(rng, nat, 40 + k, dynamic=k % 2 == 1, head_domain=8))
+    rng = random.Random(40)
+    for name in BUILTIN_SEMIRING_NAMES * 10:
+        yield support.random_coo_text(rng, builtin_semiring(name), rng.randint(1, 4), rng.randint(1, 4))
 
 
 def test_the_seeded_corpora_draw_what_they_drew():

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import keyword
 import random
@@ -16,7 +17,7 @@ from deltaenum.kdata import (
     parse_update_script,
     reader_source,
 )
-from deltaenum.semiring import builtin_semiring
+from deltaenum.semiring import BUILTIN_SEMIRING_NAMES, builtin_semiring
 
 from support import sample
 
@@ -130,26 +131,33 @@ def test_load_database_skips_header(tmp_path):
     assert db.relations["R"].entries == {(1, 2): 3}
 
 
-# every name that ``reader_source`` writes, besides Python keywords and the
-# numbered names of its data fields
-READER_NAMES = {"read", "rows", "parse", "is_zero", "entries", "check", "rowno", "row", "a", "t", "int", "ValueError"}
+# every name that ``reader_source`` writes for the builtin semirings,
+# besides Python keywords and the numbered names of its data fields; the
+# builtins' ``convert``, ``admits`` and ``is_zero`` templates write the last line
+READER_NAMES = {
+    "read", "rows", "convert", "dims", "entries", "check", "rowno", "row", "a", "t", "int", "ValueError",
+    "type", "bool", "float", "isfinite", "inf",
+}
 
 
 def test_no_relation_name_reaches_the_row_readers(tmp_path):
-    # relation names that the generated reader uses itself, of arities 0 to 3
-    names = ["read", "row", "entries", "t"]
-    rows = {name: ",".join(["1"] * arity + ["5"]) + "\n" for arity, name in enumerate(names)}
-    vocab, data = write_db(tmp_path, {"relations": {name: arity for arity, name in enumerate(names)}}, rows)
-    db = load_database(vocab, data, NAT)
-    assert {name: rel.entries for name, rel in db.relations.items()} == {
-        name: {(1,) * arity: 5} for arity, name in enumerate(names)
-    }
-    for arity in range(13):
-        tokens = list(tokenize.generate_tokens(io.StringIO(reader_source(arity)).readline))
-        assert not [t for t in tokens if t.type == tokenize.STRING]
-        found = {t.string for t in tokens if t.type == tokenize.NAME}
-        numbered = {n for n in found if re.fullmatch(r"x[0-9]+", n)}
-        assert found - numbered - set(keyword.kwlist) <= READER_NAMES
+    # relation names that the generated reader uses itself, of arities 0 to 7
+    names = ["read", "row", "entries", "t", "convert", "dims", "check", "a"]
+    vocab = {"relations": {name: arity for arity, name in enumerate(names)}}
+    found = set()
+    for s in map(builtin_semiring, BUILTIN_SEMIRING_NAMES):
+        rows = {name: ",".join(["1"] * (arity + 1)) + "\n" for arity, name in enumerate(names)}
+        db = load_database(*write_db(tmp_path, vocab, rows), s)
+        assert {name: rel.entries for name, rel in db.relations.items()} == {
+            name: {(1,) * arity: s.parse("1")} for arity, name in enumerate(names)
+        }
+        for arity in range(13):
+            for bounded in (False, True):
+                tokens = list(tokenize.generate_tokens(io.StringIO(reader_source(arity, s, bounded)).readline))
+                assert not [t for t in tokens if t.type == tokenize.STRING]
+                found |= {t.string for t in tokens if t.type == tokenize.NAME}
+    numbered = {n for n in found if re.fullmatch(r"x[0-9]+", n)}
+    assert found - numbered - set(keyword.kwlist) == READER_NAMES
 
 
 def test_load_database_boolean_annotations(tmp_path):
@@ -284,6 +292,44 @@ def test_load_database_rejects(tmp_path, text, message, line):
     assert message in str(exc.value)
     assert exc.value.filename == str(tmp_path / "R.csv")
     assert exc.value.line == line
+
+
+# the conversion that the readers write inline keeps the messages and lines
+# of ``parse``, also for the only bad row after a header
+@pytest.mark.parametrize("head, kept", [("1,1,1\n", {(1, 1)}), ("x,y,k\n", set())], ids=["after-a-row", "after-a-header"])
+@pytest.mark.parametrize(
+    "semiring, annotation, message",
+    [
+        ("natural", "-1", "natural annotation must be non-negative: '-1'"),
+        ("natural", "3.0", "invalid literal for int() with base 10: '3.0'"),
+        ("real", "nan", "real annotation must be finite: 'nan'"),
+        ("real", "1e400", "real annotation must be finite: '1e400'"),
+        ("real", "-inf", "real annotation must be finite: '-inf'"),
+        ("tropical-min", "-inf", "tropical annotation must be a number or inf: '-inf'"),
+        ("tropical-min", "inf", None),  # the zero: the row is dropped
+        ("boolean", "x", "not a boolean annotation: 'x'"),
+    ],
+)
+def test_load_database_converts_annotations_as_parse_does(tmp_path, head, kept, semiring, annotation, message):
+    s = builtin_semiring(semiring)
+    vocab, data = write_db(tmp_path, {"relations": {"R": 2}}, {"R": head + "1,3," + annotation + "\n"})
+    if message is None:
+        assert set(load_database(vocab, data, s).relations["R"].entries) == kept
+        return
+    with pytest.raises(IngestionError) as exc:
+        load_database(vocab, data, s)
+    assert str(exc.value) == f"{data / 'R.csv'}:2: {message}"
+
+
+def test_load_database_without_templates_checks_every_row(tmp_path):
+    # a descriptor without templates has no inline conversion or zero test:
+    # the full check reads every row, with the same messages
+    calls = dataclasses.replace(NAT, templates={})
+    vocab, data = write_db(tmp_path, {"relations": {"R": 2}}, {"R": "x,y,k\n1,2,3\n1,3,0\n"})
+    assert load_database(vocab, data, calls).relations["R"].entries == {(1, 2): 3}
+    write_db(tmp_path, {"relations": {"R": 2}}, {"R": "1,2,3\n1,2,4\n"})
+    with pytest.raises(IngestionError, match=r"R\.csv:2: duplicate tuple \(1, 2\)"):
+        load_database(vocab, data, calls)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from itertools import islice
@@ -31,14 +32,17 @@ from deltaenum.matlang import (
 )
 from deltaenum.oracle import oracle_eval_matlang
 from deltaenum.query import IneqAtom
-from deltaenum.semiring import builtin_semiring
+from deltaenum.semiring import BUILTIN_SEMIRING_NAMES, builtin_semiring
 
 from support import (
+    corpus_rng,
     decode_instance,
+    random_coo_text,
     random_conj_expression,
     random_conj_expressions,
     random_matrix_instance,
     random_matrix_schema,
+    reference_coo,
 )
 
 NAT = builtin_semiring("natural")
@@ -492,7 +496,6 @@ def test_eval_shares_the_input_matrices():
         assert all(result.instance.entries[name] is inst.entries[name] for name in ("A", "B"))
 
 
-
 @pytest.mark.parametrize(
     "text, message, line, column",
     [
@@ -555,3 +558,44 @@ def test_load_matrix_instance_rejects_entries_outside_the_dimensions(tmp_path):
     schema = write_coo(tmp_path, "1 1 2\n4 1 1\n")
     with pytest.raises(IngestionError, match=r"A\.coo:2: entry \(4,1\) of 'A' outside its 3x2 dimension"):
         load_matrix_instance(schema, tmp_path, NAT)
+
+
+def coo_outcome(load, schema, data_dir, semiring):
+    """The cells ``load`` reads, or the message, file and line of its error."""
+    try:
+        return load(schema, data_dir, semiring).entries
+    except IngestionError as exc:
+        return str(exc), exc.filename, exc.line
+
+
+def test_load_matrix_instance_matches_the_interpreted_reference(tmp_path):
+    rng = corpus_rng(3100)
+    outcomes = Counter()
+    for k in range(2400):
+        s = builtin_semiring(BUILTIN_SEMIRING_NAMES[k % 4])
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        schema = MatrixSchema({"alpha": m, "beta": n}, {"A": ("alpha", "beta")})
+        (tmp_path / "A.coo").write_bytes(random_coo_text(rng, s, m, n).encode())
+        got = coo_outcome(load_matrix_instance, schema, tmp_path, s)
+        assert got == coo_outcome(reference_coo, schema, tmp_path, s), (tmp_path / "A.coo").read_bytes()
+        outcomes[type(got)] += 1
+    # both outcomes are common: the corpus is not all errors
+    assert min(outcomes.values()) > 600, outcomes
+
+
+# semirings whose conversion takes "#": the call of ``parse`` (a boolean with
+# "#" for true), a ``convert`` template (naturals read as the text's length)
+# and, without templates, the full check of every line
+HASH_SEMIRINGS = [
+    dataclasses.replace(BOOL, name="hash-boolean", parse=lambda text: text == "#" or BOOL.parse(text)),
+    dataclasses.replace(NAT, name="hash-natural", parse=len, templates={**NAT.templates, "convert": "len({0})"}),
+    dataclasses.replace(dataclasses.replace(NAT, parse=len), name="hash-calls", templates={}),
+]
+
+
+@pytest.mark.parametrize("semiring", HASH_SEMIRINGS, ids=lambda s: s.name)
+@pytest.mark.parametrize("text", ["1 2 #\n", "# a b\n1 1 1\n", "1 2 1#\n", "2 2 t#x\r\n1 1 ##\r\n"])
+def test_a_line_that_holds_a_hash_is_never_stored_by_the_reader(tmp_path, semiring, text):
+    schema = write_coo(tmp_path, text)
+    got = coo_outcome(load_matrix_instance, schema, tmp_path, semiring)
+    assert got == coo_outcome(reference_coo, schema, tmp_path, semiring)
