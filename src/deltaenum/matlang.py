@@ -640,7 +640,12 @@ class _UnionFind:
 
 @dataclass
 class _Translation:
-    head: Set[str]  # the head variables
+    """The atoms and equalities of a translation.  An index of size 1 is
+    never a shared variable, in the head or not: it takes only the value 1
+    on a consistent database, so each occurrence is summed out on its own,
+    a fresh variable at a stored position and nothing elsewhere.  It then
+    closes no cycle between the atoms that share it."""
+
     atoms: List[RelAtom | IneqAtom] = field(default_factory=list)
     equalities: List[Tuple[str, str]] = field(default_factory=list)
     counter: int = 0
@@ -649,25 +654,15 @@ class _Translation:
         self.counter += 1
         return f"{stem}{self.counter}"
 
-    def kept(self, v: str, size: str) -> bool:
-        """Whether index ``v`` of size ``size`` stays a shared variable.
-
-        A bound index of size 1 does not: it takes only the value 1 on a
-        consistent database, so each occurrence is summed out on its own, a
-        fresh variable at a stored position and nothing elsewhere.  It then
-        closes no cycle between the atoms that share it.
-        """
-        return size != "1" or v in self.head
-
     def stored(self, v: str, size: str) -> str:
-        return v if self.kept(v, size) else self.fresh("u")
+        return v if size != "1" else self.fresh("u")
 
     def range(self, v: str, size: str) -> None:
-        if self.kept(v, size):
+        if size != "1":
             self.atoms.append(IneqAtom(v, size))
 
     def equal(self, a: str, b: str, size: str) -> None:
-        if self.kept(a, size) and self.kept(b, size):
+        if size != "1":
             self.equalities.append((a, b))
 
 
@@ -755,8 +750,10 @@ def translate_to_cq(query: MatQuery, schema: MatrixSchema) -> ConjunctiveQuery:
     if free_vector_variables(e):
         raise TypeCheckError("query expressions cannot have free vector variables")
     head_vars = tuple(("x", "y")[i] for i in schema.stored_indices(query.head))
-    out = _Translation(set(head_vars))
+    out = _Translation()
     _translate(e, "x", "y", {}, out, schema)
+    # a head index of size 1 occurs in no atom: one range gives it its value
+    out.atoms += [IneqAtom(v, "1") for v, size in zip(("x", "y"), e.typ) if v in head_vars and size == "1"]
 
     # every variable of an equality occurs in an atom: each class is named
     # by its least member

@@ -38,10 +38,10 @@ the plan.  Navigation there is driven by *candidate* structures built on
 tuple support, not on aggregated annotations: over semirings with
 cancelling sums (the reals) an aggregated value can vanish while its
 extensions remain enumerable, and the connex variables are free, so no
-aggregation is allowed to prune them.  Only the keys of a candidate set
-count: a frontier node's candidate set is its relation, and a projection's
-is its child's extension group.  ``build`` builds them after the relations,
-in one more pass in postorder.
+aggregation is allowed to prune them.  Membership in a candidate set is
+decided by its keys alone: a frontier node's candidate set is its relation,
+and a projection's is its child's extension group.  ``build`` builds them
+after the relations, in one more pass in postorder.
 
 The planner cuts the connex region into *levels* (``QueryPlan.levels``): the
 root's candidates, then one level per projection edge into a connex child,
@@ -56,19 +56,26 @@ annotation the product of the frontier annotations along the way.
 Candidates keep every level non-empty, so the delay is bounded by the
 number of levels, independent of the database.  When the root is on the
 frontier, level 0 reads the root relation's entries, annotations included.
+Over a free-connex plan every level does so: the root's candidates and
+each extension group map a tuple to the product of its level's frontier
+annotations, which the build computes once per tuple, so the walk reads an
+answer's annotation with the tuples it iterates and looks nothing up.  A
+guarded plan's walk looks the annotations up in the frontier relations,
+since an update changes them without touching the groups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 import math
+from functools import partial, reduce
 from itertools import islice
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .codegen import compile_source, display, project
 from .errors import CapabilityError, ClassificationError, VocabularyError
 from .kdata import AnnotatedRelation, Database, DataTuple, SingleTupleUpdate
-from .planner import QueryPlan, build_fc_plan
+from .planner import Level, QueryPlan, build_fc_plan
 from .query import ConjunctiveQuery
 from .semiring import SemiringDescriptor, Value, sum_of_ones
 
@@ -90,9 +97,13 @@ class EnumerationState:
     # database's entries, so the database changes only through
     # ``dynamic_engine.dyn_update`` while a state over it is in use
     relations: Dict[int, Dict[DataTuple, Value]] = field(default_factory=dict)
-    # connex navigation structures; only the keys of a candidate set count:
-    # a frontier node's is its relation, a projection's its child's group
-    groups: Dict[int, Dict[DataTuple, Dict[DataTuple, bool]]] = field(default_factory=dict)
+    # connex navigation structures, whose keys are the tuples that extend to
+    # answers: a frontier node's candidates are its relation, a projection's
+    # its child's group; over a free-connex plan a group and the root's
+    # candidates map a tuple to its level's frontier product, and any other
+    # 2-child node's candidates to its guard's value; over a guarded plan
+    # the values are True
+    groups: Dict[int, Dict[DataTuple, Dict[DataTuple, object]]] = field(default_factory=dict)
     candidates: Dict[int, Dict[DataTuple, object]] = field(default_factory=dict)
     # per inequality variable of the query, in the order of ``plan.bounded``,
     # the least constant that bounds it; the covered leaf keys and the free
@@ -197,15 +208,23 @@ def build_source(plan: QueryPlan, s: SemiringDescriptor) -> str:
     each stored projection's member counts.  A frontier node's candidates
     are its relation, a projection's its child's group, built by one loop,
     and a 2-child node's its guard's whose key is in the other child's,
-    kept by one comprehension.  Besides the semiring's operator templates,
-    only fixed names and integer literals are written, no symbol of the
-    query.
+    kept by one comprehension.  Over a free-connex plan the group loop and
+    the root's comprehension write each tuple's level product
+    (``_level_value``), and any other comprehension keeps the guard's
+    value; over a guarded plan every value is True.  Besides the semiring's
+    operator templates, only fixed names and integer literals are written,
+    no symbol of the query.
     """
     body: List[str] = []
     for nid in plan.postorder():
         if nid in plan.stored:
             body += _scan(plan, nid, s)
-    if any(line.startswith("for ") for line in body):
+    # over a free-connex plan, a group and the root's candidates map a tuple
+    # to its level's frontier product, any other 2-child node's candidates
+    # to its guard's value
+    levels = [] if plan.guarded else plan.levels
+    values = {level.nodes[0]: _level_value(plan, level, s) for level in levels}
+    if any(line.startswith("for ") for line in body) or any(len(level.frontier) > 1 for level in levels):
         body[:0] = ["add, mul, is_zero = state.semiring.add, state.semiring.mul, state.semiring.is_zero"]
     if "bounds[" in "\n".join(body):
         body[:0] = ["bounds = state.bounds"]
@@ -223,12 +242,33 @@ def build_source(plan: QueryPlan, s: SemiringDescriptor) -> str:
         # the connex set is sibling-closed: all children are connex, or none
         if nid not in plan.connex or nid in plan.frontier:
             continue
-        if len(children) == 1:
-            body += [f"c{nid} = state.candidates[{nid}] = state.groups[{c}] = {{}}", f"for t in c{c}:"]
-            body.append(f"    c{nid}.setdefault({key}, {{}})[t] = True")
+        if len(children) == 1 or nid == plan.root:
+            value = values.get(c if len(children) == 1 else nid)
         else:
-            body.append(f"c{nid} = state.candidates[{nid}] = {{t: True for t in c{c} if {key} in c{children[1]}}}")
+            value = None if plan.guarded else "v"
+        each = f"t, v in c{c}.items()" if value else f"t in c{c}"
+        if len(children) == 1:
+            body += [f"c{nid} = state.candidates[{nid}] = state.groups[{c}] = {{}}", f"for {each}:"]
+            body.append(f"    c{nid}.setdefault({key}, {{}})[t] = {value or True}")
+        else:
+            body.append(f"c{nid} = state.candidates[{nid}] = {{t: {value or True} for {each} if {key} in c{children[1]}}}")
     return "\n".join(["def build(state, entries):", *("    " + line for line in body or ["pass"])]) + "\n"
+
+
+def _level_value(plan: QueryPlan, level: Level, s: SemiringDescriptor) -> Optional[str]:
+    """The source of the value that the tuples ``t`` of a free-connex
+    plan's ``level`` carry in the dict the walk iterates: the product of
+    the level's frontier annotations, left to right, with ``v``, the value
+    at ``t`` of the level's top node, for the first factor when it is the
+    annotation of the frontier node at the end of the top's guard chain,
+    the lookup ``rf[...]`` of each other factor; None without frontier
+    annotations."""
+    bottom = level.nodes[0]
+    while len(plan.nodes[bottom].children) == 2:
+        bottom = plan.nodes[bottom].children[0]
+    width = len(level.order)
+    factors = ["v" if f == bottom else f"r{f}[{project('t', pos, width)}]" for f, pos in level.frontier]
+    return reduce(partial(s.expr, "mul"), factors) if factors else None
 
 
 def _scan(plan: QueryPlan, nid: int, s: SemiringDescriptor) -> List[str]:
@@ -289,7 +329,10 @@ def walk_source(plan: QueryPlan, s: SemiringDescriptor) -> str:
     annotations ``f1, f2, f3`` multiplies the product so far:
     ``pj = mul(p(j-1), mul(mul(f1, f2), f3))``, from the constant factor
     ``k = state.factor``, each ``mul`` written through the semiring's
-    template.
+    template.  Over a free-connex plan, and at a root on the frontier, the
+    level reads ``tj`` with ``vj = mul(mul(f1, f2), f3)`` off the dict it
+    iterates (``build_source``); over a guarded plan it looks each ``fi``
+    up in its frontier relation.
     The innermost loop checks ``state.version`` and yields the head, read
     off the tuples and ranges, with the product.  Besides the templates,
     only fixed names and integer literals are written, no symbol of the
@@ -314,23 +357,27 @@ def walk_source(plan: QueryPlan, s: SemiringDescriptor) -> str:
     p = "k"  # the product of the levels entered so far
     for j, level in enumerate(levels):
         t, width = f"t{j}", len(level.order)
-        hoists += [f"r{f} = state.relations[{f}]" for f, _ in level.frontier]
-        factors = [f"r{f}[{project(t, pos, width)}]" for f, pos in level.frontier]
+        # the dict of a level's tuples maps each to its frontier product, but
+        # over a guarded plan only at a root on the frontier
+        valued = level.frontier and (not plan.guarded or plan.root in plan.frontier)
+        if valued:
+            factors = [f"v{j}"]
+        else:
+            hoists += [f"r{f} = state.relations[{f}]" for f, _ in level.frontier]
+            factors = [f"r{f}[{project(t, pos, width)}]" for f, pos in level.frontier]
         if j == 0 and plan.root in plan.frontier:
-            loops.append(f"for t0, v0 in r{plan.root}.items():")
-            factors = ["v0"]
+            hoists.append(f"r{plan.root} = state.relations[{plan.root}]")
+            tuples = f"r{plan.root}"
         elif j == 0:
             hoists.append(f"c{plan.root} = state.candidates[{plan.root}]")
-            loops.append(f"for t0 in c{plan.root}:")
+            tuples = f"c{plan.root}"
         else:
             n, src = level.nodes[0], level.source
             hoists.append(f"g{n} = state.groups[{n}]")
-            loops.append(f"for {t} in g{n}[{project(f't{src}', level.key, len(levels[src].order))}]:")
+            tuples = f"g{n}[{project(f't{src}', level.key, len(levels[src].order))}]"
+        loops.append(f"for {t}, v{j} in {tuples}.items():" if valued else f"for {t} in {tuples}:")
         if factors:
-            product = factors[0]
-            for factor in factors[1:]:
-                product = s.expr("mul", product, factor)
-            p_new = s.expr("mul", p, product)
+            p_new = s.expr("mul", p, reduce(partial(s.expr, "mul"), factors))
             if j < len(levels) - 1 or ranges:
                 loops.append(f"p{j} = {p_new}")
                 p_new = f"p{j}"

@@ -16,6 +16,7 @@ import math
 import os
 import random
 from collections import Counter
+from functools import reduce
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
@@ -682,11 +683,26 @@ def reference_connex(state):
     """The candidate sets, extension groups and member counts that
     ``static_engine.build_source`` builds for ``state``, from its stored
     node relations by one plain loop per node, each dict inserted in the
-    same order."""
+    same order.
+
+    Over a free-connex plan, each group and the root's candidates map a
+    tuple of a level to the product of the level's frontier annotations,
+    looked up in the relations and taken left to right (True without any),
+    and every other 2-child node's candidates map a tuple to its guard's
+    value.  Over a guarded plan they map every tuple to True."""
     plan = state.plan
+    s = state.semiring
+    tops = {level.nodes[0]: level for level in plan.levels}
 
     def key(c, t):
         return tuple(t[i] for i in plan.positions[c])
+
+    def product(top, t):
+        # over a free-connex plan, the frontier product of the level of ``top``
+        if plan.guarded:
+            return True
+        factors = [state.relations[f][tuple(t[i] for i in pos)] for f, pos in tops[top].frontier]
+        return reduce(s.mul, factors) if factors else True
 
     candidates, groups, accs = {}, {}, {}
     for nid in plan.postorder():
@@ -702,19 +718,22 @@ def reference_connex(state):
             c = children[0]
             grp = {}
             for t in candidates[c]:
-                grp.setdefault(key(c, t), {})[t] = True
+                grp.setdefault(key(c, t), {})[t] = product(c, t)
             groups[c] = candidates[nid] = grp
         else:
             c1, c2 = children
-            candidates[nid] = {t: True for t in candidates[c1] if key(c2, t) in candidates[c2]}
+            kept = {t: v for t, v in candidates[c1].items() if key(c2, t) in candidates[c2]}
+            if plan.guarded or nid == plan.root:
+                kept = {t: product(nid, t) for t in kept}
+            candidates[nid] = kept
     return candidates, groups, accs
 
 
 def verify_dynamic_invariants(state: EnumerationState) -> List[str]:
     """Check the node relations (``verify_node_invariants``; over a guarded
     plan they are the group sums), then the member counts, candidate sets and
-    extension groups against ``reference_connex``, and that each group is
-    its parent's candidate set."""
+    extension groups against ``reference_connex``, values included, and that
+    each group is its parent's candidate set.  A static state passes too."""
     problems = verify_node_invariants(state)
     plan = state.plan
     candidates, groups, accs = reference_connex(state)
@@ -722,12 +741,16 @@ def verify_dynamic_invariants(state: EnumerationState) -> List[str]:
         if state.accs.get(nid) != accs.get(nid):
             problems.append(f"node {nid}: member counts mismatch")
     for nid in sorted(plan.connex):
-        if set(state.candidates.get(nid, {})) != set(candidates.get(nid, {})):
+        got, want = state.candidates.get(nid, {}), candidates.get(nid, {})
+        # a projection's candidates are its child's group, checked below
+        if nid not in plan.frontier and len(plan.nodes[nid].children) == 1:
+            got, want = set(got), set(want)
+        if got != want:
             problems.append(f"node {nid}: candidate set mismatch")
     for nid in sorted(groups.keys() | state.groups.keys()):
         grp = state.groups.get(nid, {})
         if nid in state.groups and state.candidates.get(plan.nodes[nid].parent) is not grp:
             problems.append(f"node {nid}: its group is not its parent's candidate set")
-        if {k: set(v) for k, v in grp.items()} != {k: set(v) for k, v in groups.get(nid, {}).items()}:
+        if grp != groups.get(nid, {}):
             problems.append(f"node {nid}: extension groups mismatch")
     return problems

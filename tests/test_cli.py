@@ -866,6 +866,21 @@ def test_matlang_eval_json_reports_used_engine(tmp_path, capsys):
     assert captured.err == ""
 
 
+def test_matlang_eval_of_a_binary_vector_head_runs_on_the_engine(tmp_path, capsys):
+    # U and the head H are (a, 1) vectors stored as binary relations: the
+    # head's index of size 1 is summed out in U, so the CQ is free-connex
+    matrices = {"B": {"type": ["b", "a"]}, "U": {"type": ["a", "1"]}}
+    files = _matlang_files(tmp_path, matrices, "H := B * U\n")
+    data = tmp_path / "data"
+    (data / "B.coo").write_text("1 1 2\n2 1 3\n2 2 5\n3 2 1\n")
+    (data / "U.coo").write_text("1 1 4\n2 1 7\n")
+    assert main(["matlang", "eval", *files, "--json", "--verify"]) == 0
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["used_engine"] and captured.err == ""
+    assert [(e["i"], e["j"], e["value"]) for e in report["entries"]] == [(1, 1, "8"), (2, 1, "47"), (3, 1, "7")]
+
+
 def test_plan_json_reports_the_update_paths(tmp_path, capsys):
     from deltaenum.dynamic_engine import update_source
     from deltaenum.planner import build_guarded_plan

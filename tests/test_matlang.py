@@ -417,34 +417,35 @@ def test_simulation_commutes_on_random_corpus():
 def test_fc_and_qh_fragments_translate_to_matching_cq_classes():
     from deltaenum.planner import classify
 
-    rng = random.Random(20240814)
     fc_seen = qh_seen = 0
-    trials = 0
-    while (fc_seen < 60 or qh_seen < 25) and trials < 20000:
-        trials += 1
-        schema = random_matrix_schema(rng)
-        expr = random_conj_expression(rng, schema)
-        if expr is None:
-            continue
-        flags = classify_fragment(expr)
-        if not flags["fc_matlang"] and not flags["qh_matlang"]:
-            continue
-        full = head_schema(schema, "HOUT", expr.typ)
-        typecheck(expr, full)
-        cq = translate_to_cq(MatQuery("HOUT", expr), full)
-        qflags = classify(cq)
-        if flags["fc_matlang"]:
-            fc_seen += 1
-            assert qflags.free_connex, (expr, cq.to_text())
-        if flags["qh_matlang"]:
-            qh_seen += 1
-            assert qflags.q_hierarchical, (expr, cq.to_text())
+    # 5,000 draws from each seed, binary heads with indices of size 1 among them
+    for seed in (20240814, 5, 6, 7):
+        rng = random.Random(seed)
+        for _ in range(5000):
+            schema = random_matrix_schema(rng)
+            expr = random_conj_expression(rng, schema)
+            if expr is None:
+                continue
+            flags = classify_fragment(expr)
+            if not flags["fc_matlang"] and not flags["qh_matlang"]:
+                continue
+            full = head_schema(schema, "HOUT", expr.typ)
+            typecheck(expr, full)
+            cq = translate_to_cq(MatQuery("HOUT", expr), full)
+            qflags = classify(cq)
+            if flags["fc_matlang"]:
+                fc_seen += 1
+                assert qflags.free_connex, (expr, cq.to_text())
+            if flags["qh_matlang"]:
+                qh_seen += 1
+                assert qflags.q_hierarchical, (expr, cq.to_text())
     assert fc_seen >= 60 and qh_seen >= 25, (fc_seen, qh_seen)
 
 
 def test_translations_sum_out_each_bound_index_of_size_one_on_its_own():
-    """A bound index of size 1 takes only the value 1: it translates to one
-    variable at one stored position, with no inequality atom."""
+    """An index of size 1 takes only the value 1: bound, it translates to
+    one variable at one stored position, with no inequality atom, and in
+    the head to one variable that only its one inequality atom holds."""
     rng = random.Random(20240815)
     for schema, expr in islice(random_conj_expressions(rng), 1000):
         q = MatQuery("HOUT", expr)
@@ -455,6 +456,10 @@ def test_translations_sum_out_each_bound_index_of_size_one_on_its_own():
         for v in sorted({v for atom in cq.atoms for v in atom.vars} - set(cq.head_vars)):
             if tau[v] == "1":
                 assert args.count(v) == 1 and IneqAtom(v, "1") not in cq.atoms, cq.to_text()
+        # a head index of size 1 is in no relational atom, and one range bounds it
+        for v in set(cq.head_vars):
+            if tau[v] == "1":
+                assert v not in args and cq.atoms.count(IneqAtom(v, "1")) == 1, cq.to_text()
 
 
 def test_eval_with_unary_encoded_head():

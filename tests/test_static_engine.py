@@ -511,6 +511,42 @@ def test_walk_multiplies_each_level_in_the_documented_order():
         assert_walks_alike(preprocess_with_plan(q, db, build_fc_plan(q)))
 
 
+# join_drain's walk: each level reads its tuples' frontier products with them
+JOIN_WALK = """\
+def walk(state):
+    k = state.factor
+    mul, is_zero = state.semiring.mul, state.semiring.is_zero
+    if (k == 0):
+        return
+    version = state.version
+    c3 = state.candidates[3]
+    g1 = state.groups[1]
+    for t0, v0 in c3.items():
+        p0 = (k * v0)
+        for t1, v1 in g1[(t0[1],)].items():
+            if state.version != version:
+                raise RuntimeError(STALE)
+            yield (t0[0], t0[1], t1[1]), (p0 * v1)
+"""
+
+
+def test_join_walk_is_pinned():
+    assert walk_source(build_fc_plan(parse_query(JOIN)), NAT) == JOIN_WALK
+
+
+def test_no_free_connex_walk_looks_up_a_relation_per_answer():
+    # a level of a free-connex plan reads its frontier product off the dict
+    # it iterates, so no relation is subscripted inside the loops
+    rng = random.Random(625)
+    for _ in range(600):
+        plan = build_fc_plan(random_free_connex_cq(rng))
+        for s in SEMIRINGS:
+            walk = walk_source(plan, s)
+            loops = walk[walk.find("\n    for ") :]
+            assert not re.search(r"\br[0-9]+\[", loops), walk
+            assert loops.count(".items():") == sum(1 for level in plan.levels if level.frontier), walk
+
+
 # the builtin semirings, whose operators generated code writes out through
 # their templates, and the naturals without templates, whose operators it
 # calls by name
