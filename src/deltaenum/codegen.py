@@ -1,16 +1,18 @@
-"""Compiling generated code: the CSV and COO row readers of ``kdata``, the
-build and walk of each plan (``static_engine``), the update step of each
-relation symbol (``dynamic_engine``) and the builtin semiring operators are
-written as Python source and compiled here.  A plan leaf's key is an
-expression that the builds and update steps write inline.
+"""Compiling generated code: the CSV and COO row readers and the
+update-line reader of ``kdata``, the build and walk of each plan
+(``static_engine``), the update step of each relation symbol
+(``dynamic_engine``) and the builtin semiring operators are written as
+Python source and compiled here.  A plan leaf's key is an expression that
+the builds and update steps write inline.
 
-A generated source holds only fixed names, integer literals and the
-semiring's operator templates (``SemiringDescriptor.templates``), which are
-the only text not written by the generator itself; never a symbol of the
-query or a data value.  The function it defines reads everything else off
-its arguments, so one compiled function serves every caller whose source is
-the same.  Sources see four names besides the builtins: ``STALE``,
-``INSERT``, ``inf``, the tropical zero, and ``isfinite``, which the real
+A generated source holds only fixed names, integer literals, the update
+script's ``"+"``, ``"-"`` and ``"#"``, and the semiring's operator
+templates (``SemiringDescriptor.templates``), which are the only text not
+written by the generator itself; never a symbol of the query or a data
+value.  The function it defines reads everything else off its arguments,
+so one compiled function serves every caller whose source is the same.
+Sources see five names besides the builtins: ``STALE``, ``INSERT``,
+``DELETE``, ``inf``, the tropical zero, and ``isfinite``, which the real
 numbers' ``admits`` calls.
 """
 
@@ -24,9 +26,10 @@ from .errors import CapabilityError
 
 # the message of the error a walk raises when its state was updated
 STALE = "enumeration cursor invalidated by an update"
-# the kind of an insert update (``kdata.SingleTupleUpdate``), which an
-# update step tells from a delete
+# the kinds of update (``kdata.SingleTupleUpdate``): an update step tells an
+# insert from a delete, and the update-line reader writes both
 INSERT = "insert"
+DELETE = "delete"
 MAX_NESTED_BLOCKS = 20  # CPython's limit of nested blocks in one function
 
 
@@ -43,7 +46,7 @@ def compile_source(source: str, name: str) -> Callable:
             open_at.append(indent)
             if len(open_at) > MAX_NESTED_BLOCKS:
                 raise CapabilityError(f"the generated {name} nests more than {MAX_NESTED_BLOCKS} loops, which CPython does not compile")
-    namespace = {"STALE": STALE, "INSERT": INSERT, "inf": math.inf, "isfinite": math.isfinite}
+    namespace = {"STALE": STALE, "INSERT": INSERT, "DELETE": DELETE, "inf": math.inf, "isfinite": math.isfinite}
     exec(compile(source, f"<{name}>", "exec"), namespace)
     return namespace[name]
 

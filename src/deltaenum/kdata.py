@@ -13,13 +13,15 @@ reference, which raises its error before anything is written.
 The text loaders (CSV relations and update scripts here, COO matrices in
 ``matlang.load_matrix_instance``) each make one pass over their lines,
 splitting each line once.  CSV rows and COO lines are read by a loop
-generated per arity and semiring (``reader_source``), which converts the
+generated per arity and semiring (``reader_source``), update-script lines
+by one generated per semiring (``update_reader_source``).  Each converts the
 data fields with ``int`` and the annotation by the semiring's template and
 hands every row it cannot take as it stands to the loader's full check of
 one row, which skips a blank line, a header or a comment and names the line
-of a rejected row.  Input is UTF-8, with or without a byte order mark; every
-malformed line, undecodable byte or oversized CSV field is an
-``IngestionError`` naming the file and the line.
+of a rejected row.  Data values are positive integers, in an update script
+too.  Input is UTF-8, with or without a byte order mark; every malformed
+line, undecodable byte or oversized CSV field is an ``IngestionError``
+naming the file and the line.
 """
 
 from __future__ import annotations
@@ -83,9 +85,10 @@ class Database:
         return db
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SingleTupleUpdate:
-    """An insert (annotation combined with the old one) or a delete."""
+    """An insert (annotation combined with the old one) or a delete; not
+    frozen, since a frozen record takes several times longer to build."""
 
     kind: str  # "insert" | "delete"
     relation: str
@@ -323,30 +326,86 @@ def _skipped(row: List[str], rowno: int) -> bool:
         return True
 
 
-def parse_update_script(
-    path: str | Path, semiring: SemiringDescriptor
-) -> List[SingleTupleUpdate]:
+UNROLLED = 4  # the data fields the update-line reader converts one by one
+
+
+def update_reader_source(s: SemiringDescriptor) -> str:
+    """The source of ``read(lines, convert, admits, Update, updates, check)``,
+    the loop over an update script's lines.  It appends to ``updates`` the
+    ``Update`` of each insert or delete without ``#`` whose data fields
+    convert with ``int`` (up to ``UNROLLED`` of them one by one) to values
+    from 1 and whose annotation, inserting, converts to a value that ``s``
+    admits, by its templates or else by ``convert`` and ``admits``.  Any
+    other line goes to ``check(lineno, line)``, which skips, appends or
+    raises."""
+
+    def data(first: int, end: str) -> List[str]:
+        # the chain over ``n`` that sets ``t``, the data fields from ``f[2]``
+        # (none when ``n`` is ``first``), and ``low``, whether one is below 1
+        lines = []
+        for k in range(UNROLLED + 1):
+            low = " or ".join(f"t[{i}] < 1" for i in range(k)) or "False"
+            t = display([f"int(f[{i}])" for i in range(2, 2 + k)])
+            lines += [f"{'elif' if k else 'if'} n == {first + k}:", f"    t = {t}", f"    low = {low}"]
+        return lines + ["else:", f"    t = tuple(map(int, f[2:{end}]))", "    low = min(t) < 1"]
+
+    lines = [
+        "def read(lines, convert, admits, Update, updates, check):",
+        "    append = updates.append",
+        "    for lineno, line in enumerate(lines, 1):",
+        "        f = line.split()",
+        "        n = len(f)",
+        '        if "#" not in line:',
+        "            try:",
+        '                if n >= 3 and f[0] == "+":',
+        f"                    a = {s.expr('convert', 'f[-1]')}",
+        *("                    " + line for line in data(3, "-1")),
+        f"                    if not (low or not {s.expr('admits', 'a')}):",
+        "                        append(Update(INSERT, f[1], t, a))",
+        "                        continue",
+        '                elif n >= 2 and f[0] == "-":',
+        *("                    " + line for line in data(2, "")),
+        "                    if not low:",
+        "                        append(Update(DELETE, f[1], t))",
+        "                        continue",
+        "            except ValueError:",
+        "                pass",
+        "        check(lineno, line)",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def parse_update_script(path: str | Path, semiring: SemiringDescriptor) -> List[SingleTupleUpdate]:
     """Parse an update script: ``+ R 1 2 7`` inserts, ``- R 1 2`` deletes;
-    ``#`` starts a comment.  One pass, splitting each line once."""
+    ``#`` starts a comment.  One pass by the reader of ``semiring``
+    (``update_reader_source``), splitting each line once; a line it does not
+    take goes to ``check``, which names the line of an error.  An update's
+    arity and symbol are checked when it is applied."""
+    path, parse = str(path), semiring.parse
     updates: List[SingleTupleUpdate] = []
-    append, parse = updates.append, semiring.parse
-    for lineno, line in enumerate(read_input(path).splitlines(), start=1):
+
+    def check(lineno: int, line: str) -> None:
         if "#" in line:
             line = line[: line.index("#")]
         fields = line.split()
         if not fields:
-            continue
+            return
         op = fields[0]
         if len(fields) < 2 or op not in ("+", "-"):
-            raise IngestionError(f"malformed update line {line.strip()!r}", str(path), lineno)
+            raise IngestionError(f"malformed update line {line.strip()!r}", path, lineno)
         try:
-            if op == "-":
-                append(SingleTupleUpdate("delete", fields[1], tuple(map(int, fields[2:]))))
-            elif len(fields) > 2:
-                values = tuple(map(int, fields[2:-1]))
-                append(SingleTupleUpdate("insert", fields[1], values, parse(fields[-1])))
-            else:
+            if op == "+" and len(fields) == 2:
                 raise ValueError("insert needs at least an annotation")
+            values = tuple(map(int, fields[2:-1] if op == "+" else fields[2:]))
+            if values and min(values) < 1:
+                raise ValueError(f"data values must be positive integers, got {values}")
+            if op == "+":
+                updates.append(SingleTupleUpdate("insert", fields[1], values, parse(fields[-1])))
+            else:
+                updates.append(SingleTupleUpdate("delete", fields[1], values))
         except ValueError as exc:
-            raise IngestionError(str(exc), str(path), lineno) from None
+            raise IngestionError(str(exc), path, lineno) from None
+
+    read = compile_source(update_reader_source(semiring), "read")
+    read(read_input(path).splitlines(), parse, semiring.admits, SingleTupleUpdate, updates, check)
     return updates

@@ -1,10 +1,12 @@
 """Seeded random corpora for the tests: annotations, queries, databases,
-updates, matrix expressions and instances, COO texts and the scaling
-databases; and the tests' references, which no product path calls: the plan
-checker, the node relations by their defining equations, the interpreted
-connex build (the reference for the generated one), the dynamic state's
-checker, the matrix decoding of a whole database and the interpreted COO
-loader (the reference for the generated row reader).
+updates, matrix expressions and instances, COO texts, update scripts and
+the scaling databases; and the tests' references, which no product path
+calls: the plan checker, the node relations by their defining equations,
+the interpreted connex build (the reference for the generated one), the
+dynamic state's checker, the matrix decoding of a whole database, the
+interpreted COO loader (the reference for the generated row reader) and
+the interpreted update-script parser (the reference for the generated
+update-line reader).
 
 The seed of ``corpus_rng`` comes from DELTA_ENUM_SEED when set.
 ``test_corpora`` pins what the draws return.
@@ -367,8 +369,9 @@ def reference_coo(
     return instance
 
 
-# annotation texts of each builtin semiring for the COO corpus: nonzero, zero
-# and not admitted (a text no builtin converts is drawn for every semiring)
+# annotation texts of each builtin semiring for the COO and update-script
+# corpora: nonzero, zero and not admitted (a text no builtin converts is
+# drawn for every semiring)
 _COO_ANNOTATIONS = {
     "boolean": (["t", "true", "1", "T", "TRUE"], ["f", "0", "false"], ["2", "yes", "-1"]),
     "natural": (["1", "2", "7", "+3", "12"], ["0", "00", "-0"], ["-1", "3.0", "1e3", "nan"]),
@@ -424,6 +427,84 @@ def random_coo_text(rng: random.Random, semiring: SemiringDescriptor, m: int, n:
             line = rng.choice([f"{i} {j}", f"{i} {j} 1 2", f"{i} x 1", f"{i}.0 {j} 1", str(i)])
         lines.append(line)
     return "".join(line + end for line in lines)
+
+
+def reference_update_script(path: str | Path, semiring: SemiringDescriptor) -> List[SingleTupleUpdate]:
+    """The interpreted update-script parser, the reference for
+    ``kdata.parse_update_script``: each line split once and checked in full.
+    ``+ R 1 2 7`` inserts, ``- R 1 2`` deletes, ``#`` starts a comment."""
+    updates: List[SingleTupleUpdate] = []
+    append, parse = updates.append, semiring.parse
+    for lineno, line in enumerate(read_input(path).splitlines(), start=1):
+        if "#" in line:
+            line = line[: line.index("#")]
+        fields = line.split()
+        if not fields:
+            continue
+        op = fields[0]
+        if len(fields) < 2 or op not in ("+", "-"):
+            raise IngestionError(f"malformed update line {line.strip()!r}", str(path), lineno)
+        try:
+            if op == "-":
+                append(SingleTupleUpdate("delete", fields[1], _positive(fields[2:])))
+            elif len(fields) > 2:
+                values = _positive(fields[2:-1])
+                append(SingleTupleUpdate("insert", fields[1], values, parse(fields[-1])))
+            else:
+                raise ValueError("insert needs at least an annotation")
+        except ValueError as exc:
+            raise IngestionError(str(exc), str(path), lineno) from None
+    return updates
+
+
+def _positive(fields: List[str]) -> DataTuple:
+    values = tuple(map(int, fields))
+    if values and min(values) < 1:
+        raise ValueError(f"data values must be positive integers, got {values}")
+    return values
+
+
+def random_update_text(rng: random.Random, semiring: SemiringDescriptor) -> str:
+    """A short update script of ``semiring``: inserts and deletes of 0 to 7
+    data values (more than the reader converts one by one), zero
+    annotations, blank and whitespace-only lines, ``#`` comments (also
+    inside a field), data values below 1 or not integers, annotations the
+    semiring does not admit or missing, bad operators and symbols the
+    reader names itself, with tabs and runs of blanks between fields, LF or
+    CRLF line endings and sometimes a byte order mark."""
+    nonzero, zero, bad = _COO_ANNOTATIONS[semiring.name]
+    end = rng.choice(["\n", "\r\n"])
+
+    def update(op: str, fields: List[str]) -> str:
+        symbol = rng.choice(["R", "S", "Z", "f", "t", "a", "low"])
+        gaps = [rng.choice([" ", "\t", "  ", " \t "]) for _ in range(len(fields) + 1)]
+        lead, trail = rng.choice(["", "", " ", "\t"]), rng.choice(["", "", " ", "\t"])
+        return lead + op + "".join(g + f for g, f in zip(gaps, [symbol, *fields])) + trail
+
+    lines = []
+    for _ in range(rng.randint(0, 8)):
+        values = [str(rng.randint(1, 9)) for _ in range(rng.choice([0, 1, 1, 2, 2, 3, 3, 4, 5, 7]))]
+        r = rng.random()
+        if r < 0.04 and values:
+            values[rng.randrange(len(values))] = rng.choice(["0", "-1", "x", "1.0", "1e2", "0x1"])
+        elif r < 0.08:
+            values.append(rng.choice(["#", "#x", "1#"]))
+        if rng.random() < 0.5:
+            r = rng.random()
+            value = rng.choice(nonzero if r < 0.85 else zero if r < 0.93 else bad + ["x", "#"])
+            line = update("+", values + [value])
+        else:
+            line = update("-", values)
+        r = rng.random()
+        if r < 0.06:
+            line += rng.choice([" # note", "#", "# 1 2"])
+        elif r < 0.12:
+            line = rng.choice(["", " ", "\t", "  \t ", "# comment", "#- R 1"])
+        elif r < 0.15:
+            line = rng.choice(["+", "-", "+ R", "* R 1 2", "++ R 1 1", "+-", "+#c", "add R 1 1", "R 1 1"])
+        lines.append(line)
+    bom = "\ufeff" if rng.random() < 0.1 else ""
+    return bom + "".join(line + end for line in lines)
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,17 @@ def test_dyn_enumerate_after_each(tmp_path, dbdir, capsys):
     assert out[3:] == ["# after update 2: 1 answers", "1,5"]
 
 
+def test_dyn_rejects_a_data_value_below_1_before_any_update(tmp_path, dbdir, capsys):
+    # the script is read in full before preprocessing: no answer is printed
+    q = write(tmp_path / "q.cq", "H(x) :- R(x,y).")
+    ups = write(tmp_path / "u.ups", "+ R 1 2 3\n+ R 0 2 3\n")
+    argv = ["dyn", "--query", q, "--db", str(dbdir), "--updates", ups, "--enumerate-after-each"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {ups}:2: data values must be positive integers, got (0, 2)\n"
+
+
 def test_classify_plain_text_names_the_witness(tmp_path, capsys):
     q = write(tmp_path / "q.cq", "H(x) :- R(x), x <= 1.")
     assert main(["classify", q]) == 0

@@ -10,7 +10,7 @@ from deltaenum.semiring import BUILTIN_SEMIRING_NAMES, acc_new, builtin_semiring
 
 import support
 
-CORPUS_SHA256 = "d7d8f1029afea674dccbb6d038c0c77884cc6d7c2e231c4fb26b6bdd63df2cfc"
+CORPUS_SHA256 = "7cd88f0cbbd80a9d1e7888db5c826d444d2ef1be70cc172ca5a5507d78137d8b"
 
 
 def db_text(db) -> str:
@@ -48,6 +48,9 @@ def corpus_draws():
     rng = random.Random(40)
     for name in BUILTIN_SEMIRING_NAMES * 10:
         yield support.random_coo_text(rng, builtin_semiring(name), rng.randint(1, 4), rng.randint(1, 4))
+    rng = random.Random(41)
+    for name in BUILTIN_SEMIRING_NAMES * 10:
+        yield support.random_update_text(rng, builtin_semiring(name))
 
 
 def test_the_seeded_corpora_draw_what_they_drew():

@@ -4,6 +4,7 @@ import keyword
 import random
 import re
 import tokenize
+from collections import Counter
 
 import pytest
 
@@ -16,10 +17,11 @@ from deltaenum.kdata import (
     load_database,
     parse_update_script,
     reader_source,
+    update_reader_source,
 )
 from deltaenum.semiring import BUILTIN_SEMIRING_NAMES, builtin_semiring
 
-from support import sample
+from support import corpus_rng, random_update_text, reference_update_script, sample
 
 NAT = builtin_semiring("natural")
 REAL = builtin_semiring("real")
@@ -332,46 +334,163 @@ def test_load_database_without_templates_checks_every_row(tmp_path):
         load_database(vocab, data, calls)
 
 
+def update_outcome(path, semiring, parse=parse_update_script):
+    """The records ``parse`` reads, as their reprs, or the message, file and
+    line of its error."""
+    try:
+        return [repr(u) for u in parse(path, semiring)]
+    except IngestionError as exc:
+        return str(exc), exc.filename, exc.line
+
+
+def want_outcome(path, semiring, want):
+    """``update_outcome``'s form of ``want``: records as (kind, symbol,
+    tuple[, annotation text]), or an error as (message, line)."""
+    if isinstance(want, tuple):
+        message, line = want
+        return f"{path}:{line}: {message}", str(path), line
+    records = [SingleTupleUpdate(*u[:3], *map(semiring.parse, u[3:])) for u in want]
+    return [repr(u) for u in records]
+
+
+# lines that every builtin semiring reads alike: "1" is an annotation of each
+@pytest.mark.parametrize("semiring", BUILTIN_SEMIRING_NAMES)
 @pytest.mark.parametrize(
-    "text, updates",
+    "text, want",
     [
         pytest.param(
-            "# a script\n+ R 1 2 7  # inline comment\n\n   \n- R 1 2\n",
-            [SingleTupleUpdate("insert", "R", (1, 2), 7), SingleTupleUpdate("delete", "R", (1, 2))],
+            "# a script\n+ R 1 2 1  # inline comment\n\n   \n- R 1 2\n",
+            [("insert", "R", (1, 2), "1"), ("delete", "R", (1, 2))],
             id="comments-and-blank-lines",
         ),
+        pytest.param("+ R 1 2 1\n* R 1 2  # star\n", ("malformed update line '* R 1 2'", 2), id="operator"),
+        pytest.param("\n-\n", ("malformed update line '-'", 2), id="no-symbol"),
+        pytest.param("+#c\n", ("malformed update line '+'", 1), id="comment-after-operator"),
+        pytest.param("+ R 1 x 1\n", ("invalid literal for int() with base 10: 'x'", 1), id="integer"),
         pytest.param(
-            "+ R 1 2 7\r\n- R 1 2\r\n",
-            [SingleTupleUpdate("insert", "R", (1, 2), 7), SingleTupleUpdate("delete", "R", (1, 2))],
-            id="crlf",
+            "- R 1 2#c\n+ R 3 1#\n", [("delete", "R", (1, 2)), ("insert", "R", (3,), "1")], id="comment-in-a-field"
         ),
         pytest.param(
-            "+ Z 5\n-\tZ\n",
-            [SingleTupleUpdate("insert", "Z", (), 5), SingleTupleUpdate("delete", "Z", ())],
-            id="arity-0",
+            "+\tR\t1 \t2\t1\t\n-\tR\t1\n",
+            [("insert", "R", (1, 2), "1"), ("delete", "R", (1,))],
+            id="tabs",
         ),
-        pytest.param("\ufeff+ R 1 2 7\n", [SingleTupleUpdate("insert", "R", (1, 2), 7)], id="bom"),
+        pytest.param(
+            "+ R 1 2 1\r\n- R 1 2\r\n", [("insert", "R", (1, 2), "1"), ("delete", "R", (1, 2))], id="crlf"
+        ),
+        pytest.param("\ufeff- R 1\n+ R 1 1\n", [("delete", "R", (1,)), ("insert", "R", (1,), "1")], id="bom"),
+        pytest.param("- R 1\n+ R\n", ("insert needs at least an annotation", 2), id="no-annotation"),
+        pytest.param("- Z\n+ Z 1\n", [("delete", "Z", ()), ("insert", "Z", (), "1")], id="arity-0"),
+        pytest.param(
+            "+ R 1 2 3 4 5 6 7 1\n- R 7 6 5 4 3 2 1\n",
+            [("insert", "R", (1, 2, 3, 4, 5, 6, 7), "1"), ("delete", "R", (7, 6, 5, 4, 3, 2, 1))],
+            id="more-fields-than-unrolled",
+        ),
+        pytest.param(
+            "- R 1\n- R 1 2 3 4 5 x 7\n", ("invalid literal for int() with base 10: 'x'", 2), id="integer-after-unrolled"
+        ),
+        pytest.param(
+            "+ R 1 1\n+ R 0 2 1\n", ("data values must be positive integers, got (0, 2)", 2), id="below-1"
+        ),
+        pytest.param(
+            "- R 1 2 3 4 5 6 -7\n",
+            ("data values must be positive integers, got (1, 2, 3, 4, 5, 6, -7)", 1),
+            id="below-1-after-unrolled",
+        ),
+        pytest.param(
+            "+ R 0 2 x\n", ("data values must be positive integers, got (0, 2)", 1), id="below-1-before-annotation"
+        ),
     ],
 )
-def test_parse_update_script_accepts(tmp_path, text, updates):
-    assert parse_update_script(write_bytes(tmp_path / "u.ups", text), NAT) == updates
-
-
-@pytest.mark.parametrize(
-    "text, message, line",
-    [
-        pytest.param("+ R 1 2 7\n* R 1 2  # star\n", "malformed update line '* R 1 2'", 2, id="operator"),
-        pytest.param("\n-\n", "malformed update line '-'", 2, id="no-symbol"),
-        pytest.param("- R 1 2\n+ R\n", "insert needs at least an annotation", 2, id="no-annotation"),
-        pytest.param("+ R 1 x 7\n", "invalid literal for int()", 1, id="integer"),
-        pytest.param("- R 1 2\r\n+ R 1 2 x\r\n", "invalid literal for int()", 2, id="annotation"),
-        pytest.param("+ R 1 2 -7\n", "must be non-negative", 1, id="negative-annotation"),
-    ],
-)
-def test_parse_update_script_rejects(tmp_path, text, message, line):
+def test_parse_update_script_reads_every_builtin_semiring_alike(tmp_path, semiring, text, want):
+    s = builtin_semiring(semiring)
     path = write_bytes(tmp_path / "u.ups", text)
-    with pytest.raises(IngestionError) as exc:
-        parse_update_script(path, NAT)
-    assert message in str(exc.value)
-    assert exc.value.filename == str(path)
-    assert exc.value.line == line
+    assert update_outcome(path, s) == want_outcome(path, s, want)
+
+
+# annotation texts that the builtin semirings read differently
+@pytest.mark.parametrize(
+    "semiring, text, want",
+    [
+        ("real", "+ R 1 nan\n", ("real annotation must be finite: 'nan'", 1)),
+        ("real", "- R 1\n+ R 1 1e400\n", ("real annotation must be finite: '1e400'", 2)),
+        ("real", "+ R 1 -inf\n", ("real annotation must be finite: '-inf'", 1)),
+        ("tropical-min", "+ R 1 inf\n", [("insert", "R", (1,), "inf")]),
+        ("tropical-min", "+ R 1 -inf\n", ("tropical annotation must be a number or inf: '-inf'", 1)),
+        ("boolean", "+ R 1 x\n", ("not a boolean annotation: 'x'", 1)),
+        ("boolean", "+ Z 5\n", ("not a boolean annotation: '5'", 1)),
+        ("natural", "+ R 1 -1\n", ("natural annotation must be non-negative: '-1'", 1)),
+        ("natural", "+ R 1 3.0\n", ("invalid literal for int() with base 10: '3.0'", 1)),
+        ("natural", "- R 1 2\r\n+ R 1 2 x\r\n", ("invalid literal for int() with base 10: 'x'", 2)),
+        ("real", "+ R 1 x\n", ("could not convert string to float: 'x'", 1)),
+        ("natural", "+ Z 5\n", [("insert", "Z", (), "5")]),
+        ("real", "+ Z 5\n", [("insert", "Z", (), "5")]),
+        ("tropical-min", "+ Z 5\n", [("insert", "Z", (), "5")]),
+    ],
+)
+def test_parse_update_script_converts_annotations_as_parse_does(tmp_path, semiring, text, want):
+    s = builtin_semiring(semiring)
+    path = write_bytes(tmp_path / "u.ups", text)
+    assert update_outcome(path, s) == want_outcome(path, s, want)
+
+
+@pytest.mark.parametrize("args", [("bogus", "R", ()), ("insert", "R", (1,))], ids=["kind", "insert-without-value"])
+def test_every_update_record_is_validated(args):
+    with pytest.raises(SchemaError):
+        SingleTupleUpdate(*args)
+
+
+def test_parse_update_script_matches_the_interpreted_reference(tmp_path):
+    rng = corpus_rng(3200)
+    path = tmp_path / "u.ups"
+    outcomes = Counter()
+    for k in range(2400):
+        s = builtin_semiring(BUILTIN_SEMIRING_NAMES[k % 4])
+        path.write_bytes(random_update_text(rng, s).encode())
+        got = update_outcome(path, s)
+        assert got == update_outcome(path, s, reference_update_script), path.read_bytes()
+        outcomes[type(got)] += 1
+    # both outcomes are common: the corpus is not all errors
+    assert min(outcomes.values()) > 600, outcomes
+
+
+# descriptors whose conversion the reader calls: without templates it calls
+# parse and admits; a boolean whose parse takes "#" meets it only in the
+# full check, after the comment is stripped
+@pytest.mark.parametrize(
+    "semiring",
+    [
+        dataclasses.replace(NAT, templates={}),
+        dataclasses.replace(
+            builtin_semiring("boolean"), parse=lambda text: text == "#" or builtin_semiring("boolean").parse(text)
+        ),
+    ],
+    ids=["no-templates", "hash-boolean"],
+)
+def test_parse_update_script_of_other_descriptors_matches_the_reference(tmp_path, semiring):
+    rng = corpus_rng(3300)
+    path = tmp_path / "u.ups"
+    for _ in range(300):
+        text = random_update_text(rng, builtin_semiring(semiring.name.removeprefix("hash-")))
+        path.write_bytes(text.encode())
+        assert update_outcome(path, semiring) == update_outcome(path, semiring, reference_update_script), text
+
+
+# every name that ``update_reader_source`` writes for the builtin semirings,
+# besides Python keywords; the builtins' ``convert`` and ``admits`` templates
+# write the last line
+UPDATE_READER_NAMES = {
+    "read", "lines", "convert", "admits", "Update", "updates", "check", "append", "enumerate", "lineno", "line", "f",
+    "split", "n", "len", "a", "t", "low", "int", "tuple", "map", "min", "INSERT", "DELETE", "ValueError",
+    "type", "bool", "float", "isfinite", "inf",
+}
+
+
+def test_the_update_reader_writes_no_symbol_or_value_of_a_script():
+    found, strings = set(), set()
+    for s in map(builtin_semiring, BUILTIN_SEMIRING_NAMES):
+        tokens = list(tokenize.generate_tokens(io.StringIO(update_reader_source(s)).readline))
+        strings |= {t.string for t in tokens if t.type == tokenize.STRING}
+        found |= {t.string for t in tokens if t.type == tokenize.NAME}
+    assert strings == {'"#"', '"+"', '"-"'}
+    assert found - set(keyword.kwlist) == UPDATE_READER_NAMES
