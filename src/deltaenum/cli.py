@@ -22,8 +22,8 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from .errors import ClassificationError, EngineError
-from .kdata import load_database, parse_update_script, read_input
+from .errors import ClassificationError, EngineError, SchemaError, VocabularyError
+from .kdata import load_database, parse_update_script, read_input, update_relation
 from .semiring import BUILTIN_SEMIRING_NAMES, builtin_semiring
 
 
@@ -216,6 +216,11 @@ def cmd_dyn(args) -> int:
     db, semiring = _load_db(args)
     q = _read_query(args.query)
     updates = parse_update_script(args.updates, semiring)
+    for i, update in enumerate(updates, 1):  # all of them before the first runs
+        try:
+            update_relation(db, update)
+        except (SchemaError, VocabularyError) as exc:
+            raise type(exc)(f"{args.updates}: update {i}: {exc}") from None
     state = dyn_preprocess(q, db)
     for i, update in enumerate([None, *updates]):  # i = 0: the preprocessed state
         if update is not None:

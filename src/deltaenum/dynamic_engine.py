@@ -22,7 +22,8 @@ sibling's candidates and writes the parent's, again O(1) per step.
 ``dyn_preprocess`` runs the static preprocess over the guarded plan, the
 one bottom-up path of both engines, and returns the ``EnumerationState`` it
 builds, whose generated build (``static_engine.build_source``) also counts
-the members of each group of a stored projection's child into ``accs``.  A
+the members of each group of a stored projection's child into ``accs``, in
+the loop that sums the groups and under the group's key tuple.  A
 leaf whose tuples are their own keys has the database's entries themselves
 as its relation.  Each relation symbol's update step is one generated
 function (``update_source``, per plan ``update_sources``): it checks the

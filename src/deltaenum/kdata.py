@@ -102,6 +102,17 @@ class SingleTupleUpdate:
             raise SchemaError("insert updates carry a value")
 
 
+def update_relation(db: Database, u: SingleTupleUpdate) -> AnnotatedRelation:
+    """The relation of ``db`` that ``u`` updates: a ``VocabularyError`` for
+    an unknown symbol, a ``SchemaError`` for a tuple of another arity."""
+    rel = db.relation(u.relation)
+    if len(u.tuple) != rel.arity:
+        raise SchemaError(
+            f"tuple {u.tuple} has arity {len(u.tuple)}, relation {u.relation!r} expects {rel.arity}"
+        )
+    return rel
+
+
 def apply_update(db: Database, u: SingleTupleUpdate) -> Tuple[Optional[Value], Optional[Value]]:
     """Apply a single-tuple update in place and return the tuple's stored
     annotation before and after it, as ``(old, new)``; None means absent.
@@ -115,12 +126,8 @@ def apply_update(db: Database, u: SingleTupleUpdate) -> Tuple[Optional[Value], O
     (``dynamic_engine.update_source``), which hands it every update it does
     not take.
     """
-    rel = db.relation(u.relation)
+    rel = update_relation(db, u)
     t = u.tuple
-    if len(t) != rel.arity:
-        raise SchemaError(
-            f"tuple {t} has arity {len(t)}, relation {u.relation!r} expects {rel.arity}"
-        )
     if t and min(t) < 1:
         raise SchemaError(f"data values must be positive integers: {t}")
     entries = rel.entries
@@ -380,7 +387,8 @@ def parse_update_script(path: str | Path, semiring: SemiringDescriptor) -> List[
     ``#`` starts a comment.  One pass by the reader of ``semiring``
     (``update_reader_source``), splitting each line once; a line it does not
     take goes to ``check``, which names the line of an error.  An update's
-    arity and symbol are checked when it is applied."""
+    arity and symbol are checked against a database by ``update_relation``,
+    when it is applied or, in ``deltaenum dyn``, before the first runs."""
     path, parse = str(path), semiring.parse
     updates: List[SingleTupleUpdate] = []
 

@@ -115,9 +115,11 @@ class EnumerationState:
     # the compiled ``walk_source`` of the plan: state -> answers
     walk: Optional[Callable] = field(default=None, repr=False)
     # over a guarded plan, per stored projection, parent tuple -> its number
-    # of child tuples; in a dynamic state (``dynamic_engine.dyn_preprocess``),
-    # per relation symbol, ``update(u)``, its compiled ``update_source``,
-    # which writes the database and runs its plan leaves' paths
+    # of child tuples, which the loop that sums the groups writes under the
+    # key tuple of the group's entry in ``relations``; in a dynamic state
+    # (``dynamic_engine.dyn_preprocess``), per relation symbol, ``update(u)``,
+    # its compiled ``update_source``, which writes the database and runs its
+    # plan leaves' paths
     accs: Dict[int, Dict[DataTuple, int]] = field(default_factory=dict)
     paths: Dict[str, Callable[[SingleTupleUpdate], None]] = field(default_factory=dict)
     version: int = 0
@@ -204,11 +206,12 @@ def build_source(plan: QueryPlan, s: SemiringDescriptor) -> str:
     that the nodes above it read (``_scan``), and then, in postorder, the
     connex structures, each into its dict of the state: the candidate sets
     of the connex region (a node's tuples that extend to the connex
-    variables below it), its extension groups and, over a guarded plan,
-    each stored projection's member counts.  A frontier node's candidates
-    are its relation, a projection's its child's group, built by one loop,
-    and a 2-child node's its guard's whose key is in the other child's,
-    kept by one comprehension.  Over a free-connex plan the group loop and
+    variables below it) and its extension groups; over a guarded plan the
+    loop that sums a stored projection's groups also writes their member
+    counts into ``state.accs``.  A frontier node's candidates are its
+    relation, a projection's its child's group, built by one loop, and a
+    2-child node's its guard's whose key is in the other child's, kept by
+    one comprehension.  Over a free-connex plan the group loop and
     the root's comprehension write each tuple's level product
     (``_level_value``), and any other comprehension keeps the guard's
     value; over a guarded plan every value is True.  Besides the semiring's
@@ -237,8 +240,6 @@ def build_source(plan: QueryPlan, s: SemiringDescriptor) -> str:
         # the first child's tuple under the last child's positions: the key of
         # a projection, or of a 2-child node's lookup in its second child
         c, key = children[0], project("t", plan.positions[children[-1]], len(plan.order[children[0]]))
-        if plan.guarded and nid in plan.stored and len(children) == 1:
-            body += [f"a{nid} = state.accs[{nid}] = {{}}", f"for t in r{c}:", f"    g = {key}", f"    a{nid}[g] = a{nid}.get(g, 0) + 1"]
         # the connex set is sibling-closed: all children are connex, or none
         if nid not in plan.connex or nid in plan.frontier:
             continue
@@ -282,7 +283,11 @@ def _scan(plan: QueryPlan, nid: int, s: SemiringDescriptor) -> List[str]:
     relation, lowest first: the row is dropped when the lookup misses or
     the product of the annotations is zero.  A row that passes is stored,
     or under a projection added into its group, and over a semiring whose
-    sums cancel the zero sums are dropped at the end."""
+    sums cancel the zero sums are dropped at the end.  Over a guarded plan
+    the same loop counts each group's members into ``an``
+    (``state.accs[n]``), under the group's key tuple, the same object the
+    sum is stored under in ``rn``; a group whose sum is dropped keeps its
+    count."""
     children = plan.nodes[nid].children
     m = children[0] if len(children) == 1 else nid
     probes: List[int] = []
@@ -303,12 +308,21 @@ def _scan(plan: QueryPlan, nid: int, s: SemiringDescriptor) -> List[str]:
     for c in reversed(probes):  # the lowest join multiplies first
         body += [f"x = r{c}.get({project('t', plan.positions[c], width)})"]
         body += [f"if x is None or {s.expr('is_zero', f'(k := {product})')}:", "    continue"]
+    lines = [f"{r} = state.relations[{nid}] = {{}}"]
     if len(children) != 1:
         body.append(f"{r}[t] = k")
     else:
-        body += [f"g = {project('t', plan.positions[children[0]], width)}", f"if g in {r}:"]
-        body += [f"    {r}[g] = {s.expr('add', f'{r}[g]', 'k')}", "else:", f"    {r}[g] = k"]
-    lines = [f"{r} = state.relations[{nid}] = {{}}", f"for t, k in {f'entries[{m}]' if from_leaf else f'r{m}'}.items():"]
+        total = s.expr("add", f"{r}[g]", "k")
+        body.append(f"g = {project('t', plan.positions[children[0]], width)}")
+        if plan.guarded:
+            # the member count, under the key object the group's sum is stored under
+            a = f"a{nid}"
+            lines.append(f"{a} = state.accs[{nid}] = {{}}")
+            body += [f"n = {a}.get(g)", "if n is None:", f"    {r}[g] = k", f"    {a}[g] = 1"]
+            body += ["else:", f"    {r}[g] = {total}", f"    {a}[g] = n + 1"]
+        else:
+            body += [f"if g in {r}:", f"    {r}[g] = {total}", "else:", f"    {r}[g] = k"]
+    lines.append(f"for t, k in {f'entries[{m}]' if from_leaf else f'r{m}'}.items():")
     lines += ["    " + line for line in body]
     if len(children) == 1 and not s.zero_sum_free:
         lines.append(f"{r} = state.relations[{nid}] = {{g: k for g, k in {r}.items() if not {s.expr('is_zero', 'k')}}}")

@@ -285,6 +285,24 @@ def test_dyn_rejects_a_data_value_below_1_before_any_update(tmp_path, dbdir, cap
     assert captured.err == f"error: {ups}:2: data values must be positive integers, got (0, 2)\n"
 
 
+@pytest.mark.parametrize(
+    "update, message",
+    [
+        ("+ R 1 2", "tuple (1,) has arity 1, relation 'R' expects 2"),
+        ("+ T 1 2 1", "unknown relation symbol 'T'"),
+    ],
+)
+def test_dyn_checks_every_updates_symbol_and_arity_before_any_update(tmp_path, dbdir, capsys, update, message):
+    # the first update is valid, yet nothing is printed for it
+    q = write(tmp_path / "q.cq", "H(x) :- R(x,y).")
+    ups = write(tmp_path / "u.ups", f"+ R 1 5 3\n{update}\n")
+    argv = ["dyn", "--query", q, "--db", str(dbdir), "--updates", ups, "--enumerate-after-each"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {ups}: update 2: {message}\n"
+
+
 def test_classify_plain_text_names_the_witness(tmp_path, capsys):
     q = write(tmp_path / "q.cq", "H(x) :- R(x), x <= 1.")
     assert main(["classify", q]) == 0

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +19,7 @@ from deltaenum.kdata import SingleTupleUpdate, apply_update
 from deltaenum.oracle import oracle_eval_cq
 from deltaenum.planner import build_guarded_plan
 from deltaenum.query import parse_query
-from deltaenum.semiring import SemiringDescriptor, builtin_semiring
+from deltaenum.semiring import BUILTIN_SEMIRING_NAMES, SemiringDescriptor, builtin_semiring
 from deltaenum.static_engine import enumerate_state, leaf_key, plan_sources, preprocess, preprocess_with_plan
 
 from support import (
@@ -506,6 +507,27 @@ def test_one_pass_dynamic_state_equals_the_static_preprocess(text):
         assert counts == {key: len(ks) for key, ks in groups.items()}
         sums = {key: functools.reduce(REAL.add, ks) for key, ks in groups.items()}
         assert state.relations[nid] == {key: v for key, v in sums.items() if v != 0.0}
+
+
+@pytest.mark.parametrize("sname", [name for name in BUILTIN_SEMIRING_NAMES if builtin_semiring(name).sum_maintainable])
+def test_the_loop_that_sums_a_projections_groups_counts_their_members(sname):
+    # one loop of the guarded build reads each counted projection's child
+    # relation, and a group's count is kept under the key object of its sum
+    semiring = builtin_semiring(sname)
+    rng = random.Random(3303 + len(sname))
+    keys = 0
+    for _ in range(80):
+        q = random_q_hierarchical_cq(rng, max_atoms=4, max_vars=4)
+        db = random_db_for_query(rng, q, semiring, max_tuples=30, domain=3)
+        state = dyn_preprocess(q, db)
+        build = plan_sources(state.plan, semiring)[1]
+        for p, counts in state.accs.items():
+            (c,) = state.plan.nodes[p].children
+            assert len(re.findall(rf"^ *for .* in r{c}\b", build, re.M)) == 1, build
+            same = {g: g for g in counts}
+            assert all(same[g] is g for g in state.relations[p]), q.to_text()
+            keys += len(state.relations[p])
+    assert keys
 
 
 def leaves_by_symbol(plan):

@@ -567,7 +567,7 @@ WALK_NAMES = {
 # TEMPLATE_NAMES
 BUILD_NAMES = {
     "build", "state", "entries", "semiring", "add", "mul", "is_zero", "bounds", "relations",
-    "candidates", "groups", "accs", "t", "k", "x", "g", "get", "items", "setdefault", "True",
+    "candidates", "groups", "accs", "t", "k", "x", "g", "n", "get", "items", "setdefault", "True",
 }
 
 
