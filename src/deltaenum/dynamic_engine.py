@@ -12,33 +12,25 @@ frontier; guarded plans make every step O(1) because the parent tuple
 affected by a child delta is unique (vars(parent) is a subset of
 vars(child)) and 2-child nodes carry equal variable sets on both children.
 
-A frontier node's candidates are the tuples of its relation, and a
-projection's are the keys of its child's extension group.  When a frontier
-node's support changes, the change ripples up the connex region: a
-projection step moves the tuple in or out of its group, which changes the
-parent's candidates with it, and a 2-child step looks the tuple up in the
-sibling's candidates and writes the parent's, again O(1) per step.
+A frontier node's candidates are read off its relation and a projection's
+off its child's extension group (``static_engine.candidate_set``).  When a
+frontier node's support changes, the change ripples up the connex region:
+a projection step moves the tuple in or out of its group, and a 2-child
+step looks it up in the sibling's candidates and writes the parent's, if
+the parent keeps a set, again O(1) per step.
 
 ``dyn_preprocess`` runs the static preprocess over the guarded plan, the
-one bottom-up path of both engines, and returns the ``EnumerationState`` it
-builds, whose generated build (``static_engine.build_source``) also counts
-the members of each group of a stored projection's child into ``accs``, in
-the loop that sums the groups and under the group's key tuple.  A
-leaf whose tuples are their own keys has the database's entries themselves
-as its relation.  Each relation symbol's update step is one generated
-function (``update_source``, per plan ``update_sources``): it checks the
-update with the semiring's operators written inline, writes the database's
-entries and, when the annotation changed, runs the path of each of the
-symbol's plan leaves in postorder, a nested function each: the leaf's key
-expression (``static_engine.leaf_key``), then every step up to the root
-unrolled, with its dicts hoisted and its keys written as tuple displays.
-Each distinct source is compiled once (``codegen.compile_source`` caches
-them), and the state's ``paths`` holds one update step per relation symbol.
-``dyn_update`` makes one call per update, to its symbol's step; an update
-that the step does not take, and one to a symbol outside the query, goes
-through ``kdata.apply_update``, the reference, which raises the error.  A
-query without relational atoms has the guarded plan with no nodes, so its
-state has no update step and no update changes its answers.
+one bottom-up path of both engines, whose build
+(``static_engine.build_source``) also counts the members of each group of a
+stored projection's child into ``accs``, and compiles into ``paths`` one
+update step per relation symbol (``update_source``): one generated function
+that checks and writes the update and then runs the unrolled path of each
+of the symbol's plan leaves.  ``dyn_update`` makes one call per update, to
+its symbol's step; an update that the step does not take, and one to a
+symbol outside the query, goes through ``kdata.apply_update``, the
+reference, which raises the error.  A query without relational atoms has
+the guarded plan with no nodes, so its state has no update step and no
+update changes its answers.
 """
 
 from __future__ import annotations
@@ -53,7 +45,7 @@ from .kdata import Database, DataTuple, SingleTupleUpdate, apply_update
 from .planner import QueryPlan, build_guarded_plan
 from .query import ConjunctiveQuery
 from .semiring import SemiringDescriptor, Value
-from .static_engine import EnumerationState, enumerate_state, leaf_key, preprocess_with_plan
+from .static_engine import EnumerationState, candidate_set, enumerate_state, leaf_key, preprocess_with_plan
 
 
 def dyn_preprocess(q: ConjunctiveQuery, db: Database) -> EnumerationState:
@@ -117,12 +109,12 @@ def update_source(plan: QueryPlan, symbol: str, s: SemiringDescriptor) -> str:
         body = _leaf_path(plan, n, keys[n], s, later) or ["pass"]
         paths += ["", f"    def path{n}(t, old, new):", *("        " + line for line in body)]
     text = "\n".join(paths)
-    stores = {"r": "state.relations", "a": "state.accs", "c": "state.candidates"}
+    stores = {"r": "state.relations", "a": "state.accs", "c": "state.candidates", "g": "state.groups"}
     reject = " or ".join([f"len(t) != {arity}"] + [f"t[{i}] < 1" for i in range(arity)])
     lines = ["def make(state, entries, reject):", "    s = state.semiring"]
     lines += ["    add, sub, mul, is_zero, admits, zero = s.add, s.sub, s.mul, s.is_zero, s.admits, s.zero"]
     lines += ["    bounds = state.bounds"] if "bounds[" in text else []
-    lines += [f"    {x}{n} = {stores[x]}[{n}]" for x, n in dict.fromkeys(re.findall(r"\b([rac])([0-9]+)\b", text))]
+    lines += [f"    {x}{n} = {stores[x]}[{n}]" for x, n in dict.fromkeys(re.findall(r"\b([racg])([0-9]+)\b", text))]
     lines += [
         *paths,
         "",
@@ -164,14 +156,14 @@ def _leaf_path(plan: QueryPlan, leaf: int, key: Optional[str], s: SemiringDescri
     the update, with the value ``old`` at ``t``, as each leaf's change is
     carried up in turn.
 
-    Node ``n``'s key is ``kn``, its old and new value ``on`` and ``vn``; its
-    relation, member counts and candidates are ``rn``, ``an`` and ``cn``,
-    and ``bounds`` is ``state.bounds``.  The steps up to the first connex
-    node carry the change of value, and the path returns at the first node
-    whose value does not change.  From there a change of support goes on up
-    the candidates to the root: one chain for a tuple that enters the
-    support, one for a tuple that leaves it, each returning at the first
-    node whose candidates do not change.
+    Node ``n``'s key is ``kn``, its old and new value ``on`` and ``vn``, its
+    relation and member counts ``rn`` and ``an``, its candidates named by
+    ``candidate_set``, and ``bounds`` is ``state.bounds``.  The steps up to
+    the first connex node carry the change of value, and the path returns
+    at the first node whose value does not change.  From there a change of
+    support goes on up the candidates to the root: one chain for a tuple
+    that enters the support, one for a tuple that leaves it, each returning
+    at the first node whose candidates do not change.
     """
     c, k, o, v = leaf, "t", "old", "new"
     body = []
@@ -188,7 +180,7 @@ def _leaf_path(plan: QueryPlan, leaf: int, key: Optional[str], s: SemiringDescri
         sib, kp = sum(children) - c, k  # a 2-child node's tuple is its children's
         # the sibling's support and value at this tuple; a later leaf in
         # ``later`` reads as before the update, ``old`` at ``t``
-        absent, lookup = f"{k} not in c{sib}", f"r{sib}.get({k})"
+        absent, lookup = f"{k} not in {candidate_set(plan, sib)}", f"r{sib}.get({k})"
         if sib in later and k == "t":
             absent, lookup = "old is None", "old"
         elif sib in later:
@@ -196,20 +188,21 @@ def _leaf_path(plan: QueryPlan, leaf: int, key: Optional[str], s: SemiringDescri
         if len(children) == 1:
             kp = f"k{p}"
             key_line = f"{kp} = {project(k, plan.positions[c], len(plan.order[c]))}"
+        cp = candidate_set(plan, p) if c in plan.connex else None
         if c in plan.connex and len(children) == 2 and absent == "old is None" and o == "old":
             # the enter chain runs when old is None, the leave chain when it
             # is not: the sibling is absent in the one, present in the other
             enters.append("return")
-            leaves.append(f"del c{p}[{k}]")
+            leaves += [f"del {cp}[{k}]"] if cp else []
         elif c in plan.connex and len(children) == 2:
-            # the parent's candidates are the tuples in both children's
-            enters += [f"if {absent}:", "    return", f"c{p}[{k}] = True"]
-            leaves += [f"if {absent}:", "    return", f"del c{p}[{k}]"]
+            # the parent's candidates are the tuples in both children's, if kept
+            enters += [f"if {absent}:", "    return"] + ([f"{cp}[{k}] = True"] if cp else [])
+            leaves += [f"if {absent}:", "    return"] + ([f"del {cp}[{k}]"] if cp else [])
         elif c in plan.connex:
             # the parent's candidates are the keys of this node's group
-            enters += [key_line, f"b = c{p}.get({kp})", "if b is not None:", f"    b[{k}] = True", "    return"]
-            enters += [f"c{p}[{kp}] = {{{k}: True}}"]
-            leaves += [key_line, f"b = c{p}[{kp}]", f"del b[{k}]", "if b:", "    return", f"del c{p}[{kp}]"]
+            enters += [key_line, f"b = {cp}.get({kp})", "if b is not None:", f"    b[{k}] = True", "    return"]
+            enters += [f"{cp}[{kp}] = {{{k}: True}}"]
+            leaves += [key_line, f"b = {cp}[{kp}]", f"del b[{k}]", "if b:", "    return", f"del {cp}[{kp}]"]
         elif len(children) == 2:
             body += [f"o{p} = r{p}.get({k})", f"x = {lookup}"]
             product = s.expr("mul", v, "x")

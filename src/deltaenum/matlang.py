@@ -589,14 +589,16 @@ def classify_fragment(e: MatLangExpr) -> Dict[str, bool]:
 # ---------------------------------------------------------------------------
 
 def encode_instance(instance: MatrixInstance) -> Database:
-    """Relational encoding of a matrix instance; linear in its size."""
+    """Relational encoding of a matrix instance; linear in its size.  A matrix
+    stored as ``(i, j)`` shares the instance's cells, which nothing on the
+    ``eval_matlang`` path writes."""
     schema = instance.schema
     db = Database(instance.semiring, constants=dict(schema.sizes))
     for name in schema.matrices:
         indices = schema.stored_indices(name)
         cells = instance.entries[name]
         if indices == (0, 1):  # the (i, j) keys as they are
-            db.relations[name] = AnnotatedRelation(2, dict(cells))
+            db.relations[name] = AnnotatedRelation(2, cells)
         else:
             db.relations[name] = AnnotatedRelation(len(indices), {tuple(ij[i] for i in indices): v for ij, v in cells.items()})
     return db
@@ -604,14 +606,15 @@ def encode_instance(instance: MatrixInstance) -> Database:
 
 def decode_relation(rel: AnnotatedRelation, schema: MatrixSchema, name: str) -> Dict[Tuple[int, int], Value]:
     """The entries of matrix ``name`` that ``rel`` encodes (not range-checked:
-    ``MatrixInstance`` does that)."""
+    ``MatrixInstance`` does that); shared with ``rel`` for a matrix stored as
+    ``(i, j)``, which nothing on the ``eval_matlang`` path writes."""
     indices = schema.stored_indices(name)
     if rel.arity != len(indices):
         raise ConsistencyError(
             f"matrix {name!r} is stored with arity {len(indices)}, its relation has arity {rel.arity}"
         )
     if indices == (0, 1):  # the tuples are the (i, j) keys
-        return dict(rel.entries)
+        return rel.entries
     # padded with a 1, a stored tuple gives the left-out index as that 1
     i, j = (indices.index(p) if p in indices else len(indices) for p in (0, 1))
     return {(u[i], u[j]): v for t, v in rel.entries.items() for u in [t + (1,)]}

@@ -13,11 +13,9 @@ below the connex region and on its frontier, whose relations are defined by:
 * a 2-child node intersects the guard child with the smaller-variable child,
   multiplying annotations (dropping zero products).
 
-Only the nodes in ``QueryPlan.stored`` keep their relation: the frontier,
-which enumeration reads, the projection outputs, which grouping builds
-anyway, and the second child of each 2-child node, which is looked up by
-key.  Every other node of a free-connex plan is read once, by one scan in
-its parent's pass, and streams.  Each stored relation comes out of one loop
+Only the nodes in ``QueryPlan.stored`` keep their relation; every other
+node of a free-connex plan is read once, by one scan in its parent's pass,
+and streams.  Each stored relation comes out of one loop
 that reads its source -- a leaf's database entries or the relation of the
 nearest stored node below -- and carries every row up through the lookups
 of the streamed 2-child nodes above it: Yannakakis' bottom-up pass,
@@ -26,9 +24,7 @@ function per plan, ``build`` (``build_source``), runs these loops in
 postorder as straight-line Python, with its lookups written as tuple
 displays into the relations it built before and the semiring's operators
 written out; a stored leaf whose tuples are their own keys is its database
-entries themselves, not a copy.  A guarded plan stores every node below
-the connex region and on its frontier, since an update looks up both
-children of a 2-child node.
+entries themselves, not a copy.
 
 Every query that preprocessing takes has a plan (``planner.build_plan``),
 which also fixes the inequality layout that the sources read; a query
@@ -39,9 +35,9 @@ tuple support, not on aggregated annotations: over semirings with
 cancelling sums (the reals) an aggregated value can vanish while its
 extensions remain enumerable, and the connex variables are free, so no
 aggregation is allowed to prune them.  Membership in a candidate set is
-decided by its keys alone: a frontier node's candidate set is its relation,
-and a projection's is its child's extension group.  ``build`` builds them
-after the relations, in one more pass in postorder.
+decided by its keys alone, so none is stored twice: a frontier node's
+candidates are read off its relation, a projection's off its child's group
+(``candidate_set``); ``build`` builds the groups and kept sets last.
 
 The planner cuts the connex region into *levels* (``QueryPlan.levels``): the
 root's candidates, then one level per projection edge into a connex child,
@@ -98,11 +94,11 @@ class EnumerationState:
     # ``dynamic_engine.dyn_update`` while a state over it is in use
     relations: Dict[int, Dict[DataTuple, Value]] = field(default_factory=dict)
     # connex navigation structures, whose keys are the tuples that extend to
-    # answers: a frontier node's candidates are its relation, a projection's
-    # its child's group; over a free-connex plan a group and the root's
-    # candidates map a tuple to its level's frontier product, and any other
-    # 2-child node's candidates to its guard's value; over a guarded plan
-    # the values are True
+    # answers: per connex child of a projection its groups, per 2-child node
+    # at the root or under a 2-child node its candidates (``candidate_set``);
+    # over a free-connex plan a group and the root's candidates map a tuple
+    # to its level's frontier product, other candidates to the guard's value;
+    # over a guarded plan the values are True
     groups: Dict[int, Dict[DataTuple, Dict[DataTuple, object]]] = field(default_factory=dict)
     candidates: Dict[int, Dict[DataTuple, object]] = field(default_factory=dict)
     # per inequality variable of the query, in the order of ``plan.bounded``,
@@ -116,12 +112,13 @@ class EnumerationState:
     walk: Optional[Callable] = field(default=None, repr=False)
     # over a guarded plan, per stored projection, parent tuple -> its number
     # of child tuples, which the loop that sums the groups writes under the
-    # key tuple of the group's entry in ``relations``; in a dynamic state
-    # (``dynamic_engine.dyn_preprocess``), per relation symbol, ``update(u)``,
-    # its compiled ``update_source``, which writes the database and runs its
-    # plan leaves' paths
+    # key tuple of the group's entry in ``relations``
     accs: Dict[int, Dict[DataTuple, int]] = field(default_factory=dict)
+    # in a dynamic state, per relation symbol, ``update(u)``, its compiled
+    # ``dynamic_engine.update_source``, which runs its plan leaves' paths
     paths: Dict[str, Callable[[SingleTupleUpdate], None]] = field(default_factory=dict)
+    # bumped by every ``dynamic_engine.dyn_update``; a walk reads it when it
+    # starts and raises ``STALE`` before an answer once it has changed
     version: int = 0
 
 
@@ -204,27 +201,23 @@ def build_source(plan: QueryPlan, s: SemiringDescriptor) -> str:
     leaf its database entries, the relations of the stored nodes
     (``plan.stored``) in postorder, node ``n``'s also as the local ``rn``
     that the nodes above it read (``_scan``), and then, in postorder, the
-    connex structures, each into its dict of the state: the candidate sets
-    of the connex region (a node's tuples that extend to the connex
-    variables below it) and its extension groups; over a guarded plan the
-    loop that sums a stored projection's groups also writes their member
-    counts into ``state.accs``.  A frontier node's candidates are its
-    relation, a projection's its child's group, built by one loop, and a
-    2-child node's its guard's whose key is in the other child's, kept by
-    one comprehension.  Over a free-connex plan the group loop and
-    the root's comprehension write each tuple's level product
-    (``_level_value``), and any other comprehension keeps the guard's
-    value; over a guarded plan every value is True.  Besides the semiring's
-    operator templates, only fixed names and integer literals are written,
-    no symbol of the query.
+    connex structures, each into its dict of the state: the extension
+    groups and kept candidate sets of the connex region (``candidate_set``);
+    over a guarded plan the loop that sums a stored projection's groups
+    also writes their member counts into ``state.accs``.  A projection's
+    group is built by one loop over its child's candidates, and a 2-child
+    node's candidates, its guard's whose key is in the other child's, by one
+    comprehension, or by that loop when it is the child.  Over a
+    free-connex plan the group loop and the root's comprehension write each
+    tuple's level product (``_level_value``), and any other comprehension
+    keeps the guard's value; over a guarded plan every value is True.
+    Besides the semiring's operator templates, only fixed names and integer
+    literals are written, no symbol of the query.
     """
     body: List[str] = []
     for nid in plan.postorder():
         if nid in plan.stored:
             body += _scan(plan, nid, s)
-    # over a free-connex plan, a group and the root's candidates map a tuple
-    # to its level's frontier product, any other 2-child node's candidates
-    # to its guard's value
     levels = [] if plan.guarded else plan.levels
     values = {level.nodes[0]: _level_value(plan, level, s) for level in levels}
     if any(line.startswith("for ") for line in body) or any(len(level.frontier) > 1 for level in levels):
@@ -232,36 +225,50 @@ def build_source(plan: QueryPlan, s: SemiringDescriptor) -> str:
     if "bounds[" in "\n".join(body):
         body[:0] = ["bounds = state.bounds"]
     for nid in plan.postorder():
-        children = plan.nodes[nid].children
-        if nid in plan.frontier:
-            body.append(f"c{nid} = state.candidates[{nid}] = r{nid}")
-        if not children:
-            continue
-        # the first child's tuple under the last child's positions: the key of
-        # a projection, or of a 2-child node's lookup in its second child
-        c, key = children[0], project("t", plan.positions[children[-1]], len(plan.order[children[0]]))
+        children, name = plan.nodes[nid].children, candidate_set(plan, nid)
         # the connex set is sibling-closed: all children are connex, or none
-        if nid not in plan.connex or nid in plan.frontier:
+        if nid not in plan.connex or nid in plan.frontier or name is None:
             continue
+        c = children[0]
         if len(children) == 1 or nid == plan.root:
             value = values.get(c if len(children) == 1 else nid)
         else:
             value = None if plan.guarded else "v"
-        each = f"t, v in c{c}.items()" if value else f"t in c{c}"
-        if len(children) == 1:
-            body += [f"c{nid} = state.candidates[{nid}] = state.groups[{c}] = {{}}", f"for {each}:"]
-            body.append(f"    c{nid}.setdefault({key}, {{}})[t] = {value or True}")
-        else:
-            body.append(f"c{nid} = state.candidates[{nid}] = {{t: {value or True} for {each} if {key} in c{children[1]}}}")
+        # a 2-child node's candidates: its guard's whose key is in its second child's
+        tuples, test = candidate_set(plan, c), None
+        if len(children) == 2 or tuples is None:
+            c1, c2 = plan.nodes[nid if len(children) == 2 else c].children
+            tuples = candidate_set(plan, c1)
+            test = f"{project('t', plan.positions[c2], len(plan.order[c1]))} in {candidate_set(plan, c2)}"
+        each = f"t, v in {tuples}.items()" if value else f"t in {tuples}"
+        if len(children) == 2:
+            body.append(f"{name} = state.candidates[{nid}] = {{t: {value or True} for {each} if {test}}}")
+            continue
+        put = f"{name}.setdefault({project('t', plan.positions[c], len(plan.order[c]))}, {{}})[t] = {value or True}"
+        body += [f"{name} = state.groups[{c}] = {{}}", f"for {each}:"]
+        body += [f"    if {test}:", f"        {put}"] if test else [f"    {put}"]
     return "\n".join(["def build(state, entries):", *("    " + line for line in body or ["pass"])]) + "\n"
+
+
+def candidate_set(plan: QueryPlan, nid: int) -> Optional[str]:
+    """The local name in the generated sources of the dict whose keys are
+    the connex node ``n`` = ``nid``'s candidates: ``rn`` at the frontier,
+    ``gc`` for a projection of ``c``, else ``cn``; None for a 2-child node
+    under a projection, whose candidates only that projection's loop reads."""
+    children, parent = plan.nodes[nid].children, plan.nodes[nid].parent
+    if nid in plan.frontier:
+        return f"r{nid}"
+    if len(children) == 1:
+        return f"g{children[0]}"
+    return f"c{nid}" if parent is None or len(plan.nodes[parent].children) == 2 else None
 
 
 def _level_value(plan: QueryPlan, level: Level, s: SemiringDescriptor) -> Optional[str]:
     """The source of the value that the tuples ``t`` of a free-connex
     plan's ``level`` carry in the dict the walk iterates: the product of
     the level's frontier annotations, left to right, with ``v``, the value
-    at ``t`` of the level's top node, for the first factor when it is the
-    annotation of the frontier node at the end of the top's guard chain,
+    at ``t`` of any node on the top's guard chain, for the first factor when
+    it is the annotation of the frontier node at the end of that chain,
     the lookup ``rf[...]`` of each other factor; None without frontier
     annotations."""
     bottom = level.nodes[0]
@@ -379,12 +386,9 @@ def walk_source(plan: QueryPlan, s: SemiringDescriptor) -> str:
         else:
             hoists += [f"r{f} = state.relations[{f}]" for f, _ in level.frontier]
             factors = [f"r{f}[{project(t, pos, width)}]" for f, pos in level.frontier]
-        if j == 0 and plan.root in plan.frontier:
-            hoists.append(f"r{plan.root} = state.relations[{plan.root}]")
-            tuples = f"r{plan.root}"
-        elif j == 0:
-            hoists.append(f"c{plan.root} = state.candidates[{plan.root}]")
-            tuples = f"c{plan.root}"
+        if j == 0:
+            tuples = candidate_set(plan, plan.root)
+            hoists.append(f"{tuples} = state.{'relations' if plan.root in plan.frontier else 'candidates'}[{plan.root}]")
         else:
             n, src = level.nodes[0], level.source
             hoists.append(f"g{n} = state.groups[{n}]")

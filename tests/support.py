@@ -764,7 +764,11 @@ def reference_connex(state):
     """The candidate sets, extension groups and member counts that
     ``static_engine.build_source`` builds for ``state``, from its stored
     node relations by one plain loop per node, each dict inserted in the
-    same order.
+    same order.  Every connex node's candidates are derived, but only those
+    of a 2-child node at the root or under a 2-child node are returned: a
+    frontier node's are its relation's keys, a projection's its child's
+    group's, and the candidates of a 2-child node under a projection are
+    read only by that projection's group loop.
 
     Over a free-connex plan, each group and the root's candidates map a
     tuple of a level to the product of the level's frontier annotations,
@@ -785,7 +789,7 @@ def reference_connex(state):
         factors = [state.relations[f][tuple(t[i] for i in pos)] for f, pos in tops[top].frontier]
         return reduce(s.mul, factors) if factors else True
 
-    candidates, groups, accs = {}, {}, {}
+    sets, candidates, groups, accs = {}, {}, {}, {}
     for nid in plan.postorder():
         children = plan.nodes[nid].children
         if plan.guarded and nid in plan.stored and len(children) == 1:
@@ -794,44 +798,40 @@ def reference_connex(state):
         if nid not in plan.connex:
             continue
         if nid in plan.frontier:
-            candidates[nid] = state.relations[nid]
+            sets[nid] = state.relations[nid]
         elif len(children) == 1:
             c = children[0]
             grp = {}
-            for t in candidates[c]:
+            for t in sets[c]:
                 grp.setdefault(key(c, t), {})[t] = product(c, t)
-            groups[c] = candidates[nid] = grp
+            groups[c] = sets[nid] = grp
         else:
             c1, c2 = children
-            kept = {t: v for t, v in candidates[c1].items() if key(c2, t) in candidates[c2]}
+            kept = {t: v for t, v in sets[c1].items() if key(c2, t) in sets[c2]}
             if plan.guarded or nid == plan.root:
                 kept = {t: product(nid, t) for t in kept}
-            candidates[nid] = kept
+            sets[nid] = kept
+            parent = plan.nodes[nid].parent
+            if parent is None or len(plan.nodes[parent].children) == 2:
+                candidates[nid] = kept
     return candidates, groups, accs
 
 
 def verify_dynamic_invariants(state: EnumerationState) -> List[str]:
     """Check the node relations (``verify_node_invariants``; over a guarded
     plan they are the group sums), then the member counts, candidate sets and
-    extension groups against ``reference_connex``, values included, and that
-    each group is its parent's candidate set.  A static state passes too."""
+    extension groups against ``reference_connex``, values included: a
+    candidate set that is not kept there is a mismatch.  A static state
+    passes too."""
     problems = verify_node_invariants(state)
-    plan = state.plan
     candidates, groups, accs = reference_connex(state)
     for nid in sorted(accs.keys() | state.accs.keys()):
         if state.accs.get(nid) != accs.get(nid):
             problems.append(f"node {nid}: member counts mismatch")
-    for nid in sorted(plan.connex):
-        got, want = state.candidates.get(nid, {}), candidates.get(nid, {})
-        # a projection's candidates are its child's group, checked below
-        if nid not in plan.frontier and len(plan.nodes[nid].children) == 1:
-            got, want = set(got), set(want)
-        if got != want:
+    for nid in sorted(candidates.keys() | state.candidates.keys()):
+        if state.candidates.get(nid) != candidates.get(nid):
             problems.append(f"node {nid}: candidate set mismatch")
     for nid in sorted(groups.keys() | state.groups.keys()):
-        grp = state.groups.get(nid, {})
-        if nid in state.groups and state.candidates.get(plan.nodes[nid].parent) is not grp:
-            problems.append(f"node {nid}: its group is not its parent's candidate set")
-        if grp != groups.get(nid, {}):
+        if state.groups.get(nid, {}) != groups.get(nid, {}):
             problems.append(f"node {nid}: extension groups mismatch")
     return problems

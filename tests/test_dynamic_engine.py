@@ -17,7 +17,7 @@ from deltaenum.dynamic_engine import (
 from deltaenum.errors import CapabilityError, ClassificationError, EngineError, SchemaError, VocabularyError
 from deltaenum.kdata import SingleTupleUpdate, apply_update
 from deltaenum.oracle import oracle_eval_cq
-from deltaenum.planner import build_guarded_plan
+from deltaenum.planner import build_fc_plan, build_guarded_plan
 from deltaenum.query import parse_query
 from deltaenum.semiring import BUILTIN_SEMIRING_NAMES, SemiringDescriptor, builtin_semiring
 from deltaenum.static_engine import enumerate_state, leaf_key, plan_sources, preprocess, preprocess_with_plan
@@ -332,17 +332,21 @@ def test_dyn_update_respects_covered_inequalities():
 
 
 def assert_enumeration_layout(state):
-    """Relations exist exactly at the plan's stored nodes, a frontier node's
-    candidates are its relation, and a connex projection's candidates are
-    its child's group."""
+    """Relations exist exactly at the plan's stored nodes, and candidate sets
+    exactly at the connex 2-child nodes that are the root or under a 2-child
+    node, none of them a relation or a group: a frontier node's candidates
+    are read off its relation, a connex projection's off its child's
+    group."""
     plan = state.plan
     assert set(state.relations) == plan.stored
-    for f in plan.frontier:
-        assert state.candidates[f] is state.relations[f]
-    for p in plan.connex - plan.frontier:
-        children = plan.nodes[p].children
-        if len(children) == 1:
-            assert state.candidates[p] is state.groups[children[0]]
+    assert set(state.candidates) == {
+        n
+        for n in plan.connex - plan.frontier
+        if len(plan.nodes[n].children) == 2
+        and (n == plan.root or len(plan.nodes[plan.nodes[n].parent].children) == 2)
+    }
+    stored = [*state.relations.values(), *state.groups.values()]
+    assert not any(c is d for c in state.candidates.values() for d in stored)
 
 
 # the queries of the join_drain and update_stream benchmark workloads
@@ -364,6 +368,33 @@ def test_state_lives_below_the_connex_region_and_on_its_frontier(text, relations
         assert not set(state.accs) & inner, step
         dyn_update(state, random_update(rng, q, db, NAT, domain=3))
     assert verify_dynamic_invariants(state) == []
+
+
+def test_no_connex_structure_is_write_only():
+    # every candidate set that an update step writes is read: by the walk, or
+    # by a membership test or lookup of some update step; the update stream's
+    # query comes first, whose (x, y) join under the projection onto x is
+    # read only by that projection's group loop
+    rng = random.Random(634)
+    queries = [parse_query(QH)] + [random_q_hierarchical_cq(rng) for _ in range(600)]
+    for i, q in enumerate(queries):
+        guarded = build_guarded_plan(q)
+        for s in (NAT, BOOL, REAL):
+            walk = plan_sources(guarded, s)[0]
+            updates = "".join(update_sources(guarded, s).values())
+            written = {*re.findall(r"^ *(c[0-9]+)\[.*\] = ", updates, re.M), *re.findall(r"\bdel (c[0-9]+)\[", updates)}
+            read = {*re.findall(r"\b(c[0-9]+)\b", walk), *re.findall(r"\bin (c[0-9]+)\b", updates)}
+            read |= set(re.findall(r"\b(c[0-9]+)\.get\(", updates))
+            assert written <= read, (q.to_text(), s.name, written - read)
+        # no candidate set is a relation or a group, and none is kept under a
+        # projection
+        db = random_db_for_query(rng, q, (NAT, BOOL, REAL)[i % 3], max_tuples=12, domain=3)
+        for plan in (build_fc_plan(q), guarded):
+            state = preprocess_with_plan(q, db, plan)
+            stored = [*state.relations.values(), *state.groups.values()]
+            assert not any(c is d for c in state.candidates.values() for d in stored), q.to_text()
+            parents = [plan.nodes[n].parent for n in state.candidates if n != plan.root]
+            assert all(len(plan.nodes[p].children) == 2 for p in parents), q.to_text()
 
 
 def state_snapshot(state):
@@ -644,26 +675,26 @@ def test_a_later_sibling_read_as_old_ends_the_enter_chain():
     assert leaves_by_symbol(plan)["R"] == [0, 3, 2] and plan.nodes[5].children == [4, 2]
     source = update_sources(plan, NAT)["R"]
     # leaf 3 enters c4 with leaf 0; its sibling under node 5, leaf 2, reads
-    # as before the update, absent when old is None and present otherwise
+    # as before the update, absent when old is None and present otherwise;
+    # node 5, under the projection node 6, keeps no candidate set
     path3 = source[source.index("    def path3("):source.index("    def path2(")]
     assert path3 == """    def path3(t, old, new):
         if old is None:
-            if t not in c0:
+            if t not in r0:
                 return
             c4[t] = True
             return
         elif new is None:
-            if t not in c0:
+            if t not in r0:
                 return
             del c4[t]
-            del c5[t]
             k6 = (t[0],)
-            b = c6[k6]
+            b = g5[k6]
             del b[t]
             if b:
                 return
-            del c6[k6]
-            if k6 not in c1:
+            del g5[k6]
+            if k6 not in r1:
                 return
             del c7[k6]
 
@@ -700,7 +731,7 @@ def test_a_leaf_key_is_tested_for_none_only_when_it_can_be_none():
 # TEMPLATE_NAMES; the builtins' ``admits`` templates write the last line
 UPDATE_NAMES = {
     "make", "state", "bounds", "s", "semiring", "add", "sub", "mul", "is_zero", "zero",
-    "relations", "accs", "candidates", "update", "t", "old", "new", "n", "x", "b", "get", "True",
+    "relations", "accs", "candidates", "groups", "update", "t", "old", "new", "n", "x", "b", "get", "True",
     "entries", "reject", "u", "tuple", "len", "kind", "INSERT", "value", "a", "admits",
     "type", "int", "float", "bool", "isfinite",
 }
@@ -731,7 +762,7 @@ def test_no_query_text_reaches_the_update_paths():
         sources = list(update_sources(plan, s).values())
         assert sources == list(update_sources(plain_plan, s).values())
         for source in sources:
-            assert_fixed_names(source, UPDATE_NAMES | TEMPLATE_NAMES, r"(path|[acknorv])[0-9]+")
+            assert_fixed_names(source, UPDATE_NAMES | TEMPLATE_NAMES, r"(path|[acgknorv])[0-9]+")
 
 
 # the integers shifted by -1, a ring whose zero is -1 and whose one is 0, so

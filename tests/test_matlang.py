@@ -176,6 +176,8 @@ def test_encode_binary_matrix():
     db = encode_instance(inst)
     assert db.relations["A"].entries == {(1, 1): True, (3, 2): True}
     assert db.constants == {"alpha": 3, "beta": 2, "1": 1}
+    # the (i, j) cells are shared, not copied
+    assert db.relations["A"].entries is inst.entries["A"]
 
 
 def test_encode_unary_vector():

@@ -49,15 +49,19 @@ def test_traced_dynamic_run_reads_the_state_fields():
         dynamic_engine.dyn_update(state, SingleTupleUpdate("insert", "U", (7,), 1))
         answers = list(dynamic_engine.dyn_enumerate(state))
     assert len(answers) == 4
-    # relations: the leaves U, S and R (3 + 5 + 6 tuples) and the frontier
-    # node projecting R onto (x, y) (5 tuples); candidates: those 3 + 5 + 5,
-    # 4 at the (x, y) join, 2 at x and 2 at the root, plus 4 group entries
-    assert tracing._state_info(state) == {"rows_materialized": 20, "connex_entries": 26}
+    # relations: the leaves U, S and R (4 + 5 + 6 tuples after the insert,
+    # 3 + 5 + 6 before) and the frontier node projecting R onto (x, y) (5
+    # tuples); connex entries: the root's 2 candidates, x = 1 and 2, plus the
+    # 4 entries of the (x, y) join's groups under x; the frontier nodes'
+    # candidates are their relations and the groups' keys the projection's,
+    # neither stored as a candidate set, and the insert of U(7) adds no
+    # candidate, since the (x, y) join has no tuple with x = 7
+    assert tracing._state_info(state) == {"rows_materialized": 20, "connex_entries": 6}
     assert tracing._dyn_info(state) == {"accumulators": 5}
     infos = {span[1]: span[6] for span in tracer.spans}
     assert infos["static_engine.preprocess_with_plan"] == {
         "rows_materialized": 19,
-        "connex_entries": 25,
+        "connex_entries": 6,
     }
     assert infos["dynamic_engine.dyn_preprocess"] == {"accumulators": 5}
     assert infos["static_engine.enumerate_state"]["answers"] == 4

@@ -412,10 +412,11 @@ def test_connex_build_equals_the_reference_build(sname):
         candidates, groups, accs = reference_connex(state)
         got = (in_order(state.candidates), in_order(state.groups), in_order(state.accs))
         assert got == (in_order(candidates), in_order(groups), in_order(accs)), build_source(plan, semiring)
-        # the walk and the update paths read a group as its parent's
-        # candidates, and a frontier node's candidates as its relation
-        assert all(grp is state.candidates[plan.nodes[c].parent] for c, grp in state.groups.items())
-        assert all(state.candidates[n] is state.relations[n] for n in plan.frontier)
+        # the walk and the update paths read a projection's candidates off
+        # its child's group and a frontier node's off its relation, so no
+        # candidate set is either of them
+        stored = [*state.relations.values(), *state.groups.values()]
+        assert not any(c is d for c in state.candidates.values() for d in stored)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +451,7 @@ def reference_walk(state):
             return
         level = levels[j]
         if j == 0:
-            tuples_here = state.candidates[plan.root]
+            tuples_here = (state.relations if plan.root in plan.frontier else state.candidates)[plan.root]
         else:
             src = tuples[level.source]
             tuples_here = state.groups[level.nodes[0]][tuple(src[i] for i in level.key)]
@@ -563,8 +564,8 @@ WALK_NAMES = {
     "bounds", "range", "relations", "candidates", "groups", "items", "RuntimeError", "STALE",
 }
 # every name that ``build_source`` writes, besides Python keywords, the
-# numbered names of its relations, candidate sets and member counts, and
-# TEMPLATE_NAMES
+# numbered names of its relations, groups, candidate sets and member counts,
+# and TEMPLATE_NAMES
 BUILD_NAMES = {
     "build", "state", "entries", "semiring", "add", "mul", "is_zero", "bounds", "relations",
     "candidates", "groups", "accs", "t", "k", "x", "g", "n", "get", "items", "setdefault", "True",
@@ -601,7 +602,7 @@ def test_no_query_text_reaches_the_compiled_walk():
             assert (walk, build) == plan_sources(plan_of(p), s)
             assert walk == walk_source(state.plan, s) and "for t, k in " in build
             assert_fixed_names(walk, WALK_NAMES | TEMPLATE_NAMES, r"[bcgiprtv][0-9]+")
-            assert_fixed_names(build, BUILD_NAMES | TEMPLATE_NAMES, r"[acr][0-9]+")
+            assert_fixed_names(build, BUILD_NAMES | TEMPLATE_NAMES, r"[acgr][0-9]+")
             # the guarded plan's build counts members and builds a group;
             # the free-connex plan's root is on its frontier
             assert ("state.accs[" in build and "state.groups[" in build) == state.plan.guarded
@@ -634,4 +635,4 @@ def test_no_query_text_reaches_the_leaf_keys():
             assert all(build.count(f"entries[{n}]") == 1 for n in keys)
             assert all(f"in entries[{n}].items():\n        t = {key}\n" in build for n, key in keys.items())
             assert build == plan_sources(plain_plan, s)[1]
-            assert_fixed_names(build, BUILD_NAMES | TEMPLATE_NAMES, r"[acr][0-9]+")
+            assert_fixed_names(build, BUILD_NAMES | TEMPLATE_NAMES, r"[acgr][0-9]+")

@@ -12,8 +12,9 @@ from support import verify_dynamic_invariants, verify_node_invariants
 from test_static_engine import NAT, make_db
 
 # node 3 projects R onto (x, y) and keeps member counts; node 4 joins U with
-# it, a connex 2-child node with its own candidates; node 5 projects node 4
-# onto x, so its candidates are node 4's group
+# it, a connex 2-child node under a projection, which keeps no candidate
+# set; node 5 projects node 4 onto x, so its candidates are the keys of node
+# 4's group; the root, node 6, joins S with node 5 and keeps its candidates
 QUERY = "H(x,y) :- R(x,y,z), S(x), U(x,y)."
 RELATIONS = {
     "R": (3, {(1, 1, 1): 1, (1, 1, 2): 2, (1, 2, 1): 2, (2, 1, 1): 1, (3, 3, 3): 1}),
@@ -27,7 +28,7 @@ def guarded_state():
     plan = state.plan
     assert plan.nodes[3].children == [0] and plan.nodes[4].children == [2, 3]
     assert plan.nodes[5].children == [4] and 3 in plan.frontier and 4 not in plan.frontier
-    assert set(state.accs) == {3} and set(state.groups) == {4}
+    assert set(state.accs) == {3} and set(state.groups) == {4} and set(state.candidates) == {6}
     assert verify_dynamic_invariants(state) == []
     return state
 
@@ -72,15 +73,15 @@ def _member_count(state):
 
 
 def _candidate_set(state):
-    del state.candidates[4][(2, 1)]
+    del state.candidates[6][(2,)]
 
 
 def _group(state):
     state.groups[4][(2,)][(2, 2)] = True
 
 
-def _group_copy(state):
-    state.groups[4] = dict(state.groups[4])
+def _candidate_alias(state):
+    state.candidates[5] = state.groups[4]
 
 
 def _group_value(state):
@@ -99,9 +100,9 @@ NODE_CORRUPTIONS = [
 ]
 CONNEX_CORRUPTIONS = [
     (_member_count, ["node 3: member counts mismatch"]),
-    (_candidate_set, ["node 4: candidate set mismatch"]),
+    (_candidate_set, ["node 6: candidate set mismatch"]),
     (_group, ["node 4: extension groups mismatch"]),
-    (_group_copy, ["node 4: its group is not its parent's candidate set"]),
+    (_candidate_alias, ["node 5: candidate set mismatch"]),
 ]
 
 
