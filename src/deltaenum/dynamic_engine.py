@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import re
 from functools import partial
-from typing import AbstractSet, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .codegen import compile_source, project
 from .errors import CapabilityError, ClassificationError
@@ -50,7 +50,10 @@ from .static_engine import EnumerationState, candidate_set, enumerate_state, lea
 
 def dyn_preprocess(q: ConjunctiveQuery, db: Database) -> EnumerationState:
     """Linear-time preprocessing for dynamic evaluation: the state, which
-    owns and mutates its database, with its ``accs`` and ``paths``.
+    owns and mutates its database, with its ``accs`` and ``paths``.  Of a
+    relation symbol's leaves whose tuples are their own keys only the first
+    in postorder keeps the database's entries as its relation; each later
+    one gets a copy, which its own path writes (``_leaf_path``).
 
     Requires a q-hierarchical query and a sum-maintainable semi-integral
     domain; static evaluation remains available for merely free-connex
@@ -67,6 +70,9 @@ def dyn_preprocess(q: ConjunctiveQuery, db: Database) -> EnumerationState:
             f"query is not q-hierarchical (static evaluation is still available): {q.to_text()}"
         )
     state = preprocess_with_plan(q, db, plan)
+    for symbol, leaves in _symbol_leaves(plan).items():
+        entries = db.relations[symbol].entries
+        state.relations.update((n, dict(entries)) for n in leaves[1:] if state.relations[n] is entries)
     reject = partial(apply_update, db)
     for symbol, source in update_sources(plan, s).items():
         state.paths[symbol] = compile_source(source, "make")(state, db.relations[symbol].entries, reject)
@@ -76,8 +82,17 @@ def dyn_preprocess(q: ConjunctiveQuery, db: Database) -> EnumerationState:
 def update_sources(plan: QueryPlan, s: SemiringDescriptor) -> Dict[str, str]:
     """Per relation symbol of the guarded ``plan``, in the postorder of its
     first leaf, its ``update_source`` over the semiring ``s``."""
-    symbols = [plan.atoms[plan.nodes[n].atom_index].symbol for n in plan.postorder() if plan.nodes[n].is_leaf]
-    return {symbol: update_source(plan, symbol, s) for symbol in dict.fromkeys(symbols)}
+    return {symbol: update_source(plan, symbol, s) for symbol in _symbol_leaves(plan)}
+
+
+def _symbol_leaves(plan: QueryPlan) -> Dict[str, List[int]]:
+    """Per relation symbol of ``plan``, in the postorder of its first leaf,
+    its leaves in postorder."""
+    out: Dict[str, List[int]] = {}
+    for n in plan.postorder():
+        if plan.nodes[n].is_leaf:
+            out.setdefault(plan.atoms[plan.nodes[n].atom_index].symbol, []).append(n)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -99,14 +114,12 @@ def update_source(plan: QueryPlan, symbol: str, s: SemiringDescriptor) -> str:
     the state once.  Only fixed names and integer literals are written
     besides the semiring's operator templates, no symbol of the query.
     """
-    leaves = [n for n in plan.postorder() if plan.nodes[n].is_leaf and plan.atoms[plan.nodes[n].atom_index].symbol == symbol]
+    leaves = _symbol_leaves(plan)[symbol]
     arity = len(plan.atoms[plan.nodes[leaves[0]].atom_index].args)
-    keys = {n: leaf_key(plan, n) for n in leaves}
     paths = []
-    for i, n in enumerate(leaves):
-        later = {m for m in leaves[i + 1:] if keys[m] is None}
-        # (nothing is left to do at a root leaf whose tuples are their own keys)
-        body = _leaf_path(plan, n, keys[n], s, later) or ["pass"]
+    for n in leaves:
+        # (nothing is left to do at a root leaf whose relation is the database's entries)
+        body = _leaf_path(plan, n, s, n == leaves[0]) or ["pass"]
         paths += ["", f"    def path{n}(t, old, new):", *("        " + line for line in body)]
     text = "\n".join(paths)
     stores = {"r": "state.relations", "a": "state.accs", "c": "state.candidates", "g": "state.groups"}
@@ -144,16 +157,17 @@ def update_source(plan: QueryPlan, symbol: str, s: SemiringDescriptor) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _leaf_path(plan: QueryPlan, leaf: int, key: Optional[str], s: SemiringDescriptor, later: AbstractSet[int]) -> List[str]:
+def _leaf_path(plan: QueryPlan, leaf: int, s: SemiringDescriptor, first: bool) -> List[str]:
     """The body of the path of the guarded plan's ``leaf``, for a change of
     its relation symbol's annotation at ``t`` from ``old`` to ``new`` (None
-    when absent), made after the database's entries were written, ``key``
-    being the leaf's key expression (``leaf_key``), None when its tuples are
-    their own keys.  Such a leaf's relation is the database's entries, so
-    the path does not write it.  ``later`` holds the leaves of the same
-    symbol whose tuples are their own keys and whose paths run after this
-    one's: their relation, the database's entries, is read as it was before
-    the update, with the value ``old`` at ``t``, as each leaf's change is
+    when absent), made after the database's entries were written; ``first``
+    when the leaf is its symbol's first in postorder.  A tuple that fails
+    the leaf's test (``leaf_key``) returns at once, and the path writes the
+    leaf's relation under the tuple's key, unless that relation is the
+    database's entries: the first leaf's, when its tuples are their own
+    keys.  Every other leaf of the symbol has a relation of its own
+    (``dyn_preprocess``), so a path that runs before a later leaf's reads
+    that leaf as it was before the update, and each leaf's change is
     carried up in turn.
 
     Node ``n``'s key is ``kn``, its old and new value ``on`` and ``vn``, its
@@ -165,36 +179,25 @@ def _leaf_path(plan: QueryPlan, leaf: int, key: Optional[str], s: SemiringDescri
     that enters the support, one for a tuple that leaves it, each returning
     at the first node whose candidates do not change.
     """
+    miss, key = leaf_key(plan, leaf)
     c, k, o, v = leaf, "t", "old", "new"
-    body = []
-    if key is not None:
+    body = [f"if {miss}:", "    return"] if miss else []
+    if key != "t":
         k = f"k{leaf}"
         body.append(f"{k} = {key}")
-        if key.startswith("None if "):
-            body += [f"if {k} is None:", "    return"]
+    if not first or (miss, key) != (None, "t"):
         body += [f"if {v} is None:", f"    del r{c}[{k}]", "else:", f"    r{c}[{k}] = {v}"]
     enters, leaves = [], []  # the chains of a tuple entering or leaving the support
     while c != plan.root:
         p = plan.nodes[c].parent
         children = plan.nodes[p].children
         sib, kp = sum(children) - c, k  # a 2-child node's tuple is its children's
-        # the sibling's support and value at this tuple; a later leaf in
-        # ``later`` reads as before the update, ``old`` at ``t``
-        absent, lookup = f"{k} not in {candidate_set(plan, sib)}", f"r{sib}.get({k})"
-        if sib in later and k == "t":
-            absent, lookup = "old is None", "old"
-        elif sib in later:
-            absent, lookup = f"(old is None if {k} == t else {absent})", f"(old if {k} == t else {lookup})"
+        absent = f"{k} not in {candidate_set(plan, sib)}"
         if len(children) == 1:
             kp = f"k{p}"
             key_line = f"{kp} = {project(k, plan.positions[c], len(plan.order[c]))}"
         cp = candidate_set(plan, p) if c in plan.connex else None
-        if c in plan.connex and len(children) == 2 and absent == "old is None" and o == "old":
-            # the enter chain runs when old is None, the leave chain when it
-            # is not: the sibling is absent in the one, present in the other
-            enters.append("return")
-            leaves += [f"del {cp}[{k}]"] if cp else []
-        elif c in plan.connex and len(children) == 2:
+        if c in plan.connex and len(children) == 2:
             # the parent's candidates are the tuples in both children's, if kept
             enters += [f"if {absent}:", "    return"] + ([f"{cp}[{k}] = True"] if cp else [])
             leaves += [f"if {absent}:", "    return"] + ([f"del {cp}[{k}]"] if cp else [])
@@ -204,7 +207,7 @@ def _leaf_path(plan: QueryPlan, leaf: int, key: Optional[str], s: SemiringDescri
             enters += [f"{cp}[{kp}] = {{{k}: True}}"]
             leaves += [key_line, f"b = {cp}[{kp}]", f"del b[{k}]", "if b:", "    return", f"del {cp}[{kp}]"]
         elif len(children) == 2:
-            body += [f"o{p} = r{p}.get({k})", f"x = {lookup}"]
+            body += [f"o{p} = r{p}.get({k})", f"x = r{sib}.get({k})"]
             product = s.expr("mul", v, "x")
             body += [f"v{p} = None if {v} is None or x is None or {s.expr('is_zero', f'(x := {product})')} else x"]
         else:
@@ -219,8 +222,6 @@ def _leaf_path(plan: QueryPlan, leaf: int, key: Optional[str], s: SemiringDescri
             body += [f"if {o} == {v}:", "    return", f"if {v} is None:", f"    del r{p}[{kp}]", "else:", f"    r{p}[{kp}] = {v}"]
         c, k = p, kp
     if enters:
-        # nothing after an unconditional return runs
-        enters = enters[: enters.index("return") + 1] if "return" in enters else enters
         body += [f"if {o} is None:", *["    " + line for line in enters]]
         body += [f"elif {v} is None:", *["    " + line for line in leaves]]
     return body

@@ -113,9 +113,8 @@ def update_relation(db: Database, u: SingleTupleUpdate) -> AnnotatedRelation:
     return rel
 
 
-def apply_update(db: Database, u: SingleTupleUpdate) -> Tuple[Optional[Value], Optional[Value]]:
-    """Apply a single-tuple update in place and return the tuple's stored
-    annotation before and after it, as ``(old, new)``; None means absent.
+def apply_update(db: Database, u: SingleTupleUpdate) -> None:
+    """Apply a single-tuple update in place.
 
     Insert: new annotation = old (+) k, removing the tuple if the sum is zero;
     a k or a sum the semiring does not admit (a real sum that overflows) is
@@ -146,7 +145,6 @@ def apply_update(db: Database, u: SingleTupleUpdate) -> Tuple[Optional[Value], O
         entries[t] = new
     elif old is not None:
         del entries[t]
-    return old, new
 
 
 def read_input(path: str | Path) -> str:

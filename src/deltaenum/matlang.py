@@ -624,34 +624,24 @@ def decode_relation(rel: AnnotatedRelation, schema: MatrixSchema, name: str) -> 
 # Translation to conjunctive queries
 # ---------------------------------------------------------------------------
 
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: Dict[str, str] = {}
-
-    def find(self, x: str) -> str:
-        self.parent.setdefault(x, x)
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 @dataclass
 class _Translation:
     """The atoms and equalities of a translation.  An index of size 1 is
     never a shared variable, in the head or not: it takes only the value 1
     on a consistent database, so each occurrence is summed out on its own,
     a fresh variable at a stored position and nothing elsewhere.  It then
-    closes no cycle between the atoms that share it."""
+    closes no cycle between the atoms that share it.  ``same`` points each
+    equated variable to a smaller one, so ``find`` names each class of
+    equal variables by its least member."""
 
     atoms: List[RelAtom | IneqAtom] = field(default_factory=list)
-    equalities: List[Tuple[str, str]] = field(default_factory=list)
+    same: Dict[str, str] = field(default_factory=dict)
     counter: int = 0
+
+    def find(self, v: str) -> str:
+        while v in self.same:
+            v = self.same[v]
+        return v
 
     def fresh(self, stem: str) -> str:
         self.counter += 1
@@ -665,8 +655,9 @@ class _Translation:
             self.atoms.append(IneqAtom(v, size))
 
     def equal(self, a: str, b: str, size: str) -> None:
-        if size != "1":
-            self.equalities.append((a, b))
+        a, b = sorted((self.find(a), self.find(b)))
+        if size != "1" and a != b:
+            self.same[b] = a
 
 
 def _translate(e: MatLangExpr, x: str, y: str, wmap: Dict[str, str], out: _Translation, schema: MatrixSchema) -> None:
@@ -758,26 +749,15 @@ def translate_to_cq(query: MatQuery, schema: MatrixSchema) -> ConjunctiveQuery:
     # a head index of size 1 occurs in no atom: one range gives it its value
     out.atoms += [IneqAtom(v, "1") for v, size in zip(("x", "y"), e.typ) if v in head_vars and size == "1"]
 
-    # every variable of an equality occurs in an atom: each class is named
-    # by its least member
-    uf = _UnionFind()
-    for a, b in out.equalities:
-        uf.union(a, b)
-    classes: Dict[str, List[str]] = {}
-    for v in uf.parent:
-        classes.setdefault(uf.find(v), []).append(v)
-    rep = {m: min(members) for members in classes.values() for m in members}
-
-    def r(v: str) -> str:
-        return rep.get(v, v)
-
+    # every variable of an equality occurs in an atom, renamed to the least
+    # member of its class
     atoms: List[RelAtom | IneqAtom] = []
     for atom in out.atoms:
         if isinstance(atom, RelAtom):
-            atoms.append(RelAtom(atom.symbol, tuple(r(v) for v in atom.args)))
+            atoms.append(RelAtom(atom.symbol, tuple(out.find(v) for v in atom.args)))
         else:
-            atoms.append(IneqAtom(r(atom.var), atom.bound))
-    return ConjunctiveQuery(query.head, tuple(r(v) for v in head_vars), tuple(atoms))
+            atoms.append(IneqAtom(out.find(atom.var), atom.bound))
+    return ConjunctiveQuery(query.head, tuple(out.find(v) for v in head_vars), tuple(atoms))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ below the connex region and on its frontier, whose relations are defined by:
 
 * a leaf holds the atom's relation filtered by repeated-variable matching
   and by the inequalities the atom covers, and re-keyed by its variables:
-  unless every tuple is its own key, one generated expression
-  (``leaf_key``) tests and re-keys a tuple where the build or update path
+  unless every tuple is its own key, a generated test and key
+  (``leaf_key``) drop and re-key a tuple where the build or update path
   reads it, with the covered limits read off ``EnumerationState.bounds``;
 * a single-child node aggregates its child by semiring addition over the
   projection (dropping zero sums);
@@ -90,8 +90,10 @@ class EnumerationState:
     db: Database
     # per plan node in ``plan.stored``: its node relation, keyed in
     # ``plan.order``; a leaf whose tuples are their own keys has the
-    # database's entries, so the database changes only through
-    # ``dynamic_engine.dyn_update`` while a state over it is in use
+    # database's entries, but in a dynamic state only the first leaf of its
+    # symbol in postorder does and a later one has a copy
+    # (``dynamic_engine.dyn_preprocess``); so the database changes only
+    # through ``dynamic_engine.dyn_update`` while a state over it is in use
     relations: Dict[int, Dict[DataTuple, Value]] = field(default_factory=dict)
     # connex navigation structures, whose keys are the tuples that extend to
     # answers: per connex child of a projection its groups, per 2-child node
@@ -122,19 +124,19 @@ class EnumerationState:
     version: int = 0
 
 
-def leaf_key(plan: QueryPlan, leaf: int) -> Optional[str]:
-    """The source of the key expression of the plan ``leaf`` over a tuple
-    ``t`` of its relation; None when every tuple is its own key, that is
-    when the atom's variables are distinct and in sorted order and it covers
-    no inequality.
+def leaf_key(plan: QueryPlan, leaf: int) -> Tuple[Optional[str], str]:
+    """The sources ``(miss, key)`` of the plan ``leaf``'s test and key over
+    a tuple ``t`` of its relation: ``miss`` holds when the tuple fails its
+    atom, and is None when every tuple matches; ``key`` is ``"t"`` when
+    every tuple is its own key, that is when the atom's variables are
+    distinct and in sorted order.
 
     A tuple matches its atom when the components at a repeated variable's
     positions are equal and every inequality the atom covers
     (``plan.covered``) holds, its limit read off ``bounds``
     (``EnumerationState.bounds``, indexed like ``plan.bounded``); its key lists
-    the values of the atom's distinct variables in sorted order, and a tuple
-    that does not match has the key None.  Only fixed names and integer
-    literals are written, no symbol of the query.
+    the values of the atom's distinct variables in sorted order.  Only fixed
+    names and integer literals are written, no symbol of the query.
     """
     i = plan.nodes[leaf].atom_index
     first: Dict[str, int] = {}
@@ -144,10 +146,7 @@ def leaf_key(plan: QueryPlan, leaf: int) -> Optional[str]:
         if j != pos:
             misses.append(f"t[{pos}] != t[{j}]")
     misses += [f"t[{first[v]}] > bounds[{plan.bounded.index(v)}]" for v in plan.covered[i]]
-    if not misses and list(first) == sorted(first):
-        return None
-    key = project("t", [first[v] for v in sorted(first)], len(plan.atoms[i].args))
-    return f"None if {' or '.join(misses)} else {key}" if misses else key
+    return " or ".join(misses) or None, project("t", [first[v] for v in sorted(first)], len(plan.atoms[i].args))
 
 
 def plan_sources(plan: QueryPlan, s: SemiringDescriptor) -> Tuple[str, str]:
@@ -284,8 +283,8 @@ def _scan(plan: QueryPlan, nid: int, s: SemiringDescriptor) -> List[str]:
     stored node ``n`` = ``nid``: its database entries themselves for a leaf
     whose tuples are their own keys (``leaf_key``), and otherwise one loop
     that reads the relation of the nearest stored node below, or a leaf's
-    entries, each re-keyed by the leaf's key expression and dropped under
-    the key None.  Each streamed 2-child node on the way up, and ``nid``
+    entries, each dropped when it fails the leaf's test and then re-keyed
+    by the leaf's key.  Each streamed 2-child node on the way up, and ``nid``
     itself when it is one, looks the row's tuple up in its second child's
     relation, lowest first: the row is dropped when the lookup misses or
     the product of the annotations is zero.  A row that passes is stored,
@@ -304,13 +303,12 @@ def _scan(plan: QueryPlan, nid: int, s: SemiringDescriptor) -> List[str]:
         m = c1  # the guard child carries m's variables, so the row keeps its tuple
     width = len(plan.order[m])
     from_leaf = m == nid or m not in plan.stored
-    key = leaf_key(plan, m) if from_leaf else None
+    miss, key = leaf_key(plan, m) if from_leaf else (None, "t")
     r = f"r{nid}"
-    if not children and key is None:
+    if not children and (miss, key) == (None, "t"):
         return [f"{r} = state.relations[{nid}] = entries[{nid}]"]
-    body = [f"t = {key}"] if key else []
-    if key and key.startswith("None if "):
-        body += ["if t is None:", "    continue"]
+    body = [f"if {miss}:", "    continue"] if miss else []
+    body += [f"t = {key}"] if key != "t" else []
     product = s.expr("mul", "k", "x")
     for c in reversed(probes):  # the lowest join multiplies first
         body += [f"x = r{c}.get({project('t', plan.positions[c], width)})"]

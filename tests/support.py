@@ -713,7 +713,8 @@ def reference_relation(
     node = plan.nodes[nid]
     out: Dict[DataTuple, Value] = {}
     if node.is_leaf:
-        key = compile_source(f"def key(t, bounds):\n    return {leaf_key(plan, nid) or 't'}\n", "key")
+        miss, key = leaf_key(plan, nid)
+        key = compile_source(f"def key(t, bounds):\n    return {f'None if {miss} else {key}' if miss else key}\n", "key")
         for t, k in state.db.relation(plan.atoms[node.atom_index].symbol).entries.items():
             kt = key(t, state.bounds)
             if kt is not None:

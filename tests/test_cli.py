@@ -355,10 +355,13 @@ def test_plan_json_reports_the_leaf_keys(tmp_path, capsys):
     plan = build_fc_plan(query)
     keys = {n: leaf_key(plan, n) for n in plan.nodes if plan.nodes[n].is_leaf}
     labels = {n["id"]: n["label"] for n in report["nodes"]}
-    assert sorted(labels[n] for n, key in keys.items() if key is not None) == ["R(x, x)", "R(x, y)"]
-    # the loop that reads a keyed leaf's entries writes its key expression
-    for n, key in keys.items():
-        assert (f"in entries[{n}].items():\n        t = {key}\n" in report["build"]) == (key is not None)
+    assert sorted(labels[n] for n, key in keys.items() if key != (None, "t")) == ["R(x, x)", "R(x, y)"]
+    assert keys[min(keys)] == ("t[1] > bounds[0]", "t")  # R(x,y) is tested, not re-keyed
+    # the loop that reads a keyed leaf's entries writes its test, then its key
+    for n, (miss, key) in keys.items():
+        lines = ([f"if {miss}:", "    continue"] if miss else []) + ([f"t = {key}"] if key != "t" else [])
+        loop = f"in entries[{n}].items():\n" + "".join(f"        {line}\n" for line in lines)
+        assert (loop in report["build"]) == bool(lines)
     assert "keys" not in report
 
 
@@ -386,6 +389,42 @@ def test_dyn_with_verify(tmp_path, dbdir, capsys):
     assert main(["dyn", "--query", q, "--db", str(dbdir), "--updates", ups, "--verify"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert sorted(out) == ["1,5"]
+
+
+@pytest.mark.parametrize("semiring", ["natural", "real"])
+def test_dyn_verify_over_a_self_join_with_later_identity_leaves(tmp_path, capsys, semiring):
+    from deltaenum.kdata import apply_update, load_database, parse_update_script
+    from deltaenum.oracle import oracle_eval_cq
+    from deltaenum.query import parse_query
+    from deltaenum.semiring import builtin_semiring
+
+    # R(y,x) is R's first leaf in postorder, so each R(x,y) has a copy of
+    # R's entries, which its own path writes
+    text = "H(x,y) :- R(y,x), U(x), R(x,y), R(x,y)."
+    q = write(tmp_path / "q.cq", text)
+    data = tmp_path / "db"
+    data.mkdir()
+    (data / "vocab.json").write_text(json.dumps({"relations": {"R": 2, "U": 1}, "constants": {}}))
+    (data / "R.csv").write_text("1,2,1\n2,1,2\n2,2,3\n3,1,1\n")
+    (data / "U.csv").write_text("1,1\n2,3\n")
+    # quarters keep every real sum and product exact in any order
+    values = [1, 2, 3] if semiring == "natural" else [-1.5, -0.25, 0.5, 2.0]
+    rng = random.Random(3501)
+    lines = []
+    for _ in range(48):
+        symbol = rng.choice("RRU")
+        t = " ".join(str(rng.randint(1, 3)) for _ in range(2 if symbol == "R" else 1))
+        lines.append(f"+ {symbol} {t} {rng.choice(values)}" if rng.random() < 0.6 else f"- {symbol} {t}")
+    ups = write(tmp_path / "u.ups", "".join(line + "\n" for line in lines))
+    argv = ["dyn", "--query", q, "--db", str(data), "--updates", ups, "--semiring", semiring, "--verify"]
+    assert main(argv) == 0
+    s = builtin_semiring(semiring)
+    db = load_database(data / "vocab.json", data, s)
+    for u in parse_update_script(ups, s):
+        apply_update(db, u)
+    want = oracle_eval_cq(parse_query(text), db).entries
+    assert want
+    assert sorted(capsys.readouterr().out.splitlines()) == sorted(",".join([*map(str, t), s.format(v)]) for t, v in want.items())
 
 
 def test_dyn_verify_compares_the_preprocessed_state(tmp_path, dbdir, monkeypatch, capsys):
@@ -929,16 +968,17 @@ def test_plan_json_reports_the_update_paths(tmp_path, capsys):
         symbol: [n for n in plan.postorder() if plan.nodes[n].is_leaf and plan.atoms[plan.nodes[n].atom_index].symbol == symbol]
         for symbol in ("R", "S")
     }
-    # R(x,x) is the one leaf keyed, and its path writes its key
+    # R(x,x) is the one leaf keyed, and its path writes its test and key
     keys = {n: leaf_key(plan, n) for ns in leaves.values() for n in ns}
-    (keyed,) = [n for n, key in keys.items() if key is not None]
+    (keyed,) = [n for n, key in keys.items() if key != (None, "t")]
     assert plan.atoms[plan.nodes[keyed].atom_index].args == ("x", "x")
     # one update step per symbol, with one path per leaf of the symbol
     natural = builtin_semiring("natural")
     assert report["updates"] == {s: update_source(plan, s, natural) for s in leaves}
     assert report["updates"]["R"].count("def make(") == 1
     assert [report["updates"]["R"].count(f"def path{n}(") for n in leaves["R"]] == [1, 1]
-    assert report["updates"]["R"].count(f"k{keyed} = {keys[keyed]}\n") == 1
+    miss, key = keys[keyed]
+    assert report["updates"]["R"].count(f"if {miss}:\n            return\n        k{keyed} = {key}\n") == 1
     # the step checks a tuple of R's arity
     assert "if len(t) != 2 or t[0] < 1 or t[1] < 1:" in report["updates"]["R"]
     assert "if len(t) != 1 or t[0] < 1:" in report["updates"]["S"]
@@ -996,11 +1036,12 @@ def test_plan_json_prints_what_preprocessing_compiles(tmp_path, capsys, monkeypa
         # preprocessing compiles exactly the printed sources: the walk, the
         # build and then, symbol by symbol, the update step
         assert compiled == [report["walk"], report["build"], *report.get("updates", {}).values()], q.to_text()
-        # every key expression is written inline in a compiled source
+        # every test and key is written inline in a compiled source
         plan = state.plan
         keys = [static_engine.leaf_key(plan, n) for n in plan.nodes if plan.nodes[n].is_leaf]
-        keys = [key for key in keys if key is not None]
-        assert all(any(f" = {key}\n" in source for source in compiled) for key in keys), q.to_text()
+        keys = [key for key in keys if key != (None, "t")]
+        lines = [f"if {miss}:\n" for miss, _ in keys if miss] + [f" = {key}\n" for _, key in keys if key != "t"]
+        assert all(any(line in source for source in compiled) for line in lines), q.to_text()
         assert compile_source(report["walk"], "walk") is state.walk
         # the build of a guarded plan also counts the members of each stored
         # projection

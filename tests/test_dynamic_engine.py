@@ -583,9 +583,10 @@ def leaf_paths(update):
 def assert_paths_hold_the_states_own_dicts(state):
     """One compiled update step per relation symbol of the plan, over the
     symbol's database entries, calling one path per plan leaf of that
-    symbol; every dict a path closes over is one of the state's own.  A
-    leaf whose tuples are their own keys has the database's entries as its
-    relation; any other leaf's path holds its relation."""
+    symbol; every dict a path closes over is one of the state's own.  The
+    first leaf of a symbol in postorder, when its tuples are their own keys,
+    has the database's entries as its relation; any other leaf's path holds
+    its relation."""
     plan = state.plan
     own = {
         id(d)
@@ -601,7 +602,7 @@ def assert_paths_hold_the_states_own_dicts(state):
         for leaf, path in paths.items():
             held = [v for v in closure(path).values() if isinstance(v, dict)]
             assert {id(d) for d in held} <= own
-            if leaf_key(plan, leaf) is None:
+            if leaf == leaves[0] and leaf_key(plan, leaf) == (None, "t"):
                 assert state.relations[leaf] is entries
             else:
                 assert any(d is state.relations[leaf] for d in held)
@@ -649,7 +650,7 @@ def test_generated_paths_over_a_seeded_stream(text, sname):
     plan = state.plan
     if text == TWO_KEYED_LEAVES:
         leaves = leaves_by_symbol(plan)["R"]
-        assert len(leaves) == 2 and all(leaf_key(plan, n) is not None for n in leaves)
+        assert len(leaves) == 2 and all(leaf_key(plan, n) != (None, "t") for n in leaves)
     else:
         assert any(len(plan.nodes[n].children) == 2 for n in set(plan.nodes) - plan.connex)
 
@@ -666,28 +667,45 @@ def test_generated_paths_over_a_seeded_stream(text, sname):
 
 
 # three leaves of R: R(y,x), keyed by a reorder, then the two R(x,y), whose
-# relation is the database's entries
+# tuples are their own keys
 SELF_JOIN_3 = "H(x,y) :- R(y,x), U(x), R(x,y), R(x,y)."
 
 
-def test_a_later_sibling_read_as_old_ends_the_enter_chain():
+def test_a_later_identity_leaf_writes_a_relation_of_its_own():
     plan = build_guarded_plan(parse_query(SELF_JOIN_3))
     assert leaves_by_symbol(plan)["R"] == [0, 3, 2] and plan.nodes[5].children == [4, 2]
     source = update_sources(plan, NAT)["R"]
-    # leaf 3 enters c4 with leaf 0; its sibling under node 5, leaf 2, reads
-    # as before the update, absent when old is None and present otherwise;
-    # node 5, under the projection node 6, keeps no candidate set
+    # leaf 3 writes its own relation r3, enters c4 with leaf 0, which its
+    # path updated before, and looks the tuple up in r2, leaf 2's own dict,
+    # which its path updates after; node 5, under the projection node 6,
+    # keeps no candidate set
     path3 = source[source.index("    def path3("):source.index("    def path2(")]
     assert path3 == """    def path3(t, old, new):
+        if new is None:
+            del r3[t]
+        else:
+            r3[t] = new
         if old is None:
             if t not in r0:
                 return
             c4[t] = True
-            return
+            if t not in r2:
+                return
+            k6 = (t[0],)
+            b = g5.get(k6)
+            if b is not None:
+                b[t] = True
+                return
+            g5[k6] = {t: True}
+            if k6 not in r1:
+                return
+            c7[k6] = True
         elif new is None:
             if t not in r0:
                 return
             del c4[t]
+            if t not in r2:
+                return
             k6 = (t[0],)
             b = g5[k6]
             del b[t]
@@ -703,20 +721,20 @@ def test_a_later_sibling_read_as_old_ends_the_enter_chain():
     assert "path0(t, old, None)\n            path3(t, old, None)\n            path2(t, old, None)\n" in source
 
 
-def test_a_leaf_key_is_tested_for_none_only_when_it_can_be_none():
+def test_a_leaf_is_tested_only_when_a_tuple_can_fail_its_atom():
     # R(y,x) only reorders its tuple; R(x,x) repeats x and S(x,y,z) covers z <= c
     q = parse_query("H(x,y) :- R(y,x), R(x,x), S(x,y,z), z <= c.")
     plan = build_guarded_plan(q)
     keys = {n: leaf_key(plan, n) for ns in leaves_by_symbol(plan).values() for n in ns}
-    assert sorted(key.startswith("None if ") for key in keys.values()) == [False, True, True]
+    assert set(keys.values()) == {(None, "(t[1], t[0])"), ("t[1] != t[0]", "(t[0],)"), ("t[2] > bounds[0]", "t")}
     build = plan_sources(plan, NAT)[1]
     updates = "".join(update_sources(plan, NAT).values())
-    for n, key in keys.items():
-        can_be_none = key.startswith("None if ")
-        assert f"t = {key}\n" in build
-        assert (f"t = {key}\n        if t is None:\n" in build) == can_be_none
-        assert (f"k{n} = {key}\n        if k{n} is None:\n" in updates) == can_be_none
-        assert f"k{n} = {key}\n" in updates
+    for n, (miss, key) in keys.items():
+        # the scan and the path each test a tuple, then re-key it
+        lines = ([f"if {miss}:", "    continue"] if miss else []) + ([f"t = {key}"] if key != "t" else [])
+        assert f"in entries[{n}].items():\n" + "".join(f"        {line}\n" for line in lines) in build
+        lines = ([f"if {miss}:", "    return"] if miss else []) + ([f"k{n} = {key}"] if key != "t" else [])
+        assert f"def path{n}(t, old, new):\n" + "".join(f"        {line}\n" for line in lines) in updates
     rng = random.Random(2411)
     db = random_db_for_query(rng, q, NAT, max_tuples=12, domain=3)
     state = dyn_preprocess(q, db)
@@ -757,7 +775,7 @@ def test_no_query_text_reaches_the_update_paths():
     assert verify_dynamic_invariants(state) == []
     # state(r, new) and bounds(r, bounds) are out of sorted order, state(r, r)
     # repeats r, and import(r, new, z) and bounds(r, bounds) cover an inequality
-    assert sum(leaf_key(plan, n) is not None for n in leaves) == 4
+    assert sum(leaf_key(plan, n) != (None, "t") for n in leaves) == 4
     for s in SEMIRINGS:
         sources = list(update_sources(plan, s).values())
         assert sources == list(update_sources(plain_plan, s).values())
@@ -924,44 +942,55 @@ def test_a_rejected_update_raises_what_apply_update_raises(semiring, updates):
     "text",
     [
         QH,
-        # self-joins: two leaves of R share the database's entries, and the
-        # second and third queries read one of them as the other's 2-child
-        # sibling, the first below the connex region, the others on it
+        # self-joins: the later leaf of R has a copy of the database's
+        # entries, and the second and third queries read it as the earlier
+        # leaf's 2-child sibling, the first below the connex region, the
+        # others on it
         "H(x,y) :- R(x,y), S(x,y), R(x,y).",
         "H(x,y) :- R(x,y), U(x), R(x,y).",
-        # a keyed leaf of R whose sibling is R's entries
+        # a keyed first leaf of R, so no leaf of R is its entries
         "H(x,y) :- R(y,x), U(x), R(x,y).",
-        # three leaves of R, whose paths run one after the other, the last
-        # two read by the earlier ones as before the update
+        # three leaves of R, whose paths run one after the other, each
+        # reading the later leaves' copies as before the update
         SELF_JOIN_3,
     ],
 )
 @pytest.mark.parametrize("sname", ["natural", "real"])
-def test_identity_leaves_are_the_databases_entries(text, sname):
+def test_only_the_first_leaf_of_a_symbol_is_its_database_entries(text, sname):
     semiring = builtin_semiring(sname)
     q = parse_query(text)
     rng = random.Random(2401 + len(text) + len(sname))
     db = random_db_for_query(rng, q, semiring, max_tuples=12, domain=3)
 
-    def shared(state):
-        """The stored leaves whose tuples are their own keys, each asserted
-        to hold its symbol's database entries as its relation."""
-        plan = state.plan
-        leaves = [n for n in plan.stored if plan.nodes[n].is_leaf and leaf_key(plan, n) is None]
-        for n in leaves:
-            assert state.relations[n] is db.relations[plan.atoms[plan.nodes[n].atom_index].symbol].entries
-        return leaves
+    def identity_leaves(plan):
+        """The stored leaves whose tuples are their own keys, with their
+        symbol's database entries."""
+        leaves = [n for n in plan.stored if plan.nodes[n].is_leaf and leaf_key(plan, n) == (None, "t")]
+        return {n: db.relations[plan.atoms[plan.nodes[n].atom_index].symbol].entries for n in leaves}
 
-    assert shared(preprocess(q, db))
+    # a static state reads every such leaf off the database's entries
+    static = preprocess(q, db)
+    assert identity_leaves(static.plan)
+    assert all(static.relations[n] is entries for n, entries in identity_leaves(static.plan).items())
     state = dyn_preprocess(q, db)
-    leaves = shared(state)
+    leaves = identity_leaves(state.plan)
+    first = {ns[0] for ns in leaves_by_symbol(state.plan).values()}
     if text != QH:
         assert len(leaves_by_symbol(state.plan)["R"]) == sum(a.symbol == "R" for a in q.relational_atoms) > 1
-    for step in range(200):
-        dyn_update(state, random_update(rng, q, db, semiring, domain=3))
-        assert shared(state) == leaves, step
+        assert set(leaves) - first
+
+    def check(step):
+        # a later leaf's copy equals the entries between updates
+        for n, entries in leaves.items():
+            assert (state.relations[n] is entries) == (n in first), step
+            assert state.relations[n] == entries, step
         assert verify_dynamic_invariants(state) == [], step
         # quarters keep every real sum and product exact in any order
         assert dict(dyn_enumerate(state)) == oracle_eval_cq(q, db).entries, step
+
+    check(None)
+    for step in range(200):
+        dyn_update(state, random_update(rng, q, db, semiring, domain=3))
+        check(step)
     assert list(dyn_enumerate(state))
     assert dict(dyn_enumerate(state)) == dict(enumerate_state(preprocess(q, db.copy())))

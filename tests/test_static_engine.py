@@ -70,7 +70,7 @@ def test_leaf_key_functions(text, keys):
     db = make_db(NAT, {"R": (2, {t: n + 1 for n, t in enumerate(tuples)})}, {"c": 2, "d": 3})
     state = preprocess(q, db)
     (leaf,) = [n for n, node in state.plan.nodes.items() if node.is_leaf]
-    assert (leaf_key(state.plan, leaf) is None) == (keys is None)
+    assert (leaf_key(state.plan, leaf) == (None, "t")) == (keys is None)
     want = {tuples[t]: k for t, k in db.relations["R"].entries.items() if tuples[t] is not None}
     # the scan writes the key inline, and the reference compiles it alone
     assert state.relations[leaf] == reference_relation(state, leaf) == want
@@ -626,13 +626,15 @@ def test_no_query_text_reaches_the_leaf_keys():
         leaves = [n for n in sorted(plan.nodes) if plan.nodes[n].is_leaf]
         keys = {n: leaf_key(plan, n) for n in leaves}
         assert list(keys.values()) == [leaf_key(plain_plan, n) for n in leaves]
-        assert None not in keys.values()
-        for key in keys.values():
-            assert_fixed_names(key, {"t", "bounds"}, r"$^")
+        assert (None, "t") not in keys.values()
+        for miss, key in keys.values():
+            assert_fixed_names(f"{miss} {key}", {"t", "bounds"}, r"$^")
         for s in SEMIRINGS:
             build = plan_sources(plan, s)[1]
-            # each leaf is read by one loop, which writes its key inline
+            # each leaf is read by one loop, which writes its test, then its key, inline
             assert all(build.count(f"entries[{n}]") == 1 for n in keys)
-            assert all(f"in entries[{n}].items():\n        t = {key}\n" in build for n, key in keys.items())
+            for n, (miss, key) in keys.items():
+                lines = ([f"if {miss}:", "    continue"] if miss else []) + ([f"t = {key}"] if key != "t" else [])
+                assert f"in entries[{n}].items():\n" + "".join(f"        {line}\n" for line in lines) in build
             assert build == plan_sources(plain_plan, s)[1]
             assert_fixed_names(build, BUILD_NAMES | TEMPLATE_NAMES, r"[acgr][0-9]+")
