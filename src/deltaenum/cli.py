@@ -13,6 +13,7 @@ closes stdout early.  The benchmark is ``perfbench/run.py``.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import math
@@ -157,6 +158,7 @@ def cmd_eval(args) -> int:
         stream = itertools.islice(oracle_eval_cq(q, db).entries.items(), args.limit)
     else:
         timing["preprocess_s"] = time.perf_counter() - start
+        gc.freeze()
         stream = enumerate_state(state, limit=args.limit)
 
     if args.verify:
@@ -222,6 +224,7 @@ def cmd_dyn(args) -> int:
         except (SchemaError, VocabularyError) as exc:
             raise type(exc)(f"{args.updates}: update {i}: {exc}") from None
     state = dyn_preprocess(q, db)
+    gc.freeze()
     for i, update in enumerate([None, *updates]):  # i = 0: the preprocessed state
         if update is not None:
             dyn_update(state, update)
@@ -289,6 +292,7 @@ def cmd_matlang(args) -> int:
         )
     semiring = builtin_semiring(args.semiring)
     instance = load_matrix_instance(schema, args.data, semiring)
+    gc.freeze()
     result = eval_matlang(query, instance)
     if result.warning:
         print(f"warning: {result.warning}", file=sys.stderr)
@@ -398,6 +402,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         # interpreter exit, to the null device (Python's ``signal`` docs)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    finally:
+        gc.unfreeze()  # eval, enumerate, dyn and matlang eval freeze what they loaded and built
 
 
 if __name__ == "__main__":

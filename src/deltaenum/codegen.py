@@ -11,9 +11,9 @@ templates (``SemiringDescriptor.templates``), which are the only text not
 written by the generator itself; never a symbol of the query or a data
 value.  The function it defines reads everything else off its arguments,
 so one compiled function serves every caller whose source is the same.
-Sources see five names besides the builtins: ``STALE``, ``INSERT``,
-``DELETE``, ``inf``, the tropical zero, and ``isfinite``, which the real
-numbers' ``admits`` calls.
+Sources see six names besides the builtins: ``STALE``, ``StaleStateError``,
+``INSERT``, ``DELETE``, ``inf``, the tropical zero, and ``isfinite``, which
+the real numbers' ``admits`` calls.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 from functools import lru_cache
 from typing import Callable, List, Sequence
 
-from .errors import CapabilityError
+from .errors import CapabilityError, StaleStateError
 
 # the message of the error a walk raises when its state was updated
 STALE = "enumeration cursor invalidated by an update"
@@ -46,17 +46,17 @@ def compile_source(source: str, name: str) -> Callable:
             open_at.append(indent)
             if len(open_at) > MAX_NESTED_BLOCKS:
                 raise CapabilityError(f"the generated {name} nests more than {MAX_NESTED_BLOCKS} loops, which CPython does not compile")
-    namespace = {"STALE": STALE, "INSERT": INSERT, "DELETE": DELETE, "inf": math.inf, "isfinite": math.isfinite}
+    namespace = dict(STALE=STALE, StaleStateError=StaleStateError, INSERT=INSERT, DELETE=DELETE, inf=math.inf, isfinite=math.isfinite)
     exec(compile(source, f"<{name}>", "exec"), namespace)
     return namespace[name]
 
 
 def project(t: str, positions: Sequence[int], width: int) -> str:
-    """The source of the tuple of ``t``'s components at ``positions``: ``t``
-    itself when that is all ``width`` of them."""
+    """The source of the key of ``t``'s components at ``positions`` (``t`` when
+    that is all ``width`` of them): one component's bare value, else a tuple."""
     if tuple(positions) == tuple(range(width)):
         return t
-    return display([f"{t}[{pos}]" for pos in positions])
+    return f"{t}[{positions[0]}]" if len(positions) == 1 else display([f"{t}[{pos}]" for pos in positions])
 
 
 def display(comps: Sequence[str]) -> str:

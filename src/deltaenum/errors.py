@@ -55,6 +55,10 @@ class UnsafeFormulaError(EngineError):
     """A union block that does not bind every head variable."""
 
 
+class StaleStateError(EngineError):
+    """An enumeration cursor resumed after an update to its state."""
+
+
 class ClassificationError(EngineError):
     """The query lacks the structural property the engine requires."""
 

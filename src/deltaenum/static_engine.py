@@ -4,10 +4,8 @@ Preprocessing runs one bottom-up pass over the nodes of the query plan
 below the connex region and on its frontier, whose relations are defined by:
 
 * a leaf holds the atom's relation filtered by repeated-variable matching
-  and by the inequalities the atom covers, and re-keyed by its variables:
-  unless every tuple is its own key, a generated test and key
-  (``leaf_key``) drop and re-key a tuple where the build or update path
-  reads it, with the covered limits read off ``EnumerationState.bounds``;
+  and by the inequalities the atom covers, and re-keyed by its variables
+  (``leaf_key``) where the build or update path reads a tuple;
 * a single-child node aggregates its child by semiring addition over the
   projection (dropping zero sums);
 * a 2-child node intersects the guard child with the smaller-variable child,
@@ -21,10 +19,11 @@ nearest stored node below -- and carries every row up through the lookups
 of the streamed 2-child nodes above it: Yannakakis' bottom-up pass,
 pipelined up to its pipeline breakers (Neumann, VLDB 2011).  One generated
 function per plan, ``build`` (``build_source``), runs these loops in
-postorder as straight-line Python, with its lookups written as tuple
-displays into the relations it built before and the semiring's operators
-written out; a stored leaf whose tuples are their own keys is its database
-entries themselves, not a copy.
+postorder as straight-line Python, with its lookups written out as keys
+into the relations it built before and the semiring's operators written
+out.  A key of one variable is its bare value and any other a tuple
+(``codegen.project``), so only a stored leaf of two or more distinct
+variables in sorted order is its database entries, not a re-keyed copy.
 
 Every query that preprocessing takes has a plan (``planner.build_plan``),
 which also fixes the inequality layout that the sources read; a query
@@ -89,18 +88,18 @@ class EnumerationState:
     semiring: SemiringDescriptor
     db: Database
     # per plan node in ``plan.stored``: its node relation, keyed in
-    # ``plan.order``; a leaf whose tuples are their own keys has the
-    # database's entries, but in a dynamic state only the first leaf of its
-    # symbol in postorder does and a later one has a copy
-    # (``dynamic_engine.dyn_preprocess``); so the database changes only
-    # through ``dynamic_engine.dyn_update`` while a state over it is in use
+    # ``plan.order``, a key of one variable by its value; a leaf whose tuples
+    # are their own keys has the database's entries, but in a dynamic state
+    # only the first leaf of its symbol in postorder does and a later one has
+    # a copy (``dynamic_engine.dyn_preprocess``); so the database changes
+    # only through ``dynamic_engine.dyn_update`` while a state over it is in use
     relations: Dict[int, Dict[DataTuple, Value]] = field(default_factory=dict)
-    # connex navigation structures, whose keys are the tuples that extend to
-    # answers: per connex child of a projection its groups, per 2-child node
-    # at the root or under a 2-child node its candidates (``candidate_set``);
-    # over a free-connex plan a group and the root's candidates map a tuple
-    # to its level's frontier product, other candidates to the guard's value;
-    # over a guarded plan the values are True
+    # connex navigation structures, whose keys, by the same rule, are the
+    # tuples that extend to answers: per connex child of a projection its
+    # groups, per 2-child node at the root or under a 2-child node its
+    # candidates (``candidate_set``); over a free-connex plan a group and the
+    # root's candidates map a tuple to its level's frontier product, other
+    # candidates to the guard's value; over a guarded plan the values are True
     groups: Dict[int, Dict[DataTuple, Dict[DataTuple, object]]] = field(default_factory=dict)
     candidates: Dict[int, Dict[DataTuple, object]] = field(default_factory=dict)
     # per inequality variable of the query, in the order of ``plan.bounded``,
@@ -120,16 +119,16 @@ class EnumerationState:
     # ``dynamic_engine.update_source``, which runs its plan leaves' paths
     paths: Dict[str, Callable[[SingleTupleUpdate], None]] = field(default_factory=dict)
     # bumped by every ``dynamic_engine.dyn_update``; a walk reads it when it
-    # starts and raises ``STALE`` before an answer once it has changed
+    # starts and, on resuming, raises ``StaleStateError`` once it has changed
     version: int = 0
 
 
 def leaf_key(plan: QueryPlan, leaf: int) -> Tuple[Optional[str], str]:
     """The sources ``(miss, key)`` of the plan ``leaf``'s test and key over
     a tuple ``t`` of its relation: ``miss`` holds when the tuple fails its
-    atom, and is None when every tuple matches; ``key`` is ``"t"`` when
-    every tuple is its own key, that is when the atom's variables are
-    distinct and in sorted order.
+    atom, and is None when every tuple matches; ``key`` is ``"t"`` when every
+    tuple is its own key: two or more distinct variables in sorted order (``t``
+    is a tuple at every arity, so one variable's key is ``t[i]``).
 
     A tuple matches its atom when the components at a repeated variable's
     positions are equal and every inequality the atom covers
@@ -146,7 +145,8 @@ def leaf_key(plan: QueryPlan, leaf: int) -> Tuple[Optional[str], str]:
         if j != pos:
             misses.append(f"t[{pos}] != t[{j}]")
     misses += [f"t[{first[v]}] > bounds[{plan.bounded.index(v)}]" for v in plan.covered[i]]
-    return " or ".join(misses) or None, project("t", [first[v] for v in sorted(first)], len(plan.atoms[i].args))
+    key = [first[v] for v in sorted(first)]
+    return " or ".join(misses) or None, f"t[{key[0]}]" if len(key) == 1 else project("t", key, len(plan.atoms[i].args))
 
 
 def plan_sources(plan: QueryPlan, s: SemiringDescriptor) -> Tuple[str, str]:
@@ -342,9 +342,9 @@ def walk_source(plan: QueryPlan, s: SemiringDescriptor) -> str:
     """The source of ``walk(state)``, the generator of the answers of a state
     preprocessed over ``plan`` and the semiring ``s``.
 
-    It nests one ``for`` per level, binding level ``j``'s tuple to ``tj``,
-    then one per free inequality range ``n`` (``plan.ranges``), binding
-    ``in`` from 1 up to its variable's limit in ``state.bounds``.  A level with frontier
+    It nests one ``for`` per level, binding level ``j``'s tuple (the value,
+    at one variable) to ``tj``, then one per free inequality range ``n``
+    (``plan.ranges``), binding ``in`` from 1 up to its limit in ``state.bounds``.  A level with frontier
     annotations ``f1, f2, f3`` multiplies the product so far:
     ``pj = mul(p(j-1), mul(mul(f1, f2), f3))``, from the constant factor
     ``k = state.factor``, each ``mul`` written through the semiring's
@@ -352,8 +352,8 @@ def walk_source(plan: QueryPlan, s: SemiringDescriptor) -> str:
     level reads ``tj`` with ``vj = mul(mul(f1, f2), f3)`` off the dict it
     iterates (``build_source``); over a guarded plan it looks each ``fi``
     up in its frontier relation.
-    The innermost loop checks ``state.version`` and yields the head, read
-    off the tuples and ranges, with the product.  Besides the templates,
+    The innermost loop yields the head, read off the tuples and ranges, and
+    the product, then checks ``state.version``.  Besides the templates,
     only fixed names and integer literals are written, no symbol of the
     query.
     """
@@ -361,7 +361,7 @@ def walk_source(plan: QueryPlan, s: SemiringDescriptor) -> str:
     place: Dict[str, str] = {}  # variable -> the expression of its value
     for j, level in enumerate(levels):
         for pos, v in enumerate(level.order):
-            place.setdefault(v, f"t{j}[{pos}]")
+            place.setdefault(v, project(f"t{j}", [pos], len(level.order)))
     place.update((v, f"i{n}") for n, v in enumerate(ranges))
     comps = [place[v] for v in plan.query.head_vars]
     head = display(comps)
@@ -399,7 +399,7 @@ def walk_source(plan: QueryPlan, s: SemiringDescriptor) -> str:
                 p_new = f"p{j}"
             p = p_new  # the innermost level's is read once, in the yield
     loops += [f"for i{n} in range(1, bounds[{plan.bounded.index(v)}] + 1):" for n, v in enumerate(ranges)]
-    loops += ["if state.version != version:", "    raise RuntimeError(STALE)", f"yield {head}, {p}"]
+    loops += [f"yield {head}, {p}", "if state.version != version:", "    raise StaleStateError(STALE)"]
     lines = ["def walk(state):", "    k = state.factor", "    mul, is_zero = state.semiring.mul, state.semiring.is_zero"]
     lines += [f"    if {s.expr('is_zero', 'k')}:", "        return"]
     lines += ["    " + line for line in hoists]

@@ -701,6 +701,16 @@ def verify_plan(plan: QueryPlan, free: Iterable[str]) -> List[str]:
 # Node relations by their defining equations
 # ---------------------------------------------------------------------------
 
+def node_key(t, positions: Iterable[int], width: int):
+    """The key of the components at ``positions`` of the node tuple ``t`` of
+    ``width`` variables, under the engines' rule (``codegen.project``): a
+    key of one variable is the bare value and any other is a tuple, so a
+    ``t`` of width 1 is its value."""
+    comps = (t,) if width == 1 else t
+    key = tuple(comps[i] for i in positions)
+    return key[0] if len(key) == 1 else key
+
+
 def reference_relation(
     state: EnumerationState, nid: int, stored: Optional[Dict[int, Dict[DataTuple, Value]]] = None
 ) -> Dict[DataTuple, Value]:
@@ -723,13 +733,14 @@ def reference_relation(
     stored = stored or {}
     rels = [stored[c] if c in stored else reference_relation(state, c, stored) for c in node.children]
     positions = plan.positions[node.children[-1]]  # a projection's, or the lookup's
+    width = len(plan.order[node.children[0]])
     if len(rels) == 1:
         for t, k in rels[0].items():
-            kt = tuple(t[i] for i in positions)
+            kt = node_key(t, positions, width)
             out[kt] = s.add(out[kt], k) if kt in out else k
         return {t: k for t, k in out.items() if not s.is_zero(k)}
     for t, k in rels[0].items():
-        other = rels[1].get(tuple(t[i] for i in positions))
+        other = rels[1].get(node_key(t, positions, width))
         if other is not None:
             k = s.mul(k, other)
             if not s.is_zero(k):
@@ -781,13 +792,17 @@ def reference_connex(state):
     tops = {level.nodes[0]: level for level in plan.levels}
 
     def key(c, t):
-        return tuple(t[i] for i in plan.positions[c])
+        # the key of ``c``'s projection edge, or of its lookup, over the
+        # guard's tuple ``t``: either way of the first child of ``c``'s parent
+        guard = plan.nodes[plan.nodes[c].parent].children[0]
+        return node_key(t, plan.positions[c], len(plan.order[guard]))
 
     def product(top, t):
         # over a free-connex plan, the frontier product of the level of ``top``
         if plan.guarded:
             return True
-        factors = [state.relations[f][tuple(t[i] for i in pos)] for f, pos in tops[top].frontier]
+        width = len(tops[top].order)
+        factors = [state.relations[f][node_key(t, pos, width)] for f, pos in tops[top].frontier]
         return reduce(s.mul, factors) if factors else True
 
     sets, candidates, groups, accs = {}, {}, {}, {}

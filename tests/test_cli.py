@@ -10,6 +10,7 @@ import pytest
 
 import deltaenum
 from deltaenum.cli import main
+from deltaenum.semiring import BUILTIN_SEMIRING_NAMES, builtin_semiring
 
 
 def write(path, text):
@@ -346,7 +347,7 @@ def test_plan_json_reports_the_leaf_keys(tmp_path, capsys):
     from deltaenum.query import parse_query
     from deltaenum.static_engine import leaf_key
 
-    # R(x,y) covers y <= c and R(x,x) repeats x; S(x) is its own key
+    # R(x,y) covers y <= c and R(x,x) repeats x; S(x)'s key is its one value
     text = "H(x,y) :- R(x,y), R(x,x), S(x), y <= c."
     q = write(tmp_path / "q.cq", text)
     assert main(["plan", q, "--json"]) == 0
@@ -355,8 +356,9 @@ def test_plan_json_reports_the_leaf_keys(tmp_path, capsys):
     plan = build_fc_plan(query)
     keys = {n: leaf_key(plan, n) for n in plan.nodes if plan.nodes[n].is_leaf}
     labels = {n["id"]: n["label"] for n in report["nodes"]}
-    assert sorted(labels[n] for n, key in keys.items() if key != (None, "t")) == ["R(x, x)", "R(x, y)"]
+    assert sorted(labels[n] for n, key in keys.items() if key != (None, "t")) == ["R(x, x)", "R(x, y)", "S(x)"]
     assert keys[min(keys)] == ("t[1] > bounds[0]", "t")  # R(x,y) is tested, not re-keyed
+    assert [key for n, key in keys.items() if labels[n] == "S(x)"] == [(None, "t[0]")]  # re-keyed, not tested
     # the loop that reads a keyed leaf's entries writes its test, then its key
     for n, (miss, key) in keys.items():
         lines = ([f"if {miss}:", "    continue"] if miss else []) + ([f"t = {key}"] if key != "t" else [])
@@ -968,10 +970,12 @@ def test_plan_json_reports_the_update_paths(tmp_path, capsys):
         symbol: [n for n in plan.postorder() if plan.nodes[n].is_leaf and plan.atoms[plan.nodes[n].atom_index].symbol == symbol]
         for symbol in ("R", "S")
     }
-    # R(x,x) is the one leaf keyed, and its path writes its test and key
+    # R(x,x) is R's one leaf keyed, and its path writes its test and key;
+    # S(x)'s key is its one value, which its path writes untested
     keys = {n: leaf_key(plan, n) for ns in leaves.values() for n in ns}
-    (keyed,) = [n for n, key in keys.items() if key != (None, "t")]
+    (keyed,) = [n for n in leaves["R"] if keys[n] != (None, "t")]
     assert plan.atoms[plan.nodes[keyed].atom_index].args == ("x", "x")
+    assert [keys[n] for n in leaves["S"]] == [(None, "t[0]")]
     # one update step per symbol, with one path per leaf of the symbol
     natural = builtin_semiring("natural")
     assert report["updates"] == {s: update_source(plan, s, natural) for s in leaves}
@@ -979,6 +983,7 @@ def test_plan_json_reports_the_update_paths(tmp_path, capsys):
     assert [report["updates"]["R"].count(f"def path{n}(") for n in leaves["R"]] == [1, 1]
     miss, key = keys[keyed]
     assert report["updates"]["R"].count(f"if {miss}:\n            return\n        k{keyed} = {key}\n") == 1
+    assert f"def path{leaves['S'][0]}(t, old, new):\n        k{leaves['S'][0]} = t[0]\n" in report["updates"]["S"]
     # the step checks a tuple of R's arity
     assert "if len(t) != 2 or t[0] < 1 or t[1] < 1:" in report["updates"]["R"]
     assert "if len(t) != 1 or t[0] < 1:" in report["updates"]["S"]
@@ -1081,3 +1086,95 @@ def test_a_closed_stdout_ends_plan_cleanly(tmp_path):
     q = write(tmp_path / "q.cq", "H(x) :- " + ", ".join(f"R{i}(x,y{i})" for i in range(40)) + ".")
     code, err = _closed_early(tmp_path, ["plan", q, "--json", "--guarded"])
     assert "Traceback" not in err and code == 141, err
+
+
+# every stored node of this query's plans, free-connex or guarded, but
+# T(x,y)'s leaf, and their one level have the one variable x, so their keys
+# are bare values, and the head is unary
+UNARY = "H(x) :- R(x), S(x,x), T(x,y), x <= c."
+
+
+@pytest.mark.parametrize("semiring", BUILTIN_SEMIRING_NAMES)
+def test_a_query_whose_every_key_is_one_value_agrees_with_the_oracle(tmp_path, capsys, semiring):
+    from deltaenum.kdata import apply_update, load_database, parse_update_script
+    from deltaenum.oracle import oracle_eval_cq
+    from deltaenum.planner import build_fc_plan, build_guarded_plan
+    from deltaenum.query import parse_query
+
+    from support import sample
+
+    query = parse_query(UNARY)
+    plans = [build_fc_plan(query), build_guarded_plan(query)]
+    for plan in plans:
+        assert [level.order for level in plan.levels] == [("x",)]
+        assert all(plan.order[n] == ("x",) for n in plan.stored if plan.nodes[n].atom_index != 2)
+    s = builtin_semiring(semiring)
+    rng = random.Random(3600 + len(semiring))
+
+    def value():  # a nonzero annotation, exact under every order of sums
+        v = sample(s, rng)
+        return value() if s.is_zero(v) else s.format(v)
+
+    data = tmp_path / "db"
+    data.mkdir()
+    (data / "vocab.json").write_text(json.dumps({"relations": {"R": 1, "S": 2, "T": 2}, "constants": {"c": 4}}))
+    arities = {"R": 1, "S": 2, "T": 2}
+    for symbol, arity in arities.items():
+        rows = {tuple(rng.randint(1, 5) for _ in range(arity)) for _ in range(12)}
+        rows |= {(a,) * arity for a in range(1, 6)}  # S(a,a) matches its atom
+        (data / f"{symbol}.csv").write_text("".join(",".join([*map(str, t), value()]) + "\n" for t in sorted(rows)))
+    lines = []
+    for _ in range(40):
+        symbol = rng.choice(sorted(arities))
+        t = " ".join(str(rng.randint(1, 5)) for _ in range(arities[symbol]))
+        lines.append(f"+ {symbol} {t} {value()}" if rng.random() < 0.6 else f"- {symbol} {t}")
+    for symbol, t in [("R", "1"), ("S", "1 1"), ("T", "1 2")]:  # so that x = 1 is an answer
+        lines += [f"- {symbol} {t}", f"+ {symbol} {t} {value()}"]
+    ups = write(tmp_path / "u.ups", "".join(line + "\n" for line in lines))
+    q = write(tmp_path / "q.cq", UNARY)
+
+    def expected(db):
+        want = oracle_eval_cq(query, db).entries
+        assert want and all(len(t) == 1 for t in want)
+        return sorted(",".join([*map(str, t), s.format(v)]) for t, v in want.items())
+
+    db = load_database(data / "vocab.json", data, s)
+    for command, flags in [("eval", ["--verify"]), ("enumerate", [])]:
+        assert main([command, "--query", q, "--db", str(data), "--semiring", semiring, *flags]) == 0
+        assert sorted(capsys.readouterr().out.splitlines()) == expected(db)
+    argv = ["dyn", "--query", q, "--db", str(data), "--updates", ups, "--semiring", semiring, "--verify"]
+    if not s.sum_maintainable:
+        # dyn refuses the semiring, as it does for every query
+        assert main(argv) == 1 and "sum-maintainable" in capsys.readouterr().err
+        return
+    assert main(argv) == 0
+    for u in parse_update_script(ups, s):
+        apply_update(db, u)
+    assert sorted(capsys.readouterr().out.splitlines()) == expected(db)
+
+
+def test_the_cli_freezes_what_preprocessing_built(tmp_path, dbdir, monkeypatch, capsys):
+    import gc
+
+    from deltaenum import static_engine
+
+    # at the first answer of eval --verify no dict of the state is left to a
+    # collection, and main leaves the collector's freeze count as it was
+    enumerate_state = static_engine.enumerate_state
+    seen = []
+
+    def spy(state, limit=None):
+        for answer in enumerate_state(state, limit):
+            if not seen:
+                tracked = {id(o) for o in gc.get_objects()}
+                dicts = [*state.relations.values(), *state.candidates.values(), *state.groups.values()]
+                dicts += [g for grp in state.groups.values() for g in grp.values()]
+                seen.append(any(map(gc.is_tracked, dicts)) and not any(id(d) in tracked for d in dicts))
+            yield answer
+
+    monkeypatch.setattr(static_engine, "enumerate_state", spy)
+    q = write(tmp_path / "q.cq", "H(x,y) :- R(x,y), S(y).")
+    frozen = gc.get_freeze_count()
+    assert main(["eval", "--query", q, "--db", str(dbdir), "--verify"]) == 0
+    assert capsys.readouterr().out and seen == [True]
+    assert gc.get_freeze_count() == frozen

@@ -14,7 +14,7 @@ from deltaenum.dynamic_engine import (
     dyn_update,
     update_sources,
 )
-from deltaenum.errors import CapabilityError, ClassificationError, EngineError, SchemaError, VocabularyError
+from deltaenum.errors import CapabilityError, ClassificationError, EngineError, SchemaError, StaleStateError, VocabularyError
 from deltaenum.kdata import SingleTupleUpdate, apply_update
 from deltaenum.oracle import oracle_eval_cq
 from deltaenum.planner import build_fc_plan, build_guarded_plan
@@ -23,7 +23,9 @@ from deltaenum.semiring import BUILTIN_SEMIRING_NAMES, SemiringDescriptor, built
 from deltaenum.static_engine import enumerate_state, leaf_key, plan_sources, preprocess, preprocess_with_plan
 
 from support import (
+    corpus_rng,
     equal_answers,
+    node_key,
     random_db_for_query,
     random_q_hierarchical_cq,
     random_update,
@@ -32,9 +34,11 @@ from support import (
 from test_static_engine import (
     JOIN,
     JOIN_DB,
+    ONE_TUPLE,
     TWO_FACTORS,
     VOCABULARY_MISMATCHES,
     in_tenths,
+    unary_nodes,
     SEMIRINGS,
     TEMPLATE_NAMES,
     assert_fixed_names,
@@ -52,10 +56,10 @@ def test_dyn_preprocess_filtered_projection():
     db = make_db(NAT, {"A": (2, {(1, 2): 2, (1, 3): 1}), "U": (1, {(1,): 4})})
     state = dyn_preprocess(q, db)
     # the projection node above A counts its 2 members and stores their sum
-    # 2+1 as its relation
+    # 2+1 as its relation, under the key x = 1, the bare value
     (nid, counts), = state.accs.items()
-    assert counts == {(1,): 2}
-    assert state.relations[nid] == {(1,): 3}
+    assert counts == {1: 2}
+    assert state.relations[nid] == {1: 3}
     assert dict(dyn_enumerate(state)) == {(1,): 12}
     assert verify_dynamic_invariants(state) == []
 
@@ -114,8 +118,8 @@ def test_dyn_update_insert_example():
     state = dyn_preprocess(q, db)
     dyn_update(state, SingleTupleUpdate("insert", "A", (1, 5), 1))
     (nid, counts), = state.accs.items()
-    assert counts == {(1,): 3}
-    assert state.relations[nid] == {(1,): 4}
+    assert counts == {1: 3}
+    assert state.relations[nid] == {1: 4}
     assert dict(dyn_enumerate(state)) == {(1,): 16}
     assert verify_dynamic_invariants(state) == []
 
@@ -173,7 +177,7 @@ def test_dyn_cursor_invalidation():
         next(cursor)
     dyn_update(state, SingleTupleUpdate("insert", "A", (9,), 1))
     for cursor in cursors:
-        with pytest.raises(RuntimeError):
+        with pytest.raises(StaleStateError):
             list(cursor)
 
 
@@ -190,7 +194,7 @@ def test_dyn_scan_cursor_invalidation_without_a_size_change(update):
     cursor = dyn_enumerate(state)
     next(cursor)
     dyn_update(state, update)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(StaleStateError):
         list(cursor)
 
 
@@ -236,7 +240,7 @@ def test_dyn_cursor_invalidation_inside_levels(text, relations, update):
     next(cursor)
     next(cursor)  # inside the last level
     dyn_update(state, update)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(StaleStateError):
         list(cursor)
 
 
@@ -532,7 +536,7 @@ def test_one_pass_dynamic_state_equals_the_static_preprocess(text):
         c = plan.nodes[nid].children[0]
         groups = {}
         for t, k in state.relations[c].items():
-            groups.setdefault(tuple(t[i] for i in plan.positions[c]), []).append(k)
+            groups.setdefault(node_key(t, plan.positions[c], len(plan.order[c])), []).append(k)
         # one count per group, of its child tuples; the group's sum in child
         # order is the parent's value, or a zero that the parent drops
         assert counts == {key: len(ks) for key, ks in groups.items()}
@@ -678,7 +682,7 @@ def test_a_later_identity_leaf_writes_a_relation_of_its_own():
     # leaf 3 writes its own relation r3, enters c4 with leaf 0, which its
     # path updated before, and looks the tuple up in r2, leaf 2's own dict,
     # which its path updates after; node 5, under the projection node 6,
-    # keeps no candidate set
+    # keeps no candidate set; node 6's key is x, the bare value
     path3 = source[source.index("    def path3("):source.index("    def path2(")]
     assert path3 == """    def path3(t, old, new):
         if new is None:
@@ -691,7 +695,7 @@ def test_a_later_identity_leaf_writes_a_relation_of_its_own():
             c4[t] = True
             if t not in r2:
                 return
-            k6 = (t[0],)
+            k6 = t[0]
             b = g5.get(k6)
             if b is not None:
                 b[t] = True
@@ -706,7 +710,7 @@ def test_a_later_identity_leaf_writes_a_relation_of_its_own():
             del c4[t]
             if t not in r2:
                 return
-            k6 = (t[0],)
+            k6 = t[0]
             b = g5[k6]
             del b[t]
             if b:
@@ -726,7 +730,7 @@ def test_a_leaf_is_tested_only_when_a_tuple_can_fail_its_atom():
     q = parse_query("H(x,y) :- R(y,x), R(x,x), S(x,y,z), z <= c.")
     plan = build_guarded_plan(q)
     keys = {n: leaf_key(plan, n) for ns in leaves_by_symbol(plan).values() for n in ns}
-    assert set(keys.values()) == {(None, "(t[1], t[0])"), ("t[1] != t[0]", "(t[0],)"), ("t[2] > bounds[0]", "t")}
+    assert set(keys.values()) == {(None, "(t[1], t[0])"), ("t[1] != t[0]", "t[0]"), ("t[2] > bounds[0]", "t")}
     build = plan_sources(plan, NAT)[1]
     updates = "".join(update_sources(plan, NAT).values())
     for n, (miss, key) in keys.items():
@@ -774,13 +778,29 @@ def test_no_query_text_reaches_the_update_paths():
     assert dict(dyn_enumerate(state)) == oracle_eval_cq(q, db).entries
     assert verify_dynamic_invariants(state) == []
     # state(r, new) and bounds(r, bounds) are out of sorted order, state(r, r)
-    # repeats r, and import(r, new, z) and bounds(r, bounds) cover an inequality
-    assert sum(leaf_key(plan, n) != (None, "t") for n in leaves) == 4
+    # repeats r, import(r, new, z) and bounds(r, bounds) cover an inequality,
+    # and key(r)'s key is its one value
+    assert sum(leaf_key(plan, n) != (None, "t") for n in leaves) == 5
     for s in SEMIRINGS:
         sources = list(update_sources(plan, s).values())
         assert sources == list(update_sources(plain_plan, s).values())
         for source in sources:
             assert_fixed_names(source, UPDATE_NAMES | TEMPLATE_NAMES, r"(path|[acgknorv])[0-9]+")
+
+
+@pytest.mark.parametrize("sname", [n for n in BUILTIN_SEMIRING_NAMES if builtin_semiring(n).sum_maintainable])
+def test_no_update_step_writes_a_key_of_one_variable_as_a_tuple(sname):
+    # the guarded walk and build, and every update step, over self-joins too
+    s = builtin_semiring(sname)
+    rng = corpus_rng(3500 + BUILTIN_SEMIRING_NAMES.index(sname))
+    unary = 0
+    for _ in range(1000):
+        q = random_q_hierarchical_cq(rng, self_join_prob=0.4)
+        plan = build_guarded_plan(q)
+        unary += unary_nodes(plan)
+        for source in [*plan_sources(plan, s), *update_sources(plan, s).values()]:
+            assert not ONE_TUPLE.search(source), (q.to_text(), source)
+    assert unary > 1000  # the corpus keys many nodes by one variable
 
 
 # the integers shifted by -1, a ring whose zero is -1 and whose one is 0, so

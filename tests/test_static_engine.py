@@ -26,7 +26,9 @@ from deltaenum.static_engine import (
 )
 
 from support import (
+    corpus_rng,
     equal_answers,
+    node_key,
     random_db_for_query,
     random_free_connex_cq,
     random_q_hierarchical_cq,
@@ -54,17 +56,18 @@ def make_db(semiring, relations, constants=None):
         # distinct variables in sorted order: every tuple is its own key
         ("H(x,y) :- R(x,y).", None),
         ("H(x,y) :- R(y,x).", {(1, 2): (2, 1), (3, 3): (3, 3)}),
-        ("H(x) :- R(x,x).", {(1, 2): None, (3, 3): (3,)}),
+        ("H(x) :- R(x,x).", {(1, 2): None, (3, 3): 3}),
         ("H(x,y) :- R(x,y), x <= c.", {(1, 3): (1, 3), (3, 1): None}),
-        ("H(x) :- R(x,x), x <= c.", {(1, 1): (1,), (1, 2): None, (3, 3): None}),
+        ("H(x) :- R(x,x), x <= c.", {(1, 1): 1, (1, 2): None, (3, 3): None}),
         # a variable under two constants takes the least, in either order
         ("H(x,y) :- R(x,y), x <= c, x <= d.", {(2, 1): (2, 1), (3, 1): None}),
         ("H(x,y) :- R(x,y), x <= d, x <= c.", {(2, 1): (2, 1), (3, 1): None}),
     ],
 )
 def test_leaf_key_functions(text, keys):
-    # ``keys`` maps each tuple of R to its key, None when it does not match;
-    # without ``keys``, every tuple is its own key
+    # ``keys`` maps each tuple of R to its key, None when it does not match,
+    # and a key of one variable is its value; without ``keys``, every tuple
+    # is its own key
     q = parse_query(text)
     tuples = keys or {(1, 2): (1, 2), (2, 1): (2, 1)}
     db = make_db(NAT, {"R": (2, {t: n + 1 for n, t in enumerate(tuples)})}, {"c": 2, "d": 3})
@@ -74,7 +77,8 @@ def test_leaf_key_functions(text, keys):
     want = {tuples[t]: k for t, k in db.relations["R"].entries.items() if tuples[t] is not None}
     # the scan writes the key inline, and the reference compiles it alone
     assert state.relations[leaf] == reference_relation(state, leaf) == want
-    assert dict(enumerate_state(state)) == want
+    # an answer is a tuple, also of one variable
+    assert dict(enumerate_state(state)) == {(t,) if len(q.head_vars) == 1 else t: k for t, k in want.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +90,7 @@ def test_preprocess_projection_aggregates():
     db = make_db(NAT, {"R": (2, {(1, 2): 2, (1, 3): 1, (4, 4): 5})})
     state = preprocess(q, db)
     root_rel = state.relations[state.plan.root]
-    assert root_rel == {(1,): 3, (4,): 5}
+    assert root_rel == {1: 3, 4: 5}  # a key of one variable is its value
     assert verify_node_invariants(state) == []
 
 
@@ -446,7 +450,9 @@ def reference_walk(state):
     def visit(j, tuples, p):
         if j == len(levels):
             for values in itertools.product(*ranges):
-                row = [x for t in tuples for x in t] + list(values)
+                # a level tuple of one variable is its value
+                row = [x for level, t in zip(levels, tuples) for x in ((t,) if len(level.order) == 1 else t)]
+                row += values
                 out.append((tuple(row[i] for i in head), p))
             return
         level = levels[j]
@@ -454,9 +460,9 @@ def reference_walk(state):
             tuples_here = (state.relations if plan.root in plan.frontier else state.candidates)[plan.root]
         else:
             src = tuples[level.source]
-            tuples_here = state.groups[level.nodes[0]][tuple(src[i] for i in level.key)]
+            tuples_here = state.groups[level.nodes[0]][node_key(src, level.key, len(levels[level.source].order))]
         for t in tuples_here:
-            factors = [state.relations[f][tuple(t[i] for i in pos)] for f, pos in level.frontier]
+            factors = [state.relations[f][node_key(t, pos, len(level.order))] for f, pos in level.frontier]
             k = p
             if factors:
                 f = factors[0]
@@ -524,10 +530,10 @@ def walk(state):
     g1 = state.groups[1]
     for t0, v0 in c3.items():
         p0 = (k * v0)
-        for t1, v1 in g1[(t0[1],)].items():
-            if state.version != version:
-                raise RuntimeError(STALE)
+        for t1, v1 in g1[t0[1]].items():
             yield (t0[0], t0[1], t1[1]), (p0 * v1)
+            if state.version != version:
+                raise StaleStateError(STALE)
 """
 
 
@@ -548,6 +554,30 @@ def test_no_free_connex_walk_looks_up_a_relation_per_answer():
             assert loops.count(".items():") == sum(1 for level in plan.levels if level.frontier), walk
 
 
+# a one-component tuple display of a subscript: a key of one variable built
+# as a 1-tuple, which the key rule (``codegen.project``) never writes
+ONE_TUPLE = re.compile(r"\(\w+\[\d+\],\)")
+
+
+def unary_nodes(plan):
+    """The number of nodes of ``plan`` that have one variable."""
+    return sum(len(order) == 1 for order in plan.order.values())
+
+
+@pytest.mark.parametrize("sname", BUILTIN_SEMIRING_NAMES)
+def test_no_walk_or_build_writes_a_key_of_one_variable_as_a_tuple(sname):
+    s = builtin_semiring(sname)
+    rng = corpus_rng(3400 + BUILTIN_SEMIRING_NAMES.index(sname))
+    unary = 0
+    for _ in range(1000):
+        q = random_free_connex_cq(rng)
+        plan = build_fc_plan(q)
+        unary += unary_nodes(plan)
+        for source in plan_sources(plan, s):
+            assert not ONE_TUPLE.search(source), (q.to_text(), source)
+    assert unary > 1000  # the corpus keys many nodes by one variable
+
+
 # the builtin semirings, whose operators generated code writes out through
 # their templates, and the naturals without templates, whose operators it
 # calls by name
@@ -561,7 +591,7 @@ TEMPLATE_NAMES = {"min", "inf"}
 # TEMPLATE_NAMES
 WALK_NAMES = {
     "walk", "state", "k", "factor", "semiring", "is_zero", "mul", "version",
-    "bounds", "range", "relations", "candidates", "groups", "items", "RuntimeError", "STALE",
+    "bounds", "range", "relations", "candidates", "groups", "items", "StaleStateError", "STALE",
 }
 # every name that ``build_source`` writes, besides Python keywords, the
 # numbered names of its relations, groups, candidate sets and member counts,

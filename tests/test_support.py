@@ -14,7 +14,8 @@ from test_static_engine import NAT, make_db
 # node 3 projects R onto (x, y) and keeps member counts; node 4 joins U with
 # it, a connex 2-child node under a projection, which keeps no candidate
 # set; node 5 projects node 4 onto x, so its candidates are the keys of node
-# 4's group; the root, node 6, joins S with node 5 and keeps its candidates
+# 4's group; the root, node 6, joins S with node 5 and keeps its candidates;
+# a key of one variable is its value
 QUERY = "H(x,y) :- R(x,y,z), S(x), U(x,y)."
 RELATIONS = {
     "R": (3, {(1, 1, 1): 1, (1, 1, 2): 2, (1, 2, 1): 2, (2, 1, 1): 1, (3, 3, 3): 1}),
@@ -34,7 +35,8 @@ def guarded_state():
 
 
 # join_drain's query: the root, node 3, joins R with node 2, which projects
-# S onto y, so node 1's group under y maps each S tuple to its annotation
+# S onto y, so node 1's group under y (the key of one variable is its
+# value) maps each S tuple to its annotation
 STATIC_QUERY = "H(x,y,z) :- R(x,y), S(y,z)."
 STATIC_RELATIONS = {
     "R": (2, {(1, 1): 2, (2, 1): 3, (3, 2): 1}),
@@ -46,7 +48,7 @@ def static_state():
     state = preprocess(parse_query(STATIC_QUERY), make_db(NAT, STATIC_RELATIONS))
     plan = state.plan
     assert plan.nodes[3].children == [0, 2] and plan.nodes[2].children == [1]
-    assert state.groups[1][(1,)] == {(1, 1): 5, (1, 2): 1}
+    assert state.groups[1][1] == {(1, 1): 5, (1, 2): 1}
     assert state.candidates[3] == {(1, 1): 2, (2, 1): 3}
     assert verify_dynamic_invariants(state) == []
     return state
@@ -73,11 +75,11 @@ def _member_count(state):
 
 
 def _candidate_set(state):
-    del state.candidates[6][(2,)]
+    del state.candidates[6][2]
 
 
 def _group(state):
-    state.groups[4][(2,)][(2, 2)] = True
+    state.groups[4][2][(2, 2)] = True
 
 
 def _candidate_alias(state):
@@ -85,7 +87,7 @@ def _candidate_alias(state):
 
 
 def _group_value(state):
-    state.groups[1][(1,)][(1, 2)] = 4
+    state.groups[1][1][(1, 2)] = 4
 
 
 def _root_candidate_value(state):
