@@ -2,8 +2,9 @@
 update-line reader of ``kdata``, the build and walk of each plan
 (``static_engine``), the update step of each relation symbol
 (``dynamic_engine``) and the builtin semiring operators are written as
-Python source and compiled here.  A plan leaf's key is an expression that
-the builds and update steps write inline.
+Python source and compiled here.  Each generator lays out its source
+from the plan as it writes it, and nothing reads the text back.  A plan
+leaf's key is an expression that the builds and update steps write inline.
 
 A generated source holds only fixed names, integer literals, the update
 script's ``"+"``, ``"-"`` and ``"#"``, and the semiring's operator
@@ -20,9 +21,9 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, List, Sequence
+from typing import Callable, Sequence
 
-from .errors import CapabilityError, StaleStateError
+from .errors import StaleStateError
 
 # the message of the error a walk raises when its state was updated
 STALE = "enumeration cursor invalidated by an update"
@@ -35,17 +36,9 @@ MAX_NESTED_BLOCKS = 20  # CPython's limit of nested blocks in one function
 
 @lru_cache(maxsize=256)
 def compile_source(source: str, name: str) -> Callable:
-    """The function ``name`` that ``source`` defines; a ``CapabilityError`` when
-    it nests more ``for``, ``while``, ``try`` and ``with`` blocks than CPython
-    compiles, each opening a line above its deeper indented body."""
-    open_at: List[int] = []  # the indentation of each open block
-    for line in filter(str.strip, source.splitlines()):
-        indent = len(line) - len(line.lstrip())
-        open_at = [i for i in open_at if i < indent]
-        if line.startswith(("for ", "while ", "try:", "with "), indent):
-            open_at.append(indent)
-            if len(open_at) > MAX_NESTED_BLOCKS:
-                raise CapabilityError(f"the generated {name} nests more than {MAX_NESTED_BLOCKS} loops, which CPython does not compile")
+    """The function ``name`` that ``source`` defines.  A walk nests one loop
+    per level and free range of its plan, a count that ``preprocess_with_plan``
+    checks against ``MAX_NESTED_BLOCKS``; any other source at most two."""
     namespace = dict(STALE=STALE, StaleStateError=StaleStateError, INSERT=INSERT, DELETE=DELETE, inf=math.inf, isfinite=math.isfinite)
     exec(compile(source, f"<{name}>", "exec"), namespace)
     return namespace[name]

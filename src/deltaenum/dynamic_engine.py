@@ -35,7 +35,6 @@ update changes its answers.
 
 from __future__ import annotations
 
-import re
 from functools import partial
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -110,24 +109,24 @@ def update_source(plan: QueryPlan, symbol: str, s: SemiringDescriptor) -> str:
     An update that is not taken as it stands goes to ``reject(u)``, which is
     ``apply_update`` on the database, before anything is written: a tuple of
     another arity or with a value below 1, or an insert whose value or sum
-    ``s`` does not admit.  ``make`` reads each dict that the paths name off
-    the state once.  Only fixed names and integer literals are written
-    besides the semiring's operator templates, no symbol of the query.
+    ``s`` does not admit.  ``make`` reads off the state, once, ``bounds`` if
+    a leaf covers an inequality, then each dict the paths add to ``reads``.
+    Only fixed names and integer literals are written besides the semiring's
+    operator templates, no symbol of the query.
     """
     leaves = _symbol_leaves(plan)[symbol]
     arity = len(plan.atoms[plan.nodes[leaves[0]].atom_index].args)
-    paths = []
+    paths: List[str] = []
+    reads: Dict[str, str] = {}  # local name -> the dict of the state it reads, in first-use order
     for n in leaves:
         # (nothing is left to do at a root leaf whose relation is the database's entries)
-        body = _leaf_path(plan, n, s, n == leaves[0]) or ["pass"]
+        body = _leaf_path(plan, n, s, n == leaves[0], reads) or ["pass"]
         paths += ["", f"    def path{n}(t, old, new):", *("        " + line for line in body)]
-    text = "\n".join(paths)
-    stores = {"r": "state.relations", "a": "state.accs", "c": "state.candidates", "g": "state.groups"}
     reject = " or ".join([f"len(t) != {arity}"] + [f"t[{i}] < 1" for i in range(arity)])
     lines = ["def make(state, entries, reject):", "    s = state.semiring"]
     lines += ["    add, sub, mul, is_zero, admits, zero = s.add, s.sub, s.mul, s.is_zero, s.admits, s.zero"]
-    lines += ["    bounds = state.bounds"] if "bounds[" in text else []
-    lines += [f"    {x}{n} = {stores[x]}[{n}]" for x, n in dict.fromkeys(re.findall(r"\b([racg])([0-9]+)\b", text))]
+    lines += ["    bounds = state.bounds"] if any(plan.covered[plan.nodes[n].atom_index] for n in leaves) else []
+    lines += [f"    {name} = {store}" for name, store in reads.items()]
     lines += [
         *paths,
         "",
@@ -157,7 +156,7 @@ def update_source(plan: QueryPlan, symbol: str, s: SemiringDescriptor) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _leaf_path(plan: QueryPlan, leaf: int, s: SemiringDescriptor, first: bool) -> List[str]:
+def _leaf_path(plan: QueryPlan, leaf: int, s: SemiringDescriptor, first: bool, reads: Dict[str, str]) -> List[str]:
     """The body of the path of the guarded plan's ``leaf``, for a change of
     its relation symbol's annotation at ``t`` from ``old`` to ``new`` (None
     when absent), made after the database's entries were written; ``first``
@@ -172,7 +171,9 @@ def _leaf_path(plan: QueryPlan, leaf: int, s: SemiringDescriptor, first: bool) -
 
     Node ``n``'s key is ``kn``, its old and new value ``on`` and ``vn``, its
     relation and member counts ``rn`` and ``an``, its candidates named by
-    ``candidate_set``, and ``bounds`` is ``state.bounds``.  The steps up to
+    ``candidate_set``, and ``bounds`` is ``state.bounds``.  The path adds each
+    dict of the state it names to ``reads``, its local name to the dict, as
+    it first names it, and ``make`` hoists exactly those.  The steps up to
     the first connex node carry the change of value, and the path returns
     at the first node whose value does not change.  From there a change of
     support goes on up the candidates to the root: one chain for a tuple
@@ -186,18 +187,22 @@ def _leaf_path(plan: QueryPlan, leaf: int, s: SemiringDescriptor, first: bool) -
         k = f"k{leaf}"
         body.append(f"{k} = {key}")
     if not first or (miss, key) != (None, "t"):
+        reads[f"r{c}"] = f"state.relations[{c}]"
         body += [f"if {v} is None:", f"    del r{c}[{k}]", "else:", f"    r{c}[{k}] = {v}"]
     enters, leaves = [], []  # the chains of a tuple entering or leaving the support
     while c != plan.root:
         p = plan.nodes[c].parent
         children = plan.nodes[p].children
         sib, kp = sum(children) - c, k  # a 2-child node's tuple is its children's
-        absent = f"{k} not in {candidate_set(plan, sib)}"
         if len(children) == 1:
             kp = f"k{p}"
             key_line = f"{kp} = {project(k, plan.positions[c], len(plan.order[c]))}"
-        cp = candidate_set(plan, p) if c in plan.connex else None
+        # the candidates a connex step names: its sibling's at a 2-child node, then its parent's, if kept
+        kept = [candidate_set(plan, n) for n in ([sib] if len(children) == 2 else []) + [p]] if c in plan.connex else []
+        reads.update(filter(None, kept))
+        cp = kept[-1][0] if kept and kept[-1] else None
         if c in plan.connex and len(children) == 2:
+            absent = f"{k} not in {kept[0][0]}"
             # the parent's candidates are the tuples in both children's, if kept
             enters += [f"if {absent}:", "    return"] + ([f"{cp}[{k}] = True"] if cp else [])
             leaves += [f"if {absent}:", "    return"] + ([f"del {cp}[{k}]"] if cp else [])
@@ -207,12 +212,14 @@ def _leaf_path(plan: QueryPlan, leaf: int, s: SemiringDescriptor, first: bool) -
             enters += [f"{cp}[{kp}] = {{{k}: True}}"]
             leaves += [key_line, f"b = {cp}[{kp}]", f"del b[{k}]", "if b:", "    return", f"del {cp}[{kp}]"]
         elif len(children) == 2:
+            reads.update({f"r{p}": f"state.relations[{p}]", f"r{sib}": f"state.relations[{sib}]"})
             body += [f"o{p} = r{p}.get({k})", f"x = r{sib}.get({k})"]
             product = s.expr("mul", v, "x")
             body += [f"v{p} = None if {v} is None or x is None or {s.expr('is_zero', f'(x := {product})')} else x"]
         else:
             # the group's sum is the parent's value (zero when absent); it
             # restarts from zero when the group empties
+            reads.update({f"r{p}": f"state.relations[{p}]", f"a{p}": f"state.accs[{p}]"})
             body += [key_line, f"o{p} = r{p}.get({kp})", f"n = a{p}.get({kp}, 0)", f"v{p} = zero if o{p} is None else o{p}"]
             body += [f"if {o} is not None:", "    n -= 1", f"    v{p} = {s.expr('sub', f'v{p}', o)} if n else zero"]
             body += [f"if {v} is not None:", "    n += 1", f"    v{p} = {s.expr('add', f'v{p}', v)}"]

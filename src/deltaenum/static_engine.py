@@ -67,7 +67,7 @@ from functools import partial, reduce
 from itertools import islice
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .codegen import compile_source, display, project
+from .codegen import MAX_NESTED_BLOCKS, compile_source, display, project
 from .errors import CapabilityError, ClassificationError, VocabularyError
 from .kdata import AnnotatedRelation, Database, DataTuple, SingleTupleUpdate
 from .planner import Level, QueryPlan, build_fc_plan
@@ -179,6 +179,8 @@ def preprocess_with_plan(q: ConjunctiveQuery, db: Database, plan: QueryPlan) -> 
         limits[ineq.var] = min(limits.get(ineq.var, c), c)
     state.bounds = tuple(limits[v] for v in plan.bounded)
     state.factor = sum_of_ones(s, math.prod(limits[v] for v in plan.summed))
+    if len(plan.levels) + len(plan.ranges) > MAX_NESTED_BLOCKS:  # the walk's loops (``walk_source``)
+        raise CapabilityError(f"the generated walk nests more than {MAX_NESTED_BLOCKS} loops, which CPython does not compile")
     walk, build = plan_sources(plan, s)
     state.walk = compile_source(walk, "walk")
     entries = {}
@@ -213,21 +215,24 @@ def build_source(plan: QueryPlan, s: SemiringDescriptor) -> str:
     Besides the semiring's operator templates, only fixed names and integer
     literals are written, no symbol of the query.
     """
-    body: List[str] = []
-    for nid in plan.postorder():
-        if nid in plan.stored:
-            body += _scan(plan, nid, s)
     levels = [] if plan.guarded else plan.levels
     values = {level.nodes[0]: _level_value(plan, level, s) for level in levels}
-    if any(line.startswith("for ") for line in body) or any(len(level.frontier) > 1 for level in levels):
-        body[:0] = ["add, mul, is_zero = state.semiring.add, state.semiring.mul, state.semiring.is_zero"]
-    if "bounds[" in "\n".join(body):
-        body[:0] = ["bounds = state.bounds"]
+    # every leaf is read by one loop, whose test reads the limits of the inequalities it covers
+    body = ["bounds = state.bounds"] if any(plan.covered) else []
+    own = {n for n in plan.stored if plan.nodes[n].is_leaf and leaf_key(plan, n) == (None, "t")}
+    if plan.stored - own or any(len(level.frontier) > 1 for level in levels):
+        body.append("add, mul, is_zero = state.semiring.add, state.semiring.mul, state.semiring.is_zero")
     for nid in plan.postorder():
-        children, name = plan.nodes[nid].children, candidate_set(plan, nid)
+        if nid in own:  # a leaf whose tuples are their own keys is its database entries
+            body.append(f"r{nid} = state.relations[{nid}] = entries[{nid}]")
+        elif nid in plan.stored:
+            body += _scan(plan, nid, s)
+    for nid in plan.postorder():
+        children, kept = plan.nodes[nid].children, candidate_set(plan, nid)
         # the connex set is sibling-closed: all children are connex, or none
-        if nid not in plan.connex or nid in plan.frontier or name is None:
+        if nid not in plan.connex or nid in plan.frontier or kept is None:
             continue
+        name, store = kept
         c = children[0]
         if len(children) == 1 or nid == plan.root:
             value = values.get(c if len(children) == 1 else nid)
@@ -238,28 +243,30 @@ def build_source(plan: QueryPlan, s: SemiringDescriptor) -> str:
         if len(children) == 2 or tuples is None:
             c1, c2 = plan.nodes[nid if len(children) == 2 else c].children
             tuples = candidate_set(plan, c1)
-            test = f"{project('t', plan.positions[c2], len(plan.order[c1]))} in {candidate_set(plan, c2)}"
-        each = f"t, v in {tuples}.items()" if value else f"t in {tuples}"
+            test = f"{project('t', plan.positions[c2], len(plan.order[c1]))} in {candidate_set(plan, c2)[0]}"
+        each = f"t, v in {tuples[0]}.items()" if value else f"t in {tuples[0]}"
         if len(children) == 2:
-            body.append(f"{name} = state.candidates[{nid}] = {{t: {value or True} for {each} if {test}}}")
+            body.append(f"{name} = {store} = {{t: {value or True} for {each} if {test}}}")
             continue
         put = f"{name}.setdefault({project('t', plan.positions[c], len(plan.order[c]))}, {{}})[t] = {value or True}"
-        body += [f"{name} = state.groups[{c}] = {{}}", f"for {each}:"]
+        body += [f"{name} = {store} = {{}}", f"for {each}:"]
         body += [f"    if {test}:", f"        {put}"] if test else [f"    {put}"]
     return "\n".join(["def build(state, entries):", *("    " + line for line in body or ["pass"])]) + "\n"
 
 
-def candidate_set(plan: QueryPlan, nid: int) -> Optional[str]:
+def candidate_set(plan: QueryPlan, nid: int) -> Optional[Tuple[str, str]]:
     """The local name in the generated sources of the dict whose keys are
-    the connex node ``n`` = ``nid``'s candidates: ``rn`` at the frontier,
-    ``gc`` for a projection of ``c``, else ``cn``; None for a 2-child node
-    under a projection, whose candidates only that projection's loop reads."""
+    the connex node ``n`` = ``nid``'s candidates, and the dict of the state
+    it is: ``rn`` (``state.relations[n]``) at the frontier, ``gc``
+    (``state.groups[c]``) for a projection of ``c``, else ``cn``
+    (``state.candidates[n]``); None for a 2-child node under a projection,
+    whose candidates only that projection's loop reads."""
     children, parent = plan.nodes[nid].children, plan.nodes[nid].parent
     if nid in plan.frontier:
-        return f"r{nid}"
+        return f"r{nid}", f"state.relations[{nid}]"
     if len(children) == 1:
-        return f"g{children[0]}"
-    return f"c{nid}" if parent is None or len(plan.nodes[parent].children) == 2 else None
+        return f"g{children[0]}", f"state.groups[{children[0]}]"
+    return (f"c{nid}", f"state.candidates[{nid}]") if parent is None or len(plan.nodes[parent].children) == 2 else None
 
 
 def _level_value(plan: QueryPlan, level: Level, s: SemiringDescriptor) -> Optional[str]:
@@ -280,20 +287,19 @@ def _level_value(plan: QueryPlan, level: Level, s: SemiringDescriptor) -> Option
 
 def _scan(plan: QueryPlan, nid: int, s: SemiringDescriptor) -> List[str]:
     """The lines of ``build_source`` that build the relation ``rn`` of the
-    stored node ``n`` = ``nid``: its database entries themselves for a leaf
-    whose tuples are their own keys (``leaf_key``), and otherwise one loop
-    that reads the relation of the nearest stored node below, or a leaf's
-    entries, each dropped when it fails the leaf's test and then re-keyed
-    by the leaf's key.  Each streamed 2-child node on the way up, and ``nid``
-    itself when it is one, looks the row's tuple up in its second child's
-    relation, lowest first: the row is dropped when the lookup misses or
-    the product of the annotations is zero.  A row that passes is stored,
-    or under a projection added into its group, and over a semiring whose
-    sums cancel the zero sums are dropped at the end.  Over a guarded plan
-    the same loop counts each group's members into ``an``
-    (``state.accs[n]``), under the group's key tuple, the same object the
-    sum is stored under in ``rn``; a group whose sum is dropped keeps its
-    count."""
+    stored node ``n`` = ``nid``, other than a leaf whose tuples are their
+    own keys (``leaf_key``): one loop that reads the relation of the nearest
+    stored node below, or a leaf's entries, each dropped when it fails the
+    leaf's test and then re-keyed by the leaf's key.  Each streamed 2-child
+    node on the way up, and ``nid`` itself when it is one, looks the row's
+    tuple up in its second child's relation, lowest first: the row is
+    dropped when the lookup misses or the product of the annotations is
+    zero.  A row that passes is stored, or under a projection added into its
+    group, and over a semiring whose sums cancel the zero sums are dropped
+    at the end.  Over a guarded plan the same loop counts each group's
+    members into ``an`` (``state.accs[n]``), under the group's key tuple,
+    the same object the sum is stored under in ``rn``; a group whose sum is
+    dropped keeps its count."""
     children = plan.nodes[nid].children
     m = children[0] if len(children) == 1 else nid
     probes: List[int] = []
@@ -305,8 +311,6 @@ def _scan(plan: QueryPlan, nid: int, s: SemiringDescriptor) -> List[str]:
     from_leaf = m == nid or m not in plan.stored
     miss, key = leaf_key(plan, m) if from_leaf else (None, "t")
     r = f"r{nid}"
-    if not children and (miss, key) == (None, "t"):
-        return [f"{r} = state.relations[{nid}] = entries[{nid}]"]
     body = [f"if {miss}:", "    continue"] if miss else []
     body += [f"t = {key}"] if key != "t" else []
     product = s.expr("mul", "k", "x")
@@ -344,18 +348,20 @@ def walk_source(plan: QueryPlan, s: SemiringDescriptor) -> str:
 
     It nests one ``for`` per level, binding level ``j``'s tuple (the value,
     at one variable) to ``tj``, then one per free inequality range ``n``
-    (``plan.ranges``), binding ``in`` from 1 up to its limit in ``state.bounds``.  A level with frontier
-    annotations ``f1, f2, f3`` multiplies the product so far:
-    ``pj = mul(p(j-1), mul(mul(f1, f2), f3))``, from the constant factor
-    ``k = state.factor``, each ``mul`` written through the semiring's
-    template.  Over a free-connex plan, and at a root on the frontier, the
-    level reads ``tj`` with ``vj = mul(mul(f1, f2), f3)`` off the dict it
-    iterates (``build_source``); over a guarded plan it looks each ``fi``
-    up in its frontier relation.
-    The innermost loop yields the head, read off the tuples and ranges, and
-    the product, then checks ``state.version``.  Besides the templates,
-    only fixed names and integer literals are written, no symbol of the
-    query.
+    (``plan.ranges``), binding ``in`` from 1 up to its limit in ``bounds``:
+    ``len(plan.levels) + len(plan.ranges)`` loops, each line indented as it
+    is written.  A level with frontier annotations ``f1, f2, f3`` multiplies
+    the product so far: ``pj = mul(p(j-1), mul(mul(f1, f2), f3))``, from the
+    constant factor ``k = state.factor``, each ``mul`` written through the
+    semiring's template.  Over a free-connex plan, and at a root on the
+    frontier, the level reads ``tj`` with ``vj = mul(mul(f1, f2), f3)`` off
+    the dict it iterates (``build_source``); over a guarded plan it looks
+    each ``fi`` up in its frontier relation.  Before the loops the walk
+    reads off the state, as the levels name them, each dict they iterate or
+    look up, and ``bounds`` when there are ranges.  The innermost loop
+    yields the head, read off the tuples and ranges, and the product, then
+    checks ``state.version``.  Besides the templates, only fixed names and
+    integer literals are written, no symbol of the query.
     """
     levels, ranges = plan.levels, plan.ranges
     place: Dict[str, str] = {}  # variable -> the expression of its value
@@ -369,13 +375,11 @@ def walk_source(plan: QueryPlan, s: SemiringDescriptor) -> str:
         if comps == [f"t{j}[{pos}]" for pos in range(len(level.order))]:
             head = f"t{j}"  # the level's tuple itself
 
-    hoists = ["version = state.version"]
-    if ranges:
-        hoists.append("bounds = state.bounds")
-    loops: List[str] = []
+    hoists = ["version = state.version"] + (["bounds = state.bounds"] if ranges else [])
+    loops: List[str] = []  # each line indented by the loops it is in
     p = "k"  # the product of the levels entered so far
     for j, level in enumerate(levels):
-        t, width = f"t{j}", len(level.order)
+        t, width, pad = f"t{j}", len(level.order), "    " * (j + 1)
         # the dict of a level's tuples maps each to its frontier product, but
         # over a guarded plan only at a root on the frontier
         valued = level.frontier and (not plan.guarded or plan.root in plan.frontier)
@@ -385,29 +389,25 @@ def walk_source(plan: QueryPlan, s: SemiringDescriptor) -> str:
             hoists += [f"r{f} = state.relations[{f}]" for f, _ in level.frontier]
             factors = [f"r{f}[{project(t, pos, width)}]" for f, pos in level.frontier]
         if j == 0:
-            tuples = candidate_set(plan, plan.root)
-            hoists.append(f"{tuples} = state.{'relations' if plan.root in plan.frontier else 'candidates'}[{plan.root}]")
+            tuples, store = candidate_set(plan, plan.root)
+            hoists.append(f"{tuples} = {store}")
         else:
             n, src = level.nodes[0], level.source
             hoists.append(f"g{n} = state.groups[{n}]")
             tuples = f"g{n}[{project(f't{src}', level.key, len(levels[src].order))}]"
-        loops.append(f"for {t}, v{j} in {tuples}.items():" if valued else f"for {t} in {tuples}:")
+        loops.append(pad + (f"for {t}, v{j} in {tuples}.items():" if valued else f"for {t} in {tuples}:"))
         if factors:
             p_new = s.expr("mul", p, reduce(partial(s.expr, "mul"), factors))
             if j < len(levels) - 1 or ranges:
-                loops.append(f"p{j} = {p_new}")
+                loops.append(f"{pad}    p{j} = {p_new}")
                 p_new = f"p{j}"
             p = p_new  # the innermost level's is read once, in the yield
-    loops += [f"for i{n} in range(1, bounds[{plan.bounded.index(v)}] + 1):" for n, v in enumerate(ranges)]
-    loops += [f"yield {head}, {p}", "if state.version != version:", "    raise StaleStateError(STALE)"]
+    loops += ["    " * (len(levels) + n + 1) + f"for i{n} in range(1, bounds[{plan.bounded.index(v)}] + 1):" for n, v in enumerate(ranges)]
+    pad = "    " * (len(levels) + len(ranges) + 1)
+    loops += [f"{pad}yield {head}, {p}", f"{pad}if state.version != version:", f"{pad}    raise StaleStateError(STALE)"]
     lines = ["def walk(state):", "    k = state.factor", "    mul, is_zero = state.semiring.mul, state.semiring.is_zero"]
     lines += [f"    if {s.expr('is_zero', 'k')}:", "        return"]
-    lines += ["    " + line for line in hoists]
-    depth = 1
-    for line in loops:
-        lines.append("    " * depth + line)
-        depth += line.startswith("for ")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + ["    " + line for line in hoists] + loops) + "\n"
 
 
 def enumerate_state(

@@ -10,6 +10,8 @@ import pytest
 
 import deltaenum
 from deltaenum.cli import main
+from deltaenum.planner import build_fc_plan, build_guarded_plan
+from deltaenum.query import parse_query
 from deltaenum.semiring import BUILTIN_SEMIRING_NAMES, builtin_semiring
 
 
@@ -85,7 +87,10 @@ def _star(k):
     [("eval", _ranges(21), 21), ("dyn", _star(20), 21), ("eval", _ranges(20), 20), ("dyn", _star(19), 20)],
 )
 def test_a_walk_of_more_than_twenty_loops_exits_one(tmp_path, capsys, command, text, loops):
-    # CPython compiles a function with at most 20 statically nested blocks
+    # CPython compiles a function with at most 20 statically nested blocks;
+    # the walk nests one loop per level and free range of its plan
+    plan = (build_guarded_plan if command == "dyn" else build_fc_plan)(parse_query(text))
+    assert len(plan.levels) + len(plan.ranges) == loops
     d = tmp_path / "db"
     d.mkdir()
     (d / "vocab.json").write_text(json.dumps({"relations": {f"R{i}": 2 for i in range(1, 21)}, "constants": {"c": 1}}))
@@ -102,6 +107,13 @@ def test_a_walk_of_more_than_twenty_loops_exits_one(tmp_path, capsys, command, t
     else:
         assert code == 0 and captured.err == ""
         assert captured.out.count("\n") == (1 if command == "eval" else 2)
+
+
+def test_plan_prints_a_walk_of_more_than_twenty_loops(tmp_path, capsys):
+    q = write(tmp_path / "q.cq", _ranges(21))
+    assert main(["plan", q, "--json"]) == 0
+    walk = json.loads(capsys.readouterr().out)["walk"]
+    assert walk.count(" for i") == 21 and "    " * 22 + "yield " in walk
 
 
 def _corrupt_annotation(answers):

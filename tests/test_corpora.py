@@ -1,16 +1,22 @@
 """The seeded corpora are pinned: a change to what any draw of ``support``
-returns changes the digest below, so that it shows in review.  The draws use
-``random.Random(k)``, not ``corpus_rng``, so DELTA_ENUM_SEED does not move
-them."""
+returns changes the digest below, so that it shows in review.  So are the
+sources the engines generate: a change to any walk, build, update step or
+row reader changes ``SOURCES_SHA256``.  The draws use ``random.Random(k)``,
+not ``corpus_rng``, so DELTA_ENUM_SEED does not move them."""
 
 import hashlib
 import random
 
+from deltaenum.dynamic_engine import update_sources
+from deltaenum.kdata import reader_source, update_reader_source
+from deltaenum.planner import build_fc_plan, build_guarded_plan
 from deltaenum.semiring import BUILTIN_SEMIRING_NAMES, acc_new, builtin_semiring
+from deltaenum.static_engine import plan_sources
 
 import support
 
 CORPUS_SHA256 = "7cd88f0cbbd80a9d1e7888db5c826d444d2ef1be70cc172ca5a5507d78137d8b"
+SOURCES_SHA256 = "7931b7ec4d98113e181caf6a37bab96ddb501592495d4036a36144b6872709b8"
 
 
 def db_text(db) -> str:
@@ -58,3 +64,35 @@ def test_the_seeded_corpora_draw_what_they_drew():
     for text in corpus_draws():
         digest.update(text.encode() + b"\0")
     assert digest.hexdigest() == CORPUS_SHA256
+
+
+def generated_sources():
+    # the walk and build of both plans of free-connex queries, under every
+    # builtin semiring
+    for k, name in enumerate(BUILTIN_SEMIRING_NAMES):
+        rng, s = random.Random(100 + k), builtin_semiring(name)
+        for _ in range(1000):
+            q = support.random_free_connex_cq(rng)
+            yield q.to_text()
+            for plan in (build_fc_plan(q), build_guarded_plan(q)):
+                yield from plan_sources(plan, s) if plan else ["no plan"]
+    # the update steps of q-hierarchical self-joins, under the semirings
+    # that the dynamic engine maintains
+    for k, name in enumerate(["natural", "boolean", "real"]):
+        rng, s = random.Random(200 + k), builtin_semiring(name)
+        for _ in range(1000):
+            q = support.random_q_hierarchical_cq(rng, self_join_prob=0.4)
+            yield q.to_text()
+            for symbol, source in update_sources(build_guarded_plan(q), s).items():
+                yield from (symbol, source)
+    for name in BUILTIN_SEMIRING_NAMES:
+        s = builtin_semiring(name)
+        yield from (reader_source(arity, s, bounded) for arity in range(4) for bounded in (False, True))
+        yield update_reader_source(s)
+
+
+def test_the_generated_sources_are_what_they_were():
+    digest = hashlib.sha256()
+    for text in generated_sources():
+        digest.update(text.encode() + b"\0")
+    assert digest.hexdigest() == SOURCES_SHA256
